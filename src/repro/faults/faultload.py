@@ -56,7 +56,7 @@ with a topology)::
     wandegrade@240-400:dc0>dc1,x5   the directed dc0 -> dc1 WAN link
                                runs 5x slower in [240,400)
 
-On sharded deployments (:mod:`repro.shard`) targets may be
+On partitioned deployments (``shards > 1``) targets may be
 shard-qualified with a dotted ``shard.replica`` form::
 
     crash@240:1.2      crash shard 1's replica 2
@@ -65,7 +65,8 @@ shard-qualified with a dotted ``shard.replica`` form::
     oneway@30:0.1>1.2  cut shard0.replica1 -> shard1.replica2
 
 A directed pair must be shard-qualified at both ends or neither; plain
-indexes on a sharded cluster address shard 0.
+indexes address shard 0.  Indexes are never negative, and the harness
+range-checks them against the deployment before the run starts.
 
 Targets are validated per kind at parse time: ``*`` (random live
 replica) is only meaningful for ``crash``; ``reboot``/``partition``/
@@ -166,7 +167,8 @@ class FaultEvent:
                 f"fault time must be a finite number >= 0, got {self.at!r}")
         if self.until is not None and math.isnan(self.until):
             raise ValueError("fault window end may not be NaN")
-        for label, value in (("shard", self.shard),
+        for label, value in (("replica", self.replica), ("dst", self.dst),
+                             ("shard", self.shard),
                              ("dst shard", self.dst_shard)):
             if value is not None and value < 0:
                 raise ValueError(f"{label} must be >= 0, got {value!r}")
@@ -603,8 +605,16 @@ class FaultInjector:
     (windowed message faults), ``apply_storage_fault`` (disk faults),
     ``block_oneway``/``unblock_oneway``, and for the geo kinds
     ``fail_dc``/``restore_dc``, ``wan_partition``/``heal_wan_partition``
-    and ``wan_degrade`` (a geo-configured cluster).
+    and ``wan_degrade`` (a geo-configured cluster).  Targets are opaque
+    here: the injector passes ``event.src_target`` (or a pick from
+    ``live_replicas``) straight through, and asks the cluster's
+    ``target_label`` for the recorder's grammar-shaped label.
     """
+
+    #: point events against one replica -> the cluster verb they call
+    _REPLICA_VERBS = {"crash": "crash_replica", "reboot": "reboot_replica",
+                      "partition": "partition_replica",
+                      "heal": "heal_replica"}
 
     def __init__(self, sim, cluster, faultload: Faultload,
                  rng: Optional[random.Random] = None):
@@ -619,16 +629,18 @@ class FaultInjector:
         self._dc_crashes = 0
         self._recorder = recorder_of(sim)
 
-    @staticmethod
-    def _target_str(target) -> str:
-        """Grammar-shaped target label: (shard, replica) -> "1.2"."""
-        if isinstance(target, tuple):
-            return ".".join(str(part) for part in target)
-        return str(target)
-
     def _record(self, kind: str, **fields) -> None:
         if self._recorder is not None:
             self._recorder.record(kind, None, **fields)
+
+    def _record_targets(self, kind: str, fault: str, *targets) -> None:
+        """One replica (or a directed ``src>dst`` pair) as the cluster
+        labels it."""
+        if self._recorder is not None:
+            label = self._cluster.target_label
+            self._recorder.record(
+                kind, None, fault=fault,
+                target=">".join(label(target) for target in targets))
 
     def arm(self) -> None:
         for event in self.faultload.events:
@@ -672,65 +684,45 @@ class FaultInjector:
                 self._sim.call_at(event.at, self._fire, event)
 
     def _fire(self, event: FaultEvent) -> None:
-        target = event.src_target
-        if event.kind == "crash":
-            if event.replica is None:
-                live = self._cluster.live_replicas()
-                if event.shard is not None:
-                    # crash@T:1.* -- random choice within one shard.
-                    live = [t for t in live
-                            if isinstance(t, tuple) and t[0] == event.shard]
-                if not live:
-                    return
-                target = self._rng.choice(sorted(live))
         # Record before mutating: crash listeners (proxy broken
         # connections, DC-wide crashes) fire synchronously inside the
         # cluster call, and the recorded cause must precede its
         # consequences in the ring.
-        if event.kind == "crash":
-            self.injected.append((self._sim.now, event.kind, target))
-            self._record("fault.inject", fault=event.kind,
-                         target=self._target_str(target))
-            self._cluster.crash_replica(target)
-        elif event.kind == "reboot":
-            self.injected.append((self._sim.now, event.kind, target))
-            self._record("fault.inject", fault=event.kind,
-                         target=self._target_str(target))
-            self._cluster.reboot_replica(target)
-        elif event.kind == "partition":
-            self.injected.append((self._sim.now, event.kind, target))
-            self._record("fault.inject", fault=event.kind,
-                         target=self._target_str(target))
-            self._cluster.partition_replica(target)
+        now = self._sim.now
+        if event.kind in self._REPLICA_VERBS:
+            target = event.src_target
+            if event.replica is None:
+                # crash@T:* / crash@T:1.* -- a random live replica (of
+                # one shard, when qualified).
+                live = self._cluster.live_replicas(event.shard)
+                if not live:
+                    return
+                target = self._rng.choice(sorted(live))
+            self.injected.append((now, event.kind, target))
+            self._record_targets(
+                "fault.heal" if event.kind == "heal" else "fault.inject",
+                event.kind, target)
+            getattr(self._cluster, self._REPLICA_VERBS[event.kind])(target)
         elif event.kind == ONEWAY_KIND:
-            self.injected.append(
-                (self._sim.now, event.kind,
-                 (event.src_target, event.dst_target)))
-            self._record("fault.inject", fault=event.kind,
-                         target=f"{self._target_str(event.src_target)}>"
-                                f"{self._target_str(event.dst_target)}")
-            self._cluster.block_oneway(event.src_target, event.dst_target)
+            pair = (event.src_target, event.dst_target)
+            self.injected.append((now, event.kind, pair))
+            self._record_targets("fault.inject", event.kind, *pair)
+            self._cluster.block_oneway(*pair)
         elif event.kind == "dcfail":
-            self.injected.append((self._sim.now, "dcfail", event.dc))
+            self.injected.append((now, "dcfail", event.dc))
             self._record("fault.inject", fault="dcfail", target=event.dc,
                          dc=event.dc)
             self._dc_crashes += self._cluster.fail_dc(event.dc)
         elif event.kind == "wanpart":
-            self.injected.append(
-                (self._sim.now, "wanpart", (event.dc, event.peer_dcs)))
+            self.injected.append((now, "wanpart", (event.dc, event.peer_dcs)))
             self._record("fault.inject", fault="wanpart", target=event.dc,
                          dc=event.dc, peer_dcs=list(event.peer_dcs))
             self._cluster.wan_partition(event.dc, event.peer_dcs)
-        elif event.kind == RETRYSTORM_KIND:
+        else:  # retrystorm
             factor = event.factor if event.factor is not None else 8.0
-            self.injected.append((self._sim.now, "retrystorm", factor))
+            self.injected.append((now, "retrystorm", factor))
             self._record("fault.inject", fault="retrystorm", factor=factor)
             self._cluster.begin_slowdown(factor)
-        else:
-            self.injected.append((self._sim.now, event.kind, target))
-            self._record("fault.heal", fault=event.kind,
-                         target=self._target_str(target))
-            self._cluster.heal_replica(target)
 
     def _heal_retrystorm(self, event: FaultEvent) -> None:
         self._cluster.end_slowdown()
@@ -738,13 +730,10 @@ class FaultInjector:
         self._record("fault.heal", fault="retrystorm")
 
     def _heal_oneway(self, event: FaultEvent) -> None:
-        self._cluster.unblock_oneway(event.src_target, event.dst_target)
-        self.injected.append(
-            (self._sim.now, "heal-oneway",
-             (event.src_target, event.dst_target)))
-        self._record("fault.heal", fault="oneway",
-                     target=f"{self._target_str(event.src_target)}>"
-                            f"{self._target_str(event.dst_target)}")
+        pair = (event.src_target, event.dst_target)
+        self._cluster.unblock_oneway(*pair)
+        self.injected.append((self._sim.now, "heal-oneway", pair))
+        self._record_targets("fault.heal", "oneway", *pair)
 
     def _restore_geo(self, event: FaultEvent) -> None:
         if event.kind == "dcfail":

@@ -1,15 +1,13 @@
-"""Shared geo wiring for the flat and sharded clusters.
+"""Geo wiring for :class:`repro.harness.cluster.RobustStoreCluster`.
 
-Both :class:`repro.harness.cluster.RobustStoreCluster` and
-:class:`repro.shard.cluster.ShardedCluster` need the same bookkeeping:
-assign every node a DC, hand the switch a delay model, and translate
+Assign every node a DC, hand the switch a delay model, and translate
 DC-scoped faults (``dcfail``, ``wanpart``, ``wandegrade``) into the
-crash/partition primitives they already have.  :class:`GeoState` owns
-that bookkeeping; the clusters keep only thin methods over it.
+crash/partition primitives the cluster already has.  :class:`GeoState`
+owns that bookkeeping; the cluster keeps only thin methods over it.
 
-Replica *targets* are whatever the owning cluster's fault API takes --
-plain indexes for the flat cluster, ``(shard, index)`` pairs for the
-sharded one -- so the state never needs to know which cluster built it.
+Replica *targets* are opaque here: the cluster hands in one
+``(fault_target, node_name)`` pair per replica and gets the same
+targets back per DC, so the state never inspects their shape.
 """
 
 from __future__ import annotations

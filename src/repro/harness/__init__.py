@@ -3,14 +3,15 @@
 * :mod:`repro.harness.config` -- experiment scale presets and cluster
   configuration;
 * :mod:`repro.harness.cluster` -- builds the complete deployment of
-  Figure 2: server replicas (Treplica + bookstore + application server),
-  the reverse proxy, client nodes running RBEs, watchdogs;
+  Figure 2 for any shard count: replica groups (Treplica + bookstore +
+  application server), the reverse proxy or shard router, client nodes
+  running RBEs, watchdogs; also resolves every fault target to a node;
 * :mod:`repro.harness.experiment` -- the fluent :class:`Experiment`
   builder, the one front door for every run: speedup (Fig. 3), scaleup
   (Fig. 4), one crash (Fig. 5/6, Tables 1/2), two crashes (Fig. 7,
   Tables 3/4), delayed recovery (Fig. 8, Tables 5/6);
 * :mod:`repro.harness.experiments` -- the execution engine and
-  :class:`ExperimentResult` (plus the deprecated ``run_*`` shims);
+  :class:`ExperimentResult`;
 * :mod:`repro.harness.cli` -- the ``repro run / sweep / report``
   command line;
 * :mod:`repro.harness.report` -- table and series renderers used by the
@@ -30,14 +31,6 @@ from repro.harness.experiments import (
     ExperimentResult,
     MissingTraceError,
     MissingWindowError,
-    run_baseline,
-    run_delayed_recovery,
-    run_one_crash,
-    run_partition,
-    run_scaleup_point,
-    run_sequential_crashes,
-    run_speedup_point,
-    run_two_crashes,
 )
 
 __all__ = [
@@ -51,12 +44,4 @@ __all__ = [
     "bench_scale",
     "paper_scale",
     "tiny_scale",
-    "run_baseline",
-    "run_delayed_recovery",
-    "run_one_crash",
-    "run_partition",
-    "run_scaleup_point",
-    "run_sequential_crashes",
-    "run_speedup_point",
-    "run_two_crashes",
 ]

@@ -1,4 +1,4 @@
-"""Builds the full RobustStore deployment of Figure 2.
+"""Builds the full RobustStore deployment of Figure 2 -- for any shard count.
 
 Three disjoint node sets on one simulated switch:
 
@@ -10,11 +10,21 @@ Three disjoint node sets on one simulated switch:
 Plus the out-of-band pieces: one watchdog per replica (auto-restart) and
 the recovery-event log the dependability analysis reads.
 
-The replica tier lives in :class:`ReplicaGroup` so one deployment can
-host several independent consensus groups: the unsharded cluster below
-builds exactly one group (node names, seed forks, and boot order are
-unchanged), while :class:`repro.shard.cluster.ShardedCluster` builds one
-group per shard with a ``s{g}.`` name prefix and a shard-scoped seed.
+The replica tier lives in :class:`ReplicaGroup`, one independent
+Paxos+Treplica consensus group.  :class:`RobustStoreCluster` builds
+``config.shards`` of them; the paper's flat deployment is the k=1 case,
+not a second system (Spinnaker's point: a datastore is a set of
+key-range cohorts, and one cohort is the degenerate case).  What a
+partitioned deployment adds -- ``s{g}.`` node names, shard-scoped
+seeds, the 2PC database facade, the shard router, shard-tagged
+recoveries and gauges -- is chosen in one place in the constructor and
+imported from :mod:`repro.shard` only when ``config.shards > 1``.
+
+This module also owns how a fault target resolves to a node: every
+fault verb takes a plain replica index (meaning shard 0) or a
+``(shard, replica)`` pair -- what the faultload grammar's
+``crash@240:1.2`` produces -- and goes through the one range-checking
+:meth:`RobustStoreCluster._resolve`.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 import math
 import pickle
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.faults.checker import SafetyChecker
 from repro.faults.faultload import (NEMESIS_KINDS, ONEWAY_KIND,
@@ -56,6 +66,10 @@ from repro.tpcw.workload import profile_by_name
 from repro.treplica import TreplicaRuntime
 from repro.web.proxy import ReverseProxy
 from repro.web.server import ApplicationServer
+
+#: A fault target: plain replica index (meaning shard 0) or
+#: ``(shard, replica)``.
+Target = Union[int, Tuple[int, int]]
 
 
 class ReplicaGroup:
@@ -177,6 +191,12 @@ class ReplicaGroup:
     # ------------------------------------------------------------------
     # fault-injection interface (group-local indexes)
     # ------------------------------------------------------------------
+    def target(self, index: int) -> Target:
+        """The deployment-wide fault target of replica ``index``: the
+        plain index for the untagged single group, else ``(shard,
+        index)``."""
+        return index if self.shard is None else (self.shard, index)
+
     def live_replicas(self) -> List[int]:
         return [i for i, node in enumerate(self.replica_nodes) if node.alive]
 
@@ -239,6 +259,8 @@ class RobustStoreCluster:
     """One complete deployment, ready for an experiment run."""
 
     def __init__(self, config: ClusterConfig):
+        if config.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {config.shards}")
         self.config = config
         self.sim = Simulator()
         self.seed = SeedTree(config.seed)
@@ -276,9 +298,11 @@ class RobustStoreCluster:
             self.sim.recorder = self.recorder
         self.network = Network(self.sim, NetworkParams(), seed=self.seed,
                                nemesis=Nemesis(self.sim, seed=self.seed))
-        # Created lazily by the first storage fault (apply_storage_fault):
-        # with none configured, no disk ever consults a nemesis and runs
-        # are bit-for-bit identical to a storage-fault-free build.
+        # Created lazily by the first storage fault (apply_storage_fault)
+        # and shared by every group, so the audit counters are
+        # deployment-wide; with none configured, no disk ever consults a
+        # nemesis and runs are bit-for-bit identical to a
+        # storage-fault-free build.
         self.storage_nemesis: Optional[StorageNemesis] = None
         self.profile = profile_by_name(config.profile)
         self.collector = MetricsCollector()
@@ -294,39 +318,74 @@ class RobustStoreCluster:
         self._size_multiplier = (self.population_params.size_multiplier
                                  / scale.time_div)
 
-        # --- nodes -----------------------------------------------------
-        self.group = ReplicaGroup(self.sim, self.network, config, self.seed,
-                                  self._population_blob,
-                                  self._size_multiplier)
-        self.replica_nodes = self.group.replica_nodes
-        self.replica_names = self.group.replica_names
+        # --- the one k=1 / k>1 branch ----------------------------------
+        # Everything that tells the paper's flat deployment from a
+        # partitioned one is chosen here.  Below this block "one group"
+        # is just k=1; per-group behaviour keys off ReplicaGroup.shard
+        # (None = the single untagged group).
+        group_names: List[List[str]] = []  # filled once the groups exist
+        if config.shards == 1:
+            group_kwargs = [dict(seed=self.seed)]
+
+            def make_proxy() -> ReverseProxy:
+                return ReverseProxy(self.proxy_node, group_names[0],
+                                    config.proxy_params())
+        else:
+            # Imported lazily: the flat deployment never loads the
+            # shard package.
+            from repro.shard import Partitioner, ShardRouter
+            from repro.shard.database import sharded_database_factory
+            partitioner = Partitioner.for_population(config.shards,
+                                                     self.population_params)
+            factory = sharded_database_factory(config, partitioner,
+                                               group_names)
+            group_kwargs = [dict(seed=self.seed.fork(f"shard{g}"),
+                                 name_prefix=f"s{g}.", shard=g,
+                                 database_factory=factory)
+                            for g in range(config.shards)]
+
+            def make_proxy() -> ReverseProxy:
+                return ShardRouter(self.proxy_node, group_names,
+                                   partitioner, config.proxy_params())
+
+        # --- nodes: every group's replicas, then proxy, then clients ----
+        self.recoveries: List[Dict[str, float]] = []  # one shared log
+        self.groups: List[ReplicaGroup] = [
+            ReplicaGroup(self.sim, self.network, config,
+                         population_blob=self._population_blob,
+                         size_multiplier=self._size_multiplier,
+                         recoveries=self.recoveries, **kwargs)
+            for kwargs in group_kwargs]
+        group_names.extend(group.replica_names for group in self.groups)
         self.proxy_node = Node(self.sim, self.network, "proxy",
                                cpu_speed=1.0 / scale.load_div)
         self.client_nodes: List[Node] = [
             Node(self.sim, self.network, f"client{i}")
             for i in range(config.client_nodes)]
 
-        # --- replica software ------------------------------------------
-        # (shared list objects: the group mutates them in place)
-        self.runtimes = self.group.runtimes
-        self.servers = self.group.servers
-        self.recoveries = self.group.recoveries
-        self.group.boot_all()
+        # --- replica software (all groups exist: 2PC coordinators can
+        # see every group's member list) --------------------------------
+        for group in self.groups:
+            group.boot_all()
 
-        # --- proxy -------------------------------------------------------
-        self.proxy = ReverseProxy(self.proxy_node, self.replica_names,
-                                  config.proxy_params())
+        # --- proxy / shard router ----------------------------------------
+        self.proxy = make_proxy()
         self.proxy.start()
 
         # --- geo-replication (repro.geo) --------------------------------
         # Node-to-DC assignment + the per-link delay model, attached
         # before the simulation's first event; the proxy starts
         # attributing completed interactions to the serving replica's DC.
+        # Every group gets the same placement: shard g's replica i sits
+        # in the same DC as shard h's replica i, so one DC outage hits
+        # the same quorum slot everywhere.
         self.geo_state: Optional[GeoState] = None
         if config.geo is not None:
             self.geo_state = GeoState(
                 config.geo,
-                [list(zip(range(config.replicas), self.replica_names))],
+                [[(group.target(i), name)
+                  for i, name in enumerate(group.replica_names)]
+                 for group in self.groups],
                 [self.proxy_node.name]
                 + [node.name for node in self.client_nodes])
             self.network.set_geo(self.geo_state.model)
@@ -337,9 +396,9 @@ class RobustStoreCluster:
                 self.recorder.record("geo.placement", None,
                                      **self.geo_state.replica_dc_of)
 
-        # --- watchdogs ---------------------------------------------------
-        self.group.start_watchdogs()
-        self.watchdogs = self.group.watchdogs
+        # --- watchdogs (per group) -------------------------------------
+        for group in self.groups:
+            group.start_watchdogs()
 
         # --- load tier (closed-loop RBE fleet or open-loop arrivals) ----
         self.rbes: List[RemoteBrowserEmulator]
@@ -369,6 +428,26 @@ class RobustStoreCluster:
                 warmup_until=config.scale.measure_start)
             self.slo_engine.start()
 
+    # ------------------------------------------------------------------
+    # group-major views over the replica tier
+    # ------------------------------------------------------------------
+    def _view(self, attr: str) -> list:
+        """``attr`` of every group, concatenated group-major.  With one
+        group it is that group's own (live, mutated-in-place) list."""
+        if len(self.groups) == 1:
+            return getattr(self.groups[0], attr)
+        return [item for group in self.groups
+                for item in getattr(group, attr)]
+
+    replica_nodes = property(lambda self: self._view("replica_nodes"))
+    replica_names = property(lambda self: self._view("replica_names"))
+    runtimes = property(lambda self: self._view("runtimes"))
+    servers = property(lambda self: self._view("servers"))
+    watchdogs = property(lambda self: self._view("watchdogs"))
+
+    # ------------------------------------------------------------------
+    # observability
+    # ------------------------------------------------------------------
     def _register_gauges(self) -> None:
         """Point-in-time readings the sampler charts every tick."""
         obs = self.metrics
@@ -381,26 +460,32 @@ class RobustStoreCluster:
             obs.gauge("sim.nemesis_dropped", lambda: nemesis.dropped)
             obs.gauge("sim.nemesis_duplicated", lambda: nemesis.duplicated)
             obs.gauge("sim.nemesis_delayed", lambda: nemesis.delayed)
+        replica_nodes = self.replica_nodes
         obs.gauge("sim.disk_queue_depth",
                   lambda: sum(node.disk.queue_length
-                              for node in self.replica_nodes))
+                              for node in replica_nodes))
         obs.gauge("paxos.live_replicas",
                   lambda: float(len(self.live_replicas())))
-        obs.gauge("treplica.queue_depth", self._max_apply_backlog)
+        obs.gauge("treplica.queue_depth",
+                  lambda: max(group.max_apply_backlog()
+                              for group in self.groups))
+        for group in self.groups:
+            if group.shard is not None:
+                obs.gauge(f"shard.s{group.shard}.live_replicas",
+                          lambda grp=group: float(len(grp.live_replicas())))
+                obs.gauge(f"shard.s{group.shard}.queue_depth",
+                          group.max_apply_backlog)
         if self.geo_state is not None:
             model = self.geo_state.model
             obs.gauge("sim.net_wan_messages",
                       lambda: float(model.wan_messages))
             obs.gauge("sim.net_wan_mb", lambda: model.wan_mb)
             for dc in self.geo_state.geo.topology.dcs:
-                indexes = tuple(self.geo_state.replica_targets(dc))
+                housed = [self._node(target)
+                          for target in self.geo_state.replica_targets(dc)]
                 obs.gauge(f"geo.{dc}.live_replicas",
-                          lambda idx=indexes: float(sum(
-                              1 for i in idx
-                              if self.replica_nodes[i].alive)))
-
-    def _max_apply_backlog(self) -> float:
-        return self.group.max_apply_backlog()
+                          lambda nodes=housed: float(sum(
+                              1 for node in nodes if node.alive)))
 
     @property
     def timeline(self):
@@ -412,13 +497,6 @@ class RobustStoreCluster:
         timeline seconds, compressed like every other fault time)."""
         scale = self.config.scale
         for event in Faultload.parse(spec, name="config-nemesis").events:
-            for index in (event.replica, event.dst):
-                if index is not None and not (
-                        0 <= index < len(self.replica_nodes)):
-                    raise ValueError(
-                        f"nemesis spec targets replica {index} but the "
-                        f"deployment has replicas 0.."
-                        f"{len(self.replica_nodes) - 1}: {spec!r}")
             scaled = replace(
                 event, at=scale.t(event.at),
                 until=None if event.until is None else scale.t(event.until))
@@ -427,11 +505,13 @@ class RobustStoreCluster:
             elif scaled.kind in STORAGE_KINDS:
                 self.apply_storage_fault(scaled)
             elif scaled.kind == ONEWAY_KIND:
-                self.sim.call_at(scaled.at, self.block_oneway,
-                                 scaled.replica, scaled.dst)
+                src, dst = scaled.src_target, scaled.dst_target
+                for end in (src, dst):
+                    self._resolve(end)  # a bad target fails here, not at t
+                self.sim.call_at(scaled.at, self.block_oneway, src, dst)
                 if scaled.until is not None and not math.isinf(scaled.until):
                     self.sim.call_at(scaled.until, self.unblock_oneway,
-                                     scaled.replica, scaled.dst)
+                                     src, dst)
             else:
                 raise ValueError(
                     f"nemesis_spec only takes message and storage faults "
@@ -439,32 +519,76 @@ class RobustStoreCluster:
                     f"{', '.join(STORAGE_KINDS)}), got {scaled.kind!r}")
 
     # ------------------------------------------------------------------
-    # fault-injection interface
+    # fault-injection interface (every verb takes a Target)
     # ------------------------------------------------------------------
-    def live_replicas(self) -> List[int]:
-        return self.group.live_replicas()
+    def _resolve(self, target: Target) -> Tuple[ReplicaGroup, int]:
+        """The one place a fault target becomes ``(group, index)``."""
+        shard, index = target if isinstance(target, tuple) else (0, target)
+        if not 0 <= shard < len(self.groups):
+            raise ValueError(
+                f"no such shard: {shard} (the deployment has shards "
+                f"0..{len(self.groups) - 1})")
+        group = self.groups[shard]
+        if not 0 <= index < len(group.replica_nodes):
+            raise ValueError(
+                f"shard {shard} has replicas 0.."
+                f"{len(group.replica_nodes) - 1}, no replica {index}")
+        return group, index
 
-    def crash_replica(self, index: int) -> None:
-        self.group.crash_replica(index)
+    def _node(self, target: Target) -> Node:
+        group, index = self._resolve(target)
+        return group.replica_nodes[index]
 
-    def reboot_replica(self, index: int) -> None:
-        self.group.reboot_replica(index)
+    @staticmethod
+    def target_label(target: Target) -> str:
+        """Grammar-shaped label of a target: ``2`` or ``"1.2"``."""
+        if isinstance(target, tuple):
+            return ".".join(str(part) for part in target)
+        return str(target)
 
-    def partition_replica(self, index: int) -> None:
-        self.group.partition_replica(index)
+    def live_replicas(self, shard: Optional[int] = None) -> List[Target]:
+        """Targets of the live replicas (of one shard, when given)."""
+        return [group.target(i) for group in self.groups
+                if shard is None or group.shard == shard
+                for i in group.live_replicas()]
 
-    def heal_replica(self, index: int) -> None:
-        self.group.heal_replica(index)
+    def crash_replica(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.crash_replica(index)
 
-    def block_oneway(self, src: int, dst: int) -> None:
+    def reboot_replica(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.reboot_replica(index)
+
+    def partition_replica(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.partition_replica(index)
+
+    def heal_replica(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.heal_replica(index)
+
+    def disable_watchdog(self, target: Target) -> None:
+        group, index = self._resolve(target)
+        group.disable_watchdog(index)
+
+    def begin_slowdown(self, factor: float) -> None:
+        """Retrystorm trigger: every replica of every group slows down."""
+        for group in self.groups:
+            group.begin_slowdown(factor)
+
+    def end_slowdown(self) -> None:
+        for group in self.groups:
+            group.end_slowdown()
+
+    def block_oneway(self, src: Target, dst: Target) -> None:
         """Asymmetric cut: replica ``src`` can no longer reach ``dst``
         (the reverse direction keeps working)."""
-        self.network.block_oneway(self.replica_names[src],
-                                  self.replica_names[dst])
+        self.network.block_oneway(self._node(src).name, self._node(dst).name)
 
-    def unblock_oneway(self, src: int, dst: int) -> None:
-        self.network.unblock_oneway(self.replica_names[src],
-                                    self.replica_names[dst])
+    def unblock_oneway(self, src: Target, dst: Target) -> None:
+        self.network.unblock_oneway(self._node(src).name,
+                                    self._node(dst).name)
 
     def apply_nemesis(self, event: FaultEvent) -> None:
         """Install one windowed message-fault event (times already on the
@@ -482,8 +606,8 @@ class RobustStoreCluster:
             raise ValueError(f"not a nemesis window kind: {event.kind!r}")
         pairs = None
         if event.replica is not None:
-            pairs = frozenset({(self.replica_names[event.replica],
-                                self.replica_names[event.dst])})
+            pairs = frozenset({(self._node(event.src_target).name,
+                                self._node(event.dst_target).name)})
         end = event.until if event.until is not None else math.inf
         self.network.nemesis.add_window(
             NemesisWindow(event.at, end, params, pairs))
@@ -491,7 +615,8 @@ class RobustStoreCluster:
     def _ensure_storage_nemesis(self) -> StorageNemesis:
         if self.storage_nemesis is None:
             self.storage_nemesis = StorageNemesis(self.sim, seed=self.seed)
-            self.group.attach_storage_nemesis(self.storage_nemesis)
+            for group in self.groups:
+                group.attach_storage_nemesis(self.storage_nemesis)
             # The engine's accept audit trail (and nothing else) keys off
             # this attribute; see PaxosEngine._vote.
             self.sim.storage_faults = self.storage_nemesis
@@ -500,8 +625,8 @@ class RobustStoreCluster:
     def apply_storage_fault(self, event: FaultEvent) -> None:
         """Install one storage-fault event (times already on the
         compressed timeline) on the deployment's storage nemesis."""
+        disk_name = self._node(event.src_target).disk.name
         nemesis = self._ensure_storage_nemesis()
-        disk_name = self.replica_nodes[event.replica].disk.name
         if event.kind == "corrupt":
             nemesis.schedule_corruption(event.at, disk_name)
             return
@@ -510,15 +635,6 @@ class RobustStoreCluster:
             end=event.until if event.until is not None else math.inf,
             p=event.p if event.p is not None else 1.0,
             slow_factor=event.factor if event.factor is not None else 4.0))
-
-    def disable_watchdog(self, index: int) -> None:
-        self.group.disable_watchdog(index)
-
-    def begin_slowdown(self, factor: float) -> None:
-        self.group.begin_slowdown(factor)
-
-    def end_slowdown(self) -> None:
-        self.group.end_slowdown()
 
     # ------------------------------------------------------------------
     # DC-scoped faults (geo runs only)
@@ -531,22 +647,24 @@ class RobustStoreCluster:
         return self.geo_state
 
     def fail_dc(self, dc: str) -> int:
-        """Full DC outage: crash every replica housed in ``dc``, with
-        watchdogs disabled so nothing restarts while the power is out.
-        Returns the number of replicas actually taken down."""
+        """Full DC outage across every group: crash each replica housed
+        in ``dc``, with watchdogs disabled so nothing restarts while the
+        power is out.  Returns the number of replicas actually taken
+        down."""
         crashed = 0
-        for index in self._geo().replica_targets(dc):
-            self.disable_watchdog(index)
-            if self.replica_nodes[index].alive:
-                self.crash_replica(index)
+        for target in self._geo().replica_targets(dc):
+            self.disable_watchdog(target)
+            if self._node(target).alive:
+                self.crash_replica(target)
                 crashed += 1
         return crashed
 
     def restore_dc(self, dc: str) -> None:
         """Power restored: re-enable the DC's watchdogs, which revive
         the crashed servers on their own (autonomous recovery)."""
-        for index in self._geo().replica_targets(dc):
-            self.watchdogs[index].enabled = self.config.watchdog_enabled
+        for target in self._geo().replica_targets(dc):
+            group, index = self._resolve(target)
+            group.watchdogs[index].enabled = self.config.watchdog_enabled
 
     def wan_partition(self, dc: str, peer_dcs) -> None:
         """Sever every node pair between ``dc`` and ``peer_dcs`` (both
@@ -583,7 +701,8 @@ class RobustStoreCluster:
         return dict(self.storage_nemesis.counters)
 
     def breaker_trips(self) -> int:
-        """Watchdogs that gave up on a crash-looping replica.
+        """Watchdogs (across every group) that gave up on a
+        crash-looping replica.
 
         Each trip means a human would have to intervene, so the harness
         counts it against autonomy alongside manual reboots.

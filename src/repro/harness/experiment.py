@@ -1,7 +1,6 @@
 """The fluent :class:`Experiment` builder -- one front door for all runs.
 
-Replaces the old ``run_baseline``/``run_one_crash``/... driver zoo with a
-single chainable API::
+A single chainable API::
 
     from repro.harness import Experiment
 
@@ -18,9 +17,8 @@ Scenario presets mirror the paper's evaluation: :meth:`baseline`,
 :meth:`delayed_recovery` (Section 5.6), plus the extension scenarios
 :meth:`sequential_crashes` and :meth:`partition`.  All fault times are
 paper-timeline seconds; the configured scale compresses them, exactly as
-before.  Every path funnels into the same execution engine as the
-deprecated drivers, so a builder run is bit-for-bit identical to its
-shim equivalent at the same seed.
+before.  Every path funnels into the one execution engine
+(:func:`repro.harness.experiments._execute`).
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ class Experiment:
 
     @classmethod
     def from_config(cls, config: ClusterConfig) -> "Experiment":
-        """Wrap an existing :class:`ClusterConfig` (the shim path)."""
+        """Wrap an existing :class:`ClusterConfig`."""
         return cls(config=config)
 
     # ------------------------------------------------------------------
@@ -194,10 +192,14 @@ class Experiment:
         return self
 
     def shards(self, k: int) -> "Experiment":
-        """Partition the store over ``k`` independent Paxos groups
-        (:mod:`repro.shard`), each with ``replicas`` replicas, behind a
-        shard-aware router.  ``shards(1)`` is the unsharded deployment,
-        bit-for-bit."""
+        """Run ``k`` independent Paxos groups of ``replicas`` replicas
+        each.  One cluster class builds every ``k``: ``shards(1)`` (the
+        default) *is* the paper's flat deployment; ``k > 1`` partitions
+        the store (:mod:`repro.shard`) behind a shard-aware router with
+        2PC for cross-shard writes.  Fault targets have one grammar for
+        every ``k``: a plain replica index means shard 0, ``g.i``
+        (``crash@240:1.2``) names shard ``g``'s replica ``i``, and both
+        are range-checked before the run starts."""
         self._overrides["shards"] = int(k)
         return self
 

@@ -13,15 +13,11 @@ The public way to drive a run is the fluent builder in
 
 This module holds the pieces the builder is made of: the shared
 :func:`_execute` engine-room (cluster + faultload + measurement) and the
-:class:`ExperimentResult` every table and figure is derived from.  The
-old per-scenario drivers (``run_baseline``, ``run_one_crash``, ...) are
-kept as thin deprecated shims over the builder and will be removed in a
-future release.
+:class:`ExperimentResult` every table and figure is derived from.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -310,9 +306,9 @@ class ExperimentResult:
 # ======================================================================
 # the engine room every run goes through
 # ======================================================================
-def _check_shard_targets(config: ClusterConfig, faultload: Faultload) -> None:
-    """Reject shard-qualified fault targets that the deployment cannot
-    resolve, with a message that names the offending event."""
+def _check_fault_targets(config: ClusterConfig, faultload: Faultload) -> None:
+    """Reject fault targets the deployment cannot resolve before the
+    run starts, with a message that names the offending event."""
     # Faultload events reach the engine scaled; the nemesis spec is still
     # raw text.  Pair each event with the factor that recovers the
     # paper-timeline seconds the user wrote, for the error messages.
@@ -322,33 +318,32 @@ def _check_shard_targets(config: ClusterConfig, faultload: Faultload) -> None:
                   for event in Faultload.parse(config.nemesis_spec,
                                                name="config-nemesis").events]
     for event, time_mult in specs:
-        at = event.at * time_mult
+        where = f"fault event {event.kind}@{event.at * time_mult:g}"
         for shard in (event.shard, event.dst_shard):
             if shard is None:
                 continue
             if config.shards <= 1:
                 raise ValueError(
-                    f"fault event {event.kind}@{at:g} targets shard "
-                    f"{shard}, but this is an unsharded deployment; add "
-                    f".shards(k) / --shards k or drop the shard qualifier")
+                    f"{where} targets shard {shard}, but this is an "
+                    f"unsharded deployment; add .shards(k) / --shards k "
+                    f"or drop the shard qualifier")
             if shard >= config.shards:
                 raise ValueError(
-                    f"fault event {event.kind}@{at:g} targets shard "
-                    f"{shard}, but the deployment only has "
-                    f"{config.shards} shards (0..{config.shards - 1})")
+                    f"{where} targets shard {shard}, but the deployment "
+                    f"only has {config.shards} shards "
+                    f"(0..{config.shards - 1})")
+        for replica in (event.replica, event.dst):
+            if replica is not None and replica >= config.replicas:
+                raise ValueError(
+                    f"{where} targets replica {replica}, but each group "
+                    f"only has {config.replicas} replicas "
+                    f"(0..{config.replicas - 1})")
 
 
 def _execute(config: ClusterConfig, faultload: Faultload,
              setup=None) -> ExperimentResult:
-    _check_shard_targets(config, faultload)
-    if config.shards > 1:
-        # Imported lazily: the unsharded path must not even load the
-        # shard package (parity: .shards(1) is bit-for-bit the paper's
-        # single-group deployment).
-        from repro.shard.cluster import ShardedCluster
-        cluster = ShardedCluster(config)
-    else:
-        cluster = RobustStoreCluster(config)
+    _check_fault_targets(config, faultload)
+    cluster = RobustStoreCluster(config)
     if setup is not None:
         setup(cluster)
     injector = FaultInjector(cluster.sim, cluster, faultload,
@@ -408,88 +403,3 @@ def _execute(config: ClusterConfig, faultload: Faultload,
         flight=recorder,
         slo=cluster.slo_engine,
         retrystorm_window=storm_window)
-
-
-# ======================================================================
-# deprecated per-scenario drivers (use repro.harness.Experiment)
-# ======================================================================
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old}() is deprecated; use {new}",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_baseline(config: ClusterConfig) -> ExperimentResult:
-    """Deprecated shim: ``Experiment.from_config(config).baseline().run()``."""
-    _deprecated("run_baseline", "Experiment.from_config(config).baseline()")
-    from repro.harness.experiment import Experiment
-    return Experiment.from_config(config).baseline().run()
-
-
-def run_custom(config: ClusterConfig, faultload_spec: str) -> ExperimentResult:
-    """Deprecated shim: ``Experiment.from_config(config).faults(spec).run()``."""
-    _deprecated("run_custom",
-                "Experiment.from_config(config).faults(spec)")
-    from repro.harness.experiment import Experiment
-    return Experiment.from_config(config).faults(faultload_spec).run()
-
-
-def run_speedup_point(config: ClusterConfig) -> Tuple[float, float]:
-    """One Figure 3 point: saturated WIPS and mean WIRT (ms)."""
-    from repro.harness.experiment import Experiment
-    stats = Experiment.from_config(config).baseline().run().whole_window()
-    return stats.awips, stats.mean_wirt_s * 1000.0
-
-
-def run_scaleup_point(config: ClusterConfig) -> Tuple[float, float]:
-    """One Figure 4 point: delivered WIPS at fixed offered load, WIRT (ms)."""
-    from repro.harness.experiment import Experiment
-    stats = Experiment.from_config(config).baseline().run().whole_window()
-    return stats.awips, stats.mean_wirt_s * 1000.0
-
-
-def run_one_crash(config: ClusterConfig,
-                  replica: Optional[int] = None) -> ExperimentResult:
-    """Deprecated shim: ``Experiment.from_config(config).one_crash().run()``."""
-    _deprecated("run_one_crash",
-                "Experiment.from_config(config).one_crash(replica)")
-    from repro.harness.experiment import Experiment
-    return Experiment.from_config(config).one_crash(replica).run()
-
-
-def run_two_crashes(config: ClusterConfig) -> ExperimentResult:
-    """Deprecated shim: ``Experiment.from_config(config).two_crashes().run()``."""
-    _deprecated("run_two_crashes",
-                "Experiment.from_config(config).two_crashes()")
-    from repro.harness.experiment import Experiment
-    return Experiment.from_config(config).two_crashes().run()
-
-
-def run_sequential_crashes(config: ClusterConfig,
-                           gap_s: float = 120.0) -> ExperimentResult:
-    """Deprecated shim: ``Experiment.from_config(config)
-    .sequential_crashes(gap_s).run()``."""
-    _deprecated("run_sequential_crashes",
-                "Experiment.from_config(config).sequential_crashes(gap_s)")
-    from repro.harness.experiment import Experiment
-    return Experiment.from_config(config).sequential_crashes(gap_s).run()
-
-
-def run_partition(config: ClusterConfig, replica: int = 2,
-                  duration_s: float = 60.0) -> ExperimentResult:
-    """Deprecated shim: ``Experiment.from_config(config)
-    .partition(replica, duration_s).run()``."""
-    _deprecated("run_partition",
-                "Experiment.from_config(config).partition(replica, duration_s)")
-    from repro.harness.experiment import Experiment
-    return Experiment.from_config(config).partition(replica, duration_s).run()
-
-
-def run_delayed_recovery(config: ClusterConfig,
-                         first: int = 1, second: int = 2) -> ExperimentResult:
-    """Deprecated shim: ``Experiment.from_config(config)
-    .delayed_recovery(first, second).run()``."""
-    _deprecated("run_delayed_recovery",
-                "Experiment.from_config(config).delayed_recovery(first, second)")
-    from repro.harness.experiment import Experiment
-    return Experiment.from_config(config).delayed_recovery(first, second).run()

@@ -1,9 +1,7 @@
 """Load generation models (closed-loop RBE fleet vs open-loop arrivals).
 
-``build_load`` is the one place both cluster builders
-(:class:`repro.harness.cluster.RobustStoreCluster` and
-:class:`repro.shard.cluster.ShardedCluster`) construct their load tier,
-dispatching on ``ClusterConfig.load_mode``:
+``build_load`` is where :class:`repro.harness.cluster.RobustStoreCluster`
+constructs its load tier, dispatching on ``ClusterConfig.load_mode``:
 
 * ``"closed"`` -- the paper's per-client RBE fleet, byte-identical to
   the historical inline loop (same seed-fork names in the same order);

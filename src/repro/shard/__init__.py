@@ -8,9 +8,12 @@ key-range partitioning across independent Paxos cohorts):
 * :class:`~repro.shard.partition.Partitioner` -- deterministic key-range
   partitioning of the TPC-W entity space (customers own carts/orders;
   items are partitioned for stock ownership);
-* :class:`~repro.shard.cluster.ShardedCluster` -- one independent
-  Paxos+Treplica :class:`~repro.harness.cluster.ReplicaGroup` per shard
-  behind a single shard-aware router;
+* :func:`~repro.shard.database.sharded_database_factory` -- the
+  per-replica 2PC endpoints and shard-aware facade that
+  :class:`~repro.harness.cluster.RobustStoreCluster` plugs into every
+  :class:`~repro.harness.cluster.ReplicaGroup` it builds (the cluster
+  class itself is shared with the flat k=1 deployment and imports this
+  package only when ``shards > 1``);
 * :class:`~repro.shard.router.ShardRouter` -- maps every interaction to
   its home shard via the session's customer id;
 * :mod:`~repro.shard.txn` -- a deterministic two-phase commit
@@ -23,13 +26,4 @@ Entry point: ``Experiment(...).shards(k)`` or ``repro run --shards k``.
 from repro.shard.partition import Partitioner
 from repro.shard.router import ShardRouter
 
-__all__ = ["Partitioner", "ShardRouter", "ShardedCluster"]
-
-
-def __getattr__(name):
-    # ShardedCluster pulls in the full harness; import it lazily so
-    # `from repro.shard import Partitioner` stays light.
-    if name == "ShardedCluster":
-        from repro.shard.cluster import ShardedCluster
-        return ShardedCluster
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["Partitioner", "ShardRouter"]

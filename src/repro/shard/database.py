@@ -19,10 +19,10 @@ things change:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.shard.partition import Partitioner
-from repro.shard.txn import TxnCoordinator
+from repro.shard.txn import TxnCoordinator, TxnParticipant
 from repro.tpcw import actions as acts
 from repro.tpcw.database import TPCWDatabase
 
@@ -114,3 +114,33 @@ class ShardedTPCWDatabase(TPCWDatabase):
         updated = yield from self._runtime.execute(action)
         self._coordinator.decide(tx_id, parts, commit=updated is not None)
         return updated
+
+
+def sharded_database_factory(config, partitioner: Partitioner,
+                             group_names: List[List[str]]) -> Callable:
+    """The ``ReplicaGroup`` database hook of a partitioned deployment.
+
+    The returned callable builds the shard-aware facade plus its 2PC
+    endpoints for one replica, and re-builds them on every
+    reboot/incarnation.  ``group_names`` (every group's member list) is
+    read at boot time, so the caller may fill it after creating the
+    groups.
+    """
+    def make_database(group, index: int, node, runtime) -> ShardedTPCWDatabase:
+        coordinator = TxnCoordinator(
+            node, group.shard, group_names,
+            timeout_s=config.txn_timeout_s,
+            max_retries=config.txn_max_retries)
+        coordinator.start()
+        TxnParticipant(
+            node, runtime, group.shard,
+            group_names=group_names,
+            resolve_timeout_s=config.txn_timeout_s,
+            resolve_retries=config.txn_max_retries,
+            orphan_timeout_s=config.txn_orphan_timeout_s).start()
+        return ShardedTPCWDatabase(
+            runtime, clock=lambda: group.sim.now,
+            rng=group.seed.fork_random(f"db-{index}-{node.incarnation}"),
+            partitioner=partitioner, shard=group.shard,
+            coordinator=coordinator)
+    return make_database

@@ -11,7 +11,7 @@ class FakeCluster:
     def __init__(self, sim, network, n):
         self.nodes = [Node(sim, network, f"n{i}") for i in range(n)]
 
-    def live_replicas(self):
+    def live_replicas(self, shard=None):
         return [i for i, node in enumerate(self.nodes) if node.alive]
 
     def crash_replica(self, index):

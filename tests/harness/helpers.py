@@ -5,8 +5,9 @@ this module re-exports it for the existing test imports.
 """
 
 from repro.harness.config import ClusterConfig, tiny_scale
+from repro.harness.experiment import Experiment
 
-__all__ = ["tiny_config", "tiny_scale"]
+__all__ = ["tiny_config", "tiny_experiment", "tiny_scale"]
 
 
 def tiny_config(**overrides) -> ClusterConfig:
@@ -14,3 +15,9 @@ def tiny_config(**overrides) -> ClusterConfig:
                     offered_wips=1900.0, scale=tiny_scale(), seed=42)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+def tiny_experiment(**overrides) -> Experiment:
+    """``Experiment.from_config(tiny_config(**overrides))``: chain a
+    scenario and ``.run()``."""
+    return Experiment.from_config(tiny_config(**overrides))

@@ -8,14 +8,14 @@ throughput drops; these tests pin that machinery in our harness.
 
 import pytest
 
-from repro.harness.experiments import run_baseline
+from repro.harness.experiment import Experiment
 
-from tests.harness.helpers import tiny_config
+from tests.harness.helpers import tiny_config, tiny_experiment
 
 
 def test_littles_law_holds_unsaturated():
     config = tiny_config(offered_wips=400.0, seed=29)
-    result = run_baseline(config)
+    result = Experiment.from_config(config).baseline().run()
     stats = result.whole_window()
     n_rbes = config.num_rbes
     think = config.think_time_s
@@ -25,7 +25,7 @@ def test_littles_law_holds_unsaturated():
 
 def test_littles_law_holds_saturated():
     config = tiny_config(offered_wips=4000.0, seed=29)
-    result = run_baseline(config)
+    result = Experiment.from_config(config).baseline().run()
     stats = result.whole_window()
     predicted = config.num_rbes / (config.think_time_s + stats.mean_wirt_s)
     assert stats.awips == pytest.approx(predicted, rel=0.12)
@@ -34,16 +34,16 @@ def test_littles_law_holds_saturated():
 def test_more_load_means_higher_latency():
     latencies = []
     for offered in (400.0, 2000.0, 4000.0):
-        stats = run_baseline(
-            tiny_config(offered_wips=offered, seed=29)).whole_window()
+        stats = (tiny_experiment(offered_wips=offered, seed=29)
+                 .baseline().run().whole_window())
         latencies.append(stats.mean_wirt_s)
     assert latencies[0] < latencies[1] < latencies[2]
 
 
 def test_saturation_caps_throughput():
-    moderate = run_baseline(
-        tiny_config(offered_wips=2000.0, seed=29)).whole_window()
-    heavy = run_baseline(
-        tiny_config(offered_wips=4000.0, seed=29)).whole_window()
+    moderate = (tiny_experiment(offered_wips=2000.0, seed=29)
+                .baseline().run().whole_window())
+    heavy = (tiny_experiment(offered_wips=4000.0, seed=29)
+             .baseline().run().whole_window())
     # Doubling offered load far past capacity must not double throughput.
     assert heavy.awips < 1.35 * moderate.awips

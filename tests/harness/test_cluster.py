@@ -3,9 +3,9 @@
 import pytest
 
 from repro.harness.cluster import RobustStoreCluster
-from repro.harness.experiments import MissingWindowError, run_baseline, run_one_crash
+from repro.harness.experiments import MissingWindowError
 
-from tests.harness.helpers import tiny_config
+from tests.harness.helpers import tiny_config, tiny_experiment
 
 
 def test_cluster_builds_figure2_topology():
@@ -25,7 +25,7 @@ def test_rbe_count_follows_offered_load():
 
 
 def test_baseline_run_delivers_interactions():
-    result = run_baseline(tiny_config())
+    result = tiny_experiment().baseline().run()
     stats = result.whole_window()
     assert stats.completed > 100
     assert stats.awips > 0
@@ -35,7 +35,7 @@ def test_baseline_run_delivers_interactions():
 
 
 def test_baseline_throughput_tracks_offered_load_when_unsaturated():
-    low = run_baseline(tiny_config(offered_wips=400.0)).whole_window()
+    low = tiny_experiment(offered_wips=400.0).baseline().run().whole_window()
     # 400/8 = 50 effective offered; delivered should be close.
     assert low.awips == pytest.approx(50.0, rel=0.2)
 
@@ -43,8 +43,8 @@ def test_baseline_throughput_tracks_offered_load_when_unsaturated():
 def test_profiles_have_expected_relative_throughput():
     results = {}
     for profile in ("browsing", "ordering"):
-        results[profile] = run_baseline(
-            tiny_config(profile=profile)).whole_window().awips
+        results[profile] = (tiny_experiment(profile=profile)
+                            .baseline().run().whole_window().awips)
     assert results["browsing"] > results["ordering"]
 
 
@@ -60,7 +60,7 @@ def test_replica_states_converge_after_run():
 
 
 def test_one_crash_recovers_autonomously():
-    result = run_one_crash(tiny_config())
+    result = tiny_experiment().one_crash().run()
     assert result.faults_injected == 1
     assert result.interventions == 0
     assert result.autonomy_ratio() == 0.0
@@ -70,18 +70,18 @@ def test_one_crash_recovers_autonomously():
 
 
 def test_one_crash_accuracy_stays_high():
-    result = run_one_crash(tiny_config())
+    result = tiny_experiment().one_crash().run()
     assert result.accuracy_pct() > 99.5
 
 
 def test_deterministic_across_identical_runs():
-    a = run_baseline(tiny_config(seed=7)).whole_window()
-    b = run_baseline(tiny_config(seed=7)).whole_window()
+    a = tiny_experiment(seed=7).baseline().run().whole_window()
+    b = tiny_experiment(seed=7).baseline().run().whole_window()
     assert a.completed == b.completed
     assert a.awips == b.awips
 
 
 def test_different_seeds_differ():
-    a = run_baseline(tiny_config(seed=7)).whole_window()
-    b = run_baseline(tiny_config(seed=8)).whole_window()
+    a = tiny_experiment(seed=7).baseline().run().whole_window()
+    b = tiny_experiment(seed=8).baseline().run().whole_window()
     assert a.completed != b.completed

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.harness.experiments import run_one_crash, run_baseline
-
-from tests.harness.helpers import tiny_config
+from tests.harness.helpers import tiny_experiment
 
 
 def test_crash_errors_are_broken_connections():
     """The paper's error model: the only client-visible errors of a clean
     crash are requests whose connection broke mid-flight."""
-    result = run_one_crash(tiny_config(seed=13))
+    result = tiny_experiment(seed=13).one_crash().run()
     errors = result.collector.error_counts(result.measure_start,
                                            result.measure_end)
     assert set(errors) <= {"connection reset by peer", "timeout"}
@@ -20,7 +18,7 @@ def test_crash_errors_are_broken_connections():
 
 
 def test_failure_free_run_has_zero_errors():
-    result = run_baseline(tiny_config(seed=13))
+    result = tiny_experiment(seed=13).baseline().run()
     errors = result.collector.error_counts(result.measure_start,
                                            result.measure_end)
     assert errors == {}
@@ -29,7 +27,7 @@ def test_failure_free_run_has_zero_errors():
 
 def test_wirt_compliance_in_a_real_run():
     """TPC-W's 90%-within-constraint rule holds for our operating point."""
-    result = run_baseline(tiny_config(seed=13))
+    result = tiny_experiment(seed=13).baseline().run()
     compliance = result.collector.wirt_compliance(result.measure_start,
                                                   result.measure_end)
     assert compliance, "interactions must have been measured"
@@ -38,7 +36,7 @@ def test_wirt_compliance_in_a_real_run():
 
 
 def test_recovery_event_bookkeeping_is_consistent():
-    result = run_one_crash(tiny_config(seed=13))
+    result = tiny_experiment(seed=13).one_crash().run()
     (event,) = result.recoveries
     assert event["crashed_at"] <= event["rebooted_at"] <= event["ready_at"]
     assert result.first_crash_at == event["crashed_at"]
@@ -47,7 +45,7 @@ def test_recovery_event_bookkeeping_is_consistent():
 
 
 def test_json_summary_is_self_consistent():
-    result = run_one_crash(tiny_config(seed=13))
+    result = tiny_experiment(seed=13).one_crash().run()
     data = result.to_dict()
     assert data["completed"] > 0
     assert data["errors"] >= 0

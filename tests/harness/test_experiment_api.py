@@ -1,4 +1,4 @@
-"""The fluent Experiment builder, and its parity with the old drivers."""
+"""The fluent Experiment builder: the one front door for every run."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from tests.harness.helpers import tiny_config
 
 
 def light_config(**overrides):
-    # lighter than tiny_config so the 2-runs-per-parity-case suite stays fast
+    # lighter than tiny_config, to keep this file fast
     defaults = dict(replicas=3, offered_wips=500.0)
     defaults.update(overrides)
     return tiny_config(**defaults)
@@ -55,46 +55,16 @@ def test_nemesis_rejects_node_faults():
 
 
 # ----------------------------------------------------------------------
-# seed-for-seed parity with the deprecated drivers
+# the deprecated run_* driver zoo is gone (removed in PR 12)
 # ----------------------------------------------------------------------
-SCENARIOS = [
-    ("run_baseline", (), lambda e: e.baseline()),
-    ("run_one_crash", (), lambda e: e.one_crash()),
-    ("run_two_crashes", (), lambda e: e.two_crashes()),
-    ("run_sequential_crashes", (), lambda e: e.sequential_crashes()),
-    ("run_partition", (), lambda e: e.partition()),
-    ("run_delayed_recovery", (), lambda e: e.delayed_recovery()),
-    ("run_custom", ("crash@240:1,reboot@330:1",),
-     lambda e: e.faults("crash@240:1,reboot@330:1")),
-]
-
-
-@pytest.mark.parametrize("old_name,old_args,build",
-                         SCENARIOS, ids=[s[0] for s in SCENARIOS])
-def test_builder_matches_deprecated_driver_bit_for_bit(old_name, old_args,
-                                                       build):
-    config = light_config(seed=42)
-    with pytest.warns(DeprecationWarning, match=old_name):
-        via_shim = getattr(experiments, old_name)(config, *old_args)
-    via_builder = build(Experiment.from_config(config)).run()
-    assert via_shim.to_dict() == via_builder.to_dict()
-
-
-def test_every_shim_warns_with_a_migration_hint():
-    config = light_config()
-    with pytest.warns(DeprecationWarning,
-                      match=r"Experiment\.from_config\(config\)\.baseline"):
-        experiments.run_baseline(config)
-
-
-def test_speedup_point_helpers_do_not_warn():
-    import warnings
-
-    config = light_config()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        awips, wirt_ms = experiments.run_speedup_point(config)
-    assert awips > 0 and wirt_ms > 0
+@pytest.mark.parametrize("name", [
+    "run_baseline", "run_custom", "run_one_crash", "run_two_crashes",
+    "run_sequential_crashes", "run_partition", "run_delayed_recovery",
+    "run_speedup_point", "run_scaleup_point"])
+def test_no_driver_shim_survives(name):
+    import repro.harness
+    assert not hasattr(experiments, name)
+    assert not hasattr(repro.harness, name)
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.harness.experiments import run_partition, run_sequential_crashes
-
-from tests.harness.helpers import tiny_config
+from tests.harness.helpers import tiny_config, tiny_experiment
 
 
 def test_sequential_crashes_both_recover():
-    result = run_sequential_crashes(tiny_config())
+    result = tiny_experiment().sequential_crashes().run()
     assert result.faults_injected == 2
     assert len(result.recoveries) == 2
     assert all(r["ready_at"] is not None for r in result.recoveries)
@@ -24,7 +22,7 @@ def test_sequential_crashes_both_recover():
 def test_partition_blocks_then_heals():
     # 300 s of paper timeline -> 15 s compressed: longer than the client
     # timeout, so blocked updates on the isolated replica become visible.
-    result = run_partition(tiny_config(), replica=2, duration_s=300.0)
+    result = tiny_experiment().partition(replica=2, duration_s=300.0).run()
     assert result.faults_injected == 0  # no process died
     assert result.recoveries == []     # nothing rebooted
     # The system as a whole keeps serving throughout.

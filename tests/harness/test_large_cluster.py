@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.cluster import RobustStoreCluster
-from repro.harness.experiments import run_baseline, run_two_crashes
+from repro.harness.experiment import Experiment
 
 from tests.harness.helpers import tiny_config
 
@@ -32,7 +32,7 @@ def test_twelve_replicas_fast_quorum_arithmetic():
 
 def test_two_crashes_on_eight_replicas_with_ordering_profile():
     config = tiny_config(replicas=8, profile="ordering", seed=5)
-    result = run_two_crashes(config)
+    result = Experiment.from_config(config).two_crashes().run()
     assert result.faults_injected == 2
     assert result.availability() == 1.0
     assert all(r["ready_at"] is not None for r in result.recoveries)
@@ -41,6 +41,6 @@ def test_two_crashes_on_eight_replicas_with_ordering_profile():
 
 def test_four_replica_minimum_deployment():
     config = tiny_config(replicas=4, offered_wips=400.0, seed=5)
-    result = run_baseline(config)
+    result = Experiment.from_config(config).baseline().run()
     assert result.whole_window().completed > 100
     assert result.accuracy_pct() == 100.0

@@ -7,7 +7,7 @@ Treplica, watchdogs -- rather than the bare lock-service fixture.
 
 import pytest
 
-from repro.harness.experiments import run_baseline, run_custom, run_one_crash
+from repro.harness.experiment import Experiment
 from tests.harness.helpers import tiny_config
 
 
@@ -18,7 +18,7 @@ def test_baseline_with_nemesis_stays_safe_and_serves():
         nemesis_spec="drop@60-240:p=0.1,dup@60-240:p=0.05,"
                      "delay@60-240:p=0.1:m=0.01",
         safety_tracing=True)
-    result = run_baseline(config)
+    result = Experiment.from_config(config).baseline().run()
     assert result.nemesis.dropped > 0
     assert result.nemesis.duplicated > 0
     assert result.nemesis.delayed > 0
@@ -34,7 +34,7 @@ def test_oneway_partition_spec_cuts_and_heals():
     config = tiny_config(replicas=3, seed=7,
                          nemesis_spec="oneway@60-240:0>1",
                          safety_tracing=True)
-    result = run_baseline(config)
+    result = Experiment.from_config(config).baseline().run()
     assert result.safety_violations == []
     assert result.whole_window().completed > 0
 
@@ -46,7 +46,7 @@ def test_crash_plus_nemesis_recovers_safely():
     config = tiny_config(replicas=3, seed=11,
                          nemesis_spec="drop@30-300:p=0.05",
                          safety_tracing=True)
-    result = run_one_crash(config, replica=1)
+    result = Experiment.from_config(config).one_crash(replica=1).run()
     assert result.faults_injected == 1
     assert result.safety_violations == []
     assert result.recovery_times()  # the crashed replica came back
@@ -55,7 +55,7 @@ def test_crash_plus_nemesis_recovers_safely():
 def test_nemesis_spec_rejects_replica_kinds():
     config = tiny_config(replicas=3, nemesis_spec="crash@60:1")
     with pytest.raises(ValueError):
-        run_baseline(config)
+        Experiment.from_config(config).baseline().run()
 
 
 def test_safety_checker_requires_tracing():
@@ -66,9 +66,9 @@ def test_safety_checker_requires_tracing():
 
 
 def test_custom_faultload_scales_nemesis_windows():
-    """run_custom compresses window ends like start times: on the tiny
+    """``.faults()`` compresses window ends like start times: on the tiny
     scale (time_div=20) a [60, 240) paper window becomes [3, 12)."""
     config = tiny_config(replicas=3, seed=7, safety_tracing=True)
-    result = run_custom(config, "drop@60-240:p=0.15")
+    result = Experiment.from_config(config).faults("drop@60-240:p=0.15").run()
     assert result.nemesis.dropped > 0
     assert result.safety_violations == []

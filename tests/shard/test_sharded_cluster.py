@@ -70,12 +70,3 @@ def test_crash_during_cross_shard_load_stays_safe():
     assert result.safety_violations == []
     assert result.faults_injected == 2
     assert {r["shard"] for r in result.recoveries} == {0, 1}
-
-
-def test_sharded_cluster_rejects_tuple_out_of_range():
-    from repro.shard.cluster import ShardedCluster
-    from tests.harness.helpers import tiny_config
-    cluster = ShardedCluster(tiny_config(replicas=3, offered_wips=200.0,
-                                         shards=2))
-    with pytest.raises(ValueError):
-        cluster.crash_replica((5, 0))

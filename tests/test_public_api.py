@@ -113,10 +113,7 @@ def test_tpcw_public_surface():
 def test_harness_public_surface():
     from repro.harness import (ClusterConfig, Experiment, ExperimentScale,
                                MissingWindowError, RobustStoreCluster,
-                               bench_scale, paper_scale, tiny_scale,
-                               run_baseline, run_delayed_recovery,
-                               run_one_crash, run_scaleup_point,
-                               run_speedup_point, run_two_crashes)
+                               bench_scale, paper_scale, tiny_scale)
     assert bench_scale().time_div > paper_scale().time_div
     assert tiny_scale().time_div > bench_scale().time_div
     for method in ("baseline", "faults", "nemesis", "observe",
