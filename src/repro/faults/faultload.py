@@ -71,7 +71,9 @@ range-checks them against the deployment before the run starts.
 Targets are validated per kind at parse time: ``*`` (random live
 replica) is only meaningful for ``crash``; ``reboot``/``partition``/
 ``heal`` need a fixed replica index; nemesis kinds need a time window
-and a probability; ``oneway`` needs a directed ``src>dst`` pair.
+and a probability; ``oneway`` needs a directed ``src>dst`` pair.  An
+event names one target and gives each ``key=`` option once; a second
+target or a repeated option is rejected, never last-one-wins.
 """
 
 from __future__ import annotations
@@ -420,6 +422,7 @@ def _parse_event(chunk: str) -> FaultEvent:
     parts = [part.strip() for part in rest.split(":")]
     at, until = _parse_time(parts[0], kind, chunk)
     replica = dst = p = mean = shard = dst_shard = factor_opt = None
+    targeted = False
     for part in parts[1:]:
         if "=" in part:
             if kind not in NEMESIS_KINDS and kind not in (
@@ -428,13 +431,17 @@ def _parse_event(chunk: str) -> FaultEvent:
                     f"{kind!r} takes no key=value options: {chunk!r}")
             p, mean, factor_opt = _parse_options(part, p, mean, factor_opt,
                                                  chunk)
-        elif ">" in part:
+            continue
+        if targeted:
+            raise ValueError(
+                f"more than one target ({part!r} is the second) "
+                f"in {chunk!r}")
+        targeted = True
+        if ">" in part:
             if kind in REPLICA_KINDS:
                 raise ValueError(
                     f"{kind!r} takes a single replica target, "
                     f"not a pair: {chunk!r}")
-            if replica is not None:
-                raise ValueError(f"duplicate pair in {chunk!r}")
             src_text, dst_text = part.split(">", 1)
             shard, replica = _parse_target(src_text, chunk)
             dst_shard, dst = _parse_target(dst_text, chunk)
@@ -554,6 +561,7 @@ def _parse_options(part: str, p: Optional[float], mean: Optional[float],
                    factor: Optional[float], chunk: str
                    ) -> Tuple[Optional[float], Optional[float],
                               Optional[float]]:
+    values = {"p": p, "m": mean, "factor": factor}
     for option in part.split(","):
         key, _eq, value_text = option.strip().partition("=")
         key = key.strip()
@@ -561,17 +569,15 @@ def _parse_options(part: str, p: Optional[float], mean: Optional[float],
             value = float(value_text)
         except ValueError:
             raise ValueError(f"bad value for {key!r} in {chunk!r}")
-        if key == "p":
-            p = value
-        elif key == "m":
-            mean = value
-        elif key == "factor":
-            factor = value
-        else:
+        if key not in values:
             raise ValueError(
                 f"unknown option {key!r} in {chunk!r} "
                 f"(expected p=, m=, or factor=)")
-    return p, mean, factor
+        if values[key] is not None:
+            raise ValueError(
+                f"option '{key}=' given more than once in {chunk!r}")
+        values[key] = value
+    return values["p"], values["m"], values["factor"]
 
 
 def _parse_index(text: str, chunk: str) -> int:

@@ -12,8 +12,9 @@
   Tables 3/4), delayed recovery (Fig. 8, Tables 5/6);
 * :mod:`repro.harness.experiments` -- the execution engine and
   :class:`ExperimentResult`;
-* :mod:`repro.harness.cli` -- the ``repro run / sweep / report``
-  command line;
+* :mod:`repro.harness.cli` -- the ``repro`` command line (``run``,
+  ``sweep``, ``report``, ``trace``, ``explore``, ``postmortem``), the
+  only entry point: ``python -m repro <sub-command>``;
 * :mod:`repro.harness.report` -- table and series renderers used by the
   benchmark suite.
 """

@@ -1,5 +1,5 @@
 """The ``repro`` command line: ``run``, ``sweep``, ``report``, ``trace``,
-``explore``, ``bench``, ``postmortem``.
+``explore``, ``postmortem``.
 
 ::
 
@@ -15,10 +15,6 @@
     python -m repro postmortem one_crash --md incident.md --json incident.json
     python -m repro explore --shards 2 --replicas 3 --scale tiny \\
         --max-faults 1 --budget 64 --out coverage.json
-    python -m repro bench --scale tiny --out bench_reports/BENCH_7_kernel.json
-    python -m repro bench --compare bench_reports/BENCH_7_kernel.json
-    python -m repro bench --obs --out bench_reports/BENCH_9_obs.json
-    python -m repro bench --retry --out bench_reports/BENCH_10_retrystorm.json
     python -m repro run --faultload 'retrystorm@240-300:factor=8' --defend \\
         --load 'open:wips=1400,timeout=1.5,retry=expo:base=0.5,budget=10%'
 
@@ -28,10 +24,6 @@ RBE fleet; optional ``clients=N`` pins the fleet size) or
 per-class arrival processes; ``population`` only sizes the emulated
 user-id space, so a million users cost no more kernel events than a
 hundred).
-
-The pre-subcommand flat form (``python -m repro.harness --experiment
-one_crash``) still works: it is normalized to ``run`` with a
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -42,7 +34,6 @@ import json
 import os
 import re
 import sys
-import warnings
 from dataclasses import replace
 
 from repro.harness import sweeps
@@ -144,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="RobustStore dependability experiments "
                     "(run / sweep / report).")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser(
         "run", help="run one experiment and print its dependability report")
@@ -264,54 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the JSON coverage report "
                               "(points, runs, counters, violations)")
 
-    bench = sub.add_parser(
-        "bench", help="benchmark the simulation kernel (closed- and "
-                      "open-loop events/sec, wall-clock per simulated "
-                      "second, peak WIPS) and write a BENCH_*.json report")
-    bench.add_argument("--obs", action="store_true",
-                       help="benchmark observability overhead instead: "
-                            "the same one_crash run with the flight "
-                            "recorder + SLO engine off vs on; exits 2 if "
-                            "recording costs more than 5%% events/sec; "
-                            "default --out becomes "
-                            "bench_reports/BENCH_9_obs.json")
-    bench.add_argument("--geo", action="store_true",
-                       help="benchmark the geo subsystem instead: one "
-                            "3-DC point per quorum shape (leader-local "
-                            "vs spread/majority), with the WIRT network "
-                            "bucket's intra-DC/WAN split; default --out "
-                            "becomes bench_reports/BENCH_8_geo.json")
-    bench.add_argument("--retry", action="store_true",
-                       help="run the retry-storm demonstration pair "
-                            "instead: the same transient slowdown with "
-                            "naive immediate retries (must go metastable) "
-                            "vs budgeted backoff + the defense stack "
-                            "(must recover); the load point is pinned, "
-                            "so --offered-wips is ignored; exits 2 if "
-                            "either oracle verdict flips; default --out "
-                            "becomes "
-                            "bench_reports/BENCH_10_retrystorm.json")
-    bench.add_argument("--scale", choices=["tiny", "bench", "paper"],
-                       default="tiny",
-                       help="experiment scale to benchmark (default tiny, "
-                            "the CI setting)")
-    bench.add_argument("--seed", type=int, default=2009)
-    bench.add_argument("--offered-wips", type=float, default=1900.0)
-    bench.add_argument("--population", type=int, default=None,
-                       help="open-loop emulated population "
-                            "(default 1,000,000)")
-    bench.add_argument("--out", metavar="PATH",
-                       default="bench_reports/BENCH_7_kernel.json",
-                       help="where to write the JSON report "
-                            "(default bench_reports/BENCH_7_kernel.json)")
-    bench.add_argument("--compare", metavar="BASELINE", default=None,
-                       help="baseline BENCH_*.json to diff against; "
-                            "exits 2 if events/sec regressed more than "
-                            "--tolerance in any mode")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       help="allowed fractional events/sec drop vs the "
-                            "baseline (default 0.20)")
-
     report = sub.add_parser(
         "report", help="re-render a saved `repro run --json` result")
     report.add_argument("paths", nargs="+", metavar="path",
@@ -332,31 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "textfile-collector format; the input must "
                              "be a `repro run --obs --json` result)")
     return parser
-
-
-def _normalize_legacy(argv):
-    """Map the old flat CLI onto ``run`` (with a deprecation warning)."""
-    if argv and argv[0] in ("run", "sweep", "report", "trace", "explore",
-                            "bench", "postmortem"):
-        return argv
-    if argv and argv[0] in ("-h", "--help"):
-        return argv
-    warnings.warn(
-        "the flat `python -m repro.harness --experiment ...` form is "
-        "deprecated; use `python -m repro run <scenario> ...`",
-        DeprecationWarning, stacklevel=3)
-    out = ["run"]
-    it = iter(argv)
-    for token in it:
-        if token == "--experiment":
-            scenario = next(it, None)
-            if scenario is not None:
-                out.insert(1, scenario)
-        elif token.startswith("--experiment="):
-            out.insert(1, token.split("=", 1)[1])
-        else:
-            out.append(token)
-    return out
 
 
 # ======================================================================
@@ -787,87 +705,6 @@ def _cmd_trace(args) -> int:
 
 
 # ======================================================================
-# bench
-# ======================================================================
-def _cmd_bench(args) -> int:
-    from repro.harness.bench import (
-        OBS_OVERHEAD_LIMIT_PCT,
-        OPEN_POPULATION,
-        compare,
-        format_report,
-        run_geo_bench,
-        run_kernel_bench,
-        run_obs_bench,
-        run_retry_bench,
-    )
-
-    if args.retry:
-        if args.out == "bench_reports/BENCH_7_kernel.json":
-            args.out = "bench_reports/BENCH_10_retrystorm.json"
-        print(f"benchmarking overload defenses | scale={args.scale} | "
-              f"retry storm: naive vs defended at one seed", flush=True)
-        report = run_retry_bench(scale=args.scale, seed=args.seed)
-    elif args.obs:
-        if args.out == "bench_reports/BENCH_7_kernel.json":
-            args.out = "bench_reports/BENCH_9_obs.json"
-        print(f"benchmarking observability | scale={args.scale} | "
-              f"one_crash, flight recorder + SLO engine off vs on",
-              flush=True)
-        report = run_obs_bench(scale=args.scale, seed=args.seed,
-                               wips=args.offered_wips)
-    elif args.geo:
-        if args.out == "bench_reports/BENCH_7_kernel.json":
-            args.out = "bench_reports/BENCH_8_geo.json"
-        print(f"benchmarking geo | scale={args.scale} | 3 DCs, "
-              f"leader-local vs spread quorums", flush=True)
-        report = run_geo_bench(scale=args.scale, seed=args.seed,
-                               wips=args.offered_wips)
-    else:
-        population = args.population or OPEN_POPULATION
-        print(f"benchmarking kernel | scale={args.scale} | closed + open "
-              f"({population:,} users)", flush=True)
-        report = run_kernel_bench(scale=args.scale, seed=args.seed,
-                                  wips=args.offered_wips,
-                                  population=population)
-    print(format_report(report))
-    if args.out:
-        _ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        problems = compare(report, baseline, tolerance=args.tolerance)
-        if problems:
-            print(f"\nevents/sec regression vs {args.compare}:",
-                  file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 2
-        print(f"within tolerance of {args.compare}")
-    if args.obs and report["overhead_pct"] > OBS_OVERHEAD_LIMIT_PCT:
-        print(f"\nflight-recorder overhead {report['overhead_pct']:.2f}% "
-              f"exceeds the {OBS_OVERHEAD_LIMIT_PCT:.0f}% events/sec gate",
-              file=sys.stderr)
-        return 2
-    if args.retry:
-        expected = {"naive": "metastable", "defended": "recovered"}
-        verdicts = report["verdicts"]
-        unsafe = {name: entry["safety_violations"]
-                  for name, entry in report["runs"].items()
-                  if entry["safety_violations"]}
-        if verdicts != expected or unsafe:
-            print(f"\nretry-storm gate failed: verdicts {verdicts} "
-                  f"(want {expected})"
-                  + (f", safety violations {unsafe}" if unsafe else ""),
-                  file=sys.stderr)
-            return 2
-    return 0
-
-
-# ======================================================================
 # postmortem
 # ======================================================================
 #: The SLO the post-mortem run is judged against when --slo is absent:
@@ -1187,9 +1024,6 @@ def _cmd_report(args) -> int:
 
 # ======================================================================
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _normalize_legacy(list(argv))
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
@@ -1201,12 +1035,8 @@ def main(argv=None) -> int:
         return _cmd_trace(args)
     if args.command == "explore":
         return _cmd_explore(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "postmortem":
-        return _cmd_postmortem(args)
-    build_parser().print_help()
-    return 2
+    # The sub-command is required, so argparse rejected anything else.
+    return _cmd_postmortem(args)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ before.  Every path funnels into the one execution engine
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Optional
 
@@ -36,22 +35,6 @@ from repro.faults.faultload import (
 )
 from repro.harness.config import ClusterConfig
 from repro.harness.experiments import ExperimentResult, _execute
-
-#: Load-model fields that should flow through :meth:`Experiment.load`.
-_LOAD_FIELDS = frozenset({"offered_wips", "think_time_s", "profile",
-                          "use_navigation", "load_mode", "population",
-                          "arrival", "clients"})
-
-
-def _warn_load_fields(config_fields, where: str) -> None:
-    hit = sorted(_LOAD_FIELDS & set(config_fields))
-    if hit:
-        warnings.warn(
-            f"passing {', '.join(hit)} to Experiment.{where} is deprecated; "
-            f"use Experiment.load(...) -- e.g. "
-            f".load('closed', wips=1900, mix='shopping') or "
-            f".load('open', wips=1900, population=1_000_000)",
-            DeprecationWarning, stacklevel=3)
 
 
 class Experiment:
@@ -66,7 +49,6 @@ class Experiment:
 
     def __init__(self, scale=None, *, config: Optional[ClusterConfig] = None,
                  **config_fields):
-        _warn_load_fields(config_fields, "__init__")
         self._base = config if config is not None else ClusterConfig()
         self._overrides = dict(config_fields)
         if scale is not None:
@@ -84,7 +66,6 @@ class Experiment:
     # ------------------------------------------------------------------
     def configure(self, **config_fields) -> "Experiment":
         """Override any :class:`ClusterConfig` fields."""
-        _warn_load_fields(config_fields, "configure")
         self._overrides.update(config_fields)
         return self
 

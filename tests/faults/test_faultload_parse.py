@@ -134,6 +134,12 @@ def test_shard_qualifier_must_be_non_negative():
     ("explode@100:1", "unknown fault kind"),
     ("drop@10-60:q=0.2", "unknown option"),
     ("drop@10-60:p=zap", "bad value"),
+    ("crash@240:1:2", "more than one target"),    # a second bare target
+    ("crash@240:1:*", "more than one target"),    # '*' after a target
+    ("reboot@390:2:0.1", "more than one target"),  # dotted after bare
+    ("drop@10-60:p=0.2:p=0.9", "more than once"),  # an option, repeated
+    ("failslow@1-2:1:m=4:m=9", "more than once"),
+    ("retrystorm@1-2:factor=2,factor=3", "more than once"),  # ...in one list
 ])
 def test_parse_errors_identify_the_chunk(spec, fragment):
     with pytest.raises(ValueError) as error:

@@ -109,6 +109,25 @@ def test_leader_local_quorum_survives_minority_partition():
     assert leader_local > 2 * majority
 
 
+def test_spread_majority_pays_the_wan_round_trip_on_every_commit():
+    """Fault-free, same seed and load: a spread placement with classic
+    majorities crosses the WAN on every commit, a leader-local placement
+    with a leader-local phase-2 quorum hides it (the case for WAN-aware
+    quorum shapes)."""
+    def whole(placement, quorum):
+        result = (geo_experiment(seed=2009, wips=1900, placement=placement,
+                                 quorum=quorum)
+                  .baseline()
+                  .run())
+        return result.whole_window()
+
+    leader_local = whole("leader-local", "leader-local")
+    spread = whole("spread", "majority")
+    assert leader_local.errors == 0
+    assert spread.errors == 0
+    assert spread.mean_wirt_s > 1.5 * leader_local.mean_wirt_s
+
+
 # ----------------------------------------------------------------------
 # WAN degradation
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The ``repro run / sweep / report`` command line (and the legacy form)."""
+"""The ``repro run / sweep / report`` command line."""
 
 import json
 
@@ -276,7 +276,7 @@ def test_sweep_empty_points_list_is_a_clear_error(capsys):
 
 
 # ----------------------------------------------------------------------
-# the `--load` grammar and the `bench` subcommand
+# the `--load` grammar
 # ----------------------------------------------------------------------
 def test_run_load_open_reports_population(capsys):
     code = main(run_args(["--load", "open:population=1000000"]))
@@ -314,62 +314,18 @@ def test_sweep_accepts_open_load(capsys):
     assert "scaleup sweep" in capsys.readouterr().out
 
 
-def test_bench_parser_defaults():
-    args = build_parser().parse_args(["bench"])
-    assert args.command == "bench"
-    assert args.scale == "tiny"
-    assert args.out == "bench_reports/BENCH_7_kernel.json"
-    assert args.tolerance == 0.20
-
-
-def test_bench_writes_report_and_compares_against_itself(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    code = main(["bench", "--scale", "tiny", "--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert set(report["modes"]) == {"closed", "open"}
-    for entry in report["modes"].values():
-        assert entry["events"] > 0
-        assert entry["events_per_wall_s"] > 0
-    capsys.readouterr()
-    # A report is within tolerance of itself.
-    code = main(["bench", "--scale", "tiny", "--out", str(out),
-                 "--compare", str(out)])
-    assert code == 0
-    assert "within tolerance" in capsys.readouterr().out
-
-
-def test_bench_compare_exits_2_on_regression(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--scale", "tiny", "--out", str(out)]) == 0
-    baseline = json.loads(out.read_text())
-    for entry in baseline["modes"].values():
-        entry["events_per_wall_s"] *= 10.0   # an impossible baseline
-    fast = tmp_path / "impossible.json"
-    fast.write_text(json.dumps(baseline))
-    capsys.readouterr()
-    code = main(["bench", "--scale", "tiny", "--out", str(out),
-                 "--compare", str(fast)])
-    assert code == 2
-    assert "regression" in capsys.readouterr().err
-
-
 # ----------------------------------------------------------------------
-# the historical flat form still works, with a deprecation warning
+# `python -m repro <sub-command>` is the only form
 # ----------------------------------------------------------------------
-def test_legacy_flat_form_is_normalized(capsys):
-    with pytest.warns(DeprecationWarning, match="python -m repro run"):
-        code = main(["--experiment", "baseline", "--scale", "tiny",
-                     "--replicas", "3", "--offered-wips", "400"])
-    assert code == 0
-    assert "AWIPS" in capsys.readouterr().out
-
-
-def test_legacy_entry_point_still_importable():
-    import repro.harness.__main__ as legacy
-
-    assert legacy.main is main
-    assert legacy.build_parser is build_parser
+@pytest.mark.parametrize("argv", [[], ["--experiment", "baseline"]],
+                         ids=["bare", "flat-form"])
+def test_missing_subcommand_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert "running" not in captured.out    # nothing was started
 
 
 # ----------------------------------------------------------------------
@@ -473,27 +429,3 @@ def test_report_metrics_out_needs_an_obs_result(tmp_path, capsys):
                  "--metrics-out", str(tmp_path / "m.prom")])
     assert code == 1
     assert "no metrics snapshot" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# repro bench --obs (recorder overhead gate)
-# ----------------------------------------------------------------------
-def test_bench_obs_parser_flag():
-    args = build_parser().parse_args(["bench", "--obs"])
-    assert args.obs is True
-    assert build_parser().parse_args(["bench"]).obs is False
-
-
-def test_run_obs_bench_report_shape():
-    from repro.harness.bench import run_obs_bench
-
-    report = run_obs_bench(scale="tiny", wips=400.0)
-    assert report["bench"] == "obs"
-    assert set(report["modes"]) == {"recorder_off", "recorder_on"}
-    off, on = report["modes"]["recorder_off"], report["modes"]["recorder_on"]
-    assert off["recorder"] is False and on["recorder"] is True
-    # the instrumented run is the same run: identical simulated outcome
-    assert on["awips"] == off["awips"]
-    assert on["completed"] == off["completed"]
-    assert on["recorded_events"] > 0
-    assert "overhead_pct" in report

@@ -1,10 +1,11 @@
-"""The unified ``Experiment.load()`` entry point and its shims.
+"""The unified ``Experiment.load()`` entry point.
 
 Covers the api_redesign contract: closed-loop runs configured through
 ``.load()`` are bit-for-bit identical to the pre-``.load()`` builder,
 open-loop runs are seed-deterministic end to end (arrival sequence and
-safety trace included), the old load kwargs still work but warn, and the
-mode-specific knobs are validated eagerly.
+safety trace included), load fields given as constructor kwargs are
+plain ``ClusterConfig`` overrides, and the mode-specific knobs are
+validated eagerly.
 """
 
 import warnings
@@ -128,22 +129,11 @@ def test_config_validates_load_fields_eagerly():
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# nothing on the load path warns
 # ----------------------------------------------------------------------
-def test_constructor_load_kwargs_warn_with_migration_hint():
-    with pytest.warns(DeprecationWarning, match=r"Experiment\.load"):
-        Experiment(profile="ordering")
-    with pytest.warns(DeprecationWarning, match="offered_wips"):
-        Experiment(offered_wips=700.0)
-
-
-def test_configure_load_kwargs_warn():
-    with pytest.warns(DeprecationWarning, match=r"Experiment\.load"):
-        Experiment().configure(think_time_s=3.0)
-
-
-def test_deprecated_kwargs_still_take_effect():
-    with pytest.warns(DeprecationWarning):
+def test_constructor_load_kwargs_are_plain_overrides():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         config = Experiment(profile="ordering",
                             offered_wips=700.0).build_config()
     assert config.profile == "ordering"

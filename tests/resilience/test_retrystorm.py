@@ -1,6 +1,6 @@
 """Retry storms end to end: ignition, defenses, parity, and the sweep.
 
-Every storm here runs at the bench's pinned load point (1400 browsing
+Every storm here runs at one pinned load point (1400 browsing
 wips, 1.5s client timeout, retrystorm factor 8 for 60 paper-seconds):
 hot enough that the backlog at heal time exceeds the client timeout,
 which is what lets a naive immediate-retry fleet re-ignite itself.  At
@@ -10,17 +10,20 @@ no retry discipline can go metastable.
 
 import pytest
 
-from repro.harness.bench import (RETRY_DEFENDED_SPEC, RETRY_NAIVE_SPEC,
-                                 RETRY_STORM_DURATION_S, RETRY_STORM_FACTOR,
-                                 RETRY_TIMEOUT_S, RETRY_WIPS,
-                                 run_retry_bench)
 from repro.harness.config import tiny_scale
 from repro.harness.experiment import Experiment
 
 pytestmark = pytest.mark.resilience
 
-SWEEP_WIPS = RETRY_WIPS
-TIMEOUT_S = RETRY_TIMEOUT_S
+# Offered load sits at ~85% of cluster capacity so the slowdown window
+# pushes response times past the client timeout and the naive retry
+# feedback loop can ignite.
+SWEEP_WIPS = 1400.0
+TIMEOUT_S = 1.5
+RETRY_STORM_DURATION_S = 60.0
+RETRY_STORM_FACTOR = 8.0
+RETRY_NAIVE_SPEC = "immediate"
+RETRY_DEFENDED_SPEC = "expo:base=0.5,cap=8,budget=10%"
 
 
 def _storm_experiment(seed, retry, defended):
@@ -68,22 +71,8 @@ def test_retry_none_is_bit_for_bit_the_default_closed_loop():
 
 
 # ----------------------------------------------------------------------
-# the demo pair (the committed bench gate, in miniature)
+# the demo pair
 # ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_bench_pair_naive_metastable_defended_recovered():
-    report = run_retry_bench()
-    assert report["verdicts"] == {"naive": "metastable",
-                                  "defended": "recovered"}
-    for entry in report["runs"].values():
-        assert entry["safety_violations"] == 0
-    naive = report["runs"]["naive"]
-    defended = report["runs"]["defended"]
-    assert naive["post_heal_ratio"] < 0.5
-    assert defended["post_heal_ratio"] >= 0.9
-    assert defended["recovered_at"] is not None
-
-
 def test_naive_storm_ignites_and_defenses_put_it_out():
     """Same seed, same storm: immediate retries pin the system after the
     heal; backoff+budget clients against a defended cluster recover."""

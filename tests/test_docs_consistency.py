@@ -1,9 +1,14 @@
 """Documentation consistency: DESIGN.md and README reference real things."""
 
+import argparse
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: The documents that tell a reader what to open and what to type.
+COMMAND_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                ".claude/skills/verify/SKILL.md")
 
 
 def read(name):
@@ -61,3 +66,26 @@ def test_modules_in_design_inventory_exist():
         parent = ROOT / "src" / Path(path).parent
         candidates.append(parent.with_suffix(".py"))
         assert any(c.exists() for c in candidates), module
+
+
+def test_bench_reports_named_in_docs_exist():
+    for name in COMMAND_DOCS:
+        # A name may be a glob (`bench_reports/fig5_one_crash_*.txt`).
+        for pattern in set(re.findall(r"bench_reports/([\w.*-]+\.\w+)",
+                                      read(name))):
+            assert list((ROOT / "bench_reports").glob(pattern)), \
+                f"{name} names absent bench_reports/{pattern}"
+
+
+def test_cli_lines_in_docs_name_real_subcommands():
+    from repro.harness.cli import build_parser
+
+    subcommands = set()
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            subcommands.update(action.choices)
+    assert subcommands
+    for name in COMMAND_DOCS:
+        for word in set(re.findall(r"python -m repro (\w+)", read(name))):
+            assert word in subcommands, \
+                f"{name}: `python -m repro {word}` is not a sub-command"
