@@ -245,6 +245,13 @@ class ReplicaGroup:
         for node in self.replica_nodes:
             node.cpu.speed = base
 
+    def max_journal_actions(self) -> float:
+        """Longest checkpoint journal (actions applied on top of the
+        current base snapshot) across live replicas."""
+        return float(max((runtime.journal_actions
+                          for runtime in self.runtimes
+                          if runtime is not None), default=0))
+
     def max_apply_backlog(self) -> float:
         """Deepest decided-but-unapplied backlog across live replicas."""
         depth = 0
@@ -468,6 +475,9 @@ class RobustStoreCluster:
                   lambda: float(len(self.live_replicas())))
         obs.gauge("treplica.queue_depth",
                   lambda: max(group.max_apply_backlog()
+                              for group in self.groups))
+        obs.gauge("treplica.journal_actions",
+                  lambda: max(group.max_journal_actions()
                               for group in self.groups))
         for group in self.groups:
             if group.shard is not None:

@@ -6,6 +6,9 @@ attributes it to a coarse layer (derived from the callback's module:
 ``repro.paxos.engine`` -> ``paxos``), so a run can report *events
 processed per simulated second* and *wall-clock per event category* --
 the baseline numbers any future hot-path optimisation has to beat.
+A process resume is the kernel's own ``Process._resume`` only in name:
+the time is spent in the generator it drives, so it is attributed to
+the module that defines that generator (the layer owning the process).
 
 The hook costs one attribute check per event when disabled (the kernel
 tests ``sim.profiler is None``); when enabled it adds two
@@ -14,6 +17,7 @@ tests ``sim.profiler is None``); when enabled it adds two
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Callable, Dict
 
@@ -32,6 +36,14 @@ def category_of_module(module: str) -> str:
     return parts[0]
 
 
+def _module_of_file(filename: str) -> str:
+    """The imported module whose source file is ``filename``."""
+    for name, module in list(sys.modules.items()):
+        if getattr(module, "__file__", None) == filename:
+            return name
+    return ""
+
+
 class KernelProfiler:
     """Per-category event counts and wall-clock, for one simulator."""
 
@@ -41,17 +53,25 @@ class KernelProfiler:
         self.wall_s = 0.0
         # category -> [event count, wall seconds]
         self.by_category: Dict[str, list] = {}
-        self._module_cache: Dict[str, str] = {}
+        # callback module name, or process-body source file -> category
+        self._category_cache: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def record(self, fn, wall_s: float) -> None:
         """Called by the kernel after each event callback returns."""
         self.events += 1
         self.wall_s += wall_s
-        module = getattr(fn, "__module__", "") or ""
-        category = self._module_cache.get(module)
+        # A process resume (``Process._resume``/``_throw``) belongs to
+        # the layer that wrote the generator, not to the kernel.
+        gen = getattr(getattr(fn, "__self__", None), "_gen", None)
+        if gen is None:
+            key = getattr(fn, "__module__", "") or ""
+        else:
+            key = gen.gi_code.co_filename
+        category = self._category_cache.get(key)
         if category is None:
-            category = self._module_cache[module] = category_of_module(module)
+            module = key if gen is None else _module_of_file(key)
+            category = self._category_cache[key] = category_of_module(module)
         entry = self.by_category.get(category)
         if entry is None:
             entry = self.by_category[category] = [0, 0.0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
@@ -44,7 +45,7 @@ class Simulator:
         # events are ``call_after(0, ...)`` (process starts, event fires,
         # channel hand-offs).  Those never need heap ordering -- they fire
         # at the current instant, in scheduling order -- so they go into a
-        # FIFO deque instead of the heap.  ``step`` merges the two
+        # FIFO deque instead of the heap.  ``_advance`` merges the two
         # structures by the same global (when, seq) key, keeping the event
         # order bit-for-bit identical to an all-heap kernel.
         self._ready: Deque[Timer] = deque()
@@ -68,12 +69,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> "Timer":
         """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
-        if when < self.now:
+        if not when >= self.now:  # also rejects NaN, which orders nowhere
             raise SimulationError(
                 f"cannot schedule in the past: {when} < now {self.now}"
             )
-        timer = Timer(when, next(self._counter), fn, args)
-        heapq.heappush(self._heap, timer)
+        seq = next(self._counter)
+        timer = Timer(when, seq, fn, args)
+        heapq.heappush(self._heap, (when, seq, timer))
         return timer
 
     def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> "Timer":
@@ -83,61 +85,83 @@ class Simulator:
             timer = Timer(self.now, next(self._counter), fn, args)
             self._ready.append(timer)
             return timer
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self.now + delay, fn, *args)
+        when = self.now + delay
+        seq = next(self._counter)
+        timer = Timer(when, seq, fn, args)
+        heapq.heappush(self._heap, (when, seq, timer))
+        return timer
 
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional["Timer"]:
-        """Pop the globally next live timer by (when, seq), or None.
+    def _advance(self, until: float, one: bool) -> bool:
+        """Fire live events in global (when, seq) order while ``when <=
+        until``; with ``one``, stop after the first.  Returns whether any
+        event fired.
 
         The ready deque holds zero-delay timers in scheduling order; the
-        heap holds everything else.  Comparing the deque head against the
-        heap top by the shared (when, seq) key reproduces exactly the order
-        a single heap would produce.
+        heap holds ``(when, seq, timer)`` entries for everything else, so
+        ``heapq`` orders them in C without calling back into Python.
+        Comparing the deque head against the heap top by the shared
+        (when, seq) key reproduces exactly the order a single heap would
+        produce.  Each event is peeked once: cancellation, the merge and
+        the ``until`` bound are all decided on the same look.
         """
         ready = self._ready
         heap = self._heap
+        pop = heapq.heappop
+        fired = False
         while True:
             if ready:
-                head = ready[0]
-                if head.cancelled:
+                timer = ready[0]
+                if timer.cancelled:
                     ready.popleft()
                     continue
+                from_heap = False
                 if heap:
                     top = heap[0]
-                    if top.cancelled:
-                        heapq.heappop(heap)
+                    if top[2].cancelled:
+                        pop(heap)
                         continue
-                    if top.when < head.when or (
-                        top.when == head.when and top.seq < head.seq
+                    if top[0] < timer.when or (
+                        top[0] == timer.when and top[1] < timer.seq
                     ):
-                        return heapq.heappop(heap)
-                ready.popleft()
-                return head
-            if heap:
-                timer = heapq.heappop(heap)
+                        timer = top[2]
+                        from_heap = True
+                if timer.when > until:
+                    break
+                if from_heap:
+                    pop(heap)
+                else:
+                    ready.popleft()
+            elif heap:
+                timer = heap[0][2]
                 if timer.cancelled:
+                    pop(heap)
                     continue
-                return timer
-            return None
+                if timer.when > until:
+                    break
+                pop(heap)
+            else:
+                break
+            self.now = timer.when
+            profiler = self.profiler
+            if profiler is None:
+                timer.fn(*timer.args)
+            else:
+                start = profiler.clock()
+                timer.fn(*timer.args)
+                profiler.record(timer.fn, profiler.clock() - start)
+            fired = True
+            if one:
+                break
+        return fired
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        timer = self._pop_next()
-        if timer is None:
-            return False
-        self.now = timer.when
-        profiler = self.profiler
-        if profiler is None:
-            timer.fn(*timer.args)
-        else:
-            start = profiler.clock()
-            timer.fn(*timer.args)
-            profiler.record(timer.fn, profiler.clock() - start)
-        return True
+        return self._advance(math.inf, True)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or the clock would pass ``until``.
@@ -147,28 +171,9 @@ class Simulator:
         compose predictably.
         """
         if until is None:
-            while self.step():
-                pass
+            self._advance(math.inf, False)
             return
-        while True:
-            if self._ready:
-                head = self._ready[0]
-                if head.cancelled:
-                    self._ready.popleft()
-                    continue
-                if head.when > until:
-                    break
-                self.step()
-                continue
-            if not self._heap:
-                break
-            timer = self._heap[0]
-            if timer.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if timer.when > until:
-                break
-            self.step()
+        self._advance(until, False)
         if until > self.now:
             self.now = until
 
@@ -218,9 +223,6 @@ class Timer:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
 
 class Awaitable:
     """Base protocol for objects a process may ``yield``."""
@@ -233,7 +235,7 @@ class Timeout(Awaitable):
     """Resumes the waiting process after a fixed delay."""
 
     def __init__(self, sim: Simulator, delay: float):
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative timeout: {delay}")
         self._sim = sim
         self._delay = delay

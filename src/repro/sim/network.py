@@ -174,6 +174,8 @@ class Nemesis:
         """Decide a datagram's fate: a list of extra delays, one entry per
         copy to deliver.  ``[]`` means the message is dropped; ``[0.0]``
         is an unmolested delivery; ``[0.0, 0.0]`` a duplication."""
+        if not self.windows:
+            return [0.0]
         active = [w for w in self.windows if w.matches(now, src, dst)]
         if not active:
             return [0.0]

@@ -13,7 +13,11 @@ class BookstoreApplication(Application):
     """RobustStore's replicated black box.
 
     Holds the :class:`BookstoreState`; snapshots are pickles (true state
-    isolation for checkpoint/restore correctness).  The nominal size --
+    isolation for checkpoint/restore correctness).  A pickle is only the
+    *base* of a checkpoint: Treplica encodes the store once per base and
+    journals the deterministic actions applied after it, so a steady run
+    pays for one encode per replica, not one per checkpoint.  The
+    nominal size --
     what drives simulated checkpoint and recovery costs -- is the state's
     entity-count model times the population's ``size_multiplier``, so a
     scaled-down population still reports (and grows) paper-scale MB.

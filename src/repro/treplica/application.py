@@ -16,8 +16,13 @@ class Application:
     """Protocol for replicated applications.
 
     * :meth:`snapshot` returns an opaque, self-contained copy of the full
-      state (taken atomically between events);
-    * :meth:`restore` replaces the state with a snapshot;
+      state (taken atomically between events).  Treplica calls it once per
+      checkpoint *base*, not once per checkpoint: a checkpoint record is
+      that base plus the journal of actions applied since
+      (:meth:`TreplicaRuntime.snapshot_state`), so the returned object
+      must stay valid while later actions mutate the live state;
+    * :meth:`restore` replaces the state with a snapshot; recovery then
+      replays the record's journal on top of it;
     * :meth:`state_size_mb` reports the *nominal* state size, which drives
       simulated checkpoint-write, checkpoint-load, and state-transfer
       timing (the paper's 300/500/700 MB experiment parameter).
@@ -34,7 +39,7 @@ class Application:
 
 
 class InMemoryApplication(Application):
-    """Convenience base: pickle-based snapshots of ``self.state``.
+    """Convenience base: pickle-based (base) snapshots of ``self.state``.
 
     Subclasses keep all replicated data under ``self.state`` (any
     picklable object) and may override :meth:`state_size_mb` when the

@@ -8,6 +8,13 @@ write instead of stalling behind it.  The record is committed with a final
 small write, so a crash mid-checkpoint leaves the previous record intact
 (shadow-update discipline).
 
+What a record stores is log-structured: the runtime's ``(base,
+journal)`` pair -- one encoded application snapshot and the ordered
+actions applied on top of it (:meth:`TreplicaRuntime.snapshot_state`).
+That is a host-side representation only: the simulated serialization CPU
+and disk traffic below are charged from the nominal state size, whatever
+the record shares with the one before it.
+
 Commit records alternate between two slots (``treplica:checkpoint:a`` /
 ``:b``), so even a *torn* commit -- a storage fault that leaves an
 unreadable payload under the key instead of atomically dropping the write
@@ -35,8 +42,9 @@ CHECKPOINT_SLOTS = (CHECKPOINT_KEY + ":a", CHECKPOINT_KEY + ":b")
 
 @dataclass(frozen=True)
 class CheckpointRecord:
-    """What is durably stored: the applied instance, the opaque snapshot,
-    the nominal state size that drives simulated load timing, and the
+    """What is durably stored: the applied instance, the snapshot (the
+    runtime's ``(base, journal)`` pair, opaque to the manager), the
+    nominal state size that drives simulated load timing, and the
     delivery-dedup memory for the covered prefix (uids first delivered at
     or below ``instance`` -- without it a rebooted replica would re-apply
     a command that consensus decided a second time after the checkpoint)."""
@@ -82,7 +90,7 @@ class CheckpointManager:
                    and self.stored_record(node.disk) is None)
         if instance <= self.last_instance and not initial:
             return None
-        snapshot = runtime.app.snapshot()  # atomic within this event
+        snapshot = runtime.snapshot_state()  # atomic within this event
         size_mb = runtime.app.state_size_mb()
         started_at = node.sim.now
         record = CheckpointRecord(

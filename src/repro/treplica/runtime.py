@@ -9,7 +9,13 @@ application to the asynchronous persistent queue:
 * the **applier** process dequeues actions in total order and applies
   them, charging per-action CPU (every replica executes every update,
   which is what makes write-heavy workloads scale sublinearly);
-* the **checkpoint loop** periodically snapshots the application;
+* the **checkpoint loop** periodically records the application state.
+  A record is log-structured: an encoded **base** snapshot plus the
+  **journal** of actions applied on top of it, so the (host-expensive)
+  ``app.snapshot()`` runs once per base instead of once per checkpoint;
+  the journal is folded into a fresh base when it has grown as large as
+  the state it sits on.  The *simulated* cost of a checkpoint still
+  comes from the nominal state size alone;
 * **recovery** (``get_state()`` in the paper): a rebooted replica loads
   its latest local checkpoint in chunks -- disk reads and deserialization
   CPU interleaved -- while, *in parallel*, the queue learns the missed
@@ -21,7 +27,7 @@ application to the asynchronous persistent queue:
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.recorder import recorder_of
 from repro.obs.registry import registry_of
@@ -82,6 +88,13 @@ class TreplicaRuntime:
         self._had_checkpoint = record is not None
         self._waiters: Dict[str, Event] = {}
         self._uid_counter = 0
+        # Log-structured checkpoint state: the encoded snapshot the
+        # application was last (re)built from, and every action applied
+        # since, in order.  ``None`` until the first checkpoint or restore
+        # of this incarnation materialises a base.
+        self._base: Any = None
+        self._journal: List[Action] = []
+        self._journal_mb = 0.0
         self.checkpoints = CheckpointManager(self)
 
         self.ready = False
@@ -98,6 +111,7 @@ class TreplicaRuntime:
         self._obs_applied = obs.counter("treplica.applied_commands")
         self._obs_apply_latency = obs.histogram("treplica.apply_latency_s")
         self._obs_remote_transfers = obs.counter("treplica.remote_transfers")
+        self._obs_snapshot_encodes = obs.counter("treplica.snapshot_encodes")
 
     # ==================================================================
     # lifecycle
@@ -241,7 +255,7 @@ class TreplicaRuntime:
         for _chunk in range(chunks):
             yield node.disk.read(chunk_mb)
             yield node.cpu.request(self.config.restore_cpu_s_per_mb * chunk_mb)
-        self.app.restore(record.snapshot)
+        self.restore_state(record.snapshot)
         self.applied_up_to = max(self.applied_up_to, record.instance)
 
     def _mark_caught_up(self) -> None:
@@ -317,6 +331,53 @@ class TreplicaRuntime:
         return self.read(fn)
 
     # ==================================================================
+    # checkpoint state: an encoded base plus the journal applied since
+    # ==================================================================
+    def _apply(self, action: Action) -> Any:
+        """Apply one ordered action and journal it on top of the base."""
+        result = action.apply(self.app)
+        self._journal.append(action)
+        self._journal_mb += action.size_mb
+        return result
+
+    def _rebase(self, base: Any) -> None:
+        """The application now equals ``base``: start an empty journal."""
+        self._base = base
+        self._journal = []
+        self._journal_mb = 0.0
+
+    def snapshot_state(self) -> Tuple[Any, Tuple[Action, ...]]:
+        """What a checkpoint stores: ``(base, actions applied since)``.
+
+        Atomic within one event.  ``app.snapshot()`` runs only to
+        (re)materialise the base: when this incarnation has none yet, and
+        when the journal's summed ``size_mb`` has reached the state's
+        nominal size (compact when the log is as large as the snapshot).
+        Every other checkpoint shares the base bytes and the action
+        objects, which the whole cluster already shares.
+        """
+        if (self._base is None
+                or self._journal_mb >= self.app.state_size_mb()):
+            self._rebase(self.app.snapshot())
+            self._obs_snapshot_encodes.inc()
+        return self._base, tuple(self._journal)
+
+    def restore_state(self, state: Tuple[Any, Tuple[Action, ...]]) -> None:
+        """Rebuild the application from a :meth:`snapshot_state` value:
+        restore the base, replay the journal, and keep both as this
+        incarnation's own base and journal."""
+        base, journal = state
+        self.app.restore(base)
+        self._rebase(base)
+        for action in journal:
+            self._apply(action)
+
+    @property
+    def journal_actions(self) -> int:
+        """Actions applied on top of the current base."""
+        return len(self._journal)
+
+    # ==================================================================
     # applier
     # ==================================================================
     def _applier(self):
@@ -339,7 +400,7 @@ class TreplicaRuntime:
                 # The whole instance applies atomically (one event), so a
                 # checkpoint can never observe a half-applied batch.
                 for uid, action in items:
-                    result = action.apply(self.app)
+                    result = self._apply(action)
                     self.stats["executed"] += 1
                     self._obs_applied.inc()
                     waiter = self._waiters.pop(uid, None)
@@ -407,7 +468,7 @@ class TreplicaRuntime:
         for _chunk in range(chunks):
             yield self.node.cpu.request(
                 self.config.restore_cpu_s_per_mb * chunk_mb)
-        self.app.restore(record.snapshot)
+        self.restore_state(record.snapshot)
         self.applied_up_to = max(self.applied_up_to, record.instance)
         self.engine.fast_forward(
             record.instance,

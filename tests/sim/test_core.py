@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import math
+
 import pytest
 
 from repro.sim import Interrupted, SimulationError, Simulator
@@ -57,6 +59,31 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.call_after(-1.0, lambda: None)
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.call_at(math.nan, lambda: None),
+    lambda sim: sim.call_after(math.nan, lambda: None),
+    lambda sim: sim.timeout(math.nan),
+], ids=["call_at", "call_after", "timeout"])
+def test_nan_time_rejected(schedule):
+    # NaN compares false both ways, so a ``when < now`` guard would let
+    # it into the heap, where no ordering holds.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        schedule(sim)
+    sim.run()
+    assert sim.now == 0.0
+
+
+def test_infinite_time_still_allowed():
+    sim = Simulator()
+    fired = []
+    sim.call_at(math.inf, fired.append, "at")
+    sim.call_after(math.inf, fired.append, "after")
+    sim.call_after(1.0, fired.append, "soon")
+    sim.run(until=10.0)
+    assert fired == ["soon"] and sim.now == 10.0
 
 
 def test_timer_cancel():

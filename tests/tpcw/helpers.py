@@ -94,3 +94,37 @@ class BookstoreCluster:
                 other = state.orders[o_id]
                 assert other.o_total == order.o_total
                 assert other.o_date == order.o_date
+
+
+def detached_runtime(app) -> TreplicaRuntime:
+    """A never-started single-replica runtime around ``app``: enough to
+    drive the checkpoint-state methods without a cluster."""
+    sim = Simulator()
+    node = Node(sim, Network(sim, NetworkParams(), seed=SeedTree(0)), "r0")
+    return TreplicaRuntime(node, ["r0"], 0, app)
+
+
+def canonical(app) -> tuple:
+    """A structural digest of the state, insensitive to pickle's object-
+    sharing memoization (two semantically identical states can differ in
+    raw pickle bytes when one was rebuilt via restore)."""
+    state = app.state
+
+    def slots(obj):
+        return tuple((name, getattr(obj, name))
+                     for name in obj.__slots__ if name != "lines")
+
+    return (
+        tuple((k, slots(v)) for k, v in sorted(state.customers.items())),
+        tuple((k, slots(v)) for k, v in sorted(state.items.items())),
+        tuple((k, slots(v), tuple(slots(line) for line in v.lines))
+              for k, v in sorted(state.orders.items())),
+        tuple((k, slots(v)) for k, v in sorted(state.ccxacts.items())),
+        tuple((k, v.sc_time, tuple(sorted(v.lines.items())))
+              for k, v in sorted(state.carts.items())),
+        tuple((k, slots(v)) for k, v in sorted(state.addresses.items())),
+        tuple(state.recent_orders),
+        tuple(sorted(state.bestseller_counts.items())),
+        (state.next_customer_id, state.next_address_id,
+         state.next_order_id, state.next_cart_id),
+    )

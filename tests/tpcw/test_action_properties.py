@@ -14,38 +14,14 @@ from repro.tpcw import actions as acts
 from repro.tpcw.app import BookstoreApplication
 from repro.tpcw.population import PopulationParams, populate
 
+from tests.tpcw.helpers import canonical, detached_runtime
+
 PARAMS = PopulationParams(num_items=60, num_ebs=1, entity_scale=0.003, seed=3)
 _BLOB = pickle.dumps(populate(PARAMS))
 
 
 def fresh_app() -> BookstoreApplication:
     return BookstoreApplication(pickle.loads(_BLOB), 1.0)
-
-
-def canonical(app) -> tuple:
-    """A structural digest of the state, insensitive to pickle's object-
-    sharing memoization (two semantically identical states can differ in
-    raw pickle bytes when one was rebuilt via restore)."""
-    state = app.state
-
-    def slots(obj):
-        return tuple((name, getattr(obj, name))
-                     for name in obj.__slots__ if name != "lines")
-
-    return (
-        tuple((k, slots(v)) for k, v in sorted(state.customers.items())),
-        tuple((k, slots(v)) for k, v in sorted(state.items.items())),
-        tuple((k, slots(v), tuple(slots(line) for line in v.lines))
-              for k, v in sorted(state.orders.items())),
-        tuple((k, slots(v)) for k, v in sorted(state.ccxacts.items())),
-        tuple((k, v.sc_time, tuple(sorted(v.lines.items())))
-              for k, v in sorted(state.carts.items())),
-        tuple((k, slots(v)) for k, v in sorted(state.addresses.items())),
-        tuple(state.recent_orders),
-        tuple(sorted(state.bestseller_counts.items())),
-        (state.next_customer_id, state.next_address_id,
-         state.next_order_id, state.next_cart_id),
-    )
 
 
 # Action generators: all "random" fields are drawn by hypothesis and
@@ -122,6 +98,45 @@ def test_snapshot_restore_roundtrip_mid_sequence(sequence):
         action.apply(app)
         action.apply(replica)
     assert canonical(app) == canonical(replica)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sequence=sequences,
+       cuts=st.sets(st.integers(0, 30), max_size=6),
+       rebase_after=st.integers(1, 12))
+def test_base_plus_journal_replay_equals_live_state(sequence, cuts,
+                                                    rebase_after):
+    """A checkpoint is ``(base, journal)``: at any cut, and across any
+    number of rebases, restoring the base and replaying the journal must
+    equal the live state, which must equal a full pickle round trip."""
+    live = detached_runtime(fresh_app())
+    # Size the state so the real rule (journal MB >= state MB) folds the
+    # journal into a new base about every ``rebase_after`` actions.
+    live.app.size_multiplier = (rebase_after * 0.0004
+                                / live.app.state.nominal_size_mb())
+    taken = []  # (record payload, canonical state when it was taken)
+
+    def checkpoint():
+        payload = live.snapshot_state()
+        pickled = fresh_app()
+        pickled.restore(live.app.snapshot())
+        assert canonical(pickled) == canonical(live.app)
+        taken.append((payload, canonical(live.app)))
+
+    for index, action in enumerate(sequence):
+        if index in cuts:
+            checkpoint()
+        live._apply(action)
+    checkpoint()
+    # Every record -- also one whose base a later rebase replaced --
+    # still rebuilds exactly the state it covered.
+    for payload, expected in taken:
+        replica = detached_runtime(fresh_app())
+        replica.restore_state(payload)
+        assert canonical(replica.app) == expected
+        assert replica.journal_actions == len(payload[1])
+        assert replica.snapshot_state()[0] is payload[0]  # no re-encode
 
 
 @settings(max_examples=25, deadline=None,

@@ -15,6 +15,11 @@ class KVApp(InMemoryApplication):
     def __init__(self, nominal_size_mb: float = 1.0):
         super().__init__(state={"data": {}, "log": []},
                          nominal_size_mb=nominal_size_mb)
+        self.snapshot_calls = 0  # full encodes this incarnation paid for
+
+    def snapshot(self) -> bytes:
+        self.snapshot_calls += 1
+        return super().snapshot()
 
 
 class Put(Action):

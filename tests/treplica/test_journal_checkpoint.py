@@ -1,0 +1,158 @@
+"""Log-structured checkpoints: a record is a base snapshot plus the
+journal of actions applied on top of it.
+
+The application is encoded once per base, not once per checkpoint; both
+restore paths (local load, remote transfer) rebuild the state by
+restoring the base and replaying the journal.
+"""
+
+from repro.harness.experiment import Experiment
+from repro.treplica import TreplicaConfig
+from repro.treplica.checkpoint import CHECKPOINT_SLOTS, CheckpointManager
+
+from tests.harness.helpers import tiny_config
+from tests.tpcw.helpers import canonical
+from tests.treplica.helpers import KVApp, TreplicaCluster
+
+#: ``Put.size_mb`` (the Action default): what one journal entry weighs.
+PUT_MB = 0.0004
+
+
+def _feed(cluster, prefix, count, gap_s=0.3):
+    for k in range(count):
+        cluster.put(0, f"{prefix}{k}", k)
+        cluster.run(gap_s)  # one consensus instance each
+
+
+# ----------------------------------------------------------------------
+# both restore sites go through base + journal replay
+# ----------------------------------------------------------------------
+def test_local_load_replays_the_journal_onto_the_base():
+    cluster = TreplicaCluster(3, config=TreplicaConfig(
+        checkpoint_interval_s=2.0))
+    cluster.run(1.0)  # the boot checkpoint materialises each base
+    _feed(cluster, "pre", 8)
+    cluster.run(3.0)  # a periodic checkpoint covers the eight puts
+    record = CheckpointManager.stored_record(cluster.nodes[2].disk)
+    base, journal = record.snapshot
+    assert len(journal) == 8, "the record must carry a journal to replay"
+    assert cluster.runtimes[2].app.snapshot_calls == 1
+
+    cluster.crash(2)
+    cluster.reboot(2)
+    cluster.run(10.0)
+    rebooted, peer = cluster.runtimes[2], cluster.runtimes[0]
+    assert rebooted.ready
+    assert rebooted.applied_up_to == peer.applied_up_to
+    assert rebooted.app.state == peer.app.state
+    # Nothing was re-executed through the queue, and the load seeded
+    # this incarnation's own base and journal from the record...
+    assert rebooted.stats["executed"] == 0
+    assert rebooted.journal_actions == 8
+    # ...so its next checkpoint extends that journal without an encode.
+    cluster.put_blocking(0, "post", 1)
+    cluster.run(3.0)
+    refreshed = CheckpointManager.stored_record(cluster.nodes[2].disk)
+    assert refreshed.instance > record.instance
+    assert refreshed.snapshot[0] is base
+    assert len(refreshed.snapshot[1]) == 9
+    assert rebooted.app.snapshot_calls == 0
+
+
+def test_remote_transfer_install_replays_the_journal_onto_the_base():
+    config = TreplicaConfig(checkpoint_interval_s=2.0, log_retain_instances=1)
+    cluster = TreplicaCluster(3, config=config)
+    cluster.run(2.0)
+    _feed(cluster, "pre", 5)
+    cluster.run(3.0)
+    cluster.crash(2)
+    _feed(cluster, "during", 20)
+    cluster.run(6.0)  # survivors checkpoint + truncate past the backlog
+    served = CheckpointManager.stored_record(cluster.nodes[0].disk)
+    assert len(served.snapshot[1]) > 0
+
+    cluster.reboot(2)
+    cluster.run(30.0)
+    rebooted, peer = cluster.runtimes[2], cluster.runtimes[0]
+    assert rebooted.ready and rebooted.stats["remote_transfers"] >= 1
+    assert rebooted.applied_up_to == peer.applied_up_to
+    assert rebooted.app.state == peer.app.state
+    assert rebooted.app.snapshot_calls == 0  # inherited the peer's base
+
+
+def test_tiny_bookstore_crash_run_rebuilds_the_peers_state():
+    result = (Experiment.from_config(tiny_config())
+              .one_crash(replica=1).keep_cluster().run())
+    cluster = result.cluster
+    assert result.recoveries and result.recoveries[0]["ready_at"] is not None
+    recovered, peer = cluster.runtimes[1], cluster.runtimes[0]
+    for _ in range(1000):  # replicas apply an instance microseconds apart
+        if recovered.applied_up_to == peer.applied_up_to:
+            break
+        cluster.sim.run(until=cluster.sim.now + 0.0005)
+    assert recovered.applied_up_to == peer.applied_up_to
+    assert canonical(recovered.app) == canonical(peer.app)
+
+
+# ----------------------------------------------------------------------
+# the rebase rule and what it costs
+# ----------------------------------------------------------------------
+def test_record_written_before_a_rebase_still_loads_after_it():
+    # A 5-put state: the sixth journalled put makes the journal as large
+    # as the state, so the next checkpoint folds it into a new base.
+    # Checkpoints by hand (the periodic loop is parked) so exactly two
+    # records follow the boot one and the shadow slots hold both.
+    cluster = TreplicaCluster(3, nominal_size_mb=5 * PUT_MB,
+                              config=TreplicaConfig(checkpoint_interval_s=1e6))
+    runtime, disk = cluster.runtimes[0], cluster.nodes[0].disk
+
+    def checkpoint():
+        cluster.nodes[0].spawn(runtime.checkpoints.take(), name="by-hand")
+        cluster.run(0.5)
+
+    cluster.run(1.0)
+    _feed(cluster, "a", 3)
+    checkpoint()
+    old = CheckpointManager.stored_record(disk)
+    old_state = {"data": dict(runtime.app.state["data"]),
+                 "log": list(runtime.app.state["log"])}
+    assert len(old.snapshot[1]) == 3
+
+    _feed(cluster, "b", 4)
+    checkpoint()
+    new = CheckpointManager.stored_record(disk)
+    assert new.snapshot[0] is not old.snapshot[0], "the journal was folded"
+    assert new.snapshot[1] == ()
+    assert runtime.app.snapshot_calls == 2
+
+    # The other shadow slot still holds the old record with its own base.
+    slots = [disk.peek(slot) for slot in CHECKPOINT_SLOTS]
+    assert old in slots and new in slots
+    scratch = TreplicaCluster(1).runtimes[0]
+    scratch.restore_state(old.snapshot)
+    assert scratch.app.state == old_state
+    scratch.restore_state(new.snapshot)
+    assert scratch.app.state == runtime.app.state
+
+
+def test_one_encode_per_base_not_per_checkpoint():
+    def encodes_and_checkpoints(nominal_size_mb):
+        # Twelve hand-driven checkpoints (the periodic loop is parked),
+        # two puts apart, after the boot checkpoint.
+        cluster = TreplicaCluster(3, nominal_size_mb=nominal_size_mb,
+                                  config=TreplicaConfig(
+                                      checkpoint_interval_s=1e6))
+        cluster.run(1.0)
+        for round_ in range(12):
+            _feed(cluster, f"r{round_}-", 2)
+            for node, runtime in zip(cluster.nodes, cluster.runtimes):
+                node.spawn(runtime.checkpoints.take(), name="by-hand")
+            cluster.run(0.5)
+        return [(rt.app.snapshot_calls, rt.checkpoints.checkpoints_taken)
+                for rt in cluster.runtimes]
+
+    # State far larger than 24 puts: the boot base serves every record.
+    assert encodes_and_checkpoints(1.0) == [(1, 13)] * 3
+    # State worth 5.5 puts: the journal reaches it at every third
+    # checkpoint (6 puts), and each crossing costs exactly one encode.
+    assert encodes_and_checkpoints(5.5 * PUT_MB) == [(1 + 4, 13)] * 3
