@@ -30,7 +30,6 @@ fault verb takes a plain replica index (meaning shard 0) or a
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -62,6 +61,7 @@ from repro.tpcw.bookstore import BookstoreServlets
 from repro.tpcw.database import TPCWDatabase
 from repro.tpcw.population import PopulationParams, populate
 from repro.tpcw.rbe import RemoteBrowserEmulator
+from repro.tpcw.state import BookstoreState
 from repro.tpcw.workload import profile_by_name
 from repro.treplica import TreplicaRuntime
 from repro.web.proxy import ReverseProxy
@@ -86,7 +86,7 @@ class ReplicaGroup:
 
     def __init__(self, sim: Simulator, network: Network,
                  config: ClusterConfig, seed: SeedTree,
-                 population_blob: bytes, size_multiplier: float,
+                 genesis: bytes,
                  name_prefix: str = "", shard: Optional[int] = None,
                  database_factory: Optional[Callable] = None,
                  recoveries: Optional[List[Dict[str, float]]] = None):
@@ -95,8 +95,7 @@ class ReplicaGroup:
         self.config = config
         self.seed = seed
         self.shard = shard
-        self._population_blob = population_blob
-        self._size_multiplier = size_multiplier
+        self._genesis = genesis
         self._database_factory = database_factory or ReplicaGroup._make_database
         self.recoveries = recoveries if recoveries is not None else []
         scale = config.scale
@@ -153,11 +152,15 @@ class ReplicaGroup:
 
     def _boot_replica(self, index: int) -> None:
         node = self.replica_nodes[index]
-        app = BookstoreApplication(pickle.loads(self._population_blob),
-                                   self._size_multiplier)
-        runtime = TreplicaRuntime(node, self.replica_names, index, app,
+        # Boot is a restore of checkpoint zero (genesis, empty journal)
+        # through the path a local load or remote install takes, which
+        # makes the shared genesis bytes this incarnation's first base:
+        # its checkpoints encode nothing until the rebase rule fires.
+        runtime = TreplicaRuntime(node, self.replica_names, index,
+                                  BookstoreApplication(BookstoreState()),
                                   config=self.config.treplica_config(),
                                   seed=self.seed)
+        runtime.restore_state((self._genesis, ()))
         db = self._database_factory(self, index, node, runtime)
         servlets = BookstoreServlets(
             db, self.seed.fork_random(f"servlets-{index}-{node.incarnation}"))
@@ -263,7 +266,16 @@ class ReplicaGroup:
 
 
 class RobustStoreCluster:
-    """One complete deployment, ready for an experiment run."""
+    """One complete deployment, ready for an experiment run.
+
+    The store is populated once and kept as :attr:`genesis`, one
+    ``BookstoreApplication.snapshot()``: checkpoint zero of every
+    replica.  A replica boots -- at deployment and after every crash --
+    by restoring it with an empty journal through
+    ``TreplicaRuntime.restore_state``, the same path a local checkpoint
+    load and a remote install take, so the genesis bytes are shared by
+    all replicas as their first checkpoint base and are never re-encoded.
+    """
 
     def __init__(self, config: ClusterConfig):
         if config.shards < 1:
@@ -318,12 +330,15 @@ class RobustStoreCluster:
         self.population_params = PopulationParams(
             num_items=config.num_items, num_ebs=config.num_ebs,
             entity_scale=scale.entity_scale, seed=config.seed)
-        # One deterministic population, cloned per replica; the nominal
-        # size is additionally compressed by the timeline factor so that
-        # recovery fits the compressed window with unchanged ratios.
-        self._population_blob = pickle.dumps(populate(self.population_params))
-        self._size_multiplier = (self.population_params.size_multiplier
-                                 / scale.time_div)
+        # One deterministic population, encoded once as the application
+        # snapshot every replica boots from -- the genesis checkpoint;
+        # the nominal size is additionally compressed by the timeline
+        # factor so that recovery fits the compressed window with
+        # unchanged ratios.
+        self.genesis: bytes = BookstoreApplication(
+            populate(self.population_params),
+            self.population_params.size_multiplier / scale.time_div
+        ).snapshot()
 
         # --- the one k=1 / k>1 branch ----------------------------------
         # Everything that tells the paper's flat deployment from a
@@ -359,8 +374,7 @@ class RobustStoreCluster:
         self.recoveries: List[Dict[str, float]] = []  # one shared log
         self.groups: List[ReplicaGroup] = [
             ReplicaGroup(self.sim, self.network, config,
-                         population_blob=self._population_blob,
-                         size_multiplier=self._size_multiplier,
+                         genesis=self.genesis,
                          recoveries=self.recoveries, **kwargs)
             for kwargs in group_kwargs]
         group_names.extend(group.replica_names for group in self.groups)

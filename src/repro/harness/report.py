@@ -76,9 +76,15 @@ def regression_confidence(points: Sequence[Tuple[float, float]],
     coefficients omitted"); this supplies them.  Returns
     ``(slope, ci_low, ci_high)`` using the t-distribution on the slope's
     standard error.  With fewer than three points the interval is
-    unbounded (``±inf``).
+    unbounded (``±inf``).  Needs the ``report`` extra (scipy), the
+    package's only third-party import.
     """
-    from scipy import stats
+    try:
+        from scipy import stats
+    except ImportError as error:
+        raise ImportError(
+            "regression_confidence needs scipy for the t-distribution: "
+            "pip install 'repro[report]'") from error
 
     n = len(points)
     slope, intercept, _r2 = linear_regression(points)

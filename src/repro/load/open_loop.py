@@ -34,12 +34,10 @@ from repro.obs.registry import registry_of
 from repro.resilience.retry import RetryPolicy
 from repro.sim.node import Node
 from repro.sim.rng import SeedTree
+from repro.tpcw.navigation import fitted_chain
 from repro.tpcw.workload import Interaction, WorkloadProfile
 from repro.web.http import REQUEST_SIZE_MB, Request, Response
 from repro.web.proxy import CLIENT_IN_PORT
-
-#: Cached per-profile class-probability vectors (sum to 1.0).
-_MIX_CACHE: Dict[str, List[Tuple[Interaction, float]]] = {}
 
 #: Touched-user session cache bound; far above what a test run touches,
 #: far below a million-user id space.
@@ -53,21 +51,9 @@ def class_mix(profile: WorkloadProfile) -> List[Tuple[Interaction, float]]:
     open-loop rates match what a navigating closed-loop fleet converges
     to; the fit drives the two together to ~1e-10.
     """
-    cached = _MIX_CACHE.get(profile.name)
-    if cached is None:
-        from repro.tpcw.navigation import (_ORDER, Navigator,
-                                           fit_transition_matrix,
-                                           stationary_distribution)
-        matrix = Navigator._matrix_cache.get(profile.name)
-        if matrix is None:
-            matrix = fit_transition_matrix(profile)
-            Navigator._matrix_cache[profile.name] = matrix
-        pi = stationary_distribution(matrix)
-        total = float(pi.sum())
-        cached = [(interaction, float(p) / total)
-                  for interaction, p in zip(_ORDER, pi) if p > 0.0]
-        _MIX_CACHE[profile.name] = cached
-    return cached
+    _matrix, _cumulative, mix = fitted_chain(profile)
+    return [(interaction, p) for interaction, p in zip(Interaction, mix)
+            if p > 0.0]
 
 
 def class_rates(profile: WorkloadProfile,

@@ -8,13 +8,12 @@ wire footprint so the simulated network charges realistic transfer costs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 CONTROL_MB = 0.0002  # ~200 bytes of headers per control message
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Ballot:
     """A round identifier, totally ordered by ``(round, proposer)``.
@@ -29,6 +28,15 @@ class Ballot:
 
     def __lt__(self, other: "Ballot") -> bool:
         return (self.round, self.proposer) < (other.round, other.proposer)
+
+    def __le__(self, other: "Ballot") -> bool:
+        return (self.round, self.proposer) <= (other.round, other.proposer)
+
+    def __gt__(self, other: "Ballot") -> bool:
+        return (self.round, self.proposer) > (other.round, other.proposer)
+
+    def __ge__(self, other: "Ballot") -> bool:
+        return (self.round, self.proposer) >= (other.round, other.proposer)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ballot):
@@ -71,7 +79,7 @@ class Batch:
 
     commands: Tuple[Command, ...] = ()
 
-    @property
+    @cached_property
     def key(self) -> Tuple[str, ...]:
         return tuple(command.uid for command in self.commands)
 

@@ -14,13 +14,17 @@ class BookstoreApplication(Application):
 
     Holds the :class:`BookstoreState`; snapshots are pickles (true state
     isolation for checkpoint/restore correctness).  A pickle is only the
-    *base* of a checkpoint: Treplica encodes the store once per base and
-    journals the deterministic actions applied after it, so a steady run
-    pays for one encode per replica, not one per checkpoint.  The
-    nominal size --
-    what drives simulated checkpoint and recovery costs -- is the state's
-    entity-count model times the population's ``size_multiplier``, so a
-    scaled-down population still reports (and grows) paper-scale MB.
+    *base* of a checkpoint: Treplica journals the deterministic actions
+    applied after it and encodes again only when the journal has grown
+    as large as the state.  The first base is not encoded by a replica
+    at all: the cluster snapshots the populated store once (the genesis
+    checkpoint), and every replica starts as an empty application that
+    ``restore()``s those shared bytes, so a steady run pays for one
+    encode per deployment, not one per replica or per checkpoint.  The
+    nominal size -- what drives simulated checkpoint and recovery costs
+    -- is the state's entity-count model times the population's
+    ``size_multiplier`` (carried in the snapshot), so a scaled-down
+    population still reports (and grows) paper-scale MB.
     """
 
     def __init__(self, state: BookstoreState, size_multiplier: float = 1.0):

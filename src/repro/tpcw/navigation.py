@@ -22,13 +22,18 @@ correlation (you can only Buy Confirm from Buy Request, searches come
 from the search form, ...) whose long-run behaviour is exactly the
 documented mix -- verified by tests to better than one percent per
 interaction.
+
+The fit is plain Python on lists: a 14x14 chain needs no array library,
+and summing in one fixed order keeps the fitted rates -- which set every
+open-loop arrival instant -- a function of this source alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.tpcw.workload import Interaction, WorkloadProfile
 
@@ -69,26 +74,59 @@ PAGE_LINKS: Dict[Interaction, Tuple[Interaction, ...]] = {
 _ORDER: List[Interaction] = list(Interaction)
 _INDEX = {interaction: k for k, interaction in enumerate(_ORDER)}
 
+Vector = Sequence[float]
+Matrix = Sequence[Sequence[float]]
+FrozenRows = Tuple[Tuple[float, ...], ...]
 
-def target_mix_vector(profile: WorkloadProfile) -> np.ndarray:
+
+def _sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum.
+
+    Not the builtin: ``sum()`` is compensated from Python 3.12 on and
+    plain before, and the fitted chain sets every open-loop arrival
+    rate, so its last bits must not depend on the interpreter (or, as
+    they did with ``pi @ matrix``, on a BLAS build).
+    """
+    acc = 0.0
+    for value in values:
+        acc += value
+    return acc
+
+
+def _normalized(values: Vector) -> List[float]:
+    total = _sum(values)
+    return [value / total for value in values]
+
+
+def _flow(pi: Vector, matrix: Matrix) -> List[float]:
+    """``pi P``: the probability mass arriving at each page per step."""
+    return [_sum(p * row[j] for p, row in zip(pi, matrix))
+            for j in range(len(pi))]
+
+
+def _distance(a: Vector, b: Vector) -> float:
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+def target_mix_vector(profile: WorkloadProfile) -> List[float]:
     """The profile's steady-state mix as a probability vector."""
-    vector = np.zeros(len(_ORDER))
+    vector = [0.0] * len(_ORDER)
     for interaction, weight in profile.mix:
         vector[_INDEX[interaction]] = weight
-    return vector / vector.sum()
+    return _normalized(vector)
 
 
-def link_mask() -> np.ndarray:
-    mask = np.zeros((len(_ORDER), len(_ORDER)))
+def link_mask() -> List[List[float]]:
+    mask = [[0.0] * len(_ORDER) for _row in _ORDER]
     for src, dsts in PAGE_LINKS.items():
         for dst in dsts:
-            mask[_INDEX[src], _INDEX[dst]] = 1.0
+            mask[_INDEX[src]][_INDEX[dst]] = 1.0
     return mask
 
 
 def fit_transition_matrix(profile: WorkloadProfile,
                           iterations: int = 4000,
-                          tolerance: float = 1e-10) -> np.ndarray:
+                          tolerance: float = 1e-10) -> List[List[float]]:
     """Fit row-stochastic P on the link structure with stationary pi.
 
     Iterative proportional scaling: start from the mask weighted by the
@@ -97,52 +135,58 @@ def fit_transition_matrix(profile: WorkloadProfile,
     ``(pi P)_j = pi_j``.  Converges for this strongly connected graph.
     """
     pi = target_mix_vector(profile)
-    mask = link_mask()
-    weights = mask * pi[np.newaxis, :]
+    weights = [[link * p for link, p in zip(row, pi)]
+               for row in link_mask()]
     for _step in range(iterations):
-        row_sums = weights.sum(axis=1, keepdims=True)
-        matrix = weights / row_sums
-        flow = pi @ matrix
-        error = np.abs(flow - pi).max()
-        if error < tolerance:
+        matrix = [_normalized(row) for row in weights]
+        flow = _flow(pi, matrix)
+        if _distance(flow, pi) < tolerance:
             return matrix
-        correction = np.where(flow > 0, pi / flow, 1.0)
-        weights = matrix * correction[np.newaxis, :]
-    return weights / weights.sum(axis=1, keepdims=True)
+        correction = [p / f if f > 0 else 1.0 for p, f in zip(pi, flow)]
+        weights = [[w * c for w, c in zip(row, correction)]
+                   for row in matrix]
+    return [_normalized(row) for row in weights]
 
 
-def stationary_distribution(matrix: np.ndarray,
-                            iterations: int = 200_000) -> np.ndarray:
+def stationary_distribution(matrix: Matrix,
+                            iterations: int = 200_000) -> List[float]:
     """Power iteration for the chain's stationary distribution."""
-    pi = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
+    pi = [1.0 / len(matrix)] * len(matrix)
     for _step in range(iterations):
-        nxt = pi @ matrix
-        if np.abs(nxt - pi).max() < 1e-13:
+        nxt = _flow(pi, matrix)
+        if _distance(nxt, pi) < 1e-13:
             return nxt
         pi = nxt
     return pi
 
 
+@lru_cache(maxsize=None)
+def fitted_chain(profile: WorkloadProfile
+                 ) -> Tuple[FrozenRows, FrozenRows, Tuple[float, ...]]:
+    """``(matrix, cumulative rows, stationary mix)`` of the profile's CBMG.
+
+    Fitted once per profile *value* -- the key is the frozen profile,
+    mix included, so two profiles that share a name never share a chain
+    -- and immutable, because every browser and load source of the
+    process reads the same object.  The mix is normalized to sum to 1.
+    """
+    matrix = fit_transition_matrix(profile)
+    return (tuple(tuple(row) for row in matrix),
+            tuple(tuple(accumulate(row)) for row in matrix),
+            tuple(_normalized(stationary_distribution(matrix))))
+
+
 class Navigator:
     """Per-browser navigation state over a fitted CBMG."""
 
-    _matrix_cache: Dict[str, np.ndarray] = {}
-
     def __init__(self, profile: WorkloadProfile, rng):
-        matrix = Navigator._matrix_cache.get(profile.name)
-        if matrix is None:
-            matrix = fit_transition_matrix(profile)
-            Navigator._matrix_cache[profile.name] = matrix
-        self._matrix = matrix
+        self._matrix, self._cumulative, _mix = fitted_chain(profile)
         self._rng = rng
-        self._cumulative = np.cumsum(matrix, axis=1)
         self.current = I.HOME  # sessions start at the home page
 
     def next_interaction(self) -> Interaction:
         row = self._cumulative[_INDEX[self.current]]
-        point = self._rng.random()
-        index = int(np.searchsorted(row, point, side="right"))
-        index = min(index, len(_ORDER) - 1)
+        index = min(bisect_right(row, self._rng.random()), len(_ORDER) - 1)
         self.current = _ORDER[index]
         return self.current
 

@@ -18,7 +18,10 @@ documented in DESIGN.md).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Dict, Tuple
 
 
@@ -65,16 +68,19 @@ class WorkloadProfile:
                       if interaction in UPDATE_INTERACTIONS)
         return updates / total
 
+    @cached_property
+    def _sampling_table(self) -> Tuple[float, Tuple[float, ...]]:
+        """``(total weight, running sums)``: the draw range and the
+        threshold each interaction's share of it ends at."""
+        weights = [weight for _i, weight in self.mix]
+        return sum(weights), tuple(accumulate(weights))
+
     def sample(self, rng) -> Interaction:
         """Draw the next interaction from the steady-state mix."""
-        total = sum(weight for _i, weight in self.mix)
-        point = rng.uniform(0.0, total)
-        acc = 0.0
-        for interaction, weight in self.mix:
-            acc += weight
-            if point <= acc:
-                return interaction
-        return self.mix[-1][0]
+        total, thresholds = self._sampling_table
+        # First interaction whose running sum reaches the point.
+        index = bisect_left(thresholds, rng.uniform(0.0, total))
+        return self.mix[min(index, len(self.mix) - 1)][0]
 
 
 def _mix(**weights: float) -> Tuple[Tuple[Interaction, float], ...]:

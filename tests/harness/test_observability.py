@@ -66,10 +66,11 @@ def test_crash_run_counts_reroutes_and_gap_fills(one_crash_result):
 def test_checkpoint_encodes_are_counted_apart_from_checkpoints(
         one_crash_result):
     counters = one_crash_result.metrics["counters"]
-    # One base per fresh replica; the recovered incarnation inherits the
-    # base of the record it loaded, and nothing in a tiny run grows a
-    # journal to the size of the state.
-    assert counters["treplica.snapshot_encodes"] == 5
+    # Every replica boots from the shared genesis bytes and journals on
+    # top of them; the recovered incarnation inherits the base of the
+    # record it loaded, and nothing in a tiny run grows a journal to the
+    # size of the state.  No checkpoint encodes anything.
+    assert counters["treplica.snapshot_encodes"] == 0
     assert counters["treplica.checkpoints"] > 20
     assert one_crash_result.metrics["gauges"]["treplica.journal_actions"] > 0
     assert "treplica.journal_actions" in one_crash_result.timeline.names()

@@ -59,6 +59,8 @@ def test_fast_flag_not_part_of_ordering_but_part_of_identity():
     fast = Ballot(3, 1, fast=True)
     slow = Ballot(3, 1, fast=False)
     assert not fast < slow and not slow < fast
+    assert not fast > slow and not slow > fast
+    assert fast <= slow <= fast and fast >= slow >= fast
     assert fast != slow
     assert hash(fast) != hash(slow)
 

@@ -62,6 +62,32 @@ def test_sample_is_deterministic_under_seed():
     assert a == b
 
 
+def _linear_scan_sample(profile, rng):
+    """The per-draw scan ``sample`` replaced, kept as its reference."""
+    total = sum(weight for _i, weight in profile.mix)
+    point = rng.uniform(0.0, total)
+    acc = 0.0
+    for interaction, weight in profile.mix:
+        acc += weight
+        if point <= acc:
+            return interaction
+    return profile.mix[-1][0]
+
+
+@pytest.mark.parametrize("profile", [BROWSING, SHOPPING, ORDERING],
+                         ids=lambda p: p.name)
+def test_sample_equals_the_linear_scan_draw_for_draw(profile):
+    fast, reference = random.Random(11), random.Random(11)
+    for _ in range(20_000):
+        assert profile.sample(fast) is _linear_scan_sample(profile, reference)
+
+
+def test_sampling_table_does_not_change_profile_identity():
+    twin = WorkloadProfile(SHOPPING.name, SHOPPING.metric_name, SHOPPING.mix)
+    SHOPPING.sample(random.Random(0))  # fills SHOPPING's table only
+    assert twin == SHOPPING and hash(twin) == hash(SHOPPING)
+
+
 def test_update_interactions_are_the_write_set():
     assert Interaction.BUY_CONFIRM in UPDATE_INTERACTIONS
     assert Interaction.SHOPPING_CART in UPDATE_INTERACTIONS

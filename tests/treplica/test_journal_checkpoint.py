@@ -3,9 +3,12 @@ journal of actions applied on top of it.
 
 The application is encoded once per base, not once per checkpoint; both
 restore paths (local load, remote transfer) rebuild the state by
-restoring the base and replaying the journal.
+restoring the base and replaying the journal.  A RobustStore replica
+boots the same way -- it restores the deployment's genesis snapshot with
+an empty journal -- so the genesis bytes are every replica's first base.
 """
 
+from repro.harness.cluster import RobustStoreCluster
 from repro.harness.experiment import Experiment
 from repro.treplica import TreplicaConfig
 from repro.treplica.checkpoint import CHECKPOINT_SLOTS, CheckpointManager
@@ -80,18 +83,78 @@ def test_remote_transfer_install_replays_the_journal_onto_the_base():
     assert rebooted.app.snapshot_calls == 0  # inherited the peer's base
 
 
-def test_tiny_bookstore_crash_run_rebuilds_the_peers_state():
-    result = (Experiment.from_config(tiny_config())
-              .one_crash(replica=1).keep_cluster().run())
-    cluster = result.cluster
-    assert result.recoveries and result.recoveries[0]["ready_at"] is not None
-    recovered, peer = cluster.runtimes[1], cluster.runtimes[0]
+def _assert_same_state_at_the_same_instance(cluster, recovered, peer):
     for _ in range(1000):  # replicas apply an instance microseconds apart
         if recovered.applied_up_to == peer.applied_up_to:
             break
         cluster.sim.run(until=cluster.sim.now + 0.0005)
     assert recovered.applied_up_to == peer.applied_up_to
     assert canonical(recovered.app) == canonical(peer.app)
+
+
+def test_tiny_bookstore_crash_run_rebuilds_the_peers_state():
+    result = (Experiment.from_config(tiny_config())
+              .one_crash(replica=1).keep_cluster().run())
+    cluster = result.cluster
+    assert result.recoveries and result.recoveries[0]["ready_at"] is not None
+    _assert_same_state_at_the_same_instance(
+        cluster, cluster.runtimes[1], cluster.runtimes[0])
+    # Nobody encoded anything: the recovered incarnation and the
+    # never-crashed ones all still journal on top of the genesis bytes.
+    for node in cluster.replica_nodes:
+        record = CheckpointManager.stored_record(node.disk)
+        assert record.snapshot[0] is cluster.genesis
+        assert len(record.snapshot[1]) > 0
+
+
+# ----------------------------------------------------------------------
+# boot is a restore of the genesis checkpoint
+# ----------------------------------------------------------------------
+def test_every_replicas_first_record_shares_the_genesis_bytes():
+    cluster = RobustStoreCluster(tiny_config(replicas=3))
+    for runtime in cluster.runtimes:
+        base, journal = runtime.snapshot_state()
+        assert base is cluster.genesis and journal == ()
+    cluster.run_until(3.0)  # the boot checkpoints have landed
+    for node, runtime in zip(cluster.replica_nodes, cluster.runtimes):
+        assert runtime.checkpoints.checkpoints_taken == 1
+        record = CheckpointManager.stored_record(node.disk)
+        assert record.snapshot[0] is cluster.genesis
+
+
+def test_replica_crashed_before_its_first_checkpoint_boots_from_genesis():
+    cluster = RobustStoreCluster(tiny_config(replicas=3))
+    cluster.run_until(1.0)
+    assert cluster.runtimes[2].applied_up_to >= 0, "it had applied updates"
+    assert CheckpointManager.stored_record(
+        cluster.replica_nodes[2].disk) is None
+    cluster.crash_replica(2)
+    cluster.run_until(15.0)  # the watchdog reboots it; nothing to load
+    rebooted = cluster.runtimes[2]
+    assert rebooted is not None and rebooted.ready
+    assert rebooted.stats["remote_transfers"] == 0
+    _assert_same_state_at_the_same_instance(cluster, rebooted,
+                                            cluster.runtimes[0])
+
+
+def test_bookstore_run_that_crosses_the_rebase_rule_encodes_once_per_rebase():
+    cluster = RobustStoreCluster(tiny_config(replicas=3, observability=True))
+    # Shrink the nominal state to about one and a half checkpoint
+    # intervals of journal, so the real rule folds the journal at some
+    # checkpoints and not at others.
+    for runtime in cluster.runtimes:
+        runtime.app.size_multiplier *= 0.007
+    bases = [[cluster.genesis] for _ in cluster.runtimes]
+    for step in range(1, 61):  # far finer than the 6 s checkpoint interval
+        cluster.run_until(0.5 * step)
+        for seen, runtime in zip(bases, cluster.runtimes):
+            if runtime._base is not seen[-1]:
+                seen.append(runtime._base)
+    rebases = sum(len(seen) - 1 for seen in bases)
+    counters = cluster.metrics.snapshot()["counters"]
+    assert rebases >= 3, "every replica must have crossed the rule"
+    assert counters["treplica.snapshot_encodes"] == rebases
+    assert counters["treplica.checkpoints"] > rebases
 
 
 # ----------------------------------------------------------------------
