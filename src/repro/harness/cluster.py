@@ -56,7 +56,7 @@ from repro.sim import (
     StorageNemesis,
 )
 from repro.sim.trace import Tracer
-from repro.tpcw.app import BookstoreApplication
+from repro.tpcw.app import BookstoreApplication, BookstoreSnapshot
 from repro.tpcw.bookstore import BookstoreServlets
 from repro.tpcw.database import TPCWDatabase
 from repro.tpcw.population import PopulationParams, populate
@@ -86,7 +86,7 @@ class ReplicaGroup:
 
     def __init__(self, sim: Simulator, network: Network,
                  config: ClusterConfig, seed: SeedTree,
-                 genesis: bytes,
+                 genesis: BookstoreSnapshot,
                  name_prefix: str = "", shard: Optional[int] = None,
                  database_factory: Optional[Callable] = None,
                  recoveries: Optional[List[Dict[str, float]]] = None):
@@ -154,8 +154,9 @@ class ReplicaGroup:
         node = self.replica_nodes[index]
         # Boot is a restore of checkpoint zero (genesis, empty journal)
         # through the path a local load or remote install takes, which
-        # makes the shared genesis bytes this incarnation's first base:
-        # its checkpoints encode nothing until the rebase rule fires.
+        # makes the shared genesis snapshot this incarnation's first base
+        # (its checkpoints encode nothing until the rebase rule fires)
+        # and the genesis rows of the insert-only tables its own.
         runtime = TreplicaRuntime(node, self.replica_names, index,
                                   BookstoreApplication(BookstoreState()),
                                   config=self.config.treplica_config(),
@@ -269,12 +270,15 @@ class RobustStoreCluster:
     """One complete deployment, ready for an experiment run.
 
     The store is populated once and kept as :attr:`genesis`, one
-    ``BookstoreApplication.snapshot()``: checkpoint zero of every
-    replica.  A replica boots -- at deployment and after every crash --
-    by restoring it with an empty journal through
-    ``TreplicaRuntime.restore_state``, the same path a local checkpoint
-    load and a remote install take, so the genesis bytes are shared by
-    all replicas as their first checkpoint base and are never re-encoded.
+    :class:`BookstoreSnapshot`: checkpoint zero of every replica.  A
+    replica boots -- at deployment and after every crash -- by restoring
+    it with an empty journal through ``TreplicaRuntime.restore_state``,
+    the same path a local checkpoint load and a remote install take, so
+    the genesis snapshot is shared by all replicas as their first
+    checkpoint base and is never re-encoded, and the rows of the
+    insert-only tables (``BookstoreState.INSERT_ONLY``) are held once
+    per deployment: each replica gets its own dict of them, not its own
+    copy of a row.
     """
 
     def __init__(self, config: ClusterConfig):
@@ -330,12 +334,11 @@ class RobustStoreCluster:
         self.population_params = PopulationParams(
             num_items=config.num_items, num_ebs=config.num_ebs,
             entity_scale=scale.entity_scale, seed=config.seed)
-        # One deterministic population, encoded once as the application
-        # snapshot every replica boots from -- the genesis checkpoint;
-        # the nominal size is additionally compressed by the timeline
-        # factor so that recovery fits the compressed window with
-        # unchanged ratios.
-        self.genesis: bytes = BookstoreApplication(
+        # One deterministic population, kept as the application snapshot
+        # every replica boots from -- the genesis checkpoint; the nominal
+        # size is additionally compressed by the timeline factor so that
+        # recovery fits the compressed window with unchanged ratios.
+        self.genesis: BookstoreSnapshot = BookstoreApplication(
             populate(self.population_params),
             self.population_params.size_multiplier / scale.time_div
         ).snapshot()

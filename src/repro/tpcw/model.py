@@ -2,13 +2,17 @@
 
 These mirror TPC-W's conceptual schema (customer, address, country,
 author, item, orders, order line, credit-card transaction, shopping cart).
-Plain mutable classes with ``__slots__``: they are state, not messages, and
-they are pickled wholesale by Treplica checkpoints.
+Plain mutable classes with ``__slots__``: they are state, not messages.
+Only customers, items and carts are written after they are inserted;
+checkpoints pickle those, while a country, author, address, order (with
+its lines) or credit-card transaction is never written once
+``BookstoreState.add_*`` has run, so every replica restored from one
+checkpoint base shares that row object (``BookstoreState.INSERT_ONLY``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 class Country:
@@ -151,7 +155,8 @@ class Order:
         self.o_bill_addr_id = bill_addr_id
         self.o_ship_addr_id = ship_addr_id
         self.o_status = status
-        self.lines: List[OrderLine] = []
+        # Filled while the order is built; add_order freezes it to a tuple.
+        self.lines: Sequence[OrderLine] = []
 
 
 class CCXact:

@@ -56,6 +56,28 @@ class BookstoreState:
     best-seller window) are maintained incrementally by the mutators below;
     they stand in for the database indexes of the original three-tier
     deployment and keep facade reads cheap.
+
+    The state splits at the line the workload draws: the
+    :attr:`INSERT_ONLY` tables only ever gain rows, and nothing writes a
+    row once its ``add_*`` has run, so a checkpoint base shares those
+    rows instead of encoding them (``BookstoreApplication.snapshot``);
+    every other attribute is updatable and copied.
+    """
+
+    INSERT_ONLY = ("countries", "authors", "addresses", "orders", "ccxacts",
+                   "address_by_key", "customer_by_uname")
+    """Tables whose rows are never updated or deleted once inserted.
+
+    No TPC-W interaction updates or deletes a row of COUNTRY, AUTHOR,
+    ADDRESS, ORDERS, ORDER_LINE or CC_XACTS: Buy Confirm and Customer
+    Registration insert them, everything else reads them (an order's
+    lines are frozen into a tuple by :meth:`add_order`).  The two maps
+    hold immutable keys and values (an address's dedup key -> its id, a
+    username -> its customer id) and, like the tables, only grow.  What
+    *is* written after insert -- ``Customer.c_login``/``c_expiration``,
+    ``Item.i_stock``/``i_cost``/``i_image``/``i_thumbnail``/
+    ``i_pub_date``/``i_related``, cart contents, the list-valued
+    indexes, the allocators and the 2PC bookkeeping -- stays outside.
     """
 
     def __init__(self) -> None:
@@ -134,6 +156,7 @@ class BookstoreState:
         self.next_customer_id = max(self.next_customer_id, customer.c_id + 1)
 
     def add_order(self, order: Order) -> None:
+        order.lines = tuple(order.lines)  # insert-only from here on
         self.orders[order.o_id] = order
         self.orders_by_customer.setdefault(order.o_c_id, []).append(order.o_id)
         self.next_order_id = max(self.next_order_id, order.o_id + 1)

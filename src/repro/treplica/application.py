@@ -15,12 +15,14 @@ from typing import Any
 class Application:
     """Protocol for replicated applications.
 
-    * :meth:`snapshot` returns an opaque, self-contained copy of the full
-      state (taken atomically between events).  Treplica calls it once per
-      checkpoint *base*, not once per checkpoint: a checkpoint record is
-      that base plus the journal of actions applied since
-      (:meth:`TreplicaRuntime.snapshot_state`), so the returned object
-      must stay valid while later actions mutate the live state;
+    * :meth:`snapshot` returns an opaque value of the full state (taken
+      atomically between events).  Treplica calls it once per checkpoint
+      *base*, not once per checkpoint: a checkpoint record is that base
+      plus the journal of actions applied since
+      (:meth:`TreplicaRuntime.snapshot_state`), so the returned value
+      must stay valid while later actions mutate the live state; it may
+      share objects with that state (and with every state restored from
+      it) that are never written;
     * :meth:`restore` replaces the state with a snapshot; recovery then
       replays the record's journal on top of it;
     * :meth:`state_size_mb` reports the *nominal* state size, which drives

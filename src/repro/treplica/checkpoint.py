@@ -9,7 +9,7 @@ small write, so a crash mid-checkpoint leaves the previous record intact
 (shadow-update discipline).
 
 What a record stores is log-structured: the runtime's ``(base,
-journal)`` pair -- one encoded application snapshot and the ordered
+journal)`` pair -- one application snapshot and the ordered
 actions applied on top of it (:meth:`TreplicaRuntime.snapshot_state`).
 That is a host-side representation only: the simulated serialization CPU
 and disk traffic below are charged from the nominal state size, whatever
@@ -33,10 +33,10 @@ from repro.obs.registry import registry_of
 from repro.sim.trace import emit as trace_emit
 
 
+#: the prefix of every checkpoint key (the storage nemesis matches on it)
 CHECKPOINT_KEY = "treplica:checkpoint"
 
-#: the two alternating commit-record slots (shadow-update discipline);
-#: the bare legacy key is still read for pre-slot disks.
+#: the two alternating commit-record slots (shadow-update discipline)
 CHECKPOINT_SLOTS = (CHECKPOINT_KEY + ":a", CHECKPOINT_KEY + ":b")
 
 
@@ -128,7 +128,7 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     @staticmethod
     def _slot_records(disk):
-        for key in CHECKPOINT_SLOTS + (CHECKPOINT_KEY,):
+        for key in CHECKPOINT_SLOTS:
             record = disk.peek(key)
             if isinstance(record, CheckpointRecord):
                 yield key, record
@@ -139,7 +139,7 @@ class CheckpointManager:
         newest_key = None
         newest_instance = -1
         for key, record in cls._slot_records(disk):
-            if key in CHECKPOINT_SLOTS and record.instance > newest_instance:
+            if record.instance > newest_instance:
                 newest_key, newest_instance = key, record.instance
         if newest_key == CHECKPOINT_SLOTS[0]:
             return CHECKPOINT_SLOTS[1]
@@ -167,7 +167,7 @@ class CheckpointManager:
         any non-record garbage) is deleted so it can never be loaded.
         """
         dropped = 0
-        for key in CHECKPOINT_SLOTS + (CHECKPOINT_KEY,):
+        for key in CHECKPOINT_SLOTS:
             if disk.contains(key) and not isinstance(disk.peek(key),
                                                      CheckpointRecord):
                 disk.delete(key)

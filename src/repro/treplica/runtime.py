@@ -10,7 +10,7 @@ application to the asynchronous persistent queue:
   them, charging per-action CPU (every replica executes every update,
   which is what makes write-heavy workloads scale sublinearly);
 * the **checkpoint loop** periodically records the application state.
-  A record is log-structured: an encoded **base** snapshot plus the
+  A record is log-structured: a **base** snapshot plus the
   **journal** of actions applied on top of it, so the (host-expensive)
   ``app.snapshot()`` runs once per base instead of once per checkpoint;
   the journal is folded into a fresh base when it has grown as large as
@@ -88,7 +88,7 @@ class TreplicaRuntime:
         self._had_checkpoint = record is not None
         self._waiters: Dict[str, Event] = {}
         self._uid_counter = 0
-        # Log-structured checkpoint state: the encoded snapshot the
+        # Log-structured checkpoint state: the snapshot the
         # application was last (re)built from, and every action applied
         # since, in order.  ``None`` until the first checkpoint or restore
         # of this incarnation materialises a base.
@@ -112,10 +112,20 @@ class TreplicaRuntime:
         self._obs_apply_latency = obs.histogram("treplica.apply_latency_s")
         self._obs_remote_transfers = obs.counter("treplica.remote_transfers")
         self._obs_snapshot_encodes = obs.counter("treplica.snapshot_encodes")
+        node.add_volatile_crash_hook(self._on_crash)
 
     # ==================================================================
     # lifecycle
     # ==================================================================
+    def _on_crash(self) -> None:
+        """The incarnation died with its memory: drop the application,
+        the base and the journal.  Whatever still references this runtime
+        (dead processes, handlers, reference cycles) then keeps none of
+        the state alive, and a late read raises instead of answering
+        from a state the crash destroyed."""
+        self.app = None
+        self._rebase(None)
+
     def start(self) -> None:
         """Bind to the queue and begin (re)covering; returns immediately."""
         self.boot_started_at = self.sim.now
@@ -311,7 +321,11 @@ class TreplicaRuntime:
 
         Reads never touch the queue (the paper: read interactions are
         fulfilled locally); callers pay their CPU cost at the web tier.
+        Raises once this incarnation has crashed.
         """
+        if self.app is None:
+            raise RuntimeError(f"{self.node.name}: read from a crashed "
+                               f"incarnation")
         return fn(self.app)
 
     def get_state(self) -> Any:
@@ -331,7 +345,7 @@ class TreplicaRuntime:
         return self.read(fn)
 
     # ==================================================================
-    # checkpoint state: an encoded base plus the journal applied since
+    # checkpoint state: a base snapshot plus the journal applied since
     # ==================================================================
     def _apply(self, action: Action) -> Any:
         """Apply one ordered action and journal it on top of the base."""
@@ -353,8 +367,8 @@ class TreplicaRuntime:
         (re)materialise the base: when this incarnation has none yet, and
         when the journal's summed ``size_mb`` has reached the state's
         nominal size (compact when the log is as large as the snapshot).
-        Every other checkpoint shares the base bytes and the action
-        objects, which the whole cluster already shares.
+        Every other checkpoint shares the base and the action objects,
+        which the whole cluster already shares.
         """
         if (self._base is None
                 or self._journal_mb >= self.app.state_size_mb()):

@@ -66,7 +66,7 @@ def test_crash_run_counts_reroutes_and_gap_fills(one_crash_result):
 def test_checkpoint_encodes_are_counted_apart_from_checkpoints(
         one_crash_result):
     counters = one_crash_result.metrics["counters"]
-    # Every replica boots from the shared genesis bytes and journals on
+    # Every replica boots from the shared genesis snapshot and journals on
     # top of them; the recovered incarnation inherits the base of the
     # record it loaded, and nothing in a tiny run grows a journal to the
     # size of the state.  No checkpoint encodes anything.

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import pickle
+from collections import deque
 from typing import List, Optional
 
 from repro.sim import Network, NetworkParams, Node, SeedTree, Simulator
 from repro.tpcw.app import BookstoreApplication
 from repro.tpcw.bookstore import BookstoreServlets
 from repro.tpcw.database import TPCWDatabase
-from repro.tpcw.population import PopulationParams, populate
+from repro.tpcw.population import PopulationParams
+from repro.tpcw.state import BookstoreState
 from repro.treplica import TreplicaConfig, TreplicaRuntime
 
 
@@ -25,7 +26,8 @@ class BookstoreCluster:
         self.params = params or PopulationParams(
             num_items=150, num_ebs=1, entity_scale=0.02, seed=seed)
         self.config = config or TreplicaConfig(checkpoint_interval_s=30.0)
-        self._blob = pickle.dumps(populate(self.params))
+        # The deployment's genesis checkpoint, as RobustStoreCluster keeps it.
+        self.genesis = BookstoreApplication.populated(self.params).snapshot()
         self.n = n
         self.nodes: List[Node] = [
             Node(self.sim, self.network, f"r{i}") for i in range(n)]
@@ -38,10 +40,10 @@ class BookstoreCluster:
 
     def _boot(self, i: int) -> None:
         node = self.nodes[i]
-        app = BookstoreApplication(pickle.loads(self._blob),
-                                   self.params.size_multiplier)
-        runtime = TreplicaRuntime(node, self.names, i, app,
+        runtime = TreplicaRuntime(node, self.names, i,
+                                  BookstoreApplication(BookstoreState()),
                                   config=self.config, seed=self.seed)
+        runtime.restore_state((self.genesis, ()))
         db = TPCWDatabase(runtime, clock=lambda: self.sim.now,
                           rng=self.seed.fork_random(
                               f"db-{i}-{node.incarnation}"))
@@ -104,27 +106,25 @@ def detached_runtime(app) -> TreplicaRuntime:
     return TreplicaRuntime(node, ["r0"], 0, app)
 
 
+def structure(obj):
+    """``obj`` as nested tuples of plain values: slotted rows by slot,
+    maps sorted by key, sequences in order -- equal for equal content
+    whatever the objects' identities."""
+    if hasattr(obj, "__slots__"):
+        return tuple((name, structure(getattr(obj, name)))
+                     for name in obj.__slots__)
+    if isinstance(obj, dict):
+        return tuple(sorted((key, structure(v)) for key, v in obj.items()))
+    if isinstance(obj, (list, tuple, deque)):
+        return tuple(structure(v) for v in obj)
+    if isinstance(obj, (set, frozenset)):
+        return tuple(sorted(obj))
+    return obj
+
+
 def canonical(app) -> tuple:
-    """A structural digest of the state, insensitive to pickle's object-
-    sharing memoization (two semantically identical states can differ in
-    raw pickle bytes when one was rebuilt via restore)."""
-    state = app.state
-
-    def slots(obj):
-        return tuple((name, getattr(obj, name))
-                     for name in obj.__slots__ if name != "lines")
-
-    return (
-        tuple((k, slots(v)) for k, v in sorted(state.customers.items())),
-        tuple((k, slots(v)) for k, v in sorted(state.items.items())),
-        tuple((k, slots(v), tuple(slots(line) for line in v.lines))
-              for k, v in sorted(state.orders.items())),
-        tuple((k, slots(v)) for k, v in sorted(state.ccxacts.items())),
-        tuple((k, v.sc_time, tuple(sorted(v.lines.items())))
-              for k, v in sorted(state.carts.items())),
-        tuple((k, slots(v)) for k, v in sorted(state.addresses.items())),
-        tuple(state.recent_orders),
-        tuple(sorted(state.bestseller_counts.items())),
-        (state.next_customer_id, state.next_address_id,
-         state.next_order_id, state.next_cart_id),
-    )
+    """A structural digest of every attribute of the state, insensitive to
+    object identity (two semantically identical states can share rows, or
+    differ in raw pickle bytes when one was rebuilt via restore)."""
+    return tuple((name, structure(attr))
+                 for name, attr in sorted(vars(app.state).items()))

@@ -4,12 +4,7 @@ import pytest
 
 from repro.sim.disk import CorruptObject
 from repro.treplica import TreplicaConfig
-from repro.treplica.checkpoint import (
-    CHECKPOINT_KEY,
-    CHECKPOINT_SLOTS,
-    CheckpointManager,
-    CheckpointRecord,
-)
+from repro.treplica.checkpoint import CHECKPOINT_SLOTS, CheckpointManager
 
 from tests.treplica.helpers import TreplicaCluster
 
@@ -112,17 +107,6 @@ def test_commit_records_alternate_between_slots():
     assert records[0].instance != records[1].instance
     newest = CheckpointManager.stored_record(disk)
     assert newest.instance == max(r.instance for r in records)
-
-
-def test_legacy_bare_checkpoint_key_still_read():
-    cluster = TreplicaCluster(3)
-    disk = cluster.nodes[0].disk
-    for slot in CHECKPOINT_SLOTS:
-        if disk.contains(slot):
-            disk.delete(slot)
-    legacy = CheckpointRecord(7, snapshot=None, size_mb=1.0, taken_at=0.0)
-    disk._store[CHECKPOINT_KEY] = (legacy, 0.001)
-    assert CheckpointManager.stored_record(disk).instance == 7
 
 
 def test_scrub_slots_drops_corrupt_payloads_only():

@@ -5,8 +5,13 @@ The application is encoded once per base, not once per checkpoint; both
 restore paths (local load, remote transfer) rebuild the state by
 restoring the base and replaying the journal.  A RobustStore replica
 boots the same way -- it restores the deployment's genesis snapshot with
-an empty journal -- so the genesis bytes are every replica's first base.
+an empty journal -- so the genesis snapshot is every replica's first base.
 """
+
+import gc
+import weakref
+
+import pytest
 
 from repro.harness.cluster import RobustStoreCluster
 from repro.harness.experiment import Experiment
@@ -100,11 +105,63 @@ def test_tiny_bookstore_crash_run_rebuilds_the_peers_state():
     _assert_same_state_at_the_same_instance(
         cluster, cluster.runtimes[1], cluster.runtimes[0])
     # Nobody encoded anything: the recovered incarnation and the
-    # never-crashed ones all still journal on top of the genesis bytes.
+    # never-crashed ones all still journal on top of the genesis snapshot.
     for node in cluster.replica_nodes:
         record = CheckpointManager.stored_record(node.disk)
         assert record.snapshot[0] is cluster.genesis
         assert len(record.snapshot[1]) > 0
+
+
+def test_tiny_bookstore_remote_install_rebuilds_the_peers_state():
+    # Peers keep one instance below each checkpoint, so a replica that
+    # stays down across a checkpoint interval must take a peer's record.
+    cluster = RobustStoreCluster(tiny_config(
+        replicas=3, treplica_overrides=(("log_retain_instances", 1),)))
+    cluster.run_until(4.0)
+    cluster.disable_watchdog(2)
+    cluster.crash_replica(2)
+    cluster.run_until(20.0)  # the survivors checkpoint and truncate
+    cluster.reboot_replica(2)
+    cluster.run_until(50.0)  # transfers repeat while the peers truncate
+    rebooted = cluster.runtimes[2]
+    assert rebooted.ready and rebooted.stats["remote_transfers"] >= 1
+    _assert_same_state_at_the_same_instance(cluster, rebooted,
+                                            cluster.runtimes[0])
+
+
+def test_tiny_bookstore_recovery_from_a_rebased_record():
+    cluster = RobustStoreCluster(tiny_config(replicas=3))
+    for runtime in cluster.runtimes:  # fold the journal every checkpoint
+        runtime.app.size_multiplier *= 0.001
+    cluster.run_until(14.0)
+    record = CheckpointManager.stored_record(cluster.replica_nodes[1].disk)
+    assert record.snapshot[0] is not cluster.genesis, "a rebase happened"
+    cluster.crash_replica(1)
+    cluster.run_until(30.0)  # the watchdog reboots it from that record
+    rebooted = cluster.runtimes[1]
+    assert rebooted.ready and rebooted.stats["remote_transfers"] == 0
+    _assert_same_state_at_the_same_instance(cluster, rebooted,
+                                            cluster.runtimes[0])
+
+
+def test_a_crash_frees_the_incarnations_state_without_the_collector():
+    cluster = RobustStoreCluster(tiny_config(replicas=3))
+    cluster.run_until(4.0)
+    dead = cluster.runtimes[1]
+    state = weakref.ref(dead.app.state)
+    gc.disable()
+    try:
+        cluster.crash_replica(1)
+        assert state() is None, "the crashed state must die with the crash"
+    finally:
+        gc.enable()
+    with pytest.raises(RuntimeError):
+        dead.read(lambda app: app.state)
+    cluster.run_until(20.0)
+    rebooted = cluster.runtimes[1]
+    assert rebooted is not dead and rebooted.ready
+    _assert_same_state_at_the_same_instance(cluster, rebooted,
+                                            cluster.runtimes[0])
 
 
 # ----------------------------------------------------------------------
