@@ -256,6 +256,13 @@ class ReplicaGroup:
                           for runtime in self.runtimes
                           if runtime is not None), default=0))
 
+    def max_dedup_uids(self) -> float:
+        """Largest exactly-once uid memory across live replicas: the one
+        learner structure that grows with the number of commands."""
+        return float(max((runtime.engine.dedup_uids
+                          for runtime in self.runtimes
+                          if runtime is not None), default=0))
+
     def max_apply_backlog(self) -> float:
         """Deepest decided-but-unapplied backlog across live replicas."""
         depth = 0
@@ -495,6 +502,9 @@ class RobustStoreCluster:
                               for group in self.groups))
         obs.gauge("treplica.journal_actions",
                   lambda: max(group.max_journal_actions()
+                              for group in self.groups))
+        obs.gauge("paxos.delivered_uids",
+                  lambda: max(group.max_dedup_uids()
                               for group in self.groups))
         for group in self.groups:
             if group.shard is not None:

@@ -29,7 +29,11 @@ via ``LearnRequest`` paging.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from array import array
+from bisect import bisect_right
+from itertools import islice
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from repro.paxos.config import PaxosConfig
 from repro.paxos.failure_detector import FailureDetector
@@ -67,6 +71,41 @@ PAXOS_PORT = "paxos"
 MODE_FAST = "fast"
 MODE_CLASSIC = "classic"
 MODE_BLOCKED = "blocked"
+
+# The learner's exactly-once memory, ``PaxosEngine._uids``, maps each uid
+# to one of these states.
+_DECIDED = 0    # decided in this incarnation, not yet delivered
+_DELIVERED = 1  # in the delivery log, decided in this incarnation
+_RESTORED = 2   # in the delivery log from a checkpoint or state
+                # transfer, not (yet) decided in this incarnation
+
+
+class DeliveredPrefix:
+    """The uids a replica first delivered at or below one instance, in
+    delivery order: the first ``length`` entries of its delivery log.
+
+    The log is append-only, so a prefix stays valid while the log grows,
+    and every checkpoint record of one incarnation shares the one list
+    instead of copying the whole delivery history.  Read it by iterating;
+    ``len()`` is the number of uids.
+    """
+
+    __slots__ = ("_log", "_length")
+
+    def __init__(self, log: List[str], length: int):
+        self._log = log
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(self._log, self._length)
+
+    @property
+    def log(self) -> List[str]:
+        """The shared delivery log this is a prefix of."""
+        return self._log
 
 
 class PaxosEngine:
@@ -126,13 +165,20 @@ class PaxosEngine:
         self.log_start = start_instance
         self.decided: Dict[int, Batch] = {}
         self.watermark = start_instance - 1  # highest contiguous decided
-        # uid -> instance of first fresh delivery.  Seeded from the
-        # checkpoint so a reboot cannot re-deliver a repeat (a uid decided
-        # again after a fast collision) whose first occurrence is hidden
-        # inside the restored snapshot.
-        self._enqueued_uids: Dict[str, int] = {
-            uid: start_instance - 1 for uid in delivered_uids}
-        self._decided_uids: Set[str] = set()
+        # Exactly-once memory, one entry per uid: _DECIDED, _DELIVERED or
+        # _RESTORED.  Every uid but the _DECIDED ones is also in the
+        # delivery log, in first-delivery order; the log is append-only
+        # (checkpoint records share it as DeliveredPrefix views) and
+        # ``_mark_lengths[k]`` of its entries were delivered at or below
+        # instance ``_mark_instances[k]``.  Seeded from the checkpoint so a
+        # reboot cannot re-deliver a repeat (a uid decided again after a
+        # fast collision) whose first occurrence is hidden inside the
+        # restored snapshot.
+        self._uids: Dict[str, int] = {}
+        self._log: List[str] = []
+        self._mark_instances = array("q")
+        self._mark_lengths = array("q")
+        self._log_restored(start_instance - 1, delivered_uids)
         self._vote_sets: Dict[int, Dict[Tuple[Ballot, Tuple[str, ...]], Set[int]]] = {}
         self.max_seen_instance = start_instance - 1
         self.delivery = self.sim.channel()  # (instance, tuple of fresh Commands)
@@ -273,15 +319,22 @@ class PaxosEngine:
         """Latest decided watermarks heard from peers (via heartbeats)."""
         return dict(self._peer_watermarks)
 
-    def delivered_up_to(self, instance: int) -> FrozenSet[str]:
-        """Uids first delivered at or below ``instance``.
+    def delivered_up_to(self, instance: int) -> DeliveredPrefix:
+        """Uids first delivered (or restored) at or below ``instance``, as
+        a prefix view of the delivery log -- O(1), no copy.
 
-        Checkpoints persist this set: delivery dedup is what keeps the
+        Checkpoints persist this: delivery dedup is what keeps the
         apply stream exactly-once when a uid gets decided again in a
         later instance, and that memory must survive a reboot.
         """
-        return frozenset(uid for uid, at in self._enqueued_uids.items()
-                         if at <= instance)
+        k = bisect_right(self._mark_instances, instance)
+        return DeliveredPrefix(self._log,
+                               self._mark_lengths[k - 1] if k else 0)
+
+    @property
+    def dedup_uids(self) -> int:
+        """How many uids the exactly-once memory holds."""
+        return len(self._uids)
 
     def fast_forward(self, instance: int,
                      delivered_uids: Iterable[str] = ()) -> None:
@@ -290,12 +343,13 @@ class PaxosEngine:
         Everything at or below ``instance`` is covered by the transferred
         snapshot; decided values below it are dropped and delivery resumes
         at ``instance + 1``.  ``delivered_uids`` carries the sender's
-        delivery-dedup knowledge for the transferred prefix.
+        delivery-dedup knowledge for the transferred prefix.  A stale
+        transfer (``instance`` not above the watermark) changes nothing:
+        this replica delivered that prefix itself, in the same order.
         """
-        for uid in delivered_uids:
-            self._enqueued_uids.setdefault(uid, instance)
         if instance <= self.watermark:
             return
+        self._log_restored(instance, delivered_uids)
         for i in [i for i in self.decided if i <= instance]:
             del self.decided[i]
         for i in [i for i in self._vote_sets if i <= instance]:
@@ -419,7 +473,7 @@ class PaxosEngine:
                      if now - t > self.config.retry_age_s]
             for uid in stale:
                 command, _t = self.unacked[uid]
-                if uid in self._decided_uids:
+                if self._is_decided(uid):
                     self.unacked.pop(uid, None)
                     continue
                 self.unacked[uid] = (command, now)
@@ -475,7 +529,7 @@ class PaxosEngine:
         """A path just opened (leadership gained, fast round established):
         commands stranded waiting for the retry timer can go now."""
         for uid, (command, _t) in list(self.unacked.items()):
-            if uid in self._decided_uids or uid in self._my_fast_proposals_uids():
+            if self._is_decided(uid) or uid in self._my_fast_proposals_uids():
                 continue
             self._route(command)
 
@@ -488,7 +542,7 @@ class PaxosEngine:
                 or any(c.uid == uid for c in self._fast_pending))
 
     def _route(self, command: Command) -> None:
-        if self._already_pending(command.uid) or command.uid in self._decided_uids:
+        if self._already_pending(command.uid) or self._is_decided(command.uid):
             return
         mode = self.mode
         if mode == MODE_FAST:
@@ -861,7 +915,7 @@ class PaxosEngine:
         self.stats["fast_rejected"] += 1
         self._obs_fast_rejected.inc()
         for command in batch.commands:
-            if (command.uid not in self._decided_uids
+            if (not self._is_decided(command.uid)
                     and not self._already_pending(command.uid)):
                 self._fast_pending.append(command)
         self._maybe_continue_fast()
@@ -923,7 +977,7 @@ class PaxosEngine:
 
     def _on_forward(self, message: Forward, src: int) -> None:
         command = message.command
-        if command.uid in self._decided_uids:
+        if self._is_decided(command.uid):
             return
         if self.leading:
             if not self._already_pending(command.uid):
@@ -979,33 +1033,73 @@ class PaxosEngine:
                    key=value.key, inc=self.node.incarnation)
         self._recovering.pop(instance, None)
         self._drop_vote_tracking(instance)
+        uids = self._uids
         for command in value.commands:
-            self._decided_uids.add(command.uid)
-            self.unacked.pop(command.uid, None)
+            uid = command.uid
+            state = uids.get(uid)
+            if state is None:
+                uids[uid] = _DECIDED
+            elif state == _RESTORED:
+                uids[uid] = _DELIVERED
+            self.unacked.pop(uid, None)
         self._fast_rejects.pop(instance, None)
         mine = self._my_fast_proposals.pop(instance, None)
         if mine is not None and mine.key != value.key:
             # Lost a fast-round collision: immediately repropose the
             # commands that were not decided here (dedup keeps this safe).
             for command in mine.commands:
-                if command.uid not in self._decided_uids:
+                if not self._is_decided(command.uid):
                     self.unacked[command.uid] = (command, self.sim.now)
                     self._route(command)
         if mine is not None:
             self._maybe_continue_fast()
         self._advance_watermark()
 
+    def _is_decided(self, uid: str) -> bool:
+        """Whether this incarnation has decided ``uid`` (a uid restored
+        from a checkpoint or transfer counts only once decided again)."""
+        return self._uids.get(uid, _RESTORED) != _RESTORED
+
+    def _log_restored(self, instance: int, delivered: Iterable[str]) -> None:
+        """Record another replica's (or incarnation's) deliveries as
+        delivered at ``instance``, which is above everything logged so
+        far: the ones this replica has not logged yet join the log."""
+        uids, log = self._uids, self._log
+        for uid in delivered:
+            state = uids.get(uid)
+            if state is None:
+                uids[uid] = _RESTORED
+            elif state == _DECIDED:
+                uids[uid] = _DELIVERED
+            else:
+                continue
+            log.append(uid)
+        self._mark(instance)
+
+    def _mark(self, instance: int) -> None:
+        """The log's entries so far were all delivered at or below
+        ``instance`` (the highest instance marked yet)."""
+        length = len(self._log)
+        if not self._mark_lengths or self._mark_lengths[-1] != length:
+            self._mark_instances.append(instance)
+            self._mark_lengths.append(length)
+
     def _advance_watermark(self) -> None:
         advanced = False
+        uids, log = self._uids, self._log
         while (self.watermark + 1) in self.decided:
             self.watermark += 1
             advanced = True
             batch = self.decided[self.watermark]
             fresh = []
             for command in batch.commands:
-                if command.uid not in self._enqueued_uids:
-                    self._enqueued_uids[command.uid] = self.watermark
+                uid = command.uid
+                if uids.get(uid, _DECIDED) == _DECIDED:
+                    uids[uid] = _DELIVERED
+                    log.append(uid)
                     fresh.append(command)
+            if fresh:
+                self._mark(self.watermark)
             trace_emit(self.sim, "deliver", self.node.name,
                        instance=self.watermark, key=batch.key,
                        fresh=tuple(c.uid for c in fresh),

@@ -151,9 +151,10 @@ class Simulator:
             if profiler is None:
                 timer.fn(*timer.args)
             else:
+                fn = timer.fn  # the callback may cancel its own timer
                 start = profiler.clock()
-                timer.fn(*timer.args)
-                profiler.record(timer.fn, profiler.clock() - start)
+                fn(*timer.args)
+                profiler.record(fn, profiler.clock() - start)
             fired = True
             if one:
                 break
@@ -221,7 +222,13 @@ class Timer:
         self.cancelled = False
 
     def cancel(self) -> None:
+        """Never fire.  The entry stays queued until its time comes
+        (``_advance`` then drops it without reading anything else), so
+        the callback and its arguments are let go now: whatever they
+        reference is freed at the cancel, not at the expiry."""
         self.cancelled = True
+        self.fn = None
+        self.args = ()
 
 
 class Awaitable:

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional
+from typing import Any, Optional
 
 from repro.obs.registry import registry_of
+from repro.paxos.engine import DeliveredPrefix
 from repro.sim.trace import emit as trace_emit
 
 
@@ -47,13 +48,17 @@ class CheckpointRecord:
     nominal state size that drives simulated load timing, and the
     delivery-dedup memory for the covered prefix (uids first delivered at
     or below ``instance`` -- without it a rebooted replica would re-apply
-    a command that consensus decided a second time after the checkpoint)."""
+    a command that consensus decided a second time after the checkpoint).
+
+    ``delivered_uids`` is the engine's :class:`DeliveredPrefix`, a view of
+    its append-only delivery log rather than a copy: consecutive records
+    of one incarnation share that log."""
 
     instance: int
     snapshot: Any
     size_mb: float
     taken_at: float
-    delivered_uids: FrozenSet[str] = frozenset()
+    delivered_uids: DeliveredPrefix
 
 
 class CheckpointManager:

@@ -75,8 +75,7 @@ class TreplicaRuntime:
         self.queue = PersistentQueue(
             node, replica_names, my_id, self.config.paxos, self._seed,
             start_instance=start_instance, wal=wal,
-            delivered_uids=getattr(record, "delivered_uids", frozenset())
-            if record is not None else frozenset())
+            delivered_uids=record.delivered_uids if record is not None else ())
         self.engine = self.queue.engine
         self.engine.on_truncated_peer = self._request_remote_checkpoint
         if self.scrub_report is not None and self.scrub_report["fence"]:
@@ -484,9 +483,8 @@ class TreplicaRuntime:
                 self.config.restore_cpu_s_per_mb * chunk_mb)
         self.restore_state(record.snapshot)
         self.applied_up_to = max(self.applied_up_to, record.instance)
-        self.engine.fast_forward(
-            record.instance,
-            delivered_uids=getattr(record, "delivered_uids", ()))
+        self.engine.fast_forward(record.instance,
+                                 delivered_uids=record.delivered_uids)
         self.stats["remote_transfers"] += 1
         self._obs_remote_transfers.inc()
         if self._storage_repair_pending:

@@ -76,6 +76,15 @@ def test_checkpoint_encodes_are_counted_apart_from_checkpoints(
     assert "treplica.journal_actions" in one_crash_result.timeline.names()
 
 
+def test_delivered_uids_gauge_grows_with_the_commands(one_crash_result):
+    # The learner's exactly-once memory holds one entry per command ever
+    # decided or restored, so the gauge climbs through the whole run.
+    values = [value for _t, value
+              in one_crash_result.timeline.points("paxos.delivered_uids")]
+    assert values[-1] > values[len(values) // 2] > 0
+    assert one_crash_result.metrics["gauges"]["paxos.delivered_uids"] > 0
+
+
 def test_kernel_profile_attributes_wall_clock_to_layers(one_crash_result):
     profile = one_crash_result.kernel_profile
     assert profile["events"] > 10_000

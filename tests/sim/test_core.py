@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -93,6 +95,28 @@ def test_timer_cancel():
     timer.cancel()
     sim.run()
     assert fired == []
+
+
+def test_cancel_lets_go_of_the_callback_before_expiry():
+    sim = Simulator()
+    fired = []
+
+    class Callback:
+        def __call__(self, payload):
+            fired.append(payload)
+
+    callback, payload = Callback(), Callback()
+    alive = [weakref.ref(callback), weakref.ref(payload)]
+    timer = sim.call_after(5.0, callback, payload)
+    del callback, payload
+    gc.disable()
+    try:
+        timer.cancel()
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
+    sim.run()
+    assert fired == [] and sim.now == 0.0
 
 
 def test_process_timeout_advances_clock():

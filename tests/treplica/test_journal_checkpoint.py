@@ -255,6 +255,48 @@ def test_record_written_before_a_rebase_still_loads_after_it():
     assert scratch.app.state == runtime.app.state
 
 
+def test_records_share_the_delivery_log_and_reboot_seeds_the_older_prefix():
+    # Two hand-driven checkpoints of replica 1 (the periodic loop is
+    # parked), three puts and then four more: both records must view one
+    # append-only delivery log instead of each copying the uids.
+    cluster = TreplicaCluster(3, config=TreplicaConfig(
+        checkpoint_interval_s=1e6))
+    runtime, disk = cluster.runtimes[1], cluster.nodes[1].disk
+
+    def checkpoint():
+        cluster.nodes[1].spawn(runtime.checkpoints.take(), name="by-hand")
+        cluster.run(0.5)
+        return CheckpointManager.stored_record(disk)
+
+    cluster.run(1.0)
+    _feed(cluster, "a", 3)
+    old = checkpoint()
+    _feed(cluster, "b", 4)
+    new = checkpoint()
+    assert new.instance > old.instance
+    assert old.delivered_uids.log is new.delivered_uids.log
+    first_three = [f"r0.0:a{k}" for k in range(1, 4)]
+    assert list(old.delivered_uids) == first_three
+    assert list(new.delivered_uids) == first_three + [
+        f"r0.0:a{k}" for k in range(4, 8)]
+
+    # Lose the newer slot: the reboot loads the older record and its
+    # engine knows exactly that record's uids, none of them as decided.
+    cluster.crash(1)
+    for slot in CHECKPOINT_SLOTS:
+        if disk.peek(slot) is new:
+            disk.delete(slot)
+    assert CheckpointManager.stored_record(disk) is old
+    cluster.reboot(1)
+    engine = cluster.runtimes[1].engine
+    assert engine.dedup_uids == 3
+    assert list(engine.delivered_up_to(old.instance)) == first_three
+    assert not any(engine._is_decided(uid) for uid in first_three)
+    cluster.run(10.0)
+    assert cluster.runtimes[1].ready
+    cluster.assert_converged()
+
+
 def test_one_encode_per_base_not_per_checkpoint():
     def encodes_and_checkpoints(nominal_size_mb):
         # Twelve hand-driven checkpoints (the periodic loop is parked),
