@@ -1,8 +1,11 @@
 """Golden digests: the determinism contract, pinned.
 
 Same config + seed must give the same run.  Each case below is a
-tiny-scale experiment whose three digests were computed at the commit
-*before* the flat and sharded cluster classes were merged (PR 12):
+tiny-scale experiment; between them the cases use every fault kind,
+through ``faults()`` or ``nemesis()``.  The first seven cases' digests
+were computed before the flat and sharded cluster classes were merged,
+the last four before the fault-kind registry replaced the per-kind
+dispatch.  Each case has three digests:
 
 * ``result`` -- sha256 of ``ExperimentResult.to_dict()`` minus the
   observer-dependent keys (the same definition as the ledger's
@@ -24,6 +27,7 @@ import json
 
 import pytest
 
+from repro.faults.faultload import ALL_KINDS, Faultload
 from repro.harness import Experiment, tiny_scale
 
 #: to_dict() keys that depend on which observers were attached.
@@ -54,6 +58,15 @@ CASES = {
         "oneway@30-90:0.1>1.2,corrupt@240:1.0"),
     "sharded-geo-wanpart": lambda: _sharded().geo(dcs=DCS).faults(
         "wanpart@240-400:dc0|dc1"),
+    "flat-partition-reboot": lambda: _flat().faults(
+        "partition@240:1,heal@300:1,crash@330:2,reboot@390:2"),
+    "flat-message-faults": lambda: _flat().faults(
+        "dup@10-60:p=0.1,delay@60-120:0>1:p=0.3:m=0.05,"
+        "drop@120-180:1>2:p=0.5"),
+    "flat-storage-windows": lambda: _flat().faults(
+        "fsynclie@200-300:1,failslow@200-300:2:m=4,crash@250:1"),
+    "flat-geo-wandegrade": lambda: _flat().geo(dcs=DCS).faults(
+        "wandegrade@240-400:dc0>dc1,x5"),
 }
 
 GOLDEN = {
@@ -92,6 +105,26 @@ GOLDEN = {
         "trace": "c45c7681d04154aad1d785b11855664256ab5c5dab716071b6d6e05b2af887cd",
         "flight": "d7170ee9c173f231f7360b605662525282298a7cc5a80b61c475b86f7ee8fa07"
     },
+    "flat-partition-reboot": {
+        "result": "c9ec1acf15492d505711aaf7a55cfe348fb4e11b5dcc3471d4a6fff263c11484",
+        "trace": "6f3ba440685e3fbe3605b51b89f82e6e5889655dec7b190b3f6e3955fc2c1391",
+        "flight": "54b4a98e23a540127be3cc7cf20ee175a1036251fa9db625c0eeda0b91c22498"
+    },
+    "flat-message-faults": {
+        "result": "0a54a756ce7a10af76f5f5531d24890437685479feffa52f64ebe25f0d204862",
+        "trace": "6d86470b3f19d827441fd2f2d553b3eac19a5f50dfb3b0e3ed2d768333cc98ba",
+        "flight": "131cac8beca9fc0a5fe1bc900556517fe6175608bdb88c13b7bd15e708adc382"
+    },
+    "flat-storage-windows": {
+        "result": "0aed2c4d155134f70565b8ca18537a2638c8c7fedc5c273f6cbe3bb51b712f9c",
+        "trace": "1dda302910b50b4ff189fb25e6c9069ef132500fc4443e1d2ba6de51c560c6cf",
+        "flight": "540eaaecdd5e284bc972d6acf6f6a6dd982ee3b116b0e0c3ceef47bfead6554d"
+    },
+    "flat-geo-wandegrade": {
+        "result": "33a23ee909cc80485878f7ced5adc6f5966a6cd0d881dab9fc174057b26398a4",
+        "trace": "70c944a29baf9765b06a18e280b112b5b8aec8144e93fe6dee9624f8bacee23c",
+        "flight": "7195256b95962965e89d9adb649a81d0906bd9db8be35813d0fdbd06d1d1ed36"
+    },
 }
 
 
@@ -114,6 +147,19 @@ def digests(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_golden_digests(name):
     assert digests(name) == GOLDEN[name]
+
+
+def test_every_fault_kind_has_a_golden_case():
+    kinds = set()
+    for build in CASES.values():
+        experiment = build()
+        config = experiment.build_config()
+        faultload, _setup = experiment._resolve_faultload(config)
+        kinds.update(event.kind for event in faultload.events)
+        if config.nemesis_spec:
+            kinds.update(event.kind for event in
+                         Faultload.parse(config.nemesis_spec).events)
+    assert kinds == set(ALL_KINDS)
 
 
 if __name__ == "__main__":
