@@ -68,12 +68,13 @@ A directed pair must be shard-qualified at both ends or neither; plain
 indexes address shard 0.  Indexes are never negative, and the harness
 range-checks them against the deployment before the run starts.
 
-Targets are validated per kind at parse time: ``*`` (random live
-replica) is only meaningful for ``crash``; ``reboot``/``partition``/
-``heal`` need a fixed replica index; nemesis kinds need a time window
-and a probability; ``oneway`` needs a directed ``src>dst`` pair.  An
-event names one target and gives each ``key=`` option once; a second
-target or a repeated option is rejected, never last-one-wins.
+Every per-kind fact -- target shape, window rule, options, the cluster
+verbs, what it counts towards -- lives in one :class:`FaultKind` row of
+:data:`KINDS`; the parser, the validator (:class:`FaultEvent`), the
+injector and the harness read the row instead of branching on the
+kind's name.  Parsing and direct construction reject the same events.
+An event names one target and gives each option once; a second target
+or a repeated option is rejected, never last-one-wins.
 """
 
 from __future__ import annotations
@@ -81,57 +82,174 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.obs.recorder import recorder_of
 
-#: kinds taken verbatim from the paper's faultload (plus the symmetric
-#: partition extension): point events against one replica.
-REPLICA_KINDS = ("crash", "reboot", "partition", "heal")
 
-#: windowed probabilistic message faults handled by the network nemesis.
-NEMESIS_KINDS = ("drop", "dup", "delay")
+class Shape(NamedTuple):
+    """What an event's target names: the target fields it may set, the
+    ones it must set (unless ``optional`` and none is set), and whether
+    its ends must be distinct."""
 
-#: the asymmetric partition: a directed pair, optionally windowed.
-ONEWAY_KIND = "oneway"
+    noun: str
+    fields: FrozenSet[str]
+    required: FrozenSet[str] = frozenset()
+    optional: bool = False
+    distinct: bool = False
 
-#: storage faults against one replica's disk: ``corrupt`` is a point
-#: event, the others are (optionally open-ended) windows.
-STORAGE_KINDS = ("torn", "corrupt", "fsynclie", "failslow")
 
-#: datacenter-scoped faults for geo-replicated runs (repro.geo): a full
-#: DC outage, a WAN partition, and an asymmetric WAN slowdown.
-GEO_KINDS = ("dcfail", "wanpart", "wandegrade")
+_ONE = frozenset({"replica", "shard"})
+_TWO = _ONE | {"dst", "dst_shard"}
+NO_TARGET = Shape("no target", frozenset())
+REPLICA = Shape("a fixed replica target", _ONE, frozenset({"replica"}))
+ANY_REPLICA = Shape("a replica target or '*'", _ONE)
+PAIR = Shape("a directed pair", _TWO, frozenset({"replica", "dst"}),
+             distinct=True)
+OPTIONAL_PAIR = Shape("a directed pair or no target", _TWO,
+                      frozenset({"replica", "dst"}), optional=True)
+DC = Shape("a datacenter name", frozenset({"dc"}), frozenset({"dc"}))
+DC_CUT = Shape("a datacenter and the far side of the cut",
+               frozenset({"dc", "peer_dcs"}), frozenset({"dc", "peer_dcs"}),
+               distinct=True)
+DC_LINK = Shape("a directed DC link", frozenset({"dc", "to_dc"}),
+                frozenset({"dc", "to_dc"}), distinct=True)
 
-#: the metastability trigger (repro.resilience): a transient slowdown of
-#: every replica CPU over a window -- ``retrystorm@240-270:factor=8``.
-#: The fault heals at the window end; whether goodput recovers with it
-#: is what the MetastabilityOracle judges.
-RETRYSTORM_KIND = "retrystorm"
+#: every target field, and what a misplaced one is called
+_TARGET_FIELDS = {"replica": "a replica", "shard": "a shard qualifier",
+                  "dst": "a pair", "dst_shard": "a pair",
+                  "dc": "datacenter names", "peer_dcs": "a '|' far side",
+                  "to_dc": "a '>' link"}
 
-ALL_KINDS = (REPLICA_KINDS + NEMESIS_KINDS + (ONEWAY_KIND,)
-             + STORAGE_KINDS + GEO_KINDS + (RETRYSTORM_KIND,))
+# Window rules.
+POINT = "point"               # an instant, no window
+WINDOW = "window"             # needs [at, until)
+OPTIONAL_WINDOW = "window?"   # open-ended unless an end is given
+
+
+class Option(NamedTuple):
+    """One option spelling a kind accepts and the :class:`FaultEvent`
+    field it fills."""
+
+    key: str      # 'p=', 'm=', 'factor=', or 'x' (the 'xN' suffix)
+    field: str
+    required: bool = False
+    default: Optional[float] = None
+
+
+_P = Option("p=", "p", required=True)
+
+#: option field -> (noun, allowed range, check), the same for every kind
+_RANGES: Dict[str, Tuple[str, str, Callable[[float], bool]]] = {
+    "p": ("probability", "in (0, 1]", lambda value: 0.0 < value <= 1.0),
+    "delay_mean_s": ("mean", "a finite number > 0",
+                     lambda value: math.isfinite(value) and value > 0),
+    "factor": ("multiplier", "a finite number >= 1.0",
+               lambda value: math.isfinite(value) and value >= 1.0),
+}
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """Everything the parser, validator, injector and harness know about
+    one fault kind.
+
+    A row with an ``arm`` verb is handed whole to the cluster up front
+    (the cluster's nemesis gates it by simulated time); any other row
+    calls its ``inject`` verb at ``at`` and its ``heal`` verb at a
+    finite ``until``.  ``standing`` rows may appear in a nemesis spec
+    (``ClusterConfig.nemesis_spec`` / ``Experiment.nemesis()``).
+    """
+
+    example: str
+    target: Shape
+    window: str
+    options: Tuple[Option, ...] = ()
+    standing: bool = False
+    arm: Optional[str] = None
+    inject: Optional[str] = None
+    heal: Optional[str] = None
+    label: str = "fault.inject"   # recorder label of the inject
+    nemesis_param: Optional[str] = None  # NemesisParams field ``p`` sets
+    fault: bool = False           # counts towards faults_injected
+    intervention: bool = False    # counts towards interventions
+    outage: bool = False          # can open the run's first outage
+    trigger: bool = False         # its window is the metastability trigger
+
+
+KINDS: Dict[str, FaultKind] = {
+    # The paper's operator faults, plus the symmetric partition.
+    "crash": FaultKind("crash@240:2", ANY_REPLICA, POINT,
+                       inject="crash_replica", fault=True, outage=True),
+    "reboot": FaultKind("reboot@390:2", REPLICA, POINT,
+                        inject="reboot_replica", intervention=True),
+    "partition": FaultKind("partition@300:1", REPLICA, POINT,
+                           inject="partition_replica", outage=True),
+    "heal": FaultKind("heal@330:1", REPLICA, POINT, inject="heal_replica",
+                      label="fault.heal"),
+    # Nemesis: windowed message faults and the asymmetric cut.
+    "drop": FaultKind("drop@10-60:p=0.2", OPTIONAL_PAIR, WINDOW,
+                      (_P,), standing=True, arm="apply_nemesis",
+                      nemesis_param="drop_p"),
+    "dup": FaultKind("dup@10-60:p=0.1", OPTIONAL_PAIR, WINDOW,
+                     (_P,), standing=True, arm="apply_nemesis",
+                     nemesis_param="duplicate_p"),
+    "delay": FaultKind("delay@10-60:p=0.3:m=0.05", OPTIONAL_PAIR, WINDOW,
+                       (_P, Option("m=", "delay_mean_s")),
+                       standing=True, arm="apply_nemesis",
+                       nemesis_param="delay_p"),
+    "oneway": FaultKind("oneway@30-90:2>3", PAIR, OPTIONAL_WINDOW,
+                        standing=True, inject="block_oneway",
+                        heal="unblock_oneway"),
+    # Storage: one replica's disk misbehaves.
+    "torn": FaultKind("torn@200-400:1", REPLICA, OPTIONAL_WINDOW,
+                      (Option("p=", "p"),), standing=True,
+                      arm="apply_storage_fault"),
+    "corrupt": FaultKind("corrupt@240:1", REPLICA, POINT, standing=True,
+                         arm="apply_storage_fault"),
+    "fsynclie": FaultKind("fsynclie@200-300:1", REPLICA, OPTIONAL_WINDOW,
+                          standing=True, arm="apply_storage_fault"),
+    "failslow": FaultKind("failslow@200-300:1:m=4", REPLICA,
+                          OPTIONAL_WINDOW, (Option("m=", "factor"),),
+                          standing=True, arm="apply_storage_fault"),
+    # Geo: whole datacenters and the WAN between them.  Every replica a
+    # DC outage takes down is one injected fault.
+    "dcfail": FaultKind("dcfail@240-400:dc1", DC, OPTIONAL_WINDOW,
+                        inject="fail_dc", heal="restore_dc", fault=True,
+                        outage=True),
+    "wanpart": FaultKind("wanpart@240-400:dc0|dc1,dc2", DC_CUT,
+                         OPTIONAL_WINDOW, inject="wan_partition",
+                         heal="heal_wan_partition", outage=True),
+    "wandegrade": FaultKind("wandegrade@240-400:dc0>dc1,x5", DC_LINK,
+                            OPTIONAL_WINDOW, (Option("x", "factor"),),
+                            arm="wan_degrade"),
+    # The metastability trigger (repro.resilience): every replica CPU
+    # slows down over the window; whether goodput recovers after the heal
+    # is what the MetastabilityOracle judges.
+    "retrystorm": FaultKind("retrystorm@240-270:factor=8", NO_TARGET, WINDOW,
+                            (Option("factor=", "factor", default=8.0),),
+                            inject="begin_slowdown", heal="end_slowdown",
+                            fault=True, trigger=True),
+}
+
+ALL_KINDS = tuple(KINDS)
 
 _DC_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One scheduled fault.
+    """One scheduled fault, checked against its :data:`KINDS` row.
 
-    ``kind`` is one of :data:`ALL_KINDS`.  The paper kinds use ``at`` and
-    ``replica`` (``None`` = random live replica, crash only).  Nemesis
-    kinds add ``until`` (window end), ``p`` (per-message probability),
-    and optionally a directed pair ``replica > dst``.  ``oneway`` uses
-    ``replica``/``dst`` as the cut direction and an optional ``until``.
-    ``shard``/``dst_shard`` carry the shard qualifiers of the dotted
-    grammar (``1.2``); they stay ``None`` for unsharded targets.
-
-    The geo kinds target datacenters by name instead of replicas:
-    ``dc`` (all three), ``peer_dcs`` (the far side of a ``wanpart``
-    cut), ``to_dc`` (the destination of a ``wandegrade`` link) and
-    ``factor`` (its slowdown multiplier, also spelled ``xN``).
+    ``kind`` is one of :data:`ALL_KINDS`; its row's target shape says
+    which target fields it sets (``replica``/``shard``, a directed pair
+    adding ``dst``/``dst_shard``, or datacenter names), its window rule
+    whether ``until`` is allowed or needed, and its options which of
+    ``p``, ``delay_mean_s`` and ``factor`` it takes.  ``shard``/
+    ``dst_shard`` carry the dotted grammar's qualifiers (``1.2``) and
+    stay ``None`` for unsharded targets.
     """
 
     at: float
@@ -161,203 +279,87 @@ class FaultEvent:
             return (self.dst_shard, self.dst)
         return self.dst
 
+    def scaled(self, scale) -> "FaultEvent":
+        """The same event on ``scale``'s compressed timeline."""
+        return replace(self, at=scale.t(self.at), until=(
+            None if self.until is None else scale.t(self.until)))
+
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        row = KINDS.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown fault kind: {self.kind!r}")
+        self._check_window(row)
+        self._check_target(row)
+        self._check_options(row)
+
+    def _check_window(self, row: FaultKind) -> None:
+        if math.isnan(self.at) or (self.until is not None
+                                   and math.isnan(self.until)):
+            raise ValueError("fault times may not be NaN")
         if not (math.isfinite(self.at) and self.at >= 0):
             raise ValueError(
                 f"fault time must be a finite number >= 0, got {self.at!r}")
-        if self.until is not None and math.isnan(self.until):
-            raise ValueError("fault window end may not be NaN")
-        for label, value in (("replica", self.replica), ("dst", self.dst),
-                             ("shard", self.shard),
-                             ("dst shard", self.dst_shard)):
-            if value is not None and value < 0:
-                raise ValueError(f"{label} must be >= 0, got {value!r}")
-        if self.dst_shard is not None and self.dst is None:
-            raise ValueError("a dst shard qualifier needs a pair target")
+        if row.window == POINT:
+            if self.until is not None:
+                raise ValueError(f"{self.kind!r} is a point event and takes "
+                                 f"no time window")
+        elif self.until is None:
+            if row.window == WINDOW:
+                raise ValueError(f"{self.kind!r} needs a time window, e.g. "
+                                 f"'{row.example}'")
+        elif self.until <= self.at:
+            raise ValueError(
+                f"{self.kind!r} window must end after it starts "
+                f"({self.at} >= {self.until})")
+
+    def _check_target(self, row: FaultKind) -> None:
+        kind, shape = self.kind, row.target
+        given = set()
+        for name, noun in _TARGET_FIELDS.items():
+            value = getattr(self, name)
+            if value is None or value == ():
+                continue
+            if name not in shape.fields:
+                raise ValueError(f"{kind!r} takes {shape.noun}, not {noun}")
+            if isinstance(value, int) and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            given.add(name)
         if self.dst is not None and (self.shard is None) != (self.dst_shard
                                                             is None):
             raise ValueError(
                 "a directed pair must be shard-qualified at both ends "
                 "('0.1>1.2') or neither ('1>2')")
-        if self.kind not in GEO_KINDS:
-            if (self.dc is not None or self.peer_dcs is not None
-                    or self.to_dc is not None):
-                raise ValueError(
-                    f"{self.kind!r} takes replica targets, not "
-                    f"datacenter names")
-        if self.kind in GEO_KINDS:
-            self._check_geo()
-        elif self.kind in REPLICA_KINDS:
-            if self.kind != "crash" and self.replica is None:
-                raise ValueError(
-                    f"{self.kind!r} needs a fixed replica index "
-                    f"(random '*' targets are only valid for crash)")
-            if self.until is not None or self.p is not None \
-                    or self.dst is not None or self.delay_mean_s is not None:
-                raise ValueError(
-                    f"{self.kind!r} takes a single replica target, "
-                    f"not a window/probability/option/pair")
-        elif self.kind in NEMESIS_KINDS:
-            if self.until is None:
-                raise ValueError(
-                    f"{self.kind!r} needs a time window, e.g. "
-                    f"'{self.kind}@10-60:p=0.2'")
-            if self.until <= self.at:
-                raise ValueError(
-                    f"{self.kind!r} window must end after it starts "
-                    f"({self.at} >= {self.until})")
-            if self.p is None:
-                raise ValueError(
-                    f"{self.kind!r} needs a probability, e.g. "
-                    f"'{self.kind}@10-60:p=0.2'")
-            if not 0.0 < self.p <= 1.0:
-                raise ValueError(
-                    f"{self.kind!r} probability must be in (0, 1], "
-                    f"got {self.p!r}")
-            if (self.replica is None) != (self.dst is None):
-                raise ValueError(
-                    f"{self.kind!r} pair must name both ends ('1>2') "
-                    f"or neither")
-            if self.delay_mean_s is not None:
-                if self.kind != "delay":
-                    raise ValueError(
-                        f"{self.kind!r} does not take an 'm=' mean")
-                if not (math.isfinite(self.delay_mean_s)
-                        and self.delay_mean_s > 0):
-                    raise ValueError(
-                        f"'delay' mean must be a finite number > 0, "
-                        f"got {self.delay_mean_s!r}")
-        elif self.kind in STORAGE_KINDS:
-            if self.replica is None:
-                raise ValueError(
-                    f"{self.kind!r} needs a fixed replica target, e.g. "
-                    f"'{self.kind}@240:1' (random '*' targets are only "
-                    f"valid for crash)")
-            if self.dst is not None:
-                raise ValueError(
-                    f"{self.kind!r} takes a single replica target, "
-                    f"not a pair")
-            if self.kind == "corrupt":
-                if self.until is not None:
-                    raise ValueError(
-                        "'corrupt' is a point event and takes no time "
-                        "window")
-            elif self.until is not None and self.until <= self.at:
-                raise ValueError(
-                    f"{self.kind!r} window must end after it starts "
-                    f"({self.at} >= {self.until})")
-            if self.p is not None:
-                if self.kind != "torn":
-                    raise ValueError(
-                        f"{self.kind!r} does not take a probability")
-                if not 0.0 < self.p <= 1.0:
-                    raise ValueError(
-                        f"'torn' probability must be in (0, 1], "
-                        f"got {self.p!r}")
-            if self.factor is not None:
-                if self.kind != "failslow":
-                    raise ValueError(
-                        f"{self.kind!r} does not take an 'm=' multiplier")
-                if not (math.isfinite(self.factor) and self.factor >= 1.0):
-                    raise ValueError(
-                        f"'failslow' multiplier must be >= 1.0, "
-                        f"got {self.factor!r}")
-            if self.delay_mean_s is not None:
-                # 'm=' only means something for failslow (the multiplier,
-                # already moved into ``factor`` by the parser).
-                raise ValueError(
-                    f"{self.kind!r} does not take an 'm=' option")
-        elif self.kind == RETRYSTORM_KIND:
-            if self.replica is not None or self.dst is not None:
-                raise ValueError(
-                    "'retrystorm' slows every replica and takes no "
-                    "replica target")
-            if self.until is None:
-                raise ValueError(
-                    "'retrystorm' needs a time window, e.g. "
-                    "'retrystorm@240-270:factor=8'")
-            if self.until <= self.at:
-                raise ValueError(
-                    f"'retrystorm' window must end after it starts "
-                    f"({self.at} >= {self.until})")
-            if self.p is not None or self.delay_mean_s is not None:
-                raise ValueError(
-                    "'retrystorm' takes only a 'factor=' option")
-            if self.factor is not None and not (
-                    math.isfinite(self.factor) and self.factor >= 1.0):
-                raise ValueError(
-                    f"'retrystorm' factor must be >= 1.0, "
-                    f"got {self.factor!r}")
-        else:  # oneway
-            if self.replica is None or self.dst is None:
-                raise ValueError(
-                    "'oneway' needs a directed pair, e.g. 'oneway@30:2>3'")
-            if self.replica == self.dst:
-                raise ValueError(
-                    f"'oneway' pair must name two distinct replicas, "
-                    f"got {self.replica}>{self.dst}")
-            if self.until is not None and self.until <= self.at:
-                raise ValueError(
-                    f"'oneway' window must end after it starts "
-                    f"({self.at} >= {self.until})")
-            if self.p is not None:
-                raise ValueError("'oneway' does not take a probability")
-            if self.delay_mean_s is not None:
-                raise ValueError("'oneway' does not take an 'm=' option")
-
-    def _check_geo(self) -> None:
-        if (self.replica is not None or self.dst is not None
-                or self.shard is not None or self.dst_shard is not None
-                or self.p is not None or self.delay_mean_s is not None):
+        if not shape.required <= given and (given or not shape.optional):
             raise ValueError(
-                f"{self.kind!r} targets a datacenter by name, not "
-                f"replicas/probabilities")
-        if self.dc is None or not _DC_NAME.match(self.dc):
-            raise ValueError(
-                f"{self.kind!r} needs a datacenter name, e.g. "
-                f"'{self.kind}@240:dc1', got {self.dc!r}")
-        if self.until is not None and self.until <= self.at:
-            raise ValueError(
-                f"{self.kind!r} window must end after it starts "
-                f"({self.at} >= {self.until})")
-        if self.kind == "wanpart":
-            if not self.peer_dcs:
-                raise ValueError(
-                    "'wanpart' needs the far side of the cut, e.g. "
-                    "'wanpart@240:dc0|dc1,dc2'")
-            for name in self.peer_dcs:
-                if not _DC_NAME.match(name):
+                f"{kind!r} needs {shape.noun}, e.g. '{row.example}'")
+        if "dc" in shape.fields:
+            ends = (self.dc, self.to_dc, *(self.peer_dcs or ()))
+            for name in ends:
+                if name is not None and not _DC_NAME.match(name):
                     raise ValueError(f"bad datacenter name {name!r}")
-            if self.dc in self.peer_dcs:
-                raise ValueError(
-                    f"'wanpart' cannot isolate {self.dc!r} from itself")
-            if len(set(self.peer_dcs)) != len(self.peer_dcs):
-                raise ValueError(
-                    f"duplicate datacenter in {self.peer_dcs!r}")
-        elif self.peer_dcs is not None:
-            raise ValueError(f"{self.kind!r} does not take a '|' far side")
-        if self.kind == "wandegrade":
-            if self.to_dc is None or not _DC_NAME.match(self.to_dc):
-                raise ValueError(
-                    "'wandegrade' needs a directed DC link, e.g. "
-                    "'wandegrade@240-400:dc0>dc1,x5'")
-            if self.to_dc == self.dc:
-                raise ValueError(
-                    f"'wandegrade' link must join two distinct DCs, "
-                    f"got {self.dc}>{self.to_dc}")
-            if self.factor is not None and not (
-                    math.isfinite(self.factor) and self.factor >= 1.0):
-                raise ValueError(
-                    f"'wandegrade' multiplier must be >= 1.0, "
-                    f"got {self.factor!r}")
         else:
-            if self.to_dc is not None:
-                raise ValueError(f"{self.kind!r} does not take a '>' link")
-            if self.factor is not None:
-                raise ValueError(
-                    f"{self.kind!r} does not take an 'xN' multiplier")
+            ends = (self.src_target, self.dst_target)
+        ends = [end for end in ends if end is not None]
+        if shape.distinct and len(set(ends)) != len(ends):
+            raise ValueError(f"{kind!r} must name {len(ends)} distinct "
+                             f"ends, got {ends}")
+
+    def _check_options(self, row: FaultKind) -> None:
+        accepted = {option.field: option for option in row.options}
+        for field, (noun, bound, accepts) in _RANGES.items():
+            value, option = getattr(self, field), accepted.get(field)
+            if option is None:
+                if value is not None:
+                    raise ValueError(
+                        f"{self.kind!r} takes no {field!r} option")
+            elif value is None:
+                if option.required:
+                    raise ValueError(
+                        f"{self.kind!r} needs a {noun} ({option.key}), "
+                        f"e.g. '{row.example}'")
+            elif not accepts(value):
+                raise ValueError(f"{self.kind!r} {noun} must be {bound}, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -368,22 +370,27 @@ class Faultload:
     events: Sequence[FaultEvent] = ()
 
     def crash_count(self) -> int:
-        return sum(1 for e in self.events if e.kind == "crash")
+        return sum(1 for e in self.events
+                   if KINDS[e.kind].inject == "crash_replica")
 
     def manual_interventions(self) -> int:
-        return sum(1 for e in self.events if e.kind == "reboot")
-
-    def nemesis_events(self) -> Tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind in NEMESIS_KINDS)
-
-    def storage_events(self) -> Tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind in STORAGE_KINDS)
+        return sum(1 for e in self.events if KINDS[e.kind].intervention)
 
     def geo_events(self) -> Tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind in GEO_KINDS)
+        return tuple(e for e in self.events
+                     if "dc" in KINDS[e.kind].target.fields)
 
-    def retrystorm_events(self) -> Tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind == RETRYSTORM_KIND)
+    def require_standing(self, where: str) -> "Faultload":
+        """This faultload, if every event may stand in a nemesis spec."""
+        for event in self.events:
+            if not KINDS[event.kind].standing:
+                standing = ", ".join(name for name, row in KINDS.items()
+                                     if row.standing)
+                raise ValueError(
+                    f"{where} only takes the standing message faults and "
+                    f"storage faults ({standing}), got {event.kind!r}; "
+                    f"put {event.kind!r} in faults()")
+        return self
 
     @classmethod
     def parse(cls, spec: str, name: str = "custom") -> "Faultload":
@@ -393,377 +400,245 @@ class Faultload:
 
             Faultload.parse("crash@240:*, drop@10-60:p=0.2, oneway@30:2>3")
         """
-        # Geo targets carry commas of their own ('wanpart@240:dc0|dc1,dc2',
-        # 'wandegrade@240:dc0>dc1,x5'): a chunk without an '@' is the tail
-        # of the previous event, not a new one.
-        chunks: List[str] = []
-        for chunk in spec.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "@" not in chunk and chunks:
-                chunks[-1] = f"{chunks[-1]},{chunk}"
-            else:
-                chunks.append(chunk)
-        return cls(name, tuple(_parse_event(chunk) for chunk in chunks))
+        # Geo targets and option lists carry commas of their own
+        # ('wanpart@240:dc0|dc1,dc2', 'wandegrade@240:dc0>dc1,x5'): a new
+        # event starts only at a comma whose next chunk holds an '@'.
+        chunks = [chunk.strip(" \t\n,")
+                  for chunk in re.split(r",(?=[^,@]*@)", spec)]
+        return cls(name, tuple(_parse_event(chunk) for chunk in chunks
+                               if chunk))
 
 
 def _parse_event(chunk: str) -> FaultEvent:
+    """Tokenize one ``kind@time[:target][:options]`` chunk into event
+    fields; the :class:`FaultEvent` row check judges them.  Rejected here
+    is only what fills no field: text that is not a number or an index,
+    an unknown kind or option, a second target, and ``*`` where the row
+    takes no random replica."""
     try:
-        kind, rest = chunk.split("@", 1)
+        kind, at_sign, rest = chunk.partition("@")
+        if not at_sign:
+            raise ValueError("bad fault event (missing '@')")
+        kind = kind.strip()
+        row = KINDS.get(kind)
+        if row is None:
+            raise ValueError(f"unknown fault kind {kind!r} "
+                             f"(expected one of {', '.join(KINDS)})")
+        time_text, *parts = [part.strip() for part in rest.split(":")]
+        at, until = _parse_time(time_text)
+        fields: Dict[str, object] = {}
+        target = None
+        for part in parts:
+            if "=" in part:
+                for option in part.split(","):
+                    key, _eq, value = option.partition("=")
+                    _set_option(kind, row, fields, f"{key.strip()}=", value)
+            elif target is not None:
+                raise ValueError(
+                    f"more than one target ({part!r} is the second)")
+            else:
+                target = part
+        if target is not None:
+            _parse_target_part(kind, row, target, fields)
+        return FaultEvent(at, kind, until=until, **fields)
+    except ValueError as error:
+        raise ValueError(f"{error} (in {chunk!r})") from None
+
+
+def _set_option(kind: str, row: FaultKind, fields: Dict[str, object],
+                key: str, text: str) -> None:
+    """Fill the field behind one option ``key`` of ``kind``."""
+    option = next((o for o in row.options if o.key == key), None)
+    if option is None:
+        if not row.options:
+            raise ValueError(f"{kind!r} takes no key=value options")
+        raise ValueError(
+            f"unknown option {key!r} for {kind!r} "
+            f"(expected {', '.join(o.key for o in row.options)})")
+    if option.field in fields:
+        raise ValueError(f"option {key!r} given more than once")
+    fields[option.field] = _number(text, f"bad value for {key!r}:")
+
+
+def _number(text: str, error: str) -> float:
+    try:
+        return float(text)
     except ValueError:
-        raise ValueError(f"bad fault event (missing '@'): {chunk!r}")
-    kind = kind.strip()
-    if kind not in ALL_KINDS:
-        raise ValueError(f"unknown fault kind {kind!r} in {chunk!r} "
-                         f"(expected one of {', '.join(ALL_KINDS)})")
-    if kind in GEO_KINDS:
-        return _parse_geo_event(kind, rest, chunk)
-    parts = [part.strip() for part in rest.split(":")]
-    at, until = _parse_time(parts[0], kind, chunk)
-    replica = dst = p = mean = shard = dst_shard = factor_opt = None
-    targeted = False
-    for part in parts[1:]:
-        if "=" in part:
-            if kind not in NEMESIS_KINDS and kind not in (
-                    "torn", "failslow", RETRYSTORM_KIND):
-                raise ValueError(
-                    f"{kind!r} takes no key=value options: {chunk!r}")
-            p, mean, factor_opt = _parse_options(part, p, mean, factor_opt,
-                                                 chunk)
-            continue
-        if targeted:
-            raise ValueError(
-                f"more than one target ({part!r} is the second) "
-                f"in {chunk!r}")
-        targeted = True
-        if ">" in part:
-            if kind in REPLICA_KINDS:
-                raise ValueError(
-                    f"{kind!r} takes a single replica target, "
-                    f"not a pair: {chunk!r}")
-            src_text, dst_text = part.split(">", 1)
-            shard, replica = _parse_target(src_text, chunk)
-            dst_shard, dst = _parse_target(dst_text, chunk)
-            if replica is None or dst is None:
-                raise ValueError(
-                    f"a pair must name fixed replicas, not '*': {chunk!r}")
-        elif part == "*":
-            if kind != "crash":
-                raise ValueError(
-                    f"random target '*' is only valid for crash, "
-                    f"not {kind!r}: {chunk!r}")
-            replica = None
-        else:
-            if kind == RETRYSTORM_KIND:
-                raise ValueError(
-                    f"'retrystorm' slows every replica and takes no "
-                    f"target, got {part!r}: {chunk!r}")
-            if kind not in REPLICA_KINDS and kind not in STORAGE_KINDS:
-                raise ValueError(
-                    f"{kind!r} needs a directed pair 'src>dst', "
-                    f"got bare target {part!r}: {chunk!r}")
-            shard, replica = _parse_target(part, chunk)
-            if replica is None and kind != "crash":
-                raise ValueError(
-                    f"random target '*' is only valid for crash, "
-                    f"not {kind!r}: {chunk!r}")
-    factor = factor_opt
-    if factor_opt is not None and kind != RETRYSTORM_KIND:
-        raise ValueError(
-            f"'factor=' is a 'retrystorm' option, not valid for "
-            f"{kind!r}: {chunk!r}")
-    if kind == "failslow":
-        # The generic 'm=' option carries the fail-slow multiplier.
-        factor, mean = mean, None
-    try:
-        return FaultEvent(at, kind, replica, until=until, p=p, dst=dst,
-                          delay_mean_s=mean, factor=factor, shard=shard,
-                          dst_shard=dst_shard)
-    except ValueError as error:
-        raise ValueError(f"{error} (in {chunk!r})") from None
+        raise ValueError(f"{error} {text.strip()!r}") from None
 
 
-def _parse_geo_event(kind: str, rest: str, chunk: str) -> FaultEvent:
-    time_text, colon, target = rest.partition(":")
-    target = target.strip()
-    if not colon or not target:
-        raise ValueError(
-            f"{kind!r} needs a datacenter target, e.g. "
-            f"'{kind}@240:dc1': {chunk!r}")
-    at, until = _parse_time(time_text.strip(), kind, chunk)
-    dc = target
-    peer_dcs = to_dc = factor = None
-    if kind == "wanpart":
-        near, bar, far = target.partition("|")
-        if not bar:
-            raise ValueError(
-                f"'wanpart' needs 'dc|dc[,dc...]' (the isolated DC and "
-                f"the far side): {chunk!r}")
-        dc = near.strip()
-        peer_dcs = tuple(name.strip() for name in far.split(",")
-                         if name.strip())
-    elif kind == "wandegrade":
-        src, arrow, tail = target.partition(">")
-        if not arrow:
-            raise ValueError(
-                f"'wandegrade' needs 'src>dst[,xN]': {chunk!r}")
-        dc = src.strip()
-        tail_parts = [part.strip() for part in tail.split(",") if part.strip()]
-        if not tail_parts:
-            raise ValueError(
-                f"'wandegrade' needs a destination DC: {chunk!r}")
-        to_dc = tail_parts[0]
-        for option in tail_parts[1:]:
-            if not option.startswith("x") or factor is not None:
-                raise ValueError(
-                    f"'wandegrade' options are a single 'xN' multiplier, "
-                    f"got {option!r}: {chunk!r}")
-            try:
-                factor = float(option[1:])
-            except ValueError:
-                raise ValueError(
-                    f"bad 'wandegrade' multiplier {option!r} in {chunk!r}")
-    try:
-        return FaultEvent(at, kind, until=until, factor=factor, dc=dc,
-                          peer_dcs=peer_dcs, to_dc=to_dc)
-    except ValueError as error:
-        raise ValueError(f"{error} (in {chunk!r})") from None
-
-
-def _parse_time(text: str, kind: str,
-                chunk: str) -> Tuple[float, Optional[float]]:
+def _parse_time(text: str) -> Tuple[float, Optional[float]]:
     if text.startswith("-"):
-        raise ValueError(
-            f"fault time must be >= 0, got {text!r} in {chunk!r}")
-    start_text, dash, end_text = text.partition("-")
-    try:
-        at = float(start_text)
-    except ValueError:
-        raise ValueError(f"bad fault time {start_text!r} in {chunk!r}")
-    if math.isnan(at):
-        raise ValueError(f"fault time may not be NaN in {chunk!r}")
-    if not dash:
-        return at, None
-    if kind in REPLICA_KINDS or kind == "corrupt":
-        raise ValueError(
-            f"{kind!r} is a point event and takes no time window: {chunk!r}")
-    try:
-        until = float(end_text)
-    except ValueError:
-        raise ValueError(f"bad window end {end_text!r} in {chunk!r}")
-    if math.isnan(until):
-        raise ValueError(f"fault window end may not be NaN in {chunk!r}")
-    return at, until
+        raise ValueError(f"fault time must be >= 0, got {text!r}")
+    start, dash, end = text.partition("-")
+    return (_number(start, "bad fault time"),
+            _number(end, "bad window end") if dash else None)
 
 
-def _parse_options(part: str, p: Optional[float], mean: Optional[float],
-                   factor: Optional[float], chunk: str
-                   ) -> Tuple[Optional[float], Optional[float],
-                              Optional[float]]:
-    values = {"p": p, "m": mean, "factor": factor}
-    for option in part.split(","):
-        key, _eq, value_text = option.strip().partition("=")
-        key = key.strip()
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise ValueError(f"bad value for {key!r} in {chunk!r}")
-        if key not in values:
-            raise ValueError(
-                f"unknown option {key!r} in {chunk!r} "
-                f"(expected p=, m=, or factor=)")
-        if values[key] is not None:
-            raise ValueError(
-                f"option '{key}=' given more than once in {chunk!r}")
-        values[key] = value
-    return values["p"], values["m"], values["factor"]
+def _parse_target_part(kind: str, row: FaultKind, text: str,
+                       fields: Dict[str, object]) -> None:
+    """``*``, ``src``, ``src>dst[,xN]`` (a pair or a DC link) or
+    ``dc|dc,dc`` (a DC cut) into event fields."""
+    if text == "*":
+        if row.target != ANY_REPLICA:
+            raise ValueError("a random target '*' is only valid for crash")
+        return
+    near, bar, far = text.partition("|")
+    if bar:
+        fields["dc"] = near.strip()
+        fields["peer_dcs"] = tuple(name.strip() for name in far.split(",")
+                                   if name.strip())
+        return
+    src, arrow, tail = text.partition(">")
+    dst, *options = tail.split(",")
+    for option in options:
+        option = option.strip()
+        _set_option(kind, row, fields, option[:1], option[1:])
+    if "dc" in row.target.fields:
+        fields["dc"] = src.strip()
+        if arrow:
+            fields["to_dc"] = dst.strip()
+    else:
+        fields["shard"], fields["replica"] = _parse_replica(src)
+        if arrow:
+            fields["dst_shard"], fields["dst"] = _parse_replica(dst)
 
 
-def _parse_index(text: str, chunk: str) -> int:
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad replica target {text!r} in {chunk!r}")
-
-
-def _parse_target(text: str,
-                  chunk: str) -> Tuple[Optional[int], Optional[int]]:
+def _parse_replica(text: str) -> Tuple[Optional[int], Optional[int]]:
     """One target as ``(shard, replica)``: ``2`` -> (None, 2),
     ``1.2`` -> (1, 2), ``1.*`` -> (1, None)."""
-    text = text.strip()
-    if "." not in text:
-        return None, _parse_index(text, chunk)
-    shard_text, _dot, replica_text = text.partition(".")
-    shard = _parse_index(shard_text, chunk)
-    if replica_text.strip() == "*":
-        return shard, None
-    return shard, _parse_index(replica_text, chunk)
+    shard, dot, replica = text.strip().rpartition(".")
+    try:
+        return (int(shard) if dot else None,
+                None if dot and replica.strip() == "*" else int(replica))
+    except ValueError:
+        raise ValueError(f"bad replica target {text.strip()!r}") from None
+
+
+def _dc_fields(event: FaultEvent) -> Dict[str, object]:
+    """The datacenter names an event carries, as the recorder spells
+    them."""
+    fields = {name: getattr(event, name)
+              for name in ("dc", "peer_dcs", "to_dc")
+              if getattr(event, name) is not None}
+    if event.peer_dcs is not None:
+        fields["peer_dcs"] = list(event.peer_dcs)
+    return fields
+
+
+def _logged(items: tuple):
+    """One injection-log target: the single item, or the tuple."""
+    return items[0] if len(items) == 1 else items
 
 
 class FaultInjector:
-    """Applies a faultload to a cluster.
+    """Applies a faultload to a cluster by its events' :data:`KINDS` rows.
 
-    The cluster must expose ``crash_replica``, ``reboot_replica``,
-    ``live_replicas``, and -- when the faultload uses the extension
-    kinds -- ``partition_replica``/``heal_replica``, ``apply_nemesis``
-    (windowed message faults), ``apply_storage_fault`` (disk faults),
-    ``block_oneway``/``unblock_oneway``, and for the geo kinds
-    ``fail_dc``/``restore_dc``, ``wan_partition``/``heal_wan_partition``
-    and ``wan_degrade`` (a geo-configured cluster).  Targets are opaque
-    here: the injector passes ``event.src_target`` (or a pick from
-    ``live_replicas``) straight through, and asks the cluster's
-    ``target_label`` for the recorder's grammar-shaped label.
+    The cluster must expose the verbs the rows name, ``live_replicas``
+    for random crash targets and, when recording, ``target_label``.
+    Targets are opaque here: the verbs get ``event.src_target``/
+    ``dst_target`` (or a pick from ``live_replicas``) or datacenter
+    names, then the row's option values.  ``faults_injected``,
+    ``interventions``, ``first_outage`` and ``trigger_window`` tally the
+    rows' counting flags as events fire.
     """
 
-    #: point events against one replica -> the cluster verb they call
-    _REPLICA_VERBS = {"crash": "crash_replica", "reboot": "reboot_replica",
-                      "partition": "partition_replica",
-                      "heal": "heal_replica"}
-
     def __init__(self, sim, cluster, faultload: Faultload,
-                 rng: Optional[random.Random] = None):
+                 rng: Optional[random.Random] = None, record: bool = True):
         self._sim = sim
         self._cluster = cluster
         self.faultload = faultload
         self._rng = rng or random.Random(0)
-        self.injected: List[tuple] = []  # (time, kind, target)
-        self.nemesis_windows: List[FaultEvent] = []
-        self.storage_faults: List[FaultEvent] = []
-        self.geo_faults: List[FaultEvent] = []
-        self._dc_crashes = 0
-        self._recorder = recorder_of(sim)
-
-    def _record(self, kind: str, **fields) -> None:
-        if self._recorder is not None:
-            self._recorder.record(kind, None, **fields)
-
-    def _record_targets(self, kind: str, fault: str, *targets) -> None:
-        """One replica (or a directed ``src>dst`` pair) as the cluster
-        labels it."""
-        if self._recorder is not None:
-            label = self._cluster.target_label
-            self._recorder.record(
-                kind, None, fault=fault,
-                target=">".join(label(target) for target in targets))
+        self.injected: List[tuple] = []  # (time, kind or heal-kind, target)
+        self.armed: List[FaultEvent] = []
+        self.faults_injected = 0
+        self.interventions = 0
+        self.first_outage: Optional[float] = None
+        self.trigger_window: Optional[Tuple[float, float]] = None
+        self._trigger_at: Optional[float] = None
+        self._recorder = recorder_of(sim) if record else None
 
     def arm(self) -> None:
         for event in self.faultload.events:
-            if event.kind in NEMESIS_KINDS:
-                # Windowed faults are installed up front; the nemesis
-                # itself gates them by simulated time.
-                self._cluster.apply_nemesis(event)
-                self.nemesis_windows.append(event)
-                self._record("nemesis.window", fault=event.kind,
-                             at=event.at, until=event.until)
-            elif event.kind in STORAGE_KINDS:
-                # Same discipline for disk faults: the storage nemesis
-                # gates windows (and schedules corruption instants).
-                self._cluster.apply_storage_fault(event)
-                self.storage_faults.append(event)
-                self._record("nemesis.window", fault=event.kind,
-                             at=event.at, until=event.until)
-            elif event.kind == "wandegrade":
-                # Windowed link slowdown: armed up front, gated by
-                # simulated time inside the geo delay model.
-                self._cluster.wan_degrade(event)
-                self.geo_faults.append(event)
-                self._record("nemesis.window", fault=event.kind,
-                             at=event.at, until=event.until,
-                             dc=event.dc, to_dc=event.to_dc)
-            elif event.kind in GEO_KINDS:
-                self.geo_faults.append(event)
-                self._sim.call_at(event.at, self._fire, event)
-                if event.until is not None and not math.isinf(event.until):
-                    self._sim.call_at(event.until, self._restore_geo, event)
-            elif event.kind == RETRYSTORM_KIND:
-                self._sim.call_at(event.at, self._fire, event)
-                if not math.isinf(event.until):
-                    self._sim.call_at(event.until, self._heal_retrystorm,
-                                      event)
-            elif event.kind == ONEWAY_KIND:
-                self._sim.call_at(event.at, self._fire, event)
-                if event.until is not None and not math.isinf(event.until):
-                    self._sim.call_at(event.until, self._heal_oneway, event)
-            else:
-                self._sim.call_at(event.at, self._fire, event)
+            row = KINDS[event.kind]
+            if row.arm is not None:
+                getattr(self._cluster, row.arm)(event)
+                self.armed.append(event)
+                if self._recorder is not None:
+                    self._recorder.record(
+                        "nemesis.window", None, fault=event.kind,
+                        at=event.at, until=event.until, **_dc_fields(event))
+                continue
+            self._sim.call_at(event.at, self._fire, event)
+            if (row.heal is not None and event.until is not None
+                    and not math.isinf(event.until)):
+                self._sim.call_at(event.until, self._heal, event)
+
+    def _targets(self, event: FaultEvent) -> Optional[tuple]:
+        """What the row's verbs take: replica target(s) or datacenter
+        names; ``None`` when a random pick finds no live replica."""
+        if event.peer_dcs is not None:
+            return (event.dc, event.peer_dcs)
+        if event.dc is not None:
+            return (event.dc,)
+        if event.dst is not None:
+            return (event.src_target, event.dst_target)
+        if event.replica is not None:
+            return (event.src_target,)
+        if KINDS[event.kind].target != ANY_REPLICA:
+            return ()
+        # crash@T:* / crash@T:1.* -- a random live replica (of one shard,
+        # when qualified).
+        live = self._cluster.live_replicas(event.shard)
+        return (self._rng.choice(sorted(live)),) if live else None
 
     def _fire(self, event: FaultEvent) -> None:
         # Record before mutating: crash listeners (proxy broken
         # connections, DC-wide crashes) fire synchronously inside the
         # cluster call, and the recorded cause must precede its
         # consequences in the ring.
+        row = KINDS[event.kind]
+        targets = self._targets(event)
+        if targets is None:
+            return
+        options = {}
+        for option in row.options:
+            value = getattr(event, option.field)
+            options[option.field] = option.default if value is None else value
         now = self._sim.now
-        if event.kind in self._REPLICA_VERBS:
-            target = event.src_target
-            if event.replica is None:
-                # crash@T:* / crash@T:1.* -- a random live replica (of
-                # one shard, when qualified).
-                live = self._cluster.live_replicas(event.shard)
-                if not live:
-                    return
-                target = self._rng.choice(sorted(live))
-            self.injected.append((now, event.kind, target))
-            self._record_targets(
-                "fault.heal" if event.kind == "heal" else "fault.inject",
-                event.kind, target)
-            getattr(self._cluster, self._REPLICA_VERBS[event.kind])(target)
-        elif event.kind == ONEWAY_KIND:
-            pair = (event.src_target, event.dst_target)
-            self.injected.append((now, event.kind, pair))
-            self._record_targets("fault.inject", event.kind, *pair)
-            self._cluster.block_oneway(*pair)
-        elif event.kind == "dcfail":
-            self.injected.append((now, "dcfail", event.dc))
-            self._record("fault.inject", fault="dcfail", target=event.dc,
-                         dc=event.dc)
-            self._dc_crashes += self._cluster.fail_dc(event.dc)
-        elif event.kind == "wanpart":
-            self.injected.append((now, "wanpart", (event.dc, event.peer_dcs)))
-            self._record("fault.inject", fault="wanpart", target=event.dc,
-                         dc=event.dc, peer_dcs=list(event.peer_dcs))
-            self._cluster.wan_partition(event.dc, event.peer_dcs)
-        else:  # retrystorm
-            factor = event.factor if event.factor is not None else 8.0
-            self.injected.append((now, "retrystorm", factor))
-            self._record("fault.inject", fault="retrystorm", factor=factor)
-            self._cluster.begin_slowdown(factor)
+        self.injected.append(
+            (now, event.kind, _logged(targets + tuple(options.values()))))
+        self._record(row.label, event, targets, **options)
+        taken = getattr(self._cluster, row.inject)(*targets,
+                                                   *options.values())
+        if row.fault:
+            # A verb that can take down several replicas (a DC outage)
+            # returns how many it did.
+            self.faults_injected += 1 if taken is None else taken
+        if row.intervention:
+            self.interventions += 1
+        if row.outage and self.first_outage is None:
+            self.first_outage = now
+        if row.trigger and self._trigger_at is None:
+            self._trigger_at = now
 
-    def _heal_retrystorm(self, event: FaultEvent) -> None:
-        self._cluster.end_slowdown()
-        self.injected.append((self._sim.now, "heal-retrystorm", None))
-        self._record("fault.heal", fault="retrystorm")
+    def _heal(self, event: FaultEvent) -> None:
+        row = KINDS[event.kind]
+        targets = self._targets(event)
+        getattr(self._cluster, row.heal)(*targets)
+        now = self._sim.now
+        self.injected.append((now, f"heal-{event.kind}", _logged(targets)))
+        self._record("fault.heal", event, targets)
+        if row.trigger:
+            self.trigger_window = (self._trigger_at, now)
 
-    def _heal_oneway(self, event: FaultEvent) -> None:
-        pair = (event.src_target, event.dst_target)
-        self._cluster.unblock_oneway(*pair)
-        self.injected.append((self._sim.now, "heal-oneway", pair))
-        self._record_targets("fault.heal", "oneway", *pair)
-
-    def _restore_geo(self, event: FaultEvent) -> None:
-        if event.kind == "dcfail":
-            # Power back: re-enable the DC's watchdogs, which revive the
-            # servers on their own -- autonomous, not an intervention.
-            self._cluster.restore_dc(event.dc)
-            self.injected.append((self._sim.now, "dcrestore", event.dc))
-            self._record("fault.heal", fault="dcfail", target=event.dc,
-                         dc=event.dc)
-        else:
-            self._cluster.heal_wan_partition(event.dc, event.peer_dcs)
-            self.injected.append(
-                (self._sim.now, "heal-wanpart", (event.dc, event.peer_dcs)))
-            self._record("fault.heal", fault="wanpart", target=event.dc,
-                         dc=event.dc, peer_dcs=list(event.peer_dcs))
-
-    @property
-    def faults_injected(self) -> int:
-        # Every replica taken down by a DC outage is one injected fault;
-        # a retry-storm trigger is one fault for the whole cluster.
-        return (sum(1 for _t, kind, _r in self.injected
-                    if kind in ("crash", "retrystorm"))
-                + self._dc_crashes)
-
-    @property
-    def interventions(self) -> int:
-        return sum(1 for _t, kind, _r in self.injected if kind == "reboot")
+    def _record(self, label: str, event: FaultEvent, targets: tuple,
+                **fields) -> None:
+        if self._recorder is None:
+            return
+        if event.dc is not None:
+            fields.update(target=event.dc, **_dc_fields(event))
+        elif targets:
+            fields["target"] = ">".join(map(self._cluster.target_label,
+                                            targets))
+        self._recorder.record(label, None, fault=event.kind, **fields)

@@ -53,16 +53,13 @@ class GeoState:
                                    default_dc=client_dc)
 
     # ------------------------------------------------------------------
-    def require_dc(self, name: str) -> str:
-        return self.geo.topology.require_dc(name)
-
     def replica_targets(self, dc: str) -> List[Any]:
         """Fault targets of the replicas housed in ``dc``."""
-        self.require_dc(dc)
+        self.geo.topology.require_dc(dc)
         return list(self._dc_targets[dc])
 
     def nodes_in(self, dc: str) -> List[str]:
-        self.require_dc(dc)
+        self.geo.topology.require_dc(dc)
         return list(self._dc_nodes[dc])
 
     def cut_pairs(self, dc: str,

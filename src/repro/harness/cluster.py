@@ -30,12 +30,11 @@ fault verb takes a plain replica index (meaning shard 0) or a
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.faults.checker import SafetyChecker
-from repro.faults.faultload import (NEMESIS_KINDS, ONEWAY_KIND,
-                                    STORAGE_KINDS, FaultEvent, Faultload)
+from repro.faults.faultload import (KINDS, POINT, FaultEvent,
+                                    FaultInjector, Faultload)
 from repro.faults.metrics import MetricsCollector, NemesisStats
 from repro.faults.watchdog import Watchdog
 from repro.geo import DegradeWindow, GeoState
@@ -530,30 +529,19 @@ class RobustStoreCluster:
         return self.sampler.timeline if self.sampler is not None else None
 
     def _arm_config_nemesis(self, spec: str) -> None:
-        """Apply the config's standing message-fault schedule (paper-
-        timeline seconds, compressed like every other fault time)."""
-        scale = self.config.scale
-        for event in Faultload.parse(spec, name="config-nemesis").events:
-            scaled = replace(
-                event, at=scale.t(event.at),
-                until=None if event.until is None else scale.t(event.until))
-            if scaled.kind in NEMESIS_KINDS:
-                self.apply_nemesis(scaled)
-            elif scaled.kind in STORAGE_KINDS:
-                self.apply_storage_fault(scaled)
-            elif scaled.kind == ONEWAY_KIND:
-                src, dst = scaled.src_target, scaled.dst_target
-                for end in (src, dst):
-                    self._resolve(end)  # a bad target fails here, not at t
-                self.sim.call_at(scaled.at, self.block_oneway, src, dst)
-                if scaled.until is not None and not math.isinf(scaled.until):
-                    self.sim.call_at(scaled.until, self.unblock_oneway,
-                                     src, dst)
-            else:
-                raise ValueError(
-                    f"nemesis_spec only takes message and storage faults "
-                    f"({', '.join(NEMESIS_KINDS)}, {ONEWAY_KIND}, "
-                    f"{', '.join(STORAGE_KINDS)}), got {scaled.kind!r}")
+        """Arm the config's standing message- and storage-fault schedule
+        (paper-timeline seconds, compressed like every other fault time)
+        through the fault injector, recording nothing."""
+        parsed = Faultload.parse(spec, name="config-nemesis")
+        parsed.require_standing("nemesis_spec")
+        events = tuple(event.scaled(self.config.scale)
+                       for event in parsed.events)
+        for event in events:
+            for target in (event.src_target, event.dst_target):
+                if target is not None:
+                    self._resolve(target)  # a bad target fails here, not at t
+        FaultInjector(self.sim, self, Faultload(parsed.name, events),
+                      record=False).arm()
 
     # ------------------------------------------------------------------
     # fault-injection interface (every verb takes a Target)
@@ -630,24 +618,19 @@ class RobustStoreCluster:
     def apply_nemesis(self, event: FaultEvent) -> None:
         """Install one windowed message-fault event (times already on the
         compressed timeline) on the switch's nemesis."""
-        if event.kind == "drop":
-            params = NemesisParams(drop_p=event.p)
-        elif event.kind == "dup":
-            params = NemesisParams(duplicate_p=event.p)
-        elif event.kind == "delay":
-            kwargs = {"delay_p": event.p}
-            if event.delay_mean_s is not None:
-                kwargs["delay_mean_s"] = event.delay_mean_s
-            params = NemesisParams(**kwargs)
-        else:
+        param = KINDS[event.kind].nemesis_param
+        if param is None:
             raise ValueError(f"not a nemesis window kind: {event.kind!r}")
+        kwargs = {param: event.p}
+        if event.delay_mean_s is not None:
+            kwargs["delay_mean_s"] = event.delay_mean_s
+        params = NemesisParams(**kwargs)
         pairs = None
         if event.replica is not None:
             pairs = frozenset({(self._node(event.src_target).name,
                                 self._node(event.dst_target).name)})
-        end = event.until if event.until is not None else math.inf
         self.network.nemesis.add_window(
-            NemesisWindow(event.at, end, params, pairs))
+            NemesisWindow(event.at, event.until, params, pairs))
 
     def _ensure_storage_nemesis(self) -> StorageNemesis:
         if self.storage_nemesis is None:
@@ -664,7 +647,7 @@ class RobustStoreCluster:
         compressed timeline) on the deployment's storage nemesis."""
         disk_name = self._node(event.src_target).disk.name
         nemesis = self._ensure_storage_nemesis()
-        if event.kind == "corrupt":
+        if KINDS[event.kind].window == POINT:  # a corruption instant
             nemesis.schedule_corruption(event.at, disk_name)
             return
         nemesis.add_window(StorageFault(
@@ -716,10 +699,7 @@ class RobustStoreCluster:
     def wan_degrade(self, event: FaultEvent) -> None:
         """Arm one windowed asymmetric WAN slowdown (times already on
         the compressed timeline)."""
-        state = self._geo()
-        state.require_dc(event.dc)
-        state.require_dc(event.to_dc)
-        state.model.add_degrade(DegradeWindow(
+        self._geo().model.add_degrade(DegradeWindow(
             start=event.at,
             end=event.until if event.until is not None else math.inf,
             src_dc=event.dc, dst_dc=event.to_dc,

@@ -26,13 +26,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.faults.faultload import (
-    NEMESIS_KINDS,
-    ONEWAY_KIND,
-    STORAGE_KINDS,
-    FaultEvent,
-    Faultload,
-)
+from repro.faults.faultload import FaultEvent, Faultload
 from repro.harness.config import ClusterConfig
 from repro.harness.experiments import ExperimentResult, _execute
 
@@ -161,14 +155,7 @@ class Experiment:
         """A standing message- or storage-fault schedule (drop/dup/delay/
         oneway windows, torn/corrupt/fsynclie/failslow disk faults)
         applied on top of whatever the scenario injects."""
-        allowed = NEMESIS_KINDS + (ONEWAY_KIND,) + STORAGE_KINDS
-        for event in Faultload.parse(spec, name="nemesis").events:
-            if event.kind not in allowed:
-                raise ValueError(
-                    f"nemesis() only takes message faults "
-                    f"({', '.join(NEMESIS_KINDS)}, {ONEWAY_KIND}) and "
-                    f"storage faults ({', '.join(STORAGE_KINDS)}), "
-                    f"got {event.kind!r}; put {event.kind!r} in faults()")
+        Faultload.parse(spec, name="nemesis").require_standing("nemesis()")
         self._overrides["nemesis_spec"] = spec
         return self
 
@@ -368,75 +355,50 @@ class Experiment:
     def run(self) -> ExperimentResult:
         """Build the deployment, inject the faults, return the result."""
         config = self.build_config()
-        faultload, setup = self._resolve_faultload(config)
-        if faultload.geo_events() and config.geo is None:
-            kinds = sorted({e.kind for e in faultload.geo_events()})
-            raise ValueError(
-                f"faultload uses DC-scoped kinds ({', '.join(kinds)}) but "
-                f"no geo topology is configured; chain .geo(dcs=(...)) "
-                f"or pass --geo")
-        return _execute(config, faultload, setup=setup)
+        return _execute(config, self._resolve_faultload(config))
 
-    def _resolve_faultload(self, config: ClusterConfig):
-        """The scenario's :class:`Faultload` on the compressed timeline,
-        plus an optional pre-run cluster setup hook."""
+    def _resolve_faultload(self, config: ClusterConfig) -> Faultload:
+        """The scenario's :class:`Faultload` on the compressed timeline."""
         scale = config.scale
         kind, params = self._scenario
         if kind == "baseline":
-            return Faultload("none", ()), None
+            return Faultload("none", ())
         if kind == "custom":
             parsed = Faultload.parse(params["spec"])
-            scaled = Faultload(parsed.name, tuple(
-                replace(event, at=scale.t(event.at),
-                        until=(None if event.until is None
-                               else scale.t(event.until)))
-                for event in parsed.events))
-            manual = {event.src_target for event in scaled.events
-                      if event.kind == "reboot"}
-
-            def setup(cluster) -> None:
-                for target in manual:
-                    if target is not None:
-                        cluster.disable_watchdog(target)
-
-            return scaled, setup
+            return Faultload(parsed.name, tuple(
+                event.scaled(scale) for event in parsed.events))
         if kind == "one_crash":
             return Faultload("one-crash", (
                 FaultEvent(scale.t(scale.crash1_at_s + 30.0), "crash",
-                           params["replica"]),)), None
+                           params["replica"]),))
         if kind == "two_crashes":
             return Faultload("two-crashes", (
                 FaultEvent(scale.t(scale.crash1_at_s), "crash", None),
-                FaultEvent(scale.t(scale.crash2_at_s), "crash", None),)), None
+                FaultEvent(scale.t(scale.crash2_at_s), "crash", None),))
         if kind == "sequential_crashes":
             first_at = scale.t(scale.crash1_at_s - 120.0)
             second_at = scale.t(scale.crash1_at_s + params["gap_s"])
             return Faultload("sequential-crashes", (
                 FaultEvent(first_at, "crash", None),
-                FaultEvent(second_at, "crash", None),)), None
+                FaultEvent(second_at, "crash", None),))
         if kind == "partition":
             start = scale.t(scale.crash1_at_s)
             return Faultload("partition", (
                 FaultEvent(start, "partition", params["replica"]),
                 FaultEvent(start + scale.t(params["duration_s"]), "heal",
-                           params["replica"]),)), None
+                           params["replica"]),))
         if kind == "retry_storm":
             at = params["at_s"]
             return Faultload("retry-storm", (
                 FaultEvent(scale.t(at), "retrystorm",
                            until=scale.t(at + params["duration_s"]),
-                           factor=params["factor"]),)), None
+                           factor=params["factor"]),))
         if kind == "delayed_recovery":
             second = params["second"]
-            faultload = Faultload("delayed-recovery", (
+            return Faultload("delayed-recovery", (
                 FaultEvent(scale.t(scale.both_crash_at_s), "crash",
                            params["first"]),
                 FaultEvent(scale.t(scale.both_crash_at_s), "crash", second),
                 FaultEvent(scale.t(scale.manual_reboot_at_s), "reboot",
                            second),))
-
-            def setup(cluster) -> None:
-                cluster.disable_watchdog(second)
-
-            return faultload, setup
         raise ValueError(f"unknown scenario kind: {kind!r}")

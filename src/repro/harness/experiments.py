@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.checker import Violation
-from repro.faults.faultload import FaultInjector, Faultload
+from repro.faults.faultload import KINDS, FaultInjector, Faultload
 from repro.faults.metrics import (
     MetricsCollector,
     NemesisStats,
@@ -309,14 +309,21 @@ class ExperimentResult:
 def _check_fault_targets(config: ClusterConfig, faultload: Faultload) -> None:
     """Reject fault targets the deployment cannot resolve before the
     run starts, with a message that names the offending event."""
+    geo_events = faultload.geo_events()
+    if geo_events and config.geo is None:
+        kinds = sorted({event.kind for event in geo_events})
+        raise ValueError(
+            f"faultload uses DC-scoped kinds ({', '.join(kinds)}) but "
+            f"no geo topology is configured; chain .geo(dcs=(...)) "
+            f"or pass --geo")
     # Faultload events reach the engine scaled; the nemesis spec is still
     # raw text.  Pair each event with the factor that recovers the
     # paper-timeline seconds the user wrote, for the error messages.
     specs = [(event, config.scale.time_div) for event in faultload.events]
     if config.nemesis_spec:
-        specs += [(event, 1.0)
-                  for event in Faultload.parse(config.nemesis_spec,
-                                               name="config-nemesis").events]
+        nemesis = Faultload.parse(config.nemesis_spec, name="config-nemesis")
+        specs += [(event, 1.0) for event in
+                  nemesis.require_standing("nemesis_spec").events]
     for event, time_mult in specs:
         where = f"fault event {event.kind}@{event.at * time_mult:g}"
         for shard in (event.shard, event.dst_shard):
@@ -338,12 +345,20 @@ def _check_fault_targets(config: ClusterConfig, faultload: Faultload) -> None:
                     f"{where} targets replica {replica}, but each group "
                     f"only has {config.replicas} replicas "
                     f"(0..{config.replicas - 1})")
+        for dc in (event.dc, event.to_dc, *(event.peer_dcs or ())):
+            if dc is not None:
+                config.geo.topology.require_dc(dc)
 
 
 def _execute(config: ClusterConfig, faultload: Faultload,
              setup=None) -> ExperimentResult:
     _check_fault_targets(config, faultload)
     cluster = RobustStoreCluster(config)
+    # A replica a reboot event names gets its watchdog disabled, so the
+    # reboot is genuinely manual.
+    for event in faultload.events:
+        if KINDS[event.kind].intervention:
+            cluster.disable_watchdog(event.src_target)
     if setup is not None:
         setup(cluster)
     injector = FaultInjector(cluster.sim, cluster, faultload,
@@ -351,20 +366,6 @@ def _execute(config: ClusterConfig, faultload: Faultload,
     injector.arm()
     scale = config.scale
     cluster.run_until(scale.total_s)
-    first_crash = None
-    crash_times = [t for t, kind, _r in injector.injected
-                   if kind in ("crash", "partition", "dcfail", "wanpart")]
-    if crash_times:
-        first_crash = min(crash_times)
-    # The retrystorm trigger window as actually fired (compressed
-    # timeline): trigger instant and heal instant, for the oracle.
-    storm_window = None
-    storm_at = [t for t, kind, _r in injector.injected
-                if kind == "retrystorm"]
-    storm_heal = [t for t, kind, _r in injector.injected
-                  if kind == "heal-retrystorm"]
-    if storm_at and storm_heal:
-        storm_window = (min(storm_at), max(storm_heal))
     violations = None
     if config.safety_tracing:
         violations = cluster.safety_checker().violations()
@@ -390,7 +391,7 @@ def _execute(config: ClusterConfig, faultload: Faultload,
         faults_injected=injector.faults_injected,
         interventions=interventions,
         recoveries=cluster.recoveries,
-        first_crash_at=first_crash,
+        first_crash_at=injector.first_outage,
         nemesis=cluster.nemesis_stats(),
         safety_violations=violations,
         timeline=cluster.timeline,
@@ -402,4 +403,4 @@ def _execute(config: ClusterConfig, faultload: Faultload,
         cluster=cluster if config.keep_cluster else None,
         flight=recorder,
         slo=cluster.slo_engine,
-        retrystorm_window=storm_window)
+        retrystorm_window=injector.trigger_window)

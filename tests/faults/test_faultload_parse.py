@@ -10,6 +10,7 @@ import pytest
 
 from repro.faults.faultload import (
     ALL_KINDS,
+    KINDS,
     FaultEvent,
     FaultInjector,
     Faultload,
@@ -61,7 +62,8 @@ def test_parse_mixed_spec():
         "crash@240:*, drop@10-60:p=0.2, oneway@30:2>3, reboot@390:1")
     assert [e.kind for e in faultload.events] == ["crash", "drop",
                                                   "oneway", "reboot"]
-    assert faultload.nemesis_events() == (faultload.events[1],)
+    assert [e for e in faultload.events
+            if KINDS[e.kind].arm == "apply_nemesis"] == [faultload.events[1]]
     assert faultload.crash_count() == 1
 
 
@@ -93,6 +95,12 @@ def test_parse_shard_qualified_oneway_pair():
     assert event.dst_target == (1, 2)
 
 
+def test_cross_shard_pair_may_reuse_a_replica_index():
+    # Two distinct nodes: shard 0's replica 1 and shard 1's replica 1.
+    event = Faultload.parse("oneway@30:0.1>1.1").events[0]
+    assert (event.src_target, event.dst_target) == ((0, 1), (1, 1))
+
+
 def test_unqualified_targets_keep_plain_src_target():
     event = Faultload.parse("crash@240:2").events[0]
     assert event.shard is None
@@ -106,6 +114,7 @@ def test_unqualified_targets_keep_plain_src_target():
     "oneway@30:0.1>2",     # pair shard-qualified at one end only
     "oneway@30:1>0.2",
     "oneway@30:0.*>1.2",   # '*' never valid in a pair
+    "oneway@1:1.2>1.2",    # the same node at both ends
     "reboot@390:1.*",      # random target only for crash
     "crash@240:1.x",       # bad replica part
     "crash@240:x.2",       # bad shard part
@@ -230,12 +239,6 @@ def test_parse_shard_qualified_storage_target():
     assert event.src_target == (1, 2)
 
 
-def test_storage_events_selector():
-    faultload = Faultload.parse(
-        "crash@240:1, torn@200-400:1, drop@10-60:p=0.2, corrupt@300:2")
-    assert [e.kind for e in faultload.storage_events()] == ["torn", "corrupt"]
-
-
 @pytest.mark.parametrize("spec, fragment", [
     ("torn@-5:1", "must be >= 0"),            # negative time
     ("torn@nan:1", "NaN"),                    # NaN time
@@ -306,7 +309,7 @@ def test_injector_installs_nemesis_windows_up_front():
     # Windowed faults are handed over at arm() time; the nemesis gates
     # them by simulated time itself.
     assert cluster.calls == [(0.0, "nemesis", "drop"), (0.0, "nemesis", "dup")]
-    assert [e.kind for e in injector.nemesis_windows] == ["drop", "dup"]
+    assert [e.kind for e in injector.armed] == ["drop", "dup"]
 
 
 def test_injector_cuts_and_heals_oneway_on_schedule():
@@ -353,7 +356,7 @@ def test_injector_hands_storage_faults_to_the_cluster_up_front():
     assert cluster.calls == [(0.0, "storage", "torn"),
                              (0.0, "storage", "corrupt"),
                              (0.0, "storage", "fsynclie")]
-    assert [e.kind for e in injector.storage_faults] == [
+    assert [e.kind for e in injector.armed] == [
         "torn", "corrupt", "fsynclie"]
     sim.run(until=500.0)
     # Storage faults are environment misbehaviour, not injected crashes:

@@ -226,3 +226,16 @@ def test_bad_nemesis_spec_target_fails_at_construction():
     with pytest.raises(ValueError, match="no replica 5"):
         RobustStoreCluster(tiny_config(replicas=REPLICAS,
                                        nemesis_spec="oneway@30-90:0>5"))
+
+
+@pytest.mark.parametrize("spec", [
+    "dcfail@240:nodc", "wanpart@240:dc0|nodc", "wandegrade@240-400:dc0>nodc"])
+def test_unknown_datacenter_fails_before_the_run(spec, monkeypatch):
+    def never(self, config):
+        raise AssertionError("the deployment must not be built")
+
+    monkeypatch.setattr(RobustStoreCluster, "__init__", never)
+    experiment = (tiny_experiment(replicas=REPLICAS)
+                  .geo(dcs=("dc0", "dc1", "dc2")).faults(spec))
+    with pytest.raises(ValueError, match="unknown datacenter 'nodc'"):
+        experiment.run()

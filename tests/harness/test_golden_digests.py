@@ -154,7 +154,7 @@ def test_every_fault_kind_has_a_golden_case():
     for build in CASES.values():
         experiment = build()
         config = experiment.build_config()
-        faultload, _setup = experiment._resolve_faultload(config)
+        faultload = experiment._resolve_faultload(config)
         kinds.update(event.kind for event in faultload.events)
         if config.nemesis_spec:
             kinds.update(event.kind for event in

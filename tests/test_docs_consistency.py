@@ -89,3 +89,18 @@ def test_cli_lines_in_docs_name_real_subcommands():
         for word in set(re.findall(r"python -m repro (\w+)", read(name))):
             assert word in subcommands, \
                 f"{name}: `python -m repro {word}` is not a sub-command"
+
+
+def test_readme_faultload_table_lists_every_kind_and_parses():
+    from repro.faults.faultload import KINDS, Faultload
+    readme = read("README.md")
+    table = readme[readme.index("| Event | Meaning |"):].split("\n\n")[0]
+    examples = []
+    for row in table.splitlines()[2:]:
+        first_column = re.split(r"(?<!\\)\|", row)[1]
+        examples += [example.replace("\\|", "|")
+                     for example in re.findall(r"`([^`]+)`", first_column)]
+    documented = {example.split("@")[0] for example in examples}
+    assert set(KINDS) <= documented, set(KINDS) - documented
+    for example in examples:
+        Faultload.parse(example)
