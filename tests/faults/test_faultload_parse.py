@@ -363,3 +363,30 @@ def test_injector_hands_storage_faults_to_the_cluster_up_front():
     # they never count towards the autonomy denominators.
     assert injector.faults_injected == 0
     assert injector.interventions == 0
+
+
+def test_injector_tallies_outage_and_trigger_window_from_row_flags():
+    sim = Simulator()
+    calls = []
+
+    class Cluster:
+        def partition_replica(self, target):
+            calls.append((sim.now, "partition", target))
+
+        def begin_slowdown(self, factor):
+            calls.append((sim.now, "slow", factor))
+
+        def end_slowdown(self):
+            calls.append((sim.now, "fast"))
+
+    injector = FaultInjector(sim, Cluster(), Faultload.parse(
+        "retrystorm@5-9, partition@7:1"))
+    injector.arm()
+    sim.run(until=20.0)
+    # The storm's factor defaults to its row's 8.0.
+    assert calls == [(5.0, "slow", 8.0), (7.0, "partition", 1),
+                     (9.0, "fast")]
+    assert injector.first_outage == 7.0
+    assert injector.trigger_window == (5.0, 9.0)
+    assert injector.faults_injected == 1  # the storm, not the partition
+    assert injector.interventions == 0
