@@ -139,6 +139,7 @@ class Option(NamedTuple):
     default: Optional[float] = None
 
 
+#: the per-message probability every message fault needs
 _P = Option("p=", "p", required=True)
 
 #: option field -> (noun, allowed range, check), the same for every kind
