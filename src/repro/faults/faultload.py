@@ -333,14 +333,12 @@ class FaultEvent:
         if not shape.required <= given and (given or not shape.optional):
             raise ValueError(
                 f"{kind!r} needs {shape.noun}, e.g. '{row.example}'")
-        if "dc" in shape.fields:
-            ends = (self.dc, self.to_dc, *(self.peer_dcs or ()))
-            for name in ends:
-                if name is not None and not _DC_NAME.match(name):
-                    raise ValueError(f"bad datacenter name {name!r}")
-        else:
-            ends = (self.src_target, self.dst_target)
-        ends = [end for end in ends if end is not None]
+        ends = [end for end in (self.src_target, self.dst_target, self.dc,
+                                self.to_dc, *(self.peer_dcs or ()))
+                if end is not None]
+        for name in ends:
+            if isinstance(name, str) and not _DC_NAME.match(name):
+                raise ValueError(f"bad datacenter name {name!r}")
         if shape.distinct and len(set(ends)) != len(ends):
             raise ValueError(f"{kind!r} must name {len(ends)} distinct "
                              f"ends, got {ends}")
@@ -516,17 +514,6 @@ def _parse_replica(text: str) -> Tuple[Optional[int], Optional[int]]:
         raise ValueError(f"bad replica target {text.strip()!r}") from None
 
 
-def _dc_fields(event: FaultEvent) -> Dict[str, object]:
-    """The datacenter names an event carries, as the recorder spells
-    them."""
-    fields = {name: getattr(event, name)
-              for name in ("dc", "peer_dcs", "to_dc")
-              if getattr(event, name) is not None}
-    if event.peer_dcs is not None:
-        fields["peer_dcs"] = list(event.peer_dcs)
-    return fields
-
-
 def _logged(items: tuple):
     """One injection-log target: the single item, or the tuple."""
     return items[0] if len(items) == 1 else items
@@ -565,10 +552,8 @@ class FaultInjector:
             if row.arm is not None:
                 getattr(self._cluster, row.arm)(event)
                 self.armed.append(event)
-                if self._recorder is not None:
-                    self._recorder.record(
-                        "nemesis.window", None, fault=event.kind,
-                        at=event.at, until=event.until, **_dc_fields(event))
+                self._record("nemesis.window", event, at=event.at,
+                             until=event.until)
                 continue
             self._sim.call_at(event.at, self._fire, event)
             if (row.heal is not None and event.until is not None
@@ -576,22 +561,16 @@ class FaultInjector:
                 self._sim.call_at(event.until, self._heal, event)
 
     def _targets(self, event: FaultEvent) -> Optional[tuple]:
-        """What the row's verbs take: replica target(s) or datacenter
-        names; ``None`` when a random pick finds no live replica."""
-        if event.peer_dcs is not None:
-            return (event.dc, event.peer_dcs)
-        if event.dc is not None:
-            return (event.dc,)
-        if event.dst is not None:
-            return (event.src_target, event.dst_target)
-        if event.replica is not None:
-            return (event.src_target,)
-        if KINDS[event.kind].target != ANY_REPLICA:
-            return ()
-        # crash@T:* / crash@T:1.* -- a random live replica (of one shard,
-        # when qualified).
-        live = self._cluster.live_replicas(event.shard)
-        return (self._rng.choice(sorted(live)),) if live else None
+        """What the row's verbs take: the event's target fields that are
+        set, in order; ``None`` when a random pick finds no live replica."""
+        if event.replica is None and KINDS[event.kind].target == ANY_REPLICA:
+            # crash@T:* / crash@T:1.* -- a random live replica (of one
+            # shard, when qualified).
+            live = self._cluster.live_replicas(event.shard)
+            return (self._rng.choice(sorted(live)),) if live else None
+        return tuple(end for end in (event.dc, event.peer_dcs,
+                                     event.src_target, event.dst_target)
+                     if end is not None)
 
     def _fire(self, event: FaultEvent) -> None:
         # Record before mutating: crash listeners (proxy broken
@@ -633,13 +612,20 @@ class FaultInjector:
         if row.trigger:
             self.trigger_window = (self._trigger_at, now)
 
-    def _record(self, label: str, event: FaultEvent, targets: tuple,
-                **fields) -> None:
+    def _record(self, label: str, event: FaultEvent,
+                targets: Optional[tuple] = None, **fields) -> None:
+        """One recorder event, with the datacenter names the event
+        carries; ``targets`` (what the verb took) names an injection's or
+        a heal's target, an armed window has none."""
         if self._recorder is None:
             return
-        if event.dc is not None:
-            fields.update(target=event.dc, **_dc_fields(event))
+        if targets is not None and event.dc is not None:
+            fields["target"] = event.dc
         elif targets:
             fields["target"] = ">".join(map(self._cluster.target_label,
                                             targets))
+        for name in ("dc", "peer_dcs", "to_dc"):
+            value = getattr(event, name)
+            if value is not None:
+                fields[name] = list(value) if name == "peer_dcs" else value
         self._recorder.record(label, None, fault=event.kind, **fields)
