@@ -119,6 +119,7 @@ class PaxosEngine:
         self.node = node
         self.sim: Simulator = node.sim
         self.names = list(replica_names)
+        self._ids = {name: i for i, name in enumerate(self.names)}
         self.me = my_id
         self.n = len(replica_names)
         if config.classic_quorum_override is not None:
@@ -409,18 +410,21 @@ class PaxosEngine:
     # messaging plumbing
     # ==================================================================
     def _broadcast(self, message) -> None:
+        node = self.node
+        if not node.alive:
+            return  # a dead node cannot speak
         size = message.size_mb()
+        send = node.network.send
         for name in self.names:
-            self.node.send(name, PAXOS_PORT, message, size_mb=size)
+            send(node.name, name, PAXOS_PORT, message, size)
 
     def _send_to(self, replica_id: int, message) -> None:
         self.node.send(self.names[replica_id], PAXOS_PORT, message,
                        size_mb=message.size_mb())
 
     def _on_message(self, payload, src_name: str) -> None:
-        try:
-            src = self.names.index(src_name)
-        except ValueError:
+        src = self._ids.get(src_name)
+        if src is None:
             return
         self.fd.heard_from(src)
         self._inbox.put((payload, src))
@@ -435,7 +439,7 @@ class PaxosEngine:
         """
         config = self.config
         while True:
-            first = yield self._inbox.get()
+            first = yield self._inbox
             group = [first] + self._inbox.take(63)
             cost = 0.0
             for payload, _src in group:

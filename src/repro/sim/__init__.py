@@ -39,7 +39,6 @@ from repro.sim.disk import (
     WriteAheadLog,
 )
 from repro.sim.network import (
-    Message,
     Nemesis,
     NemesisParams,
     NemesisWindow,
@@ -59,7 +58,6 @@ __all__ = [
     "LogFrame",
     "Event",
     "Interrupted",
-    "Message",
     "Nemesis",
     "NemesisParams",
     "NemesisWindow",

@@ -5,7 +5,8 @@ needs to *wait* is written as a generator that yields *awaitables*:
 
 * ``yield sim.timeout(2.5)`` -- sleep 2.5 simulated seconds.
 * ``yield event`` -- wait until :meth:`Event.succeed` is called.
-* ``yield channel.get()`` -- wait for the next item in a FIFO channel.
+* ``yield channel.get()`` -- wait for the next item in a FIFO channel
+  (``yield channel`` waits the same way without an event per item).
 * ``yield other_process`` -- wait for another process to finish.
 
 A generator becomes a running :class:`Process` via :meth:`Simulator.spawn`.
@@ -41,13 +42,10 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Any] = []
-        # Zero-delay fast path: the overwhelming majority of scheduled
-        # events are ``call_after(0, ...)`` (process starts, event fires,
-        # channel hand-offs).  Those never need heap ordering -- they fire
-        # at the current instant, in scheduling order -- so they go into a
-        # FIFO deque instead of the heap.  ``_advance`` merges the two
-        # structures by the same global (when, seq) key, keeping the event
-        # order bit-for-bit identical to an all-heap kernel.
+        # Everything due *now* -- ``call_after(0)``, ``call_at(now)``, a
+        # delay too small to move the clock, and the kernel's own
+        # wake-ups -- goes into a FIFO deque instead of the heap; see
+        # ``_advance`` for why that keeps the single-heap (when, seq) order.
         self._ready: Deque[Timer] = deque()
         self._counter = itertools.count()
         self._processes_started = 0
@@ -69,29 +67,36 @@ class Simulator:
     # ------------------------------------------------------------------
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> "Timer":
         """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
-        if not when >= self.now:  # also rejects NaN, which orders nowhere
+        timer = Timer(fn, args)
+        if when == self.now:
+            self._ready.append(timer)
+        elif when > self.now:
+            heapq.heappush(self._heap, (when, next(self._counter), timer))
+        else:  # also rejects NaN, which orders nowhere
             raise SimulationError(
                 f"cannot schedule in the past: {when} < now {self.now}"
             )
-        seq = next(self._counter)
-        timer = Timer(when, seq, fn, args)
-        heapq.heappush(self._heap, (when, seq, timer))
         return timer
 
     def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> "Timer":
         """Schedule ``fn(*args)`` after ``delay`` simulated seconds."""
+        timer = Timer(fn, args)
         if delay == 0:
-            # O(1) append instead of an O(log n) heap push; see __init__.
-            timer = Timer(self.now, next(self._counter), fn, args)
             self._ready.append(timer)
             return timer
-        if not delay >= 0:  # also rejects NaN
+        if not delay > 0:  # also rejects NaN
             raise SimulationError(f"negative delay: {delay}")
         when = self.now + delay
-        seq = next(self._counter)
-        timer = Timer(when, seq, fn, args)
-        heapq.heappush(self._heap, (when, seq, timer))
+        if when == self.now:  # too small to move the clock: due now
+            self._ready.append(timer)
+        else:
+            heapq.heappush(self._heap, (when, next(self._counter), timer))
         return timer
+
+    def _wake(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` at this instant, after everything already due:
+        the kernel's own resumes and callbacks, which nobody cancels."""
+        self._ready.append(Timer(fn, (arg,)))
 
     # ------------------------------------------------------------------
     # running
@@ -101,52 +106,38 @@ class Simulator:
         until``; with ``one``, stop after the first.  Returns whether any
         event fired.
 
-        The ready deque holds zero-delay timers in scheduling order; the
-        heap holds ``(when, seq, timer)`` entries for everything else, so
-        ``heapq`` orders them in C without calling back into Python.
-        Comparing the deque head against the heap top by the shared
-        (when, seq) key reproduces exactly the order a single heap would
-        produce.  Each event is peeked once: cancellation, the merge and
-        the ``until`` bound are all decided on the same look.
+        The heap holds ``(when, seq, timer)`` entries for everything due
+        later than the instant it was scheduled at, so ``heapq`` orders
+        them in C; the ready deque holds, in scheduling order, everything
+        that was due at the instant it was scheduled, which is always the
+        current one.  A heap entry due now was therefore scheduled at an
+        earlier instant than every deque entry and so has the smaller
+        seq: the heap top fires first iff its ``when`` is now, the deque
+        head otherwise -- exactly the order a single heap would produce.
         """
         ready = self._ready
         heap = self._heap
         pop = heapq.heappop
+        popleft = ready.popleft
         fired = False
         while True:
-            if ready:
-                timer = ready[0]
-                if timer.cancelled:
-                    ready.popleft()
-                    continue
-                from_heap = False
-                if heap:
-                    top = heap[0]
-                    if top[2].cancelled:
-                        pop(heap)
-                        continue
-                    if top[0] < timer.when or (
-                        top[0] == timer.when and top[1] < timer.seq
-                    ):
-                        timer = top[2]
-                        from_heap = True
-                if timer.when > until:
-                    break
-                if from_heap:
-                    pop(heap)
-                else:
-                    ready.popleft()
-            elif heap:
-                timer = heap[0][2]
+            if heap and (not ready or heap[0][0] <= self.now):
+                when, _seq, timer = heap[0]
                 if timer.cancelled:
                     pop(heap)
                     continue
-                if timer.when > until:
+                if when > until:
                     break
                 pop(heap)
+                self.now = when
+            elif ready:
+                if self.now > until:
+                    break
+                timer = popleft()
+                if timer.cancelled:
+                    continue
             else:
                 break
-            self.now = timer.when
             profiler = self.profiler
             if profiler is None:
                 timer.fn(*timer.args)
@@ -210,13 +201,11 @@ class Simulator:
 
 
 class Timer:
-    """A cancellable entry in the simulator's event heap."""
+    """A cancellable entry in the simulator's ready deque or event heap."""
 
-    __slots__ = ("when", "seq", "fn", "args", "cancelled")
+    __slots__ = ("fn", "args", "cancelled")
 
-    def __init__(self, when: float, seq: int, fn: Callable[..., None], args: tuple):
-        self.when = when
-        self.seq = seq
+    def __init__(self, fn: Callable[..., None], args: tuple):
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -234,12 +223,16 @@ class Timer:
 class Awaitable:
     """Base protocol for objects a process may ``yield``."""
 
+    __slots__ = ()
+
     def _subscribe(self, process: "Process") -> None:
         raise NotImplementedError
 
 
 class Timeout(Awaitable):
     """Resumes the waiting process after a fixed delay."""
+
+    __slots__ = ("_sim", "_delay")
 
     def __init__(self, sim: Simulator, delay: float):
         if not delay >= 0:  # also rejects NaN
@@ -259,10 +252,14 @@ class Event(Awaitable):
     already-triggered event resumes immediately.
     """
 
+    __slots__ = ("_sim", "_waiters", "_callbacks", "triggered", "ok",
+                 "value", "error")
+
     def __init__(self, sim: Simulator):
         self._sim = sim
-        self._waiters: List[Process] = []
-        self._callbacks: List[Callable[["Event"], None]] = []
+        # None, the one waiting process (the common case), or a list.
+        self._waiters: Any = None
+        self._callbacks: Optional[List[Callable[["Event"], None]]] = None
         self.triggered = False
         self.ok = False
         self.value: Any = None
@@ -289,56 +286,78 @@ class Event(Awaitable):
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(self)`` when the event triggers (immediately if it has)."""
         if self.triggered:
-            self._sim.call_after(0, fn, self)
+            self._sim._wake(fn, self)
+        elif self._callbacks is None:
+            self._callbacks = [fn]
         else:
             self._callbacks.append(fn)
 
     def _fire(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        callbacks, self._callbacks = self._callbacks, []
-        for process in waiters:
-            if self.ok:
-                self._sim.call_after(0, process._resume, self.value)
-            else:
-                self._sim.call_after(0, process._throw, self.error)
-        for fn in callbacks:
-            self._sim.call_after(0, fn, self)
+        waiters, self._waiters = self._waiters, None
+        if waiters.__class__ is Process:  # one waiter: the common case
+            self._wake(waiters)
+        elif waiters is not None:
+            for process in waiters:
+                self._wake(process)
+        callbacks, self._callbacks = self._callbacks, None
+        if callbacks is not None:
+            for fn in callbacks:
+                self._sim._wake(fn, self)
+
+    def _wake(self, process: "Process") -> None:
+        if self.ok:
+            self._sim._wake(process._resume, self.value)
+        else:
+            self._sim._wake(process._throw, self.error)
 
     def _subscribe(self, process: "Process") -> None:
+        waiters = self._waiters
         if self.triggered:
-            if self.ok:
-                self._sim.call_after(0, process._resume, self.value)
-            else:
-                self._sim.call_after(0, process._throw, self.error)
+            self._wake(process)
+        elif waiters is None:
+            self._waiters = process
+        elif waiters.__class__ is Process:
+            self._waiters = [waiters, process]
         else:
-            self._waiters.append(process)
+            waiters.append(process)
 
 
 class Channel(Awaitable):
     """Unbounded FIFO channel.
 
     ``put`` never blocks; ``get`` returns an awaitable that yields the next
-    item.  Yielding the channel itself is shorthand for ``yield ch.get()``.
+    item.  Yielding the channel itself waits the same way without an
+    :class:`Event` per item: the process queues as a getter directly.
     """
+
+    __slots__ = ("_sim", "_items", "_getters")
 
     def __init__(self, sim: Simulator):
         self._sim = sim
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        # Waiting getters in arrival order: get() events, or processes
+        # that yielded the channel itself.
+        self._getters: Deque[Any] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        while self._getters:
-            event = self._getters.popleft()
-            if not event.triggered:
-                event.succeed(item)
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
+            if getter.__class__ is Process:
+                # Resumed even if it was killed meanwhile: a dead getter
+                # consumes its item, as its untriggered get() event would.
+                self._sim._wake(getter._resume, item)
+                return
+            if not getter.triggered:
+                getter.succeed(item)
                 return
         self._items.append(item)
 
     def get(self) -> Event:
-        event = self._sim.event()
+        event = Event(self._sim)
         if self._items:
             event.succeed(self._items.popleft())
         else:
@@ -359,7 +378,10 @@ class Channel(Awaitable):
         return items
 
     def _subscribe(self, process: "Process") -> None:
-        self.get()._subscribe(process)
+        if self._items:
+            self._sim._wake(process._resume, self._items.popleft())
+        else:
+            self._getters.append(process)
 
 
 class AllOf(Awaitable):
@@ -396,6 +418,9 @@ class AllOf(Awaitable):
 class Process(Awaitable):
     """A running generator.  Also awaitable: waiting on it joins it."""
 
+    __slots__ = ("_sim", "_gen", "name", "finished", "killed", "value",
+                 "error", "_joiners", "_join_callbacks", "trace", "hosted")
+
     def __init__(self, sim: Simulator, gen: Generator[Any, Any, Any], name: str):
         self._sim = sim
         self._gen = gen
@@ -409,7 +434,11 @@ class Process(Awaitable):
         # Causal context: a trace id stamped on request-handling
         # processes so work running under them can be attributed.
         self.trace: Optional[str] = None
-        sim.call_after(0, self._resume, None)
+        # Set by Node.spawn: the node owns the process, so a failure
+        # nobody joins stays on ``error`` instead of stopping the kernel
+        # (a crashed OS process does not stop its machine).
+        self.hosted = False
+        sim._wake(self._resume, None)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -432,12 +461,12 @@ class Process(Awaitable):
         """Raise :class:`Interrupted` inside the process at its wait point."""
         if self.finished:
             return
-        self._sim.call_after(0, self._throw, Interrupted(reason))
+        self._sim._wake(self._throw, Interrupted(reason))
 
     def on_finish(self, fn: Callable[["Process"], None]) -> None:
         """Run ``fn(self)`` when the process finishes normally or with error."""
         if self.finished and not self.killed:
-            self._sim.call_after(0, fn, self)
+            self._sim._wake(fn, self)
         else:
             self._join_callbacks.append(fn)
 
@@ -492,12 +521,13 @@ class Process(Awaitable):
         callbacks, self._join_callbacks = self._join_callbacks, []
         for joiner in joiners:
             if error is None:
-                self._sim.call_after(0, joiner._resume, value)
+                self._sim._wake(joiner._resume, value)
             else:
-                self._sim.call_after(0, joiner._throw, error)
+                self._sim._wake(joiner._throw, error)
         for fn in callbacks:
-            self._sim.call_after(0, fn, self)
-        if error is not None and not joiners and not callbacks:
+            self._sim._wake(fn, self)
+        if (error is not None and not joiners and not callbacks
+                and not self.hosted):
             # Nobody is watching: surface the failure instead of losing it.
             raise error
 
@@ -509,9 +539,9 @@ class Process(Awaitable):
             return  # joining a killed process waits forever, like a dead peer
         if self.finished:
             if self.error is None:
-                self._sim.call_after(0, process._resume, self.value)
+                self._sim._wake(process._resume, self.value)
             else:
-                self._sim.call_after(0, process._throw, self.error)
+                self._sim._wake(process._throw, self.error)
         else:
             self._joiners.append(process)
 

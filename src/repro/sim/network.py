@@ -23,7 +23,7 @@ validates the replication stack against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.sim.core import SimulationError, Simulator
@@ -38,25 +38,6 @@ class NetworkParams:
     base_latency_s: float = 0.00015
     bandwidth_mb_s: float = 110.0
     jitter_mean_s: float = 0.00005
-
-
-@dataclass
-class Message:
-    """One network datagram (kept for tracing and tests)."""
-
-    src: str
-    dst: str
-    port: str
-    payload: Any
-    size_mb: float
-    sent_at: float = 0.0
-    # Open hop span piggybacked on the datagram when span tracing is on;
-    # shared by duplicate copies (the first delivery closes it).
-    span: Any = None
-    # Scheduled delivery copies still outstanding; when it reaches zero the
-    # object may be recycled through the network's freelist (untraced runs
-    # only -- traced messages carry a live span and are never pooled).
-    _copies: int = 1
 
 
 # ======================================================================
@@ -228,10 +209,6 @@ class Network:
         # observability gauges read these to chart switch congestion.
         self.inflight_messages = 0
         self.inflight_mb = 0.0
-        # Freelist of delivered Message shells.  Allocation of a datagram
-        # object per send is one of the kernel's hottest allocation sites;
-        # recycling keeps the steady-state rate near zero.
-        self._pool: List[Message] = []
 
     # ------------------------------------------------------------------
     def register(self, node: Any) -> None:
@@ -279,8 +256,13 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, port: str, payload: Any,
              size_mb: float = 0.0005, trace: Optional[str] = None) -> None:
-        """Fire-and-forget datagram; delivery is scheduled, never guaranteed."""
-        if dst not in self._nodes:
+        """Fire-and-forget datagram; delivery is scheduled, never guaranteed.
+
+        No datagram object is built: each delivery copy is one scheduled
+        ``_deliver`` call carrying the fields it needs.
+        """
+        target = self._nodes.get(dst)
+        if target is None:
             raise SimulationError(f"unknown destination node: {dst}")
         tracer = self._spans
         if (src, dst) in self._blocked:
@@ -288,7 +270,7 @@ class Network:
                 tracer.instant("net", f"{src}->{dst}", trace=trace,
                                port=port, cause="partition")
             return
-        fates = [0.0]
+        fates = (0.0,)  # one copy, no extra delay
         if self.nemesis is not None:
             fates = self.nemesis.fate(self._sim.now, src, dst, port)
         self.messages_sent += 1
@@ -298,24 +280,12 @@ class Network:
                 tracer.instant("net", f"{src}->{dst}", trace=trace,
                                port=port, cause="dropped")
             return  # eaten by the nemesis
-        target = self._nodes[dst]
-        incarnation = target.incarnation
-        if tracer is None and self._pool:
-            message = self._pool.pop()
-            message.src = src
-            message.dst = dst
-            message.port = port
-            message.payload = payload
-            message.size_mb = size_mb
-            message.sent_at = self._sim.now
-        else:
-            message = Message(src, dst, port, payload, size_mb,
-                              sent_at=self._sim.now)
         if self.geo is None:
             wan = False
-            latency = self.params.base_latency_s
-            transmit_s = size_mb / self.params.bandwidth_mb_s
-            jitter_mean_s = self.params.jitter_mean_s
+            params = self.params
+            latency = params.base_latency_s
+            transmit_s = size_mb / params.bandwidth_mb_s
+            jitter_mean_s = params.jitter_mean_s
         else:
             link, wan, factor = self.geo.link_for(self._sim.now, src, dst)
             latency = link.latency_s * factor
@@ -326,55 +296,46 @@ class Network:
                 self.wan_mb_sent += size_mb
                 self.geo.wan_messages += 1
                 self.geo.wan_mb += size_mb
+        # Open hop span, shared by duplicate copies (the first delivery
+        # closes it).
+        span = None
         if tracer is not None:
             if wan:
-                message.span = tracer.begin("net", f"{src}->{dst}",
-                                            trace=trace, port=port, wan=True)
+                span = tracer.begin("net", f"{src}->{dst}", trace=trace,
+                                    port=port, wan=True)
             else:
-                message.span = tracer.begin("net", f"{src}->{dst}",
-                                            trace=trace, port=port)
-        message._copies = len(fates)
+                span = tracer.begin("net", f"{src}->{dst}", trace=trace,
+                                    port=port)
+        incarnation = target.incarnation
+        random, log = self._rng.random, math.log
+        lambd = 1.0 / jitter_mean_s
         for extra_delay in fates:
-            delay = (latency + transmit_s
-                     + self._rng.expovariate(1.0 / jitter_mean_s)
+            # random.expovariate(lambd)'s own formula: the same draw and
+            # the same arithmetic, without the method call.
+            delay = (latency + transmit_s + -log(1.0 - random()) / lambd
                      + extra_delay)
             self.inflight_messages += 1
             self.inflight_mb += size_mb
-            self._sim.call_after(delay, self._deliver, message, incarnation)
+            self._sim.call_after(delay, self._deliver, target, incarnation,
+                                 src, port, payload, size_mb, span)
 
-    def _deliver(self, message: Message, incarnation: int) -> None:
+    def _deliver(self, target: Any, incarnation: int, src: str, port: str,
+                 payload: Any, size_mb: float, span: Any) -> None:
         self.inflight_messages -= 1
-        self.inflight_mb -= message.size_mb
-        span = message.span
-        target = self._nodes.get(message.dst)
-        if target is None or not target.alive:
+        self.inflight_mb -= size_mb
+        if not target.alive:
+            cause = "dest_down"
+        elif target.incarnation != incarnation:
+            cause = "stale_incarnation"  # restarted while in flight
+        elif (src, target.name) in self._blocked:
+            cause = "partition"
+        else:
+            self.messages_delivered += 1
             if span is not None:
-                self._spans.finish(span, cause="dest_down")
-            self._release(message)
+                self._spans.finish(span)
+            handler = target._handlers.get(port)
+            if handler is not None:
+                handler(payload, src)
             return
-        if target.incarnation != incarnation:
-            if span is not None:
-                self._spans.finish(span, cause="stale_incarnation")
-            self._release(message)
-            return  # node restarted while the message was in flight
-        if (message.src, message.dst) in self._blocked:
-            if span is not None:
-                self._spans.finish(span, cause="partition")
-            self._release(message)
-            return
-        self.messages_delivered += 1
         if span is not None:
-            self._spans.finish(span)
-        # Extract before releasing: dispatch may synchronously send new
-        # datagrams that reuse this very shell from the pool.
-        port, payload, src = message.port, message.payload, message.src
-        self._release(message)
-        target.dispatch(port, payload, src)
-
-    def _release(self, message: Message) -> None:
-        """Return a fully-delivered, untraced datagram shell to the pool."""
-        message._copies -= 1
-        if message._copies == 0 and message.span is None:
-            message.payload = None
-            if len(self._pool) < 512:
-                self._pool.append(message)
+            self._spans.finish(span, cause=cause)

@@ -23,6 +23,9 @@ from repro.sim.network import Network
 from repro.sim.resource import ServiceStation
 from repro.sim.trace import emit as trace_emit
 
+#: Length of a node's process list that triggers its first sweep.
+_MIN_SWEEP = 64
+
 
 class Node:
     """One simulated machine attached to the cluster network."""
@@ -39,7 +42,10 @@ class Node:
         self.disk = Disk(sim, disk_params, name=f"{name}-disk")
         self.cpu = ServiceStation(sim, name=f"{name}-cpu", speed=cpu_speed)
         self.boot: Optional[Callable[["Node"], None]] = None
+        # Live processes, plus finished ones not yet swept by spawn();
+        # crash() kills them all (killing a finished process is a no-op).
         self._processes: List[Process] = []
+        self._sweep_at = _MIN_SWEEP
         self._handlers: Dict[str, Callable[[Any, str], None]] = {}
         self._crash_listeners: List[Callable[["Node"], None]] = []
         self._volatile_crash_hooks: List[Callable[[], None]] = []
@@ -56,15 +62,16 @@ class Node:
         if not self.alive:
             raise SimulationError(f"cannot spawn on crashed node {self.name}")
         process = self.sim.spawn(gen, name=f"{self.name}/{name}" if name else "")
-        self._processes.append(process)
-        process.on_finish(self._reap)
+        process.hosted = True
+        processes = self._processes
+        if len(processes) >= self._sweep_at:
+            # Drop finished processes in bulk, not one reap event each:
+            # sweeping when the list doubles keeps spawn O(1) amortised.
+            self._processes = processes = [
+                p for p in processes if not p.finished]
+            self._sweep_at = max(_MIN_SWEEP, 2 * len(processes))
+        processes.append(process)
         return process
-
-    def _reap(self, process: Process) -> None:
-        try:
-            self._processes.remove(process)
-        except ValueError:
-            pass  # already cleared by a crash
 
     # ------------------------------------------------------------------
     # messaging
@@ -75,13 +82,6 @@ class Node:
 
     def unhandle(self, port: str) -> None:
         self._handlers.pop(port, None)
-
-    def dispatch(self, port: str, payload: Any, src: str) -> None:
-        if not self.alive:
-            return
-        handler = self._handlers.get(port)
-        if handler is not None:
-            handler(payload, src)
 
     def send(self, dst: str, port: str, payload: Any,
              size_mb: float = 0.0005, trace: Optional[str] = None) -> None:

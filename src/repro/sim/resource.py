@@ -24,7 +24,7 @@ class ServiceStation:
 
     def __init__(self, sim: Simulator, name: str = "station",
                  speed: float = 1.0):
-        if speed <= 0:
+        if not speed > 0:  # also rejects NaN
             raise SimulationError(f"speed must be positive, got {speed}")
         self._sim = sim
         self.name = name
@@ -56,9 +56,9 @@ class ServiceStation:
         ``priority`` 0 (default) is the middleware class; 1 is the bulk
         request class.  FIFO within each class.
         """
-        if service_time < 0:
+        if not service_time >= 0:  # also rejects NaN
             raise SimulationError(f"negative service time: {service_time}")
-        done = self._sim.event()
+        done = Event(self._sim)
         self._queues[priority].append((service_time, done))
         if not self._busy:
             self._serve_next()
@@ -77,8 +77,9 @@ class ServiceStation:
 
     # ------------------------------------------------------------------
     def _serve_next(self) -> None:
-        queue = next((q for q in self._queues if q), None)
-        if queue is None:
+        high, low = self._queues
+        queue = high or low
+        if not queue:
             self._busy = False
             return
         self._busy = True

@@ -63,7 +63,7 @@ class PersistentQueue:
 
     def _pump(self):
         while True:
-            instance, fresh = yield self.engine.delivery.get()
+            instance, fresh = yield self.engine.delivery
             items = tuple((command.uid, command.payload) for command in fresh)
             self._stream.put((instance, items))
 

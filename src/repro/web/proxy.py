@@ -199,7 +199,7 @@ class ReverseProxy:
         groups, like an event loop servicing a socket backlog)."""
         params = self.params
         while True:
-            first = yield self._work.get()
+            first = yield self._work
             group = [first] + self._work.take(63)
             # Redispatches cost a full request's worth of proxy CPU:
             # re-picking a backend and re-sending is the same work as a

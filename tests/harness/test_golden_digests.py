@@ -14,6 +14,9 @@ dispatch.  Each case has three digests:
 * ``trace`` -- sha256 of the structured safety trace;
 * ``flight`` -- sha256 of the flight-recorder stream.
 
+One more pin is the ledger's ``crash_failover`` workload at seed 2009,
+digested exactly as the ledger digests it (``CRASH_FAILOVER_2009``).
+
 A digest that moves means the simulation changed.  If that is
 deliberate (a model change), regenerate with::
 
@@ -160,6 +163,21 @@ def test_every_fault_kind_has_a_golden_case():
             kinds.update(event.kind for event in
                          Faultload.parse(config.nemesis_spec).events)
     assert kinds == set(ALL_KINDS)
+
+
+#: The ledger's ``crash_failover`` workload at seed 2009, digested as
+#: ``ledger.extract.digest`` does.  The ledger's own CI check compares
+#: this workload with its baseline only to nine digits (the baseline
+#: predates the pure-Python CBMG fit), so this pin is its bit-exact gate.
+CRASH_FAILOVER_2009 = (
+    "6b0c997705643c1f69f29e43d9b330e8569a1caa1d23e324eb4f90d75249687c")
+
+
+def test_ledger_crash_failover_digest_is_pinned():
+    from ledger import extract, workloads  # read-only: the workload's definition
+
+    result = workloads.experiment("crash_failover", 2009).run()
+    assert extract.digest(result.to_dict()) == CRASH_FAILOVER_2009
 
 
 if __name__ == "__main__":

@@ -113,6 +113,75 @@ def test_crash_kills_node_processes():
     assert trace == [1.0, 2.0]
 
 
+def test_finished_processes_are_dropped_in_bulk():
+    # 10k short processes, a few alive at a time: the node's process list
+    # stays bounded although no per-process reap event runs.
+    sim, network, nodes = make_cluster()
+    node = nodes[0]
+    longest = 0
+
+    def short():
+        yield sim.timeout(0.001)
+
+    def spawner():
+        nonlocal longest
+        for _ in range(10_000):
+            node.spawn(short())
+            longest = max(longest, len(node._processes))
+            yield sim.timeout(0.0005)
+
+    sim.spawn(spawner())
+    sim.run()
+    assert longest <= 64
+
+
+def test_crash_kills_every_waiting_process_among_swept_ones():
+    sim, network, nodes = make_cluster()
+    node = nodes[0]
+    waiting = []
+    resumed = []
+
+    def short():
+        yield sim.timeout(0.001)
+
+    def waiter(tag):
+        yield sim.timeout(10.0)
+        resumed.append(tag)
+
+    def spawner():
+        for i in range(1000):
+            node.spawn(short())
+            if i % 10 == 0:
+                waiting.append(node.spawn(waiter(i)))
+            yield sim.timeout(0.001)
+
+    sim.spawn(spawner())
+    sim.run(until=2.0)
+    assert len(node._processes) < 300  # swept: 1100 were spawned
+    assert all(not process.finished for process in waiting)
+    node.crash()
+    assert all(process.killed for process in waiting)
+    node.restart()
+    sim.run(until=20.0)
+    assert resumed == []
+
+
+def test_failed_node_process_keeps_its_error():
+    # A node owns its processes: one that raises records the error and
+    # the simulation goes on, as a crashed OS process leaves its machine up.
+    sim, network, nodes = make_cluster()
+
+    def bad():
+        yield sim.timeout(1.0)
+        raise KeyError("lost")
+
+    process = nodes[0].spawn(bad())
+    sim.call_after(2.0, lambda: None)
+    sim.run()
+    assert isinstance(process.error, KeyError)
+    assert sim.now == 2.0
+
+
 def test_crash_clears_handlers():
     sim, network, nodes = make_cluster()
     a, b = nodes

@@ -1,5 +1,7 @@
 """Tests for the queueing station, disk, and write-ahead log."""
 
+import math
+
 import pytest
 
 from repro.sim import Disk, DiskParams, ServiceStation, SimulationError, Simulator, WriteAheadLog
@@ -81,6 +83,29 @@ def test_station_rejects_negative_service_time():
     station = ServiceStation(sim)
     with pytest.raises(SimulationError):
         station.request(-1.0)
+
+
+@pytest.mark.parametrize("service_time", [-1.0, math.nan],
+                         ids=["negative", "nan"])
+def test_station_rejects_bad_service_time_at_the_call(service_time):
+    # Queued behind a job in service, a bad job must fail at request(),
+    # not later inside the earlier job's completion.
+    sim = Simulator()
+    station = ServiceStation(sim)
+    station.request(1.0)
+    with pytest.raises(SimulationError):
+        station.request(service_time)
+    sim.run()
+    assert station.jobs_served == 1
+    assert station.total_busy_time == 1.0
+    assert not station.busy
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0, math.nan],
+                         ids=["zero", "negative", "nan"])
+def test_station_rejects_bad_speed(speed):
+    with pytest.raises(SimulationError):
+        ServiceStation(Simulator(), speed=speed)
 
 
 # ----------------------------------------------------------------------
