@@ -295,16 +295,17 @@ class Event(Awaitable):
     def _fire(self) -> None:
         waiters, self._waiters = self._waiters, None
         if waiters.__class__ is Process:  # one waiter: the common case
-            self._wake(waiters)
+            self._notify(waiters)
         elif waiters is not None:
             for process in waiters:
-                self._wake(process)
+                self._notify(process)
         callbacks, self._callbacks = self._callbacks, None
         if callbacks is not None:
             for fn in callbacks:
                 self._sim._wake(fn, self)
 
-    def _wake(self, process: "Process") -> None:
+    def _notify(self, process: "Process") -> None:
+        """Resume ``process`` with this event's outcome."""
         if self.ok:
             self._sim._wake(process._resume, self.value)
         else:
@@ -313,7 +314,7 @@ class Event(Awaitable):
     def _subscribe(self, process: "Process") -> None:
         waiters = self._waiters
         if self.triggered:
-            self._wake(process)
+            self._notify(process)
         elif waiters is None:
             self._waiters = process
         elif waiters.__class__ is Process:
