@@ -24,6 +24,11 @@ RBE fleet; optional ``clients=N`` pins the fleet size) or
 per-class arrival processes; ``population`` only sizes the emulated
 user-id space, so a million users cost no more kernel events than a
 hundred).
+
+Every sub-command that runs a deployment (all but ``report``) builds its
+:class:`~repro.harness.config.ClusterConfig` from the shared cluster
+options in one place, :func:`_build_experiment`; ``sweep`` then varies
+one field of that config per point.
 """
 
 from __future__ import annotations
@@ -34,15 +39,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+from typing import Optional
 
 from repro.harness import sweeps
-from repro.harness.config import (
-    ClusterConfig,
-    bench_scale,
-    paper_scale,
-    tiny_scale,
-)
+from repro.harness.config import bench_scale, paper_scale, tiny_scale
 from repro.harness.experiment import Experiment
 from repro.harness.report import format_series, format_table
 from repro.obs.trace import RECOVERY_PHASES
@@ -130,32 +130,44 @@ def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
                              "result gains an SLO verdict")
 
 
+def _add_scenario_options(parser: argparse.ArgumentParser,
+                          default: str) -> None:
+    """The scenario positional, the cluster options, and --faultload /
+    --nemesis: the options of every sub-command that runs one
+    experiment (run, trace, postmortem)."""
+    parser.add_argument("scenario", nargs="?", choices=sorted(SCENARIOS),
+                        default=default)
+    _add_cluster_options(parser)
+    parser.add_argument("--faultload", metavar="SPEC", default=None,
+                        help="custom faultload, e.g. "
+                             "'crash@240:*,crash@270:*,reboot@390:2' "
+                             "(times in paper-timeline seconds; "
+                             "overrides the scenario)")
+    parser.add_argument("--nemesis", metavar="SPEC", default=None,
+                        help="standing message/storage-fault schedule "
+                             "applied on top of the faultload, e.g. "
+                             "'drop@60-300:p=0.1,oneway@120-180:2>3' or "
+                             "'corrupt@240:1,torn@200-400:2'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="RobustStore dependability experiments "
-                    "(run / sweep / report).")
+                    "(run / sweep / trace / postmortem / explore / "
+                    "report); every sub-command that runs a deployment "
+                    "builds it from the shared cluster options through "
+                    "one Experiment builder.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser(
         "run", help="run one experiment and print its dependability report")
-    run.add_argument("scenario", nargs="?", choices=sorted(SCENARIOS),
-                     default="one_crash")
-    _add_cluster_options(run)
+    run.set_defaults(func=_cmd_run)
+    _add_scenario_options(run, default="one_crash")
     run.add_argument("--timeline", action="store_true",
                      help="also print the WIPS timeline")
     run.add_argument("--json", metavar="PATH", default=None,
                      help="write the full result summary as JSON")
-    run.add_argument("--faultload", metavar="SPEC", default=None,
-                     help="custom faultload, e.g. "
-                          "'crash@240:*,crash@270:*,reboot@390:2' "
-                          "(times in paper-timeline seconds; "
-                          "overrides the scenario)")
-    run.add_argument("--nemesis", metavar="SPEC", default=None,
-                     help="standing message/storage-fault schedule "
-                          "applied on top of the faultload, e.g. "
-                          "'drop@60-300:p=0.1,oneway@120-180:2>3' or "
-                          "'corrupt@240:1,torn@200-400:2'")
     run.add_argument("--check-safety", action="store_true",
                      help="record decide/deliver/ack traces and run "
                           "the consensus safety checker on the run")
@@ -172,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="run a figure-style parameter sweep")
+    sweep.set_defaults(func=_cmd_sweep)
     sweep.add_argument("kind", choices=SWEEP_KINDS)
     _add_cluster_options(sweep)
     sweep.add_argument("--replicas-list", default="4,8,12", metavar="N,N,..",
@@ -183,15 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace", help="run one traced experiment and analyze its spans")
-    trace.add_argument("scenario", nargs="?", choices=sorted(SCENARIOS),
-                       default="sequential")
-    _add_cluster_options(trace)
-    trace.add_argument("--faultload", metavar="SPEC", default=None,
-                       help="custom faultload (overrides the scenario); "
-                            "same grammar as `repro run --faultload`")
-    trace.add_argument("--nemesis", metavar="SPEC", default=None,
-                       help="standing message-fault schedule, same "
-                            "grammar as `repro run --nemesis`")
+    trace.set_defaults(func=_cmd_trace)
+    _add_scenario_options(trace, default="sequential")
     trace.add_argument("--critical-path", action="store_true",
                        help="print the WIRT critical-path decomposition "
                             "(per-bucket quantiles and shares)")
@@ -214,16 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "post-mortem (trigger, detection lag, "
                            "failover timeline, WIPS dip, recovery "
                            "phases, budget burned)")
-    postmortem.add_argument("scenario", nargs="?", choices=sorted(SCENARIOS),
-                            default="one_crash")
-    _add_cluster_options(postmortem)
-    postmortem.add_argument("--faultload", metavar="SPEC", default=None,
-                            help="custom faultload (overrides the "
-                                 "scenario); same grammar as `repro run "
-                                 "--faultload`")
-    postmortem.add_argument("--nemesis", metavar="SPEC", default=None,
-                            help="standing message/storage-fault schedule, "
-                                 "same grammar as `repro run --nemesis`")
+    postmortem.set_defaults(func=_cmd_postmortem)
+    _add_scenario_options(postmortem, default="one_crash")
     postmortem.add_argument("--json", metavar="PATH", default=None,
                             help="also write the deterministic JSON "
                                  "incident report")
@@ -238,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="systematically explore the 2PC fault space "
                         "(trace-derived crash/drop points, prefix-pruned "
                         "search, counterexample shrinking)")
+    explore.set_defaults(func=_cmd_explore)
     _add_cluster_options(explore)
     explore.add_argument("--max-faults", type=int, default=1, metavar="K",
                          help="search fault combinations up to K faults "
@@ -257,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report", help="re-render a saved `repro run --json` result")
+    report.set_defaults(func=_cmd_report)
     report.add_argument("paths", nargs="+", metavar="path",
                         help="JSON file(s) written by `repro run --json` "
                              "(globs accepted)")
@@ -306,8 +306,9 @@ def _parse_load_spec(spec: str) -> dict:
     ``timeout=S`` and ``retry=POLICY`` for either mode (POLICY in the
     :func:`repro.resilience.parse_retry` grammar; its own
     comma-separated options ride along as continuations).
-    ``wips`` stays absent unless spelled out, so callers can fall back
-    to ``--offered-wips`` (run/trace) or the sweep's own load law.
+    ``wips`` stays absent unless spelled out, so :func:`_build_experiment`
+    can fall back to ``--offered-wips`` and ``sweep speedup`` can tell
+    an explicit offered load from its own load law.
     """
     mode, _, rest = spec.partition(":")
     if mode not in ("closed", "open"):
@@ -338,6 +339,21 @@ def _parse_load_spec(spec: str) -> dict:
     return kwargs
 
 
+def _dc_list(value: str) -> tuple:
+    """``dc0|dc1|..`` -> ``("dc0", "dc1", ..)``."""
+    return tuple(part.strip() for part in value.split("|") if part.strip())
+
+
+#: --geo option key -> Experiment.geo() keyword + coercion.
+_GEO_KEYS = {
+    "placement": ("placement", str),
+    "quorum": ("quorum", str),
+    "wan": ("wan_ms", float),
+    "client": ("client_dc", str),
+    "pin": ("pinned", _dc_list),
+}
+
+
 def _parse_geo_spec(spec: str) -> dict:
     """``--geo`` SPEC -> kwargs for :meth:`Experiment.geo`.
 
@@ -365,69 +381,51 @@ def _parse_geo_spec(spec: str) -> dict:
         if not sep or not value:
             raise ValueError(f"bad --geo option {option!r} "
                              f"(expected key=value)")
-        if key == "placement":
-            kwargs["placement"] = value
-        elif key == "quorum":
-            kwargs["quorum"] = value
-        elif key == "wan":
-            try:
-                kwargs["wan_ms"] = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"bad --geo wan latency {value!r} "
-                    f"(one-way milliseconds)") from None
-        elif key == "client":
-            kwargs["client_dc"] = value
-        elif key == "pin":
-            kwargs["pinned"] = tuple(
-                part.strip() for part in value.split("|") if part.strip())
-        else:
-            raise ValueError(f"unknown --geo option {key!r} (expected "
-                             f"placement, quorum, wan, client, or pin)")
+        if key not in _GEO_KEYS:
+            known = ", ".join(sorted(_GEO_KEYS))
+            raise ValueError(f"unknown --geo option {key!r} "
+                             f"(expected one of {known})")
+        name, coerce = _GEO_KEYS[key]
+        try:
+            kwargs[name] = coerce(value)
+        except ValueError:
+            raise ValueError(f"bad --geo value {option!r}") from None
     return kwargs
 
 
-def _geo_config_from_spec(spec: str):
-    """``--geo`` SPEC -> a ready :class:`repro.geo.GeoConfig` (for the
-    sweep/explore paths, which build :class:`ClusterConfig` directly)."""
-    from repro.geo import DEFAULT_WAN, GeoConfig, Topology
-    kwargs = _parse_geo_spec(spec)
-    dcs = kwargs.pop("dcs")
-    wan_ms = kwargs.pop("wan_ms", None)
-    wan = DEFAULT_WAN if wan_ms is None else replace(
-        DEFAULT_WAN, latency_s=wan_ms / 1000.0)
-    return GeoConfig(topology=Topology(dcs, wan=wan), **kwargs)
-
-
 def _build_experiment(args) -> Experiment:
-    """Cluster options -> Experiment, load routed through .load()."""
-    scale = _scale_for(args.scale)
+    """Cluster options -> Experiment, load routed through .load().
+
+    The one place a command-line option becomes configuration: every
+    sub-command that runs a deployment starts here."""
     experiment = Experiment(
-        scale=scale, replicas=args.replicas, num_ebs=args.ebs,
-        seed=args.seed, enable_fast=not args.no_fast, shards=args.shards)
+        scale=_scale_for(args.scale), replicas=args.replicas,
+        num_ebs=args.ebs, seed=args.seed, enable_fast=not args.no_fast,
+        shards=args.shards)
     load_kwargs = _parse_load_spec(args.load or "closed")
     mode = load_kwargs.pop("mode")
     load_kwargs.setdefault("wips", args.offered_wips)
     experiment.load(mode, mix=args.profile, **load_kwargs)
-    if getattr(args, "defend", False):
+    if args.defend:
         experiment.defend()
-    if getattr(args, "geo", None):
+    if args.geo:
         experiment.geo(**_parse_geo_spec(args.geo))
-    if getattr(args, "slo", None):
+    if args.slo:
         experiment.slo(args.slo)
     return experiment
 
 
-# ======================================================================
-# run
-# ======================================================================
-def _cmd_run(args) -> int:
-    scale = _scale_for(args.scale)
-    try:
-        experiment = _build_experiment(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+def _usage_error(error) -> int:
+    """Report a bad option on stderr; returns the exit status, 2."""
+    print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
+def _start(experiment: Experiment, args, verb: str,
+           detail: Optional[str] = None) -> str:
+    """Apply the scenario (or ``--faultload``) and ``--nemesis``, print
+    the run's header line, and return the run's label.  ``detail``
+    defaults to a description of the load."""
     if args.faultload is not None:
         experiment.faults(args.faultload)
         label = "custom"
@@ -436,44 +434,56 @@ def _cmd_run(args) -> int:
         label = args.scenario
     if args.nemesis:
         experiment.nemesis(args.nemesis)
-    if args.check_safety:
-        experiment.check_safety()
-    if args.obs or args.obs_out:
-        experiment.observe(tick_s=args.obs_tick)
     config = experiment.build_config()
-    if config.load_mode == "open":
-        load_desc = (f"open loop, {config.effective_population:,} users @ "
-                     f"{config.effective_offered_wips:.0f} WIPS")
-    else:
-        load_desc = f"{config.num_rbes} RBEs"
-    print(f"running {label} | {config.replicas} replicas | "
-          f"{config.profile} | {load_desc} | scale={scale.name}",
+    if detail is None:
+        detail = (f"open loop, {config.effective_population:,} users @ "
+                  f"{config.effective_offered_wips:.0f} WIPS"
+                  if config.load_mode == "open"
+                  else f"{config.num_rbes} RBEs")
+    print(f"{verb} {label} | {config.replicas} replicas | "
+          f"{config.profile} | {detail} | scale={config.scale.name}",
           flush=True)
-    result = experiment.run()
+    return label
 
-    whole = result.whole_window()
-    rows = [["AWIPS (measurement interval)", f"{whole.awips:.1f}"],
-            ["CV", f"{whole.cv:.3f}"],
-            ["mean WIRT", f"{whole.mean_wirt_s * 1000:.1f} ms"],
-            ["accuracy", f"{result.accuracy_pct():.3f}%"],
-            ["availability", f"{result.availability():.4f}"]]
-    if result.first_crash_at is not None:
-        recovery = result.recovery_window()
-        rows += [["failure-free AWIPS",
-                  f"{result.failure_free_window().awips:.1f}"],
-                 ["recovery AWIPS", f"{recovery.awips:.1f}"],
-                 ["performability PV", f"{result.pv_pct():+.1f}%"],
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating its parent directory."""
+    _ensure_parent(path)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _write_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2))
+
+
+# ======================================================================
+# run
+# ======================================================================
+def _summary_rows(data: dict) -> list:
+    """The measure/value rows of a run summary, from
+    ``ExperimentResult.to_dict()`` or the ``--json`` file it was saved
+    to."""
+    rows = [["AWIPS (measurement interval)", f"{data['awips']:.1f}"],
+            ["CV", f"{data['cv']:.3f}"],
+            ["mean WIRT", f"{data['mean_wirt_s'] * 1000:.1f} ms"],
+            ["accuracy", f"{data['accuracy_pct']:.3f}%"],
+            ["availability", f"{data['availability']:.4f}"]]
+    if data.get("recovery_awips") is not None:
+        rows += [["failure-free AWIPS", f"{data['failure_free_awips']:.1f}"],
+                 ["recovery AWIPS", f"{data['recovery_awips']:.1f}"],
+                 ["performability PV", f"{data['pv_pct']:+.1f}%"],
                  ["recovery times",
-                  ", ".join(f"{t:.1f}s" for t in result.recovery_times())],
+                  ", ".join(f"{t:.1f}s" for t in data["recovery_times_s"])],
                  ["faults / interventions",
-                  f"{result.faults_injected} / {result.interventions}"]]
-    nemesis = result.nemesis
-    if nemesis is not None and (nemesis.dropped or nemesis.duplicated
-                                or nemesis.delayed):
+                  f"{data['faults_injected']} / {data['interventions']}"]]
+    nemesis = data.get("nemesis")
+    if nemesis and (nemesis["dropped"] or nemesis["duplicated"]
+                    or nemesis["delayed"]):
         rows += [["nemesis drop/dup/delay",
-                  f"{nemesis.dropped} / {nemesis.duplicated} / "
-                  f"{nemesis.delayed} of {nemesis.messages_sent} msgs"]]
-    storage = result.storage
+                  f"{nemesis['dropped']} / {nemesis['duplicated']} / "
+                  f"{nemesis['delayed']} of {nemesis['messages_sent']} msgs"]]
+    storage = data.get("storage")
     if storage:
         injected = (storage.get("torn_writes", 0)
                     + storage.get("corrupted_frames", 0)
@@ -484,18 +494,34 @@ def _cmd_run(args) -> int:
                   f"{storage.get('frames_dropped', 0)} frames dropped / "
                   f"{storage.get('checkpoint_discards', 0)} ckpt discards / "
                   f"{storage.get('peer_repairs', 0)} peer repairs"]]
-    if result.safety_violations is not None:
-        verdict = ("OK" if not result.safety_violations
-                   else f"{len(result.safety_violations)} VIOLATION(S)")
+    violations = data.get("safety_violations")
+    if violations is not None:
+        verdict = ("OK" if not violations
+                   else f"{len(violations)} VIOLATION(S)")
         rows += [["safety checker", verdict]]
-    if result.slo is not None:
-        slo = result.slo_report()
+    slo = data.get("slo")
+    if slo is not None:
         rows += [["SLO " + ("PASS" if slo["pass"] else "FAIL"),
                   f"{slo['total_budget_burn']:.2f}x budget burned, "
                   f"{len(slo['alerts'])} alert(s)"]]
+    return rows
+
+
+def _cmd_run(args) -> int:
+    try:
+        experiment = _build_experiment(args)
+    except ValueError as error:
+        return _usage_error(error)
+    if args.check_safety:
+        experiment.check_safety()
+    if args.obs or args.obs_out:
+        experiment.observe(tick_s=args.obs_tick)
+    label = _start(experiment, args, "running")
+    result = experiment.run()
+    data = result.to_dict()
     print(format_table(f"{label} ({args.profile}, "
                        f"{args.replicas}R, {args.ebs} EB)",
-                       ["measure", "value"], rows))
+                       ["measure", "value"], _summary_rows(data)))
     if args.timeline:
         print()
         print(format_series("WIPS timeline", result.wips_series(),
@@ -513,19 +539,13 @@ def _cmd_run(args) -> int:
             f"{profile['events_per_sim_s']:.0f}/sim-s)",
             ["layer", "events", "wall", "per event"], profile_rows))
     if args.obs_out:
-        _ensure_parent(args.obs_out)
-        timeline = result.timeline
         if args.obs_out.endswith(".csv"):
-            with open(args.obs_out, "w", encoding="utf-8") as handle:
-                handle.write(timeline.to_csv())
+            _write_text(args.obs_out, result.timeline.to_csv())
         else:
-            with open(args.obs_out, "w", encoding="utf-8") as handle:
-                json.dump(timeline.to_dict(), handle, indent=2)
+            _write_json(args.obs_out, data["timeline"])
         print(f"wrote timeline to {args.obs_out}")
     if args.json:
-        _ensure_parent(args.json)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
+        _write_json(args.json, data)
         print(f"wrote {args.json}")
     if result.safety_violations:
         print("\nsafety violations:")
@@ -542,74 +562,40 @@ def _int_list(text: str):
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _load_config_overrides(spec: str) -> dict:
-    """``--load`` SPEC -> ClusterConfig field overrides (for sweeps)."""
-    kwargs = _parse_load_spec(spec)
-    overrides = {"load_mode": kwargs.pop("mode")}
-    if "wips" in kwargs:
-        overrides["offered_wips"] = kwargs.pop("wips")
-    overrides.update(kwargs)    # population / arrival / clients map 1:1
-    return overrides
-
-
 def _cmd_sweep(args) -> int:
-    scale = _scale_for(args.scale)
     swept = args.ebs_list if args.kind == "recovery" else args.replicas_list
     option = "--ebs-list" if args.kind == "recovery" else "--replicas-list"
-    if not _int_list(swept):
-        print(f"error: {option} {swept!r} names no points to sweep",
-              file=sys.stderr)
-        return 2
+    values = _int_list(swept)
+    if not values:
+        return _usage_error(f"{option} {swept!r} names no points to sweep")
     try:
-        load = _load_config_overrides(args.load) if args.load else None
-        if args.geo:
-            # The sweep drivers apply `load` as plain ClusterConfig
-            # field overrides, so the geo deployment rides in the same
-            # way on every point.
-            load = dict(load or {})
-            load["geo"] = _geo_config_from_spec(args.geo)
-        if args.slo:
-            from repro.obs.slo import parse_slo
-            parse_slo(args.slo)    # fail before the first point runs
-            load = dict(load or {})
-            load["slo_spec"] = args.slo
-        if args.defend:
-            load = dict(load or {})
-            load["defenses"] = True
+        base = _build_experiment(args).build_config()
+        load = _parse_load_spec(args.load or "closed")
+        if args.kind == "speedup" and "wips" in load:
+            # The speedup law sets each point's offered load; a fixed one
+            # would measure the scaleup curve under the speedup name.
+            raise ValueError(
+                f"sweep speedup offers "
+                f"{sweeps.SPEEDUP_OFFERED_PER_REPLICA:g} WIPS per replica, "
+                f"so --load takes no wips=; for a fixed offered load use "
+                f"`sweep scaleup --offered-wips X`")
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.kind == "speedup":
-        points = sweeps.speedup_sweep(
-            args.profile, _int_list(args.replicas_list),
-            scale=scale, seed=args.seed, load=load)
-    elif args.kind == "scaleup":
-        points = sweeps.scaleup_sweep(
-            args.profile, _int_list(args.replicas_list),
-            offered_wips=args.offered_wips, scale=scale, seed=args.seed,
-            load=load)
-    else:
-        points = sweeps.recovery_sweep(
-            args.profile, _int_list(args.ebs_list),
-            replicas=args.replicas, scale=scale, seed=args.seed, load=load)
+        return _usage_error(error)
+    points = getattr(sweeps, f"{args.kind}_sweep")(base, values)
     if args.kind == "recovery":
         rows = [[str(point.num_ebs), f"{point.recovery_s:.1f}s",
                  f"{point.pv_pct:+.1f}%", f"{point.accuracy_pct:.3f}%"]
                 for point in points]
         print(format_table(f"recovery sweep ({args.profile})",
                            ["EBs", "recovery", "PV", "accuracy"], rows))
-        dicts = [point.__dict__ for point in points]
     else:
         rows = [[str(point.replicas), f"{point.awips:.1f}",
                  f"{point.mean_wirt_ms:.1f} ms", f"{point.cv:.3f}"]
                 for point in points]
         print(format_table(f"{args.kind} sweep ({args.profile})",
                            ["replicas", "AWIPS", "mean WIRT", "CV"], rows))
-        dicts = [point.__dict__ for point in points]
     if args.json:
-        _ensure_parent(args.json)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(dicts, handle, indent=2)
+        _write_json(args.json, [point.__dict__ for point in points])
         print(f"wrote {args.json}")
     return 0
 
@@ -619,31 +605,12 @@ def _cmd_sweep(args) -> int:
 # ======================================================================
 def _cmd_trace(args) -> int:
     if args.export and not args.out:
-        print("error: --export needs --out PATH", file=sys.stderr)
-        return 2
-    scale = _scale_for(args.scale)
+        return _usage_error("--export needs --out PATH")
     try:
         experiment = _build_experiment(args).trace()
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.faultload is not None:
-        experiment.faults(args.faultload)
-        label = "custom"
-    else:
-        getattr(experiment, SCENARIOS[args.scenario])()
-        label = args.scenario
-    if args.nemesis:
-        experiment.nemesis(args.nemesis)
-    config = experiment.build_config()
-    if config.load_mode == "open":
-        load_desc = (f"open loop, {config.effective_population:,} users @ "
-                     f"{config.effective_offered_wips:.0f} WIPS")
-    else:
-        load_desc = f"{config.num_rbes} RBEs"
-    print(f"tracing {label} | {config.replicas} replicas | "
-          f"{config.profile} | {load_desc} | scale={scale.name}",
-          flush=True)
+        return _usage_error(error)
+    _start(experiment, args, "tracing")
     result = experiment.run()
     tracer = result.spans
     print(f"{len(tracer.spans)} spans, {len(tracer.marks)} marks"
@@ -694,12 +661,8 @@ def _cmd_trace(args) -> int:
                 ["node", *RECOVERY_PHASES, "total"], rows))
 
     if args.export:
-        _ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            if args.export == "chrome":
-                json.dump(tracer.to_chrome(), handle)
-            else:
-                handle.write(tracer.to_jsonl())
+        _write_text(args.out, json.dumps(tracer.to_chrome())
+                    if args.export == "chrome" else tracer.to_jsonl())
         print(f"\nwrote {args.export} trace to {args.out}")
     return 0
 
@@ -715,41 +678,23 @@ DEFAULT_POSTMORTEM_SLO = "wirt_p99<2s,error_rate<1%"
 def _cmd_postmortem(args) -> int:
     from repro.obs.incident import render_markdown
 
-    scale = _scale_for(args.scale)
+    slo = args.slo or DEFAULT_POSTMORTEM_SLO
     try:
-        experiment = _build_experiment(args).trace().record()
-        if not args.slo:
-            experiment.slo(DEFAULT_POSTMORTEM_SLO)
+        experiment = _build_experiment(args).trace().record().slo(slo)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.faultload is not None:
-        experiment.faults(args.faultload)
-        label = "custom"
-    else:
-        getattr(experiment, SCENARIOS[args.scenario])()
-        label = args.scenario
-    if args.nemesis:
-        experiment.nemesis(args.nemesis)
-    config = experiment.build_config()
-    print(f"post-mortem of {label} | {config.replicas} replicas | "
-          f"{config.profile} | slo '{config.slo_spec}' | "
-          f"scale={scale.name}", flush=True)
+        return _usage_error(error)
+    _start(experiment, args, "post-mortem of", detail=f"slo '{slo}'")
     result = experiment.run()
     report = result.incident_report()
     markdown = render_markdown(report)
     print()
     print(markdown, end="")
     if args.json:
-        _ensure_parent(args.json)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_text(args.json,
+                    json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.json}")
     if args.md:
-        _ensure_parent(args.md)
-        with open(args.md, "w", encoding="utf-8") as handle:
-            handle.write(markdown)
+        _write_text(args.md, markdown)
         print(f"wrote {args.md}")
     if args.events_out:
         _ensure_parent(args.events_out)
@@ -764,33 +709,14 @@ def _cmd_postmortem(args) -> int:
 def _cmd_explore(args) -> int:
     from repro.faults.explore import ExplorationRunner, explore
 
-    scale = _scale_for(args.scale)
+    interactions = tuple(args.interaction or ("buy_confirm",))
     try:
-        geo = _geo_config_from_spec(args.geo) if args.geo else None
-        config = ClusterConfig(
-            scale=scale, replicas=args.replicas, num_ebs=args.ebs,
-            profile=args.profile, offered_wips=args.offered_wips,
-            seed=args.seed, enable_fast=not args.no_fast,
-            shards=args.shards, geo=geo, slo_spec=args.slo,
-            defenses=args.defend)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.load:
-        try:
-            config = replace(config, **_load_config_overrides(args.load))
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    interactions = tuple(args.interaction) if args.interaction \
-        else ("buy_confirm",)
-    try:
+        config = _build_experiment(args).build_config()
         runner = ExplorationRunner(config, interactions=interactions)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     print(f"exploring {', '.join(interactions)} | {config.shards} shards x "
-          f"{config.replicas} replicas | scale={scale.name} | "
+          f"{config.replicas} replicas | scale={config.scale.name} | "
           f"max_faults={args.max_faults} budget={args.budget}", flush=True)
     report = explore(runner, max_faults=args.max_faults, budget=args.budget)
     counters = report.counters
@@ -812,9 +738,7 @@ def _cmd_explore(args) -> int:
     for interaction, stage, role in stages:
         print(f"  {interaction}: {stage} [{role}]")
     if args.out:
-        _ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
+        _write_json(args.out, report.to_dict())
         print(f"\nwrote {args.out}")
     if report.violations:
         print("\nviolations (minimized, replayable):")
@@ -961,18 +885,14 @@ def _cmd_report(args) -> int:
     for pattern in args.paths:
         matches = sorted(globlib.glob(pattern))
         if not matches:
-            print(f"error: no result files match {pattern!r} "
-                  f"(write them with `repro run --json PATH`)",
-                  file=sys.stderr)
-            return 2
+            return _usage_error(f"no result files match {pattern!r} "
+                                f"(write them with `repro run --json PATH`)")
         expanded.extend(matches)
     args.paths = expanded
     if args.aggregate:
         return _cmd_report_aggregate(args)
     if len(args.paths) > 1:
-        print("error: multiple result files need --aggregate",
-              file=sys.stderr)
-        return 2
+        return _usage_error("multiple result files need --aggregate")
     data = _load_result(args.paths[0])
     if args.metrics_out:
         snapshot = data.get("metrics")
@@ -981,28 +901,13 @@ def _cmd_report(args) -> int:
                   "`repro run --obs --json PATH`", file=sys.stderr)
             return 1
         from repro.obs.registry import to_prometheus
-        _ensure_parent(args.metrics_out)
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(to_prometheus(snapshot))
+        _write_text(args.metrics_out, to_prometheus(snapshot))
         print(f"wrote {args.metrics_out}")
     config = data.get("config", {})
-    rows = [["AWIPS (measurement interval)", f"{data['awips']:.1f}"],
-            ["CV", f"{data['cv']:.3f}"],
-            ["mean WIRT", f"{data['mean_wirt_s'] * 1000:.1f} ms"],
-            ["accuracy", f"{data['accuracy_pct']:.3f}%"],
-            ["availability", f"{data['availability']:.4f}"]]
-    if data.get("pv_pct") is not None:
-        rows += [["performability PV", f"{data['pv_pct']:+.1f}%"],
-                 ["recovery times",
-                  ", ".join(f"{t:.1f}s"
-                            for t in data.get("recovery_times_s", []))],
-                 ["faults / interventions",
-                  f"{data.get('faults_injected', 0)} / "
-                  f"{data.get('interventions', 0)}"]]
     print(format_table(
         f"{data.get('faultload', 'run')} "
         f"({config.get('profile', '?')}, {config.get('replicas', '?')}R)",
-        ["measure", "value"], rows))
+        ["measure", "value"], _summary_rows(data)))
     if args.timeline and data.get("wips_series"):
         print()
         print(format_series("WIPS timeline",
@@ -1025,18 +930,7 @@ def _cmd_report(args) -> int:
 # ======================================================================
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "explore":
-        return _cmd_explore(args)
-    # The sub-command is required, so argparse rejected anything else.
-    return _cmd_postmortem(args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -4,15 +4,16 @@ Wraps the experiment drivers into the sweeps the paper's figures plot --
 speedup (Figure 3), scaleup (Figure 4), recovery time vs state size
 (Figure 6) -- returning typed points that callers can tabulate, plot, or
 assert on.  The benchmark suite, the CLI, and user notebooks all share
-these instead of hand-rolling loops.
+these instead of hand-rolling loops.  Each sweep takes one base
+:class:`ClusterConfig` and varies only its swept field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.harness.config import ClusterConfig, ExperimentScale, bench_scale
+from repro.harness.config import ClusterConfig
 from repro.harness.experiment import Experiment
 from repro.harness.report import linear_regression
 
@@ -48,62 +49,45 @@ class RecoveryPoint:
     accuracy_pct: float
 
 
-def _with_load(config: ClusterConfig,
-               load: Optional[dict]) -> ClusterConfig:
-    """Apply ``--load``-style field overrides (load_mode, population,
-    arrival, clients, offered_wips) on top of a sweep point's config."""
-    return replace(config, **load) if load else config
-
-
 def _measure(config: ClusterConfig) -> ThroughputPoint:
     stats = Experiment.from_config(config).baseline().run().whole_window()
     return ThroughputPoint(config.profile, config.replicas, stats.awips,
                            stats.mean_wirt_s * 1000.0, stats.cv)
 
 
-def speedup_sweep(profile: str,
+def speedup_sweep(base: ClusterConfig,
                   replicas_list: Sequence[int] = (4, 8, 12),
-                  scale: Optional[ExperimentScale] = None,
-                  seed: int = 2009,
-                  load: Optional[dict] = None) -> List[ThroughputPoint]:
-    """Figure 3's sweep: saturated throughput at each replica count."""
-    scale = scale or bench_scale()
-    return [_measure(_with_load(ClusterConfig(
-                replicas=replicas, profile=profile, seed=seed, scale=scale,
-                offered_wips=SPEEDUP_OFFERED_PER_REPLICA * replicas), load))
+                  ) -> List[ThroughputPoint]:
+    """Figure 3's sweep: saturated throughput at each replica count.
+
+    Each point is ``base`` with its replica count and an offered load of
+    :data:`SPEEDUP_OFFERED_PER_REPLICA` per replica; ``base.offered_wips``
+    is not read."""
+    return [_measure(replace(
+                base, replicas=replicas,
+                offered_wips=SPEEDUP_OFFERED_PER_REPLICA * replicas))
             for replicas in replicas_list]
 
 
-def scaleup_sweep(profile: str,
+def scaleup_sweep(base: ClusterConfig,
                   replicas_list: Sequence[int] = (4, 8, 12),
-                  offered_wips: float = 1000.0,
-                  scale: Optional[ExperimentScale] = None,
-                  seed: int = 2009,
-                  load: Optional[dict] = None) -> List[ThroughputPoint]:
-    """Figure 4's sweep: fixed offered load, growing cluster."""
-    scale = scale or bench_scale()
-    return [_measure(_with_load(ClusterConfig(
-                replicas=replicas, profile=profile, seed=seed, scale=scale,
-                offered_wips=offered_wips), load))
+                  ) -> List[ThroughputPoint]:
+    """Figure 4's sweep: ``base``'s fixed offered load, growing cluster."""
+    return [_measure(replace(base, replicas=replicas))
             for replicas in replicas_list]
 
 
-def recovery_sweep(profile: str,
+def recovery_sweep(base: ClusterConfig,
                    ebs_list: Sequence[int] = (30, 50, 70),
-                   replicas: int = 5,
-                   scale: Optional[ExperimentScale] = None,
-                   seed: int = 2009,
-                   load: Optional[dict] = None) -> List[RecoveryPoint]:
+                   ) -> List[RecoveryPoint]:
     """Figure 6's sweep: one crash per state size; recovery durations."""
-    scale = scale or bench_scale()
     points = []
     for num_ebs in ebs_list:
-        result = Experiment.from_config(_with_load(ClusterConfig(
-            replicas=replicas, num_ebs=num_ebs, profile=profile,
-            seed=seed, scale=scale), load)).one_crash().run()
+        result = Experiment.from_config(
+            replace(base, num_ebs=num_ebs)).one_crash().run()
         times = result.recovery_times()
         points.append(RecoveryPoint(
-            profile, replicas, num_ebs,
+            base.profile, base.replicas, num_ebs,
             recovery_s=times[0] if times else float("nan"),
             pv_pct=result.pv_pct() or 0.0,
             accuracy_pct=result.accuracy_pct()))

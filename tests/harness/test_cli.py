@@ -1,10 +1,17 @@
-"""The ``repro run / sweep / report`` command line."""
+"""The ``repro`` command line: run, sweep, trace, postmortem, explore,
+report."""
 
+import importlib
 import json
+from collections import defaultdict
+from itertools import takewhile
+from types import SimpleNamespace
 
 import pytest
 
 from repro.harness.cli import build_parser, main
+from repro.harness.experiment import Experiment
+from repro.harness.sweeps import SPEEDUP_OFFERED_PER_REPLICA
 
 
 def run_args(extra=()):
@@ -429,3 +436,144 @@ def test_report_metrics_out_needs_an_obs_result(tmp_path, capsys):
                  "--metrics-out", str(tmp_path / "m.prom")])
     assert code == 1
     assert "no metrics snapshot" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# one path from the shared options to a deployment: sweep and explore
+# build through _build_experiment like run/trace/postmortem
+# ----------------------------------------------------------------------
+class _StubResult:
+    """Just enough of an ExperimentResult for the sweep drivers."""
+
+    def whole_window(self):
+        return SimpleNamespace(awips=1.0, mean_wirt_s=0.1, cv=0.0)
+
+    def recovery_times(self):
+        return [1.0]
+
+    def pv_pct(self):
+        return 0.0
+
+    def accuracy_pct(self):
+        return 100.0
+
+
+@pytest.fixture
+def sweep_configs(monkeypatch):
+    """The ClusterConfig of every sweep point, recorded instead of run."""
+    configs = []
+
+    def fake_run(experiment):
+        configs.append(experiment.build_config())
+        return _StubResult()
+
+    monkeypatch.setattr(Experiment, "run", fake_run)
+    return configs
+
+
+@pytest.fixture
+def explored_configs(monkeypatch):
+    """The ClusterConfig `repro explore` hands its runner, recorded
+    instead of explored."""
+    configs = []
+
+    def fake_explore(runner, max_faults, budget):
+        configs.append(runner.config)
+        return SimpleNamespace(counters=defaultdict(int), coverage_pct=100.0,
+                               points=[], violations=[])
+
+    # repro.faults re-exports the explore() function under the name of
+    # its module, so patch the module itself.
+    module = importlib.import_module("repro.faults.explore")
+    monkeypatch.setattr(module, "explore", fake_explore)
+    return configs
+
+
+def test_sweep_load_timeout_reaches_the_config(sweep_configs):
+    code = main(["sweep", "recovery", "--scale", "tiny", "--ebs-list", "30",
+                 "--load", "closed:timeout=1.5"])
+    assert code == 0
+    assert [config.rbe_timeout_s for config in sweep_configs] == [1.5]
+
+
+def test_explore_load_retry_reaches_the_config(explored_configs, capsys):
+    code = main(["explore", "--shards", "2", "--scale", "tiny",
+                 "--load", "open:wips=500,retry=immediate"])
+    assert code == 0
+    (config,) = explored_configs
+    assert config.retry_spec == "immediate"
+    assert (config.load_mode, config.offered_wips) == ("open", 500.0)
+    # Unsharded, the same load builds and the runner's own check speaks.
+    code = main(["explore", "--scale", "tiny",
+                 "--load", "open:wips=500,retry=immediate"])
+    assert code == 2
+    assert "shards >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "baseline"], ["trace", "baseline"], ["postmortem", "baseline"],
+    ["sweep", "scaleup", "--replicas-list", "3"], ["explore", "--shards", "2"],
+], ids=lambda argv: argv[0])
+def test_open_loop_clients_is_rejected_everywhere(
+        argv, sweep_configs, explored_configs, capsys):
+    code = main([*argv, "--scale", "tiny",
+                 "--load", "open:wips=5,clients=3"])
+    assert code == 2
+    assert "clients is a closed-loop knob" in capsys.readouterr().err
+    assert not sweep_configs and not explored_configs
+
+
+@pytest.mark.parametrize("kind", ["speedup", "scaleup", "recovery"])
+def test_sweep_points_carry_the_shared_options(kind, sweep_configs):
+    code = main(["sweep", kind, "--scale", "tiny", "--profile", "browsing",
+                 "--replicas", "4", "--replicas-list", "3,5",
+                 "--ebs", "70", "--ebs-list", "50", "--shards", "2",
+                 "--no-fast", "--geo", "dc0,dc1,dc2", "--defend",
+                 "--slo", "wirt_p99<2s", "--seed", "7",
+                 "--offered-wips", "400"])
+    assert code == 0
+    swept = {"recovery": [(4, 50)]}.get(kind, [(3, 70), (5, 70)])
+    assert [(c.replicas, c.num_ebs) for c in sweep_configs] == swept
+    for config in sweep_configs:
+        assert config.scale.name == "tiny"
+        assert config.profile == "browsing"
+        assert config.shards == 2
+        assert config.enable_fast is False
+        assert config.geo.topology.dcs == ("dc0", "dc1", "dc2")
+        assert config.defenses is True
+        assert config.slo_spec == "wirt_p99<2s"
+        assert config.seed == 7
+        # Speedup's load grows with the cluster; the others hold it.
+        assert config.offered_wips == (
+            SPEEDUP_OFFERED_PER_REPLICA * config.replicas
+            if kind == "speedup" else 400.0)
+
+
+def test_sweep_speedup_rejects_a_fixed_offered_load(sweep_configs, capsys):
+    code = main(["sweep", "speedup", "--scale", "tiny",
+                 "--load", "closed:wips=900"])
+    assert code == 2
+    assert "sweep scaleup --offered-wips" in capsys.readouterr().err
+    assert not sweep_configs
+
+
+def _first_table_rows(out):
+    """The rows of the first table printed, below its ``----`` rule."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    return list(takewhile(lambda line: line and not line.startswith("wrote "),
+                          lines[start + 1:]))
+
+
+def test_report_renders_the_summary_rows_of_run(tmp_path, capsys):
+    path = tmp_path / "result.json"
+    assert main(["run", "one_crash", "--scale", "tiny",
+                 "--nemesis", "drop@60-300:p=0.1", "--check-safety",
+                 "--slo", "wirt_p99<2s", "--json", str(path)]) == 0
+    run_rows = _first_table_rows(capsys.readouterr().out)
+    assert main(["report", str(path)]) == 0
+    report_rows = _first_table_rows(capsys.readouterr().out)
+    assert report_rows == run_rows
+    for measure in ("recovery AWIPS", "nemesis drop/dup/delay",
+                    "safety checker", "SLO "):
+        assert any(row.startswith(measure) for row in run_rows), measure

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.harness.config import ClusterConfig
 from repro.harness.sweeps import (
     RecoveryPoint,
     ThroughputPoint,
@@ -19,8 +20,8 @@ from tests.harness.helpers import tiny_scale
 
 
 def test_speedup_sweep_returns_typed_points():
-    points = speedup_sweep("shopping", replicas_list=(3, 5),
-                           scale=tiny_scale(), seed=3)
+    base = ClusterConfig(profile="shopping", scale=tiny_scale(), seed=3)
+    points = speedup_sweep(base, replicas_list=(3, 5))
     assert [p.replicas for p in points] == [3, 5]
     assert all(isinstance(p, ThroughputPoint) for p in points)
     assert all(p.awips > 0 for p in points)
@@ -35,8 +36,9 @@ def test_speedups_are_relative_to_first_point():
 
 
 def test_scaleup_sweep_tracks_offered_load():
-    points = scaleup_sweep("browsing", replicas_list=(3, 5),
-                           offered_wips=400.0, scale=tiny_scale(), seed=3)
+    base = ClusterConfig(profile="browsing", offered_wips=400.0,
+                         scale=tiny_scale(), seed=3)
+    points = scaleup_sweep(base, replicas_list=(3, 5))
     offered_effective = 400.0 / tiny_scale().load_div
     for point in points:
         assert point.awips == pytest.approx(offered_effective, rel=0.25)
@@ -52,8 +54,9 @@ def test_scaleup_slope_and_r2_helpers():
 
 
 def test_recovery_sweep_grows_with_state_size():
-    points = recovery_sweep("shopping", ebs_list=(30, 70), replicas=5,
-                            scale=tiny_scale(), seed=3)
+    base = ClusterConfig(profile="shopping", replicas=5,
+                         scale=tiny_scale(), seed=3)
+    points = recovery_sweep(base, ebs_list=(30, 70))
     assert [p.num_ebs for p in points] == [30, 70]
     assert all(isinstance(p, RecoveryPoint) for p in points)
     assert all(not math.isnan(p.recovery_s) for p in points)

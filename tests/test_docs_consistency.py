@@ -104,3 +104,31 @@ def test_readme_faultload_table_lists_every_kind_and_parses():
     assert set(KINDS) <= documented, set(KINDS) - documented
     for example in examples:
         Faultload.parse(example)
+
+
+def test_readme_load_table_examples_build_a_config():
+    from repro.harness.cli import _build_experiment, build_parser
+    readme = read("README.md")
+    table = readme[readme.index("| Load spec | Meaning |"):].split("\n\n")[0]
+    examples = []
+    for row in table.splitlines()[2:]:
+        first_column = row.split("|")[1]
+        # `...,retry=POLICY` rows continue any spec; hang them on `closed`.
+        examples += [example.replace("...,", "closed:")
+                     for example in re.findall(r"`([^`]+)`", first_column)]
+    assert len(examples) >= 9, examples
+    for example in examples:
+        args = build_parser().parse_args(["run", f"--load={example}"])
+        _build_experiment(args).build_config()
+
+
+def test_readme_geo_table_examples_build_a_config():
+    from repro.harness.cli import _build_experiment, build_parser
+    readme = read("README.md")
+    table = readme[readme.index("| Geo spec | Meaning |"):].split("\n\n")[0]
+    examples = [re.findall(r"`--geo ([^`]+)`", row)[0].replace("\\|", "|")
+                for row in table.splitlines()[2:]]
+    assert len(examples) >= 6, examples
+    for example in examples:
+        args = build_parser().parse_args(["run", f"--geo={example}"])
+        assert _build_experiment(args).build_config().geo is not None
