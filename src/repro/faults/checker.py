@@ -3,8 +3,9 @@
 The paper argues Treplica keeps the bookstore consistent across crashes
 but verifies it only end-to-end (no order was lost, no page was wrong).
 This module asserts the underlying invariants *mechanically*, from the
-structured trace a :class:`~repro.sim.trace.Tracer` collects during a
-run, so any faultload -- crash, partition, or nemesis misbehaviour --
+safety audit -- the events of :attr:`SafetyChecker.KINDS` a
+:class:`~repro.sim.trace.Tracer` takes from the event log during a run
+-- so any faultload -- crash, partition, or nemesis misbehaviour --
 can be checked for safety, not just for recovered throughput:
 
 * **agreement** -- no two replicas decide different values for one
@@ -18,11 +19,13 @@ can be checked for safety, not just for recovered throughput:
   ("acked") was decided, and no replica's delivery stream passed over
   its instance without it (no client-acked command is lost across
   crash + nemesis);
+* **complete audit** -- an audit truncated at its bound is itself a
+  violation: the invariants above cannot be judged on a prefix;
 * **transaction atomicity** -- on sharded runs (:mod:`repro.shard`),
   every cross-shard 2PC reaches at most one outcome, and a commit is
   only ever decided after a yes vote from every participant shard;
 * **accept consistency** -- on runs with storage faults (the engine
-  emits the ``accept`` category only then), no acceptor votes twice in
+  emits ``paxos.accept`` only then), no acceptor votes twice in
   the same ballot for different values.  A replica whose disk silently
   lost a vote -- an fsync lie or a corrupted log suffix that escaped
   the scrub-and-fence path -- shows up here as a *two-faced acceptor*,
@@ -35,14 +38,17 @@ keyed by the replica-name shard prefix (``s1.replica2`` -> group
 
 Usage::
 
-    sim.tracer = Tracer(sim, categories=SafetyChecker.CATEGORIES)
+    sim.event_log = log = EventLog(sim)   # before components are built
+    audit = Tracer()
+    log.subscribe(SafetyChecker.AUDIT_KINDS, audit.take)
     ...run the experiment...
-    SafetyChecker(sim.tracer).assert_ok()
+    SafetyChecker(audit).assert_ok()
 
-The trace hooks live in :meth:`repro.paxos.engine.PaxosEngine._decide`
-(category ``decide``), the watermark advance (category ``deliver``,
-including checkpoint-transfer skips), and the Treplica applier
-(category ``ack``).
+The events come from :meth:`repro.paxos.engine.PaxosEngine._decide`
+(``paxos.decide``), the watermark advance (``paxos.deliver``, and
+``paxos.transfer`` for checkpoint-transfer skips), the Treplica applier
+(``treplica.ack``), and the 2PC participant and coordinator
+(``txn.vote``, ``txn.decide``, ``txn.resolve``).
 """
 
 from __future__ import annotations
@@ -51,16 +57,16 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.sim.trace import TraceEvent, Tracer
+from repro.sim.trace import Event, Tracer
 
 #: Sharded replica names carry a ``s<g>.`` prefix (repro.shard); the
-#: prefix identifies the consensus group a trace source belongs to.
+#: prefix identifies the consensus group an event's node belongs to.
 _SHARD_PREFIX = re.compile(r"^(s\d+)\.")
 
 
-def _group_of(source: str) -> str:
-    """The consensus group of a trace source ('' = the single group)."""
-    match = _SHARD_PREFIX.match(source)
+def _group_of(node: str) -> str:
+    """The consensus group of an event's node ('' = the single group)."""
+    match = _SHARD_PREFIX.match(node)
     return match.group(1) if match else ""
 
 
@@ -73,7 +79,7 @@ class Violation:
     """One invariant breach, with enough detail to debug the run."""
 
     kind: str    # agreement | deliver-agreement | order | duplicate
-                 # | lost-ack | accept-conflict | txn-*
+                 # | lost-ack | accept-conflict | txn-* | trace-truncated
     detail: str
 
     def __str__(self) -> str:
@@ -81,23 +87,34 @@ class Violation:
 
 
 class SafetyChecker:
-    """Checks consensus/queue safety invariants over a recorded trace."""
+    """Checks consensus/queue safety invariants over the safety audit."""
 
-    #: the trace categories the checker consumes; pass to ``Tracer`` to
-    #: keep long runs from recording anything else.  ``accept`` events
-    #: are only emitted when a storage nemesis is armed, so listing the
-    #: category here costs nothing on clean runs.
-    CATEGORIES = ("decide", "deliver", "ack", "txn", "accept")
+    #: the event kinds the checker reads.  ``paxos.accept`` is only
+    #: emitted when a storage nemesis is armed, so listing it here costs
+    #: nothing on clean runs.
+    KINDS = ("paxos.decide", "paxos.deliver", "paxos.transfer",
+             "treplica.ack", "paxos.accept", "txn.vote", "txn.decide",
+             "txn.resolve")
+    #: the safety audit a deployment keeps: what the checker reads, plus
+    #: node lifecycle and message-fault events to debug a violation by.
+    AUDIT_KINDS = KINDS + ("node.crash", "node.restart", "watchdog.tripped",
+                           "nemesis.dropped", "nemesis.duplicated",
+                           "nemesis.delayed")
 
     def __init__(self, tracer: Tracer):
         self._tracer = tracer
 
     # ------------------------------------------------------------------
     def violations(self, max_violations: int = 50) -> List[Violation]:
-        """All invariant breaches found in the trace (bounded)."""
+        """All invariant breaches found in the audit (bounded)."""
         found: List[Violation] = []
-        found += self._check_agreement("decide")
-        found += self._check_agreement("deliver")
+        if self._tracer.dropped:
+            found.append(Violation("trace-truncated", (
+                f"the audit trail dropped {self._tracer.dropped} events "
+                f"past its bound; the invariants cannot be judged on a "
+                f"prefix")))
+        found += self._check_agreement("paxos.decide")
+        found += self._check_agreement("paxos.deliver")
         found += self._check_delivery_streams()
         found += self._check_cross_incarnation_duplicates()
         found += self._check_acked_durability()
@@ -119,42 +136,39 @@ class SafetyChecker:
     # ------------------------------------------------------------------
     # agreement: one value per instance, cluster-wide
     # ------------------------------------------------------------------
-    def _check_agreement(self, category: str) -> List[Violation]:
+    def _check_agreement(self, kind: str) -> List[Violation]:
         chosen: Dict[Tuple[str, int], Tuple[Tuple[str, ...], str]] = {}
         violations = []
-        for event in self._tracer.select(category):
-            if event.get("event") == "transfer":
-                continue
+        for event in self._tracer.select(kind):
             instance, key = event["instance"], event["key"]
-            first = chosen.get((_group_of(event.source), instance))
+            first = chosen.get((_group_of(event.node), instance))
             if first is None:
-                chosen[(_group_of(event.source), instance)] = (key,
-                                                               event.source)
+                chosen[(_group_of(event.node), instance)] = (key, event.node)
             elif first[0] != key:
-                kind = ("agreement" if category == "decide"
-                        else "deliver-agreement")
-                violations.append(Violation(kind, (
+                label = ("agreement" if kind == "paxos.decide"
+                         else "deliver-agreement")
+                violations.append(Violation(label, (
                     f"instance {instance}: {first[1]} has {first[0]!r} "
-                    f"but {event.source} has {key!r} (t={event.time:.4f})")))
+                    f"but {event.node} has {key!r} (t={event.time:.4f})")))
         return violations
 
     # ------------------------------------------------------------------
     # per-incarnation delivery: strictly increasing, no duplicate uids
     # ------------------------------------------------------------------
-    def _delivery_streams(self) -> Dict[Tuple[str, int], List[TraceEvent]]:
-        streams: Dict[Tuple[str, int], List[TraceEvent]] = {}
-        for event in self._tracer.select("deliver"):
-            streams.setdefault((event.source, event["inc"]), []).append(event)
+    def _delivery_streams(self) -> Dict[Tuple[str, int], List[Event]]:
+        streams: Dict[Tuple[str, int], List[Event]] = {}
+        for event in self._tracer.select("paxos.deliver", "paxos.transfer"):
+            streams.setdefault((event.node, event["inc"]), []).append(event)
         return streams
 
     def _check_delivery_streams(self) -> List[Violation]:
         violations = []
-        for (source, inc), events in self._delivery_streams().items():
-            who = f"{source}#inc{inc}"
+        for (node, inc), events in self._delivery_streams().items():
+            who = f"{node}#inc{inc}"
             last = None
             seen_uids: Set[str] = set()
             for event in events:
-                if event.get("event") == "transfer":
+                if event.kind == "paxos.transfer":
                     upto = event["upto"]
                     last = max(last, upto) if last is not None else upto
                     continue
@@ -188,17 +202,17 @@ class SafetyChecker:
         """
         violations = []
         first_at: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        for (source, inc), events in sorted(self._delivery_streams().items()):
+        for (node, inc), events in sorted(self._delivery_streams().items()):
             for event in events:
-                if event.get("event") == "transfer":
+                if event.kind == "paxos.transfer":
                     continue
                 instance = event["instance"]
                 for uid in event["fresh"]:
-                    prior = first_at.setdefault((source, uid),
+                    prior = first_at.setdefault((node, uid),
                                                 (instance, inc))
                     if prior[0] != instance:
                         violations.append(Violation("duplicate", (
-                            f"{source} delivered uid {uid!r} fresh at "
+                            f"{node} delivered uid {uid!r} fresh at "
                             f"instance {prior[0]} (inc {prior[1]}) and "
                             f"again at instance {instance} (inc {inc}, "
                             f"t={event.time:.4f})")))
@@ -209,34 +223,34 @@ class SafetyChecker:
     # ------------------------------------------------------------------
     def _check_acked_durability(self) -> List[Violation]:
         # Everything here is scoped to one consensus group: decisions,
-        # delivery summaries, and acks are bucketed by the source's
+        # delivery summaries, and acks are bucketed by the node's
         # shard prefix (one shared bucket on unsharded runs).
         decided_uids: Dict[str, Set[str]] = {}
-        for event in self._tracer.select("decide"):
-            decided_uids.setdefault(_group_of(event.source),
+        for event in self._tracer.select("paxos.decide"):
+            decided_uids.setdefault(_group_of(event.node),
                                     set()).update(event["key"])
 
         # Per incarnation: delivered instances, their range, and how far
         # a checkpoint transfer skipped (instances at or below it are
         # covered by the installed snapshot, not lost).
         summaries: Dict[str, List[tuple]] = {}
-        for (source, inc), events in self._delivery_streams().items():
+        for (node, inc), events in self._delivery_streams().items():
             delivered: Set[int] = set()
             skipped_upto = -1
             for event in events:
-                if event.get("event") == "transfer":
+                if event.kind == "paxos.transfer":
                     skipped_upto = max(skipped_upto, event["upto"])
                 else:
                     delivered.add(event["instance"])
             if delivered:
-                summaries.setdefault(_group_of(source), []).append(
-                    (f"{source}#inc{inc}", delivered,
+                summaries.setdefault(_group_of(node), []).append(
+                    (f"{node}#inc{inc}", delivered,
                      min(delivered), max(delivered), skipped_upto))
 
         violations = []
         acked: Dict[Tuple[str, str], int] = {}
-        for event in self._tracer.select("ack"):
-            acked.setdefault((_group_of(event.source), event["uid"]),
+        for event in self._tracer.select("treplica.ack"):
+            acked.setdefault((_group_of(event.node), event["uid"]),
                              event["instance"])
         for (group, uid), instance in sorted(acked.items()):
             if uid not in decided_uids.get(group, set()):
@@ -263,8 +277,8 @@ class SafetyChecker:
         # for the same (instance, ballot).
         votes: Dict[tuple, Tuple[Tuple[str, ...], float]] = {}
         violations = []
-        for event in self._tracer.select("accept"):
-            ident = (_group_of(event.source), event.source,
+        for event in self._tracer.select("paxos.accept"):
+            ident = (_group_of(event.node), event.node,
                      event["instance"],
                      (event["round"], event["proposer"], event["fast"]))
             key = event["key"]
@@ -273,7 +287,7 @@ class SafetyChecker:
                 votes[ident] = (key, event.time)
             elif first[0] != key:
                 violations.append(Violation("accept-conflict", (
-                    f"{event.source} voted {first[0]!r} (t={first[1]:.4f}) "
+                    f"{event.node} voted {first[0]!r} (t={first[1]:.4f}) "
                     f"and then {key!r} (t={event.time:.4f}) for instance "
                     f"{event['instance']} in ballot round "
                     f"{event['round']}.{event['proposer']} -- durable "
@@ -287,20 +301,21 @@ class SafetyChecker:
         yes_votes: Dict[str, Set[int]] = {}
         decisions: Dict[str, Tuple[str, str]] = {}
         violations = []
-        for event in self._tracer.select("txn"):
-            if event.get("event") == "vote":
+        for event in self._tracer.select("txn.vote", "txn.decide",
+                                         "txn.resolve"):
+            if event.kind == "txn.vote":
                 if event["vote"]:
                     yes_votes.setdefault(event["tx"], set()).add(
                         event["shard"])
-            elif event.get("event") == "decision":
+            else:
                 tx, outcome = event["tx"], event["outcome"]
                 first = decisions.get(tx)
                 if first is None:
-                    decisions[tx] = (outcome, event.source)
+                    decisions[tx] = (outcome, event.node)
                 elif first[0] != outcome:
                     violations.append(Violation("txn-decision", (
                         f"tx {tx!r}: {first[1]} decided {first[0]} but "
-                        f"{event.source} decided {outcome} "
+                        f"{event.node} decided {outcome} "
                         f"(t={event.time:.4f})")))
                     continue
                 if outcome == "commit":

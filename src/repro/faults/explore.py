@@ -211,9 +211,8 @@ class ExplorationRunner:
             raise RuntimeError("liveness oracle needs keep_cluster runs")
         end = cluster.sim.now
         first_vote: Dict[str, float] = {}
-        for event in cluster.sim.tracer.select("txn"):
-            if event.get("event") == "vote":
-                first_vote.setdefault(event["tx"], event.time)
+        for event in cluster.audit.select("txn.vote"):
+            first_vote.setdefault(event["tx"], event.time)
         for g, group in enumerate(cluster.groups):
             for i, runtime in enumerate(group.runtimes):
                 if runtime is None or not runtime.ready:

@@ -86,7 +86,7 @@ from dataclasses import dataclass, replace
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from repro.obs.recorder import recorder_of
+from repro.sim.trace import log_of
 
 
 class Shape(NamedTuple):
@@ -172,7 +172,7 @@ class FaultKind:
     arm: Optional[str] = None
     inject: Optional[str] = None
     heal: Optional[str] = None
-    label: str = "fault.inject"   # recorder label of the inject
+    label: str = "fault.inject"   # event kind of the inject
     nemesis_param: Optional[str] = None  # NemesisParams field ``p`` sets
     fault: bool = False           # counts towards faults_injected
     intervention: bool = False    # counts towards interventions
@@ -544,7 +544,7 @@ class FaultInjector:
         self.first_outage: Optional[float] = None
         self.trigger_window: Optional[Tuple[float, float]] = None
         self._trigger_at: Optional[float] = None
-        self._recorder = recorder_of(sim) if record else None
+        self._events = log_of(sim) if record else None
 
     def arm(self) -> None:
         for event in self.faultload.events:
@@ -552,8 +552,8 @@ class FaultInjector:
             if row.arm is not None:
                 getattr(self._cluster, row.arm)(event)
                 self.armed.append(event)
-                self._record("nemesis.window", event, at=event.at,
-                             until=event.until)
+                self._emit("nemesis.window", event, at=event.at,
+                           until=event.until)
                 continue
             self._sim.call_at(event.at, self._fire, event)
             if (row.heal is not None and event.until is not None
@@ -573,10 +573,10 @@ class FaultInjector:
                      if end is not None)
 
     def _fire(self, event: FaultEvent) -> None:
-        # Record before mutating: crash listeners (proxy broken
+        # Emit before mutating: crash listeners (proxy broken
         # connections, DC-wide crashes) fire synchronously inside the
-        # cluster call, and the recorded cause must precede its
-        # consequences in the ring.
+        # cluster call, and the logged cause must precede its
+        # consequences.
         row = KINDS[event.kind]
         targets = self._targets(event)
         if targets is None:
@@ -588,7 +588,7 @@ class FaultInjector:
         now = self._sim.now
         self.injected.append(
             (now, event.kind, _logged(targets + tuple(options.values()))))
-        self._record(row.label, event, targets, **options)
+        self._emit(row.label, event, targets, **options)
         taken = getattr(self._cluster, row.inject)(*targets,
                                                    *options.values())
         if row.fault:
@@ -608,16 +608,16 @@ class FaultInjector:
         getattr(self._cluster, row.heal)(*targets)
         now = self._sim.now
         self.injected.append((now, f"heal-{event.kind}", _logged(targets)))
-        self._record("fault.heal", event, targets)
+        self._emit("fault.heal", event, targets)
         if row.trigger:
             self.trigger_window = (self._trigger_at, now)
 
-    def _record(self, label: str, event: FaultEvent,
-                targets: Optional[tuple] = None, **fields) -> None:
-        """One recorder event, with the datacenter names the event
+    def _emit(self, kind: str, event: FaultEvent,
+              targets: Optional[tuple] = None, **fields) -> None:
+        """One logged event, with the datacenter names the event
         carries; ``targets`` (what the verb took) names an injection's or
         a heal's target, an armed window has none."""
-        if self._recorder is None:
+        if self._events is None:
             return
         if targets is not None and event.dc is not None:
             fields["target"] = event.dc
@@ -628,4 +628,4 @@ class FaultInjector:
             value = getattr(event, name)
             if value is not None:
                 fields[name] = list(value) if name == "peer_dcs" else value
-        self._recorder.record(label, None, fault=event.kind, **fields)
+        self._events.emit(kind, None, fault=event.kind, **fields)

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.obs.recorder import recorder_of
 from repro.sim.core import Simulator
 from repro.sim.node import Node
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 
 
 class Watchdog:
@@ -55,7 +54,7 @@ class Watchdog:
         self.consecutive_restarts = 0
         self.tripped = False
         self._started = False
-        self._recorder = recorder_of(sim)
+        self._events = log_of(sim)
 
     def start(self) -> None:
         if self._started:
@@ -84,12 +83,9 @@ class Watchdog:
             if (self.max_restarts is not None
                     and self.consecutive_restarts >= self.max_restarts):
                 self.tripped = True
-                trace_emit(self._sim, "node", self.node.name,
-                           event="watchdog_tripped",
-                           restarts=len(self.restarts))
-                if self._recorder is not None:
-                    self._recorder.record("watchdog.tripped", self.node.name,
-                                          restarts=len(self.restarts))
+                if self._events is not None:
+                    self._events.emit("watchdog.tripped", self.node.name,
+                                      restarts=len(self.restarts))
                 continue
             # Detection happened; model exec/startup latency, then boot.
             yield self._sim.timeout(self.next_delay_s())
@@ -97,8 +93,7 @@ class Watchdog:
                 self.node.reboot()
                 self.restarts.append(self._sim.now)
                 self.consecutive_restarts += 1
-                if self._recorder is not None:
-                    self._recorder.record(
-                        "watchdog.restart", self.node.name,
-                        restart=len(self.restarts),
-                        consecutive=self.consecutive_restarts)
+                if self._events is not None:
+                    self._events.emit("watchdog.restart", self.node.name,
+                                      restart=len(self.restarts),
+                                      consecutive=self.consecutive_restarts)

@@ -54,7 +54,7 @@ from repro.sim import (
     StorageFault,
     StorageNemesis,
 )
-from repro.sim.trace import Tracer
+from repro.sim.trace import EventLog, Tracer
 from repro.tpcw.app import BookstoreApplication, BookstoreSnapshot
 from repro.tpcw.bookstore import BookstoreServlets
 from repro.tpcw.database import TPCWDatabase
@@ -293,10 +293,6 @@ class RobustStoreCluster:
         self.config = config
         self.sim = Simulator()
         self.seed = SeedTree(config.seed)
-        if config.safety_tracing:
-            self.sim.tracer = Tracer(
-                self.sim, categories=list(SafetyChecker.CATEGORIES)
-                + ["nemesis", "node"])
         # Observability must be attached before any component is built:
         # engines/runtimes/proxies capture their instruments at
         # construction time via registry_of(sim).
@@ -315,16 +311,26 @@ class RobustStoreCluster:
         if config.span_tracing:
             self.span_tracer = SpanTracer(self.sim)
             self.sim.spans = self.span_tracer
-        # Flight recorder (repro.obs.recorder): attached before any
-        # component for the same reason as sim.spans -- sites capture
-        # recorder_of(sim) at construction time.  Recording is passive
-        # (no events, no randomness), so runs are bit-for-bit identical
-        # with it on or off.
+        # The event log (repro.sim.trace), attached before any component
+        # for the same reason: sites capture log_of(sim) when built.
+        # Its subscribers -- the safety audit, the span tracer's recovery
+        # milestones, the flight ring -- each take the kinds their class
+        # declares.  Subscribing is passive (no events, no randomness),
+        # so runs are bit-for-bit identical with any of them on or off.
+        self.audit: Optional[Tracer] = None
         self.recorder: Optional[FlightRecorder] = None
-        if config.recording_enabled:
-            self.recorder = FlightRecorder(
-                self.sim, capacity=config.recorder_capacity)
-            self.sim.recorder = self.recorder
+        if (config.safety_tracing or config.span_tracing
+                or config.recording_enabled):
+            log = self.sim.event_log = EventLog(self.sim)
+            if config.safety_tracing:
+                self.audit = Tracer()
+                log.subscribe(SafetyChecker.AUDIT_KINDS, self.audit.take)
+            if self.span_tracer is not None:
+                log.subscribe(SpanTracer.MILESTONES,
+                              self.span_tracer.marks.append)
+            if config.recording_enabled:
+                self.recorder = FlightRecorder(self.sim)
+                log.subscribe(FlightRecorder.KINDS, self.recorder.take)
         self.network = Network(self.sim, NetworkParams(), seed=self.seed,
                                nemesis=Nemesis(self.sim, seed=self.seed))
         # Created lazily by the first storage fault (apply_storage_fault)
@@ -420,11 +426,11 @@ class RobustStoreCluster:
                 + [node.name for node in self.client_nodes])
             self.network.set_geo(self.geo_state.model)
             self.proxy.set_backend_dcs(self.geo_state.replica_dc_of)
-            if self.recorder is not None:
+            if self.sim.event_log is not None:
                 # One boot-time event carrying the replica->DC map, so
                 # post-mortems can attribute incidents to datacenters.
-                self.recorder.record("geo.placement", None,
-                                     **self.geo_state.replica_dc_of)
+                self.sim.event_log.emit("geo.placement", None,
+                                        **self.geo_state.replica_dc_of)
 
         # --- watchdogs (per group) -------------------------------------
         for group in self.groups:
@@ -454,8 +460,7 @@ class RobustStoreCluster:
         if config.slo_spec is not None:
             self.slo_engine = SloEngine(
                 self.sim, self.collector, config.slo_spec,
-                scale=config.scale, recorder=self.recorder,
-                warmup_until=config.scale.measure_start)
+                scale=config.scale, warmup_until=config.scale.measure_start)
             self.slo_engine.start()
 
     # ------------------------------------------------------------------
@@ -727,11 +732,10 @@ class RobustStoreCluster:
         return sum(1 for watchdog in self.watchdogs if watchdog.tripped)
 
     def safety_checker(self) -> SafetyChecker:
-        tracer = getattr(self.sim, "tracer", None)
-        if tracer is None:
+        if self.audit is None:
             raise RuntimeError(
                 "safety auditing needs ClusterConfig(safety_tracing=True)")
-        return SafetyChecker(tracer)
+        return SafetyChecker(self.audit)
 
     # ------------------------------------------------------------------
     def run(self, seconds: float) -> None:

@@ -138,9 +138,10 @@ class ClusterConfig:
     # injects.  Times are paper-timeline seconds (compressed by the
     # scale); probabilities and delay means are not scaled.
     nemesis_spec: Optional[str] = None
-    # Attach a structured tracer recording the consensus safety
-    # categories (decide/deliver/ack + nemesis events) so the run can be
-    # audited by repro.faults.checker.SafetyChecker.
+    # Keep the safety audit: the event-log kinds the consensus safety
+    # checker reads (decide/deliver/ack, ...) plus node and nemesis
+    # events, so the run can be audited by
+    # repro.faults.checker.SafetyChecker.
     safety_tracing: bool = False
     # Observability (repro.obs): attach a MetricsRegistry and kernel
     # profiler to the simulator and sample every instrument into a
@@ -205,11 +206,10 @@ class ClusterConfig:
     slo_spec: Optional[str] = None
     # Flight recorder (repro.obs.recorder): bounded ring buffer of
     # structured events (fault injections, failovers, elections,
-    # recovery milestones, SLO alerts).  Passive: recording never
-    # perturbs the run, and when off every site holds None (bit-for-bit
-    # identical to an unrecorded run, like span tracing).
+    # recovery milestones, SLO alerts) taken from the event log.
+    # Passive: recording never perturbs the run (bit-for-bit identical
+    # to an unrecorded run, like span tracing).
     flight_recorder: bool = False
-    recorder_capacity: int = 65536
     # Auto-dump path: when set and an SLO alert or safety violation
     # fired, the harness writes the ring as JSONL here after the run.
     recorder_dump: Optional[str] = None
@@ -245,9 +245,6 @@ class ClusterConfig:
             raise ValueError(f"population must be >= 0, got {self.population}")
         if self.clients is not None and self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
-        if self.recorder_capacity < 1:
-            raise ValueError(f"recorder_capacity must be >= 1, "
-                             f"got {self.recorder_capacity}")
         if self.slo_spec is not None:
             # Fail fast on an unparseable spec, before a run is paid for.
             from repro.obs.slo import parse_slo

@@ -241,17 +241,15 @@ class Experiment:
         self._overrides["slo_spec"] = spec
         return self
 
-    def record(self, capacity: int = 65536,
-               dump: Optional[str] = None) -> "Experiment":
+    def record(self, dump: Optional[str] = None) -> "Experiment":
         """Enable the flight recorder (:mod:`repro.obs.recorder`): a
-        bounded ring of ``capacity`` structured events (fault
-        injections, failovers, elections, recovery milestones, SLO
-        alerts) exposed as ``result.flight``.  ``dump`` names a JSONL
-        path written automatically when an SLO alert or safety
-        violation fires.  The run itself stays bit-for-bit identical
-        to an unrecorded run at the same seed."""
+        bounded ring of structured events (fault injections, failovers,
+        elections, recovery milestones, SLO alerts) exposed as
+        ``result.flight``.  ``dump`` names a JSONL path written
+        automatically when an SLO alert or safety violation fires.  The
+        run itself stays bit-for-bit identical to an unrecorded run at
+        the same seed."""
         self._overrides["flight_recorder"] = True
-        self._overrides["recorder_capacity"] = int(capacity)
         if dump is not None:
             self._overrides["recorder_dump"] = dump
         return self

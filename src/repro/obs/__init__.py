@@ -29,6 +29,12 @@ a first-class observability layer:
   recorder events, recovery forensics, and SLO burn into per-incident
   reports (``repro postmortem``).
 
+Discrete happenings (a crash, an election, a checkpoint load) are not
+reported to these observers one by one: each is emitted once on the
+simulator's event log (:mod:`repro.sim.trace`), and the flight
+recorder, the span tracer's recovery milestones and the safety audit
+subscribe to the kinds they keep.
+
 Enable the whole stack on a run with ``ClusterConfig(observability=True)``
 or ``Experiment(...).observe()``; from the CLI, ``repro run --obs``.
 Span tracing is separate (``span_tracing=True`` / ``.trace()`` /
@@ -43,7 +49,7 @@ from repro.obs.incident import (
     render_markdown,
 )
 from repro.obs.profiler import KernelProfiler, category_of_module
-from repro.obs.recorder import FlightRecorder, RecorderEvent, recorder_of
+from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
@@ -59,7 +65,6 @@ from repro.obs.timeline import Timeline, TimelineSampler
 from repro.obs.trace import (
     CriticalPathReport,
     InjectionPoint,
-    Mark,
     Span,
     SpanTracer,
     critical_path,
@@ -77,12 +82,10 @@ __all__ = [
     "Gauge",
     "InjectionPoint",
     "KernelProfiler",
-    "Mark",
     "MetricsRegistry",
     "MissingRecorderError",
     "NullRegistry",
     "Objective",
-    "RecorderEvent",
     "SloEngine",
     "SloError",
     "Span",
@@ -96,7 +99,6 @@ __all__ = [
     "current_trace",
     "injection_points",
     "parse_slo",
-    "recorder_of",
     "recovery_phases",
     "registry_of",
     "render_markdown",

@@ -58,7 +58,7 @@ class MissingRecorderError(ValueError):
 def _geo_placement(recorder) -> Dict[str, str]:
     """node -> datacenter, from the boot-time ``geo.placement`` event."""
     placement: Dict[str, str] = {}
-    for event in recorder.select(kind="geo.placement"):
+    for event in recorder.select("geo.placement"):
         for name, dc in event.fields:
             placement[name] = dc
     return placement
@@ -138,7 +138,7 @@ def _detection(recorder, slo, start: float, end: float,
                 alert_t = alert["t"]
                 break
     proxy_t: Optional[float] = None
-    downs = recorder.select(kind="proxy.backend_down", start=start - _EPS,
+    downs = recorder.select("proxy.backend_down", start=start - _EPS,
                             end=end)
     if downs:
         proxy_t = downs[0].time
@@ -252,9 +252,9 @@ def build_incident_report(result) -> Dict[str, Any]:
     slo = getattr(result, "slo", None)
     placement = _geo_placement(recorder)
 
-    triggers = [event for event in recorder.select(kind="fault.inject")
+    triggers = [event for event in recorder.select("fault.inject")
                 if event.get("fault") in TRIGGER_KINDS]
-    heals = recorder.select(kind="fault.heal")
+    heals = recorder.select("fault.heal")
     segments = _segment_incidents(triggers, result.recoveries, heals,
                                   result.measure_end)
 

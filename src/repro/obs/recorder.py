@@ -1,48 +1,44 @@
-"""Always-on flight recorder: a bounded ring of structured events.
+"""The flight recorder: a bounded ring of the run's structured events.
 
-The flight recorder is the black box of a run.  Components append
-structured events -- faultload injections, nemesis windows, proxy
-reroutes and evictions, Paxos elections and mode switches, watchdog
-restarts, checkpoint/scrub milestones, 2PC resolutions, SLO alerts --
-into a bounded ring buffer (``collections.deque`` with ``maxlen``), so
-even a multi-hour run keeps the *recent* causal history at a fixed
-memory cost.  When something goes wrong (an SLO alert or a safety
-violation) the buffer is dumped as JSONL and the incident post-mortem
-builder (:mod:`repro.obs.incident`) correlates it with recovery
-forensics and SLO burn.
+The flight recorder is the black box of a run.  It subscribes to the
+simulator's event log (:mod:`repro.sim.trace`) for the kinds in
+:attr:`FlightRecorder.KINDS` -- faultload injections, nemesis windows,
+proxy reroutes and evictions, Paxos elections and mode switches,
+watchdog restarts, checkpoint and recovery milestones, 2PC outcomes,
+SLO alerts -- and keeps them in a bounded ring buffer
+(``collections.deque`` with ``maxlen``), so even a multi-hour run keeps
+the *recent* causal history at a fixed memory cost.  When something
+goes wrong (an SLO alert or a safety violation) the buffer is dumped as
+JSONL and the incident post-mortem builder (:mod:`repro.obs.incident`)
+correlates it with recovery forensics and SLO burn.
 
-The recorder follows the same null-object discipline as
-:class:`repro.obs.trace.SpanTracer`: when recording is off there is
-**no** recorder attached to the simulator, instrumentation sites hold
-``None`` and guard with one attribute test, and runs are bit-for-bit
-identical to an unrecorded run (parity-tested).  Recording itself never
-schedules simulator events, never consumes randomness, and never
-observes anything but ``sim.now`` -- so a recorded run is also
-bit-for-bit identical to an unrecorded one.
+The ring never takes the per-command audit kinds (``paxos.decide``,
+``paxos.deliver``, ``paxos.accept``, ``treplica.ack``), so incident
+timelines hold failover stories, not the command stream.  Like every
+subscriber it is passive: a recorded run is bit-for-bit identical to an
+unrecorded one (parity-tested).
 
 Usage::
 
-    recorder = FlightRecorder(sim, capacity=65536)
-    sim.recorder = recorder            # before components are built
+    log = EventLog(sim)
+    sim.event_log = log                # before components are built
+    recorder = FlightRecorder(sim)
+    log.subscribe(FlightRecorder.KINDS, recorder.take)
 
-    # at an instrumentation site, captured at construction time:
-    self._recorder = recorder_of(node.sim)
-    ...
-    if self._recorder is not None:
-        self._recorder.record("proxy.backend_down", self.name,
-                              backend=backend)
+A recorder on its own also takes events directly:
+``FlightRecorder(sim).record("probe.event", "node", k=1)``.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
+
+from repro.sim.trace import Event, Tracer
 
 __all__ = [
     "FlightRecorder",
-    "RecorderEvent",
-    "recorder_of",
     "DEFAULT_CAPACITY",
 ]
 
@@ -51,65 +47,36 @@ __all__ = [
 DEFAULT_CAPACITY = 65536
 
 
-class RecorderEvent:
-    """One structured entry in the flight recorder ring.
-
-    Immutable-by-convention; ``fields`` is a sorted tuple of
-    ``(key, value)`` pairs so two events with the same payload compare
-    and serialize identically regardless of keyword order at the call
-    site.
-    """
-
-    __slots__ = ("time", "kind", "node", "fields", "seq")
-
-    def __init__(self, time: float, kind: str, node: Optional[str],
-                 fields: Tuple[Tuple[str, Any], ...], seq: int) -> None:
-        self.time = time
-        self.kind = kind
-        self.node = node
-        self.fields = fields
-        self.seq = seq
-
-    def get(self, key: str, default: Any = None) -> Any:
-        for name, value in self.fields:
-            if name == key:
-                return value
-        return default
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "t": round(self.time, 9),
-            "kind": self.kind,
-            "seq": self.seq,
-        }
-        if self.node is not None:
-            payload["node"] = self.node
-        for name, value in self.fields:
-            payload[name] = value
-        return payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        extra = ", ".join(f"{k}={v!r}" for k, v in self.fields)
-        return (f"RecorderEvent(t={self.time:.3f}, kind={self.kind!r}, "
-                f"node={self.node!r}{', ' + extra if extra else ''})")
-
-
-class FlightRecorder:
-    """Bounded ring buffer of :class:`RecorderEvent`.
+class FlightRecorder(Tracer):
+    """A :class:`~repro.sim.trace.Tracer` whose retention is a ring.
 
     ``capacity`` bounds memory; once full, the oldest events are
     evicted in FIFO order (``recorded - len(events)`` have been lost,
-    exposed as :attr:`evicted`).  ``seq`` numbers are global and
-    monotone, so eviction is detectable in a dump (the first retained
-    event's ``seq`` exceeds 0 by exactly the evicted count).
+    exposed as :attr:`evicted`).
     """
+
+    #: The kinds the ring takes from the event log.
+    KINDS = frozenset({
+        "fault.inject", "fault.heal", "nemesis.window", "geo.placement",
+        "watchdog.restart", "watchdog.tripped",
+        "proxy.backend_down", "proxy.backend_up", "proxy.broken_connection",
+        "proxy.no_backend", "proxy.dead_request", "proxy.shed",
+        "proxy.redispatch_denied", "proxy.breaker_open",
+        "proxy.breaker_half_open", "proxy.breaker_closed",
+        "server.dead_request", "server.shed",
+        "paxos.view_change", "paxos.elected", "checkpoint.taken",
+        "recovery.checkpoint_loaded", "recovery.checkpoint_transferred",
+        "recovery.caught_up", "recovery.ready", "recovery.scrub",
+        "recovery.repaired_from_peer",
+        "txn.decide", "txn.resolve", "slo.alert", "slo.alert_cleared",
+    })
 
     def __init__(self, sim: Any, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"recorder capacity must be >= 1, got {capacity}")
         self._sim = sim
         self.capacity = capacity
-        self.events: "deque[RecorderEvent]" = deque(maxlen=capacity)
+        self.events: "deque[Event]" = deque(maxlen=capacity)
         self.recorded = 0
 
     # ------------------------------------------------------------------
@@ -118,41 +85,18 @@ class FlightRecorder:
         """How many events the ring has dropped (oldest-first)."""
         return self.recorded - len(self.events)
 
-    def record(self, kind: str, node: Optional[str] = None,
-               **fields: Any) -> RecorderEvent:
-        """Append one event stamped at ``sim.now``."""
-        event = RecorderEvent(
-            self._sim.now, kind, node,
-            tuple(sorted(fields.items())), self.recorded)
+    def take(self, event: Event) -> None:
+        """Append one event from the log."""
         self.recorded += 1
         self.events.append(event)
+
+    def record(self, kind: str, node: Optional[str] = None,
+               **fields: Any) -> Event:
+        """Append one event stamped at ``sim.now``, numbered by this ring."""
+        event = Event(self._sim.now, kind, node,
+                      tuple(sorted(fields.items())), self.recorded)
+        self.take(event)
         return event
-
-    # ------------------------------------------------------------------
-    def select(self, kind: Optional[str] = None,
-               prefix: Optional[str] = None,
-               start: Optional[float] = None,
-               end: Optional[float] = None) -> List[RecorderEvent]:
-        """Events filtered by exact kind, kind prefix, and time window."""
-        out: List[RecorderEvent] = []
-        for event in self.events:
-            if kind is not None and event.kind != kind:
-                continue
-            if prefix is not None and not event.kind.startswith(prefix):
-                continue
-            if start is not None and event.time < start:
-                continue
-            if end is not None and event.time > end:
-                continue
-            out.append(event)
-        return out
-
-    def counts(self) -> Dict[str, int]:
-        """Retained event count per kind (for tests and summaries)."""
-        out: Dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
 
     # ------------------------------------------------------------------
     def iter_dicts(self) -> Iterator[Dict[str, Any]]:
@@ -172,14 +116,3 @@ class FlightRecorder:
             if lines:
                 handle.write(lines + "\n")
         return len(self.events)
-
-
-def recorder_of(sim: Any) -> Optional[FlightRecorder]:
-    """The simulator's flight recorder, or ``None`` when recording is off.
-
-    Mirrors :func:`repro.obs.trace.spans_of`: instrumentation sites
-    capture the result once at construction time and guard each record
-    with ``if self._recorder is not None`` so an unrecorded run pays a
-    single attribute test per site, not per event.
-    """
-    return getattr(sim, "recorder", None)

@@ -6,8 +6,8 @@ Instrumentation sites never test "is observability on?".  They ask
 the module-level :data:`NULL_REGISTRY`, whose instruments are shared
 no-op singletons.  A disabled hot path therefore costs one attribute
 access and one empty method call -- cheap enough to leave compiled in
-everywhere, mirroring how ``repro.sim.trace.emit`` degrades to a no-op
-without a tracer.
+everywhere, mirroring how event-log sites (:mod:`repro.sim.trace`)
+hold ``None`` when nothing observes.
 
 Instruments are get-or-create by name, so components recreated on a
 reboot (a new ``TreplicaRuntime``, a new ``PaxosEngine``) keep

@@ -50,6 +50,8 @@ import re
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.sim.trace import log_of
+
 __all__ = [
     "SloError",
     "Objective",
@@ -201,17 +203,15 @@ class SloEngine:
     Alerts are dicts ``{"t", "objective", "window", "burn_long",
     "burn_short", "threshold"}`` appended on the rising edge of each
     (objective, window-pair) condition; they re-arm once the condition
-    clears, and each firing/clearing is also recorded in the flight
-    recorder (``slo.alert`` / ``slo.alert_cleared``) when one is
-    attached.
+    clears, and each firing/clearing is also emitted on the simulator's
+    event log (``slo.alert`` / ``slo.alert_cleared``) when it has one.
     """
 
     def __init__(self, sim: Any, collector: Any, spec: str,
-                 scale: Any = None, recorder: Any = None,
-                 warmup_until: float = 0.0) -> None:
+                 scale: Any = None, warmup_until: float = 0.0) -> None:
         self._sim = sim
         self._collector = collector
-        self._recorder = recorder
+        self._events = log_of(sim)
         self.spec = spec
         self.objectives = parse_slo(spec)
         # Alerting starts after the ramp-up, and alert windows never
@@ -314,15 +314,15 @@ class SloEngine:
                         "threshold": threshold,
                     }
                     self.alerts.append(alert)
-                    if self._recorder is not None:
-                        self._recorder.record(
+                    if self._events is not None:
+                        self._events.emit(
                             "slo.alert", None, objective=objective.name,
                             window=window_name,
                             burn_long=alert["burn_long"],
                             burn_short=alert["burn_short"])
                 elif was_firing and not firing:
-                    if self._recorder is not None:
-                        self._recorder.record(
+                    if self._events is not None:
+                        self._events.emit(
                             "slo.alert_cleared", None,
                             objective=objective.name, window=window_name)
                 self._firing[key] = firing

@@ -8,8 +8,10 @@ treplica ``execute`` path and the 2PC coordinator without any component
 threading an explicit context argument.  Every network message hop,
 disk operation, proxy/CPU queueing episode, and state-machine apply
 batch records a :class:`Span` with sim-time start/end, the node it ran
-on, and a kind; point-in-time milestones (a leader election, a replica
-catching up) are :class:`Mark` instants.
+on, and a kind.  Point-in-time recovery milestones (a leader election,
+a replica catching up) are not spans: the tracer subscribes to them on
+the event log (:mod:`repro.sim.trace`) and keeps them in
+:attr:`SpanTracer.marks`.
 
 The tracer follows the ``repro.obs`` null-object discipline: components
 capture ``sim.spans`` (``None`` unless the harness attached a
@@ -26,10 +28,10 @@ On top of the raw spans sit two analyzers:
   timeline; uncovered time is "other").
 * :func:`recovery_phases` -- splits each recovery window into the
   paper's detection -> election -> checkpoint -> catch-up -> replay
-  phases using recovery milestones (marks), clamped so the phases
+  phases using the recovery milestones, clamped so the phases
   partition ``[crashed_at, ready_at]`` exactly.
 
-Exports are JSONL (one span or mark per line) and Chrome trace-event
+Exports are JSONL (one span or milestone per line) and Chrome trace-event
 JSON (``ph: "X"`` complete events on one thread per node), loadable in
 Perfetto / ``chrome://tracing``.
 """
@@ -42,11 +44,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.trace import Event
+
 __all__ = [
     "BUCKETS",
     "CriticalPathReport",
     "InjectionPoint",
-    "Mark",
     "RECOVERY_PHASES",
     "Span",
     "SpanTracer",
@@ -78,16 +81,6 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0.0
 
 
-@dataclass(frozen=True)
-class Mark:
-    """A point-in-time milestone (election won, replica caught up)."""
-
-    time: float
-    name: str
-    node: str
-    fields: Tuple[Tuple[str, Any], ...] = ()
-
-
 def spans_of(sim) -> Optional["SpanTracer"]:
     """The simulator's span tracer, or ``None`` when tracing is off."""
     return getattr(sim, "spans", None)
@@ -109,20 +102,28 @@ def current_trace(sim) -> Optional[str]:
 
 
 class SpanTracer:
-    """Collects :class:`Span` and :class:`Mark` records for one run.
+    """Collects :class:`Span` records and recovery milestones for one run.
 
     Attached by the harness as ``sim.spans`` *before* any component is
     built, mirroring how ``sim.metrics`` is installed.  All methods are
     plain list appends against ``sim.now``; none schedules events or
     draws randomness, which is what keeps traced and untraced runs
-    bit-for-bit identical.
+    bit-for-bit identical.  :attr:`marks` is filled by the event log:
+    the harness subscribes ``marks.append`` to :attr:`MILESTONES`.
     """
+
+    #: The recovery milestones :func:`recovery_phases` reads.
+    MILESTONES = frozenset({
+        "paxos.elected", "recovery.checkpoint_loaded",
+        "recovery.checkpoint_transferred", "recovery.caught_up",
+        "recovery.scrub", "recovery.repaired_from_peer",
+    })
 
     def __init__(self, sim, max_spans: int = 2_000_000):
         self.sim = sim
         self.max_spans = max_spans
         self.spans: List[Span] = []
-        self.marks: List[Mark] = []
+        self.marks: List[Event] = []
         self.dropped = 0
         self._next_id = 0
 
@@ -161,12 +162,6 @@ class SpanTracer:
         span = self.begin(kind, node, trace=trace, **fields)
         span.end = span.start
         return span
-
-    def mark(self, name: str, node: str, **fields: Any) -> Mark:
-        """Record a point-in-time milestone at ``sim.now``."""
-        mark = Mark(self.sim.now, name, node, tuple(sorted(fields.items())))
-        self.marks.append(mark)
-        return mark
 
     # -- queries -------------------------------------------------------
     def select(self, kind: Optional[str] = None,
@@ -212,7 +207,7 @@ class SpanTracer:
             }, sort_keys=True))
         for mark in self.marks:
             lines.append(json.dumps({
-                "type": "mark", "name": mark.name, "node": mark.node,
+                "type": "mark", "name": mark.kind, "node": mark.node,
                 "time": mark.time, "fields": _jsonable(dict(mark.fields)),
             }, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")
@@ -253,7 +248,7 @@ class SpanTracer:
         for mark in self.marks:
             events.append({
                 "ph": "i", "s": "t", "pid": 1, "tid": tid_of(mark.node),
-                "name": mark.name, "cat": "mark",
+                "name": mark.kind, "cat": "mark",
                 "ts": round(mark.time * 1e6, 3),
                 "args": _jsonable(dict(mark.fields)),
             })
@@ -665,7 +660,7 @@ def recovery_phases(tracer: SpanTracer,
     always partition ``[crashed_at, ready_at]`` exactly.
 
     Storage-fault recoveries additionally report ``repair_s``: the span
-    from the replica's ``recovery.scrub_started`` mark (damaged durable
+    from the replica's ``recovery.scrub`` mark (damaged durable
     state detected) to its last ``recovery.repaired_from_peer`` mark
     (replacement state installed), 0.0 when no repair happened.  Repair
     overlaps the phases above (it *is* mostly checkpoint/catchup work),
@@ -685,30 +680,26 @@ def recovery_phases(tracer: SpanTracer,
         def clamp(candidate: float, floor: float) -> float:
             return min(max(candidate, floor), ready)
 
+        def times(*kinds: str, group: bool = False) -> List[float]:
+            """This replica's (or its group's) milestones in the window."""
+            return [m.time for m in tracer.marks
+                    if m.kind in kinds and crashed < m.time <= ready
+                    and (m.node.startswith(prefix) if group
+                         else m.node == node)]
+
         detection_end = clamp(rebooted, crashed)
-        elected = [m.time for m in tracer.marks
-                   if m.name == "paxos.elected"
-                   and m.node.startswith(prefix)
-                   and crashed < m.time <= ready]
+        elected = times("paxos.elected", group=True)
         election_end = clamp(max(elected), detection_end) if elected \
             else detection_end
-        loaded = [m.time for m in tracer.marks
-                  if m.name in ("recovery.checkpoint_loaded",
-                                "recovery.checkpoint_transferred")
-                  and m.node == node and crashed < m.time <= ready]
+        loaded = times("recovery.checkpoint_loaded",
+                       "recovery.checkpoint_transferred")
         checkpoint_end = clamp(min(loaded), election_end) if loaded \
             else election_end
-        caught = [m.time for m in tracer.marks
-                  if m.name == "recovery.caught_up"
-                  and m.node == node and crashed < m.time <= ready]
+        caught = times("recovery.caught_up")
         catchup_end = clamp(min(caught), checkpoint_end) if caught \
             else checkpoint_end
-        scrubbed = [m.time for m in tracer.marks
-                    if m.name == "recovery.scrub_started"
-                    and m.node == node and crashed < m.time <= ready]
-        repaired = [m.time for m in tracer.marks
-                    if m.name == "recovery.repaired_from_peer"
-                    and m.node == node and crashed < m.time <= ready]
+        scrubbed = times("recovery.scrub")
+        repaired = times("recovery.repaired_from_peer")
         repair_s = (max(repaired) - min(scrubbed)) \
             if scrubbed and repaired else 0.0
 

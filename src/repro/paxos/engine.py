@@ -64,7 +64,7 @@ from repro.sim.core import Simulator
 from repro.sim.disk import WriteAheadLog
 from repro.sim.node import Node
 from repro.sim.rng import SeedTree
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 
 PAXOS_PORT = "paxos"
 
@@ -234,8 +234,7 @@ class PaxosEngine:
         }
         # Cluster-wide observability instruments (no-ops unless the
         # harness attached a registry to the simulator).
-        self._spans = getattr(self.sim, "spans", None)
-        self._recorder = getattr(self.sim, "recorder", None)
+        self._events = log_of(self.sim)
         obs = registry_of(self.sim)
         self._obs_proposals = obs.counter("paxos.proposals")
         self._obs_fast_proposals = obs.counter("paxos.fast_proposals")
@@ -357,8 +356,9 @@ class PaxosEngine:
             self._drop_vote_tracking(i)
         # The transferred snapshot covers everything up to ``instance``;
         # tell the safety checker those instances were skipped, not lost.
-        trace_emit(self.sim, "deliver", self.node.name, event="transfer",
-                   upto=instance, inc=self.node.incarnation)
+        if self._events is not None:
+            self._events.emit("paxos.transfer", self.node.name, upto=instance,
+                              inc=self.node.incarnation)
         self.watermark = instance
         self.log_start = max(self.log_start, instance + 1)
         self._last_advance = self.sim.now
@@ -401,10 +401,10 @@ class PaxosEngine:
                                        instance_high)
         self.vote_fence_round = max(self.vote_fence_round, round_high)
         self.rejoin_fenced = False
-        trace_emit(self.sim, "storage", self.node.name,
-                   event="fence_installed",
-                   instance=self.vote_fence_instance,
-                   round=self.vote_fence_round)
+        if self._events is not None:
+            self._events.emit("storage.fence_installed", self.node.name,
+                              instance=self.vote_fence_instance,
+                              round=self.vote_fence_round)
 
     # ==================================================================
     # messaging plumbing
@@ -633,10 +633,10 @@ class PaxosEngine:
     def _on_view_change(self, view: FrozenSet[int]) -> None:
         self.stats["mode_changes"] += 1
         self._obs_mode_changes.inc()
-        if self._recorder is not None:
-            self._recorder.record("paxos.view_change", self.node.name,
-                                  view=len(view),
-                                  leading=self.fd.leader() == self.me)
+        if self._events is not None:
+            self._events.emit("paxos.view_change", self.node.name,
+                              view=len(view),
+                              leading=self.fd.leader() == self.me)
         if self.fd.leader() != self.me:
             self.leading = False
             return
@@ -667,8 +667,10 @@ class PaxosEngine:
         self._phase1_from = self.watermark + 1
         self.stats["phase1_runs"] += 1
         self._obs_phase1_runs.inc()
-        trace_emit(self.sim, "paxos", self.node.name, event="phase1",
-                   round=ballot.round, from_instance=self._phase1_from)
+        if self._events is not None:
+            self._events.emit("paxos.phase1", self.node.name,
+                              round=ballot.round,
+                              from_instance=self._phase1_from)
         self._broadcast(Prepare(ballot, self._phase1_from))
         self.sim.call_after(
             4 * self.config.failure_timeout_s, self._phase1_timeout, ballot)
@@ -697,13 +699,10 @@ class PaxosEngine:
         covered = max(per_instance) if per_instance else self._phase1_from - 1
         covered = max(covered, self.watermark, peer_wm)
         self.leading = True
-        if self._spans is not None:
+        if self._events is not None:
             # Recovery forensics milestone: the group has a leader again.
-            self._spans.mark("paxos.elected", self.node.name,
-                             round=self.my_ballot.round)
-        if self._recorder is not None:
-            self._recorder.record("paxos.elected", self.node.name,
-                                  round=self.my_ballot.round)
+            self._events.emit("paxos.elected", self.node.name,
+                              round=self.my_ballot.round)
         self.next_instance = covered + 1
         for instance in range(self._phase1_from, covered + 1):
             if instance in self.decided:
@@ -755,8 +754,10 @@ class PaxosEngine:
     def _open_fast_round(self) -> None:
         self.max_round_seen += 1
         ballot = Ballot(self.max_round_seen, self.me, fast=True)
-        trace_emit(self.sim, "paxos", self.node.name, event="fast_round",
-                   round=ballot.round, from_instance=self.next_instance)
+        if self._events is not None:
+            self._events.emit("paxos.fast_round", self.node.name,
+                              round=ballot.round,
+                              from_instance=self.next_instance)
         self._broadcast(AnyMessage(ballot, self.next_instance))
 
     # ==================================================================
@@ -930,15 +931,16 @@ class PaxosEngine:
         announcement = Accepted(ballot, instance, value)
 
         def durable(_event) -> None:
-            if getattr(self.sim, "storage_faults", None) is not None:
+            lying = getattr(self.sim, "storage_faults", None) is not None
+            if self._events is not None and lying:
                 # Votes leave an audit trail only when disks can lie: the
                 # checker cross-examines them for a two-faced acceptor --
                 # one that votes twice in the same ballot for different
                 # values because its first vote was silently lost.
-                trace_emit(self.sim, "accept", self.node.name,
-                           instance=instance, round=ballot.round,
-                           proposer=ballot.proposer, fast=ballot.fast,
-                           key=value.key, inc=self.node.incarnation)
+                self._events.emit("paxos.accept", self.node.name,
+                                  instance=instance, round=ballot.round,
+                                  proposer=ballot.proposer, fast=ballot.fast,
+                                  key=value.key, inc=self.node.incarnation)
             self._broadcast(announcement)
 
         self.wal.append(("vote", instance, ballot, value),
@@ -1033,8 +1035,10 @@ class PaxosEngine:
         self.decided[instance] = value
         self.stats["decisions"] += 1
         self._obs_decisions.inc()
-        trace_emit(self.sim, "decide", self.node.name, instance=instance,
-                   key=value.key, inc=self.node.incarnation)
+        if self._events is not None:
+            self._events.emit("paxos.decide", self.node.name,
+                              instance=instance, key=value.key,
+                              inc=self.node.incarnation)
         self._recovering.pop(instance, None)
         self._drop_vote_tracking(instance)
         uids = self._uids
@@ -1104,10 +1108,11 @@ class PaxosEngine:
                     fresh.append(command)
             if fresh:
                 self._mark(self.watermark)
-            trace_emit(self.sim, "deliver", self.node.name,
-                       instance=self.watermark, key=batch.key,
-                       fresh=tuple(c.uid for c in fresh),
-                       inc=self.node.incarnation)
+            if self._events is not None:
+                self._events.emit("paxos.deliver", self.node.name,
+                                  instance=self.watermark, key=batch.key,
+                                  fresh=tuple(c.uid for c in fresh),
+                                  inc=self.node.incarnation)
             self.delivery.put((self.watermark, tuple(fresh)))
         if advanced:
             self._last_advance = self.sim.now

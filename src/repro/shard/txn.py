@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.registry import registry_of
 from repro.obs.trace import current_trace, spans_of
 from repro.sim.node import Node
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 from repro.treplica.actions import Action
 
 TXN_PORT = "txn"
@@ -219,7 +219,7 @@ class TxnParticipant:
         self._resolve_waiters: Dict[str, object] = {}
         self._resolving: set = set()
         self._spans = spans_of(node.sim)
-        self._recorder = getattr(node.sim, "recorder", None)
+        self._events = log_of(node.sim)
         obs = registry_of(node.sim)
         self._obs_resolved = obs.counter("shard.txn_resolved")
 
@@ -246,8 +246,9 @@ class TxnParticipant:
             vote = yield from self.runtime.execute(TxPrepare(tx_id, deltas))
             if span is not None:
                 self._spans.finish(span, vote=bool(vote))
-            trace_emit(self.node.sim, "txn", self.node.name, event="vote",
-                       tx=tx_id, shard=self.shard, vote=bool(vote))
+            if self._events is not None:
+                self._events.emit("txn.vote", self.node.name, tx=tx_id,
+                                  shard=self.shard, vote=bool(vote))
             self.node.send(src, TXN_REPLY_PORT,
                            (tx_id, self.shard, bool(vote)), size_mb=0.0002)
         elif kind == "resolve":
@@ -323,15 +324,13 @@ class TxnParticipant:
             # for now; the watcher keeps the tx on its clock and retries.
             self._resolving.discard(tx_id)
             return
-        trace_emit(self.node.sim, "txn", self.node.name, event="decision",
-                   tx=tx_id, outcome=outcome, shards=(self.shard,),
-                   via="resolve")
         if self._spans is not None:
             self._spans.instant("txn.resolve", self.node.name, tx=tx_id,
                                 shard=self.shard, outcome=outcome)
-        if self._recorder is not None:
-            self._recorder.record("txn.resolve", self.node.name, tx=tx_id,
-                                  shard=self.shard, outcome=outcome)
+        if self._events is not None:
+            self._events.emit("txn.resolve", self.node.name, tx=tx_id,
+                              shard=self.shard, outcome=outcome,
+                              shards=(self.shard,))
         self._obs_resolved.inc()
         if outcome == "commit":
             yield from self.runtime.execute(TxCommit(tx_id))
@@ -354,7 +353,7 @@ class TxnCoordinator:
         self._waiters: Dict[Tuple[str, int], object] = {}
         self._tx_seq = itertools.count(1)
         self._spans = spans_of(node.sim)
-        self._recorder = getattr(node.sim, "recorder", None)
+        self._events = log_of(node.sim)
         obs = registry_of(node.sim)
         self._obs_started = obs.counter("shard.txn_started")
         self._obs_committed = obs.counter("shard.txn_committed")
@@ -424,16 +423,13 @@ class TxnCoordinator:
         (idempotent at the log level, so no ack tracking is needed)."""
         outcome = "commit" if commit else "abort"
         (self._obs_committed if commit else self._obs_aborted).inc()
-        trace_emit(self.node.sim, "txn", self.node.name, event="decision",
-                   tx=tx_id, outcome=outcome, shards=tuple(sorted(parts)))
         if self._spans is not None:
             self._spans.instant("txn.decide", self.node.name,
                                 trace=current_trace(self.node.sim),
                                 tx=tx_id, outcome=outcome)
-        if self._recorder is not None:
-            self._recorder.record("txn.decide", self.node.name, tx=tx_id,
-                                  outcome=outcome,
-                                  shards=tuple(sorted(parts)))
+        if self._events is not None:
+            self._events.emit("txn.decide", self.node.name, tx=tx_id,
+                              outcome=outcome, shards=tuple(sorted(parts)))
         for shard in sorted(parts):
             for name in self._groups[shard]:
                 self.node.send(name, TXN_PORT, (outcome, tx_id, None),

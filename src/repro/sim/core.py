@@ -50,13 +50,15 @@ class Simulator:
         self._counter = itertools.count()
         self._processes_started = 0
         # Optional hooks attached by the harness: a metrics registry
-        # (repro.obs.registry), an event-kernel profiler, and a causal
-        # span tracer (repro.obs.trace).  All stay None on
-        # uninstrumented runs; the profiler is the only one the kernel
-        # itself consults (one None-check per event).
+        # (repro.obs.registry), an event-kernel profiler, a causal
+        # span tracer (repro.obs.trace), and the event log
+        # (repro.sim.trace).  All stay None on uninstrumented runs; the
+        # profiler is the only one the kernel itself consults (one
+        # None-check per event).
         self.metrics = None
         self.profiler = None
         self.spans = None
+        self.event_log = None
         # The process currently being resumed, for trace propagation:
         # code running inside a process can ask "whose causal context am
         # I in?" without threading arguments through every generator.

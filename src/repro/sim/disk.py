@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.sim.core import Event, Simulator
 from repro.sim.resource import ServiceStation
 from repro.sim.rng import SeedTree
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,7 @@ class StorageNemesis:
 
     def __init__(self, sim: Simulator, seed: Optional[SeedTree] = None):
         self._sim = sim
+        self._events = log_of(sim)
         self._rng = (seed or SeedTree(0)).fork_random("storage-nemesis")
         self._disks: Dict[str, Disk] = {}
         self.windows: List[StorageFault] = []
@@ -260,8 +261,9 @@ class StorageNemesis:
         disk.unsafe_shutdowns += 1
         disk.lost_write_count += len(undos)
         disk.dirty = True
-        trace_emit(self._sim, "storage", disk.name,
-                   event="fsynclie_lost", writes=len(undos))
+        if self._events is not None:
+            self._events.emit("storage.fsynclie_lost", disk.name,
+                              writes=len(undos))
 
     def _corrupt(self, disk_name: str) -> None:
         disk = self._disks.get(disk_name)
@@ -288,14 +290,15 @@ class StorageNemesis:
             frames[index] = LogFrame(frame.seq, frame.entry,
                                      frame.crc ^ 0xFFFFFFFF)
             self.counters["corrupted_frames"] += 1
-            trace_emit(self._sim, "storage", disk_name,
-                       event="corrupted", key=key, frame=index)
+            if self._events is not None:
+                self._events.emit("storage.corrupted", disk_name, key=key,
+                                  frame=index)
         else:
             _value, size_mb = disk._store[key]
             disk._store[key] = (CorruptObject(key), size_mb)
             self.counters["corrupted_objects"] += 1
-            trace_emit(self._sim, "storage", disk_name,
-                       event="corrupted", key=key)
+            if self._events is not None:
+                self._events.emit("storage.corrupted", disk_name, key=key)
 
 
 class Disk:
@@ -312,6 +315,7 @@ class Disk:
         self.params = params or DiskParams()
         self.name = name
         self._spans = getattr(sim, "spans", None)
+        self._events = log_of(sim)
         self._station = ServiceStation(sim, name=f"{name}-io")
         self._store: Dict[str, Tuple[Any, float]] = {}
         self.bytes_written_mb = 0.0
@@ -464,8 +468,9 @@ class Disk:
             # key instead of atomically not happening.
             if self.nemesis.torn_fate(self.name):
                 self._store[key] = (CorruptObject(key), size_mb)
-                trace_emit(self._sim, "storage", self.name,
-                           event="torn_object", key=key)
+                if self._events is not None:
+                    self._events.emit("storage.torn_object", self.name,
+                                      key=key)
         self.nemesis.on_crash(self)
 
 
@@ -486,6 +491,7 @@ class WriteAheadLog:
     def __init__(self, sim: Simulator, disk: Disk, name: str = "wal",
                  entry_overhead_mb: float = 0.0002, node=None):
         self._sim = sim
+        self._events = log_of(sim)
         self._disk = disk
         self.name = name
         self._entry_overhead_mb = entry_overhead_mb
@@ -556,8 +562,9 @@ class WriteAheadLog:
             self._seq += 1
             self._durable.append(LogFrame(
                 seq, torn_entry, frame_crc(seq, torn_entry) ^ 0xFFFFFFFF))
-            trace_emit(self._sim, "storage", self._disk.name,
-                       event="torn_write", name=self.name, kept=kept)
+            if self._events is not None:
+                self._events.emit("storage.torn_write", self._disk.name,
+                                  name=self.name, kept=kept)
         self._pending.clear()
         self._flushing = False
 

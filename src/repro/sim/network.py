@@ -28,7 +28,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.sim.core import SimulationError, Simulator
 from repro.sim.rng import SeedTree
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,7 @@ class Nemesis:
 
     def __init__(self, sim: Simulator, seed: Optional[SeedTree] = None):
         self._sim = sim
+        self._events = log_of(sim)
         self._rng = (seed or SeedTree(0)).fork_random("nemesis")
         self.windows: List[NemesisWindow] = []
         self.dropped = 0
@@ -166,20 +167,23 @@ class Nemesis:
             params = window.params
             if params.drop_p and self._rng.random() < params.drop_p:
                 self.dropped += 1
-                trace_emit(self._sim, "nemesis", f"{src}->{dst}",
-                           event="dropped", port=port)
+                if self._events is not None:
+                    self._events.emit("nemesis.dropped", f"{src}->{dst}",
+                                      port=port)
                 return []
             if params.duplicate_p and self._rng.random() < params.duplicate_p:
                 copies += 1
                 self.duplicated += 1
-                trace_emit(self._sim, "nemesis", f"{src}->{dst}",
-                           event="duplicated", port=port)
+                if self._events is not None:
+                    self._events.emit("nemesis.duplicated", f"{src}->{dst}",
+                                      port=port)
             if params.delay_p and self._rng.random() < params.delay_p:
                 spike = self._rng.expovariate(1.0 / params.delay_mean_s)
                 extra += spike
                 self.delayed += 1
-                trace_emit(self._sim, "nemesis", f"{src}->{dst}",
-                           event="delayed", port=port, extra_s=round(spike, 6))
+                if self._events is not None:
+                    self._events.emit("nemesis.delayed", f"{src}->{dst}",
+                                      port=port, extra_s=round(spike, 6))
         return [extra] * copies
 
 

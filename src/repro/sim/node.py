@@ -21,7 +21,7 @@ from repro.sim.core import Process, SimulationError, Simulator
 from repro.sim.disk import Disk, DiskParams
 from repro.sim.network import Network
 from repro.sim.resource import ServiceStation
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 
 #: Length of a node's process list that triggers its first sweep.
 _MIN_SWEEP = 64
@@ -52,6 +52,7 @@ class Node:
         self.crash_count = 0
         self.last_crash_at: Optional[float] = None
         self.last_restart_at: Optional[float] = None
+        self._events = log_of(sim)
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -118,8 +119,9 @@ class Node:
         self.alive = False
         self.crash_count += 1
         self.last_crash_at = self.sim.now
-        trace_emit(self.sim, "node", self.name, event="crash",
-                   incarnation=self.incarnation)
+        if self._events is not None:
+            self._events.emit("node.crash", self.name,
+                              incarnation=self.incarnation)
         processes, self._processes = self._processes, []
         for process in processes:
             process.kill()
@@ -139,8 +141,9 @@ class Node:
         self.alive = True
         self.incarnation += 1
         self.last_restart_at = self.sim.now
-        trace_emit(self.sim, "node", self.name, event="restart",
-                   incarnation=self.incarnation)
+        if self._events is not None:
+            self._events.emit("node.restart", self.name,
+                              incarnation=self.incarnation)
         self.cpu = ServiceStation(self.sim, name=f"{self.name}-cpu",
                                   speed=self.cpu_speed)
 

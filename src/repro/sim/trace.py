@@ -1,34 +1,50 @@
-"""Structured event tracing for simulations.
+"""The event log: one structured emit point per happening.
 
-A :class:`Tracer` attached to a simulator (``sim.tracer = Tracer(sim)``)
-collects timestamped, categorized events from instrumented components:
-node crashes and restarts, coordinator changes, consensus decisions,
-checkpoints, recoveries, proxy failovers.  Emission is a no-op when no
-tracer is attached, so production runs pay nothing.
+Each discrete happening in a run (a crash, an election, a consensus
+decision) is emitted once, where it happens, as one :class:`Event` of a
+dotted ``layer.event`` kind on the simulator's :class:`EventLog`.
+Observers subscribe to the kinds they keep, each with its own retention
+(the safety audit's bounded :class:`Tracer`, the flight recorder's ring,
+the span tracer's recovery milestones); DESIGN.md section 13 tabulates
+every kind, its emitting layer and its subscribers.  Sites capture the
+log when they are built and test it once per emit, so an unobserved run
+builds no keyword dictionaries; emitting reads only ``sim.now``, so an
+observed run is bit-for-bit identical to an unobserved one::
 
-Use it to debug an experiment::
+    sim.event_log = log = EventLog(sim)   # before components are built
+    audit = Tracer()
+    log.subscribe(("node.crash", "node.restart"), audit.take)
 
-    tracer = Tracer(sim)
-    sim.tracer = tracer
-    ...run...
-    for event in tracer.select("node"):
-        print(event)
+    # at a site:
+    self._events = log_of(sim)            # None when nothing observes
+    if self._events is not None:
+        self._events.emit("node.crash", self.name, incarnation=n)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event."""
+class Event:
+    """One happening.  ``fields`` is a sorted tuple of ``(key, value)``
+    pairs, so equal payloads compare and serialize identically; ``seq``
+    numbers the events a log (or a standalone recorder) has stamped."""
 
-    time: float
-    category: str
-    source: str
-    fields: tuple  # sorted (key, value) pairs
+    __slots__ = ("time", "kind", "node", "fields", "seq")
+
+    def __init__(self, time: float, kind: str, node: Optional[str],
+                 fields: Tuple[Tuple[str, Any], ...], seq: int) -> None:
+        self.time = time
+        self.kind = kind
+        self.node = node
+        self.fields = fields
+        self.seq = seq
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Event) and (
+            (self.time, self.kind, self.node, self.fields, self.seq)
+            == (other.time, other.kind, other.node, other.fields, other.seq))
 
     def __getitem__(self, key: str) -> Any:
         for name, value in self.fields:
@@ -42,67 +58,83 @@ class TraceEvent:
                 return value
         return default
 
+    def to_dict(self) -> Dict[str, Any]:
+        payload: Dict[str, Any] = {
+            "t": round(self.time, 9),
+            "kind": self.kind,
+            "seq": self.seq,
+        }
+        if self.node is not None:
+            payload["node"] = self.node
+        for name, value in self.fields:
+            payload[name] = value
+        return payload
+
     def __repr__(self) -> str:
         details = " ".join(f"{k}={v}" for k, v in self.fields)
-        return f"[{self.time:10.4f}] {self.category:<12} {self.source}: {details}"
+        return f"[{self.time:10.4f}] {self.kind:<24} {self.node}: {details}"
+
+
+class EventLog:
+    """Routes each emitted event to the subscribers of its kind; an event
+    no subscriber takes is never built and consumes no ``seq``."""
+
+    def __init__(self, sim) -> None:
+        self._sim = sim
+        self._takers: Dict[str, List[Callable[[Event], None]]] = {}
+        self.emitted = 0
+
+    def subscribe(self, kinds: Iterable[str],
+                  take: Callable[[Event], None]) -> None:
+        """Call ``take(event)`` for every event of one of ``kinds``."""
+        for kind in kinds:
+            self._takers.setdefault(kind, []).append(take)
+
+    def emit(self, kind: str, node: Optional[str], **fields: Any) -> None:
+        takers = self._takers.get(kind)
+        if takers is None:
+            return
+        event = Event(self._sim.now, kind, node,
+                      tuple(sorted(fields.items())), self.emitted)
+        self.emitted += 1
+        for take in takers:
+            take(event)
+
+
+def log_of(sim) -> Optional[EventLog]:
+    """The simulator's event log, or ``None`` when nothing observes."""
+    return getattr(sim, "event_log", None)
 
 
 class Tracer:
-    """Collects events; optional category filter and live listeners."""
+    """A subscriber keeping the events it takes in a bounded list; past
+    ``max_events`` it counts what it lost in :attr:`dropped`."""
 
-    def __init__(self, sim, categories: Optional[List[str]] = None,
-                 max_events: int = 1_000_000):
-        self._sim = sim
-        self._categories = set(categories) if categories else None
+    def __init__(self, max_events: int = 1_000_000):
         self._max_events = max_events
-        self.events: List[TraceEvent] = []
-        self._listeners: List[Callable[[TraceEvent], None]] = []
+        self.events: List[Event] = []
         self.dropped = 0
 
-    def emit(self, category: str, source: str, **fields: Any) -> None:
-        if self._categories is not None and category not in self._categories:
-            return
+    def take(self, event: Event) -> None:
         if len(self.events) >= self._max_events:
             self.dropped += 1
             return
-        event = TraceEvent(self._sim.now, category, source,
-                           tuple(sorted(fields.items())))
         self.events.append(event)
-        for listener in self._listeners:
-            listener(event)
 
-    def on_event(self, fn: Callable[[TraceEvent], None]) -> None:
-        self._listeners.append(fn)
-
-    def select(self, category: Optional[str] = None,
-               source: Optional[str] = None) -> List[TraceEvent]:
+    def select(self, *kinds: str, node: Optional[str] = None,
+               start: Optional[float] = None,
+               end: Optional[float] = None) -> List[Event]:
+        """Kept events of any of ``kinds`` (all when none) on ``node``
+        within ``[start, end]``, in order."""
         return [event for event in self.events
-                if (category is None or event.category == category)
-                and (source is None or event.source == source)]
+                if (not kinds or event.kind in kinds)
+                and (node is None or event.node == node)
+                and (start is None or event.time >= start)
+                and (end is None or event.time <= end)]
 
     def counts(self) -> Dict[str, int]:
+        """Kept event count per kind."""
         totals: Dict[str, int] = {}
         for event in self.events:
-            totals[event.category] = totals.get(event.category, 0) + 1
+            totals[event.kind] = totals.get(event.kind, 0) + 1
         return totals
-
-    def field_counts(self, category: str, key: str = "event") -> Dict[Any, int]:
-        """Histogram of one field's values within a category.
-
-        E.g. ``tracer.field_counts("nemesis")`` returns
-        ``{"dropped": 12, "duplicated": 3, "delayed": 7}``."""
-        totals: Dict[Any, int] = {}
-        for event in self.select(category):
-            try:
-                value = event[key]
-            except KeyError:
-                continue
-            totals[value] = totals.get(value, 0) + 1
-        return totals
-
-
-def emit(sim, category: str, source: str, **fields: Any) -> None:
-    """Module-level helper: emit iff a tracer is attached to ``sim``."""
-    tracer = getattr(sim, "tracer", None)
-    if tracer is not None:
-        tracer.emit(category, source, **fields)

@@ -31,7 +31,7 @@ from typing import Any, Optional
 
 from repro.obs.registry import registry_of
 from repro.paxos.engine import DeliveredPrefix
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 
 
 #: the prefix of every checkpoint key (the storage nemesis matches on it)
@@ -71,6 +71,7 @@ class CheckpointManager:
         existing = self.stored_record(runtime.node.disk)
         if existing is not None:
             self.last_instance = existing.instance
+        self._events = log_of(runtime.sim)
         obs = registry_of(runtime.sim)
         self._obs_checkpoints = obs.counter("treplica.checkpoints")
         self._obs_ckpt_size = obs.histogram("treplica.checkpoint_size_mb",
@@ -115,16 +116,13 @@ class CheckpointManager:
         self._obs_checkpoints.inc()
         self._obs_ckpt_size.observe(size_mb)
         self._obs_ckpt_duration.observe(node.sim.now - started_at)
-        trace_emit(node.sim, "checkpoint", node.name, instance=instance,
-                   size_mb=round(size_mb, 2))
         spans = getattr(node.sim, "spans", None)
         if spans is not None:
             spans.complete("checkpoint", node.name, start=started_at,
                            instance=instance, size_mb=round(size_mb, 3))
-        recorder = getattr(node.sim, "recorder", None)
-        if recorder is not None:
-            recorder.record("checkpoint.taken", node.name,
-                            instance=instance, size_mb=round(size_mb, 3))
+        if self._events is not None:
+            self._events.emit("checkpoint.taken", node.name,
+                              instance=instance, size_mb=round(size_mb, 3))
         floor = instance + 1 - config.log_retain_instances
         if floor > 0:
             runtime.engine.truncate_below(floor)

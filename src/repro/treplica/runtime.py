@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.recorder import recorder_of
 from repro.obs.registry import registry_of
 from repro.obs.trace import current_trace, spans_of
 from repro.paxos.messages import Command
@@ -37,7 +36,7 @@ from repro.sim.core import Event, Simulator
 from repro.sim.disk import WriteAheadLog
 from repro.sim.node import Node
 from repro.sim.rng import SeedTree
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 from repro.treplica.actions import Action
 from repro.treplica.application import Application
 from repro.treplica.checkpoint import CheckpointManager, CheckpointRecord
@@ -62,7 +61,7 @@ class TreplicaRuntime:
         self._seed = seed or SeedTree(0)
 
         self._spans = spans_of(self.sim)
-        self._recorder = recorder_of(self.sim)
+        self._events = log_of(self.sim)
         wal = WriteAheadLog(self.sim, node.disk,
                             name=f"{node.name}-queue-wal", node=node)
         # Scrub before anything reads durable state back: verify the log's
@@ -140,28 +139,19 @@ class TreplicaRuntime:
     def _boot(self):
         if self._had_checkpoint:
             yield from self._load_local_checkpoint()
-            if self._spans is not None:
-                self._spans.mark("recovery.checkpoint_loaded",
-                                 self.node.name,
-                                 instance=self.applied_up_to)
-            if self._recorder is not None:
-                self._recorder.record("recovery.checkpoint_loaded",
-                                      self.node.name,
-                                      instance=self.applied_up_to)
+            if self._events is not None:
+                self._events.emit("recovery.checkpoint_loaded",
+                                  self.node.name, instance=self.applied_up_to)
             if self.config.sequential_recovery:
                 self.queue.start()  # ablation: resync only after the load
         self.node.spawn(self._applier(), name="treplica-applier")
         yield from self._wait_until_caught_up()
         self.ready = True
         self.recovered_at = self.sim.now
-        trace_emit(self.sim, "treplica", self.node.name, event="ready",
-                   recovered=self._had_checkpoint,
-                   took_s=self.sim.now - self.boot_started_at)
-        if self._recorder is not None:
-            self._recorder.record("recovery.ready", self.node.name,
-                                  recovered=self._had_checkpoint,
-                                  took_s=round(
-                                      self.sim.now - self.boot_started_at, 9))
+        if self._events is not None:
+            took_s = round(self.sim.now - self.boot_started_at, 9)
+            self._events.emit("recovery.ready", self.node.name,
+                              recovered=self._had_checkpoint, took_s=took_s)
         self.ready_event.succeed(self.sim.now)
         if self.checkpoints.last_instance < 0 or self._had_checkpoint:
             # Fresh replicas persist their initial state; recovered ones
@@ -206,14 +196,10 @@ class TreplicaRuntime:
                 disk.nemesis.count("suffix_truncations")
             obs.counter("storage.checkpoint_discards").inc(discarded)
             disk.nemesis.count("checkpoint_discards", discarded)
-            trace_emit(self.sim, "storage", self.node.name, event="scrub",
-                       dropped=dropped, discarded=discarded, dirty=dirty)
-            if self._spans is not None:
-                self._spans.mark("recovery.scrub_started", self.node.name,
-                                 dropped=dropped, discarded=discarded)
-            if self._recorder is not None:
-                self._recorder.record("recovery.scrub", self.node.name,
-                                      dropped=dropped, discarded=discarded)
+            if self._events is not None:
+                self._events.emit("recovery.scrub", self.node.name,
+                                  dropped=dropped, discarded=discarded,
+                                  dirty=dirty)
         return report
 
     def _fence_loop(self):
@@ -268,13 +254,9 @@ class TreplicaRuntime:
         self.applied_up_to = max(self.applied_up_to, record.instance)
 
     def _mark_caught_up(self) -> None:
-        """Emit the catch-up milestone on every attached observer."""
-        if self._spans is not None:
-            self._spans.mark("recovery.caught_up", self.node.name,
-                             instance=self.applied_up_to)
-        if self._recorder is not None:
-            self._recorder.record("recovery.caught_up", self.node.name,
-                                  instance=self.applied_up_to)
+        """Emit the catch-up milestone."""
+        self._events.emit("recovery.caught_up", self.node.name,
+                          instance=self.applied_up_to)
 
     def _wait_until_caught_up(self):
         """Ready once the backlog that existed at boot has been applied."""
@@ -283,7 +265,7 @@ class TreplicaRuntime:
         marks = self.engine.peer_watermarks
         target = max([self.engine.watermark, self.applied_up_to]
                      + list(marks.values()))
-        if self._spans is not None or self._recorder is not None:
+        if self._events is not None:
             # The catch-up milestone fires the moment the applied
             # watermark crosses the target (see _applier), not at the
             # next poll -- the forensics want the true crossing time.
@@ -421,8 +403,9 @@ class TreplicaRuntime:
                         # The local client observes completion here: from
                         # its point of view the command is durable.  The
                         # safety checker holds the cluster to that.
-                        trace_emit(self.sim, "ack", self.node.name,
-                                   uid=uid, instance=instance)
+                        if self._events is not None:
+                            self._events.emit("treplica.ack", self.node.name,
+                                              uid=uid, instance=instance)
                         waiter.succeed(result)
                 if self._spans is not None:
                     self._spans.complete("apply", self.node.name,
@@ -496,23 +479,13 @@ class TreplicaRuntime:
             if self.node.disk.nemesis is not None:
                 self.node.disk.nemesis.count("peer_repairs")
                 self.node.disk.nemesis.count("repair_mb", record.size_mb)
-            trace_emit(self.sim, "storage", self.node.name,
-                       event="repaired_from_peer", instance=record.instance)
-            if self._spans is not None:
-                self._spans.mark("recovery.repaired_from_peer",
-                                 self.node.name, instance=record.instance,
-                                 size_mb=round(record.size_mb, 3))
-            if self._recorder is not None:
-                self._recorder.record("recovery.repaired_from_peer",
-                                      self.node.name,
-                                      instance=record.instance,
-                                      size_mb=round(record.size_mb, 3))
-        if self._spans is not None:
-            self._spans.mark("recovery.checkpoint_transferred",
-                             self.node.name, instance=record.instance)
-        if self._recorder is not None:
-            self._recorder.record("recovery.checkpoint_transferred",
-                                  self.node.name, instance=record.instance)
+            if self._events is not None:
+                self._events.emit("recovery.repaired_from_peer",
+                                  self.node.name, instance=record.instance,
+                                  size_mb=round(record.size_mb, 3))
+        if self._events is not None:
+            self._events.emit("recovery.checkpoint_transferred",
+                              self.node.name, instance=record.instance)
         if (self._catchup_target is not None
                 and self.applied_up_to >= self._catchup_target):
             self._catchup_target = None

@@ -24,7 +24,7 @@ The overload defenses (repro.resilience) are all off by default and
 cost nothing when off:
 
 * **per-backend circuit breakers** (closed/open/half-open, transitions
-  stamped on the flight recorder) short-circuit a failing backend ahead
+  emitted as ``proxy.breaker_*`` events) short-circuit a failing backend ahead
   of the probe cycle;
 * an **AIMD concurrency limit** on observed backend latency sheds
   excess in-flight work with a fast local ``503 overloaded``;
@@ -44,7 +44,7 @@ from repro.obs.registry import registry_of
 from repro.resilience.breaker import AdaptiveLimit, CircuitBreaker
 from repro.resilience.retry import RetryBudget
 from repro.sim.node import Node
-from repro.sim.trace import emit as trace_emit
+from repro.sim.trace import log_of
 from repro.web.http import REQUEST_SIZE_MB, Request, Response
 from repro.web.server import HTTP_PORT, PROBE_PORT, PROBE_REPLY_PORT
 
@@ -108,7 +108,7 @@ class ReverseProxy:
                       "shed": 0, "dead_dropped": 0,
                       "breaker_short_circuits": 0, "redispatch_denied": 0}
         self._spans = getattr(node.sim, "spans", None)
-        self._recorder = getattr(node.sim, "recorder", None)
+        self._events = log_of(node.sim)
         obs = registry_of(node.sim)
         self._obs_forwarded = obs.counter("web.proxy_forwarded")
         self._obs_reroutes = obs.counter("web.proxy_reroutes")
@@ -139,11 +139,9 @@ class ReverseProxy:
 
     def _make_breaker(self, backend: str) -> CircuitBreaker:
         def on_transition(old: str, new: str) -> None:
-            trace_emit(self.node.sim, "proxy", self.node.name,
-                       event=f"breaker_{new}", backend=backend)
-            if self._recorder is not None:
-                self._recorder.record(f"proxy.breaker_{new}", self.node.name,
-                                      backend=backend, prev=old)
+            if self._events is not None:
+                self._events.emit(f"proxy.breaker_{new}", self.node.name,
+                                  backend=backend, prev=old)
         params = self.params
         return CircuitBreaker(lambda: self.node.sim.now,
                               fall=params.breaker_fall,
@@ -240,16 +238,16 @@ class ReverseProxy:
             # sees this request and no reply is owed to anyone.
             self.stats["dead_dropped"] += 1
             self._obs_shed.inc()
-            if self._recorder is not None:
-                self._recorder.record("proxy.dead_request", self.node.name,
-                                      req=request.req_id, attempt=attempt)
+            if self._events is not None:
+                self._events.emit("proxy.dead_request", self.node.name,
+                                  req=request.req_id, attempt=attempt)
             return
         backend = self._pick_backend(request, attempt)
         if backend is None or attempt >= params.max_dispatch_attempts:
             self.stats["no_backend"] += 1
             self._obs_no_backend.inc()
-            if self._recorder is not None:
-                self._recorder.record(
+            if self._events is not None:
+                self._events.emit(
                     "proxy.no_backend", self.node.name,
                     req=request.req_id, client=request.client_id,
                     interaction=request.interaction.value, attempt=attempt,
@@ -271,11 +269,11 @@ class ReverseProxy:
             # absorb.  Distinct from ``refused`` so nothing redispatches.
             self.stats["shed"] += 1
             self._obs_shed.inc()
-            if self._recorder is not None:
-                self._recorder.record("proxy.shed", self.node.name,
-                                      req=request.req_id,
-                                      limit=int(self._limit.limit),
-                                      inflight=len(self._inflight))
+            if self._events is not None:
+                self._events.emit("proxy.shed", self.node.name,
+                                  req=request.req_id,
+                                  limit=int(self._limit.limit),
+                                  inflight=len(self._inflight))
             self._reply(request, Response(request.req_id, ok=False,
                                           overloaded=True,
                                           error="503 overloaded"))
@@ -306,10 +304,9 @@ class ReverseProxy:
             # Budget dry: surface the failure instead of amplifying it.
             self.stats["redispatch_denied"] += 1
             self._obs_shed.inc()
-            if self._recorder is not None:
-                self._recorder.record("proxy.redispatch_denied",
-                                      self.node.name, req=request.req_id,
-                                      attempt=attempt)
+            if self._events is not None:
+                self._events.emit("proxy.redispatch_denied", self.node.name,
+                                  req=request.req_id, attempt=attempt)
             self._reply(request, Response(request.req_id, ok=False,
                                           overloaded=True,
                                           error="503 redispatch budget"))
@@ -371,8 +368,8 @@ class ReverseProxy:
             request, _backend, _attempt, _at = self._inflight.pop(pxid)
             self.stats["broken_connections"] += 1
             self._obs_broken.inc()
-            if self._recorder is not None:
-                self._recorder.record(
+            if self._events is not None:
+                self._events.emit(
                     "proxy.broken_connection", self.node.name,
                     req=request.req_id, client=request.client_id,
                     interaction=request.interaction.value, backend=name)
@@ -417,12 +414,9 @@ class ReverseProxy:
             self.active.remove(backend)
             self.stats["removals"] += 1
             self._obs_removals.inc()
-            trace_emit(self.node.sim, "proxy", self.node.name,
-                       event="backend_down", backend=backend)
-            if self._recorder is not None:
-                self._recorder.record("proxy.backend_down", self.node.name,
-                                      backend=backend,
-                                      active=len(self.active))
+            if self._events is not None:
+                self._events.emit("proxy.backend_down", self.node.name,
+                                  backend=backend, active=len(self.active))
 
     def _probe_success(self, backend: str) -> None:
         self._fail_counts[backend] = 0
@@ -432,9 +426,6 @@ class ReverseProxy:
             self.active.append(backend)
             self.active.sort()
             self.stats["readds"] += 1
-            trace_emit(self.node.sim, "proxy", self.node.name,
-                       event="backend_up", backend=backend)
-            if self._recorder is not None:
-                self._recorder.record("proxy.backend_up", self.node.name,
-                                      backend=backend,
-                                      active=len(self.active))
+            if self._events is not None:
+                self._events.emit("proxy.backend_up", self.node.name,
+                                  backend=backend, active=len(self.active))

@@ -27,6 +27,7 @@ from typing import Dict, Optional
 
 from repro.resilience.admission import ADMIT, SHED_DEAD, AdmissionController
 from repro.sim.node import Node
+from repro.sim.trace import log_of
 from repro.tpcw.bookstore import BookstoreServlets
 from repro.tpcw.workload import Interaction
 from repro.treplica.runtime import TreplicaRuntime
@@ -50,7 +51,7 @@ class ApplicationServer:
         self.service_times = service_times or SERVICE_TIMES
         self.admission = admission
         self._spans = getattr(node.sim, "spans", None)
-        self._recorder = getattr(node.sim, "recorder", None)
+        self._events = log_of(node.sim)
         self.requests_served = 0
         self.requests_refused = 0
         self.requests_failed = 0
@@ -83,16 +84,15 @@ class ApplicationServer:
             if admitted == SHED_DEAD:
                 # Client gave up already; nobody is listening for this.
                 self.requests_dead += 1
-                if self._recorder is not None:
-                    self._recorder.record("server.dead_request",
-                                          self.node.name,
-                                          req=request.req_id, where="accept")
+                if self._events is not None:
+                    self._events.emit("server.dead_request", self.node.name,
+                                      req=request.req_id, where="accept")
                 return
             if admitted != ADMIT:
                 self.requests_shed += 1
-                if self._recorder is not None:
-                    self._recorder.record("server.shed", self.node.name,
-                                          req=request.req_id, why=admitted)
+                if self._events is not None:
+                    self._events.emit("server.shed", self.node.name,
+                                      req=request.req_id, why=admitted)
                 self.node.send(src, "proxy-resp",
                                Response(request.req_id, ok=False,
                                         overloaded=True,

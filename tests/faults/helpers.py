@@ -2,7 +2,7 @@
 
 Builds the lightweight Treplica lock-service deployment (no TPC-W web
 tier) with a :class:`~repro.sim.network.Nemesis` on the switch and a
-tracer recording the safety categories, runs a contended-lock workload,
+tracer keeping the safety audit, runs a contended-lock workload,
 and hands back the :class:`~repro.faults.checker.SafetyChecker` for the
 run.  Used by the seed sweep and the checker-validity (mutation) tests.
 """
@@ -16,7 +16,7 @@ from repro.apps.lockservice import LockClient, LockServiceApp
 from repro.faults.checker import SafetyChecker
 from repro.paxos.config import PaxosConfig
 from repro.sim import Nemesis, Network, NetworkParams, Node, SeedTree, Simulator
-from repro.sim.trace import Tracer
+from repro.sim.trace import EventLog, Tracer
 from repro.treplica import TreplicaConfig, TreplicaRuntime
 
 
@@ -48,9 +48,9 @@ def run_lock_service_under_nemesis(
     """
     sim = Simulator()
     tree = SeedTree(seed)
-    tracer = Tracer(sim, categories=list(SafetyChecker.CATEGORIES)
-                    + ["nemesis"])
-    sim.tracer = tracer
+    sim.event_log = EventLog(sim)
+    tracer = Tracer()
+    sim.event_log.subscribe(SafetyChecker.AUDIT_KINDS, tracer.take)
     nemesis = Nemesis(sim, seed=tree)
     nemesis.schedule(0.5, faulty_s, drop_p=drop_p, duplicate_p=duplicate_p,
                      delay_p=delay_p, delay_mean_s=delay_mean_s)

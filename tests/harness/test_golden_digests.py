@@ -11,8 +11,13 @@ dispatch.  Each case has three digests:
   observer-dependent keys (the same definition as the ledger's
   ``extract.digest``, re-stated here on purpose: the pin must not move
   when the ledger does);
-* ``trace`` -- sha256 of the structured safety trace;
+* ``trace`` -- sha256 of the safety audit (the event-log kinds
+  ``SafetyChecker.AUDIT_KINDS``);
 * ``flight`` -- sha256 of the flight-recorder stream.
+
+Every case must also reproduce its ``result`` digest with no observer
+attached at all (no event log), which pins that observing is free of
+side effects for every fault kind.
 
 One more pin is the ledger's ``crash_failover`` workload at seed 2009,
 digested exactly as the ledger digests it (``CRASH_FAILOVER_2009``).
@@ -75,58 +80,58 @@ CASES = {
 GOLDEN = {
     "flat-one-crash": {
         "result": "01f1fa100b9fe29a5e1ad006b31ad6d3756711fbc5ea91cba5aa02026270269f",
-        "trace": "aa060ecba8e10d09a482a890d8cea5b5f6ab1028444529bd0c999f1ca097448a",
-        "flight": "284d9908a25f2825a885ee4c9e8cd75b9ab9a4c11c91329fe3fdc61ffc097bc5"
+        "trace": "a9a28e2f7f26a9858a252e5784c693db8533dfe93e7f21ebee83889d40520816",
+        "flight": "0b867b22fcdceaeb850c9006a0d7ee56b05cce5d240535bd4e1537bd3c3530b0"
     },
     "flat-nemesis": {
         "result": "03b1e7c295fe4810bdfd0a024eee0cb34b514b9eabf1d80d5beae7663367e9f1",
-        "trace": "63d64a46781e93a3d43191c360175a6a4b12c9baa7a688ed07c0b5e0b41450bd",
-        "flight": "21bcc1b6ef2ab94404a90e35fab8d9419844c3738ac772922af9d4d22572f18a"
+        "trace": "91a6204cf3e9954e7cdee773bd02aa43ddea82594775e0f6f6988ad8cf201029",
+        "flight": "866d7a261bef2a33a2029aa49af9c2aa18505c1021c1600635fefcb5bce68a2d"
     },
     "flat-geo-dcfail": {
         "result": "51d0a62d6f885e712b0265020cecae6ffd517b9b5b4d10b55179c5eab69b6b4f",
-        "trace": "f180af6d445ebdedc7fb097f72d5c5f2f13dbfa208f264888c3b99c442d869a6",
-        "flight": "0cc3c8001d7bdc338e1afd7da203290e0fd4b7ff1fb440734ac35989fff79a72"
+        "trace": "306972b915e8fd688d8c062af42001f6381a3d6b3b7d227fbd21087fc54301b2",
+        "flight": "5dae4ae645e9b770dcbd33d59bc7bfda27a039a3a0d51329251ff2e9df5f31d7"
     },
     "flat-retrystorm": {
         "result": "1b8b7fa85107763bbbf3a36f333eba6dcf723208fd602d69b57dab4f5403393e",
-        "trace": "679e032b3c20daf314249054d63a2562cca4e5a56a8a8c79757cc483ef0fee80",
-        "flight": "ebecb03aee65c798082811873d6345b97be13e158c66c01eb6514a29e7d83b03"
+        "trace": "4b13162b8d04af9c68991a54736b7f1e658ce72c04a12b1ebdfb9177ee3db13a",
+        "flight": "5804ce800f14bd311e8e25b9d79985b459fa81032d45351a0e1ecdb2b6ac422c"
     },
     "sharded-crash-random": {
         "result": "7e3a970a59c9ed9454089773e9b2cc536f3315de29ed5efab2a4d52e85bff016",
-        "trace": "70b1764d23c77e5f5020e751ce7d2cd05d4b55d2a3e4d06750b2ed8b8549f0e6",
-        "flight": "48012f17e2165ecb8de1c2b1c4d833fcf598da7171224a52b48412512ba119e4"
+        "trace": "71c1c06cb2e6c4aae2593d61ce1c866e8a07fae93c36aa0922e2d07ab28300a1",
+        "flight": "f134a200c84de58408ad0d837a685d5e4afcfa4ab2736ffa01e9dd42564b282e"
     },
     "sharded-oneway-corrupt": {
         "result": "ebe63983227604b3d04b642e4a2cb68a40b4f918255db0a50acb372ec76bf4a5",
-        "trace": "a4816271e15727c5f121fe8f36912e5e0d8b1d728c6b9602a0ea64150f9d6510",
-        "flight": "6a0fb83ff8075bcd76f3e469e429e2e9f34bde3fc548b9ca790ff33b3f1c6768"
+        "trace": "b4555955e4437a9a5ca425d2687a49211a79c548c0545b6fac375bc56bf393bc",
+        "flight": "840062d172445d8e3ffd537e0b50bccfbf12c952478e28d1e453f8cc8668d6d2"
     },
     "sharded-geo-wanpart": {
         "result": "45797c59af7a3486c7ebc6b01e9ff00acd1c83de731df94d9cc35f77ba53ef26",
-        "trace": "c45c7681d04154aad1d785b11855664256ab5c5dab716071b6d6e05b2af887cd",
-        "flight": "d7170ee9c173f231f7360b605662525282298a7cc5a80b61c475b86f7ee8fa07"
+        "trace": "02aba8d333e76ddbd3cc6820b87bdbe71270f207a04f656c4227c14939efb0e7",
+        "flight": "4227cf15a7c87321567d9659e540b20ee1caff21728ff032d4eb77920af6cdd1"
     },
     "flat-partition-reboot": {
         "result": "c9ec1acf15492d505711aaf7a55cfe348fb4e11b5dcc3471d4a6fff263c11484",
-        "trace": "6f3ba440685e3fbe3605b51b89f82e6e5889655dec7b190b3f6e3955fc2c1391",
-        "flight": "54b4a98e23a540127be3cc7cf20ee175a1036251fa9db625c0eeda0b91c22498"
+        "trace": "934a04e9932c03c2912600898bc2b204f0e8477f3740cfe921ba756424d75eac",
+        "flight": "75b8322969bdf021723f83a4217abe1379bf004e67358bd3dc86ded797904543"
     },
     "flat-message-faults": {
         "result": "0a54a756ce7a10af76f5f5531d24890437685479feffa52f64ebe25f0d204862",
-        "trace": "6d86470b3f19d827441fd2f2d553b3eac19a5f50dfb3b0e3ed2d768333cc98ba",
-        "flight": "131cac8beca9fc0a5fe1bc900556517fe6175608bdb88c13b7bd15e708adc382"
+        "trace": "53be303f80d829ec24015ac977a9aa7d1d4efe1b168c4c987f97701176feeec3",
+        "flight": "dc73a4b2eda57451982a1bd71a622cec13ccb44b51cb736e38158ab1f9741371"
     },
     "flat-storage-windows": {
         "result": "0aed2c4d155134f70565b8ca18537a2638c8c7fedc5c273f6cbe3bb51b712f9c",
-        "trace": "1dda302910b50b4ff189fb25e6c9069ef132500fc4443e1d2ba6de51c560c6cf",
-        "flight": "540eaaecdd5e284bc972d6acf6f6a6dd982ee3b116b0e0c3ceef47bfead6554d"
+        "trace": "e200136e0c4c4ec5c1ffbb202c0f48f1859219be09ddd04f936a02c1430e9781",
+        "flight": "ac6338e57910353a8bced487e565aa5a3ab2903cd0a2c0e96299697d3334ac7e"
     },
     "flat-geo-wandegrade": {
         "result": "33a23ee909cc80485878f7ced5adc6f5966a6cd0d881dab9fc174057b26398a4",
-        "trace": "70c944a29baf9765b06a18e280b112b5b8aec8144e93fe6dee9624f8bacee23c",
-        "flight": "7195256b95962965e89d9adb649a81d0906bd9db8be35813d0fdbd06d1d1ed36"
+        "trace": "3eabca280895063a2eaeb91abd391847f9c61e941260740cf923c63b5ad4f0b6",
+        "flight": "0b703abf1e59d8d7b33b6383097cc69fca8e7aa834f7e19cc3748682c2b54c20"
     },
 }
 
@@ -136,20 +141,30 @@ def _sha(payload) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _result_digest(result) -> str:
+    return _sha({key: value for key, value in result.to_dict().items()
+                 if key not in DIGEST_SKIP})
+
+
 def digests(name: str) -> dict:
     result = CASES[name]().check_safety().record().keep_cluster().run()
-    summary = {key: value for key, value in result.to_dict().items()
-               if key not in DIGEST_SKIP}
-    trace = [(e.time, e.category, e.source, e.fields)
-             for e in result.cluster.sim.tracer.events]
+    trace = [(e.time, e.kind, e.node, e.fields)
+             for e in result.cluster.audit.events]
     assert trace and result.flight.recorded
-    return {"result": _sha(summary), "trace": _sha(trace),
+    return {"result": _result_digest(result), "trace": _sha(trace),
             "flight": _sha(list(result.flight.iter_dicts()))}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_golden_digests(name):
     assert digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_unobserved_run_matches_golden_result(name):
+    result = CASES[name]().keep_cluster().run()
+    assert result.cluster.sim.event_log is None
+    assert _result_digest(result) == GOLDEN[name]["result"]
 
 
 def test_every_fault_kind_has_a_golden_case():

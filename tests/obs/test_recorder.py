@@ -6,9 +6,10 @@ import pytest
 
 from repro.harness.config import ClusterConfig, tiny_scale
 from repro.harness.experiment import Experiment
-from repro.obs.recorder import FlightRecorder, recorder_of
+from repro.obs.recorder import FlightRecorder
 from repro.sim import Network, NetworkParams, Node, SeedTree
 from repro.sim.core import Simulator
+from repro.sim.trace import EventLog, log_of
 from repro.tpcw.workload import Interaction
 from repro.web.http import Request, Response
 from repro.web.proxy import CLIENT_IN_PORT, ReverseProxy
@@ -56,9 +57,9 @@ def test_select_filters_kind_prefix_and_window():
     recorder.record("fault.heal", None, fault="crash")
     sim.run(until=2.0)
     recorder.record("proxy.backend_down", "proxy", backend="replica1")
-    assert [e.kind for e in recorder.select(kind="fault.heal")] == [
+    assert [e.kind for e in recorder.select("fault.heal")] == [
         "fault.heal"]
-    assert len(recorder.select(prefix="fault.")) == 2
+    assert len(recorder.select("fault.inject", "fault.heal")) == 2
     assert [e.kind for e in recorder.select(start=0.5, end=1.5)] == [
         "fault.heal"]
     assert recorder.counts() == {"fault.inject": 1, "fault.heal": 1,
@@ -85,11 +86,20 @@ def test_to_jsonl_is_deterministic_and_sorted(tmp_path):
 
 
 def test_recorder_of_null_object():
+    """Sites hold None when nothing observes; with a log attached, the
+    ring takes its own kinds and never the per-command audit kinds."""
     sim = Simulator()
-    assert recorder_of(sim) is None
+    assert log_of(sim) is None
+    sim.event_log = EventLog(sim)
     recorder = FlightRecorder(sim)
-    sim.recorder = recorder
-    assert recorder_of(sim) is recorder
+    sim.event_log.subscribe(FlightRecorder.KINDS, recorder.take)
+    assert log_of(sim) is sim.event_log
+    sim.event_log.emit("paxos.elected", "replica1", round=2)
+    for kind in ("paxos.decide", "paxos.deliver", "paxos.accept",
+                 "treplica.ack"):
+        assert kind not in FlightRecorder.KINDS
+        sim.event_log.emit(kind, "replica1", instance=1)
+    assert [event.kind for event in recorder.events] == ["paxos.elected"]
 
 
 def test_config_gates_recording():
@@ -99,8 +109,6 @@ def test_config_gates_recording():
                          flight_recorder=True).recording_enabled is True
     assert ClusterConfig(scale=scale,
                          slo_spec="error_rate<1%").recording_enabled is True
-    with pytest.raises(ValueError):
-        ClusterConfig(scale=scale, recorder_capacity=0)
 
 
 def test_recorded_run_is_bit_for_bit_identical():
@@ -132,8 +140,9 @@ class _RecordedProxyRig:
 
     def __init__(self, n_backends=2, delay=0.05):
         self.sim = Simulator()
+        self.sim.event_log = EventLog(self.sim)
         self.recorder = FlightRecorder(self.sim)
-        self.sim.recorder = self.recorder
+        self.sim.event_log.subscribe(FlightRecorder.KINDS, self.recorder.take)
         network = Network(self.sim, NetworkParams(), seed=SeedTree(5))
         self.backend_nodes = [Node(self.sim, network, f"b{i}")
                               for i in range(n_backends)]
@@ -177,7 +186,7 @@ def test_no_backend_reply_records_the_request_context():
     # Every dispatch attempt hit a dead process; the client got the 503
     # and the ring kept the evidence with full request context.
     assert rig.responses and not rig.responses[0].ok
-    events = rig.recorder.select(kind="proxy.no_backend")
+    events = rig.recorder.select("proxy.no_backend")
     assert len(events) == 1
     event = events[0]
     assert event.node == "proxy"
@@ -198,7 +207,7 @@ def test_broken_connection_records_the_request_context():
     rig.sim.run(until=1.0)
     assert rig.responses and rig.responses[0].error == \
         "connection reset by peer"
-    events = rig.recorder.select(kind="proxy.broken_connection")
+    events = rig.recorder.select("proxy.broken_connection")
     assert len(events) == 1
     event = events[0]
     assert event.node == "proxy"
@@ -221,7 +230,7 @@ def test_one_crash_run_records_the_failover_story():
     assert counts["proxy.backend_up"] >= 1
     assert counts["recovery.ready"] >= 1
     assert counts["checkpoint.taken"] >= 1
-    crash = result.flight.select(kind="fault.inject")[0]
+    crash = result.flight.select("fault.inject")[0]
     assert crash.get("fault") == "crash"
     assert crash.get("target") == "1"
     assert crash.time == pytest.approx(result.first_crash_at)

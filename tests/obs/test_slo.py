@@ -5,6 +5,7 @@ import pytest
 from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import BURN_WINDOWS, SloEngine, SloError, parse_slo
 from repro.sim.core import Simulator
+from repro.sim.trace import EventLog
 
 
 class FakeCollector:
@@ -135,8 +136,10 @@ def test_alert_fire_times_are_exact():
 def test_alerts_rearm_after_clearing():
     collector = make_burst_collector()
     sim = Simulator()  # only provides .now for recorder timestamps
+    sim.event_log = EventLog(sim)
     recorder = FlightRecorder(sim)
-    engine = SloEngine(None, collector, "error_rate<1%", recorder=recorder)
+    sim.event_log.subscribe(FlightRecorder.KINDS, recorder.take)
+    engine = SloEngine(sim, collector, "error_rate<1%")
     for t in range(66):
         engine.evaluate_at(float(t))
     # recovery: a minute of clean traffic flushes both windows

@@ -24,6 +24,7 @@ from repro.obs.trace import (
     critical_path,
     recovery_phases,
 )
+from repro.sim.trace import EventLog
 
 pytestmark = pytest.mark.trace
 
@@ -67,12 +68,11 @@ def test_traced_run_same_safety_trace():
         captured = {}
 
         def setup(cluster):
-            captured["sim"] = cluster.sim
+            captured["audit"] = cluster.audit
 
         _execute(config, Faultload("none", ()), setup=setup)
-        tracer = captured["sim"].tracer
-        traces.append([(e.time, e.category, e.source, e.fields)
-                       for e in tracer.events])
+        traces.append([(e.time, e.kind, e.node, e.fields)
+                       for e in captured["audit"].events])
 
     base = dict(replicas=3, num_ebs=30, offered_wips=400.0,
                 scale=tiny_scale(), seed=7, safety_tracing=True)
@@ -287,7 +287,11 @@ def test_complete_instant_and_mark():
     assert (span.start, span.end) == (1.0, 3.0)
     dot = tracer.instant("net", "a->b", cause="dropped")
     assert dot.duration == 0.0
-    mark = tracer.mark("paxos.elected", "replica1", round=2)
+    log = EventLog(sim)
+    log.subscribe(SpanTracer.MILESTONES, tracer.marks.append)
+    log.emit("paxos.elected", "replica1", round=2)
+    log.emit("recovery.ready", "replica1", recovered=True)  # not a milestone
+    [mark] = tracer.marks
     assert mark.time == 3.0
     assert dict(mark.fields) == {"round": 2}
 

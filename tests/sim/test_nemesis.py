@@ -14,13 +14,17 @@ from repro.sim import (
     SeedTree,
     Simulator,
 )
-from repro.sim.trace import Tracer
+from repro.sim.trace import EventLog, Tracer
 
 
-def make_cluster(n=2, seed=1, windows=(), tracer_on=False, **net_params):
+NEMESIS_EVENTS = ("nemesis.dropped", "nemesis.duplicated", "nemesis.delayed")
+
+
+def make_cluster(n=2, seed=1, windows=(), tracer=None, **net_params):
     sim = Simulator()
-    if tracer_on:
-        sim.tracer = Tracer(sim, categories=["nemesis"])
+    if tracer is not None:
+        sim.event_log = EventLog(sim)
+        sim.event_log.subscribe(NEMESIS_EVENTS, tracer.take)
     nemesis = Nemesis(sim, seed=SeedTree(seed))
     for window in windows:
         nemesis.add_window(window)
@@ -195,13 +199,14 @@ def test_fate_is_seed_deterministic():
 def test_nemesis_emits_trace_events():
     window = NemesisWindow(0.0, math.inf, NemesisParams(
         drop_p=0.4, duplicate_p=0.3, delay_p=0.3))
+    tracer = Tracer()
     sim, network, nemesis, nodes = make_cluster(windows=[window],
-                                                tracer_on=True)
+                                                tracer=tracer)
     hammer(sim, nodes, count=200)
     sim.run()
-    histogram = sim.tracer.field_counts("nemesis")
-    assert histogram["dropped"] == nemesis.dropped
-    assert histogram["duplicated"] == nemesis.duplicated
-    assert histogram["delayed"] == nemesis.delayed
-    event = sim.tracer.select("nemesis")[0]
-    assert event.source == "n0->n1"
+    histogram = tracer.counts()
+    assert histogram["nemesis.dropped"] == nemesis.dropped
+    assert histogram["nemesis.duplicated"] == nemesis.duplicated
+    assert histogram["nemesis.delayed"] == nemesis.delayed
+    event = tracer.select(*NEMESIS_EVENTS)[0]
+    assert event.node == "n0->n1"

@@ -27,12 +27,26 @@ from repro.sim import (
     StorageFault,
     StorageNemesis,
 )
-from repro.sim.trace import Tracer
+from repro.sim.trace import EventLog, Tracer
 from repro.treplica import TreplicaConfig, TreplicaRuntime
 
 from tests.treplica.helpers import KVApp, Put
 
 FAULT_KINDS = ("torn", "corrupt", "fsynclie")
+
+#: Event kinds the storage layer and the scrub-and-repair path emit.
+STORAGE_EVENTS = ("storage.torn_write", "storage.torn_object",
+                  "storage.corrupted", "storage.fsynclie_lost",
+                  "storage.fence_installed", "recovery.scrub",
+                  "recovery.repaired_from_peer")
+
+
+def audit(sim: Simulator, kinds) -> Tracer:
+    """Attach an event log to ``sim`` and a tracer keeping ``kinds``."""
+    sim.event_log = EventLog(sim)
+    tracer = Tracer()
+    sim.event_log.subscribe(kinds, tracer.take)
+    return tracer
 
 
 @dataclass
@@ -91,9 +105,7 @@ def run_kv_cluster_under_storage_fault(
         raise ValueError(f"unknown storage fault kind {kind!r}")
     sim = Simulator()
     tree = SeedTree(seed)
-    tracer = Tracer(sim, categories=list(SafetyChecker.CATEGORIES)
-                    + ["storage", "nemesis"])
-    sim.tracer = tracer
+    tracer = audit(sim, SafetyChecker.AUDIT_KINDS + STORAGE_EVENTS)
     message_nemesis = None
     if drop_p > 0.0 or delay_p > 0.0:
         message_nemesis = Nemesis(sim, seed=tree)

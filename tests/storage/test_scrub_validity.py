@@ -37,9 +37,9 @@ from repro.sim import (
     StorageFault,
     StorageNemesis,
 )
-from repro.sim.trace import Tracer
 from repro.treplica import TreplicaConfig, TreplicaRuntime
 
+from tests.storage.helpers import STORAGE_EVENTS, audit
 from tests.treplica.helpers import KVApp, Put
 
 pytestmark = pytest.mark.storage
@@ -53,9 +53,7 @@ FAULTED = 0
 def amnesia_split(seed: int, *, scrub: bool):
     sim = Simulator()
     tree = SeedTree(seed)
-    tracer = Tracer(sim, categories=list(SafetyChecker.CATEGORIES)
-                    + ["storage"])
-    sim.tracer = tracer
+    tracer = audit(sim, SafetyChecker.KINDS + STORAGE_EVENTS)
     network = Network(sim, NetworkParams(), seed=tree)
     nodes = [Node(sim, network, f"r{i}") for i in range(REPLICAS)]
     names = [node.name for node in nodes]

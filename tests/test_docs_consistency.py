@@ -132,3 +132,42 @@ def test_readme_geo_table_examples_build_a_config():
     for example in examples:
         args = build_parser().parse_args(["run", f"--geo={example}"])
         assert _build_experiment(args).build_config().geo is not None
+
+
+def test_design_md_event_table_matches_the_emit_sites():
+    """DESIGN.md section 13's event table is the one place that says
+    which layer emits each event kind and which subscribers take it."""
+    from repro.faults.checker import SafetyChecker
+    from repro.obs.recorder import FlightRecorder
+    from repro.obs.trace import SpanTracer
+    design = read("DESIGN.md")
+    table = design[design.index("| Kind | Emitted by | Subscribers |"):]
+    rows = {}
+    for row in table.split("\n\n")[0].splitlines()[2:]:
+        kinds, _layer, subscribers = row.split("|")[1:4]
+        for kind in re.findall(r"`([a-z_]+\.[a-z_{}]+)`", kinds):
+            rows[kind] = set(re.findall(r"[a-z]+", subscribers))
+    source = "\n".join(path.read_text(encoding="utf-8")
+                       for path in (ROOT / "src").rglob("*.py"))
+    emitted = set(re.findall(r'emit\(\s*f?"([a-z_]+\.[a-z_{}]+)"', source))
+    assert emitted <= set(rows), emitted - set(rows)
+    for kind in rows:
+        assert f'"{kind}"' in source, f"DESIGN.md lists {kind}; nothing emits it"
+
+    def matches(row, kind):
+        template = re.sub(r"\\\{\w+\\\}", r"\\w+", re.escape(row))
+        return re.fullmatch(template, kind) is not None
+
+    declared = {"audit": set(SafetyChecker.AUDIT_KINDS),
+                "ring": FlightRecorder.KINDS,
+                "milestones": SpanTracer.MILESTONES}
+    for name, kinds in declared.items():
+        for kind in kinds:
+            documented = [row for row in rows if matches(row, kind)]
+            assert documented, f"{name} takes {kind}; DESIGN.md omits it"
+            for row in documented:
+                assert name in rows[row], f"{row}: {name} missing"
+    for row, subscribers in rows.items():
+        for name in subscribers:
+            assert any(matches(row, kind) for kind in declared[name]), \
+                f"{row}: {name} does not take it"
