@@ -10,6 +10,15 @@ exact same transition.
 ``cpu_cost_s`` values are the simulated execution costs charged on every
 replica (each replica executes every update -- the root of the write-rate
 dependent scaling in Figures 3/4).
+
+The simulated network and the Paxos log hand every replica the same
+action object, so an action that inserts rows of the insert-only tables
+(``BookstoreState.INSERT_ONLY``) builds them once and keeps them: the
+next replica reuses them if every state-derived input they were built
+from (ids, subtotal, cart lines, discount, addresses) is equal on it,
+and otherwise builds, inserts and keeps rows of its own.  Sharing therefore
+never depends on replicas agreeing, and no replica writes a row once
+it is inserted.
 """
 
 from __future__ import annotations
@@ -18,6 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.treplica.actions import Action
 from repro.tpcw.model import Address, CCXact, Customer, Order, OrderLine, ShoppingCart
+
+#: How long a customer session lasts from its login (2 hours).
+SESSION_S = 2 * 3600.0
 
 
 class CreateEmptyCart(Action):
@@ -75,22 +87,25 @@ class DoCart(Action):
 
 
 class RefreshSession(Action):
-    """Buy Request touches the customer session (login/expiration)."""
+    """Buy Request touches the customer session (login/expiration).
+
+    The pair goes to ``state.sessions``, not to the ``Customer`` row,
+    which keeps its registration values and stays insert-only.
+    """
 
     cpu_cost_s = 0.000075
     size_mb = 0.0002
 
     def __init__(self, c_id: int, timestamp: float):
         self.c_id = c_id
-        self.timestamp = timestamp
+        self.session = (timestamp, timestamp + SESSION_S)
 
     def apply(self, app):
-        customer = app.state.customers.get(self.c_id)
-        if customer is None:
+        state = app.state
+        if self.c_id not in state.customers:
             return None
-        customer.c_login = self.timestamp
-        customer.c_expiration = self.timestamp + 2 * 3600.0
-        return customer.c_id
+        state.sessions[self.c_id] = self.session
+        return self.c_id
 
 
 class CreateNewCustomer(Action):
@@ -108,12 +123,8 @@ class CreateNewCustomer(Action):
                  discount: float, timestamp: float, id_floor: int = 0):
         self.fname = fname
         self.lname = lname
-        self.street1 = street1
-        self.street2 = street2
-        self.city = city
-        self.state_code = state_code
-        self.zip_code = zip_code
-        self.co_id = co_id
+        # The address's dedup key (Address.key()), also its row's columns.
+        self.address = (street1, street2, city, state_code, zip_code, co_id)
         self.phone = phone
         self.email = email
         self.birthdate = birthdate
@@ -124,21 +135,27 @@ class CreateNewCustomer(Action):
         # a disjoint id block (repro.shard.partition) so the independent
         # groups never collide; 0 keeps the sequential unsharded ids.
         self.id_floor = id_floor
+        # The rows this action last built (see the module docstring).
+        self.built_address: Optional[Address] = None
+        self.built_customer: Optional[Customer] = None
 
     def apply(self, app):
         state = app.state
-        addr_id = _enter_address(state, self.street1, self.street2,
-                                 self.city, self.state_code, self.zip_code,
-                                 self.co_id)
+        addr_id = _enter_address(self, state, self.address)
         c_id = max(state.next_customer_id, self.id_floor)
-        uname = _digsyl_uname(c_id)
-        state.add_customer(Customer(
-            c_id, uname, uname.lower(), self.fname, self.lname, addr_id,
-            self.phone, self.email,
-            since=self.timestamp, last_login=self.timestamp,
-            login=self.timestamp, expiration=self.timestamp + 2 * 3600.0,
-            discount=self.discount, balance=0.0, ytd_pmt=0.0,
-            birthdate=self.birthdate, data=self.data))
+        customer = self.built_customer
+        if customer is None or customer.c_id != c_id \
+                or customer.c_addr_id != addr_id:
+            uname = _digsyl_uname(c_id)
+            customer = Customer(
+                c_id, uname, uname.lower(), self.fname, self.lname, addr_id,
+                self.phone, self.email,
+                since=self.timestamp, last_login=self.timestamp,
+                login=self.timestamp, expiration=self.timestamp + SESSION_S,
+                discount=self.discount, balance=0.0, ytd_pmt=0.0,
+                birthdate=self.birthdate, data=self.data)
+            self.built_customer = customer
+        state.add_customer(customer)
         return c_id
 
 
@@ -170,7 +187,8 @@ class BuyConfirm(Action):
         self.timestamp = timestamp
         self.ship_date_offset = ship_date_offset
         self.auth_id = auth_id
-        self.ship_addr = ship_addr
+        # The ship address's dedup key (Address.key()), if one is given.
+        self.ship_addr = None if ship_addr is None else tuple(ship_addr)
         self.comment = comment
         # Items whose stock another shard owns: their decrement is
         # prepared through 2PC on the owner group (repro.shard.txn), so
@@ -180,6 +198,10 @@ class BuyConfirm(Action):
         # id so the home group's log doubles as the durable decision
         # record (state.txn_decisions) the termination protocol reads.
         self.tx_id = tx_id
+        # The rows this action last built (see the module docstring):
+        # the ship address, and (inputs, order, cc transaction).
+        self.built_address: Optional[Address] = None
+        self.built_order: Optional[Tuple[Tuple, Order, CCXact]] = None
 
     def apply(self, app):
         state = app.state
@@ -195,25 +217,22 @@ class BuyConfirm(Action):
                 state.txn_decisions[self.tx_id] = False
             return None
         if self.ship_addr is not None:
-            ship_addr_id = _enter_address(state, *self.ship_addr)
+            ship_addr_id = _enter_address(self, state, self.ship_addr)
         else:
             ship_addr_id = customer.c_addr_id
 
-        sub_total = cart.subtotal(state.items, customer.c_discount / 100.0
-                                  if customer.c_discount > 1.0
-                                  else customer.c_discount)
-        tax = round(sub_total * 0.0825, 2)
-        o_id = state.next_order_id
-        order = Order(o_id, self.c_id, self.timestamp,
-                      sub_total=round(sub_total, 2), tax=tax,
-                      total=round(sub_total + tax, 2),
-                      ship_type=self.shipping_type,
-                      ship_date=self.timestamp + self.ship_date_offset,
-                      bill_addr_id=customer.c_addr_id,
-                      ship_addr_id=ship_addr_id, status="PENDING")
-        for ol_id, (i_id, qty) in enumerate(sorted(cart.lines.items()), 1):
-            order.lines.append(OrderLine(ol_id, o_id, i_id, qty,
-                                         customer.c_discount, self.comment))
+        discount = customer.c_discount
+        sub_total = cart.subtotal(state.items, discount / 100.0
+                                  if discount > 1.0 else discount)
+        lines = tuple(sorted(cart.lines.items()))
+        inputs = (state.next_order_id, sub_total, lines, discount,
+                  customer.c_addr_id, ship_addr_id,
+                  state.addresses[ship_addr_id].addr_co_id)
+        built = self.built_order
+        if built is None or built[0] != inputs:
+            built = self.built_order = (inputs, *self._build_order(*inputs))
+        _, order, ccxact = built
+        for i_id, qty in lines:
             if i_id in self.foreign_items:
                 continue
             item = state.items[i_id]
@@ -222,15 +241,32 @@ class BuyConfirm(Action):
             else:
                 item.i_stock -= qty
         state.add_order(order)
-        state.add_ccxact(CCXact(
-            o_id, self.cc_type, self.cc_number, self.cc_name,
-            self.cc_expire, self.auth_id, order.o_total, self.timestamp,
-            state.addresses[ship_addr_id].addr_co_id))
+        state.add_ccxact(ccxact)
         cart.lines.clear()
         cart.sc_time = self.timestamp
         if self.tx_id is not None:
             state.txn_decisions[self.tx_id] = True
-        return o_id
+        return order.o_id
+
+    def _build_order(self, o_id: int, sub_total: float,
+                     lines: Tuple[Tuple[int, int], ...], discount: float,
+                     bill_addr_id: int, ship_addr_id: int,
+                     co_id: int) -> Tuple[Order, CCXact]:
+        tax = round(sub_total * 0.0825, 2)
+        order = Order(o_id, self.c_id, self.timestamp,
+                      sub_total=round(sub_total, 2), tax=tax,
+                      total=round(sub_total + tax, 2),
+                      ship_type=self.shipping_type,
+                      ship_date=self.timestamp + self.ship_date_offset,
+                      bill_addr_id=bill_addr_id, ship_addr_id=ship_addr_id,
+                      status="PENDING",
+                      lines=tuple(
+                          OrderLine(ol_id, o_id, i_id, qty, discount,
+                                    self.comment)
+                          for ol_id, (i_id, qty) in enumerate(lines, 1)))
+        return order, CCXact(o_id, self.cc_type, self.cc_number,
+                             self.cc_name, self.cc_expire, self.auth_id,
+                             order.o_total, self.timestamp, co_id)
 
 
 class AdminConfirm(Action):
@@ -295,16 +331,21 @@ class AdminConfirm(Action):
 
 
 # ----------------------------------------------------------------------
-def _enter_address(state, street1: str, street2: str, city: str,
-                   state_code: str, zip_code: str, co_id: int) -> int:
-    """Deduplicate addresses exactly like the reference enterAddress."""
-    key = (street1, street2, city, state_code, zip_code, co_id)
+def _enter_address(action, state, key: Tuple) -> int:
+    """Deduplicate addresses exactly like the reference enterAddress.
+
+    ``key`` is the address's dedup key, which is also its columns; the
+    row built for an id is kept on ``action`` for the next replica that
+    allocates the same id.
+    """
     existing = state.address_by_key.get(key)
     if existing is not None:
         return existing
     addr_id = state.next_address_id
-    state.add_address(Address(addr_id, street1, street2, city, state_code,
-                              zip_code, co_id))
+    address = action.built_address
+    if address is None or address.addr_id != addr_id:
+        address = action.built_address = Address(addr_id, *key)
+    state.add_address(address, key)
     return addr_id
 
 

@@ -32,13 +32,17 @@ class BookstoreApplication(Application):
     """RobustStore's replicated black box.
 
     Holds the :class:`BookstoreState`.  A snapshot copies what can change
-    and shares what cannot: it pickles the updatable tables, indexes,
-    allocators and 2PC bookkeeping, and keeps a shallow copy of each
-    insert-only table (:attr:`BookstoreState.INSERT_ONLY`), so the rows
+    and shares what cannot: it pickles the updatable tables (items,
+    carts, sessions), indexes, allocators and 2PC bookkeeping, and keeps
+    a shallow copy of each insert-only table
+    (:attr:`BookstoreState.INSERT_ONLY`, customers included), so the rows
     themselves are never encoded.  ``restore()`` unpickles the updatable
     part and gives the state its own copy of each insert-only table:
     isolation comes from copying the containers, and from no action ever
-    writing a row of those tables after it was inserted.
+    writing a row of those tables after it was inserted.  The write
+    actions hand the rows they insert to every replica that applies them
+    (``repro.tpcw.actions``), so those rows too are held once, not once
+    per replica.
 
     A snapshot is only the *base* of a checkpoint: Treplica journals the
     deterministic actions applied after it and snapshots again only when

@@ -3,16 +3,18 @@
 These mirror TPC-W's conceptual schema (customer, address, country,
 author, item, orders, order line, credit-card transaction, shopping cart).
 Plain mutable classes with ``__slots__``: they are state, not messages.
-Only customers, items and carts are written after they are inserted;
-checkpoints pickle those, while a country, author, address, order (with
-its lines) or credit-card transaction is never written once
-``BookstoreState.add_*`` has run, so every replica restored from one
-checkpoint base shares that row object (``BookstoreState.INSERT_ONLY``).
+Only items and carts are written after they are inserted; checkpoints
+pickle those.  A country, author, customer, address, order (with its
+lines) or credit-card transaction is never written once
+``BookstoreState.add_*`` has run (a customer's session columns live in
+``BookstoreState.sessions``), so one row object serves every replica
+restored from one checkpoint base and every replica that applied the
+write which built it (``BookstoreState.INSERT_ONLY``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 class Country:
@@ -143,7 +145,8 @@ class Order:
 
     def __init__(self, o_id: int, c_id: int, date: float, sub_total: float,
                  tax: float, total: float, ship_type: str, ship_date: float,
-                 bill_addr_id: int, ship_addr_id: int, status: str):
+                 bill_addr_id: int, ship_addr_id: int, status: str,
+                 lines: Optional[Tuple[OrderLine, ...]] = None):
         self.o_id = o_id
         self.o_c_id = c_id
         self.o_date = date
@@ -155,8 +158,9 @@ class Order:
         self.o_bill_addr_id = bill_addr_id
         self.o_ship_addr_id = ship_addr_id
         self.o_status = status
-        # Filled while the order is built; add_order freezes it to a tuple.
-        self.lines: Sequence[OrderLine] = []
+        # Passed frozen, or filled while the order is built and frozen to
+        # a tuple by add_order.
+        self.lines: Sequence[OrderLine] = [] if lines is None else lines
 
 
 class CCXact:

@@ -60,21 +60,26 @@ class BookstoreState:
     The state splits at the line the workload draws: the
     :attr:`INSERT_ONLY` tables only ever gain rows, and nothing writes a
     row once its ``add_*`` has run, so a checkpoint base shares those
-    rows instead of encoding them (``BookstoreApplication.snapshot``);
-    every other attribute is updatable and copied.
+    rows instead of encoding them (``BookstoreApplication.snapshot``),
+    and a write action hands every replica that applies it the rows it
+    built (``repro.tpcw.actions``); every other attribute is updatable
+    and copied.
     """
 
-    INSERT_ONLY = ("countries", "authors", "addresses", "orders", "ccxacts",
-                   "address_by_key", "customer_by_uname")
+    INSERT_ONLY = ("countries", "authors", "customers", "addresses",
+                   "orders", "ccxacts", "address_by_key",
+                   "customer_by_uname")
     """Tables whose rows are never updated or deleted once inserted.
 
     No TPC-W interaction updates or deletes a row of COUNTRY, AUTHOR,
-    ADDRESS, ORDERS, ORDER_LINE or CC_XACTS: Buy Confirm and Customer
-    Registration insert them, everything else reads them (an order's
-    lines are frozen into a tuple by :meth:`add_order`).  The two maps
-    hold immutable keys and values (an address's dedup key -> its id, a
-    username -> its customer id) and, like the tables, only grow.  What
-    *is* written after insert -- ``Customer.c_login``/``c_expiration``,
+    CUSTOMER, ADDRESS, ORDERS, ORDER_LINE or CC_XACTS: Buy Confirm and
+    Customer Registration insert them, everything else reads them (an
+    order's lines are a tuple once :meth:`add_order` has run).  The
+    customer session columns Buy Request refreshes are kept apart, in
+    :attr:`sessions`, so the ``Customer`` row keeps its registration
+    values.  The two maps hold immutable keys and values (an address's
+    dedup key -> its id, a username -> its customer id) and, like the
+    tables, only grow.  What *is* written after insert -- the sessions,
     ``Item.i_stock``/``i_cost``/``i_image``/``i_thumbnail``/
     ``i_pub_date``/``i_related``, cart contents, the list-valued
     indexes, the allocators and the 2PC bookkeeping -- stays outside.
@@ -89,6 +94,9 @@ class BookstoreState:
         self.orders: Dict[int, Order] = {}
         self.ccxacts: Dict[int, CCXact] = {}
         self.carts: Dict[int, ShoppingCart] = {}
+        # c_id -> (c_login, c_expiration) as last refreshed by Buy Request;
+        # a customer never refreshed still has its row's values.
+        self.sessions: Dict[int, Tuple[float, float]] = {}
 
         # indexes
         self.customer_by_uname: Dict[str, int] = {}
@@ -145,9 +153,13 @@ class BookstoreState:
             for token in _tokens(author.a_fname, author.a_lname):
                 self.author_tokens.setdefault(token, []).append(item.i_id)
 
-    def add_address(self, address: Address) -> None:
+    def add_address(self, address: Address,
+                    key: Optional[Tuple] = None) -> None:
+        """Insert ``address``; ``key`` is its ``key()``, if the caller
+        already holds one."""
         self.addresses[address.addr_id] = address
-        self.address_by_key[address.key()] = address.addr_id
+        self.address_by_key[address.key() if key is None else key] = \
+            address.addr_id
         self.next_address_id = max(self.next_address_id, address.addr_id + 1)
 
     def add_customer(self, customer: Customer) -> None:
@@ -156,7 +168,10 @@ class BookstoreState:
         self.next_customer_id = max(self.next_customer_id, customer.c_id + 1)
 
     def add_order(self, order: Order) -> None:
-        order.lines = tuple(order.lines)  # insert-only from here on
+        if isinstance(order.lines, list):
+            # Insert-only from here on.  A tuple is left alone: it may be
+            # a row another replica already holds.
+            order.lines = tuple(order.lines)
         self.orders[order.o_id] = order
         self.orders_by_customer.setdefault(order.o_c_id, []).append(order.o_id)
         self.next_order_id = max(self.next_order_id, order.o_id + 1)
@@ -204,6 +219,10 @@ class BookstoreState:
     def check_invariants(self) -> None:
         for uname, c_id in self.customer_by_uname.items():
             assert self.customers[c_id].c_uname == uname
+        for key, addr_id in self.address_by_key.items():
+            assert self.addresses[addr_id].key() == key
+        assert set(self.address_by_key.values()) == set(self.addresses), \
+            "an address missing from address_by_key"
         for order in self.orders.values():
             assert order.o_c_id in self.customers
             for line in order.lines:

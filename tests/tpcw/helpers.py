@@ -85,17 +85,10 @@ class BookstoreCluster:
         return [rt.app.state for rt in self.runtimes if rt is not None]
 
     def assert_converged(self):
-        states = self.states()
-        reference = states[0]
-        for state in states[1:]:
-            assert len(state.orders) == len(reference.orders)
-            assert len(state.customers) == len(reference.customers)
-            assert len(state.carts) == len(reference.carts)
-            assert state.next_order_id == reference.next_order_id
-            for o_id, order in reference.orders.items():
-                other = state.orders[o_id]
-                assert other.o_total == order.o_total
-                assert other.o_date == order.o_date
+        apps = [rt.app for rt in self.runtimes if rt is not None]
+        reference = canonical(apps[0])
+        for app in apps[1:]:
+            assert canonical(app) == reference
 
 
 def detached_runtime(app) -> TreplicaRuntime:
