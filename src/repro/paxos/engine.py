@@ -59,6 +59,7 @@ from repro.paxos.messages import (
     merge_batches,
 )
 from repro.paxos.quorum import classic_quorum, fast_quorum, recovery_threshold
+from repro.paxos.window import InstanceWindow
 from repro.obs.registry import registry_of
 from repro.sim.core import Simulator
 from repro.sim.disk import WriteAheadLog
@@ -156,15 +157,18 @@ class PaxosEngine:
             self.sim, node.disk, name=f"{node.name}-paxos-wal", node=node)
 
         # --- acceptor state (durable via WAL) ---
+        # Per-instance state lives in instance windows (one list slot per
+        # instance from log_start up).  A vote's slot holds the very
+        # ``("vote", instance, vrnd, vval)`` entry its WAL frame holds.
         self.min_promised: Ballot = NULL_BALLOT
-        self.inst_rnd: Dict[int, Ballot] = {}
-        self.votes: Dict[int, Tuple[Ballot, Batch]] = {}
+        self.inst_rnd = InstanceWindow(start_instance)
+        self._votes = InstanceWindow(start_instance)
         self.fast_round: Optional[Ballot] = None
         self.fast_from: int = 0
 
         # --- learner state ---
         self.log_start = start_instance
-        self.decided: Dict[int, Batch] = {}
+        self.decided = InstanceWindow(start_instance)
         self.watermark = start_instance - 1  # highest contiguous decided
         # Exactly-once memory, one entry per uid: _DECIDED, _DELIVERED or
         # _RESTORED.  Every uid but the _DECIDED ones is also in the
@@ -279,10 +283,10 @@ class PaxosEngine:
                 self.inst_rnd[instance] = max(current, ballot)
                 self.max_round_seen = max(self.max_round_seen, ballot.round)
             elif kind == "vote":
-                _kind, instance, ballot, value = entry
-                current = self.votes.get(instance, (NULL_BALLOT, NOOP))
-                if ballot >= current[0]:
-                    self.votes[instance] = (ballot, value)
+                instance, ballot = entry[1], entry[2]
+                current = self._votes.get(instance)
+                if current is None or ballot >= current[2]:
+                    self._votes[instance] = entry
                 self.max_seen_instance = max(self.max_seen_instance, instance)
                 self.max_round_seen = max(self.max_round_seen, ballot.round)
             elif kind == "fast":
@@ -313,6 +317,11 @@ class PaxosEngine:
         if alive >= self.cq:
             return MODE_CLASSIC
         return MODE_BLOCKED
+
+    @property
+    def votes(self) -> Dict[int, Tuple[Ballot, Batch]]:
+        """The acceptor's votes, ``{instance: (vrnd, vval)}`` (a copy)."""
+        return {instance: entry[2:] for instance, entry in self._votes.items()}
 
     @property
     def peer_watermarks(self) -> Dict[int, int]:
@@ -350,35 +359,39 @@ class PaxosEngine:
         if instance <= self.watermark:
             return
         self._log_restored(instance, delivered_uids)
-        for i in [i for i in self.decided if i <= instance]:
-            del self.decided[i]
-        for i in [i for i in self._vote_sets if i <= instance]:
-            self._drop_vote_tracking(i)
+        self._forget_below(instance + 1)
         # The transferred snapshot covers everything up to ``instance``;
         # tell the safety checker those instances were skipped, not lost.
         if self._events is not None:
             self._events.emit("paxos.transfer", self.node.name, upto=instance,
                               inc=self.node.incarnation)
         self.watermark = instance
-        self.log_start = max(self.log_start, instance + 1)
         self._last_advance = self.sim.now
         self._advance_watermark()
 
     def truncate_below(self, instance: int) -> None:
-        """Garbage-collect everything below ``instance`` (checkpointed)."""
+        """Garbage-collect everything below ``instance`` (checkpointed).
+
+        The decided, vote and instance-promise windows drop their prefix
+        below ``instance`` in one slice each, and the WAL keeps only the
+        promises and the per-instance entries at or above it.  Going back
+        (``instance`` not above ``log_start``) changes nothing.
+        """
         if instance <= self.log_start:
             return
-        self.log_start = instance
-        for i in [i for i in self.decided if i < instance]:
-            del self.decided[i]
-        for i in [i for i in self.votes if i < instance]:
-            del self.votes[i]
-        for i in [i for i in self.inst_rnd if i < instance]:
-            del self.inst_rnd[i]
-        for i in [i for i in self._vote_sets if i < instance]:
-            self._drop_vote_tracking(i)
+        self._forget_below(instance)
         self.wal.truncate_below(
             lambda entry: entry[0] in ("promise", "fast") or entry[1] >= instance)
+
+    def _forget_below(self, instance: int) -> None:
+        """Drop every per-instance slot below ``instance`` and start the
+        log there."""
+        self.log_start = max(self.log_start, instance)
+        self.decided.truncate_below(instance)
+        self._votes.truncate_below(instance)
+        self.inst_rnd.truncate_below(instance)
+        for i in [i for i in self._vote_sets if i < instance]:
+            self._drop_vote_tracking(i)
 
     def fence_info(self) -> Tuple[int, int]:
         """This replica's high-water marks, served to a fenced rejoiner.
@@ -413,10 +426,8 @@ class PaxosEngine:
         node = self.node
         if not node.alive:
             return  # a dead node cannot speak
-        size = message.size_mb()
-        send = node.network.send
-        for name in self.names:
-            send(node.name, name, PAXOS_PORT, message, size)
+        node.network.multicast(node.name, self.names, PAXOS_PORT, message,
+                               message.size_mb())
 
     def _send_to(self, replica_id: int, message) -> None:
         self.node.send(self.names[replica_id], PAXOS_PORT, message,
@@ -532,8 +543,9 @@ class PaxosEngine:
     def _reroute_unacked(self) -> None:
         """A path just opened (leadership gained, fast round established):
         commands stranded waiting for the retry timer can go now."""
+        in_flight = self._my_fast_proposals_uids()
         for uid, (command, _t) in list(self.unacked.items()):
-            if self._is_decided(uid) or uid in self._my_fast_proposals_uids():
+            if self._is_decided(uid) or uid in in_flight:
                 continue
             self._route(command)
 
@@ -820,10 +832,10 @@ class PaxosEngine:
         self.min_promised = message.ballot
         if self.fast_round is not None and message.ballot > self.fast_round:
             self.fast_round = None  # a higher classic ballot seals the round
-        accepted = tuple(
-            (instance, vrnd, vval)
-            for instance, (vrnd, vval) in sorted(self.votes.items())
-            if instance >= message.from_instance and instance > self.watermark)
+        # Window order is instance order; entry[1:] is (instance, vrnd, vval).
+        floor = max(message.from_instance, self.watermark + 1)
+        accepted = tuple(entry[1:] for entry in self._votes.values()
+                         if entry[1] >= floor)
         reply = Promise(message.ballot, message.from_instance, accepted,
                         self.watermark)
         if message.ballot == previous:
@@ -843,8 +855,13 @@ class PaxosEngine:
         if message.ballot < self._effective_rnd(message.instance):
             return
         self.inst_rnd[message.instance] = message.ballot
-        vrnd, vval = self.votes.get(message.instance, (NULL_BALLOT, None))
-        reply = PromiseInstance(message.ballot, message.instance, vrnd, vval)
+        vote = self._votes.get(message.instance)
+        if vote is None:
+            reply = PromiseInstance(message.ballot, message.instance,
+                                    NULL_BALLOT, None)
+        else:
+            reply = PromiseInstance(message.ballot, message.instance,
+                                    vote[2], vote[3])
 
         def durable(_event) -> None:
             self._send_to(src, reply)
@@ -874,13 +891,15 @@ class PaxosEngine:
             return
         if message.ballot < self._effective_rnd(message.instance):
             return
-        vrnd, vval = self.votes.get(message.instance, (NULL_BALLOT, None))
-        if vrnd > message.ballot:
-            return
-        if vrnd == message.ballot and vval is not None:
-            # Retransmission: vote already durable, just re-announce it.
-            self._broadcast(Accepted(message.ballot, message.instance, vval))
-            return
+        vote = self._votes.get(message.instance)
+        if vote is not None:
+            if vote[2] > message.ballot:
+                return
+            if vote[2] == message.ballot:
+                # Retransmission: vote already durable, just re-announce it.
+                self._broadcast(Accepted(message.ballot, message.instance,
+                                         vote[3]))
+                return
         self._vote(message.instance, message.ballot, message.value)
 
     def _on_fast_propose(self, message: FastPropose, src: int) -> None:
@@ -895,13 +914,13 @@ class PaxosEngine:
         if message.ballot < self._effective_rnd(message.instance):
             self._send_to(src, reject)
             return
-        vrnd, _vval = self.votes.get(message.instance, (NULL_BALLOT, None))
-        if vrnd >= message.ballot:
+        vote = self._votes.get(message.instance)
+        if vote is not None and vote[2] >= message.ballot:
             # Already voted in this fast round: first proposal wins; tell
             # the loser so it relocates after one RTT instead of a timeout.
             self._send_to(src, reject)
             return
-        if message.instance in self.decided or message.instance <= self.watermark:
+        if message.instance <= self.watermark or message.instance in self.decided:
             self._send_to(src, reject)
             return
         self._vote(message.instance, message.ballot, message.value)
@@ -926,8 +945,9 @@ class PaxosEngine:
         self._maybe_continue_fast()
 
     def _vote(self, instance: int, ballot: Ballot, value: Batch) -> None:
+        entry = ("vote", instance, ballot, value)
         self.inst_rnd[instance] = ballot
-        self.votes[instance] = (ballot, value)
+        self._votes[instance] = entry
         announcement = Accepted(ballot, instance, value)
 
         def durable(_event) -> None:
@@ -943,8 +963,7 @@ class PaxosEngine:
                                   key=value.key, inc=self.node.incarnation)
             self._broadcast(announcement)
 
-        self.wal.append(("vote", instance, ballot, value),
-                        value.size_mb()).add_callback(durable)
+        self.wal.append(entry, value.size_mb()).add_callback(durable)
 
     # ==================================================================
     # learner side
@@ -1030,7 +1049,7 @@ class PaxosEngine:
 
     # ------------------------------------------------------------------
     def _decide(self, instance: int, value: Batch) -> None:
-        if instance in self.decided or instance <= self.watermark:
+        if instance <= self.watermark or instance in self.decided:
             return
         self.decided[instance] = value
         self.stats["decisions"] += 1
@@ -1094,11 +1113,13 @@ class PaxosEngine:
 
     def _advance_watermark(self) -> None:
         advanced = False
-        uids, log = self._uids, self._log
-        while (self.watermark + 1) in self.decided:
+        uids, log, decided = self._uids, self._log, self.decided
+        while True:
+            batch = decided.get(self.watermark + 1)
+            if batch is None:
+                break
             self.watermark += 1
             advanced = True
-            batch = self.decided[self.watermark]
             fresh = []
             for command in batch.commands:
                 uid = command.uid

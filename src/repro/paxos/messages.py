@@ -87,8 +87,12 @@ class Batch:
     def is_noop(self) -> bool:
         return not self.commands
 
-    def size_mb(self) -> float:
+    @cached_property
+    def _size_mb(self) -> float:
         return CONTROL_MB + sum(command.size_mb for command in self.commands)
+
+    def size_mb(self) -> float:
+        return self._size_mb
 
     def __len__(self) -> int:
         return len(self.commands)

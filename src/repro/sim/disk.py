@@ -33,8 +33,9 @@ four seed-deterministic ways --
 With no nemesis attached, none of these paths draw randomness, emit traces,
 or change timing: runs are bit-for-bit identical to a build without the
 feature.  Log entries are CRC-framed (:class:`LogFrame`) unconditionally --
-framing is pure bookkeeping with no simulated cost, and gives recovery-time
-scrub something to verify.
+framing is pure bookkeeping with no simulated cost (a checksum is computed
+only when a frame is checked), and gives recovery-time scrub something to
+verify.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ def frame_crc(seq: int, entry: Any) -> int:
     return zlib.crc32(repr((seq, entry)).encode("utf-8", "replace"))
 
 
-@dataclass(frozen=True)
 class LogFrame:
     """One CRC-framed write-ahead-log record.
 
@@ -82,14 +82,35 @@ class LogFrame:
     ``entry`` the payload, ``crc`` the checksum written alongside it.  A
     torn or corrupted frame fails :meth:`intact` and is dropped -- with its
     entire suffix -- by the recovery-time scrub.
+
+    The checksum is computed when it is checked, not when it is written.
+    A frame written intact stores none (``crc=None``): its checksum is by
+    construction the entry's own, so :attr:`crc` computes it on demand.  A
+    damaged frame (torn, or corrupted by the nemesis) stores the checksum
+    that was actually written, and :meth:`intact` compares that with the
+    entry's.  Frames are never modified after they are built.
     """
 
-    seq: int
-    entry: Any
-    crc: int
+    __slots__ = ("seq", "entry", "_crc")
+
+    def __init__(self, seq: int, entry: Any, crc: Optional[int] = None):
+        self.seq = seq
+        self.entry = entry
+        self._crc = crc
+
+    @property
+    def crc(self) -> int:
+        """The checksum stored alongside the entry."""
+        stored = self._crc
+        return frame_crc(self.seq, self.entry) if stored is None else stored
 
     def intact(self) -> bool:
-        return self.crc == frame_crc(self.seq, self.entry)
+        stored = self._crc
+        return stored is None or stored == frame_crc(self.seq, self.entry)
+
+    def __repr__(self) -> str:
+        return (f"LogFrame(seq={self.seq!r}, entry={self.entry!r}, "
+                f"crc={self.crc!r})")
 
 
 @dataclass(frozen=True)
@@ -485,7 +506,11 @@ class WriteAheadLog:
     ``entries()`` exposes the unwrapped durable prefix for recovery,
     :meth:`truncate_below` discards entries superseded by a checkpoint, and
     :meth:`scrub` verifies every frame and truncates a damaged suffix --
-    the detection half of torn-write / corruption recovery.
+    the detection half of torn-write / corruption recovery.  A commit
+    frames its entries without computing a checksum (see
+    :class:`LogFrame`); only a damaged frame carries one.  The log holds
+    each entry object itself, so a caller that keeps the entry (the Paxos
+    acceptor keeps its vote) shares it with the frame.
     """
 
     def __init__(self, sim: Simulator, disk: Disk, name: str = "wal",
@@ -572,7 +597,7 @@ class WriteAheadLog:
     def _frame(self, entry: Any) -> LogFrame:
         seq = self._seq
         self._seq += 1
-        return LogFrame(seq, entry, frame_crc(seq, entry))
+        return LogFrame(seq, entry)
 
     def _flush(self) -> None:
         if not self._pending:
@@ -604,9 +629,8 @@ class WriteAheadLog:
     def _revoke(self, frames: List[LogFrame]) -> None:
         # Undo for a lied-about group commit: the frames evaporate, as if
         # the fsync had never been acknowledged.  Frames already removed by
-        # a checkpoint truncation are simply gone either way.
-        for frame in frames:
-            try:
-                self._durable.remove(frame)
-            except ValueError:
-                pass
+        # a checkpoint truncation are simply gone either way.  Frames are
+        # matched by identity: exactly the revoked objects go.
+        revoked = {id(frame) for frame in frames}
+        self._durable[:] = [frame for frame in self._durable
+                            if id(frame) not in revoked]

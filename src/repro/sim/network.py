@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 
 from repro.sim.core import SimulationError, Simulator
 from repro.sim.rng import SeedTree
@@ -260,68 +261,80 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, port: str, payload: Any,
              size_mb: float = 0.0005, trace: Optional[str] = None) -> None:
-        """Fire-and-forget datagram; delivery is scheduled, never guaranteed.
+        """Fire-and-forget datagram; delivery is scheduled, never guaranteed."""
+        self.multicast(src, (dst,), port, payload, size_mb, trace)
 
+    def multicast(self, src: str, dsts: Iterable[str], port: str,
+                  payload: Any, size_mb: float = 0.0005,
+                  trace: Optional[str] = None) -> None:
+        """Send one datagram from ``src`` to each of ``dsts``, in order.
+
+        Each destination is one :meth:`send`: its own partition check,
+        nemesis fate, link and hop span, then one jitter draw per delivery
+        copy.  What does not depend on the destination is looked up once.
         No datagram object is built: each delivery copy is one scheduled
         ``_deliver`` call carrying the fields it needs.
         """
-        target = self._nodes.get(dst)
-        if target is None:
-            raise SimulationError(f"unknown destination node: {dst}")
-        tracer = self._spans
-        if (src, dst) in self._blocked:
-            if tracer is not None:
-                tracer.instant("net", f"{src}->{dst}", trace=trace,
-                               port=port, cause="partition")
-            return
-        fates = (0.0,)  # one copy, no extra delay
-        if self.nemesis is not None:
-            fates = self.nemesis.fate(self._sim.now, src, dst, port)
-        self.messages_sent += 1
-        self.mb_sent += size_mb
-        if not fates:
-            if tracer is not None:
-                tracer.instant("net", f"{src}->{dst}", trace=trace,
-                               port=port, cause="dropped")
-            return  # eaten by the nemesis
-        if self.geo is None:
-            wan = False
+        nodes, blocked, tracer = self._nodes, self._blocked, self._spans
+        nemesis, geo = self.nemesis, self.geo
+        now = self._sim.now
+        call_after, deliver = self._sim.call_after, self._deliver
+        random, log = self._rng.random, math.log
+        if geo is None:
             params = self.params
             latency = params.base_latency_s
             transmit_s = size_mb / params.bandwidth_mb_s
-            jitter_mean_s = params.jitter_mean_s
-        else:
-            link, wan, factor = self.geo.link_for(self._sim.now, src, dst)
-            latency = link.latency_s * factor
-            transmit_s = size_mb / link.bandwidth_mb_s
-            jitter_mean_s = link.jitter_mean_s
-            if wan:
-                self.wan_messages_sent += 1
-                self.wan_mb_sent += size_mb
-                self.geo.wan_messages += 1
-                self.geo.wan_mb += size_mb
-        # Open hop span, shared by duplicate copies (the first delivery
-        # closes it).
-        span = None
-        if tracer is not None:
-            if wan:
-                span = tracer.begin("net", f"{src}->{dst}", trace=trace,
-                                    port=port, wan=True)
-            else:
-                span = tracer.begin("net", f"{src}->{dst}", trace=trace,
-                                    port=port)
-        incarnation = target.incarnation
-        random, log = self._rng.random, math.log
-        lambd = 1.0 / jitter_mean_s
-        for extra_delay in fates:
-            # random.expovariate(lambd)'s own formula: the same draw and
-            # the same arithmetic, without the method call.
-            delay = (latency + transmit_s + -log(1.0 - random()) / lambd
-                     + extra_delay)
-            self.inflight_messages += 1
-            self.inflight_mb += size_mb
-            self._sim.call_after(delay, self._deliver, target, incarnation,
-                                 src, port, payload, size_mb, span)
+            lambd = 1.0 / params.jitter_mean_s
+        for dst in dsts:
+            target = nodes.get(dst)
+            if target is None:
+                raise SimulationError(f"unknown destination node: {dst}")
+            if (src, dst) in blocked:
+                if tracer is not None:
+                    tracer.instant("net", f"{src}->{dst}", trace=trace,
+                                   port=port, cause="partition")
+                continue
+            fates = (0.0,)  # one copy, no extra delay
+            if nemesis is not None:
+                fates = nemesis.fate(now, src, dst, port)
+            self.messages_sent += 1
+            self.mb_sent += size_mb
+            if not fates:
+                if tracer is not None:
+                    tracer.instant("net", f"{src}->{dst}", trace=trace,
+                                   port=port, cause="dropped")
+                continue  # eaten by the nemesis
+            wan = False
+            if geo is not None:
+                link, wan, factor = geo.link_for(now, src, dst)
+                latency = link.latency_s * factor
+                transmit_s = size_mb / link.bandwidth_mb_s
+                lambd = 1.0 / link.jitter_mean_s
+                if wan:
+                    self.wan_messages_sent += 1
+                    self.wan_mb_sent += size_mb
+                    geo.wan_messages += 1
+                    geo.wan_mb += size_mb
+            # Open hop span, shared by duplicate copies (the first delivery
+            # closes it).
+            span = None
+            if tracer is not None:
+                if wan:
+                    span = tracer.begin("net", f"{src}->{dst}", trace=trace,
+                                        port=port, wan=True)
+                else:
+                    span = tracer.begin("net", f"{src}->{dst}", trace=trace,
+                                        port=port)
+            incarnation = target.incarnation
+            for extra_delay in fates:
+                # random.expovariate(lambd)'s own formula: the same draw
+                # and the same arithmetic, without the method call.
+                delay = (latency + transmit_s + -log(1.0 - random()) / lambd
+                         + extra_delay)
+                self.inflight_messages += 1
+                self.inflight_mb += size_mb
+                call_after(delay, deliver, target, incarnation, src, port,
+                           payload, size_mb, span)
 
     def _deliver(self, target: Any, incarnation: int, src: str, port: str,
                  payload: Any, size_mb: float, span: Any) -> None:

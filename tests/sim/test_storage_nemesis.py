@@ -245,6 +245,76 @@ def test_log_frames_verify_and_detect_bit_flips():
     assert not reseq.intact()  # a frame is bound to its position
 
 
+def test_an_intact_append_stores_no_checksum_yet_passes_scrub():
+    sim, disk, _nemesis = make()
+    wal = WriteAheadLog(sim, disk)
+    for k in range(4):
+        wal.append(("vote", k), 0.0)
+    sim.run()
+    frames = disk.peek("wal:wal")
+    assert [f.seq for f in frames] == [0, 1, 2, 3]
+    assert all(f._crc is None for f in frames)  # nothing computed on write
+    assert all(f.crc == frame_crc(f.seq, f.entry) for f in frames)
+    assert wal.scrub() == (4, 0)
+
+
+def test_torn_and_corrupted_frames_store_a_flipped_checksum_and_fail():
+    _sim, disk, _nemesis, _wal = torn_wal_crash()
+    torn = disk.peek("wal:wal")[-1]
+    assert torn._crc == frame_crc(torn.seq, torn.entry) ^ 0xFFFFFFFF
+    assert not torn.intact()
+
+    sim, disk, nemesis = make(seed=1)
+    wal = WriteAheadLog(sim, disk)
+    for k in range(6):
+        wal.append(f"e{k}", 0.0)
+    sim.run()
+    nemesis.schedule_corruption(5.0, "d0")
+    sim.run(until=6.0)
+    damaged = [f for f in disk.peek("wal:wal") if f._crc is not None]
+    assert len(damaged) == 1
+    frame = damaged[0]
+    assert frame.crc == frame_crc(frame.seq, frame.entry) ^ 0xFFFFFFFF
+    assert not frame.intact()
+    assert wal.scrub()[1] >= 1
+
+
+def test_fsynclie_crash_revokes_exactly_the_lied_frames():
+    sim, disk, nemesis = make()
+    wal = WriteAheadLog(sim, disk)
+    for k in range(3):
+        wal.append("same", 0.0)  # equal entries: only identity tells apart
+    sim.run(until=1.0)
+    kept = list(disk.peek("wal:wal"))
+    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0",
+                                    start=sim.now, end=100.0))
+    for k in range(3):
+        wal.append("same", 0.0)
+    sim.run(until=2.0)
+    frames = disk.peek("wal:wal")
+    assert len(frames) == 6
+    wal.truncate_below(lambda entry: True)  # a no-op truncation pass
+    disk.on_crash()
+    assert nemesis.counters["revoked_writes"] >= 1
+    assert len(frames) == 3
+    assert all(a is b for a, b in zip(frames, kept))
+
+
+def test_revoking_frames_a_truncation_already_removed_is_harmless():
+    sim, disk, nemesis = make()
+    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0",
+                                    start=0.0, end=100.0))
+    wal = WriteAheadLog(sim, disk)
+    wal.append("old", 0.0)
+    sim.run(until=1.0)
+    wal.append("new", 0.0)
+    sim.run(until=2.0)
+    wal.truncate_below(lambda entry: entry != "old")
+    disk.on_crash()
+    assert wal.entries() == []
+    assert nemesis.counters["revoked_writes"] == 2
+
+
 def test_same_seed_injects_identically():
     runs = []
     for _attempt in range(2):
