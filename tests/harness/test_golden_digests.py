@@ -5,7 +5,7 @@ tiny-scale experiment; between them the cases use every fault kind,
 through ``faults()`` or ``nemesis()``.  The first seven cases' digests
 were computed before the flat and sharded cluster classes were merged,
 the last four before the fault-kind registry replaced the per-kind
-dispatch.  Each case has three digests:
+dispatch.  Each case has four digests:
 
 * ``result`` -- sha256 of ``ExperimentResult.to_dict()`` minus the
   observer-dependent keys (the same definition as the ledger's
@@ -13,7 +13,11 @@ dispatch.  Each case has three digests:
   when the ledger does);
 * ``trace`` -- sha256 of the safety audit (the event-log kinds
   ``SafetyChecker.AUDIT_KINDS``);
-* ``flight`` -- sha256 of the flight-recorder stream.
+* ``flight`` -- sha256 of the flight-recorder stream;
+* ``counters`` -- sha256 of the final registry counters
+  (``result.metrics["counters"]``, the run being observed), zero
+  values left out: which counters exist at 0 depends on when their
+  component registered, the non-zero counts do not.
 
 Every case must also reproduce its ``result`` digest with no observer
 attached at all (no event log), which pins that observing is free of
@@ -81,57 +85,68 @@ GOLDEN = {
     "flat-one-crash": {
         "result": "01f1fa100b9fe29a5e1ad006b31ad6d3756711fbc5ea91cba5aa02026270269f",
         "trace": "a9a28e2f7f26a9858a252e5784c693db8533dfe93e7f21ebee83889d40520816",
-        "flight": "0b867b22fcdceaeb850c9006a0d7ee56b05cce5d240535bd4e1537bd3c3530b0"
+        "flight": "0b867b22fcdceaeb850c9006a0d7ee56b05cce5d240535bd4e1537bd3c3530b0",
+        "counters": "0164001de98b89f6b81edd1a99c870524f1ed11fed44ea13619041a16ea3728a"
     },
     "flat-nemesis": {
         "result": "03b1e7c295fe4810bdfd0a024eee0cb34b514b9eabf1d80d5beae7663367e9f1",
         "trace": "91a6204cf3e9954e7cdee773bd02aa43ddea82594775e0f6f6988ad8cf201029",
-        "flight": "866d7a261bef2a33a2029aa49af9c2aa18505c1021c1600635fefcb5bce68a2d"
+        "flight": "866d7a261bef2a33a2029aa49af9c2aa18505c1021c1600635fefcb5bce68a2d",
+        "counters": "33e9f48fdbd5108ac4cbe04526637c09b12d8965cb16cb21486f28c769b8e756"
     },
     "flat-geo-dcfail": {
         "result": "51d0a62d6f885e712b0265020cecae6ffd517b9b5b4d10b55179c5eab69b6b4f",
         "trace": "306972b915e8fd688d8c062af42001f6381a3d6b3b7d227fbd21087fc54301b2",
-        "flight": "5dae4ae645e9b770dcbd33d59bc7bfda27a039a3a0d51329251ff2e9df5f31d7"
+        "flight": "5dae4ae645e9b770dcbd33d59bc7bfda27a039a3a0d51329251ff2e9df5f31d7",
+        "counters": "27f272db600ebc64b8d140f2030170e56ebb7cff3e41d347fb48be2b4ce47b05"
     },
     "flat-retrystorm": {
         "result": "1b8b7fa85107763bbbf3a36f333eba6dcf723208fd602d69b57dab4f5403393e",
         "trace": "4b13162b8d04af9c68991a54736b7f1e658ce72c04a12b1ebdfb9177ee3db13a",
-        "flight": "5804ce800f14bd311e8e25b9d79985b459fa81032d45351a0e1ecdb2b6ac422c"
+        "flight": "5804ce800f14bd311e8e25b9d79985b459fa81032d45351a0e1ecdb2b6ac422c",
+        "counters": "46c34e6b0884b18c5727a425ff62c27c77d665d6cf644d4655229e8568dd66b1"
     },
     "sharded-crash-random": {
         "result": "7e3a970a59c9ed9454089773e9b2cc536f3315de29ed5efab2a4d52e85bff016",
         "trace": "71c1c06cb2e6c4aae2593d61ce1c866e8a07fae93c36aa0922e2d07ab28300a1",
-        "flight": "f134a200c84de58408ad0d837a685d5e4afcfa4ab2736ffa01e9dd42564b282e"
+        "flight": "f134a200c84de58408ad0d837a685d5e4afcfa4ab2736ffa01e9dd42564b282e",
+        "counters": "fdcc6bed31d904e68d2b7f3c42df34e7417341f743fca27f615d2651ef5831cb"
     },
     "sharded-oneway-corrupt": {
         "result": "ebe63983227604b3d04b642e4a2cb68a40b4f918255db0a50acb372ec76bf4a5",
         "trace": "b4555955e4437a9a5ca425d2687a49211a79c548c0545b6fac375bc56bf393bc",
-        "flight": "840062d172445d8e3ffd537e0b50bccfbf12c952478e28d1e453f8cc8668d6d2"
+        "flight": "840062d172445d8e3ffd537e0b50bccfbf12c952478e28d1e453f8cc8668d6d2",
+        "counters": "acc49d2927ca5679cceed6098e5a91b20261ffcbdc13ffb3376c568f7bcc53ff"
     },
     "sharded-geo-wanpart": {
         "result": "45797c59af7a3486c7ebc6b01e9ff00acd1c83de731df94d9cc35f77ba53ef26",
         "trace": "02aba8d333e76ddbd3cc6820b87bdbe71270f207a04f656c4227c14939efb0e7",
-        "flight": "4227cf15a7c87321567d9659e540b20ee1caff21728ff032d4eb77920af6cdd1"
+        "flight": "4227cf15a7c87321567d9659e540b20ee1caff21728ff032d4eb77920af6cdd1",
+        "counters": "7fe94e97fb4bf7c03b3f802aa0d8df7f93c1cdc3490bee6d7d4b24fd89c6036b"
     },
     "flat-partition-reboot": {
         "result": "c9ec1acf15492d505711aaf7a55cfe348fb4e11b5dcc3471d4a6fff263c11484",
         "trace": "934a04e9932c03c2912600898bc2b204f0e8477f3740cfe921ba756424d75eac",
-        "flight": "75b8322969bdf021723f83a4217abe1379bf004e67358bd3dc86ded797904543"
+        "flight": "75b8322969bdf021723f83a4217abe1379bf004e67358bd3dc86ded797904543",
+        "counters": "d80fdae90c563536180057fda11091284b3022c1a5e6414e9157c81d757c7219"
     },
     "flat-message-faults": {
         "result": "0a54a756ce7a10af76f5f5531d24890437685479feffa52f64ebe25f0d204862",
         "trace": "53be303f80d829ec24015ac977a9aa7d1d4efe1b168c4c987f97701176feeec3",
-        "flight": "dc73a4b2eda57451982a1bd71a622cec13ccb44b51cb736e38158ab1f9741371"
+        "flight": "dc73a4b2eda57451982a1bd71a622cec13ccb44b51cb736e38158ab1f9741371",
+        "counters": "41e51fab4fd4473bcf81e1d222c0175b4335a3ecca1f2c5f637216e7be8f1859"
     },
     "flat-storage-windows": {
         "result": "0aed2c4d155134f70565b8ca18537a2638c8c7fedc5c273f6cbe3bb51b712f9c",
         "trace": "e200136e0c4c4ec5c1ffbb202c0f48f1859219be09ddd04f936a02c1430e9781",
-        "flight": "ac6338e57910353a8bced487e565aa5a3ab2903cd0a2c0e96299697d3334ac7e"
+        "flight": "ac6338e57910353a8bced487e565aa5a3ab2903cd0a2c0e96299697d3334ac7e",
+        "counters": "a55f1ccfe555757ed5c2ca4d6f3e561c53b4b46ced4cd4647ecbf9a2921d0142"
     },
     "flat-geo-wandegrade": {
         "result": "33a23ee909cc80485878f7ced5adc6f5966a6cd0d881dab9fc174057b26398a4",
         "trace": "3eabca280895063a2eaeb91abd391847f9c61e941260740cf923c63b5ad4f0b6",
-        "flight": "0b703abf1e59d8d7b33b6383097cc69fca8e7aa834f7e19cc3748682c2b54c20"
+        "flight": "0b703abf1e59d8d7b33b6383097cc69fca8e7aa834f7e19cc3748682c2b54c20",
+        "counters": "6c4364a31e135e82dfe80f7b6a4c945136309da073ebe23f27e7879c740acf8e"
     },
 }
 
@@ -147,12 +162,17 @@ def _result_digest(result) -> str:
 
 
 def digests(name: str) -> dict:
-    result = CASES[name]().check_safety().record().keep_cluster().run()
+    result = (CASES[name]().check_safety().record().observe()
+              .keep_cluster().run())
     trace = [(e.time, e.kind, e.node, e.fields)
              for e in result.cluster.audit.events]
     assert trace and result.flight.recorded
+    counters = {key: value for key, value
+                in result.metrics["counters"].items() if value}
+    assert counters
     return {"result": _result_digest(result), "trace": _sha(trace),
-            "flight": _sha(list(result.flight.iter_dicts()))}
+            "flight": _sha(list(result.flight.iter_dicts())),
+            "counters": _sha(counters)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
