@@ -115,10 +115,12 @@ class MetricsCollector:
     def __init__(self) -> None:
         # (sent_at, done_at, interaction, ok, error_kind)
         self.samples: List[Tuple[float, float, Interaction, bool, str]] = []
+        self.stats = {"interactions_ok": 0, "interactions_error": 0}
 
     def record(self, sent_at: float, done_at: float,
                interaction: Interaction, ok: bool, error_kind: str = "") -> None:
         self.samples.append((sent_at, done_at, interaction, ok, error_kind))
+        self.stats["interactions_ok" if ok else "interactions_error"] += 1
 
     # ------------------------------------------------------------------
     def _in_window(self, start: float, end: float):

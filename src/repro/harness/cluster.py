@@ -294,8 +294,8 @@ class RobustStoreCluster:
         self.sim = Simulator()
         self.seed = SeedTree(config.seed)
         # Observability must be attached before any component is built:
-        # engines/runtimes/proxies capture their instruments at
-        # construction time via registry_of(sim).
+        # engines/runtimes/proxies register their counts and capture
+        # their histograms at construction time via registry_of(sim).
         self.metrics: Optional[MetricsRegistry] = None
         self.profiler: Optional[KernelProfiler] = None
         self.sampler: Optional[TimelineSampler] = None
@@ -341,6 +341,10 @@ class RobustStoreCluster:
         self.storage_nemesis: Optional[StorageNemesis] = None
         self.profile = profile_by_name(config.profile)
         self.collector = MetricsCollector()
+        if self.metrics is not None:
+            self.metrics.register_counts(self.collector.stats, {
+                "web.interactions_ok": "interactions_ok",
+                "web.interactions_error": "interactions_error"})
 
         scale = config.scale
         self.population_params = PopulationParams(
@@ -642,6 +646,11 @@ class RobustStoreCluster:
             self.storage_nemesis = StorageNemesis(self.sim, seed=self.seed)
             for group in self.groups:
                 group.attach_storage_nemesis(self.storage_nemesis)
+            if self.metrics is not None:
+                self.metrics.register_counts(
+                    self.storage_nemesis.counters,
+                    {f"storage.{key}": key
+                     for key in StorageNemesis.REPAIR_COUNTS})
             # The engine's accept audit trail (and nothing else) keys off
             # this attribute; see PaxosEngine._vote.
             self.sim.storage_faults = self.storage_nemesis

@@ -127,10 +127,8 @@ class OpenLoopLoadSource:
         self.issued = 0
         self.timed_out = 0
         self._spans = getattr(node.sim, "spans", None)
-        obs = registry_of(node.sim)
-        self._obs_ok = obs.counter("web.interactions_ok")
-        self._obs_error = obs.counter("web.interactions_error")
-        self._obs_wirt = obs.histogram("web.wirt_s", lo=1e-4, hi=100.0)
+        self._obs_wirt = registry_of(node.sim).histogram(
+            "web.wirt_s", lo=1e-4, hi=100.0)
 
     def start(self) -> None:
         self.node.handle(self.reply_port, self._on_response)
@@ -231,11 +229,8 @@ class OpenLoopLoadSource:
         now = self.node.sim.now
         self.collector.record(sent_at, now, interaction, ok, error_kind)
         if ok:
-            self._obs_ok.inc()
             self._obs_wirt.observe(now - sent_at)
             self._update_session(uid, interaction, response)
-        else:
-            self._obs_error.inc()
         if span is not None:
             self._spans.finish(span, ok=ok, error=error_kind)
 
@@ -263,7 +258,6 @@ class OpenLoopLoadSource:
                 continue
             self.collector.record(sent_at, deadline, interaction,
                                   False, "timeout")
-            self._obs_error.inc()
             if span is not None:
                 self._spans.finish(span, ok=False, error="timeout")
         self._arm_reaper()

@@ -5,9 +5,10 @@ dependability metrics read off a running cluster -- so the repro carries
 a first-class observability layer:
 
 * :mod:`repro.obs.registry` -- :class:`MetricsRegistry` with counters,
-  gauges, and streaming (bucketed) histograms; instrumentation sites use
-  :func:`registry_of` and degrade to shared no-ops when no registry is
-  attached to the simulator;
+  gauges, and streaming (bucketed) histograms.  Counters are read from
+  the ``stats`` dicts the components count in (one registration per
+  component, via :func:`registry_of`); with no registry attached,
+  registering is a no-op and histograms are a shared no-op;
 * :mod:`repro.obs.timeline` -- :class:`TimelineSampler` samples every
   instrument on sim-time ticks into a :class:`Timeline` (JSON/CSV
   export, derived rates);
@@ -52,7 +53,6 @@ from repro.obs.profiler import KernelProfiler, category_of_module
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import (
     NULL_REGISTRY,
-    Counter,
     Gauge,
     MetricsRegistry,
     NullRegistry,
@@ -76,7 +76,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "NULL_REGISTRY",
-    "Counter",
     "CriticalPathReport",
     "FlightRecorder",
     "Gauge",

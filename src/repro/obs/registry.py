@@ -1,17 +1,27 @@
 """The metrics registry: counters, gauges, and streaming histograms.
 
-Instrumentation sites never test "is observability on?".  They ask
-:func:`registry_of` for the simulator's registry and get either the real
-:class:`MetricsRegistry` (attached by the harness as ``sim.metrics``) or
-the module-level :data:`NULL_REGISTRY`, whose instruments are shared
-no-op singletons.  A disabled hot path therefore costs one attribute
-access and one empty method call -- cheap enough to leave compiled in
-everywhere, mirroring how event-log sites (:mod:`repro.sim.trace`)
-hold ``None`` when nothing observes.
+A counter is not a number the registry keeps.  Each counted happening
+(a proposal, a forwarded request, a scrubbed frame) is counted once, in
+a plain dict the counting component owns -- a Paxos engine's ``stats``,
+the proxy's ``stats``, ``StorageNemesis.counters`` -- and that dict is
+registered once with :meth:`MetricsRegistry.register_counts`, mapping
+its keys to cluster-wide counter names (by the component itself; the
+cluster registers the storage nemesis and the interaction collector).
+A counter's value is read at snapshot and sample time: the sum of its
+keys over every dict registered for it, so components recreated on a
+reboot (a new ``PaxosEngine``, a new ``TreplicaRuntime``) keep adding
+to the same series instead of resetting it.  The registry holds the
+dicts, never the components, so a crashed incarnation is still freed.
 
-Instruments are get-or-create by name, so components recreated on a
-reboot (a new ``TreplicaRuntime``, a new ``PaxosEngine``) keep
-accumulating into the same cluster-wide series instead of resetting it.
+Components ask :func:`registry_of` for the simulator's registry and get
+either the real :class:`MetricsRegistry` (attached by the harness as
+``sim.metrics``) or the module-level :data:`NULL_REGISTRY`, on which
+registering counts is a no-op and whose histogram is a shared no-op
+singleton: a counting site never touches the registry at all, and a
+disabled histogram costs one empty method call.
+
+Gauges read a callable at sample time; a reader that raises is a bug
+and surfaces as one.
 
 The histogram is *streaming*: it keeps exponential buckets plus exact
 count/sum/min/max, so p50/p95/p99 come out with a bounded relative error
@@ -21,50 +31,24 @@ count/sum/min/max, so p50/p95/p99 come out with a bounded relative error
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Tuple, Union
 
-
-class Counter:
-    """A monotonically increasing count (events, messages, retries)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"<Counter {self.name}={self.value}>"
+#: Counter name -> the key, or keys, of a component's stats dict whose
+#: sum the counter reads.
+CountNames = Mapping[str, Union[str, Tuple[str, ...]]]
 
 
 class Gauge:
-    """A point-in-time reading pulled from a callable at sample time.
-
-    The callable is re-bindable (:meth:`bind`) because the object it
-    reads may be recreated on a node reboot.  A reading that raises --
-    e.g. the component is mid-crash -- comes back as 0.0 rather than
-    killing the sampler.
-    """
+    """A point-in-time reading pulled from a callable at sample time."""
 
     __slots__ = ("name", "_fn")
 
-    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str, fn: Callable[[], float]):
         self.name = name
         self._fn = fn
 
-    def bind(self, fn: Callable[[], float]) -> None:
-        self._fn = fn
-
     def read(self) -> float:
-        if self._fn is None:
-            return 0.0
-        try:
-            return float(self._fn())
-        except Exception:  # noqa: BLE001 - the component may be dead
-            return 0.0
+        return float(self._fn())
 
     def __repr__(self) -> str:
         return f"<Gauge {self.name}>"
@@ -134,9 +118,6 @@ class StreamingHistogram:
         self._memo_index = index
         self._counts[index] += 1
 
-    # The WIRT hot path calls this alias; identical to :meth:`observe`.
-    record = observe
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -182,31 +163,33 @@ class MetricsRegistry:
     """Named instruments for one run, attached to the simulator.
 
     The harness installs it as ``sim.metrics`` *before* building any
-    component, so construction-time ``registry_of(sim).counter(...)``
-    calls all land here.
+    component, so construction-time registrations all land here.
     """
 
     enabled = True
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
+        # counter name -> every (stats dict, keys) registered for it
+        self._counts: Dict[str, List[Tuple[Mapping[str, float],
+                                           Tuple[str, ...]]]] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, StreamingHistogram] = {}
 
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
+    def register_counts(self, stats: Mapping[str, float],
+                        names: CountNames) -> None:
+        """Publish the counts ``stats`` keeps as counters: each counter
+        in ``names`` reads the sum of its key(s) in ``stats``, added to
+        every other dict registered under the same name."""
+        for name, keys in names.items():
+            if isinstance(keys, str):
+                keys = (keys,)
+            self._counts.setdefault(name, []).append((stats, keys))
 
-    def gauge(self, name: str,
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name, fn)
-        elif fn is not None:
-            gauge.bind(fn)
+    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
+        if name in self._gauges:
+            raise ValueError(f"gauge {name!r} is already registered")
+        gauge = self._gauges[name] = Gauge(name, fn)
         return gauge
 
     def histogram(self, name: str, lo: float = 1e-6, hi: float = 1e7,
@@ -218,8 +201,12 @@ class MetricsRegistry:
         return histogram
 
     # ------------------------------------------------------------------
-    def counters(self) -> Dict[str, Counter]:
-        return dict(self._counters)
+    def counters(self) -> Dict[str, float]:
+        """Every counter's current value, read from the registered
+        dicts."""
+        return {name: sum(stats[key] for stats, keys in feeds
+                          for key in keys)
+                for name, feeds in self._counts.items()}
 
     def gauges(self) -> Dict[str, Gauge]:
         return dict(self._gauges)
@@ -230,35 +217,12 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """All instruments' current values, JSON-serializable."""
         return {
-            "counters": {name: c.value
-                         for name, c in sorted(self._counters.items())},
+            "counters": dict(sorted(self.counters().items())),
             "gauges": {name: g.read()
                        for name, g in sorted(self._gauges.items())},
             "histograms": {name: h.summary()
                            for name, h in sorted(self._histograms.items())},
         }
-
-
-class _NullCounter:
-    """Shared no-op counter handed out when observability is off."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-
-    def bind(self, fn) -> None:
-        pass
-
-    def read(self) -> float:
-        return 0.0
 
 
 class _NullHistogram:
@@ -270,8 +234,6 @@ class _NullHistogram:
 
     def observe(self, value: float) -> None:
         pass
-
-    record = observe
 
     def quantile(self, q: float) -> float:
         return 0.0
@@ -285,23 +247,23 @@ class _NullHistogram:
 
 
 class NullRegistry:
-    """Registry stand-in whose instruments are shared no-ops."""
+    """Registry stand-in: it registers nothing, and its histogram is a
+    shared no-op."""
 
     enabled = False
-    _counter = _NullCounter()
-    _gauge = _NullGauge()
     _histogram = _NullHistogram()
 
-    def counter(self, name: str) -> _NullCounter:
-        return self._counter
+    def register_counts(self, stats: Mapping[str, float],
+                        names: CountNames) -> None:
+        pass
 
-    def gauge(self, name: str, fn=None) -> _NullGauge:
-        return self._gauge
+    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
+        return Gauge(name, fn)  # never sampled
 
     def histogram(self, name: str, **_bounds) -> _NullHistogram:
         return self._histogram
 
-    def counters(self) -> Dict[str, Counter]:
+    def counters(self) -> Dict[str, float]:
         return {}
 
     def gauges(self) -> Dict[str, Gauge]:

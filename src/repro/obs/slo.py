@@ -132,7 +132,9 @@ def _parse_pct(text: str, token: str) -> float:
 def parse_slo(spec: str) -> List[Objective]:
     """Parse a spec like ``'wirt_p99<2s,error_rate<1%'``."""
     objectives: List[Objective] = []
-    seen: set = set()
+    # (kind, budget, threshold) -> the token that first asked for it:
+    # two spellings of one objective would be judged and alerted twice.
+    seen: Dict[Tuple[str, float, Optional[float]], str] = {}
     for raw in spec.split(","):
         token = raw.strip()
         if not token:
@@ -173,9 +175,14 @@ def parse_slo(spec: str) -> List[Objective]:
         else:
             raise SloError(f"objective {token!r} has no comparison "
                            f"(want e.g. wirt_p99<2s)")
-        if objectives[-1].name in seen:
-            raise SloError(f"duplicate SLO objective {token!r}")
-        seen.add(objectives[-1].name)
+        objective = objectives[-1]
+        key = (objective.kind, round(objective.budget, 12),
+               None if objective.threshold_s is None
+               else round(objective.threshold_s, 12))
+        if key in seen:
+            raise SloError(f"duplicate SLO objective: {seen[key]!r} and "
+                           f"{token!r} mean the same")
+        seen[key] = token
     if not objectives:
         raise SloError(f"empty SLO spec {spec!r}")
     return objectives

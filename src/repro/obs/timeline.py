@@ -139,8 +139,8 @@ class TimelineSampler:
         t = self._sim.now
         self._last_sample_t = t
         timeline = self.timeline
-        for name, counter in self._registry.counters().items():
-            timeline.record(name, t, counter.value, kind=KIND_COUNTER)
+        for name, value in self._registry.counters().items():
+            timeline.record(name, t, value, kind=KIND_COUNTER)
         for name, gauge in self._registry.gauges().items():
             timeline.record(name, t, gauge.read(), kind=KIND_GAUGE)
         for name, histogram in self._registry.histograms().items():

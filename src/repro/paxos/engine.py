@@ -234,24 +234,26 @@ class PaxosEngine:
             "proposals": 0, "fast_proposals": 0, "decisions": 0,
             "collisions_recovered": 0, "phase1_runs": 0, "noops": 0,
             "retries": 0, "learn_requests": 0, "mode_changes": 0,
-            "fast_rejected": 0,
+            "fast_rejected": 0, "batches_flushed": 0,
         }
         # Cluster-wide observability instruments (no-ops unless the
         # harness attached a registry to the simulator).
         self._events = log_of(self.sim)
         obs = registry_of(self.sim)
-        self._obs_proposals = obs.counter("paxos.proposals")
-        self._obs_fast_proposals = obs.counter("paxos.fast_proposals")
-        self._obs_decisions = obs.counter("paxos.decisions")
-        self._obs_batches_flushed = obs.counter("paxos.batches_flushed")
+        obs.register_counts(self.stats, {
+            "paxos.proposals": "proposals",
+            "paxos.fast_proposals": "fast_proposals",
+            "paxos.decisions": "decisions",
+            "paxos.batches_flushed": "batches_flushed",
+            "paxos.retries": "retries",
+            "paxos.gap_noops": "noops",
+            "paxos.mode_changes": "mode_changes",
+            "paxos.phase1_runs": "phase1_runs",
+            "paxos.collisions_recovered": "collisions_recovered",
+            "paxos.fast_rejected": "fast_rejected",
+        })
         self._obs_batch_occupancy = obs.histogram(
             "paxos.batch_occupancy", lo=1.0, hi=4096.0)
-        self._obs_retries = obs.counter("paxos.retries")
-        self._obs_gap_noops = obs.counter("paxos.gap_noops")
-        self._obs_mode_changes = obs.counter("paxos.mode_changes")
-        self._obs_phase1_runs = obs.counter("paxos.phase1_runs")
-        self._obs_collisions = obs.counter("paxos.collisions_recovered")
-        self._obs_fast_rejected = obs.counter("paxos.fast_rejected")
 
     # ==================================================================
     # lifecycle
@@ -493,7 +495,6 @@ class PaxosEngine:
                     continue
                 self.unacked[uid] = (command, now)
                 self.stats["retries"] += 1
-                self._obs_retries.inc()
                 self._route(command)
 
     def _gap_loop(self):
@@ -601,8 +602,7 @@ class PaxosEngine:
             instance = self.next_instance
             self.next_instance += 1
             self.stats["proposals"] += 1
-            self._obs_proposals.inc()
-            self._obs_batches_flushed.inc()
+            self.stats["batches_flushed"] += 1
             self._obs_batch_occupancy.observe(len(chunk))
             self._broadcast(Phase2a(self.my_ballot, instance, batch))
 
@@ -618,8 +618,7 @@ class PaxosEngine:
             instance = self._pick_fast_instance()
             self._my_fast_proposals[instance] = batch
             self.stats["fast_proposals"] += 1
-            self._obs_fast_proposals.inc()
-            self._obs_batches_flushed.inc()
+            self.stats["batches_flushed"] += 1
             self._obs_batch_occupancy.observe(len(chunk))
             self._broadcast(FastPropose(self.fast_round, instance, batch))
 
@@ -644,7 +643,6 @@ class PaxosEngine:
 
     def _on_view_change(self, view: FrozenSet[int]) -> None:
         self.stats["mode_changes"] += 1
-        self._obs_mode_changes.inc()
         if self._events is not None:
             self._events.emit("paxos.view_change", self.node.name,
                               view=len(view),
@@ -678,7 +676,6 @@ class PaxosEngine:
         # above it can still hold un-chosen votes that must be adopted.
         self._phase1_from = self.watermark + 1
         self.stats["phase1_runs"] += 1
-        self._obs_phase1_runs.inc()
         if self._events is not None:
             self._events.emit("paxos.phase1", self.node.name,
                               round=ballot.round,
@@ -728,9 +725,7 @@ class PaxosEngine:
             value = self._pick_value(votes)
             if value.is_noop:
                 self.stats["noops"] += 1
-                self._obs_gap_noops.inc()
             self.stats["proposals"] += 1
-            self._obs_proposals.inc()
             self._broadcast(Phase2a(self.my_ballot, instance, value))
         if learn_from is not None and learn_from != self.me:
             self._request_learn(learn_from)
@@ -782,7 +777,6 @@ class PaxosEngine:
         ballot = Ballot(self.max_round_seen, self.me, fast=False)
         self._recovering[instance] = (ballot, {})
         self.stats["collisions_recovered"] += 1
-        self._obs_collisions.inc()
         self._broadcast(PrepareInstance(ballot, instance))
 
     def _on_promise_instance(self, message: PromiseInstance, src: int) -> None:
@@ -798,7 +792,6 @@ class PaxosEngine:
         value = self._pick_value(votes)
         if value.is_noop:
             self.stats["noops"] += 1
-            self._obs_gap_noops.inc()
         del self._recovering[message.instance]
         self._broadcast(Phase2a(ballot, message.instance, value))
 
@@ -937,7 +930,6 @@ class PaxosEngine:
         del self._my_fast_proposals[message.instance]
         del self._fast_rejects[message.instance]
         self.stats["fast_rejected"] += 1
-        self._obs_fast_rejected.inc()
         for command in batch.commands:
             if (not self._is_decided(command.uid)
                     and not self._already_pending(command.uid)):
@@ -1053,7 +1045,6 @@ class PaxosEngine:
             return
         self.decided[instance] = value
         self.stats["decisions"] += 1
-        self._obs_decisions.inc()
         if self._events is not None:
             self._events.emit("paxos.decide", self.node.name,
                               instance=instance, key=value.key,

@@ -34,13 +34,16 @@ class ShardRouter(ReverseProxy):
         super().__init__(node, flat, params)
         self.partitioner = partitioner
         self._shard_sets = [frozenset(group) for group in shard_backends]
-        obs = registry_of(node.sim)
-        self._obs_hits = [obs.counter(f"shard.s{g}.router_hits")
-                          for g in range(len(shard_backends))]
-        self._obs_ok = [obs.counter(f"shard.s{g}.interactions_ok")
-                        for g in range(len(shard_backends))]
-        self._obs_wirt = [obs.counter(f"shard.s{g}.wirt_sum_s")
-                          for g in range(len(shard_backends))]
+        # Per-shard counts: ``stats["s<g>.router_hits"]`` and so on,
+        # published as ``shard.s<g>.*``; the keys are built once.
+        self._shard_keys = [
+            tuple(f"s{g}.{count}" for count in
+                  ("router_hits", "interactions_ok", "wirt_sum_s"))
+            for g in range(len(shard_backends))]
+        keys = [key for group in self._shard_keys for key in group]
+        self.stats.update(dict.fromkeys(keys, 0))
+        registry_of(node.sim).register_counts(
+            self.stats, {f"shard.{key}": key for key in keys})
 
     # ------------------------------------------------------------------
     def home_shard(self, request: Request) -> int:
@@ -55,7 +58,7 @@ class ShardRouter(ReverseProxy):
     def _pick_backend(self, request: Request, attempt: int) -> Optional[str]:
         shard = self.home_shard(request)
         if attempt == 0:
-            self._obs_hits[shard].inc()
+            self.stats[self._shard_keys[shard][0]] += 1
         members = self._shard_sets[shard]
         pool = [b for b in self.active if b in members]
         if not pool:
@@ -64,7 +67,7 @@ class ShardRouter(ReverseProxy):
 
     def _reply(self, request: Request, response: Response) -> None:
         if response.ok:
-            shard = self.home_shard(request)
-            self._obs_ok[shard].inc()
-            self._obs_wirt[shard].inc(self.node.sim.now - request.sent_at)
+            _hits, ok, wirt_sum = self._shard_keys[self.home_shard(request)]
+            self.stats[ok] += 1
+            self.stats[wirt_sum] += self.node.sim.now - request.sent_at
         super()._reply(request, response)

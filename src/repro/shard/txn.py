@@ -220,8 +220,9 @@ class TxnParticipant:
         self._resolving: set = set()
         self._spans = spans_of(node.sim)
         self._events = log_of(node.sim)
-        obs = registry_of(node.sim)
-        self._obs_resolved = obs.counter("shard.txn_resolved")
+        self.stats = {"resolved": 0}
+        registry_of(node.sim).register_counts(
+            self.stats, {"shard.txn_resolved": "resolved"})
 
     def start(self) -> None:
         self.node.handle(TXN_PORT, self._on_message)
@@ -331,7 +332,7 @@ class TxnParticipant:
             self._events.emit("txn.resolve", self.node.name, tx=tx_id,
                               shard=self.shard, outcome=outcome,
                               shards=(self.shard,))
-        self._obs_resolved.inc()
+        self.stats["resolved"] += 1
         if outcome == "commit":
             yield from self.runtime.execute(TxCommit(tx_id))
         else:
@@ -354,11 +355,10 @@ class TxnCoordinator:
         self._tx_seq = itertools.count(1)
         self._spans = spans_of(node.sim)
         self._events = log_of(node.sim)
-        obs = registry_of(node.sim)
-        self._obs_started = obs.counter("shard.txn_started")
-        self._obs_committed = obs.counter("shard.txn_committed")
-        self._obs_aborted = obs.counter("shard.txn_aborted")
-        self._obs_retries = obs.counter("shard.txn_retries")
+        self.stats = {"started": 0, "committed": 0, "aborted": 0,
+                      "retries": 0}
+        registry_of(node.sim).register_counts(self.stats, {
+            f"shard.txn_{key}": key for key in self.stats})
 
     def start(self) -> None:
         self.node.handle(TXN_REPLY_PORT, self._on_reply)
@@ -378,7 +378,7 @@ class TxnCoordinator:
                 parts: Dict[int, Tuple[Tuple[int, int], ...]]):
         """Generator: phase 1 against every participant shard, in shard
         order (deterministic).  Returns True iff all voted yes."""
-        self._obs_started.inc()
+        self.stats["started"] += 1
         span = None
         if self._spans is not None:
             span = self._spans.begin("txn.prepare", self.node.name,
@@ -399,7 +399,7 @@ class TxnCoordinator:
         names = self._groups[shard]
         for attempt in range(self._max_retries + 1):
             if attempt:
-                self._obs_retries.inc()
+                self.stats["retries"] += 1
             target = names[attempt % len(names)]
             waiter = sim.event()
             self._waiters[(tx_id, shard)] = waiter
@@ -422,7 +422,7 @@ class TxnCoordinator:
         """Phase 2: broadcast the decision to every participant replica
         (idempotent at the log level, so no ack tracking is needed)."""
         outcome = "commit" if commit else "abort"
-        (self._obs_committed if commit else self._obs_aborted).inc()
+        self.stats["committed" if commit else "aborted"] += 1
         if self._spans is not None:
             self._spans.instant("txn.decide", self.node.name,
                                 trace=current_trace(self.node.sim),

@@ -172,6 +172,11 @@ class StorageNemesis:
     whose windows never match one with no nemesis at all.
     """
 
+    #: The repair-side keys of :attr:`counters`.
+    REPAIR_COUNTS = ("frames_scrubbed", "frames_dropped",
+                     "suffix_truncations", "checkpoint_discards",
+                     "peer_repairs", "repair_mb", "rejoin_fences")
+
     def __init__(self, sim: Simulator, seed: Optional[SeedTree] = None):
         self._sim = sim
         self._events = log_of(sim)
@@ -189,8 +194,9 @@ class StorageNemesis:
             "lied_writes": 0,        # completions acked from the write cache
             "revoked_writes": 0,     # lied completions rolled back by a crash
             "slow_ops": 0,           # disk ops stretched by a fail-slow window
-            # Repair side (incremented by the recovery scrub in
-            # repro.treplica.runtime, mirrored to obs counters there):
+            # Repair side (REPAIR_COUNTS; incremented by the recovery
+            # scrub in repro.treplica.runtime, and read from here as the
+            # storage.* counters of an observed run):
             "frames_scrubbed": 0,    # CRC frames verified at boot
             "frames_dropped": 0,     # torn/corrupt/revoked suffix frames
             "suffix_truncations": 0,  # scrubs that had to truncate the log

@@ -76,10 +76,8 @@ class RemoteBrowserEmulator:
         self._req_seq = itertools.count(1)
         self._spans = getattr(node.sim, "spans", None)
         self._open_span = None  # root span of the in-flight interaction
-        obs = registry_of(node.sim)
-        self._obs_ok = obs.counter("web.interactions_ok")
-        self._obs_error = obs.counter("web.interactions_error")
-        self._obs_wirt = obs.histogram("web.wirt_s", lo=1e-4, hi=100.0)
+        self._obs_wirt = registry_of(node.sim).histogram(
+            "web.wirt_s", lo=1e-4, hi=100.0)
 
     def start(self) -> None:
         self.node.handle(self.reply_port,
@@ -185,10 +183,7 @@ class RemoteBrowserEmulator:
         self.collector.record(sent_at, self.node.sim.now,
                               interaction, ok, error_kind)
         if ok:
-            self._obs_ok.inc()
             self._obs_wirt.observe(self.node.sim.now - sent_at)
-        else:
-            self._obs_error.inc()
         if self._spans is not None and self._open_span is not None:
             span, self._open_span = self._open_span, None
             self._spans.finish(span, ok=ok, error=error_kind)

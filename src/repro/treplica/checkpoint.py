@@ -67,13 +67,14 @@ class CheckpointManager:
     def __init__(self, runtime) -> None:
         self._runtime = runtime
         self.last_instance: int = -1
-        self.checkpoints_taken = 0
+        self.stats = {"checkpoints": 0}
         existing = self.stored_record(runtime.node.disk)
         if existing is not None:
             self.last_instance = existing.instance
         self._events = log_of(runtime.sim)
         obs = registry_of(runtime.sim)
-        self._obs_checkpoints = obs.counter("treplica.checkpoints")
+        obs.register_counts(self.stats,
+                            {"treplica.checkpoints": "checkpoints"})
         self._obs_ckpt_size = obs.histogram("treplica.checkpoint_size_mb",
                                             lo=0.01, hi=1e4)
         self._obs_ckpt_duration = obs.histogram(
@@ -92,7 +93,7 @@ class CheckpointManager:
         node = runtime.node
         config = runtime.config
         instance = runtime.applied_up_to
-        initial = (self.checkpoints_taken == 0
+        initial = (self.stats["checkpoints"] == 0
                    and self.stored_record(node.disk) is None)
         if instance <= self.last_instance and not initial:
             return None
@@ -112,8 +113,7 @@ class CheckpointManager:
         yield node.disk.write_object(self._next_slot(node.disk), record,
                                      0.001)
         self.last_instance = instance
-        self.checkpoints_taken += 1
-        self._obs_checkpoints.inc()
+        self.stats["checkpoints"] += 1
         self._obs_ckpt_size.observe(size_mb)
         self._obs_ckpt_duration.observe(node.sim.now - started_at)
         spans = getattr(node.sim, "spans", None)

@@ -100,16 +100,19 @@ class TreplicaRuntime:
         self.boot_started_at: Optional[float] = None
         self.recovered_at: Optional[float] = None
         self._remote_ckpt_requested_at: Optional[float] = None
-        self.stats = {"executed": 0, "remote_transfers": 0}
+        self.stats = {"executed": 0, "remote_transfers": 0,
+                      "snapshot_encodes": 0}
         self._fence_replies: Dict[int, tuple] = {}
         # Applied-watermark target the recovery forensics wait for; only
         # armed (non-None) when span tracing is on.
         self._catchup_target: Optional[int] = None
         obs = registry_of(self.sim)
-        self._obs_applied = obs.counter("treplica.applied_commands")
+        obs.register_counts(self.stats, {
+            "treplica.applied_commands": "executed",
+            "treplica.remote_transfers": "remote_transfers",
+            "treplica.snapshot_encodes": "snapshot_encodes",
+        })
         self._obs_apply_latency = obs.histogram("treplica.apply_latency_s")
-        self._obs_remote_transfers = obs.counter("treplica.remote_transfers")
-        self._obs_snapshot_encodes = obs.counter("treplica.snapshot_encodes")
         node.add_volatile_crash_hook(self._on_crash)
 
     # ==================================================================
@@ -184,17 +187,12 @@ class TreplicaRuntime:
         report = {"frames_intact": intact, "frames_dropped": dropped,
                   "checkpoints_discarded": discarded, "dirty": dirty,
                   "fence": fence}
-        obs = registry_of(self.sim)
-        obs.counter("storage.frames_scrubbed").inc(intact + dropped)
         disk.nemesis.count("frames_scrubbed", intact + dropped)
         if dropped or discarded or dirty:
             self._storage_repair_pending = True
-            obs.counter("storage.frames_dropped").inc(dropped)
             disk.nemesis.count("frames_dropped", dropped)
             if dropped:
-                obs.counter("storage.suffix_truncations").inc()
                 disk.nemesis.count("suffix_truncations")
-            obs.counter("storage.checkpoint_discards").inc(discarded)
             disk.nemesis.count("checkpoint_discards", discarded)
             if self._events is not None:
                 self._events.emit("recovery.scrub", self.node.name,
@@ -230,7 +228,6 @@ class TreplicaRuntime:
         self.engine.install_rejoin_fence(
             max(v[0] for v in self._fence_replies.values()),
             max(v[1] for v in self._fence_replies.values()))
-        registry_of(self.sim).counter("storage.rejoin_fences").inc()
         if self.node.disk.nemesis is not None:
             self.node.disk.nemesis.count("rejoin_fences")
 
@@ -354,7 +351,7 @@ class TreplicaRuntime:
         if (self._base is None
                 or self._journal_mb >= self.app.state_size_mb()):
             self._rebase(self.app.snapshot())
-            self._obs_snapshot_encodes.inc()
+            self.stats["snapshot_encodes"] += 1
         return self._base, tuple(self._journal)
 
     def restore_state(self, state: Tuple[Any, Tuple[Action, ...]]) -> None:
@@ -397,7 +394,6 @@ class TreplicaRuntime:
                 for uid, action in items:
                     result = self._apply(action)
                     self.stats["executed"] += 1
-                    self._obs_applied.inc()
                     waiter = self._waiters.pop(uid, None)
                     if waiter is not None and not waiter.triggered:
                         # The local client observes completion here: from
@@ -469,13 +465,9 @@ class TreplicaRuntime:
         self.engine.fast_forward(record.instance,
                                  delivered_uids=record.delivered_uids)
         self.stats["remote_transfers"] += 1
-        self._obs_remote_transfers.inc()
         if self._storage_repair_pending:
             # This transfer replaces state the scrub had to throw away.
             self._storage_repair_pending = False
-            obs = registry_of(self.sim)
-            obs.counter("storage.peer_repairs").inc()
-            obs.counter("storage.repair_mb").inc(record.size_mb)
             if self.node.disk.nemesis is not None:
                 self.node.disk.nemesis.count("peer_repairs")
                 self.node.disk.nemesis.count("repair_mb", record.size_mb)

@@ -109,13 +109,14 @@ class ReverseProxy:
                       "breaker_short_circuits": 0, "redispatch_denied": 0}
         self._spans = getattr(node.sim, "spans", None)
         self._events = log_of(node.sim)
-        obs = registry_of(node.sim)
-        self._obs_forwarded = obs.counter("web.proxy_forwarded")
-        self._obs_reroutes = obs.counter("web.proxy_reroutes")
-        self._obs_broken = obs.counter("web.proxy_broken_connections")
-        self._obs_no_backend = obs.counter("web.proxy_no_backend")
-        self._obs_removals = obs.counter("web.proxy_backend_removals")
-        self._obs_shed = obs.counter("web.proxy_shed")
+        registry_of(node.sim).register_counts(self.stats, {
+            "web.proxy_forwarded": "forwarded",
+            "web.proxy_reroutes": "redispatched",
+            "web.proxy_broken_connections": "broken_connections",
+            "web.proxy_no_backend": "no_backend",
+            "web.proxy_backend_removals": "removals",
+            "web.proxy_shed": ("shed", "dead_dropped", "redispatch_denied"),
+        })
         params = self.params
         self._breakers: Optional[Dict[str, CircuitBreaker]] = None
         if params.breaker_enabled:
@@ -130,12 +131,11 @@ class ReverseProxy:
         if params.redispatch_budget is not None:
             self._redispatch_budget = RetryBudget(
                 params.redispatch_budget, burst=params.redispatch_burst)
-        # Geo runs (repro.geo): backend -> DC, with per-DC ok/WIRT
-        # counters attributing each completed interaction to the DC that
-        # served it.  None on non-geo deployments (zero-cost check).
-        self._backend_dcs: Optional[Dict[str, str]] = None
-        self._geo_ok: Dict[str, object] = {}
-        self._geo_wirt: Dict[str, object] = {}
+        # Geo runs (repro.geo): backend -> the stats keys of its DC's
+        # ok/WIRT counts (``geo.<dc>.*``), attributing each completed
+        # interaction to the DC that served it.  None on non-geo
+        # deployments (zero-cost check).
+        self._geo_keys: Optional[Dict[str, Tuple[str, str]]] = None
 
     def _make_breaker(self, backend: str) -> CircuitBreaker:
         def on_transition(old: str, new: str) -> None:
@@ -158,11 +158,14 @@ class ReverseProxy:
         """Attach the backend-to-datacenter map (geo deployments); the
         per-DC ``geo.<dc>.interactions_ok`` / ``geo.<dc>.wirt_sum_s``
         counters feed the aggregate report's per-DC breakdown."""
-        obs = registry_of(self.node.sim)
-        self._backend_dcs = dict(dc_of)
-        for dc in sorted(set(dc_of.values())):
-            self._geo_ok[dc] = obs.counter(f"geo.{dc}.interactions_ok")
-            self._geo_wirt[dc] = obs.counter(f"geo.{dc}.wirt_sum_s")
+        self._geo_keys = {
+            backend: (f"geo.{dc}.interactions_ok", f"geo.{dc}.wirt_sum_s")
+            for backend, dc in dc_of.items()}
+        names = sorted({key for keys in self._geo_keys.values()
+                        for key in keys})
+        self.stats.update(dict.fromkeys(names, 0))
+        registry_of(self.node.sim).register_counts(
+            self.stats, {name: name for name in names})
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -237,7 +240,6 @@ class ReverseProxy:
             # The client's timeout already fired; the backend tier never
             # sees this request and no reply is owed to anyone.
             self.stats["dead_dropped"] += 1
-            self._obs_shed.inc()
             if self._events is not None:
                 self._events.emit("proxy.dead_request", self.node.name,
                                   req=request.req_id, attempt=attempt)
@@ -245,7 +247,6 @@ class ReverseProxy:
         backend = self._pick_backend(request, attempt)
         if backend is None or attempt >= params.max_dispatch_attempts:
             self.stats["no_backend"] += 1
-            self._obs_no_backend.inc()
             if self._events is not None:
                 self._events.emit(
                     "proxy.no_backend", self.node.name,
@@ -268,7 +269,6 @@ class ReverseProxy:
             # local 503 instead of queueing work the backends cannot
             # absorb.  Distinct from ``refused`` so nothing redispatches.
             self.stats["shed"] += 1
-            self._obs_shed.inc()
             if self._events is not None:
                 self._events.emit("proxy.shed", self.node.name,
                                   req=request.req_id,
@@ -290,7 +290,6 @@ class ReverseProxy:
                             request.session, request.sent_at,
                             trace=request.trace, deadline=request.deadline)
         self.stats["forwarded"] += 1
-        self._obs_forwarded.inc()
         if self._redispatch_budget is not None and attempt == 0:
             self._redispatch_budget.earn()
         self.node.send(backend, HTTP_PORT, forwarded,
@@ -303,7 +302,6 @@ class ReverseProxy:
                 and not self._redispatch_budget.try_spend():
             # Budget dry: surface the failure instead of amplifying it.
             self.stats["redispatch_denied"] += 1
-            self._obs_shed.inc()
             if self._events is not None:
                 self._events.emit("proxy.redispatch_denied", self.node.name,
                                   req=request.req_id, attempt=attempt)
@@ -312,7 +310,6 @@ class ReverseProxy:
                                           error="503 redispatch budget"))
             return
         self.stats["redispatched"] += 1
-        self._obs_reroutes.inc()
         self._work.put(("redispatch", request, attempt, None))
 
     def _on_backend_response(self, response: Response, src: str) -> None:
@@ -339,11 +336,11 @@ class ReverseProxy:
             # Server up but not accepting (recovering): redispatch silently.
             self._redispatch(request, attempt + 1)
             return
-        if self._backend_dcs is not None and response.ok:
-            dc = self._backend_dcs.get(backend)
-            if dc is not None:
-                self._geo_ok[dc].inc()
-                self._geo_wirt[dc].inc(self.node.sim.now - request.sent_at)
+        if self._geo_keys is not None and response.ok:
+            keys = self._geo_keys.get(backend)
+            if keys is not None:
+                self.stats[keys[0]] += 1
+                self.stats[keys[1]] += self.node.sim.now - request.sent_at
         # Reuse the backend's Response object for the client reply instead
         # of allocating a copy; _reply restamps req_id and nothing else
         # holds a reference to the delivered payload.
@@ -367,7 +364,6 @@ class ReverseProxy:
         for pxid in broken:
             request, _backend, _attempt, _at = self._inflight.pop(pxid)
             self.stats["broken_connections"] += 1
-            self._obs_broken.inc()
             if self._events is not None:
                 self._events.emit(
                     "proxy.broken_connection", self.node.name,
@@ -413,7 +409,6 @@ class ReverseProxy:
                 and backend in self.active):
             self.active.remove(backend)
             self.stats["removals"] += 1
-            self._obs_removals.inc()
             if self._events is not None:
                 self._events.emit("proxy.backend_down", self.node.name,
                                   backend=backend, active=len(self.active))

@@ -10,9 +10,9 @@ import statistics
 import pytest
 
 from repro.harness.experiment import Experiment
-from repro.obs.timeline import Timeline
+from repro.obs.timeline import KIND_COUNTER, Timeline
 
-from tests.harness.helpers import tiny_config
+from tests.harness.helpers import tiny_config, tiny_experiment
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +153,27 @@ def test_observability_off_leaves_result_clean():
     assert result.metrics is None
     data = result.to_dict()
     assert data["timeline"] is None and data["metrics"] is None
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_counts_survive_incarnations(shards):
+    """A counter reads the stats of every incarnation that ever
+    registered, so a crash and reboot never set a series back."""
+    result = (tiny_experiment(replicas=3).shards(shards)
+              .faults("crash@240:1" if shards == 1 else "crash@240:1.1")
+              .observe(tick_s=5.0).keep_cluster().run())
+    cluster = result.cluster
+    assert any(node.incarnation > 0 for node in cluster.replica_nodes)
+    assert all(runtime.ready for runtime in cluster.runtimes)
+    timeline = result.timeline
+    for name in timeline.names():
+        if timeline.kind(name) == KIND_COUNTER:
+            values = [value for _t, value in timeline.points(name)]
+            assert values == sorted(values), name
+    counters = result.metrics["counters"]
+    live_decisions = sum(runtime.engine.stats["decisions"]
+                         for runtime in cluster.runtimes)
+    live_applied = sum(runtime.stats["executed"]
+                       for runtime in cluster.runtimes)
+    assert counters["paxos.decisions"] > live_decisions
+    assert counters["treplica.applied_commands"] > live_applied

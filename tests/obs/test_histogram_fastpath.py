@@ -80,17 +80,8 @@ def test_memo_does_not_change_quantiles():
         assert exact / histogram.growth <= sketch <= exact * histogram.growth
 
 
-def test_record_is_an_alias_for_observe():
-    histogram = StreamingHistogram("t", lo=1e-4, hi=100.0)
-    histogram.record(0.25)
-    histogram.record(0.25)
-    assert histogram.count == 2
-    assert StreamingHistogram.record is StreamingHistogram.observe
-
-
 def test_null_histogram_has_record_too():
     null = NULL_REGISTRY.histogram("x")
     assert isinstance(null, _NullHistogram)
-    null.record(1.0)   # inert, must not raise
-    null.observe(1.0)
+    null.observe(1.0)   # inert, must not raise
     assert null.quantile(0.5) == 0.0

@@ -13,32 +13,53 @@ from repro.obs.registry import (
 )
 
 
-def test_counter_get_or_create_and_inc():
+def test_counter_reads_the_registered_counts():
     registry = MetricsRegistry()
-    counter = registry.counter("paxos.proposals")
-    counter.inc()
-    counter.inc(3)
-    assert registry.counter("paxos.proposals") is counter
-    assert counter.value == 4
+    stats = {"proposals": 0, "shed": 0, "dropped": 0}
+    registry.register_counts(stats, {"paxos.proposals": "proposals",
+                                     "web.shed": ("shed", "dropped")})
+    assert registry.counters() == {"paxos.proposals": 0, "web.shed": 0}
+    stats["proposals"] += 4
+    stats["shed"] += 1
+    stats["dropped"] += 2
+    # Read at call time, several keys summed into one counter.
+    assert registry.counters() == {"paxos.proposals": 4, "web.shed": 3}
 
 
-def test_gauge_binding_and_rebinding():
+def test_counter_sums_every_registered_dict():
+    """A rebooted component registers a fresh dict under the same name;
+    the counter keeps the dead incarnation's counts."""
     registry = MetricsRegistry()
-    gauge = registry.gauge("queue.depth")
-    assert gauge.read() == 0.0  # unbound reads as zero
-    registry.gauge("queue.depth", fn=lambda: 7)
+    first, second = {"decisions": 5}, {"decisions": 0}
+    registry.register_counts(first, {"paxos.decisions": "decisions"})
+    registry.register_counts(second, {"paxos.decisions": "decisions"})
+    second["decisions"] += 2
+    assert registry.counters() == {"paxos.decisions": 7}
+
+
+def test_gauge_reads_its_reader_and_registers_once():
+    registry = MetricsRegistry()
+    depth = [3]
+    gauge = registry.gauge("queue.depth", fn=lambda: depth[0])
+    assert gauge.read() == 3.0
+    depth[0] = 7
     assert gauge.read() == 7.0
+    with pytest.raises(ValueError, match="queue.depth"):
+        registry.gauge("queue.depth", fn=lambda: 0)
 
 
-def test_gauge_swallows_reader_exceptions():
+def test_gauge_reader_errors_surface():
     registry = MetricsRegistry()
     gauge = registry.gauge("flaky", fn=lambda: 1 / 0)
-    assert gauge.read() == 0.0
+    with pytest.raises(ZeroDivisionError):
+        gauge.read()
+    with pytest.raises(ZeroDivisionError):
+        registry.snapshot()
 
 
 def test_snapshot_contains_all_instruments():
     registry = MetricsRegistry()
-    registry.counter("a").inc(2)
+    registry.register_counts({"a": 2}, {"a": "a"})
     registry.gauge("b", fn=lambda: 5.0)
     registry.histogram("c").observe(1.0)
     snap = registry.snapshot()
@@ -50,13 +71,13 @@ def test_snapshot_contains_all_instruments():
 def test_null_registry_is_inert_and_shared():
     assert isinstance(NULL_REGISTRY, NullRegistry)
     assert not NULL_REGISTRY.enabled
-    counter = NULL_REGISTRY.counter("x")
-    counter.inc()
-    counter.inc(100)
-    assert NULL_REGISTRY.counter("y") is counter  # one shared null object
-    gauge = NULL_REGISTRY.gauge("g", fn=lambda: 3)
-    assert gauge.read() == 0.0
-    NULL_REGISTRY.histogram("h").observe(1.0)
+    NULL_REGISTRY.register_counts({"x": 1}, {"x": "x"})
+    assert NULL_REGISTRY.counters() == {}
+    histogram = NULL_REGISTRY.histogram("h")
+    histogram.observe(1.0)
+    assert NULL_REGISTRY.histogram("i") is histogram  # one shared null
+    assert NULL_REGISTRY.snapshot() == {"counters": {}, "gauges": {},
+                                        "histograms": {}}
 
 
 def test_registry_of_falls_back_to_null():
@@ -158,7 +179,7 @@ def test_to_prometheus_renders_counters_gauges_and_summaries():
     from repro.obs.registry import to_prometheus
 
     registry = MetricsRegistry()
-    registry.counter("web.interactions_ok").inc(42)
+    registry.register_counts({"ok": 42}, {"web.interactions_ok": "ok"})
     registry.gauge("proxy.active_backends", fn=lambda: 5.0)
     latency = registry.histogram("web.wirt_s")
     for value in (0.1, 0.2, 0.3):
@@ -202,7 +223,8 @@ def test_to_prometheus_round_trips_a_loaded_snapshot():
     from repro.obs.registry import to_prometheus
 
     registry = MetricsRegistry()
-    registry.counter("paxos.proposals").inc(7)
+    registry.register_counts({"proposals": 7},
+                             {"paxos.proposals": "proposals"})
     live = registry.snapshot()
     loaded = json.loads(json.dumps(live))
     assert to_prometheus(loaded) == to_prometheus(live)

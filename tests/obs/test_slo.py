@@ -71,6 +71,26 @@ def test_parse_rejects(bad_spec):
         parse_slo(bad_spec)
 
 
+@pytest.mark.parametrize("spec, first, second", [
+    ("wirt_p99<2s,wirt_p99<2000ms", "wirt_p99<2s", "wirt_p99<2000ms"),
+    ("error_rate<1%,error_rate<1.0%", "error_rate<1%", "error_rate<1.0%"),
+    ("error_rate<1%,availability>99%", "error_rate<1%", "availability>99%"),
+    ("availability>99.9%,error_rate<0.1%",
+     "availability>99.9%", "error_rate<0.1%"),
+])
+def test_parse_rejects_two_spellings_of_one_objective(spec, first, second):
+    with pytest.raises(SloError) as excinfo:
+        parse_slo(spec)
+    assert repr(first) in str(excinfo.value)
+    assert repr(second) in str(excinfo.value)
+
+
+def test_parse_keeps_objectives_that_differ_in_meaning():
+    objectives = parse_slo("wirt_p99<2s,wirt_p99<2001ms,wirt_p95<2s,"
+                           "error_rate<1%,error_rate<0.5%")
+    assert len(objectives) == 5
+
+
 def test_slo_error_is_a_value_error():
     with pytest.raises(ValueError):
         parse_slo("nonsense")

@@ -59,13 +59,14 @@ def test_csv_is_tick_aligned_with_blank_gaps():
 def test_sampler_samples_registry_on_ticks():
     sim = Simulator()
     registry = MetricsRegistry()
-    ops = registry.counter("ops")
+    stats = {"ops": 0}
+    registry.register_counts(stats, {"ops": "ops"})
     registry.gauge("depth", fn=lambda: sim.now)
     latency = registry.histogram("latency")
 
     def workload():
         while True:
-            ops.inc(2)
+            stats["ops"] += 2
             latency.observe(0.01)
             yield sim.timeout(1.0)
 
@@ -94,11 +95,12 @@ def test_flush_records_trailing_partial_tick():
     the final partial tick's counter growth from the timeline."""
     sim = Simulator()
     registry = MetricsRegistry()
-    ops = registry.counter("ops")
+    stats = {"ops": 0}
+    registry.register_counts(stats, {"ops": "ops"})
 
     def workload():
         while True:
-            ops.inc()
+            stats["ops"] += 1
             yield sim.timeout(1.0)
 
     sim.spawn(workload(), name="workload")
@@ -114,7 +116,7 @@ def test_flush_records_trailing_partial_tick():
 def test_flush_is_noop_on_tick_boundary():
     sim = Simulator()
     registry = MetricsRegistry()
-    registry.counter("ops").inc()
+    registry.register_counts({"ops": 1}, {"ops": "ops"})
     sampler = TimelineSampler(sim, registry, tick_s=2.0)
     sampler.start()
     sim.run(until=4.0)   # tick lands exactly at 4.0

@@ -43,7 +43,7 @@ def test_obs_public_surface():
                            StreamingHistogram, Timeline, TimelineSampler,
                            registry_of)
     registry = MetricsRegistry()
-    for method in ("counter", "gauge", "histogram", "snapshot"):
+    for method in ("register_counts", "gauge", "histogram", "snapshot"):
         assert callable(getattr(registry, method))
         assert callable(getattr(NullRegistry, method, None))
     for method in ("record", "rate", "to_dict", "from_dict", "to_csv"):

@@ -53,7 +53,7 @@ def test_checkpoint_counts_and_cadence():
         cluster.put_blocking(0, f"a{k}", k)
         cluster.run(2.5)
     manager = cluster.runtimes[0].checkpoints
-    assert manager.checkpoints_taken >= 2
+    assert manager.stats["checkpoints"] >= 2
 
 
 # ----------------------------------------------------------------------

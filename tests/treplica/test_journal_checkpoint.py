@@ -174,7 +174,7 @@ def test_every_replicas_first_record_shares_the_genesis_bytes():
         assert base is cluster.genesis and journal == ()
     cluster.run_until(3.0)  # the boot checkpoints have landed
     for node, runtime in zip(cluster.replica_nodes, cluster.runtimes):
-        assert runtime.checkpoints.checkpoints_taken == 1
+        assert runtime.checkpoints.stats["checkpoints"] == 1
         record = CheckpointManager.stored_record(node.disk)
         assert record.snapshot[0] is cluster.genesis
 
@@ -310,7 +310,7 @@ def test_one_encode_per_base_not_per_checkpoint():
             for node, runtime in zip(cluster.nodes, cluster.runtimes):
                 node.spawn(runtime.checkpoints.take(), name="by-hand")
             cluster.run(0.5)
-        return [(rt.app.snapshot_calls, rt.checkpoints.checkpoints_taken)
+        return [(rt.app.snapshot_calls, rt.checkpoints.stats["checkpoints"])
                 for rt in cluster.runtimes]
 
     # State far larger than 24 puts: the boot base serves every record.
