@@ -307,17 +307,15 @@ class RobustStoreCluster:
             self.sampler = TimelineSampler(
                 self.sim, self.metrics,
                 config.scale.t(config.obs_tick_s))
-        self.span_tracer: Optional[SpanTracer] = None
-        if config.span_tracing:
-            self.span_tracer = SpanTracer(self.sim)
-            self.sim.spans = self.span_tracer
         # The event log (repro.sim.trace), attached before any component
-        # for the same reason: sites capture log_of(sim) when built.
-        # Its subscribers -- the safety audit, the span tracer's recovery
-        # milestones, the flight ring -- each take the kinds their class
-        # declares.  Subscribing is passive (no events, no randomness),
-        # so runs are bit-for-bit identical with any of them on or off.
+        # for the same reason: sites capture log_of(sim) -- or, per
+        # message and per op, log_for(sim, kind) -- when built.  Its
+        # subscribers -- the safety audit, the span tracer, the flight
+        # ring -- each take the kinds their class declares.  Subscribing
+        # is passive (no events, no randomness), so runs are
+        # bit-for-bit identical with any of them on or off.
         self.audit: Optional[Tracer] = None
+        self.span_tracer: Optional[SpanTracer] = None
         self.recorder: Optional[FlightRecorder] = None
         if (config.safety_tracing or config.span_tracing
                 or config.recording_enabled):
@@ -325,7 +323,9 @@ class RobustStoreCluster:
             if config.safety_tracing:
                 self.audit = Tracer()
                 log.subscribe(SafetyChecker.AUDIT_KINDS, self.audit.take)
-            if self.span_tracer is not None:
+            if config.span_tracing:
+                self.span_tracer = SpanTracer()
+                log.subscribe(SpanTracer.KINDS, self.span_tracer.take)
                 log.subscribe(SpanTracer.MILESTONES,
                               self.span_tracer.marks.append)
             if config.recording_enabled:

@@ -149,10 +149,11 @@ class ClusterConfig:
     # (compressed by the scale, like every other duration).
     observability: bool = False
     obs_tick_s: float = 5.0
-    # Causal span tracing (repro.obs.trace): attach a SpanTracer as
-    # ``sim.spans`` so every interaction/message/disk-op/apply records
-    # a span; feeds the WIRT critical-path and recovery-phase analyzers.
-    # Off by default and zero-cost when off (one None-check per site).
+    # Causal span tracing (repro.obs.trace): subscribe a SpanTracer to
+    # the event log, so every interaction/message/disk-op/apply emits
+    # one interval event; feeds the WIRT critical-path and
+    # recovery-phase analyzers.  Off by default and zero-cost when off
+    # (one None-check per site).
     span_tracing: bool = False
     # Sharding (repro.shard): number of independent Paxos+Treplica
     # groups the TPC-W key space is range-partitioned over.  1 keeps the

@@ -34,6 +34,7 @@ from repro.obs.registry import registry_of
 from repro.resilience.retry import RetryPolicy
 from repro.sim.node import Node
 from repro.sim.rng import SeedTree
+from repro.sim.trace import log_for
 from repro.tpcw.navigation import fitted_chain
 from repro.tpcw.workload import Interaction, WorkloadProfile
 from repro.web.http import REQUEST_SIZE_MB, Request, Response
@@ -116,9 +117,10 @@ class OpenLoopLoadSource:
         self.retries_sent = 0
         self.retries_denied = 0
         self._req_seq = itertools.count(1)
-        # req_id -> (first sent_at, interaction, user id, root span, attempt)
+        # req_id -> (first sent_at, interaction, user id, trace, attempt);
+        # the trace id is the first attempt's req_id in traced runs.
         self._pending: Dict[
-            str, Tuple[float, Interaction, int, object, int]] = {}
+            str, Tuple[float, Interaction, int, Optional[str], int]] = {}
         # (deadline, req_id) in send order == deadline order.
         self._expiry: Deque[Tuple[float, str]] = deque()
         self._reaper_armed = False
@@ -126,7 +128,7 @@ class OpenLoopLoadSource:
         self._sessions: Dict[int, Dict[str, object]] = {}
         self.issued = 0
         self.timed_out = 0
-        self._spans = getattr(node.sim, "spans", None)
+        self._roots = log_for(node.sim, "interaction")
         self._obs_wirt = registry_of(node.sim).histogram(
             "web.wirt_s", lo=1e-4, hi=100.0)
 
@@ -160,7 +162,7 @@ class OpenLoopLoadSource:
         self._send(interaction, uid, self.node.sim.now, 0, None)
 
     def _send(self, interaction: Interaction, uid: int, first_sent_at: float,
-              attempt: int, span) -> None:
+              attempt: int, trace: Optional[str]) -> None:
         """Send one attempt (attempt 0 is the arrival itself)."""
         sim = self.node.sim
         session = self._sessions.get(uid)
@@ -171,19 +173,17 @@ class OpenLoopLoadSource:
                           sent_at=first_sent_at)
         if self.propagate_deadline:
             request.deadline = sim.now + self.timeout_s
-        if self._spans is not None:
+        if self._roots is not None:
+            if trace is None:
+                trace = req_id
             request.trace = req_id
-            if span is None:
-                span = self._spans.begin("interaction", self.node.name,
-                                         trace=req_id,
-                                         interaction=interaction.value)
         if attempt == 0:
             self.issued += 1
             if self._retry_budget is not None:
                 self._retry_budget.earn()
         else:
             self.retries_sent += 1
-        self._pending[req_id] = (first_sent_at, interaction, uid, span,
+        self._pending[req_id] = (first_sent_at, interaction, uid, trace,
                                  attempt)
         self._expiry.append((sim.now + self.timeout_s, req_id))
         self._arm_reaper()
@@ -205,13 +205,14 @@ class OpenLoopLoadSource:
         return True
 
     def _schedule_retry(self, interaction: Interaction, uid: int,
-                        first_sent_at: float, attempt: int, span) -> None:
+                        first_sent_at: float, attempt: int,
+                        trace: Optional[str]) -> None:
         delay = self.retry.delay_s(attempt, self._retry_rng)
         if delay > 0.0:
             self.node.sim.call_after(delay, self._send, interaction, uid,
-                                     first_sent_at, attempt + 1, span)
+                                     first_sent_at, attempt + 1, trace)
         else:
-            self._send(interaction, uid, first_sent_at, attempt + 1, span)
+            self._send(interaction, uid, first_sent_at, attempt + 1, trace)
 
     # ------------------------------------------------------------------
     # completion and timeout paths
@@ -220,9 +221,9 @@ class OpenLoopLoadSource:
         entry = self._pending.pop(response.req_id, None)
         if entry is None:
             return  # already timed out; drop the stale response
-        sent_at, interaction, uid, span, attempt = entry
+        sent_at, interaction, uid, trace, attempt = entry
         if not response.ok and self._should_retry(attempt):
-            self._schedule_retry(interaction, uid, sent_at, attempt, span)
+            self._schedule_retry(interaction, uid, sent_at, attempt, trace)
             return
         ok = response.ok
         error_kind = "" if ok else (response.error or "error")
@@ -231,8 +232,16 @@ class OpenLoopLoadSource:
         if ok:
             self._obs_wirt.observe(now - sent_at)
             self._update_session(uid, interaction, response)
-        if span is not None:
-            self._spans.finish(span, ok=ok, error=error_kind)
+        if trace is not None:
+            self._close(trace, sent_at, interaction, ok, error_kind)
+
+    def _close(self, trace: str, sent_at: float, interaction: Interaction,
+               ok: bool, error_kind: str) -> None:
+        """Emit the interaction's root span: every attempt, first send to
+        final outcome."""
+        self._roots.emit("interaction", self.node.name, start=sent_at,
+                         trace=trace, interaction=interaction.value,
+                         ok=ok, error=error_kind)
 
     def _arm_reaper(self) -> None:
         if self._reaper_armed or not self._expiry:
@@ -250,16 +259,16 @@ class OpenLoopLoadSource:
             entry = self._pending.pop(req_id, None)
             if entry is None:
                 continue  # answered in time
-            sent_at, interaction, uid, span, attempt = entry
+            sent_at, interaction, uid, trace, attempt = entry
             self.timed_out += 1
             if self._should_retry(attempt):
                 self._schedule_retry(interaction, uid, sent_at, attempt,
-                                     span)
+                                     trace)
                 continue
             self.collector.record(sent_at, deadline, interaction,
                                   False, "timeout")
-            if span is not None:
-                self._spans.finish(span, ok=False, error="timeout")
+            if trace is not None:
+                self._close(trace, sent_at, interaction, False, "timeout")
         self._arm_reaper()
 
     # ------------------------------------------------------------------

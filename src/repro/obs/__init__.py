@@ -15,10 +15,10 @@ a first-class observability layer:
 * :mod:`repro.obs.profiler` -- :class:`KernelProfiler` attributes the
   event kernel's wall-clock to layers (events per simulated second,
   wall-clock per event category);
-* :mod:`repro.obs.trace` -- :class:`SpanTracer` records causal spans per
-  TPC-W interaction across every layer (hops, queueing, disk, quorum
-  wait, apply), with a WIRT critical-path decomposer, recovery-phase
-  forensics, and JSONL / Chrome trace-event exports;
+* :mod:`repro.obs.trace` -- :class:`SpanTracer` keeps the causal spans
+  of every TPC-W interaction across every layer (hops, queueing, disk,
+  quorum wait, apply), with a WIRT critical-path decomposer,
+  recovery-phase forensics, and JSONL / Chrome trace-event exports;
 * :mod:`repro.obs.recorder` -- :class:`FlightRecorder`, a bounded ring
   of structured events (fault injections, failovers, elections,
   recovery milestones, SLO alerts) with JSONL dump -- the run's black
@@ -30,11 +30,12 @@ a first-class observability layer:
   recorder events, recovery forensics, and SLO burn into per-incident
   reports (``repro postmortem``).
 
-Discrete happenings (a crash, an election, a checkpoint load) are not
-reported to these observers one by one: each is emitted once on the
-simulator's event log (:mod:`repro.sim.trace`), and the flight
-recorder, the span tracer's recovery milestones and the safety audit
-subscribe to the kinds they keep.
+Happenings are not reported to these observers one by one: each
+discrete happening (a crash, an election, a checkpoint load) and each
+interval (a message hop, a disk operation, an interaction) is emitted
+once on the simulator's event log (:mod:`repro.sim.trace`), and the
+flight recorder, the span tracer and the safety audit subscribe to the
+kinds they keep.
 
 Enable the whole stack on a run with ``ClusterConfig(observability=True)``
 or ``Experiment(...).observe()``; from the CLI, ``repro run --obs``.
@@ -65,13 +66,11 @@ from repro.obs.timeline import Timeline, TimelineSampler
 from repro.obs.trace import (
     CriticalPathReport,
     InjectionPoint,
-    Span,
     SpanTracer,
     critical_path,
     current_trace,
     injection_points,
     recovery_phases,
-    spans_of,
 )
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "Objective",
     "SloEngine",
     "SloError",
-    "Span",
     "SpanTracer",
     "StreamingHistogram",
     "Timeline",
@@ -101,6 +99,5 @@ __all__ = [
     "recovery_phases",
     "registry_of",
     "render_markdown",
-    "spans_of",
     "to_prometheus",
 ]

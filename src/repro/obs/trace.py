@@ -1,26 +1,32 @@
 """Causal span tracing: per-interaction spans across every layer.
 
 A *trace* is one TPC-W interaction.  The RBE stamps its request with a
-trace id and opens a root ``interaction`` span; the id rides inside the
-``Request`` payload through proxy and server, is picked up by the
-replica's request process (``sim._current``), and so reaches the
-treplica ``execute`` path and the 2PC coordinator without any component
-threading an explicit context argument.  Every network message hop,
-disk operation, proxy/CPU queueing episode, and state-machine apply
-batch records a :class:`Span` with sim-time start/end, the node it ran
-on, and a kind.  Point-in-time recovery milestones (a leader election,
-a replica catching up) are not spans: the tracer subscribes to them on
-the event log (:mod:`repro.sim.trace`) and keeps them in
-:attr:`SpanTracer.marks`.
+trace id; the id rides inside the ``Request`` payload through proxy and
+server, is picked up by the replica's request process (``sim._current``),
+and so reaches the treplica ``execute`` path and the 2PC coordinator
+without any component threading an explicit context argument.
 
-The tracer follows the ``repro.obs`` null-object discipline: components
-capture ``sim.spans`` (``None`` unless the harness attached a
-:class:`SpanTracer`) and guard each emission with a single ``is not
-None`` check.  Recording is synchronous list appends -- no simulator
-events, no RNG draws -- so a traced run is bit-for-bit identical to an
-untraced run at the same seed (``tests/obs/test_trace.py`` locks this).
+A span is an *interval event* on the simulator's event log
+(:mod:`repro.sim.trace`): the site notes ``start = sim.now`` when the
+episode begins and, when it ends, emits one event whose ``time`` is the
+end and whose fields carry ``start`` (and ``trace`` where the episode
+belongs to an interaction).  Every network message hop, disk operation,
+proxy/CPU queueing episode, replicated execute, state-machine apply
+batch and checkpoint is one such event.  :class:`SpanTracer` is the log
+subscriber that keeps them (:attr:`SpanTracer.INTERVALS`), together
+with the point events worth drawing on the same timeline
+(:attr:`SpanTracer.INSTANTS`: 2PC decisions, Paxos rounds, storage
+faults) and, apart, the recovery milestones (:attr:`SpanTracer.marks`)
+that :func:`recovery_phases` reads.
 
-On top of the raw spans sit two analyzers:
+Per-message and per-op sites capture the log once, when built, through
+:func:`~repro.sim.trace.log_for` -- ``None`` unless some subscriber takes
+their kind -- and guard each emission with a single ``is not None``
+check.  Emitting reads only ``sim.now`` -- no simulator events, no RNG
+draws -- so a traced run is bit-for-bit identical to an untraced run at
+the same seed (``tests/obs/test_trace.py`` locks this).
+
+On top of the kept events sit the analyzers:
 
 * :func:`critical_path` -- decomposes each interaction's measured WIRT
   into queueing / network / disk / quorum / apply buckets that sum to
@@ -30,10 +36,12 @@ On top of the raw spans sit two analyzers:
   paper's detection -> election -> checkpoint -> catch-up -> replay
   phases using the recovery milestones, clamped so the phases
   partition ``[crashed_at, ready_at]`` exactly.
+* :func:`injection_points` -- the fault explorer's candidate faults,
+  read off the 2PC spans of a golden run.
 
-Exports are JSONL (one span or milestone per line) and Chrome trace-event
-JSON (``ph: "X"`` complete events on one thread per node), loadable in
-Perfetto / ``chrome://tracing``.
+Exports are JSONL (one span, instant or milestone per line) and Chrome
+trace-event JSON (``ph: "X"`` complete events and ``ph: "i"`` instants
+on one thread per node), loadable in Perfetto / ``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -41,49 +49,22 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.trace import Event
+from repro.sim.trace import Event, Tracer
 
 __all__ = [
     "BUCKETS",
     "CriticalPathReport",
     "InjectionPoint",
     "RECOVERY_PHASES",
-    "Span",
     "SpanTracer",
     "critical_path",
     "current_trace",
     "injection_points",
     "recovery_phases",
-    "spans_of",
 ]
-
-
-# ----------------------------------------------------------------------
-# span records
-# ----------------------------------------------------------------------
-@dataclass
-class Span:
-    """One timed episode on one node, optionally tied to a trace id."""
-
-    span_id: int
-    kind: str
-    node: str
-    start: float
-    trace: Optional[str] = None
-    end: Optional[float] = None
-    fields: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
-
-def spans_of(sim) -> Optional["SpanTracer"]:
-    """The simulator's span tracer, or ``None`` when tracing is off."""
-    return getattr(sim, "spans", None)
 
 
 def current_trace(sim) -> Optional[str]:
@@ -101,16 +82,31 @@ def current_trace(sim) -> Optional[str]:
     return getattr(process, "trace", None)
 
 
-class SpanTracer:
-    """Collects :class:`Span` records and recovery milestones for one run.
+class SpanTracer(Tracer):
+    """The span subscriber: keeps the interval and instant events of
+    :attr:`KINDS` in :attr:`spans` (bounded at ``max_spans``, past which
+    :attr:`dropped` counts the loss) and the recovery milestones in
+    :attr:`marks`.
 
-    Attached by the harness as ``sim.spans`` *before* any component is
-    built, mirroring how ``sim.metrics`` is installed.  All methods are
-    plain list appends against ``sim.now``; none schedules events or
-    draws randomness, which is what keeps traced and untraced runs
-    bit-for-bit identical.  :attr:`marks` is filled by the event log:
-    the harness subscribes ``marks.append`` to :attr:`MILESTONES`.
+    The harness subscribes :meth:`take` to :attr:`KINDS` and
+    ``marks.append`` to :attr:`MILESTONES` before any component is
+    built.  An interval event carries a ``start`` field; an instant
+    does not.
     """
+
+    #: Interval kinds: each event's ``time`` ends an episode that began
+    #: at its ``start`` field.
+    INTERVALS = frozenset({
+        "interaction", "net", "proxy.queue", "server.cpu", "execute",
+        "apply", "disk", "checkpoint", "txn.prepare", "txn.participant",
+    })
+    #: Point events drawn on the same timeline as the spans.
+    INSTANTS = frozenset({
+        "txn.decide", "txn.resolve", "paxos.phase1", "paxos.fast_round",
+        "storage.fence_installed", "storage.fsynclie_lost",
+        "storage.corrupted", "storage.torn_object", "storage.torn_write",
+    })
+    KINDS = INTERVALS | INSTANTS
 
     #: The recovery milestones :func:`recovery_phases` reads.
     MILESTONES = frozenset({
@@ -119,105 +115,29 @@ class SpanTracer:
         "recovery.scrub", "recovery.repaired_from_peer",
     })
 
-    def __init__(self, sim, max_spans: int = 2_000_000):
-        self.sim = sim
-        self.max_spans = max_spans
-        self.spans: List[Span] = []
+    def __init__(self, max_spans: int = 2_000_000):
+        super().__init__(max_spans)
         self.marks: List[Event] = []
-        self.dropped = 0
-        self._next_id = 0
 
-    # -- recording -----------------------------------------------------
-    def begin(self, kind: str, node: str, trace: Optional[str] = None,
-              **fields: Any) -> Span:
-        """Open a span at ``sim.now``; close it later with :meth:`finish`."""
-        span = Span(self._next_id, kind, node, self.sim.now,
-                    trace=trace, fields=fields)
-        self._next_id += 1
-        if len(self.spans) < self.max_spans:
-            self.spans.append(span)
-        else:
-            self.dropped += 1
-        return span
-
-    def finish(self, span: Span, **fields: Any) -> Span:
-        """Close ``span`` at ``sim.now`` (idempotent: first close wins)."""
-        if span.end is None:
-            span.end = self.sim.now
-            if fields:
-                span.fields.update(fields)
-        return span
-
-    def complete(self, kind: str, node: str, start: float,
-                 trace: Optional[str] = None, **fields: Any) -> Span:
-        """Record a span that ran from ``start`` until ``sim.now``."""
-        span = self.begin(kind, node, trace=trace, **fields)
-        span.start = start
-        span.end = self.sim.now
-        return span
-
-    def instant(self, kind: str, node: str, trace: Optional[str] = None,
-                **fields: Any) -> Span:
-        """A zero-length span (e.g. a message eaten by the nemesis)."""
-        span = self.begin(kind, node, trace=trace, **fields)
-        span.end = span.start
-        return span
-
-    # -- queries -------------------------------------------------------
-    def select(self, kind: Optional[str] = None,
-               trace: Optional[str] = None,
-               node_prefix: Optional[str] = None) -> List[Span]:
-        """Finished spans filtered by kind / trace id / node prefix.
-
-        ``node_prefix="s1."`` narrows a sharded run to one replica
-        group's stream.
-        """
-        out = []
-        for span in self.spans:
-            if span.end is None:
-                continue
-            if kind is not None and span.kind != kind:
-                continue
-            if trace is not None and span.trace != trace:
-                continue
-            if node_prefix is not None \
-                    and not span.node.startswith(node_prefix):
-                continue
-            out.append(span)
-        return out
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for span in self.spans:
-            out[span.kind] = out.get(span.kind, 0) + 1
-        return out
+    @property
+    def spans(self) -> List[Event]:
+        """The kept interval and instant events, in emission order."""
+        return self.events
 
     # -- exports -------------------------------------------------------
     def to_jsonl(self) -> str:
-        """One JSON object per line: spans (finished only) then marks."""
-        lines = []
-        for span in self.spans:
-            if span.end is None:
-                continue
-            lines.append(json.dumps({
-                "type": "span", "id": span.span_id, "kind": span.kind,
-                "node": span.node, "trace": span.trace,
-                "start": span.start, "end": span.end,
-                "fields": _jsonable(span.fields),
-            }, sort_keys=True))
-        for mark in self.marks:
-            lines.append(json.dumps({
-                "type": "mark", "name": mark.kind, "node": mark.node,
-                "time": mark.time, "fields": _jsonable(dict(mark.fields)),
-            }, sort_keys=True))
+        """One JSON object per line: spans and instants, then marks."""
+        lines = [json.dumps(_jsonl_record(event), sort_keys=True)
+                 for event in self.spans + self.marks]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_chrome(self) -> Dict[str, Any]:
         """Chrome trace-event JSON: one pid, one tid per node.
 
-        Complete (``ph: "X"``) events carry the span kind as the event
-        name and the trace id in ``args``; marks become thread-scoped
-        instants.  Timestamps are microseconds of sim time, so the
+        Interval events become complete (``ph: "X"``) events carrying
+        the kind as the event name and the trace id in ``args``; point
+        events become thread-scoped instants (milestones in category
+        ``mark``).  Timestamps are microseconds of sim time, so the
         Perfetto ruler reads directly in simulated wall clock.
         """
         events: List[Dict[str, Any]] = []
@@ -232,32 +152,41 @@ class SpanTracer:
                                "args": {"name": node}})
             return tid
 
-        for span in self.spans:
-            if span.end is None:
-                continue
-            args = _jsonable(span.fields)
-            if span.trace is not None:
-                args["trace"] = span.trace
-            events.append({
-                "ph": "X", "pid": 1, "tid": tid_of(span.node),
-                "name": span.kind, "cat": span.kind.split(".")[0],
-                "ts": round(span.start * 1e6, 3),
-                "dur": round((span.end - span.start) * 1e6, 3),
-                "args": args,
-            })
+        def add(event: Event, cat: str) -> None:
+            args = _jsonable(event.fields)
+            start = args.pop("start", None)
+            if args.get("trace", "") is None:
+                del args["trace"]
+            record = {"pid": 1, "tid": tid_of(event.node),
+                      "name": event.kind, "cat": cat, "args": args}
+            if start is None:
+                record.update(ph="i", s="t", ts=round(event.time * 1e6, 3))
+            else:
+                record.update(ph="X", ts=round(start * 1e6, 3),
+                              dur=round((event.time - start) * 1e6, 3))
+            events.append(record)
+
+        for event in self.spans:
+            add(event, event.kind.split(".")[0])
         for mark in self.marks:
-            events.append({
-                "ph": "i", "s": "t", "pid": 1, "tid": tid_of(mark.node),
-                "name": mark.kind, "cat": "mark",
-                "ts": round(mark.time * 1e6, 3),
-                "args": _jsonable(dict(mark.fields)),
-            })
+            add(mark, "mark")
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def _jsonable(fields: Dict[str, Any]) -> Dict[str, Any]:
+def _jsonl_record(event: Event) -> Dict[str, Any]:
+    fields = _jsonable(event.fields)
+    start = fields.pop("start", None)
+    if start is None:
+        return {"type": "mark", "name": event.kind, "node": event.node,
+                "time": event.time, "fields": fields}
+    return {"type": "span", "id": event.seq, "kind": event.kind,
+            "node": event.node, "trace": fields.pop("trace", None),
+            "start": start, "end": event.time, "fields": fields}
+
+
+def _jsonable(fields: Iterable[Tuple[str, Any]]) -> Dict[str, Any]:
     out: Dict[str, Any] = {}
-    for key, value in fields.items():
+    for key, value in fields:
         if isinstance(value, tuple):
             value = list(value)
         elif not isinstance(value, (str, int, float, bool, list,
@@ -288,21 +217,37 @@ _APPLY_PRIORITY = 4
 _DISK_PRIORITY = 5
 
 
+#: One interval event as the analyzers read it: ``(start, end, event)``.
+_Interval = Tuple[float, float, Event]
+
+
+def _intervals(tracer: SpanTracer) -> Iterable[_Interval]:
+    """The tracer's interval events (instants skipped), in emit order."""
+    for event in tracer.spans:
+        start = event.get("start")
+        if start is not None:
+            yield start, event.time, event
+
+
+def _by_start(intervals: List[_Interval]) -> List[_Interval]:
+    """``intervals`` in the order their episodes began."""
+    return sorted(intervals, key=lambda interval: interval[0])
+
+
 class _NodeIndex:
     """Interval index over one node's spans: sorted starts + prefix-max
     ends, so ``overlapping(a, b)`` is exact without scanning everything."""
 
-    def __init__(self, spans: List[Span]):
-        spans.sort(key=lambda s: (s.start, s.span_id))
-        self.spans = spans
-        self.starts = [s.start for s in spans]
+    def __init__(self, intervals: List[_Interval]):
+        self.intervals = _by_start(intervals)
+        self.starts = [start for start, _end, _event in self.intervals]
         self.max_end: List[float] = []
         running = -math.inf
-        for span in spans:
-            running = max(running, span.end)
+        for _start, end, _event in self.intervals:
+            running = max(running, end)
             self.max_end.append(running)
 
-    def overlapping(self, a: float, b: float) -> List[Span]:
+    def overlapping(self, a: float, b: float) -> List[_Interval]:
         hi = bisect.bisect_left(self.starts, b)
         lo, r = 0, hi
         while lo < r:  # leftmost index whose prefix-max end exceeds a
@@ -311,7 +256,7 @@ class _NodeIndex:
                 r = mid
             else:
                 lo = mid + 1
-        return [s for s in self.spans[lo:hi] if s.end > a]
+        return [iv for iv in self.intervals[lo:hi] if iv[1] > a]
 
 
 @dataclass
@@ -383,39 +328,39 @@ def critical_path(tracer: SpanTracer,
     to "other".  The buckets therefore partition ``[start, end]`` and
     sum to the measured WIRT exactly.
     """
-    by_trace: Dict[str, List[Span]] = {}
-    disk_by_node: Dict[str, List[Span]] = {}
-    apply_by_node: Dict[str, List[Span]] = {}
-    roots: List[Span] = []
-    for span in tracer.spans:
-        if span.end is None:
-            continue
-        if span.kind == "disk":
-            disk_by_node.setdefault(span.node, []).append(span)
-        elif span.kind == "apply":
-            apply_by_node.setdefault(span.node, []).append(span)
-        elif span.kind == "interaction":
-            roots.append(span)
-        elif span.trace is not None:
-            by_trace.setdefault(span.trace, []).append(span)
-    disk_index = {node: _NodeIndex(spans)
-                  for node, spans in disk_by_node.items()}
-    apply_index = {node: _NodeIndex(spans)
-                   for node, spans in apply_by_node.items()}
+    by_trace: Dict[str, List[_Interval]] = {}
+    disk_by_node: Dict[str, List[_Interval]] = {}
+    apply_by_node: Dict[str, List[_Interval]] = {}
+    roots: List[_Interval] = []
+    for interval in _intervals(tracer):
+        event = interval[2]
+        if event.kind == "disk":
+            disk_by_node.setdefault(event.node, []).append(interval)
+        elif event.kind == "apply":
+            apply_by_node.setdefault(event.node, []).append(interval)
+        elif event.kind == "interaction":
+            roots.append(interval)
+        else:
+            trace = event.get("trace")
+            if trace is not None:
+                by_trace.setdefault(trace, []).append(interval)
+    disk_index = {node: _NodeIndex(intervals)
+                  for node, intervals in disk_by_node.items()}
+    apply_index = {node: _NodeIndex(intervals)
+                   for node, intervals in apply_by_node.items()}
 
     interactions = []
-    for root in roots:
-        if not include_failed and not root.fields.get("ok", True):
+    for t0, t1, root in _by_start(roots):
+        if not include_failed and not root.get("ok", True):
             continue
-        t0, t1 = root.start, root.end
         if t1 <= t0:
             continue
         segments: List[Tuple[float, float, str, int]] = []
-        for span in by_trace.get(root.trace, ()):
+        for start, end, span in _by_start(by_trace.get(root["trace"], [])):
             mapped = _TRACE_BUCKETS.get(span.kind)
             if mapped is None:
                 continue
-            a, b = max(span.start, t0), min(span.end, t1)
+            a, b = max(start, t0), min(end, t1)
             if b <= a:
                 continue
             bucket, priority = mapped
@@ -423,7 +368,7 @@ def critical_path(tracer: SpanTracer,
                 # Geo runs tag cross-datacenter hops (repro.geo); the
                 # sweep folds both sub-buckets back into "network" so
                 # the split is a refinement, not a new bucket.
-                bucket = ("network#wan" if span.fields.get("wan")
+                bucket = ("network#wan" if span.get("wan")
                           else "network#intra")
             segments.append((a, b, bucket, priority))
             if span.kind != "execute":
@@ -433,24 +378,24 @@ def critical_path(tracer: SpanTracer,
             # this trace's quorum-wait window on the executing replica.
             disk = disk_index.get(f"{span.node}-disk")
             if disk is not None:
-                for other in disk.overlapping(a, b):
-                    c, d = max(other.start, a), min(other.end, b)
+                for c, d, _other in disk.overlapping(a, b):
+                    c, d = max(c, a), min(d, b)
                     if d > c:
                         segments.append((c, d, "disk", _DISK_PRIORITY))
             batches = apply_index.get(span.node)
             if batches is not None:
-                for other in batches.overlapping(a, b):
-                    c, d = max(other.start, a), min(other.end, b)
+                for c, d, _other in batches.overlapping(a, b):
+                    c, d = max(c, a), min(d, b)
                     if d > c:
                         segments.append((c, d, "apply", _APPLY_PRIORITY))
         buckets, network_split = _sweep(t0, t1, segments)
         interactions.append({
-            "trace": root.trace,
-            "interaction": root.fields.get("interaction"),
+            "trace": root["trace"],
+            "interaction": root.get("interaction"),
             "client": root.node,
             "start": t0,
             "wirt_s": t1 - t0,
-            "ok": bool(root.fields.get("ok", True)),
+            "ok": bool(root.get("ok", True)),
             "buckets": buckets,
             "network_split": network_split,
         })
@@ -541,7 +486,8 @@ def injection_points(tracer: SpanTracer,
     """Enumerate candidate faults from a traced run's 2PC spans.
 
     Walks every coordinator ``txn.prepare`` span (with its participant
-    and decide spans, joined on the tx id) and emits, per transaction:
+    spans and ``txn.decide`` event, joined on the tx id) and emits, per
+    transaction:
 
     * **coordinator crashes** around every protocol step --
       ``prepare.send`` (first prepare in flight), ``prepare.wait``
@@ -562,15 +508,19 @@ def injection_points(tracer: SpanTracer,
     points too late in the run to observe recovery afterwards.
     """
     interaction_of: Dict[str, str] = {}
-    for root in tracer.select(kind="interaction"):
-        if root.trace is not None:
-            interaction_of[root.trace] = root.fields.get("interaction")
-    participants_by_tx: Dict[str, List[Span]] = {}
-    for span in tracer.select(kind="txn.participant"):
-        participants_by_tx.setdefault(span.fields["tx"], []).append(span)
-    decide_by_tx: Dict[str, Span] = {}
-    for span in tracer.select(kind="txn.decide"):
-        decide_by_tx.setdefault(span.fields["tx"], span)
+    prepares: List[_Interval] = []
+    participants_by_tx: Dict[str, List[_Interval]] = {}
+    for interval in _intervals(tracer):
+        span = interval[2]
+        if span.kind == "interaction":
+            interaction_of[span["trace"]] = span.get("interaction")
+        elif span.kind == "txn.prepare":
+            prepares.append(interval)
+        elif span.kind == "txn.participant":
+            participants_by_tx.setdefault(span["tx"], []).append(interval)
+    decide_at: Dict[str, float] = {}
+    for decide in tracer.select("txn.decide"):
+        decide_at.setdefault(decide["tx"], decide.time)
     wanted = None if interactions is None else set(interactions)
 
     points: List[InjectionPoint] = []
@@ -583,12 +533,12 @@ def injection_points(tracer: SpanTracer,
             signature=(iclass, stage, role), kind=kind, at=at, node=node,
             until=until, trace=trace, tx=tx))
 
-    for prep in tracer.select(kind="txn.prepare"):
-        iclass = interaction_of.get(prep.trace)
+    for prep_start, prep_end, prep in _by_start(prepares):
+        iclass = interaction_of.get(prep.get("trace"))
         if iclass is None or (wanted is not None and iclass not in wanted):
             continue
-        tx = prep.fields["tx"]
-        trace = prep.trace
+        tx = prep["tx"]
+        trace = prep["trace"]
         coord = prep.node
 
         def crash(stage: str, role: str, at: float, node: str) -> None:
@@ -598,33 +548,32 @@ def injection_points(tracer: SpanTracer,
             add(iclass, stage, role, "drop", send_at - _DROP_HALF_S,
                 pair, send_at + _DROP_HALF_S, trace, tx)
 
-        crash("prepare.send", "coordinator", prep.start + _INJECT_EPS, coord)
+        crash("prepare.send", "coordinator", prep_start + _INJECT_EPS, coord)
         crash("prepare.wait", "coordinator",
-              (prep.start + prep.end) / 2.0, coord)
-        crash("prepare.done", "coordinator", prep.end + _INJECT_EPS, coord)
-        decide = decide_by_tx.get(tx)
-        if decide is not None:
-            if decide.start - _INJECT_EPS > prep.end:
+              (prep_start + prep_end) / 2.0, coord)
+        crash("prepare.done", "coordinator", prep_end + _INJECT_EPS, coord)
+        decided = decide_at.get(tx)
+        if decided is not None:
+            if decided - _INJECT_EPS > prep_end:
                 # While the home group orders the commit record.
                 crash("commit.order", "coordinator",
-                      (prep.end + decide.start) / 2.0, coord)
+                      (prep_end + decided) / 2.0, coord)
             crash("decide.after", "coordinator",
-                  decide.start + _INJECT_EPS, coord)
-        for part in sorted(participants_by_tx.get(tx, ()),
-                           key=lambda s: (s.start, s.span_id)):
+                  decided + _INJECT_EPS, coord)
+        for start, end, part in _by_start(participants_by_tx.get(tx, [])):
             crash("participant.recv", "participant",
-                  part.start + _INJECT_EPS, part.node)
+                  start + _INJECT_EPS, part.node)
             crash("participant.voted", "participant",
-                  part.end + _INJECT_EPS, part.node)
+                  end + _INJECT_EPS, part.node)
             # The prepare's send instant: arrival minus the network
             # latency -- covered generously by the window half-width.
             drop("drop.prepare", "coordinator>participant",
-                 part.start, f"{coord}->{part.node}")
+                 start, f"{coord}->{part.node}")
             drop("drop.vote", "participant>coordinator",
-                 part.end, f"{part.node}->{coord}")
-            if decide is not None:
+                 end, f"{part.node}->{coord}")
+            if decided is not None:
                 drop("drop.decision", "coordinator>participant",
-                     decide.start, f"{coord}->{part.node}")
+                     decided, f"{coord}->{part.node}")
     points.sort(key=lambda p: (p.at, p.signature, p.node))
     return points
 

@@ -63,7 +63,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.registry import registry_of
-from repro.obs.trace import current_trace, spans_of
+from repro.obs.trace import current_trace
 from repro.sim.node import Node
 from repro.sim.trace import log_of
 from repro.treplica.actions import Action
@@ -218,7 +218,6 @@ class TxnParticipant:
         self._orphan_timeout_s = orphan_timeout_s
         self._resolve_waiters: Dict[str, object] = {}
         self._resolving: set = set()
-        self._spans = spans_of(node.sim)
         self._events = log_of(node.sim)
         self.stats = {"resolved": 0}
         registry_of(node.sim).register_counts(
@@ -238,16 +237,14 @@ class TxnParticipant:
         if not self.runtime.ready:
             return  # recovering: silence makes the coordinator retry
         if kind == "prepare":
-            span = None
-            if self._spans is not None:
+            start = self.node.sim.now
+            vote = yield from self.runtime.execute(TxPrepare(tx_id, deltas))
+            if self._events is not None:
                 # The tx id links this participant-side span to the
                 # coordinator's txn.prepare span in the trace view.
-                span = self._spans.begin("txn.participant", self.node.name,
-                                         tx=tx_id, shard=self.shard)
-            vote = yield from self.runtime.execute(TxPrepare(tx_id, deltas))
-            if span is not None:
-                self._spans.finish(span, vote=bool(vote))
-            if self._events is not None:
+                self._events.emit("txn.participant", self.node.name,
+                                  start=start, tx=tx_id, shard=self.shard,
+                                  vote=bool(vote))
                 self._events.emit("txn.vote", self.node.name, tx=tx_id,
                                   shard=self.shard, vote=bool(vote))
             self.node.send(src, TXN_REPLY_PORT,
@@ -325,9 +322,6 @@ class TxnParticipant:
             # for now; the watcher keeps the tx on its clock and retries.
             self._resolving.discard(tx_id)
             return
-        if self._spans is not None:
-            self._spans.instant("txn.resolve", self.node.name, tx=tx_id,
-                                shard=self.shard, outcome=outcome)
         if self._events is not None:
             self._events.emit("txn.resolve", self.node.name, tx=tx_id,
                               shard=self.shard, outcome=outcome,
@@ -353,7 +347,6 @@ class TxnCoordinator:
         self._max_retries = max_retries
         self._waiters: Dict[Tuple[str, int], object] = {}
         self._tx_seq = itertools.count(1)
-        self._spans = spans_of(node.sim)
         self._events = log_of(node.sim)
         self.stats = {"started": 0, "committed": 0, "aborted": 0,
                       "retries": 0}
@@ -379,18 +372,16 @@ class TxnCoordinator:
         """Generator: phase 1 against every participant shard, in shard
         order (deterministic).  Returns True iff all voted yes."""
         self.stats["started"] += 1
-        span = None
-        if self._spans is not None:
-            span = self._spans.begin("txn.prepare", self.node.name,
-                                     trace=current_trace(self.node.sim),
-                                     tx=tx_id, shards=tuple(sorted(parts)))
+        start = self.node.sim.now
         all_yes = True
         for shard in sorted(parts):
             vote = yield from self._prepare_one(tx_id, shard, parts[shard])
             if not vote:
                 all_yes = False
-        if span is not None:
-            self._spans.finish(span, ok=all_yes)
+        if self._events is not None:
+            self._events.emit("txn.prepare", self.node.name, start=start,
+                              trace=current_trace(self.node.sim), tx=tx_id,
+                              shards=tuple(sorted(parts)), ok=all_yes)
         return all_yes
 
     def _prepare_one(self, tx_id: str, shard: int,
@@ -423,10 +414,6 @@ class TxnCoordinator:
         (idempotent at the log level, so no ack tracking is needed)."""
         outcome = "commit" if commit else "abort"
         self.stats["committed" if commit else "aborted"] += 1
-        if self._spans is not None:
-            self._spans.instant("txn.decide", self.node.name,
-                                trace=current_trace(self.node.sim),
-                                tx=tx_id, outcome=outcome)
         if self._events is not None:
             self._events.emit("txn.decide", self.node.name, tx=tx_id,
                               outcome=outcome, shards=tuple(sorted(parts)))

@@ -50,14 +50,13 @@ class Simulator:
         self._counter = itertools.count()
         self._processes_started = 0
         # Optional hooks attached by the harness: a metrics registry
-        # (repro.obs.registry), an event-kernel profiler, a causal
-        # span tracer (repro.obs.trace), and the event log
-        # (repro.sim.trace).  All stay None on uninstrumented runs; the
-        # profiler is the only one the kernel itself consults (one
-        # None-check per event).
+        # (repro.obs.registry), an event-kernel profiler, and the event
+        # log (repro.sim.trace) that the span tracer, flight recorder
+        # and safety audit subscribe to.  All stay None on
+        # uninstrumented runs; the profiler is the only one the kernel
+        # itself consults (one None-check per event).
         self.metrics = None
         self.profiler = None
-        self.spans = None
         self.event_log = None
         # The process currently being resumed, for trace propagation:
         # code running inside a process can ask "whose causal context am

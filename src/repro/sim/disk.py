@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.sim.core import Event, Simulator
 from repro.sim.resource import ServiceStation
 from repro.sim.rng import SeedTree
-from repro.sim.trace import log_of
+from repro.sim.trace import log_for, log_of
 
 
 @dataclass(frozen=True)
@@ -341,8 +341,8 @@ class Disk:
         self._sim = sim
         self.params = params or DiskParams()
         self.name = name
-        self._spans = getattr(sim, "spans", None)
         self._events = log_of(sim)
+        self._ops = log_for(sim, "disk")
         self._station = ServiceStation(sim, name=f"{name}-io")
         self._store: Dict[str, Tuple[Any, float]] = {}
         self.bytes_written_mb = 0.0
@@ -371,8 +371,8 @@ class Disk:
         done = self._station.request(cost)
         # Byte counters account completed transfers only: an op dropped by
         # a crash (station reset) never moved data to the platter.
-        done.add_callback(lambda _event, mb=size_mb: self._book("write", mb))
-        self._trace_op("write", size_mb, done)
+        done.add_callback(lambda _event, mb=size_mb, start=self._sim.now:
+                          self._book("write", mb, start))
         return done
 
     def read(self, size_mb: float) -> Event:
@@ -381,8 +381,8 @@ class Disk:
                 + size_mb / self.params.read_bandwidth_mb_s)
         cost = self._degraded(cost)
         done = self._station.request(cost)
-        done.add_callback(lambda _event, mb=size_mb: self._book("read", mb))
-        self._trace_op("read", size_mb, done)
+        done.add_callback(lambda _event, mb=size_mb, start=self._sim.now:
+                          self._book("read", mb, start))
         return done
 
     def _degraded(self, cost: float) -> float:
@@ -394,22 +394,17 @@ class Disk:
         self.nemesis.count_slow_op()
         return cost * factor
 
-    def _book(self, op: str, size_mb: float) -> None:
+    def _book(self, op: str, size_mb: float, start: float) -> None:
         if op == "write":
             self.bytes_written_mb += size_mb
         else:
             self.bytes_read_mb += size_mb
-
-    def _trace_op(self, op: str, size_mb: float, done: Event) -> None:
-        # Span covers queueing behind the disk head plus the transfer
-        # itself; an op lost to a crash (station reset) never finishes
-        # and its open span is skipped by the exporters.
-        tracer = self._spans
-        if tracer is None:
-            return
-        span = tracer.begin("disk", self.name, op=op,
-                            size_mb=round(size_mb, 6))
-        done.add_callback(lambda _event: tracer.finish(span))
+        # The span covers queueing behind the disk head plus the transfer
+        # itself; an op lost to a crash (station reset) never completes
+        # and emits nothing.
+        if self._ops is not None:
+            self._ops.emit("disk", self.name, start=start, op=op,
+                           size_mb=round(size_mb, 6))
 
     # ------------------------------------------------------------------
     # durable key-value segments (checkpoints, metadata)

@@ -29,7 +29,7 @@ from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Set,
 
 from repro.sim.core import SimulationError, Simulator
 from repro.sim.rng import SeedTree
-from repro.sim.trace import log_of
+from repro.sim.trace import log_for, log_of
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class Network:
                  nemesis: Optional[Nemesis] = None):
         self._sim = sim
         self.params = params or NetworkParams()
-        self._spans = getattr(sim, "spans", None)
+        self._hops = log_for(sim, "net")
         self._rng = (seed or SeedTree(0)).fork_random("network-jitter")
         self._nodes: Dict[str, Any] = {}
         self._blocked: Set[Tuple[str, str]] = set()
@@ -275,7 +275,7 @@ class Network:
         No datagram object is built: each delivery copy is one scheduled
         ``_deliver`` call carrying the fields it needs.
         """
-        nodes, blocked, tracer = self._nodes, self._blocked, self._spans
+        nodes, blocked, hops = self._nodes, self._blocked, self._hops
         nemesis, geo = self.nemesis, self.geo
         now = self._sim.now
         call_after, deliver = self._sim.call_after, self._deliver
@@ -290,9 +290,8 @@ class Network:
             if target is None:
                 raise SimulationError(f"unknown destination node: {dst}")
             if (src, dst) in blocked:
-                if tracer is not None:
-                    tracer.instant("net", f"{src}->{dst}", trace=trace,
-                                   port=port, cause="partition")
+                if hops is not None:
+                    self._hop(src, dst, port, trace, now, "partition")
                 continue
             fates = (0.0,)  # one copy, no extra delay
             if nemesis is not None:
@@ -300,11 +299,9 @@ class Network:
             self.messages_sent += 1
             self.mb_sent += size_mb
             if not fates:
-                if tracer is not None:
-                    tracer.instant("net", f"{src}->{dst}", trace=trace,
-                                   port=port, cause="dropped")
+                if hops is not None:
+                    self._hop(src, dst, port, trace, now, "dropped")
                 continue  # eaten by the nemesis
-            wan = False
             if geo is not None:
                 link, wan, factor = geo.link_for(now, src, dst)
                 latency = link.latency_s * factor
@@ -315,29 +312,29 @@ class Network:
                     self.wan_mb_sent += size_mb
                     geo.wan_messages += 1
                     geo.wan_mb += size_mb
-            # Open hop span, shared by duplicate copies (the first delivery
-            # closes it).
-            span = None
-            if tracer is not None:
-                if wan:
-                    span = tracer.begin("net", f"{src}->{dst}", trace=trace,
-                                        port=port, wan=True)
-                else:
-                    span = tracer.begin("net", f"{src}->{dst}", trace=trace,
-                                        port=port)
+            # random.expovariate(lambd)'s own formula: the same draw and
+            # the same arithmetic, without the method call.
+            delays = [latency + transmit_s + -log(1.0 - random()) / lambd
+                      + extra_delay for extra_delay in fates]
+            # A traced hop is one span however many copies the nemesis
+            # makes: only the copy due first (equal due times run in
+            # scheduling order) carries its start, and closes it.
+            start = now if hops is not None else None
+            closer = 0
+            if start is not None and len(delays) > 1:
+                dues = [now + delay for delay in delays]
+                closer = dues.index(min(dues))
             incarnation = target.incarnation
-            for extra_delay in fates:
-                # random.expovariate(lambd)'s own formula: the same draw
-                # and the same arithmetic, without the method call.
-                delay = (latency + transmit_s + -log(1.0 - random()) / lambd
-                         + extra_delay)
+            for copy, delay in enumerate(delays):
                 self.inflight_messages += 1
                 self.inflight_mb += size_mb
                 call_after(delay, deliver, target, incarnation, src, port,
-                           payload, size_mb, span)
+                           payload, size_mb, trace,
+                           start if copy == closer else None)
 
     def _deliver(self, target: Any, incarnation: int, src: str, port: str,
-                 payload: Any, size_mb: float, span: Any) -> None:
+                 payload: Any, size_mb: float, trace: Optional[str],
+                 start: Optional[float]) -> None:
         self.inflight_messages -= 1
         self.inflight_mb -= size_mb
         if not target.alive:
@@ -348,11 +345,24 @@ class Network:
             cause = "partition"
         else:
             self.messages_delivered += 1
-            if span is not None:
-                self._spans.finish(span)
+            if start is not None:
+                self._hop(src, target.name, port, trace, start, None)
             handler = target._handlers.get(port)
             if handler is not None:
                 handler(payload, src)
             return
-        if span is not None:
-            self._spans.finish(span, cause=cause)
+        if start is not None:
+            self._hop(src, target.name, port, trace, start, cause)
+
+    def _hop(self, src: str, dst: str, port: str, trace: Optional[str],
+             start: float, cause: Optional[str]) -> None:
+        """Emit one ``net`` span: ``cause`` names why the datagram never
+        reached its handler (a send-time loss ends where it starts)."""
+        fields: Dict[str, Any] = {}
+        if cause is not None:
+            fields["cause"] = cause
+        geo = self.geo
+        if geo is not None and geo.dc(src) != geo.dc(dst):
+            fields["wan"] = True  # the link_for test, without its lookups
+        self._hops.emit("net", f"{src}->{dst}", start=start, trace=trace,
+                        port=port, **fields)

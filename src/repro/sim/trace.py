@@ -1,15 +1,19 @@
 """The event log: one structured emit point per happening.
 
-Each discrete happening in a run (a crash, an election, a consensus
-decision) is emitted once, where it happens, as one :class:`Event` of a
-dotted ``layer.event`` kind on the simulator's :class:`EventLog`.
-Observers subscribe to the kinds they keep, each with its own retention
-(the safety audit's bounded :class:`Tracer`, the flight recorder's ring,
-the span tracer's recovery milestones); DESIGN.md section 13 tabulates
-every kind, its emitting layer and its subscribers.  Sites capture the
-log when they are built and test it once per emit, so an unobserved run
-builds no keyword dictionaries; emitting reads only ``sim.now``, so an
-observed run is bit-for-bit identical to an unobserved one::
+Each happening in a run is emitted once, where it happens, as one
+:class:`Event` on the simulator's :class:`EventLog`.  A discrete
+happening (a crash, an election, a consensus decision) has a dotted
+``layer.event`` kind; an interval (a message hop, a disk operation, an
+interaction) is emitted when it ends and carries its beginning in a
+``start`` field, so the event's ``time`` is its end.  Observers
+subscribe to the kinds they keep, each with its own retention (the
+safety audit's bounded :class:`Tracer`, the flight recorder's ring, the
+span tracer's spans and recovery milestones); DESIGN.md section 13
+tabulates every kind, its emitting layer and its subscribers.  Sites
+capture the log when they are built and test it once per emit, so an
+unobserved run builds no keyword dictionaries; emitting reads only
+``sim.now``, so an observed run is bit-for-bit identical to an
+unobserved one::
 
     sim.event_log = log = EventLog(sim)   # before components are built
     audit = Tracer()
@@ -19,6 +23,12 @@ observed run is bit-for-bit identical to an unobserved one::
     self._events = log_of(sim)            # None when nothing observes
     if self._events is not None:
         self._events.emit("node.crash", self.name, incarnation=n)
+
+    # at a per-message site, an interval:
+    self._hops = log_for(sim, "net")      # None unless "net" is taken
+    start = sim.now                       # ... and when the hop lands:
+    if self._hops is not None:
+        self._hops.emit("net", "a->b", start=start, trace=trace)
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 class Event:
     """One happening.  ``fields`` is a sorted tuple of ``(key, value)``
     pairs, so equal payloads compare and serialize identically; ``seq``
-    numbers the events a log (or a standalone recorder) has stamped."""
+    numbers the events a log (or a standalone recorder) has stamped.
+    An interval's ``start`` is one of its fields."""
 
     __slots__ = ("time", "kind", "node", "fields", "seq")
 
@@ -104,6 +115,14 @@ class EventLog:
 def log_of(sim) -> Optional[EventLog]:
     """The simulator's event log, or ``None`` when nothing observes."""
     return getattr(sim, "event_log", None)
+
+
+def log_for(sim, kind: str) -> Optional[EventLog]:
+    """The simulator's event log when some subscriber takes ``kind``,
+    else ``None``.  Per-message and per-op sites capture this once when
+    built, so a run observed for other kinds pays them no call at all."""
+    log = log_of(sim)
+    return log if log is not None and kind in log._takers else None
 
 
 class Tracer:

@@ -21,6 +21,7 @@ from repro.faults.metrics import MetricsCollector
 from repro.obs.registry import registry_of
 from repro.resilience.retry import RetryPolicy
 from repro.sim.node import Node
+from repro.sim.trace import log_for
 from repro.tpcw.workload import Interaction, WorkloadProfile
 from repro.web.http import REQUEST_SIZE_MB, Request, Response
 from repro.web.proxy import CLIENT_IN_PORT
@@ -74,8 +75,7 @@ class RemoteBrowserEmulator:
         self.session: Dict[str, object] = {}
         self._responses = node.sim.channel()
         self._req_seq = itertools.count(1)
-        self._spans = getattr(node.sim, "spans", None)
-        self._open_span = None  # root span of the in-flight interaction
+        self._roots = log_for(node.sim, "interaction")
         self._obs_wirt = registry_of(node.sim).histogram(
             "web.wirt_s", lo=1e-4, hi=100.0)
 
@@ -104,10 +104,16 @@ class RemoteBrowserEmulator:
         sim = self.node.sim
         policy = self.retry
         first_sent_at = sim.now
+        # Traced runs name the interaction after its first req_id; the
+        # root span covers every attempt and is emitted in _record.
+        trace = None
         attempt = 0
         while True:
-            response = yield from self._attempt(interaction, first_sent_at,
-                                                attempt)
+            req_id = f"r{self.rbe_id}-{next(self._req_seq)}"
+            if trace is None and self._roots is not None:
+                trace = req_id
+            response = yield from self._attempt(interaction, req_id, trace,
+                                                first_sent_at, attempt)
             if response is not None and response.ok:
                 break
             if policy is None or not policy.enabled \
@@ -124,11 +130,11 @@ class RemoteBrowserEmulator:
                 yield sim.timeout(delay)
             attempt += 1
             self.retries_sent += 1
-        self._record(first_sent_at, interaction, response)
+        self._record(first_sent_at, interaction, response, trace)
         return response
 
-    def _attempt(self, interaction: Interaction, first_sent_at: float,
-                 attempt: int):
+    def _attempt(self, interaction: Interaction, req_id: str,
+                 trace: Optional[str], first_sent_at: float, attempt: int):
         """Send one attempt and wait for its answer (or the timeout).
 
         Returns the Response, or None on timeout.  Each attempt carries a
@@ -136,21 +142,13 @@ class RemoteBrowserEmulator:
         by the req_id check exactly like any post-timeout straggler.
         """
         sim = self.node.sim
-        req_id = f"r{self.rbe_id}-{next(self._req_seq)}"
         request = Request(req_id, self.rbe_id, self.node.name,
                           self.reply_port, interaction,
                           dict(self.session), sent_at=first_sent_at)
         if self.propagate_deadline:
             request.deadline = sim.now + self.timeout_s
-        if self._spans is not None:
-            # The req_id doubles as the trace id; the root span brackets
-            # the whole interaction (all attempts) and is closed in
-            # _record.
+        if trace is not None:
             request.trace = req_id
-            if self._open_span is None:
-                self._open_span = self._spans.begin(
-                    "interaction", self.node.name, trace=req_id,
-                    interaction=interaction.value)
         if self._retry_budget is not None and attempt == 0:
             self._retry_budget.earn()
         self.node.send(self.proxy_name, CLIENT_IN_PORT, request,
@@ -173,7 +171,7 @@ class RemoteBrowserEmulator:
             # Stale response from an earlier timed-out request: drop it.
 
     def _record(self, sent_at: float, interaction: Interaction,
-                response: Optional[Response]) -> None:
+                response: Optional[Response], trace: Optional[str]) -> None:
         ok = response is not None and response.ok
         error_kind = ""
         if response is None:
@@ -184,9 +182,10 @@ class RemoteBrowserEmulator:
                               interaction, ok, error_kind)
         if ok:
             self._obs_wirt.observe(self.node.sim.now - sent_at)
-        if self._spans is not None and self._open_span is not None:
-            span, self._open_span = self._open_span, None
-            self._spans.finish(span, ok=ok, error=error_kind)
+        if trace is not None:
+            self._roots.emit("interaction", self.node.name, start=sent_at,
+                             trace=trace, interaction=interaction.value,
+                             ok=ok, error=error_kind)
 
     # ------------------------------------------------------------------
     def _update_session(self, interaction: Interaction,

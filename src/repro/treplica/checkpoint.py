@@ -116,11 +116,9 @@ class CheckpointManager:
         self.stats["checkpoints"] += 1
         self._obs_ckpt_size.observe(size_mb)
         self._obs_ckpt_duration.observe(node.sim.now - started_at)
-        spans = getattr(node.sim, "spans", None)
-        if spans is not None:
-            spans.complete("checkpoint", node.name, start=started_at,
-                           instance=instance, size_mb=round(size_mb, 3))
         if self._events is not None:
+            self._events.emit("checkpoint", node.name, start=started_at,
+                              instance=instance, size_mb=round(size_mb, 3))
             self._events.emit("checkpoint.taken", node.name,
                               instance=instance, size_mb=round(size_mb, 3))
         floor = instance + 1 - config.log_retain_instances

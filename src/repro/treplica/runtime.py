@@ -30,13 +30,13 @@ import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.registry import registry_of
-from repro.obs.trace import current_trace, spans_of
+from repro.obs.trace import current_trace
 from repro.paxos.messages import Command
 from repro.sim.core import Event, Simulator
 from repro.sim.disk import WriteAheadLog
 from repro.sim.node import Node
 from repro.sim.rng import SeedTree
-from repro.sim.trace import log_of
+from repro.sim.trace import log_for, log_of
 from repro.treplica.actions import Action
 from repro.treplica.application import Application
 from repro.treplica.checkpoint import CheckpointManager, CheckpointRecord
@@ -60,8 +60,9 @@ class TreplicaRuntime:
         self.config = config or TreplicaConfig()
         self._seed = seed or SeedTree(0)
 
-        self._spans = spans_of(self.sim)
         self._events = log_of(self.sim)
+        self._executes = log_for(self.sim, "execute")
+        self._applies = log_for(self.sim, "apply")
         wal = WriteAheadLog(self.sim, node.disk,
                             name=f"{node.name}-queue-wal", node=node)
         # Scrub before anything reads durable state back: verify the log's
@@ -284,14 +285,12 @@ class TreplicaRuntime:
                f":a{self._uid_counter}")
         waiter = self.sim.event()
         self._waiters[uid] = waiter
-        span = None
-        if self._spans is not None:
-            span = self._spans.begin("execute", self.node.name,
-                                     trace=current_trace(self.sim), uid=uid)
+        start = self.sim.now
         self.engine.submit(Command(uid, action, size_mb=action.size_mb))
         result = yield waiter
-        if span is not None:
-            self._spans.finish(span)
+        if self._executes is not None:
+            self._executes.emit("execute", self.node.name, start=start,
+                                trace=current_trace(self.sim), uid=uid)
         return result
 
     def read(self, fn: Callable[[Application], Any]) -> Any:
@@ -403,11 +402,10 @@ class TreplicaRuntime:
                             self._events.emit("treplica.ack", self.node.name,
                                               uid=uid, instance=instance)
                         waiter.succeed(result)
-                if self._spans is not None:
-                    self._spans.complete("apply", self.node.name,
-                                         start=dequeued_at,
-                                         instance=instance,
-                                         commands=len(items))
+                if self._applies is not None:
+                    self._applies.emit("apply", self.node.name,
+                                       start=dequeued_at, instance=instance,
+                                       commands=len(items))
             self.applied_up_to = max(self.applied_up_to, instance)
             if (self._catchup_target is not None
                     and self.applied_up_to >= self._catchup_target):

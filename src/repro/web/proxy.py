@@ -44,7 +44,7 @@ from repro.obs.registry import registry_of
 from repro.resilience.breaker import AdaptiveLimit, CircuitBreaker
 from repro.resilience.retry import RetryBudget
 from repro.sim.node import Node
-from repro.sim.trace import log_of
+from repro.sim.trace import log_for, log_of
 from repro.web.http import REQUEST_SIZE_MB, Request, Response
 from repro.web.server import HTTP_PORT, PROBE_PORT, PROBE_REPLY_PORT
 
@@ -107,8 +107,8 @@ class ReverseProxy:
                       "removals": 0, "readds": 0,
                       "shed": 0, "dead_dropped": 0,
                       "breaker_short_circuits": 0, "redispatch_denied": 0}
-        self._spans = getattr(node.sim, "spans", None)
         self._events = log_of(node.sim)
+        self._queue_events = log_for(node.sim, "proxy.queue")
         registry_of(node.sim).register_counts(self.stats, {
             "web.proxy_forwarded": "forwarded",
             "web.proxy_reroutes": "redispatched",
@@ -179,21 +179,22 @@ class ReverseProxy:
             self.node.network.node(backend).add_crash_listener(
                 self._on_backend_crash)
 
+    # Work items are ``(kind, payload, src, queued_at, trace)``; a traced
+    # run stamps client requests and backend responses with the time they
+    # joined the queue, for the ``proxy.queue`` span the worker emits.
     def _accept_request(self, payload, src: str) -> None:
-        span = None
-        if self._spans is not None:
-            span = self._spans.begin("proxy.queue", self.node.name,
-                                     trace=payload.trace, dir="req")
-        self._work.put(("req", payload, src, span))
+        queued_at = None
+        if self._queue_events is not None:
+            queued_at = self.node.sim.now
+        self._work.put(("req", payload, src, queued_at, payload.trace))
 
     def _accept_response(self, payload, src: str) -> None:
-        span = None
-        if self._spans is not None:
+        queued_at = trace = None
+        if self._queue_events is not None:
+            queued_at = self.node.sim.now
             entry = self._inflight.get(payload.req_id)
             trace = entry[0].trace if entry is not None else None
-            span = self._spans.begin("proxy.queue", self.node.name,
-                                     trace=trace, dir="resp")
-        self._work.put(("resp", payload, src, span))
+        self._work.put(("resp", payload, src, queued_at, trace))
 
     def _worker(self):
         """Serialize proxying through the proxy machine's CPU (drained in
@@ -207,11 +208,13 @@ class ReverseProxy:
             # fresh forward.
             cost = sum(params.cpu_response_s if kind == "resp"
                        else params.cpu_request_s
-                       for kind, _payload, _src, _span in group)
+                       for kind, _payload, _src, _at, _trace in group)
             yield self.node.cpu.request(cost)
-            for kind, payload, src, span in group:
-                if span is not None:
-                    self._spans.finish(span)
+            for kind, payload, src, queued_at, trace in group:
+                if queued_at is not None:
+                    self._queue_events.emit("proxy.queue", self.node.name,
+                                            start=queued_at, trace=trace,
+                                            dir=kind)
                 if kind == "req":
                     self._on_client_request(payload, src)
                 elif kind == "resp":
@@ -310,7 +313,7 @@ class ReverseProxy:
                                           error="503 redispatch budget"))
             return
         self.stats["redispatched"] += 1
-        self._work.put(("redispatch", request, attempt, None))
+        self._work.put(("redispatch", request, attempt, None, None))
 
     def _on_backend_response(self, response: Response, src: str) -> None:
         entry = self._inflight.pop(response.req_id, None)

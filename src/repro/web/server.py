@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 from repro.resilience.admission import ADMIT, SHED_DEAD, AdmissionController
 from repro.sim.node import Node
-from repro.sim.trace import log_of
+from repro.sim.trace import log_for, log_of
 from repro.tpcw.bookstore import BookstoreServlets
 from repro.tpcw.workload import Interaction
 from repro.treplica.runtime import TreplicaRuntime
@@ -50,8 +50,8 @@ class ApplicationServer:
         self.servlets = servlets
         self.service_times = service_times or SERVICE_TIMES
         self.admission = admission
-        self._spans = getattr(node.sim, "spans", None)
         self._events = log_of(node.sim)
+        self._cpu_events = log_for(node.sim, "server.cpu")
         self.requests_served = 0
         self.requests_refused = 0
         self.requests_failed = 0
@@ -108,17 +108,14 @@ class ApplicationServer:
     def _process(self, request: Request, src: str):
         admission = self.admission
         queued_at = self.node.sim.now
-        span = None
-        if self._spans is not None:
-            span = self._spans.begin("server.cpu", self.node.name,
-                                     trace=request.trace,
-                                     interaction=request.interaction.value)
         # Request threads are the bulk class; middleware work (consensus
         # messages, the applier) runs at higher scheduling priority.
         yield self.node.cpu.request(self.service_times[request.interaction],
                                     priority=1)
-        if span is not None:
-            self._spans.finish(span)
+        if self._cpu_events is not None:
+            self._cpu_events.emit("server.cpu", self.node.name,
+                                  start=queued_at, trace=request.trace,
+                                  interaction=request.interaction.value)
         if admission is not None:
             # Feed the CoDel estimator the delay this request actually
             # waited before reaching the CPU.

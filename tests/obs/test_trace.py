@@ -24,7 +24,9 @@ from repro.obs.trace import (
     critical_path,
     recovery_phases,
 )
-from repro.sim.trace import EventLog
+from repro.sim import Network, Node, SeedTree, Simulator
+from repro.sim.network import Nemesis
+from repro.sim.trace import EventLog, log_for
 
 pytestmark = pytest.mark.trace
 
@@ -122,10 +124,7 @@ def test_critical_path_aggregates(traced_baseline):
 
 
 def test_critical_path_empty_tracer():
-    class _FakeSim:
-        now = 0.0
-
-    report = critical_path(SpanTracer(_FakeSim()))
+    report = critical_path(SpanTracer())
     assert report.interactions == []
     assert all(v == 0.0 for v in report.totals().values())
 
@@ -167,10 +166,7 @@ def test_sequential_crashes_phase_breakdown():
 
 
 def test_recovery_phases_skip_incomplete_and_survive_missing_marks():
-    class _FakeSim:
-        now = 0.0
-
-    tracer = SpanTracer(_FakeSim())  # no marks recorded at all
+    tracer = SpanTracer()  # no marks recorded at all
     records = [
         {"replica": 1, "shard": None, "crashed_at": 10.0,
          "rebooted_at": 12.0, "ready_at": 20.0},
@@ -192,16 +188,14 @@ def test_recovery_phases_skip_incomplete_and_survive_missing_marks():
 def test_nemesis_drops_annotate_net_spans():
     result = (_experiment().baseline()
               .nemesis("drop@60-300:p=0.3").trace().run())
-    causes = [span.fields.get("cause")
-              for span in result.spans.select(kind="net")]
+    causes = [span.get("cause") for span in result.spans.select("net")]
     assert "dropped" in causes
 
 
 def test_partition_annotates_net_spans():
     result = (_experiment().partition(replica=2, duration_s=60.0)
               .trace().run())
-    causes = [span.fields.get("cause")
-              for span in result.spans.select(kind="net")]
+    causes = [span.get("cause") for span in result.spans.select("net")]
     assert "partition" in causes
 
 
@@ -210,20 +204,22 @@ def test_sharded_run_links_2pc_spans():
               .load("closed", wips=400.0)
               .shards(2).baseline().trace().run())
     tracer = result.spans
-    prepares = tracer.select(kind="txn.prepare")
-    participants = tracer.select(kind="txn.participant")
-    decides = tracer.select(kind="txn.decide")
+    prepares = tracer.select("txn.prepare")
+    participants = tracer.select("txn.participant")
+    decides = tracer.select("txn.decide")
     assert prepares and participants and decides
     # coordinator spans carry the interaction's trace id; participant
     # spans on the remote shard link back through the transaction id
-    tx_ids = {span.fields["tx"] for span in prepares}
-    assert all(span.trace is not None for span in prepares)
-    assert any(span.fields["tx"] in tx_ids for span in participants)
-    assert {span.fields["tx"] for span in decides} == tx_ids
-    # per-group streams are selectable by node prefix
-    assert tracer.select(node_prefix="s0.")
-    assert tracer.select(node_prefix="s1.")
-    assert not tracer.select(node_prefix="s9.")
+    tx_ids = {span["tx"] for span in prepares}
+    assert all(span["trace"] is not None for span in prepares)
+    assert any(span["tx"] in tx_ids for span in participants)
+    assert {span["tx"] for span in decides} == tx_ids
+    # the decision is the 2PC's one txn.decide event, kept as an instant
+    assert all(span.get("start") is None for span in decides)
+    # each replica group's stream is told apart by its node prefix
+    nodes = {span.node for span in tracer.spans}
+    assert any(node.startswith("s0.") for node in nodes)
+    assert any(node.startswith("s1.") for node in nodes)
 
 
 # ----------------------------------------------------------------------
@@ -267,40 +263,77 @@ class _ClockSim:
         self.now = 0.0
 
 
-def test_finish_is_idempotent_first_close_wins():
-    sim = _ClockSim()
-    tracer = SpanTracer(sim)
-    span = tracer.begin("net", "a->b", trace="t1")
-    sim.now = 1.0
-    tracer.finish(span, cause=None)
-    sim.now = 5.0
-    tracer.finish(span, cause="late-duplicate")
-    assert span.end == 1.0
-    assert "cause" not in span.fields or span.fields["cause"] is None
-
-
-def test_complete_instant_and_mark():
-    sim = _ClockSim()
-    tracer = SpanTracer(sim)
-    sim.now = 3.0
-    span = tracer.complete("apply", "replica0", start=1.0, commands=4)
-    assert (span.start, span.end) == (1.0, 3.0)
-    dot = tracer.instant("net", "a->b", cause="dropped")
-    assert dot.duration == 0.0
+def _subscribed(sim, max_spans=2_000_000):
     log = EventLog(sim)
+    tracer = SpanTracer(max_spans=max_spans)
+    log.subscribe(SpanTracer.KINDS, tracer.take)
     log.subscribe(SpanTracer.MILESTONES, tracer.marks.append)
+    return log, tracer
+
+
+def test_duplicated_datagram_is_one_net_interval():
+    # A duplicated hop is one span, closed by whichever copy lands first;
+    # the later copy emits nothing.
+    sim = Simulator()
+    sim.event_log, tracer = _subscribed(sim)
+    nemesis = Nemesis(sim, seed=SeedTree(3))
+    nemesis.schedule(0.0, 10.0, duplicate_p=1.0)
+    network = Network(sim, seed=SeedTree(3), nemesis=nemesis)
+    got = []
+    Node(sim, network, "a")
+    Node(sim, network, "b").handle(
+        "p", lambda payload, src: got.append(sim.now))
+    network.send("a", "b", "p", "hello", trace="t1")
+    sim.run()
+    [hop] = tracer.select("net")
+    assert len(got) == 2 and nemesis.duplicated == 1
+    assert hop["start"] == 0.0 and hop.time == min(got)
+    assert hop.node == "a->b" and hop["trace"] == "t1"
+    assert hop.get("cause") is None
+
+
+def test_interval_instant_and_mark():
+    sim = _ClockSim()
+    log, tracer = _subscribed(sim)
+    sim.now = 3.0
+    log.emit("apply", "replica0", start=1.0, instance=7, commands=4)
+    log.emit("txn.decide", "s0.replica0", tx="x1", outcome="commit")
     log.emit("paxos.elected", "replica1", round=2)
-    log.emit("recovery.ready", "replica1", recovered=True)  # not a milestone
+    log.emit("recovery.ready", "replica1", recovered=True)  # nobody's kind
+    apply_, decide = tracer.spans
+    assert (apply_["start"], apply_.time) == (1.0, 3.0)
+    assert decide.get("start") is None
     [mark] = tracer.marks
     assert mark.time == 3.0
     assert dict(mark.fields) == {"round": 2}
+    chrome = tracer.to_chrome()["traceEvents"]
+    assert [(e["ph"], e["name"]) for e in chrome if e["ph"] != "M"] == [
+        ("X", "apply"), ("i", "txn.decide"), ("i", "paxos.elected")]
+    assert chrome[1]["dur"] == 2e6
+    records = [json.loads(line) for line in tracer.to_jsonl().splitlines()]
+    assert [r["type"] for r in records] == ["span", "mark", "mark"]
+    assert records[0]["fields"] == {"instance": 7, "commands": 4}
 
 
 def test_max_spans_cap_counts_drops():
-    tracer = SpanTracer(_ClockSim(), max_spans=2)
-    kept_a = tracer.begin("net", "n")
-    kept_b = tracer.begin("net", "n")
-    overflow = tracer.begin("net", "n")
-    assert tracer.spans == [kept_a, kept_b]
+    sim = _ClockSim()
+    log, tracer = _subscribed(sim, max_spans=2)
+    for _ in range(3):
+        log.emit("net", "n", start=0.0, trace=None, port="p")
+    assert len(tracer.spans) == 2
     assert tracer.dropped == 1
-    assert overflow.span_id == 2  # ids keep advancing deterministically
+    # ids are the log's emission numbers, dropped or not
+    assert [span.seq for span in tracer.spans] == [0, 1]
+    assert log.emitted == 3
+
+
+def test_unsubscribed_kinds_cost_their_sites_no_call():
+    # A run observed for other kinds only: per-message and per-op sites
+    # capture no handle at all.
+    sim = Simulator()
+    sim.event_log = EventLog(sim)
+    sim.event_log.subscribe(("node.crash",), lambda event: None)
+    assert log_for(sim, "net") is None
+    assert Network(sim)._hops is None
+    sim.event_log.subscribe(("net",), lambda event: None)
+    assert log_for(sim, "net") is sim.event_log

@@ -145,14 +145,16 @@ def test_design_md_event_table_matches_the_emit_sites():
     rows = {}
     for row in table.split("\n\n")[0].splitlines()[2:]:
         kinds, _layer, subscribers = row.split("|")[1:4]
-        for kind in re.findall(r"`([a-z_]+\.[a-z_{}]+)`", kinds):
+        for kind in re.findall(r"`([a-z_]+(?:\.[a-z0-9_{}]+)?)`", kinds):
             rows[kind] = set(re.findall(r"[a-z]+", subscribers))
     source = "\n".join(path.read_text(encoding="utf-8")
                        for path in (ROOT / "src").rglob("*.py"))
-    emitted = set(re.findall(r'emit\(\s*f?"([a-z_]+\.[a-z_{}]+)"', source))
+    emitted = set(re.findall(r'emit\(\s*f?"([a-z_]+(?:\.[a-z0-9_{}]+)?)"',
+                             source))
     assert emitted <= set(rows), emitted - set(rows)
-    for kind in rows:
+    for kind, subscribers in rows.items():
         assert f'"{kind}"' in source, f"DESIGN.md lists {kind}; nothing emits it"
+        assert subscribers, f"{kind}: no subscriber takes it"
 
     def matches(row, kind):
         template = re.sub(r"\\\{\w+\\\}", r"\\w+", re.escape(row))
@@ -160,7 +162,8 @@ def test_design_md_event_table_matches_the_emit_sites():
 
     declared = {"audit": set(SafetyChecker.AUDIT_KINDS),
                 "ring": FlightRecorder.KINDS,
-                "milestones": SpanTracer.MILESTONES}
+                "milestones": SpanTracer.MILESTONES,
+                "spans": SpanTracer.KINDS}
     for name, kinds in declared.items():
         for kind in kinds:
             documented = [row for row in rows if matches(row, kind)]
