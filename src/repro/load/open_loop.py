@@ -175,8 +175,8 @@ class OpenLoopLoadSource:
             request.deadline = sim.now + self.timeout_s
         if self._roots is not None:
             if trace is None:
-                trace = req_id
-            request.trace = req_id
+                trace = req_id  # every retry carries the first req_id
+            request.trace = trace
         if attempt == 0:
             self.issued += 1
             if self._retry_budget is not None:

@@ -104,8 +104,9 @@ class RemoteBrowserEmulator:
         sim = self.node.sim
         policy = self.retry
         first_sent_at = sim.now
-        # Traced runs name the interaction after its first req_id; the
-        # root span covers every attempt and is emitted in _record.
+        # Traced runs name the interaction after its first req_id and
+        # every attempt carries that trace id; the root span covers all
+        # of them and is emitted in _record.
         trace = None
         attempt = 0
         while True:
@@ -147,8 +148,7 @@ class RemoteBrowserEmulator:
                           dict(self.session), sent_at=first_sent_at)
         if self.propagate_deadline:
             request.deadline = sim.now + self.timeout_s
-        if trace is not None:
-            request.trace = req_id
+        request.trace = trace
         if self._retry_budget is not None and attempt == 0:
             self._retry_budget.earn()
         self.node.send(self.proxy_name, CLIENT_IN_PORT, request,

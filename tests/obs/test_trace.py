@@ -10,6 +10,7 @@ The two load-bearing invariants from the tracer's contract:
 """
 
 import json
+import math
 
 import pytest
 
@@ -220,6 +221,28 @@ def test_sharded_run_links_2pc_spans():
     nodes = {span.node for span in tracer.spans}
     assert any(node.startswith("s0.") for node in nodes)
     assert any(node.startswith("s1.") for node in nodes)
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_retried_attempts_keep_their_interactions_trace(mode):
+    # Every attempt of a retried interaction carries the interaction's
+    # trace id, so each traced span has a root.  The only exceptions are
+    # interactions still in flight when the run stops: the replica is
+    # back long before the end, so those began in its last second.
+    result = (Experiment(tiny_scale(), replicas=3, seed=7)
+              .load(mode, wips=400.0, retry="immediate")
+              .one_crash().trace().keep_cluster().run())
+    roots = {span["trace"] for span in result.spans.select("interaction")}
+    first_start = {}
+    for span in result.spans.spans:
+        trace = span.get("trace")
+        if trace is not None and trace not in roots:
+            first_start[trace] = min(span["start"],
+                                     first_start.get(trace, math.inf))
+    end = result.cluster.sim.now
+    assert len(roots) > 1000
+    assert all(start > end - 1.0 for start in first_start.values()), \
+        sorted(first_start.values())[:5]
 
 
 # ----------------------------------------------------------------------
