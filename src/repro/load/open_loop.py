@@ -167,16 +167,14 @@ class OpenLoopLoadSource:
         sim = self.node.sim
         session = self._sessions.get(uid)
         req_id = f"o{self.source_id}-{next(self._req_seq)}"
+        if trace is None and self._roots is not None:
+            trace = req_id  # every retry carries the first req_id
         request = Request(req_id, uid, self.node.name, self.reply_port,
                           interaction,
                           dict(session) if session else {},
-                          sent_at=first_sent_at)
+                          sent_at=first_sent_at, trace=trace)
         if self.propagate_deadline:
             request.deadline = sim.now + self.timeout_s
-        if self._roots is not None:
-            if trace is None:
-                trace = req_id  # every retry carries the first req_id
-            request.trace = trace
         if attempt == 0:
             self.issued += 1
             if self._retry_budget is not None:

@@ -13,11 +13,10 @@ end and whose fields carry ``start`` (and ``trace`` where the episode
 belongs to an interaction).  Every network message hop, disk operation,
 proxy/CPU queueing episode, replicated execute, state-machine apply
 batch and checkpoint is one such event.  :class:`SpanTracer` is the log
-subscriber that keeps them (:attr:`SpanTracer.INTERVALS`), together
-with the point events worth drawing on the same timeline
-(:attr:`SpanTracer.INSTANTS`: 2PC decisions, Paxos rounds, storage
-faults) and, apart, the recovery milestones (:attr:`SpanTracer.marks`)
-that :func:`recovery_phases` reads.
+subscriber that keeps them (:attr:`SpanTracer.KINDS`), together with
+the point events worth drawing on the same timeline (2PC decisions,
+Paxos rounds, storage faults) and, apart, the recovery milestones
+(:attr:`SpanTracer.marks`) that :func:`recovery_phases` reads.
 
 Per-message and per-op sites capture the log once, when built, through
 :func:`~repro.sim.trace.log_for` -- ``None`` unless some subscriber takes
@@ -94,19 +93,14 @@ class SpanTracer(Tracer):
     does not.
     """
 
-    #: Interval kinds: each event's ``time`` ends an episode that began
-    #: at its ``start`` field.
-    INTERVALS = frozenset({
+    #: The interval kinds, then the instants drawn on the same timeline.
+    KINDS = frozenset({
         "interaction", "net", "proxy.queue", "server.cpu", "execute",
         "apply", "disk", "checkpoint", "txn.prepare", "txn.participant",
-    })
-    #: Point events drawn on the same timeline as the spans.
-    INSTANTS = frozenset({
         "txn.decide", "txn.resolve", "paxos.phase1", "paxos.fast_round",
         "storage.fence_installed", "storage.fsynclie_lost",
         "storage.corrupted", "storage.torn_object", "storage.torn_write",
     })
-    KINDS = INTERVALS | INSTANTS
 
     #: The recovery milestones :func:`recovery_phases` reads.
     MILESTONES = frozenset({

@@ -312,25 +312,32 @@ class Network:
                     self.wan_mb_sent += size_mb
                     geo.wan_messages += 1
                     geo.wan_mb += size_mb
-            # random.expovariate(lambd)'s own formula: the same draw and
-            # the same arithmetic, without the method call.
-            delays = [latency + transmit_s + -log(1.0 - random()) / lambd
-                      + extra_delay for extra_delay in fates]
-            # A traced hop is one span however many copies the nemesis
-            # makes: only the copy due first (equal due times run in
-            # scheduling order) carries its start, and closes it.
-            start = now if hops is not None else None
-            closer = 0
-            if start is not None and len(delays) > 1:
-                dues = [now + delay for delay in delays]
-                closer = dues.index(min(dues))
             incarnation = target.incarnation
-            for copy, delay in enumerate(delays):
+            start = now if hops is not None else None
+            # A traced hop is one span however many copies the nemesis
+            # makes, so duplicates wait until every copy has its delay.
+            copies = [] if start is not None and len(fates) > 1 else None
+            for extra_delay in fates:
+                # random.expovariate(lambd)'s own formula: the same draw
+                # and the same arithmetic, without the method call.
+                delay = (latency + transmit_s + -log(1.0 - random()) / lambd
+                         + extra_delay)
                 self.inflight_messages += 1
                 self.inflight_mb += size_mb
-                call_after(delay, deliver, target, incarnation, src, port,
-                           payload, size_mb, trace,
-                           start if copy == closer else None)
+                if copies is None:
+                    call_after(delay, deliver, target, incarnation, src,
+                               port, payload, size_mb, trace, start)
+                else:
+                    copies.append(delay)
+            if copies:
+                # Only the copy due first (equal due times run in
+                # scheduling order) carries the start, and closes the hop.
+                dues = [now + delay for delay in copies]
+                closer = dues.index(min(dues))
+                for copy, delay in enumerate(copies):
+                    call_after(delay, deliver, target, incarnation, src,
+                               port, payload, size_mb, trace,
+                               start if copy == closer else None)
 
     def _deliver(self, target: Any, incarnation: int, src: str, port: str,
                  payload: Any, size_mb: float, trace: Optional[str],
@@ -363,6 +370,6 @@ class Network:
             fields["cause"] = cause
         geo = self.geo
         if geo is not None and geo.dc(src) != geo.dc(dst):
-            fields["wan"] = True  # the link_for test, without its lookups
+            fields["wan"] = True  # the test GeoDelayModel.link_for makes
         self._hops.emit("net", f"{src}->{dst}", start=start, trace=trace,
                         port=port, **fields)

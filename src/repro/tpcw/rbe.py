@@ -145,10 +145,10 @@ class RemoteBrowserEmulator:
         sim = self.node.sim
         request = Request(req_id, self.rbe_id, self.node.name,
                           self.reply_port, interaction,
-                          dict(self.session), sent_at=first_sent_at)
+                          dict(self.session), sent_at=first_sent_at,
+                          trace=trace)
         if self.propagate_deadline:
             request.deadline = sim.now + self.timeout_s
-        request.trace = trace
         if self._retry_budget is not None and attempt == 0:
             self._retry_budget.earn()
         self.node.send(self.proxy_name, CLIENT_IN_PORT, request,
