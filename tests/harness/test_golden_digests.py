@@ -4,8 +4,10 @@ Same config + seed must give the same run.  Each case below is a
 tiny-scale experiment; between them the cases use every fault kind,
 through ``faults()`` or ``nemesis()``.  The first seven cases' digests
 were computed before the flat and sharded cluster classes were merged,
-the last four before the fault-kind registry replaced the per-kind
-dispatch.  Each case has four digests:
+the next four before the fault-kind registry replaced the per-kind
+dispatch, and the last three -- client retries, navigation, deadline
+propagation and the open loop -- before the two load drivers were
+put on one client core.  Each case has four digests:
 
 * ``result`` -- sha256 of ``ExperimentResult.to_dict()`` minus the
   observer-dependent keys (the same definition as the ledger's
@@ -48,10 +50,17 @@ DIGEST_SKIP = ("kernel_profile", "timeline", "metrics", "safety_violations",
 
 DCS = ("dc0", "dc1", "dc2")
 
+#: Client retries under a storm and a crash, with every defense on.
+RETRY = "expo:base=0.5,cap=4,attempts=3,budget=5%"
+RETRY_FAULTS = "retrystorm@240-270:factor=8,crash@270:1"
+
+
+def _base():
+    return Experiment(tiny_scale(), replicas=3, num_ebs=30, seed=20090629)
+
 
 def _flat():
-    return (Experiment(tiny_scale(), replicas=3, num_ebs=30, seed=20090629)
-            .load("closed", wips=400.0))
+    return _base().load("closed", wips=400.0)
 
 
 def _sharded():
@@ -79,6 +88,14 @@ CASES = {
         "fsynclie@200-300:1,failslow@200-300:2:m=4,crash@250:1"),
     "flat-geo-wandegrade": lambda: _flat().geo(dcs=DCS).faults(
         "wandegrade@240-400:dc0>dc1,x5"),
+    "closed-retry-defended": lambda: _base().load(
+        "closed", wips=400.0, timeout_s=0.5, use_navigation=True,
+        retry=RETRY).defend().faults(RETRY_FAULTS),
+    "open-retry-defended": lambda: _base().load(
+        "open", wips=400.0, population=5000, arrival="deterministic",
+        timeout_s=0.5, retry=RETRY).defend().faults(RETRY_FAULTS),
+    "open-one-crash": lambda: _base().load(
+        "open", wips=400.0, population=5000).faults("crash@270:1"),
 }
 
 GOLDEN = {
@@ -147,6 +164,24 @@ GOLDEN = {
         "trace": "3eabca280895063a2eaeb91abd391847f9c61e941260740cf923c63b5ad4f0b6",
         "flight": "0b703abf1e59d8d7b33b6383097cc69fca8e7aa834f7e19cc3748682c2b54c20",
         "counters": "6c4364a31e135e82dfe80f7b6a4c945136309da073ebe23f27e7879c740acf8e"
+    },
+    "closed-retry-defended": {
+        "result": "adc625d061bc6faf16916cb7f234b3d881553e64fb37b6490ae39d25403aa04b",
+        "trace": "7b472bc570a0fccf1922ed7b137e2a9410a26c4e45539618f5b8849f54fcc91a",
+        "flight": "67ef7b505c1b1d42cb9ce332c3f8c331e9846d4bfae00c739caf6cea6b3feff7",
+        "counters": "b0a17efea23e67c620415380300b81f2d6bf1d8e4821a03d21ad8569835d9aa9"
+    },
+    "open-retry-defended": {
+        "result": "cf764694aa8e223264fdfe836db76dd0738b3373e1a4e4858bc69dee3287d67d",
+        "trace": "5f926e7cf1c5bb73e038870e3dbc7bb2f38cd41b43d3e007da5d70a12a03ce40",
+        "flight": "bbb4d528d17f5ff13c8d6b8a7a6008d75fb41cfd9c520de16b92a9b54bab4330",
+        "counters": "4307b0b70240c086d47cda7b6e513fbd3a85f1e02f9e766b3622db786f1441a6"
+    },
+    "open-one-crash": {
+        "result": "bdbd4f8437eba0bf66acfdaa49453cd20e5e6b779ac61cc94c4e7e290b6d06b3",
+        "trace": "d2b4cd75a764bcc257a1e4b3493bd5d381b69b1f34ae4248c14bfa85bb82f52f",
+        "flight": "7a204de537fd69ee3c735991baec291f92de6a3a2de698ac27b6b1772eed1a80",
+        "counters": "791f14b5b3e0b7a50f93e3e36fd64fc71051e29159c30ab078fb26897bfe432c"
     },
 }
 
