@@ -59,7 +59,6 @@ from repro.tpcw.app import BookstoreApplication, BookstoreSnapshot
 from repro.tpcw.bookstore import BookstoreServlets
 from repro.tpcw.database import TPCWDatabase
 from repro.tpcw.population import PopulationParams, populate
-from repro.tpcw.rbe import RemoteBrowserEmulator
 from repro.tpcw.state import BookstoreState
 from repro.tpcw.workload import profile_by_name
 from repro.treplica import TreplicaRuntime
@@ -441,9 +440,7 @@ class RobustStoreCluster:
             group.start_watchdogs()
 
         # --- load tier (closed-loop RBE fleet or open-loop arrivals) ----
-        self.rbes: List[RemoteBrowserEmulator]
-        self.load_sources: List
-        self.rbes, self.load_sources = build_load(
+        self.load_drivers = build_load(
             self.client_nodes, self.proxy_node.name, self.profile,
             self.collector, self.seed, config)
 

@@ -127,6 +127,8 @@ class ClusterConfig:
     watchdog_max_delay_s: float = 30.0
     watchdog_max_restarts: Optional[int] = 8
     watchdog_stable_after_s: float = 10.0
+    # The client timeout tracks response times, which live in the load
+    # domain (they do not compress with the timeline), so it is NOT scaled.
     rbe_timeout_s: float = 10.0
     # Ablation knobs, applied on top of the defaults: pairs of
     # (field name, value) for PaxosConfig / TreplicaConfig respectively.
@@ -359,9 +361,3 @@ class ClusterConfig:
     def scaled_watchdog_delay_s(self) -> float:
         return self.scale.t(self.watchdog_restart_delay_s)
 
-    @property
-    def scaled_rbe_timeout_s(self) -> float:
-        # The client timeout tracks response times, which live in the
-        # load domain (they do not compress with the timeline), so it is
-        # deliberately NOT scaled.
-        return self.rbe_timeout_s

@@ -1,6 +1,6 @@
 """Aggregated open-loop load: arrival processes instead of client processes.
 
-The paper's closed-loop RBE model (``repro.tpcw.rbe``) allocates one
+The paper's closed-loop RBE model (``repro.load.closed_loop``) allocates one
 simulated process per emulated browser, so kernel work grows with the
 *population* -- thousands of users are the practical ceiling.  This module
 replaces the fleet with **one arrival process per TPC-W interaction
@@ -21,24 +21,23 @@ queues where closed-loop runs show capped WIPS).
 Determinism: every gap, class pick, and session draw comes from named
 :class:`~repro.sim.rng.SeedTree` streams, so a run is bit-for-bit
 reproducible from the experiment seed, like the closed-loop fleet.
+Attempts, retries, recording and the session update are the client
+core's (:mod:`repro.load.client`), which every source is.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.faults.metrics import MetricsCollector
-from repro.obs.registry import registry_of
+from repro.load.client import ClientCore, apply_response
 from repro.resilience.retry import RetryPolicy
 from repro.sim.node import Node
 from repro.sim.rng import SeedTree
-from repro.sim.trace import log_for
 from repro.tpcw.navigation import fitted_chain
 from repro.tpcw.workload import Interaction, WorkloadProfile
-from repro.web.http import REQUEST_SIZE_MB, Request, Response
-from repro.web.proxy import CLIENT_IN_PORT
+from repro.web.http import Response
 
 #: Touched-user session cache bound; far above what a test run touches,
 #: far below a million-user id space.
@@ -63,7 +62,7 @@ def class_rates(profile: WorkloadProfile,
     return [(interaction, wips * p) for interaction, p in class_mix(profile)]
 
 
-class OpenLoopLoadSource:
+class OpenLoopLoadSource(ClientCore):
     """One aggregated request source living on a client node.
 
     Mirrors the externally visible behaviour of an RBE fleet slice --
@@ -86,16 +85,10 @@ class OpenLoopLoadSource:
             raise ValueError(f"population must be >= 1, got {population}")
         if arrival not in ("poisson", "deterministic"):
             raise ValueError(f"unknown arrival process: {arrival!r}")
-        self.node = node
-        self.proxy_name = proxy_name
         self.profile = profile
-        self.collector = collector
         self.source_id = source_id
-        self.wips = wips
         self.population = population
         self.arrival = arrival
-        self.timeout_s = timeout_s
-        self.reply_port = f"open-{source_id}"
         self.rates = class_rates(profile, wips)
         # One named RNG stream per class (gaps + user draws) keeps the
         # arrival sequence of one class independent of every other's.
@@ -104,19 +97,13 @@ class OpenLoopLoadSource:
                 f"open-{source_id}-{interaction.value}")
             for interaction, _rate in self.rates}
         self._session_rng = seed.fork_random(f"open-{source_id}-sessions")
-        # Client retry policy (repro.resilience): a failed attempt is
-        # re-sent under a fresh req_id after the policy's backoff and only
-        # the final outcome is recorded.  The retry stream is forked only
-        # when retries are on; it is drawn from only for jittered backoff,
-        # so the arrival/session streams never shift.
-        self.retry = retry
-        self._retry_rng = (seed.fork_random(f"open-{source_id}-retry")
-                           if retry is not None and retry.enabled else None)
-        self._retry_budget = retry.make_budget() if retry is not None else None
-        self.propagate_deadline = propagate_deadline
-        self.retries_sent = 0
-        self.retries_denied = 0
-        self._req_seq = itertools.count(1)
+        # The retry stream is forked only when retries are on.
+        retry_rng = (seed.fork_random(f"open-{source_id}-retry")
+                     if retry is not None and retry.enabled else None)
+        super().__init__(
+            node, proxy_name, collector, reply_port=f"open-{source_id}",
+            id_prefix=f"o{source_id}-", timeout_s=timeout_s, retry=retry,
+            retry_rng=retry_rng, propagate_deadline=propagate_deadline)
         # req_id -> (first sent_at, interaction, user id, trace, attempt);
         # the trace id is the first attempt's req_id in traced runs.
         self._pending: Dict[
@@ -126,11 +113,6 @@ class OpenLoopLoadSource:
         self._reaper_armed = False
         # Session continuity for *touched* users only.
         self._sessions: Dict[int, Dict[str, object]] = {}
-        self.issued = 0
-        self.timed_out = 0
-        self._roots = log_for(node.sim, "interaction")
-        self._obs_wirt = registry_of(node.sim).histogram(
-            "web.wirt_s", lo=1e-4, hi=100.0)
 
     def start(self) -> None:
         self.node.handle(self.reply_port, self._on_response)
@@ -145,101 +127,56 @@ class OpenLoopLoadSource:
     def _arrival_loop(self, interaction: Interaction, rate: float):
         sim = self.node.sim
         rng = self._class_rngs[interaction]
-        if self.arrival == "deterministic":
-            gap = 1.0 / rate
-            # Deterministic arrivals start phase-shifted by the class RNG
-            # so the classes do not all fire at the same instants.
-            yield sim.timeout(rng.uniform(0.0, gap))
-            while True:
-                self._emit(interaction, rng)
-                yield sim.timeout(gap)
+        gap = 1.0 / rate if self.arrival == "deterministic" else None
+        # Deterministic arrivals start phase-shifted by the class RNG so
+        # the classes do not all fire at the same instants.
+        yield sim.timeout(rng.expovariate(rate) if gap is None
+                          else rng.uniform(0.0, gap))
         while True:
-            yield sim.timeout(rng.expovariate(rate))
-            self._emit(interaction, rng)
+            uid = 1 + rng.randrange(self.population)
+            self._attempt(interaction, uid, sim.now, 0, None)
+            yield sim.timeout(rng.expovariate(rate) if gap is None else gap)
 
-    def _emit(self, interaction: Interaction, rng) -> None:
-        uid = 1 + rng.randrange(self.population)
-        self._send(interaction, uid, self.node.sim.now, 0, None)
-
-    def _send(self, interaction: Interaction, uid: int, first_sent_at: float,
+    def _attempt(self, interaction: Interaction, uid: int, first_sent_at: float,
               attempt: int, trace: Optional[str]) -> None:
         """Send one attempt (attempt 0 is the arrival itself)."""
-        sim = self.node.sim
-        session = self._sessions.get(uid)
-        req_id = f"o{self.source_id}-{next(self._req_seq)}"
-        if trace is None and self._roots is not None:
-            trace = req_id  # every retry carries the first req_id
-        request = Request(req_id, uid, self.node.name, self.reply_port,
-                          interaction,
-                          dict(session) if session else {},
-                          sent_at=first_sent_at, trace=trace)
-        if self.propagate_deadline:
-            request.deadline = sim.now + self.timeout_s
-        if attempt == 0:
-            self.issued += 1
-            if self._retry_budget is not None:
-                self._retry_budget.earn()
-        else:
-            self.retries_sent += 1
-        self._pending[req_id] = (first_sent_at, interaction, uid, trace,
-                                 attempt)
-        self._expiry.append((sim.now + self.timeout_s, req_id))
+        request = self.send(uid, interaction, self._sessions.get(uid),
+                            first_sent_at, attempt, trace)
+        self._pending[request.req_id] = (first_sent_at, interaction, uid,
+                                         request.trace, attempt)
+        self._expiry.append((self.node.sim.now + self.timeout_s,
+                             request.req_id))
         self._arm_reaper()
-        self.node.send(self.proxy_name, CLIENT_IN_PORT, request,
-                       size_mb=REQUEST_SIZE_MB, trace=request.trace)
-
-    # ------------------------------------------------------------------
-    # retry path
-    # ------------------------------------------------------------------
-    def _should_retry(self, attempt: int) -> bool:
-        policy = self.retry
-        if policy is None or not policy.enabled \
-                or attempt >= policy.attempts:
-            return False
-        if self._retry_budget is not None \
-                and not self._retry_budget.try_spend():
-            self.retries_denied += 1
-            return False
-        return True
-
-    def _schedule_retry(self, interaction: Interaction, uid: int,
-                        first_sent_at: float, attempt: int,
-                        trace: Optional[str]) -> None:
-        delay = self.retry.delay_s(attempt, self._retry_rng)
-        if delay > 0.0:
-            self.node.sim.call_after(delay, self._send, interaction, uid,
-                                     first_sent_at, attempt + 1, trace)
-        else:
-            self._send(interaction, uid, first_sent_at, attempt + 1, trace)
 
     # ------------------------------------------------------------------
     # completion and timeout paths
     # ------------------------------------------------------------------
     def _on_response(self, response: Response, src: str) -> None:
         entry = self._pending.pop(response.req_id, None)
-        if entry is None:
-            return  # already timed out; drop the stale response
-        sent_at, interaction, uid, trace, attempt = entry
-        if not response.ok and self._should_retry(attempt):
-            self._schedule_retry(interaction, uid, sent_at, attempt, trace)
-            return
-        ok = response.ok
-        error_kind = "" if ok else (response.error or "error")
-        now = self.node.sim.now
-        self.collector.record(sent_at, now, interaction, ok, error_kind)
-        if ok:
-            self._obs_wirt.observe(now - sent_at)
-            self._update_session(uid, interaction, response)
-        if trace is not None:
-            self._close(trace, sent_at, interaction, ok, error_kind)
+        if entry is not None:  # else it timed out: a stale answer
+            self._settle(entry, response, self.node.sim.now)
 
-    def _close(self, trace: str, sent_at: float, interaction: Interaction,
-               ok: bool, error_kind: str) -> None:
-        """Emit the interaction's root span: every attempt, first send to
-        final outcome."""
-        self._roots.emit("interaction", self.node.name, start=sent_at,
-                         trace=trace, interaction=interaction.value,
-                         ok=ok, error=error_kind)
+    def _settle(self, entry, response: Optional[Response],
+                end: float) -> None:
+        """Retry a failed attempt or record the interaction's outcome
+        (``response`` None: timed out at ``end``, its deadline)."""
+        sent_at, interaction, uid, trace, attempt = entry
+        delay = self.retry_delay(attempt, response)
+        if delay is not None:
+            if delay > 0.0:
+                self.node.sim.call_after(delay, self._attempt, interaction,
+                                         uid, sent_at, attempt + 1, trace)
+            else:
+                self._attempt(interaction, uid, sent_at, attempt + 1, trace)
+            return
+        data = self.finish(sent_at, end, interaction, response, trace)
+        if data is not None:
+            session = self._sessions.get(uid)
+            if session is None:
+                if len(self._sessions) >= _SESSION_CACHE_MAX:
+                    self._sessions.pop(next(iter(self._sessions)))
+                session = self._sessions[uid] = {}
+            apply_response(session, interaction, data, self._session_rng)
 
     def _arm_reaper(self) -> None:
         if self._reaper_armed or not self._expiry:
@@ -250,47 +187,10 @@ class OpenLoopLoadSource:
 
     def _reap(self) -> None:
         self._reaper_armed = False
-        sim = self.node.sim
-        now = sim.now
+        now = self.node.sim.now
         while self._expiry and self._expiry[0][0] <= now:
             deadline, req_id = self._expiry.popleft()
             entry = self._pending.pop(req_id, None)
-            if entry is None:
-                continue  # answered in time
-            sent_at, interaction, uid, trace, attempt = entry
-            self.timed_out += 1
-            if self._should_retry(attempt):
-                self._schedule_retry(interaction, uid, sent_at, attempt,
-                                     trace)
-                continue
-            self.collector.record(sent_at, deadline, interaction,
-                                  False, "timeout")
-            if trace is not None:
-                self._close(trace, sent_at, interaction, False, "timeout")
+            if entry is not None:  # else answered in time
+                self._settle(entry, None, deadline)
         self._arm_reaper()
-
-    # ------------------------------------------------------------------
-    # per-user session continuity (mirrors RBE._update_session)
-    # ------------------------------------------------------------------
-    def _update_session(self, uid: int, interaction: Interaction,
-                        response: Response) -> None:
-        data = response.data
-        if data is None:
-            return
-        session = self._sessions.get(uid)
-        if session is None:
-            if len(self._sessions) >= _SESSION_CACHE_MAX:
-                self._sessions.pop(next(iter(self._sessions)))
-            session = self._sessions[uid] = {}
-        if data.get("c_id") is not None:
-            session["c_id"] = data["c_id"]
-        if data.get("sc_id") is not None:
-            session["sc_id"] = data["sc_id"]
-        items = data.get("items")
-        if items:
-            chosen = self._session_rng.choice(items)
-            session["i_id"] = (chosen[0] if isinstance(chosen, tuple)
-                               else chosen)
-        if interaction is Interaction.BUY_CONFIRM:
-            session.pop("sc_id", None)
-            session.pop("i_id", None)

@@ -17,8 +17,10 @@ Modules:
 * :mod:`repro.tpcw.database` -- the ``TPCW_Database`` facade;
 * :mod:`repro.tpcw.app` -- the Treplica application wrapper;
 * :mod:`repro.tpcw.workload` -- the 14 web interactions and the
-  browsing/shopping/ordering mixes (WIPSb / WIPS / WIPSo);
-* :mod:`repro.tpcw.rbe` -- remote browser emulators.
+  browsing/shopping/ordering mixes (WIPSb / WIPS / WIPSo).
+
+The remote browser emulators that drive it live in
+:mod:`repro.load.closed_loop`.
 """
 
 from repro.tpcw.app import BookstoreApplication

@@ -23,7 +23,8 @@ put on one client core.  Each case has four digests:
 
 Every case must also reproduce its ``result`` digest with no observer
 attached at all (no event log), which pins that observing is free of
-side effects for every fault kind.
+side effects for every fault kind; ``RETRY_NONE`` cases must reproduce
+it with the no-retry client spelled out.
 
 One more pin is the ledger's ``crash_failover`` workload at seed 2009,
 digested exactly as the ledger digests it (``CRASH_FAILOVER_2009``).
@@ -59,8 +60,12 @@ def _base():
     return Experiment(tiny_scale(), replicas=3, num_ebs=30, seed=20090629)
 
 
-def _flat():
-    return _base().load("closed", wips=400.0)
+def _flat(retry=None):
+    return _base().load("closed", wips=400.0, retry=retry)
+
+
+def _open(retry=None):
+    return _base().load("open", wips=400.0, population=5000, retry=retry)
 
 
 def _sharded():
@@ -94,8 +99,14 @@ CASES = {
     "open-retry-defended": lambda: _base().load(
         "open", wips=400.0, population=5000, arrival="deterministic",
         timeout_s=0.5, retry=RETRY).defend().faults(RETRY_FAULTS),
-    "open-one-crash": lambda: _base().load(
-        "open", wips=400.0, population=5000).faults("crash@270:1"),
+    "open-one-crash": lambda: _open().faults("crash@270:1"),
+}
+
+#: Cases rebuilt with an explicit ``retry="none"``: the no-retry client
+#: must be bit-for-bit the default one, in either load model.
+RETRY_NONE = {
+    "flat-one-crash": lambda: _flat(retry="none").one_crash(replica=1),
+    "open-one-crash": lambda: _open(retry="none").faults("crash@270:1"),
 }
 
 GOLDEN = {
@@ -218,6 +229,13 @@ def test_run_matches_golden_digests(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_unobserved_run_matches_golden_result(name):
     result = CASES[name]().keep_cluster().run()
+    assert result.cluster.sim.event_log is None
+    assert _result_digest(result) == GOLDEN[name]["result"]
+
+
+@pytest.mark.parametrize("name", sorted(RETRY_NONE))
+def test_retry_none_matches_golden_result(name):
+    result = RETRY_NONE[name]().keep_cluster().run()
     assert result.cluster.sim.event_log is None
     assert _result_digest(result) == GOLDEN[name]["result"]
 

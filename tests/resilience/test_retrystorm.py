@@ -1,5 +1,8 @@
 """Retry storms end to end: ignition, defenses, parity, and the sweep.
 
+That ``retry=none`` is bit-for-bit the default client is pinned by the
+golden digests (``tests/harness/test_golden_digests.py``).
+
 Every storm here runs at one pinned load point (1400 browsing
 wips, 1.5s client timeout, retrystorm factor 8 for 60 paper-seconds):
 hot enough that the backlog at heal time exceeds the client timeout,
@@ -36,38 +39,6 @@ def _storm_experiment(seed, retry, defended):
     if defended:
         experiment.defend()
     return experiment
-
-
-# ----------------------------------------------------------------------
-# zero cost when off
-# ----------------------------------------------------------------------
-def test_retry_none_is_bit_for_bit_the_default_open_loop():
-    """``retry=none`` with defenses off must not perturb a run at all:
-    no extra RNG draws, no behaviour change, identical samples."""
-    def run(retry):
-        return (Experiment(scale=tiny_scale(), seed=2009)
-                .load("open", wips=400.0, mix="browsing", timeout_s=2.0,
-                      retry=retry)
-                .run())
-
-    bare, explicit = run(None), run("none")
-    assert bare.collector.samples == explicit.collector.samples
-    bare_w, explicit_w = bare.whole_window(), explicit.whole_window()
-    assert bare_w.completed == explicit_w.completed
-    assert bare_w.errors == explicit_w.errors
-    assert bare_w.awips == explicit_w.awips
-
-
-def test_retry_none_is_bit_for_bit_the_default_closed_loop():
-    def run(retry):
-        return (Experiment(scale=tiny_scale(), seed=2009)
-                .load("closed", wips=1900.0, retry=retry)
-                .one_crash(replica=1)
-                .run())
-
-    bare, explicit = run(None), run("none")
-    assert bare.collector.samples == explicit.collector.samples
-    assert bare.recoveries == explicit.recoveries
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults.metrics import MetricsCollector
 from repro.sim import Network, NetworkParams, Node, SeedTree, Simulator
-from repro.tpcw.rbe import RemoteBrowserEmulator
+from repro.load.closed_loop import RemoteBrowserEmulator
 from repro.tpcw.workload import Interaction, SHOPPING
 from repro.web.http import Request, Response
 from repro.web.proxy import CLIENT_IN_PORT
@@ -108,62 +108,3 @@ def test_stale_response_after_timeout_is_dropped():
     # The late responses never get mis-attributed to newer requests:
     oks = [ok for _s, _d, _i, ok, _e in collector.samples]
     assert True not in oks
-
-
-class PoisonThenFastProxy:
-    """Answers the first request late (past the client timeout) with
-    poisoned session data, then every later request promptly."""
-
-    def __init__(self, node, slow_delay, fast_delay=0.01):
-        self.node = node
-        self.slow_delay = slow_delay
-        self.fast_delay = fast_delay
-        self.requests = []
-        node.handle(CLIENT_IN_PORT, self._on_request)
-
-    def _on_request(self, request, src):
-        first = not self.requests
-        self.requests.append(request)
-        delay = self.slow_delay if first else self.fast_delay
-        data = {"c_id": 666} if first else {"c_id": 7}
-
-        def respond():
-            yield self.node.sim.timeout(delay)
-            self.node.send(request.reply_to, request.reply_port,
-                           Response(request.req_id, ok=True, data=data))
-
-        self.node.spawn(respond())
-
-
-def test_stale_response_neither_corrupts_session_nor_double_records():
-    """A response that arrives after the client timeout is a straggler:
-    it must not be mis-attributed to a newer request, must not update
-    the session, and must not add a second sample for an interaction
-    that was already recorded as a timeout."""
-    from repro.sim import Network, NetworkParams, Node, SeedTree, Simulator
-
-    sim = Simulator()
-    tree = SeedTree(9)
-    network = Network(sim, NetworkParams(), seed=tree)
-    client = Node(sim, network, "client")
-    proxy_node = Node(sim, network, "proxy")
-    # The poisoned answer lands at ~2.0s -- long after the 0.5s timeout,
-    # while later interactions are in flight.
-    proxy = PoisonThenFastProxy(proxy_node, slow_delay=2.0)
-    collector = MetricsCollector()
-    rbe = RemoteBrowserEmulator(client, "proxy", SHOPPING, collector,
-                                tree.fork_random("rbe"), rbe_id=1,
-                                think_time_s=0.2, timeout_s=0.5)
-    rbe.start()
-    sim.run(until=10.0)
-
-    # one sample per issued request, so the straggler never double-counted
-    assert len(collector.samples) >= 5
-    assert len(collector.samples) == len(proxy.requests)
-    # exactly the first interaction timed out; everything after succeeded
-    errors = [e for _s, _d, _i, ok, e in collector.samples if not ok]
-    assert errors == ["timeout"]
-    first_ok = [ok for _s, _d, _i, ok, _e in collector.samples][0]
-    assert first_ok is False
-    # the poisoned c_id from the stale body never reached the session
-    assert rbe.session.get("c_id") == 7
