@@ -22,8 +22,8 @@ from repro.load.client import ClientCore
 from repro.load.closed_loop import RemoteBrowserEmulator
 from repro.load.open_loop import OpenLoopLoadSource, class_mix, class_rates
 
-__all__ = ["ClientCore", "OpenLoopLoadSource", "RemoteBrowserEmulator",
-           "class_mix", "class_rates", "build_load"]
+__all__ = ["OpenLoopLoadSource", "RemoteBrowserEmulator", "class_mix",
+           "class_rates", "build_load"]
 
 
 def build_load(client_nodes, proxy_name, profile, collector, seed,

@@ -105,8 +105,10 @@ class ClientCore:
         """Record the interaction's final outcome (``response`` None is a
         timeout); returns the data a successful answer carries."""
         ok = response is not None and response.ok
-        error_kind = ("timeout" if response is None
-                      else "" if ok else response.error or "error")
+        if response is None:
+            error_kind = "timeout"
+        else:
+            error_kind = "" if ok else (response.error or "error")
         self.collector.record(sent_at, end, interaction, ok, error_kind)
         if ok:
             self._obs_wirt.observe(end - sent_at)
@@ -121,9 +123,9 @@ def apply_response(session: Dict[str, object], interaction: Interaction,
                    data: dict, rng: random.Random) -> None:
     """Carry a successful answer's customer, cart and item into the
     user's session; a ``BUY_CONFIRM`` closes the shopping trip."""
-    if data.get("c_id") is not None:
+    if "c_id" in data and data["c_id"] is not None:
         session["c_id"] = data["c_id"]
-    if data.get("sc_id") is not None:
+    if "sc_id" in data and data["sc_id"] is not None:
         session["sc_id"] = data["sc_id"]
     items = data.get("items")
     if items:

@@ -9,8 +9,8 @@ is the default.
 
 Closed-loop behaviour is what couples WIPS to WIRT in the paper: when
 response times inflate, each RBE issues fewer requests per second.
-Attempts, retries, recording and the session update are the client
-core's (:mod:`repro.load.client`), which every RBE is.
+Attempts, retries, recording and the session update come from the
+client core the RBE subclasses (:mod:`repro.load.client`).
 """
 
 from __future__ import annotations

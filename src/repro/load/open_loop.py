@@ -21,8 +21,8 @@ queues where closed-loop runs show capped WIPS).
 Determinism: every gap, class pick, and session draw comes from named
 :class:`~repro.sim.rng.SeedTree` streams, so a run is bit-for-bit
 reproducible from the experiment seed, like the closed-loop fleet.
-Attempts, retries, recording and the session update are the client
-core's (:mod:`repro.load.client`), which every source is.
+Attempts, retries, recording and the session update come from the
+client core the source subclasses (:mod:`repro.load.client`).
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ class OpenLoopLoadSource(ClientCore):
             self._attempt(interaction, uid, sim.now, 0, None)
             yield sim.timeout(rng.expovariate(rate) if gap is None else gap)
 
-    def _attempt(self, interaction: Interaction, uid: int, first_sent_at: float,
-              attempt: int, trace: Optional[str]) -> None:
+    def _attempt(self, interaction: Interaction, uid: int,
+                 first_sent_at: float, attempt: int,
+                 trace: Optional[str]) -> None:
         """Send one attempt (attempt 0 is the arrival itself)."""
         request = self.send(uid, interaction, self._sessions.get(uid),
                             first_sent_at, attempt, trace)

@@ -14,7 +14,7 @@ def test_cluster_builds_figure2_topology():
     assert len(cluster.replica_nodes) == 5
     assert len(cluster.client_nodes) == 5
     assert cluster.proxy_node.name == "proxy"
-    assert len(cluster.rbes) == config.num_rbes
+    assert len(cluster.load_drivers) == config.num_rbes
     assert len(cluster.watchdogs) == 5
 
 
