@@ -133,11 +133,16 @@ class ExplorationRunner:
     launches differs only in its faultload.
     """
 
+    #: Enumerate only points this many sim-seconds before the end, so
+    #: the run can still observe the recovery (watchdog reboot + orphan
+    #: resolution).
+    RECOVERY_HEADROOM_S = 12.0
+
     def __init__(self, config: Optional["ClusterConfig"] = None, *,
-                 interactions: Iterable[str] = ("buy_confirm",),
-                 recovery_headroom_s: float = 12.0,
-                 liveness_grace_s: Optional[float] = None):
+                 interactions: Iterable[str] = ("buy_confirm",)):
         from repro.harness.config import ClusterConfig, tiny_scale
+        from repro.shard.txn import (MAX_RETRIES, ORPHAN_TIMEOUT_S,
+                                     PREPARE_TIMEOUT_S)
         if config is None:
             config = ClusterConfig(scale=tiny_scale(), shards=2, replicas=3,
                                    offered_wips=400.0, seed=11)
@@ -147,15 +152,11 @@ class ExplorationRunner:
                 "configure shards >= 2")
         self.config = config
         self.interactions = tuple(sorted(interactions))
-        # Enumerate only points early enough that the run can still
-        # observe the recovery (watchdog reboot + orphan resolution).
-        self.cutoff = config.scale.total_s - recovery_headroom_s
-        # A prepared tx older than this at end-of-run counts as stuck;
-        # default: the orphan timeout plus resolve round-trips, doubled.
-        self.liveness_grace_s = (
-            liveness_grace_s if liveness_grace_s is not None
-            else 2.0 * (config.txn_orphan_timeout_s
-                        + (config.txn_max_retries + 1) * config.txn_timeout_s))
+        self.cutoff = config.scale.total_s - self.RECOVERY_HEADROOM_S
+        # A prepared tx older than this at end-of-run counts as stuck:
+        # the orphan timeout plus resolve round-trips, doubled.
+        self.liveness_grace_s = 2.0 * (
+            ORPHAN_TIMEOUT_S + (MAX_RETRIES + 1) * PREPARE_TIMEOUT_S)
 
     # -- experiment construction ---------------------------------------
     def _experiment(self) -> "Experiment":

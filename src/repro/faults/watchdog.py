@@ -40,16 +40,19 @@ class Watchdog:
                  backoff_factor: float = 2.0,
                  max_restart_delay_s: float = 30.0,
                  max_restarts: Optional[int] = 8,
-                 stable_after_s: float = 10.0):
+                 stable_after_s: float = 10.0,
+                 time_div: float = 1.0):
         self._sim = sim
         self.node = node
-        self.poll_interval_s = poll_interval_s
-        self.restart_delay_s = restart_delay_s
+        # The durations are paper-timeline seconds, compressed by
+        # ``time_div`` the way ExperimentScale.t compresses the timeline.
+        self.poll_interval_s = poll_interval_s / time_div
+        self.restart_delay_s = restart_delay_s / time_div
         self.enabled = enabled
         self.backoff_factor = backoff_factor
-        self.max_restart_delay_s = max_restart_delay_s
+        self.max_restart_delay_s = max_restart_delay_s / time_div
         self.max_restarts = max_restarts
-        self.stable_after_s = stable_after_s
+        self.stable_after_s = stable_after_s / time_div
         self.restarts: List[float] = []
         self.consecutive_restarts = 0
         self.tripped = False

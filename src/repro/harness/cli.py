@@ -39,11 +39,13 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from repro.harness import sweeps
 from repro.harness.config import bench_scale, paper_scale, tiny_scale
 from repro.harness.experiment import Experiment
+from repro.harness.experiments import _check_fault_targets
 from repro.harness.report import format_series, format_table
 from repro.obs.trace import RECOVERY_PHASES
 
@@ -425,7 +427,9 @@ def _start(experiment: Experiment, args, verb: str,
            detail: Optional[str] = None) -> str:
     """Apply the scenario (or ``--faultload``) and ``--nemesis``, print
     the run's header line, and return the run's label.  ``detail``
-    defaults to a description of the load."""
+    defaults to a description of the load.  Raises ``ValueError`` on a
+    spec that does not parse or a fault target the deployment does not
+    have, before anything runs."""
     if args.faultload is not None:
         experiment.faults(args.faultload)
         label = "custom"
@@ -435,6 +439,7 @@ def _start(experiment: Experiment, args, verb: str,
     if args.nemesis:
         experiment.nemesis(args.nemesis)
     config = experiment.build_config()
+    _check_fault_targets(config, experiment._resolve_faultload(config))
     if detail is None:
         detail = (f"open loop, {config.effective_population:,} users @ "
                   f"{config.effective_offered_wips:.0f} WIPS"
@@ -510,13 +515,13 @@ def _summary_rows(data: dict) -> list:
 def _cmd_run(args) -> int:
     try:
         experiment = _build_experiment(args)
+        if args.check_safety:
+            experiment.check_safety()
+        if args.obs or args.obs_out:
+            experiment.observe(tick_s=args.obs_tick)
+        label = _start(experiment, args, "running")
     except ValueError as error:
         return _usage_error(error)
-    if args.check_safety:
-        experiment.check_safety()
-    if args.obs or args.obs_out:
-        experiment.observe(tick_s=args.obs_tick)
-    label = _start(experiment, args, "running")
     result = experiment.run()
     data = result.to_dict()
     print(format_table(f"{label} ({args.profile}, "
@@ -570,6 +575,9 @@ def _cmd_sweep(args) -> int:
         return _usage_error(f"{option} {swept!r} names no points to sweep")
     try:
         base = _build_experiment(args).build_config()
+        for value in values:  # refuse a bad point before any point runs
+            replace(base, **{
+                "num_ebs" if args.kind == "recovery" else "replicas": value})
         load = _parse_load_spec(args.load or "closed")
         if args.kind == "speedup" and "wips" in load:
             # The speedup law sets each point's offered load; a fixed one
@@ -608,9 +616,9 @@ def _cmd_trace(args) -> int:
         return _usage_error("--export needs --out PATH")
     try:
         experiment = _build_experiment(args).trace()
+        _start(experiment, args, "tracing")
     except ValueError as error:
         return _usage_error(error)
-    _start(experiment, args, "tracing")
     result = experiment.run()
     tracer = result.spans
     print(f"{len(tracer.spans)} spans, {len(tracer.marks)} marks"
@@ -681,9 +689,9 @@ def _cmd_postmortem(args) -> int:
     slo = args.slo or DEFAULT_POSTMORTEM_SLO
     try:
         experiment = _build_experiment(args).trace().record().slo(slo)
+        _start(experiment, args, "post-mortem of", detail=f"slo '{slo}'")
     except ValueError as error:
         return _usage_error(error)
-    _start(experiment, args, "post-mortem of", detail=f"slo '{slo}'")
     result = experiment.run()
     report = result.incident_report()
     markdown = render_markdown(report)

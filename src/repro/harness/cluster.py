@@ -65,6 +65,9 @@ from repro.treplica import TreplicaRuntime
 from repro.web.proxy import ReverseProxy
 from repro.web.server import ApplicationServer
 
+#: The RBE fleet's machines (``client0..4``).
+CLIENT_NODES = 5
+
 #: A fault target: plain replica index (meaning shard 0) or
 #: ``(shard, replica)``.
 Target = Union[int, Tuple[int, int]]
@@ -116,19 +119,9 @@ class ReplicaGroup:
             self._boot_replica(i)
 
     def start_watchdogs(self) -> None:
-        config = self.config
         for node in self.replica_nodes:
-            watchdog = Watchdog(
-                self.sim, node,
-                poll_interval_s=config.scale.t(0.5),
-                restart_delay_s=config.scaled_watchdog_delay_s,
-                enabled=config.watchdog_enabled,
-                backoff_factor=config.watchdog_backoff_factor,
-                max_restart_delay_s=config.scale.t(
-                    config.watchdog_max_delay_s),
-                max_restarts=config.watchdog_max_restarts,
-                stable_after_s=config.scale.t(
-                    config.watchdog_stable_after_s))
+            watchdog = Watchdog(self.sim, node,
+                                time_div=self.config.scale.time_div)
             watchdog.start()
             self.watchdogs.append(watchdog)
 
@@ -287,8 +280,6 @@ class RobustStoreCluster:
     """
 
     def __init__(self, config: ClusterConfig):
-        if config.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {config.shards}")
         self.config = config
         self.sim = Simulator()
         self.seed = SeedTree(config.seed)
@@ -377,8 +368,7 @@ class RobustStoreCluster:
             from repro.shard.database import sharded_database_factory
             partitioner = Partitioner.for_population(config.shards,
                                                      self.population_params)
-            factory = sharded_database_factory(config, partitioner,
-                                               group_names)
+            factory = sharded_database_factory(partitioner, group_names)
             group_kwargs = [dict(seed=self.seed.fork(f"shard{g}"),
                                  name_prefix=f"s{g}.", shard=g,
                                  database_factory=factory)
@@ -400,7 +390,7 @@ class RobustStoreCluster:
                                cpu_speed=1.0 / scale.load_div)
         self.client_nodes: List[Node] = [
             Node(self.sim, self.network, f"client{i}")
-            for i in range(config.client_nodes)]
+            for i in range(CLIENT_NODES)]
 
         # --- replica software (all groups exist: 2PC coordinators can
         # see every group's member list) --------------------------------
@@ -695,7 +685,7 @@ class RobustStoreCluster:
         the crashed servers on their own (autonomous recovery)."""
         for target in self._geo().replica_targets(dc):
             group, index = self._resolve(target)
-            group.watchdogs[index].enabled = self.config.watchdog_enabled
+            group.watchdogs[index].enabled = True
 
     def wan_partition(self, dc: str, peer_dcs) -> None:
         """Sever every node pair between ``dc`` and ``peer_dcs`` (both

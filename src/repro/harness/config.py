@@ -2,8 +2,9 @@
 
 The paper's method (Section 5.1): 30 s ramp-up, 9 min measurement, 30 s
 ramp-down; crashes at t=240 s and t=270 s; the delayed manual recovery at
-t=390 s; populations of 30/50/70 emulated browsers giving 300/500/700 MB
-states; 1 s think time.
+t=390 s (those three are constants beside the scenario presets in
+``repro.harness.experiment``); populations of 30/50/70 emulated browsers
+giving 300/500/700 MB states; 1 s think time.
 
 ``ExperimentScale`` compresses that timeline uniformly: dividing every
 duration *and every state size* by ``time_div`` preserves all the ratios
@@ -17,6 +18,7 @@ benches: set the environment variable ``REPRO_FULL_SCALE=1``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -40,10 +42,6 @@ class ExperimentScale:
     ramp_up_s: float = 30.0
     measure_s: float = 540.0
     ramp_down_s: float = 30.0
-    crash1_at_s: float = 240.0
-    crash2_at_s: float = 270.0
-    both_crash_at_s: float = 240.0
-    manual_reboot_at_s: float = 390.0
     checkpoint_interval_s: float = 120.0
 
     def t(self, seconds: float) -> float:
@@ -109,24 +107,12 @@ class ClusterConfig:
     profile: str = "shopping"
     offered_wips: float = 1900.0  # near 5-replica saturation, like the paper
     think_time_s: float = 1.0
-    client_nodes: int = 5
     seed: int = 2009
     enable_fast: bool = True
     # CBMG page navigation for the RBEs instead of direct mix sampling
     # (same stationary mix; see repro.tpcw.navigation).
     use_navigation: bool = False
     scale: ExperimentScale = field(default_factory=bench_scale)
-    watchdog_enabled: bool = True
-    watchdog_restart_delay_s: float = 1.0
-    # Crash-loop protection: consecutive restarts (no stable stretch of
-    # watchdog_stable_after_s in between) back off exponentially up to
-    # watchdog_max_delay_s, and after watchdog_max_restarts of them the
-    # circuit breaker trips (counted as a loss of autonomy).  Isolated
-    # crashes always see the plain watchdog_restart_delay_s.
-    watchdog_backoff_factor: float = 2.0
-    watchdog_max_delay_s: float = 30.0
-    watchdog_max_restarts: Optional[int] = 8
-    watchdog_stable_after_s: float = 10.0
     # The client timeout tracks response times, which live in the load
     # domain (they do not compress with the timeline), so it is NOT scaled.
     rbe_timeout_s: float = 10.0
@@ -163,17 +149,6 @@ class ClusterConfig:
     # bit-for-bit; k > 1 boots one ReplicaGroup per shard behind a
     # shard-aware router, with two-phase commit for cross-shard writes.
     shards: int = 1
-    # 2PC knobs for cross-shard buy-confirms.  The prepare timeout lives
-    # in the load domain (it tracks message/consensus latencies, like
-    # rbe_timeout_s), so it is deliberately NOT timeline-scaled.
-    txn_timeout_s: float = 1.0
-    txn_max_retries: int = 2
-    # Termination protocol (repro.shard.txn): a participant replica that
-    # holds a prepared-but-undecided transaction for longer than this
-    # asks the tx's home group for the outcome (presumed abort) and
-    # orders it through its own log.  Load-domain, like txn_timeout_s:
-    # it tracks decision-broadcast latency, not the paper timeline.
-    txn_orphan_timeout_s: float = 5.0
     # Keep the live cluster object on the ExperimentResult (excluded
     # from serialization) so callers -- chiefly the fault-space explorer
     # (repro.faults.explore) -- can inspect end-of-run replica state.
@@ -213,9 +188,6 @@ class ClusterConfig:
     # Passive: recording never perturbs the run (bit-for-bit identical
     # to an unrecorded run, like span tracing).
     flight_recorder: bool = False
-    # Auto-dump path: when set and an SLO alert or safety violation
-    # fired, the harness writes the ring as JSONL here after the run.
-    recorder_dump: Optional[str] = None
     # Client retry policy (repro.resilience.retry): a parse_retry() spec
     # such as "expo:base=0.5,cap=8,attempts=3,budget=10%" applied to
     # every load source (closed-loop RBEs and open-loop arrivals alike).
@@ -230,13 +202,24 @@ class ClusterConfig:
     # control (bounded queue + CoDel + deadline shedding).  Off keeps
     # every run bit-for-bit identical to a build without the defenses.
     defenses: bool = False
-    # Defense tuning (all load-domain seconds / ratios, unscaled).
-    admission_queue_limit: int = 64
-    admission_codel_target_s: float = 0.25
-    admission_codel_interval_s: float = 1.0
-    proxy_redispatch_budget: float = 0.1
 
     def __post_init__(self):
+        # One rule per field: a deployment that cannot serve is refused
+        # here, before a cluster is built, not run to a table of errors.
+        if self.replicas < 1:
+            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.num_ebs < 1:
+            raise ValueError(f"num_ebs must be >= 1, got {self.num_ebs}")
+        if self.num_items < 1:
+            raise ValueError(f"num_items must be >= 1, got {self.num_items}")
+        _require_positive("offered_wips", self.offered_wips)
+        if not (math.isfinite(self.think_time_s) and self.think_time_s >= 0):
+            raise ValueError(f"think_time_s must be a finite number >= 0, "
+                             f"got {self.think_time_s!r}")
+        _require_positive("rbe_timeout_s", self.rbe_timeout_s)
+        _require_positive("obs_tick_s", self.obs_tick_s)
         if self.load_mode not in ("closed", "open"):
             raise ValueError(
                 f"load_mode must be 'closed' or 'open', got {self.load_mode!r}")
@@ -322,19 +305,9 @@ class ClusterConfig:
             # cross-DC backend looks permanently down.
             probe_timeout_s = max(probe_timeout_s,
                                   2.0 * self.geo.topology.max_rtt_s())
-        params = ProxyParams(
-            probe_interval_s=scale.t(base.probe_interval_s),
-            probe_timeout_s=probe_timeout_s,
-            fall=base.fall, rise=base.rise,
-            max_dispatch_attempts=base.max_dispatch_attempts)
-        if self.defenses:
-            # Breaker cool-off and the AIMD latency target track backend
-            # response times (load domain), so they are not scaled.
-            params = replace(
-                params, breaker_enabled=True, aimd_enabled=True,
-                redispatch_budget=self.proxy_redispatch_budget,
-                shed_dead=True)
-        return params
+        return replace(base, probe_interval_s=scale.t(base.probe_interval_s),
+                       probe_timeout_s=probe_timeout_s,
+                       defenses=self.defenses)
 
     def retry_policy(self):
         """The parsed client RetryPolicy, or None when retries are off."""
@@ -344,20 +317,14 @@ class ClusterConfig:
         return parse_retry(self.retry_spec)
 
     def admission_params(self):
-        """Server AdmissionParams when defenses are on, else None.
-
-        CoDel thresholds track queueing delay (load domain, like
-        rbe_timeout_s) and are deliberately not timeline-scaled.
-        """
+        """Server AdmissionParams when defenses are on, else None."""
         if not self.defenses:
             return None
         from repro.resilience.admission import AdmissionParams
-        return AdmissionParams(
-            queue_limit=self.admission_queue_limit,
-            codel_target_s=self.admission_codel_target_s,
-            codel_interval_s=self.admission_codel_interval_s)
+        return AdmissionParams()
 
-    @property
-    def scaled_watchdog_delay_s(self) -> float:
-        return self.scale.t(self.watchdog_restart_delay_s)
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"{name} must be a positive finite number, got {value!r}")

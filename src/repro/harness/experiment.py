@@ -30,6 +30,19 @@ from repro.faults.faultload import FaultEvent, Faultload
 from repro.harness.config import ClusterConfig
 from repro.harness.experiments import ExperimentResult, _execute
 
+#: Section 5's fault timeline, in paper-timeline seconds (the scale
+#: compresses them): crashes at t=240 s and t=270 s, the delayed manual
+#: reboot at t=390 s.
+CRASH1_AT_S = 240.0
+CRASH2_AT_S = 270.0
+MANUAL_REBOOT_AT_S = 390.0
+#: The sequential-crashes extension: the first crash this long before
+#: CRASH1_AT_S, the second this long after it.
+SEQUENTIAL_GAP_S = 120.0
+#: The delayed-recovery pair: FIRST recovers autonomously, SECOND waits
+#: for the manual reboot.
+DELAYED_FIRST, DELAYED_SECOND = 1, 2
+
 
 class Experiment:
     """A configurable, chainable experiment; ``run()`` executes it.
@@ -142,13 +155,13 @@ class Experiment:
             overrides["retry_spec"] = retry
         return self
 
-    def defend(self, enabled: bool = True) -> "Experiment":
+    def defend(self) -> "Experiment":
         """Switch the overload defenses on (:mod:`repro.resilience`):
         deadline propagation from the clients, proxy circuit breakers +
         AIMD concurrency limit + redispatch budget, and server admission
         control (bounded queue, CoDel, deadline shedding).  Off by
         default; an undefended run is bit-for-bit the historical one."""
-        self._overrides["defenses"] = bool(enabled)
+        self._overrides["defenses"] = True
         return self
 
     def nemesis(self, spec: str) -> "Experiment":
@@ -241,17 +254,14 @@ class Experiment:
         self._overrides["slo_spec"] = spec
         return self
 
-    def record(self, dump: Optional[str] = None) -> "Experiment":
+    def record(self) -> "Experiment":
         """Enable the flight recorder (:mod:`repro.obs.recorder`): a
         bounded ring of structured events (fault injections, failovers,
         elections, recovery milestones, SLO alerts) exposed as
-        ``result.flight``.  ``dump`` names a JSONL path written
-        automatically when an SLO alert or safety violation fires.  The
-        run itself stays bit-for-bit identical to an unrecorded run at
-        the same seed."""
+        ``result.flight`` (``result.flight.dump(path)`` writes it as
+        JSONL).  The run itself stays bit-for-bit identical to an
+        unrecorded run at the same seed."""
         self._overrides["flight_recorder"] = True
-        if dump is not None:
-            self._overrides["recorder_dump"] = dump
         return self
 
     def trace(self) -> "Experiment":
@@ -310,28 +320,31 @@ class Experiment:
         self._scenario = ("two_crashes", {})
         return self
 
-    def sequential_crashes(self, gap_s: float = 120.0) -> "Experiment":
-        """Extension: two sequential crashes, the second after the first
-        replica has long recovered."""
-        self._scenario = ("sequential_crashes", {"gap_s": gap_s})
+    def sequential_crashes(self) -> "Experiment":
+        """Extension: two sequential crashes at t=120 s and t=360 s, the
+        second after the first replica has long recovered."""
+        self._scenario = ("sequential_crashes", {})
         return self
 
     def partition(self, replica: int = 2,
                   duration_s: float = 60.0) -> "Experiment":
-        """Extension: isolate one replica (it stays up), heal after
-        ``duration_s`` paper-seconds."""
+        """Extension: isolate one replica (it stays up) at t=240 s, heal
+        after ``duration_s`` paper-seconds."""
+        if not duration_s > 0:
+            raise ValueError(
+                f"partition duration must be positive, got {duration_s}")
         self._scenario = ("partition", {"replica": replica,
                                         "duration_s": duration_s})
         return self
 
-    def retry_storm(self, at_s: float = 240.0, duration_s: float = 30.0,
+    def retry_storm(self, at_s: float = CRASH1_AT_S, duration_s: float = 30.0,
                     factor: float = 8.0) -> "Experiment":
         """Extension (repro.resilience): a transient ``factor``x slowdown
         of every replica CPU over ``[at_s, at_s + duration_s)``
         paper-seconds.  Under open-loop load near saturation with naive
         client retries this trigger tips the deployment into metastable
         collapse; ``result.metastability()`` renders the verdict."""
-        if duration_s <= 0:
+        if not duration_s > 0:
             raise ValueError(
                 f"retry_storm duration must be positive, got {duration_s}")
         self._scenario = ("retry_storm", {"at_s": float(at_s),
@@ -339,12 +352,11 @@ class Experiment:
                                           "factor": float(factor)})
         return self
 
-    def delayed_recovery(self, first: int = 1,
-                         second: int = 2) -> "Experiment":
-        """Section 5.6: both replicas crash at t=240 s; one recovers
-        autonomously, the other only on a manual reboot at t=390 s."""
-        self._scenario = ("delayed_recovery", {"first": first,
-                                               "second": second})
+    def delayed_recovery(self) -> "Experiment":
+        """Section 5.6: replicas 1 and 2 crash at t=240 s; replica 1
+        recovers autonomously, replica 2 only on a manual reboot at
+        t=390 s."""
+        self._scenario = ("delayed_recovery", {})
         return self
 
     # ------------------------------------------------------------------
@@ -367,20 +379,17 @@ class Experiment:
                 event.scaled(scale) for event in parsed.events))
         if kind == "one_crash":
             return Faultload("one-crash", (
-                FaultEvent(scale.t(scale.crash1_at_s + 30.0), "crash",
-                           params["replica"]),))
+                FaultEvent(scale.t(CRASH2_AT_S), "crash", params["replica"]),))
         if kind == "two_crashes":
             return Faultload("two-crashes", (
-                FaultEvent(scale.t(scale.crash1_at_s), "crash", None),
-                FaultEvent(scale.t(scale.crash2_at_s), "crash", None),))
+                FaultEvent(scale.t(CRASH1_AT_S), "crash", None),
+                FaultEvent(scale.t(CRASH2_AT_S), "crash", None),))
         if kind == "sequential_crashes":
-            first_at = scale.t(scale.crash1_at_s - 120.0)
-            second_at = scale.t(scale.crash1_at_s + params["gap_s"])
             return Faultload("sequential-crashes", (
-                FaultEvent(first_at, "crash", None),
-                FaultEvent(second_at, "crash", None),))
+                FaultEvent(scale.t(CRASH1_AT_S - SEQUENTIAL_GAP_S), "crash"),
+                FaultEvent(scale.t(CRASH1_AT_S + SEQUENTIAL_GAP_S), "crash"),))
         if kind == "partition":
-            start = scale.t(scale.crash1_at_s)
+            start = scale.t(CRASH1_AT_S)
             return Faultload("partition", (
                 FaultEvent(start, "partition", params["replica"]),
                 FaultEvent(start + scale.t(params["duration_s"]), "heal",
@@ -392,11 +401,10 @@ class Experiment:
                            until=scale.t(at + params["duration_s"]),
                            factor=params["factor"]),))
         if kind == "delayed_recovery":
-            second = params["second"]
+            crash_at = scale.t(CRASH1_AT_S)
             return Faultload("delayed-recovery", (
-                FaultEvent(scale.t(scale.both_crash_at_s), "crash",
-                           params["first"]),
-                FaultEvent(scale.t(scale.both_crash_at_s), "crash", second),
-                FaultEvent(scale.t(scale.manual_reboot_at_s), "reboot",
-                           second),))
+                FaultEvent(crash_at, "crash", DELAYED_FIRST),
+                FaultEvent(crash_at, "crash", DELAYED_SECOND),
+                FaultEvent(scale.t(MANUAL_REBOOT_AT_S), "reboot",
+                           DELAYED_SECOND),))
         raise ValueError(f"unknown scenario kind: {kind!r}")

@@ -379,12 +379,6 @@ def _execute(config: ClusterConfig, faultload: Faultload,
     # autonomy measure must count: the operator has to step in, exactly
     # like a manual reboot.
     interventions = injector.interventions + cluster.breaker_trips()
-    recorder = cluster.recorder
-    if (recorder is not None and config.recorder_dump is not None
-            and (violations or (cluster.slo_engine is not None
-                                and cluster.slo_engine.alerts))):
-        # The black-box dump: something fired, persist the evidence.
-        recorder.dump(config.recorder_dump)
     return ExperimentResult(
         config=config, collector=cluster.collector,
         measure_start=scale.measure_start, measure_end=scale.measure_end,
@@ -401,6 +395,6 @@ def _execute(config: ClusterConfig, faultload: Faultload,
         storage=cluster.storage_stats(),
         faultload_name=faultload.name,
         cluster=cluster if config.keep_cluster else None,
-        flight=recorder,
+        flight=cluster.recorder,
         slo=cluster.slo_engine,
         retrystorm_window=injector.trigger_window)

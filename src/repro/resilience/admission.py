@@ -40,7 +40,10 @@ SHED_CODEL = "codel"
 
 @dataclass(frozen=True)
 class AdmissionParams:
-    """Server admission configuration (load-domain seconds)."""
+    """Server admission configuration, used as is by every defended run.
+
+    Seconds are load-domain: CoDel tracks queueing delay, like the
+    client timeout, so no experiment scale compresses them."""
 
     queue_limit: int = 64
     codel_target_s: float = 0.25

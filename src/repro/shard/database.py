@@ -116,7 +116,7 @@ class ShardedTPCWDatabase(TPCWDatabase):
         return updated
 
 
-def sharded_database_factory(config, partitioner: Partitioner,
+def sharded_database_factory(partitioner: Partitioner,
                              group_names: List[List[str]]) -> Callable:
     """The ``ReplicaGroup`` database hook of a partitioned deployment.
 
@@ -127,17 +127,9 @@ def sharded_database_factory(config, partitioner: Partitioner,
     groups.
     """
     def make_database(group, index: int, node, runtime) -> ShardedTPCWDatabase:
-        coordinator = TxnCoordinator(
-            node, group.shard, group_names,
-            timeout_s=config.txn_timeout_s,
-            max_retries=config.txn_max_retries)
+        coordinator = TxnCoordinator(node, group.shard, group_names)
         coordinator.start()
-        TxnParticipant(
-            node, runtime, group.shard,
-            group_names=group_names,
-            resolve_timeout_s=config.txn_timeout_s,
-            resolve_retries=config.txn_max_retries,
-            orphan_timeout_s=config.txn_orphan_timeout_s).start()
+        TxnParticipant(node, runtime, group.shard, group_names).start()
         return ShardedTPCWDatabase(
             runtime, clock=lambda: group.sim.now,
             rng=group.seed.fork_random(f"db-{index}-{node.incarnation}"),

@@ -14,8 +14,8 @@ Protocol (coordinator = the home replica serving the interaction):
    exact stock deltas.  The participant orders a :class:`TxPrepare`
    through its group (applying the deltas and recording them against the
    tx id) and replies with its vote.  No reply within
-   ``txn_timeout_s`` -> retry against the group's next replica, up to
-   ``txn_max_retries``; exhausted retries count as a *no* vote.
+   :data:`PREPARE_TIMEOUT_S` -> retry against the group's next replica,
+   up to :data:`MAX_RETRIES`; exhausted retries count as a *no* vote.
 2. All yes -> the home shard orders its own commit record (the local
    :class:`~repro.tpcw.actions.BuyConfirm` with the foreign items
    excluded), then broadcasts ``commit`` to every replica of each
@@ -44,7 +44,7 @@ prepared deltas pending forever.  Three pieces close that window:
   the resolve orders first, the late commit record sees the abort and
   refuses to order;
 * every participant replica runs an **orphan watcher**: a pending tx
-  older than ``txn_orphan_timeout_s`` (volatile first-seen clock, reset
+  older than :data:`ORPHAN_TIMEOUT_S` (volatile first-seen clock, reset
   per incarnation) is resolved by querying the home group (the shard is
   parsed from the tx id) and ordering the outcome through the
   participant's own log.  Resolution is idempotent, so concurrent
@@ -71,6 +71,13 @@ from repro.treplica.actions import Action
 TXN_PORT = "txn"
 TXN_REPLY_PORT = "txn-reply"
 TXN_RESOLVE_REPLY_PORT = "txn-resolve-reply"
+
+#: The protocol's timings.  They track message, consensus and
+#: decision-broadcast latencies (the load domain, like the client
+#: timeout), so no experiment scale compresses them.
+PREPARE_TIMEOUT_S = 1.0  # a silent replica is retried (prepare, resolve)
+MAX_RETRIES = 2          # further replicas tried before giving up
+ORPHAN_TIMEOUT_S = 5.0   # a pending tx this old is resolved at home
 
 #: Sentinel delivered when the prepare timeout fires first.
 _TIMED_OUT = object()
@@ -197,25 +204,19 @@ class TxResolve(Action):
 class TxnParticipant:
     """Serves 2PC messages by ordering them through the local group.
 
-    When given the full group map and an orphan timeout, it also runs
-    the termination protocol's participant side: a watcher process (one
-    per replica incarnation, volatile first-seen clocks) that resolves
-    pending transactions whose decision never arrived by asking the
-    home group and ordering the outcome through its own log.
+    It also runs the termination protocol's participant side: a
+    watcher process (one per replica incarnation, volatile first-seen
+    clocks) that resolves pending transactions whose decision never
+    arrived by asking the home group (``group_names``: shard -> replica
+    node names) and ordering the outcome through its own log.
     """
 
     def __init__(self, node: Node, runtime, shard: int,
-                 group_names: Optional[List[List[str]]] = None,
-                 resolve_timeout_s: float = 1.0,
-                 resolve_retries: int = 2,
-                 orphan_timeout_s: Optional[float] = None):
+                 group_names: List[List[str]]):
         self.node = node
         self.runtime = runtime
         self.shard = shard
         self._groups = group_names
-        self._resolve_timeout_s = resolve_timeout_s
-        self._resolve_retries = resolve_retries
-        self._orphan_timeout_s = orphan_timeout_s
         self._resolve_waiters: Dict[str, object] = {}
         self._resolving: set = set()
         self._events = log_of(node.sim)
@@ -225,9 +226,8 @@ class TxnParticipant:
 
     def start(self) -> None:
         self.node.handle(TXN_PORT, self._on_message)
-        if self._groups is not None and self._orphan_timeout_s is not None:
-            self.node.handle(TXN_RESOLVE_REPLY_PORT, self._on_resolve_reply)
-            self.node.spawn(self._watch(), name="txn-orphan-watcher")
+        self.node.handle(TXN_RESOLVE_REPLY_PORT, self._on_resolve_reply)
+        self.node.spawn(self._watch(), name="txn-orphan-watcher")
 
     def _on_message(self, payload, src: str) -> None:
         self.node.spawn(self._serve(payload, src), name="txn-participant")
@@ -272,7 +272,7 @@ class TxnParticipant:
     def _watch(self):
         sim = self.node.sim
         first_seen: Dict[str, float] = {}
-        poll = max(self._orphan_timeout_s / 4.0, 0.05)
+        poll = max(ORPHAN_TIMEOUT_S / 4.0, 0.05)
         while True:
             yield sim.timeout(poll)
             if not self.runtime.ready:
@@ -285,7 +285,7 @@ class TxnParticipant:
             for tx_id in sorted(pending):
                 first_seen.setdefault(tx_id, now)
             for tx_id in sorted(first_seen):
-                if now - first_seen[tx_id] < self._orphan_timeout_s:
+                if now - first_seen[tx_id] < ORPHAN_TIMEOUT_S:
                     continue
                 if tx_id in self._resolving:
                     continue
@@ -301,14 +301,14 @@ class TxnParticipant:
         sim = self.node.sim
         names = self._groups[home]
         outcome = None
-        for attempt in range(self._resolve_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             target = names[attempt % len(names)]
             waiter = sim.event()
             self._resolve_waiters[tx_id] = waiter
             self.node.send(target, TXN_PORT, ("resolve", tx_id, None),
                            size_mb=0.0002)
             timer = sim.call_after(
-                self._resolve_timeout_s,
+                PREPARE_TIMEOUT_S,
                 lambda ev=waiter: None if ev.triggered
                 else ev.succeed(_TIMED_OUT))
             reply = yield waiter
@@ -338,13 +338,10 @@ class TxnCoordinator:
     """The home replica's 2PC driver (one per replica incarnation)."""
 
     def __init__(self, node: Node, shard: int,
-                 group_names: List[List[str]],
-                 timeout_s: float, max_retries: int):
+                 group_names: List[List[str]]):
         self.node = node
         self.shard = shard
         self._groups = group_names   # shard -> replica node names
-        self._timeout_s = timeout_s
-        self._max_retries = max_retries
         self._waiters: Dict[Tuple[str, int], object] = {}
         self._tx_seq = itertools.count(1)
         self._events = log_of(node.sim)
@@ -388,7 +385,7 @@ class TxnCoordinator:
                      deltas: Tuple[Tuple[int, int], ...]):
         sim = self.node.sim
         names = self._groups[shard]
-        for attempt in range(self._max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 self.stats["retries"] += 1
             target = names[attempt % len(names)]
@@ -397,7 +394,7 @@ class TxnCoordinator:
             self.node.send(target, TXN_PORT, ("prepare", tx_id, deltas),
                            size_mb=0.0004)
             timer = sim.call_after(
-                self._timeout_s,
+                PREPARE_TIMEOUT_S,
                 lambda ev=waiter: None if ev.triggered
                 else ev.succeed(_TIMED_OUT))
             vote = yield waiter

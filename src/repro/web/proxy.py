@@ -20,8 +20,8 @@ and is charged ``cpu_request_s`` like a fresh forward, so a redispatch
 storm shows up in the proxy's own queueing station instead of being
 free.
 
-The overload defenses (repro.resilience) are all off by default and
-cost nothing when off:
+The overload defenses (repro.resilience) are one switch,
+``ProxyParams.defenses``, off by default and free when off:
 
 * **per-backend circuit breakers** (closed/open/half-open, transitions
   emitted as ``proxy.breaker_*`` events) short-circuit a failing backend ahead
@@ -67,23 +67,22 @@ class ProxyParams:
     # browsing/shopping speedup curves in Figure 3.
     cpu_request_s: float = 0.00022
     cpu_response_s: float = 0.00011
-    # -- overload defenses (repro.resilience); all inert by default -----
-    breaker_enabled: bool = False
+    # -- overload defenses (repro.resilience) ----------------------------
+    # One switch: per-backend circuit breakers, an AIMD concurrency
+    # limit, a redispatch budget and dropping requests whose propagated
+    # client deadline already passed.  Off keeps the historical proxy
+    # (redispatch bounded per request only).  The thresholds track
+    # backend response times (load domain), so no scale compresses them.
+    defenses: bool = False
     breaker_fall: int = 5          # consecutive request failures to open
     breaker_open_s: float = 2.0    # cool-off before half-open
     breaker_probes: int = 1        # trial requests admitted half-open
-    aimd_enabled: bool = False
     aimd_target_s: float = 1.0     # latency above this halves the limit
     aimd_initial: float = 64.0
     aimd_min: float = 4.0
     aimd_max: float = 512.0
-    # Token-earn ratio bounding redispatch volume; None keeps the
-    # historical behaviour (bounded per request only, unbudgeted in
-    # aggregate).
-    redispatch_budget: Optional[float] = None
+    redispatch_budget: float = 0.1  # token-earn ratio bounding redispatch
     redispatch_burst: float = 20.0
-    # Drop requests whose propagated client deadline already passed.
-    shed_dead: bool = False
 
 
 class ReverseProxy:
@@ -119,16 +118,14 @@ class ReverseProxy:
         })
         params = self.params
         self._breakers: Optional[Dict[str, CircuitBreaker]] = None
-        if params.breaker_enabled:
-            self._breakers = {b: self._make_breaker(b) for b in backends}
         self._limit: Optional[AdaptiveLimit] = None
-        if params.aimd_enabled:
+        self._redispatch_budget: Optional[RetryBudget] = None
+        if params.defenses:
+            self._breakers = {b: self._make_breaker(b) for b in backends}
             self._limit = AdaptiveLimit(
                 lambda: self.node.sim.now,
                 target_s=params.aimd_target_s, initial=params.aimd_initial,
                 min_limit=params.aimd_min, max_limit=params.aimd_max)
-        self._redispatch_budget: Optional[RetryBudget] = None
-        if params.redispatch_budget is not None:
             self._redispatch_budget = RetryBudget(
                 params.redispatch_budget, burst=params.redispatch_burst)
         # Geo runs (repro.geo): backend -> the stats keys of its DC's
@@ -238,7 +235,7 @@ class ReverseProxy:
 
     def _dispatch(self, request: Request, attempt: int) -> None:
         params = self.params
-        if (params.shed_dead and request.deadline is not None
+        if (params.defenses and request.deadline is not None
                 and self.node.sim.now >= request.deadline):
             # The client's timeout already fired; the backend tier never
             # sees this request and no reply is owed to anyone.

@@ -91,6 +91,28 @@ def test_cli_lines_in_docs_name_real_subcommands():
                 f"{name}: `python -m repro {word}` is not a sub-command"
 
 
+def test_config_attributes_named_in_docs_exist():
+    """A `ClusterConfig.x`, `ExperimentScale.x` or `ProxyParams.x` a
+    document names is a real field (or method) of that class; `A.x/y`
+    names two."""
+    from repro.harness.config import ClusterConfig, ExperimentScale
+    from repro.web.proxy import ProxyParams
+
+    classes = {cls.__name__: cls
+               for cls in (ClusterConfig, ExperimentScale, ProxyParams)}
+    pattern = r"\b(%s)\.(\w+(?:/\w+)*)" % "|".join(classes)
+    seen = 0
+    for name in COMMAND_DOCS:
+        for owner, attrs in set(re.findall(pattern, read(name))):
+            cls = classes[owner]
+            for attr in attrs.split("/"):
+                seen += 1
+                assert (attr in cls.__dataclass_fields__
+                        or hasattr(cls, attr)), \
+                    f"{name} names {owner}.{attr}, which does not exist"
+    assert seen
+
+
 def test_readme_faultload_table_lists_every_kind_and_parses():
     from repro.faults.faultload import KINDS, Faultload
     readme = read("README.md")
