@@ -12,22 +12,15 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.harness.config import ClusterConfig, active_scale
-from repro.harness.experiment import Experiment
+from repro.harness.experiment import PRESETS, Experiment
 from repro.harness.experiments import ExperimentResult
 
 REPORT_DIR = Path(__file__).resolve().parent.parent / "bench_reports"
 
-_SCENARIOS: Dict[str, Callable[[Experiment], Experiment]] = {
-    "baseline": Experiment.baseline,
-    "one_crash": Experiment.one_crash,
-    "two_crashes": Experiment.two_crashes,
-    "delayed": Experiment.delayed_recovery,
-}
-
-_CACHE: Dict[Tuple, ExperimentResult] = {}
+_CACHE: Dict[Tuple[str, ClusterConfig], ExperimentResult] = {}
 
 #: Replica counts for the Figure 3/4 sweeps (the paper sweeps 4..12; the
 #: bench uses the endpoints and midpoint unless REPRO_FULL_SWEEP=1).
@@ -42,19 +35,21 @@ def scale():
 
 
 def experiment(kind: str, **config_overrides) -> ExperimentResult:
-    """Run (or fetch from cache) one experiment.
+    """Run (or fetch from cache) one experiment: ``kind`` names a
+    scenario preset (:data:`repro.harness.experiment.PRESETS`).
 
-    The cache key is built from the *resolved* configuration, so spelling
-    a default explicitly (e.g. ``num_ebs=30``) still hits the cache.
+    The cache key is the scenario and the whole *resolved* configuration
+    (a frozen, hashable ``ClusterConfig``), so spelling a default
+    explicitly (e.g. ``num_ebs=30``) still hits the cache and no field
+    is left out of it.
     """
+    if kind not in PRESETS:
+        raise ValueError(f"unknown scenario preset {kind!r} "
+                         f"(expected one of {', '.join(PRESETS)})")
     config = ClusterConfig(scale=scale(), **config_overrides)
-    key = (kind, scale().name, config.replicas, config.num_ebs,
-           config.profile, config.offered_wips, config.think_time_s,
-           config.enable_fast, config.seed, config.use_navigation,
-           config.paxos_overrides, config.treplica_overrides)
+    key = (kind, config)
     if key not in _CACHE:
-        builder = _SCENARIOS[kind](Experiment.from_config(config))
-        _CACHE[key] = builder.run()
+        _CACHE[key] = getattr(Experiment.from_config(config), kind)().run()
     return _CACHE[key]
 
 

@@ -46,7 +46,7 @@ def recovery_periods(result):
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_delayed_recovery_timeline(benchmark):
     result = run_once(benchmark, lambda: experiment(
-        "delayed", replicas=5, num_ebs=50, profile="shopping"))
+        "delayed_recovery", replicas=5, num_ebs=50, profile="shopping"))
     series = result.wips_series()
     (r1s, r1e), (r2s, r2e) = recovery_periods(result)
     emit("fig8_delayed_recovery", format_series(
@@ -69,7 +69,7 @@ def test_fig8_delayed_recovery_timeline(benchmark):
 def test_table5_table6_delayed_recovery(benchmark):
     def run():
         return {(replicas, profile): experiment(
-                    "delayed", replicas=replicas, profile=profile)
+                    "delayed_recovery", replicas=replicas, profile=profile)
                 for replicas in (5, 8)
                 for profile in ("browsing", "shopping", "ordering")}
 

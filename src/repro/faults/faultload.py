@@ -65,8 +65,9 @@ shard-qualified with a dotted ``shard.replica`` form::
     oneway@30:0.1>1.2  cut shard0.replica1 -> shard1.replica2
 
 A directed pair must be shard-qualified at both ends or neither; plain
-indexes address shard 0.  Indexes are never negative, and the harness
-range-checks them against the deployment before the run starts.
+indexes address shard 0.  Indexes are never negative, and
+``ClusterConfig.check_faults`` range-checks them against the deployment
+before the run starts.
 
 Every per-kind fact -- target shape, window rule, options, the cluster
 verbs, what it counts towards -- lives in one :class:`FaultKind` row of
@@ -379,6 +380,11 @@ class Faultload:
         return tuple(e for e in self.events
                      if "dc" in KINDS[e.kind].target.fields)
 
+    def scaled(self, scale) -> "Faultload":
+        """The same schedule on ``scale``'s compressed timeline."""
+        return replace(self, events=tuple(event.scaled(scale)
+                                          for event in self.events))
+
     def require_standing(self, where: str) -> "Faultload":
         """This faultload, if every event may stand in a nemesis spec."""
         for event in self.events:
@@ -469,9 +475,11 @@ def _number(text: str, error: str) -> float:
 def _parse_time(text: str) -> Tuple[float, Optional[float]]:
     if text.startswith("-"):
         raise ValueError(f"fault time must be >= 0, got {text!r}")
-    start, dash, end = text.partition("-")
+    # The window's dash is the first '-' that is not an exponent's sign
+    # ('1e-05-30' is [1e-05, 30)).
+    start, *end = re.split(r"(?<![eE])-", text, maxsplit=1)
     return (_number(start, "bad fault time"),
-            _number(end, "bad window end") if dash else None)
+            _number(end[0], "bad window end") if end else None)
 
 
 def _parse_target_part(kind: str, row: FaultKind, text: str,
@@ -523,7 +531,8 @@ class FaultInjector:
     """Applies a faultload to a cluster by its events' :data:`KINDS` rows.
 
     The cluster must expose the verbs the rows name, ``live_replicas``
-    for random crash targets and, when recording, ``target_label``.
+    for random crash targets, ``disable_watchdog`` for interventions
+    and, when recording, ``target_label``.
     Targets are opaque here: the verbs get ``event.src_target``/
     ``dst_target`` (or a pick from ``live_replicas``) or datacenter
     names, then the row's option values.  ``faults_injected``,
@@ -549,6 +558,10 @@ class FaultInjector:
     def arm(self) -> None:
         for event in self.faultload.events:
             row = KINDS[event.kind]
+            if row.intervention:
+                # The replica an intervention names gets its watchdog
+                # disabled, so the reboot is genuinely manual.
+                self._cluster.disable_watchdog(event.src_target)
             if row.arm is not None:
                 getattr(self._cluster, row.arm)(event)
                 self.armed.append(event)

@@ -102,10 +102,12 @@ class WindowStats:
     p90_wirt_s: float
 
     @property
-    def accuracy_pct(self) -> float:
+    def accuracy_pct(self) -> Optional[float]:
+        """Share of interactions answered without error; ``None`` (the
+        ratio is undefined) when the window saw no interaction."""
         total = self.completed
         if total == 0:
-            return 100.0
+            return None
         return 100.0 * (1.0 - self.errors / total)
 
 
@@ -162,7 +164,7 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # dependability measures
     # ------------------------------------------------------------------
-    def accuracy_pct(self, start: float, end: float) -> float:
+    def accuracy_pct(self, start: float, end: float) -> Optional[float]:
         return self.window(start, end).accuracy_pct
 
     def availability(self, start: float, end: float,

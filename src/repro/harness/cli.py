@@ -44,20 +44,14 @@ from typing import Optional
 
 from repro.harness import sweeps
 from repro.harness.config import bench_scale, paper_scale, tiny_scale
-from repro.harness.experiment import Experiment
-from repro.harness.experiments import _check_fault_targets
+from repro.harness.experiment import PRESETS, Experiment
 from repro.harness.report import format_series, format_table
+from repro.obs.timeline import Timeline
 from repro.obs.trace import RECOVERY_PHASES
 
-#: CLI scenario name -> Experiment builder method.
-SCENARIOS = {
-    "baseline": "baseline",
-    "one_crash": "one_crash",
-    "two_crashes": "two_crashes",
-    "delayed": "delayed_recovery",
-    "sequential": "sequential_crashes",
-    "partition": "partition",
-}
+#: CLI scenario name -> Experiment preset method.
+SCENARIOS = {preset.cli: method for method, preset in PRESETS.items()
+             if preset.cli is not None}
 
 SWEEP_KINDS = ("speedup", "scaleup", "recovery")
 
@@ -439,7 +433,6 @@ def _start(experiment: Experiment, args, verb: str,
     if args.nemesis:
         experiment.nemesis(args.nemesis)
     config = experiment.build_config()
-    _check_fault_targets(config, experiment._resolve_faultload(config))
     if detail is None:
         detail = (f"open loop, {config.effective_population:,} users @ "
                   f"{config.effective_offered_wips:.0f} WIPS"
@@ -465,6 +458,11 @@ def _write_json(path: str, obj) -> None:
 # ======================================================================
 # run
 # ======================================================================
+def _pct(value: Optional[float]) -> str:
+    """A percentage, or ``undefined`` for a ratio over no interactions."""
+    return "undefined" if value is None else f"{value:.3f}%"
+
+
 def _summary_rows(data: dict) -> list:
     """The measure/value rows of a run summary, from
     ``ExperimentResult.to_dict()`` or the ``--json`` file it was saved
@@ -472,7 +470,7 @@ def _summary_rows(data: dict) -> list:
     rows = [["AWIPS (measurement interval)", f"{data['awips']:.1f}"],
             ["CV", f"{data['cv']:.3f}"],
             ["mean WIRT", f"{data['mean_wirt_s'] * 1000:.1f} ms"],
-            ["accuracy", f"{data['accuracy_pct']:.3f}%"],
+            ["accuracy", _pct(data["accuracy_pct"])],
             ["availability", f"{data['availability']:.4f}"]]
     if data.get("recovery_awips") is not None:
         rows += [["failure-free AWIPS", f"{data['failure_free_awips']:.1f}"],
@@ -592,7 +590,7 @@ def _cmd_sweep(args) -> int:
     points = getattr(sweeps, f"{args.kind}_sweep")(base, values)
     if args.kind == "recovery":
         rows = [[str(point.num_ebs), f"{point.recovery_s:.1f}s",
-                 f"{point.pv_pct:+.1f}%", f"{point.accuracy_pct:.3f}%"]
+                 f"{point.pv_pct:+.1f}%", _pct(point.accuracy_pct)]
                 for point in points]
         print(format_table(f"recovery sweep ({args.profile})",
                            ["EBs", "recovery", "PV", "accuracy"], rows))
@@ -766,45 +764,26 @@ def _load_result(path: str) -> dict:
         return json.load(handle)
 
 
-def _counter_rate(points):
-    """Cumulative counter samples [[t, v], ...] -> per-second rates."""
-    rates = []
-    for (t0, v0), (t1, v1) in zip(points, points[1:]):
-        if t1 > t0:
-            rates.append((t1, (v1 - v0) / (t1 - t0)))
-    return rates
+def _grouped_series(timeline: Timeline, stem: str):
+    """(group label, group -> series name): the per-shard
+    ``shard.s<g>.<stem>`` series when the run was sharded, else the
+    per-datacenter ``geo.<dc>.<stem>`` series of a geo run."""
+    groups = {}
+    for label, pattern, key in (
+            ("shard", r"shard\.s(\d+)", int),
+            ("dc", r"geo\.([A-Za-z][A-Za-z0-9_-]*)", str)):
+        for name in timeline.names():
+            match = re.match(rf"{pattern}\.{re.escape(stem)}$", name)
+            if match:
+                groups[key(match.group(1))] = name
+        if groups:
+            return label, groups
+    return "dc", groups
 
 
-def _shard_series(timeline: dict, stem: str) -> dict:
-    """shard id -> points of ``shard.s<g>.<stem>`` in a saved timeline."""
-    series = (timeline or {}).get("series", {})
-    out = {}
-    for name, payload in series.items():
-        match = re.match(rf"shard\.s(\d+)\.{re.escape(stem)}$", name)
-        if match:
-            out[int(match.group(1))] = payload["points"]
-    return out
-
-
-def _geo_series(timeline: dict, stem: str) -> dict:
-    """dc name -> points of ``geo.<dc>.<stem>`` in a saved timeline."""
-    series = (timeline or {}).get("series", {})
-    out = {}
-    for name, payload in series.items():
-        match = re.match(rf"geo\.([A-Za-z][A-Za-z0-9_-]*)\.{re.escape(stem)}$",
-                         name)
-        if match:
-            out[match.group(1)] = payload["points"]
-    return out
-
-
-def _grouped_series(timeline: dict, stem: str):
-    """(group label, group -> points): per-shard series when the run was
-    sharded, else the per-datacenter series of a geo run."""
-    shard = _shard_series(timeline, stem)
-    if shard:
-        return "shard", shard
-    return "dc", _geo_series(timeline, stem)
+def _consecutive(points: list) -> list:
+    """Each sample paired with the next: [(earlier, later), ...]."""
+    return list(zip(points, points[1:]))
 
 
 def _cmd_report_aggregate(args) -> int:
@@ -824,14 +803,16 @@ def _cmd_report_aggregate(args) -> int:
     label = "shard"
     shard_awips: dict = {}
     for path, data in results:
-        label, ok = _grouped_series(data.get("timeline"), "interactions_ok")
-        _, wirt = _grouped_series(data.get("timeline"), "wirt_sum_s")
+        timeline = (Timeline.from_dict(data["timeline"])
+                    if data.get("timeline") else Timeline(0.0))
+        label, ok = _grouped_series(timeline, "interactions_ok")
+        _, wirt = _grouped_series(timeline, "wirt_sum_s")
         if not ok:
             print(f"error: {path} has no per-shard or per-DC timeline; "
                   f"rerun with --shards k --obs --json "
                   f"(or --geo dc0,dc1,.. --obs --json)", file=sys.stderr)
             return 1
-        rates = {g: _counter_rate(points) for g, points in ok.items()}
+        rates = {g: timeline.rate(name) for g, name in ok.items()}
         ticks = min((len(r) for r in rates.values()), default=0)
         for g, shard_rates in sorted(rates.items()):
             awips = (sum(rate for _t, rate in shard_rates)
@@ -842,10 +823,10 @@ def _cmd_report_aggregate(args) -> int:
              sum(rates[g][i][1] for g in rates))
             for i in range(ticks)])
         # mean WIRT per tick: summed response-time mass / summed count
-        ok_deltas = {g: list(zip(points, points[1:]))
-                     for g, points in ok.items()}
-        wirt_deltas = {g: list(zip(points, points[1:]))
-                       for g, points in wirt.items()}
+        ok_deltas = {g: _consecutive(timeline.points(name))
+                     for g, name in ok.items()}
+        wirt_deltas = {g: _consecutive(timeline.points(name))
+                       for g, name in wirt.items()}
         ticks_w = min((len(d) for d in wirt_deltas.values()), default=0)
         points_w = []
         for i in range(min(ticks, ticks_w)):

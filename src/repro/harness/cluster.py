@@ -33,8 +33,7 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.faults.checker import SafetyChecker
-from repro.faults.faultload import (KINDS, POINT, FaultEvent,
-                                    FaultInjector, Faultload)
+from repro.faults.faultload import KINDS, POINT, FaultEvent, FaultInjector
 from repro.faults.metrics import MetricsCollector, NemesisStats
 from repro.faults.watchdog import Watchdog
 from repro.geo import DegradeWindow, GeoState
@@ -435,8 +434,12 @@ class RobustStoreCluster:
             self.collector, self.seed, config)
 
         # --- deployment-wide nemesis schedule --------------------------
+        # Checked when the config was built; armed through the fault
+        # injector like every other fault, recording nothing.
         if config.nemesis_spec:
-            self._arm_config_nemesis(config.nemesis_spec)
+            FaultInjector(self.sim, self,
+                          config.nemesis_faultload().scaled(config.scale),
+                          record=False).arm()
 
         # --- observability: cluster-level gauges + the sampling loop ---
         if self.metrics is not None:
@@ -523,21 +526,6 @@ class RobustStoreCluster:
     def timeline(self):
         """The run's sampled timeline (None unless observability is on)."""
         return self.sampler.timeline if self.sampler is not None else None
-
-    def _arm_config_nemesis(self, spec: str) -> None:
-        """Arm the config's standing message- and storage-fault schedule
-        (paper-timeline seconds, compressed like every other fault time)
-        through the fault injector, recording nothing."""
-        parsed = Faultload.parse(spec, name="config-nemesis")
-        parsed.require_standing("nemesis_spec")
-        events = tuple(event.scaled(self.config.scale)
-                       for event in parsed.events)
-        for event in events:
-            for target in (event.src_target, event.dst_target):
-                if target is not None:
-                    self._resolve(target)  # a bad target fails here, not at t
-        FaultInjector(self.sim, self, Faultload(parsed.name, events),
-                      record=False).arm()
 
     # ------------------------------------------------------------------
     # fault-injection interface (every verb takes a Target)

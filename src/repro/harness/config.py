@@ -2,9 +2,9 @@
 
 The paper's method (Section 5.1): 30 s ramp-up, 9 min measurement, 30 s
 ramp-down; crashes at t=240 s and t=270 s; the delayed manual recovery at
-t=390 s (those three are constants beside the scenario presets in
-``repro.harness.experiment``); populations of 30/50/70 emulated browsers
-giving 300/500/700 MB states; 1 s think time.
+t=390 s (those three are spelled in the scenario presets' faultload specs,
+``repro.harness.experiment.PRESETS``); populations of 30/50/70 emulated
+browsers giving 300/500/700 MB states; 1 s think time.
 
 ``ExperimentScale`` compresses that timeline uniformly: dividing every
 duration *and every state size* by ``time_div`` preserves all the ratios
@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.faults.faultload import Faultload
 from repro.geo.placement import GeoConfig, paxos_geo_overrides
 from repro.paxos.config import PaxosConfig
 from repro.treplica.config import TreplicaConfig
@@ -120,11 +121,12 @@ class ClusterConfig:
     # (field name, value) for PaxosConfig / TreplicaConfig respectively.
     paxos_overrides: tuple = ()
     treplica_overrides: tuple = ()
-    # Nemesis extension: a faultload-grammar spec holding only message
-    # faults (drop/dup/delay windows, oneway cuts), applied to every run
-    # of this deployment on top of whatever faultload the experiment
-    # injects.  Times are paper-timeline seconds (compressed by the
-    # scale); probabilities and delay means are not scaled.
+    # Nemesis extension: a faultload-grammar spec holding only standing
+    # faults (drop/dup/delay windows, oneway cuts, storage faults),
+    # applied to every run of this deployment on top of whatever
+    # faultload the experiment injects.  Times are paper-timeline
+    # seconds (compressed by the scale); probabilities and delay means
+    # are not scaled.
     nemesis_spec: Optional[str] = None
     # Keep the safety audit: the event-log kinds the consensus safety
     # checker reads (decide/deliver/ack, ...) plus node and nemesis
@@ -238,6 +240,50 @@ class ClusterConfig:
         if self.retry_spec is not None:
             from repro.resilience.retry import parse_retry
             parse_retry(self.retry_spec)
+        if self.nemesis_spec is not None:
+            self.check_faults(self.nemesis_faultload())
+
+    def nemesis_faultload(self) -> Faultload:
+        """The standing schedule ``nemesis_spec`` names, in paper seconds."""
+        return Faultload.parse(self.nemesis_spec or "",
+                               name="config-nemesis").require_standing(
+                                   "nemesis_spec")
+
+    def check_faults(self, faultload: Faultload) -> None:
+        """Reject fault targets this deployment cannot resolve, before
+        the run starts, with a message that names the offending event
+        (its times in paper seconds, as written)."""
+        geo_events = faultload.geo_events()
+        if geo_events and self.geo is None:
+            kinds = sorted({event.kind for event in geo_events})
+            raise ValueError(
+                f"faultload uses DC-scoped kinds ({', '.join(kinds)}) but "
+                f"no geo topology is configured; chain .geo(dcs=(...)) "
+                f"or pass --geo")
+        for event in faultload.events:
+            where = f"fault event {event.kind}@{event.at:g}"
+            for shard in (event.shard, event.dst_shard):
+                if shard is None:
+                    continue
+                if self.shards <= 1:
+                    raise ValueError(
+                        f"{where} targets shard {shard}, but this is an "
+                        f"unsharded deployment; add .shards(k) / --shards "
+                        f"k or drop the shard qualifier")
+                if shard >= self.shards:
+                    raise ValueError(
+                        f"{where} targets shard {shard}, but the "
+                        f"deployment only has {self.shards} shards "
+                        f"(0..{self.shards - 1})")
+            for replica in (event.replica, event.dst):
+                if replica is not None and replica >= self.replicas:
+                    raise ValueError(
+                        f"{where} targets replica {replica}, but each "
+                        f"group only has {self.replicas} replicas "
+                        f"(0..{self.replicas - 1})")
+            for dc in (event.dc, event.to_dc, *(event.peer_dcs or ())):
+                if dc is not None:
+                    self.geo.topology.require_dc(dc)
 
     @property
     def recording_enabled(self) -> bool:

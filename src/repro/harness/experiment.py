@@ -15,33 +15,52 @@ A single chainable API::
 Scenario presets mirror the paper's evaluation: :meth:`baseline`,
 :meth:`one_crash` (Section 5.4), :meth:`two_crashes` (Section 5.5),
 :meth:`delayed_recovery` (Section 5.6), plus the extension scenarios
-:meth:`sequential_crashes` and :meth:`partition`.  All fault times are
-paper-timeline seconds; the configured scale compresses them, exactly as
-before.  Every path funnels into the one execution engine
+:meth:`sequential_crashes`, :meth:`partition` and :meth:`retry_storm`.
+Each is one row of :data:`PRESETS`: a faultload-grammar spec in
+paper-timeline seconds, parsed like any :meth:`Experiment.faults` spec,
+checked against the deployment by ``build_config()`` and compressed by
+the configured scale.  Every path funnels into the one execution engine
 (:func:`repro.harness.experiments._execute`).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Dict, NamedTuple, Optional
 
-from repro.faults.faultload import FaultEvent, Faultload
+from repro.faults.faultload import Faultload
 from repro.harness.config import ClusterConfig
 from repro.harness.experiments import ExperimentResult, _execute
 
-#: Section 5's fault timeline, in paper-timeline seconds (the scale
-#: compresses them): crashes at t=240 s and t=270 s, the delayed manual
-#: reboot at t=390 s.
-CRASH1_AT_S = 240.0
-CRASH2_AT_S = 270.0
-MANUAL_REBOOT_AT_S = 390.0
-#: The sequential-crashes extension: the first crash this long before
-#: CRASH1_AT_S, the second this long after it.
-SEQUENTIAL_GAP_S = 120.0
-#: The delayed-recovery pair: FIRST recovers autonomously, SECOND waits
-#: for the manual reboot.
-DELAYED_FIRST, DELAYED_SECOND = 1, 2
+
+class Preset(NamedTuple):
+    """One scenario preset: its ``repro run`` name (``None``: builder
+    only), the name of the faultload it injects, and that faultload as a
+    grammar spec in paper-timeline seconds whose ``{fields}`` are the
+    preset method's arguments."""
+
+    cli: Optional[str]
+    faultload: str
+    spec: str
+
+
+#: Experiment method -> preset.  Section 5's timeline: crashes at
+#: t=240 s and t=270 s, the delayed manual reboot at t=390 s; the
+#: sequential-crashes extension crashes 120 s before and after t=240 s.
+PRESETS: Dict[str, Preset] = {
+    "baseline": Preset("baseline", "none", ""),
+    "one_crash": Preset("one_crash", "one-crash", "crash@270:{replica}"),
+    "two_crashes": Preset("two_crashes", "two-crashes",
+                          "crash@240:*,crash@270:*"),
+    "sequential_crashes": Preset("sequential", "sequential-crashes",
+                                 "crash@120:*,crash@360:*"),
+    "partition": Preset("partition", "partition",
+                        "partition@240:{replica},heal@{heal_at!r}:{replica}"),
+    "retry_storm": Preset(None, "retry-storm",
+                          "retrystorm@{at_s!r}-{until!r}:factor={factor!r}"),
+    "delayed_recovery": Preset("delayed", "delayed-recovery",
+                               "crash@240:1,crash@240:2,reboot@390:2"),
+}
 
 
 class Experiment:
@@ -60,8 +79,8 @@ class Experiment:
         self._overrides = dict(config_fields)
         if scale is not None:
             self._overrides["scale"] = scale
-        # (kind, kwargs) resolved to a Faultload at run time
-        self._scenario = ("baseline", {})
+        # The scenario's faultload, in paper-timeline seconds.
+        self._faultload = Faultload("none", ())
 
     @classmethod
     def from_config(cls, config: ClusterConfig) -> "Experiment":
@@ -287,44 +306,49 @@ class Experiment:
         return self
 
     def build_config(self) -> ClusterConfig:
-        """The resolved :class:`ClusterConfig` this experiment will run."""
-        if not self._overrides:
-            return self._base
-        return replace(self._base, **self._overrides)
+        """The resolved :class:`ClusterConfig` this experiment will run,
+        checked against the scenario's fault targets."""
+        config = (replace(self._base, **self._overrides) if self._overrides
+                  else self._base)
+        config.check_faults(self._faultload)
+        return config
 
     # ------------------------------------------------------------------
     # scenarios (fault times in paper-timeline seconds)
     # ------------------------------------------------------------------
+    def _preset(self, method: str, **fields) -> "Experiment":
+        preset = PRESETS[method]
+        self._faultload = Faultload.parse(preset.spec.format(**fields),
+                                          name=preset.faultload)
+        return self
+
     def baseline(self) -> "Experiment":
         """Failure-free run (speedup/scaleup building block)."""
-        self._scenario = ("baseline", {})
-        return self
+        return self._preset("baseline")
 
     def faults(self, spec: str) -> "Experiment":
         """A user-authored faultload (grammar:
         :meth:`repro.faults.Faultload.parse`); replicas named by a
         ``reboot`` event get their watchdog disabled, so the reboot is
         genuinely manual."""
-        Faultload.parse(spec)  # validate eagerly, at build time
-        self._scenario = ("custom", {"spec": spec})
+        self._faultload = Faultload.parse(spec)
         return self
 
     def one_crash(self, replica: Optional[int] = None) -> "Experiment":
-        """Section 5.4: one crash at t=270 s, autonomous recovery."""
-        self._scenario = ("one_crash", {"replica": replica})
-        return self
+        """Section 5.4: one crash at t=270 s (of ``replica``, or a random
+        live one), autonomous recovery."""
+        return self._preset("one_crash",
+                            replica="*" if replica is None else replica)
 
     def two_crashes(self) -> "Experiment":
         """Section 5.5: concurrent crashes at t=240 s and t=270 s
         (random replicas), both recovered autonomously."""
-        self._scenario = ("two_crashes", {})
-        return self
+        return self._preset("two_crashes")
 
     def sequential_crashes(self) -> "Experiment":
         """Extension: two sequential crashes at t=120 s and t=360 s, the
         second after the first replica has long recovered."""
-        self._scenario = ("sequential_crashes", {})
-        return self
+        return self._preset("sequential_crashes")
 
     def partition(self, replica: int = 2,
                   duration_s: float = 60.0) -> "Experiment":
@@ -333,11 +357,10 @@ class Experiment:
         if not duration_s > 0:
             raise ValueError(
                 f"partition duration must be positive, got {duration_s}")
-        self._scenario = ("partition", {"replica": replica,
-                                        "duration_s": duration_s})
-        return self
+        return self._preset("partition", replica=replica,
+                            heal_at=240.0 + float(duration_s))
 
-    def retry_storm(self, at_s: float = CRASH1_AT_S, duration_s: float = 30.0,
+    def retry_storm(self, at_s: float = 240.0, duration_s: float = 30.0,
                     factor: float = 8.0) -> "Experiment":
         """Extension (repro.resilience): a transient ``factor``x slowdown
         of every replica CPU over ``[at_s, at_s + duration_s)``
@@ -347,17 +370,16 @@ class Experiment:
         if not duration_s > 0:
             raise ValueError(
                 f"retry_storm duration must be positive, got {duration_s}")
-        self._scenario = ("retry_storm", {"at_s": float(at_s),
-                                          "duration_s": float(duration_s),
-                                          "factor": float(factor)})
-        return self
+        at_s = float(at_s)
+        return self._preset("retry_storm", at_s=at_s,
+                            until=at_s + float(duration_s),
+                            factor=float(factor))
 
     def delayed_recovery(self) -> "Experiment":
         """Section 5.6: replicas 1 and 2 crash at t=240 s; replica 1
         recovers autonomously, replica 2 only on a manual reboot at
         t=390 s."""
-        self._scenario = ("delayed_recovery", {})
-        return self
+        return self._preset("delayed_recovery")
 
     # ------------------------------------------------------------------
     # execution
@@ -369,42 +391,4 @@ class Experiment:
 
     def _resolve_faultload(self, config: ClusterConfig) -> Faultload:
         """The scenario's :class:`Faultload` on the compressed timeline."""
-        scale = config.scale
-        kind, params = self._scenario
-        if kind == "baseline":
-            return Faultload("none", ())
-        if kind == "custom":
-            parsed = Faultload.parse(params["spec"])
-            return Faultload(parsed.name, tuple(
-                event.scaled(scale) for event in parsed.events))
-        if kind == "one_crash":
-            return Faultload("one-crash", (
-                FaultEvent(scale.t(CRASH2_AT_S), "crash", params["replica"]),))
-        if kind == "two_crashes":
-            return Faultload("two-crashes", (
-                FaultEvent(scale.t(CRASH1_AT_S), "crash", None),
-                FaultEvent(scale.t(CRASH2_AT_S), "crash", None),))
-        if kind == "sequential_crashes":
-            return Faultload("sequential-crashes", (
-                FaultEvent(scale.t(CRASH1_AT_S - SEQUENTIAL_GAP_S), "crash"),
-                FaultEvent(scale.t(CRASH1_AT_S + SEQUENTIAL_GAP_S), "crash"),))
-        if kind == "partition":
-            start = scale.t(CRASH1_AT_S)
-            return Faultload("partition", (
-                FaultEvent(start, "partition", params["replica"]),
-                FaultEvent(start + scale.t(params["duration_s"]), "heal",
-                           params["replica"]),))
-        if kind == "retry_storm":
-            at = params["at_s"]
-            return Faultload("retry-storm", (
-                FaultEvent(scale.t(at), "retrystorm",
-                           until=scale.t(at + params["duration_s"]),
-                           factor=params["factor"]),))
-        if kind == "delayed_recovery":
-            crash_at = scale.t(CRASH1_AT_S)
-            return Faultload("delayed-recovery", (
-                FaultEvent(crash_at, "crash", DELAYED_FIRST),
-                FaultEvent(crash_at, "crash", DELAYED_SECOND),
-                FaultEvent(scale.t(MANUAL_REBOOT_AT_S), "reboot",
-                           DELAYED_SECOND),))
-        raise ValueError(f"unknown scenario kind: {kind!r}")
+        return self._faultload.scaled(config.scale)

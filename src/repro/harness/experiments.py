@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.checker import Violation
-from repro.faults.faultload import KINDS, FaultInjector, Faultload
+from repro.faults.faultload import FaultInjector, Faultload
 from repro.faults.metrics import (
     MetricsCollector,
     NemesisStats,
@@ -220,7 +220,8 @@ class ExperimentResult:
             return None
         return performability_pv(self.failure_free_window(), recovery)
 
-    def accuracy_pct(self) -> float:
+    def accuracy_pct(self) -> Optional[float]:
+        """``None`` when the measurement interval saw no interaction."""
         return self.collector.accuracy_pct(self.measure_start, self.measure_end)
 
     def availability(self) -> float:
@@ -306,61 +307,10 @@ class ExperimentResult:
 # ======================================================================
 # the engine room every run goes through
 # ======================================================================
-def _check_fault_targets(config: ClusterConfig, faultload: Faultload) -> None:
-    """Reject fault targets the deployment cannot resolve before the
-    run starts, with a message that names the offending event."""
-    geo_events = faultload.geo_events()
-    if geo_events and config.geo is None:
-        kinds = sorted({event.kind for event in geo_events})
-        raise ValueError(
-            f"faultload uses DC-scoped kinds ({', '.join(kinds)}) but "
-            f"no geo topology is configured; chain .geo(dcs=(...)) "
-            f"or pass --geo")
-    # Faultload events reach the engine scaled; the nemesis spec is still
-    # raw text.  Pair each event with the factor that recovers the
-    # paper-timeline seconds the user wrote, for the error messages.
-    specs = [(event, config.scale.time_div) for event in faultload.events]
-    if config.nemesis_spec:
-        nemesis = Faultload.parse(config.nemesis_spec, name="config-nemesis")
-        specs += [(event, 1.0) for event in
-                  nemesis.require_standing("nemesis_spec").events]
-    for event, time_mult in specs:
-        where = f"fault event {event.kind}@{event.at * time_mult:g}"
-        for shard in (event.shard, event.dst_shard):
-            if shard is None:
-                continue
-            if config.shards <= 1:
-                raise ValueError(
-                    f"{where} targets shard {shard}, but this is an "
-                    f"unsharded deployment; add .shards(k) / --shards k "
-                    f"or drop the shard qualifier")
-            if shard >= config.shards:
-                raise ValueError(
-                    f"{where} targets shard {shard}, but the deployment "
-                    f"only has {config.shards} shards "
-                    f"(0..{config.shards - 1})")
-        for replica in (event.replica, event.dst):
-            if replica is not None and replica >= config.replicas:
-                raise ValueError(
-                    f"{where} targets replica {replica}, but each group "
-                    f"only has {config.replicas} replicas "
-                    f"(0..{config.replicas - 1})")
-        for dc in (event.dc, event.to_dc, *(event.peer_dcs or ())):
-            if dc is not None:
-                config.geo.topology.require_dc(dc)
-
-
-def _execute(config: ClusterConfig, faultload: Faultload,
-             setup=None) -> ExperimentResult:
-    _check_fault_targets(config, faultload)
+def _execute(config: ClusterConfig, faultload: Faultload) -> ExperimentResult:
+    """Run ``faultload`` (already checked against ``config`` and on the
+    compressed timeline) on a fresh deployment of ``config``."""
     cluster = RobustStoreCluster(config)
-    # A replica a reboot event names gets its watchdog disabled, so the
-    # reboot is genuinely manual.
-    for event in faultload.events:
-        if KINDS[event.kind].intervention:
-            cluster.disable_watchdog(event.src_target)
-    if setup is not None:
-        setup(cluster)
     injector = FaultInjector(cluster.sim, cluster, faultload,
                              rng=cluster.seed.fork_random("faultload"))
     injector.arm()

@@ -11,7 +11,7 @@ these instead of hand-rolling loops.  Each sweep takes one base
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.harness.config import ClusterConfig
 from repro.harness.experiment import Experiment
@@ -46,7 +46,7 @@ class RecoveryPoint:
     num_ebs: int
     recovery_s: float
     pv_pct: float
-    accuracy_pct: float
+    accuracy_pct: Optional[float]  # None: no interaction was measured
 
 
 def _measure(config: ClusterConfig) -> ThroughputPoint:

@@ -208,8 +208,6 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.mb_sent = 0.0
-        self.wan_messages_sent = 0
-        self.wan_mb_sent = 0.0
         # Scheduled-but-not-yet-delivered traffic (per delivery copy);
         # observability gauges read these to chart switch congestion.
         self.inflight_messages = 0
@@ -308,8 +306,6 @@ class Network:
                 transmit_s = size_mb / link.bandwidth_mb_s
                 lambd = 1.0 / link.jitter_mean_s
                 if wan:
-                    self.wan_messages_sent += 1
-                    self.wan_mb_sent += size_mb
                     geo.wan_messages += 1
                     geo.wan_mb += size_mb
             incarnation = target.incarnation

@@ -146,11 +146,6 @@ class ReverseProxy:
                               probes=params.breaker_probes,
                               listener=on_transition)
 
-    def breaker_trip_count(self) -> int:
-        if self._breakers is None:
-            return 0
-        return sum(b.trips for b in self._breakers.values())
-
     def set_backend_dcs(self, dc_of: Dict[str, str]) -> None:
         """Attach the backend-to-datacenter map (geo deployments); the
         per-DC ``geo.<dc>.interactions_ok`` / ``geo.<dc>.wirt_sum_s``

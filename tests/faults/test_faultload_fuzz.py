@@ -1,7 +1,7 @@
 """Grammar fuzz: every faultload a user can type parses or raises
-``ValueError``, and every parsed one passes the harness target check or
-raises ``ValueError`` -- never an ``IndexError``/``KeyError``/
-``AttributeError`` or anything else.
+``ValueError``, and every parsed one passes the deployment's target
+check (``ClusterConfig.check_faults``) or raises ``ValueError`` -- never
+an ``IndexError``/``KeyError``/``AttributeError`` or anything else.
 
 Chunks are drawn from the registry's own vocabulary (every kind, plus an
 unknown one) and the grammar's edge cases: negative, NaN, infinite and
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.faults.faultload import KINDS, Faultload
 from repro.geo import GeoConfig, Topology
 from repro.harness.config import ClusterConfig
-from repro.harness.experiments import _check_fault_targets
 
 TIMES = ["0", "10", "240", "1e3", "-1", "nan", "inf", "abc", "10-60",
          "60-10", "10-10", "10-inf", "10-nan", "10-", "-1-5", "240-400"]
@@ -61,6 +60,6 @@ def test_faultload_grammar_parses_or_raises_value_error(spec):
         return
     for config in CONFIGS:
         try:
-            _check_fault_targets(config, faultload)
+            config.check_faults(faultload)
         except ValueError:
             pass

@@ -57,6 +57,16 @@ def test_parse_oneway_point_and_window():
     assert (windowed.at, windowed.until) == (30.0, 90.0)
 
 
+def test_parse_times_in_exponent_notation():
+    # An exponent's '-' is part of the number, not the window's dash:
+    # every float a preset formats with repr() parses back to itself.
+    assert Faultload.parse("crash@1e-05").events[0].at == 1e-05
+    event = Faultload.parse("retrystorm@1e-05-30.00001").events[0]
+    assert (event.at, event.until) == (1e-05, 30.00001)
+    event = Faultload.parse("drop@10-1e+16:p=0.5").events[0]
+    assert (event.at, event.until) == (10.0, 1e16)
+
+
 def test_parse_mixed_spec():
     faultload = Faultload.parse(
         "crash@240:*, drop@10-60:p=0.2, oneway@30:2>3, reboot@390:1")

@@ -10,6 +10,10 @@ from repro.sim import Network, NetworkParams, Node, SeedTree, Simulator
 class FakeCluster:
     def __init__(self, sim, network, n):
         self.nodes = [Node(sim, network, f"n{i}") for i in range(n)]
+        self.watchdog_disabled = []
+
+    def disable_watchdog(self, index):
+        self.watchdog_disabled.append(index)
 
     def live_replicas(self, shard=None):
         return [i for i, node in enumerate(self.nodes) if node.alive]
@@ -74,6 +78,9 @@ def test_injector_reboot_counts_as_intervention():
     injector = FaultInjector(sim, cluster, Faultload("x", (
         FaultEvent(1.0, "crash", 2), FaultEvent(5.0, "reboot", 2))))
     injector.arm()
+    # Arming disables the rebooted replica's watchdog: the reboot is
+    # the operator's, not the watchdog's.
+    assert cluster.watchdog_disabled == [2]
     sim.run(until=10.0)
     assert cluster.nodes[2].alive
     assert injector.interventions == 1

@@ -113,7 +113,8 @@ def test_empty_window_is_benign():
     collector = MetricsCollector()
     stats = collector.window(0.0, 10.0)
     assert stats.awips == 0.0
-    assert stats.accuracy_pct == 100.0
+    # No interaction answered, none failed: the ratio is undefined.
+    assert stats.accuracy_pct is None
     assert stats.cv == 0.0
 
 

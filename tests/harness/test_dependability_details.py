@@ -1,5 +1,8 @@
 """Finer-grained dependability checks on full deployments."""
 
+import json
+import re
+
 import pytest
 
 from tests.harness.helpers import tiny_experiment
@@ -53,3 +56,29 @@ def test_json_summary_is_self_consistent():
         100.0 * (1 - data["errors"] / data["completed"]), abs=0.01)
     assert data["faults_injected"] == 1
     assert len(data["recovery_times_s"]) == 1
+
+
+#: A tiny 3-replica run whose open-loop load almost never arrives: its
+#: measurement interval sees no interaction at all.
+IDLE = ["--scale", "tiny", "--replicas", "3", "--load", "open:wips=0.001"]
+
+
+def test_accuracy_is_undefined_when_no_interaction_was_measured(
+        tmp_path, capsys):
+    from repro.harness.cli import main
+    path = tmp_path / "idle.json"
+    assert main(["run", "baseline", *IDLE, "--json", str(path)]) == 0
+    assert re.search(r"accuracy +undefined", capsys.readouterr().out)
+    data = json.loads(path.read_text())
+    assert (data["completed"], data["awips"]) == (0, 0.0)
+    assert data["accuracy_pct"] is None
+    assert main(["report", str(path)]) == 0
+    assert re.search(r"accuracy +undefined", capsys.readouterr().out)
+
+
+def test_recovery_sweep_prints_undefined_accuracy_for_an_idle_point(capsys):
+    from repro.harness.cli import main
+    assert main(["sweep", "recovery", "--ebs-list", "30", *IDLE]) == 0
+    (row,) = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("30 ")]
+    assert row.split()[-1] == "undefined"

@@ -221,9 +221,9 @@ def test_out_of_range_replica_fails_before_the_run(shards, build, monkeypatch):
 
 
 def test_bad_nemesis_spec_target_fails_at_construction():
-    # Direct cluster users skip the harness check; the constructor
-    # still refuses instead of raising mid-run.
-    with pytest.raises(ValueError, match="no replica 5"):
+    # The config refuses a nemesis spec its deployment cannot resolve,
+    # so no cluster -- built by the harness or directly -- ever arms it.
+    with pytest.raises(ValueError, match="targets replica 5"):
         RobustStoreCluster(tiny_config(replicas=REPLICAS,
                                        nemesis_spec="oneway@30-90:0>5"))
 

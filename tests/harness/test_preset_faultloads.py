@@ -1,7 +1,9 @@
 """Every scenario preset's resolved faultload, pinned per scale.
 
-``Experiment._resolve_faultload`` turns a preset into the events the
-injector arms, on the scale's compressed timeline.  The table below was
+``Experiment._resolve_faultload`` turns a preset (a faultload-grammar
+spec in paper seconds, ``repro.harness.experiment.PRESETS``) into the
+events the injector arms, on the scale's compressed timeline; ``repro
+run SCENARIO`` must resolve to the same events.  The table below was
 computed from the presets and must not move under a refactor: a preset
 that resolves to other events is another experiment.  Regenerate (only
 for a deliberate change of the Section 5 timeline) with::
@@ -13,6 +15,8 @@ import pytest
 
 from repro.faults.faultload import FaultEvent
 from repro.harness import Experiment, tiny_scale
+from repro.harness.cli import (SCENARIOS, _build_experiment, _start,
+                               build_parser)
 from repro.harness.config import bench_scale, paper_scale
 
 SCALES = {"tiny": tiny_scale, "bench": bench_scale, "paper": paper_scale}
@@ -99,6 +103,33 @@ def _resolve(scale: str, preset: str):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_resolves_to_pinned_faultload(scale, preset):
     assert _resolve(scale, preset) == PINNED[scale][preset]
+
+
+#: ``repro run`` scenario name -> the Experiment preset it must match.
+CLI_SCENARIOS = {
+    "baseline": "baseline",
+    "one_crash": "one_crash",
+    "two_crashes": "two_crashes",
+    "delayed": "delayed_recovery",
+    "sequential": "sequential_crashes",
+    "partition": "partition",
+}
+
+
+def test_cli_offers_exactly_these_scenarios():
+    assert sorted(SCENARIOS) == sorted(CLI_SCENARIOS)
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@pytest.mark.parametrize("scenario", sorted(CLI_SCENARIOS))
+def test_cli_scenario_resolves_like_its_experiment_method(scale, scenario,
+                                                          capsys):
+    args = build_parser().parse_args(["run", scenario, "--scale", scale])
+    experiment = _build_experiment(args)
+    _start(experiment, args, "running")
+    faultload = experiment._resolve_faultload(experiment.build_config())
+    assert ((faultload.name, tuple(faultload.events))
+            == PINNED[scale][CLI_SCENARIOS[scenario]])
 
 
 if __name__ == "__main__":

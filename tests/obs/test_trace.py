@@ -14,10 +14,9 @@ import math
 
 import pytest
 
-from repro.faults.faultload import Faultload
 from repro.harness.config import ClusterConfig, tiny_scale
 from repro.harness.experiment import Experiment
-from repro.harness.experiments import MissingTraceError, _execute
+from repro.harness.experiments import MissingTraceError
 from repro.obs.trace import (
     BUCKETS,
     RECOVERY_PHASES,
@@ -64,18 +63,14 @@ def test_traced_run_is_bit_for_bit_identical(traced_crash):
 
 def test_traced_run_same_safety_trace():
     # Same structured consensus trace with and without span tracing,
-    # captured via the setup hook (the shard parity test's technique).
+    # read off the kept cluster's safety audit.
     traces = []
 
     def run(config):
-        captured = {}
-
-        def setup(cluster):
-            captured["audit"] = cluster.audit
-
-        _execute(config, Faultload("none", ()), setup=setup)
+        result = Experiment.from_config(config).keep_cluster().run()
+        audit = result.cluster.audit
         traces.append([(e.time, e.kind, e.node, e.fields)
-                       for e in captured["audit"].events])
+                       for e in audit.events])
 
     base = dict(replicas=3, num_ebs=30, offered_wips=400.0,
                 scale=tiny_scale(), seed=7, safety_tracing=True)

@@ -128,6 +128,31 @@ def test_readme_faultload_table_lists_every_kind_and_parses():
         Faultload.parse(example)
 
 
+def test_readme_preset_table_matches_the_presets():
+    """Each row of the README's preset table names a preset, its
+    ``repro run`` name, and (first) the faultload its method injects
+    with default arguments."""
+    from repro.faults.faultload import Faultload
+    from repro.harness import Experiment, paper_scale
+    from repro.harness.experiment import PRESETS
+    readme = read("README.md")
+    table = readme[readme.index("| `Experiment` method |"):]
+    rows = [re.split(r"(?<!\\)\|", row)[1:4]
+            for row in table.split("\n\n")[0].splitlines()[2:]]
+    documented = set()
+    for method_column, cli_column, spec_column in rows:
+        method = re.findall(r"`(\w+)\(", method_column)[0]
+        documented.add(method)
+        assert re.findall(r"`(\w+)`", cli_column) == (
+            [PRESETS[method].cli] if PRESETS[method].cli else [])
+        specs = re.findall(r"`([^`]+)`", spec_column)
+        experiment = getattr(Experiment(paper_scale()), method)()
+        resolved = experiment._resolve_faultload(experiment.build_config())
+        assert resolved.events == Faultload.parse(
+            specs[0] if specs else "").events, method
+    assert documented == set(PRESETS)
+
+
 def test_readme_load_table_examples_build_a_config():
     from repro.harness.cli import _build_experiment, build_parser
     readme = read("README.md")
