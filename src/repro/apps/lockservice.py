@@ -49,9 +49,6 @@ class LockServiceState:
         entry = self.locks.get(name)
         return None if entry is None else set(entry[1])
 
-    def is_held(self, name: str) -> bool:
-        return name in self.locks and bool(self.locks[name][1])
-
     def session_alive(self, session_id: str, now: float) -> bool:
         deadline = self.sessions.get(session_id)
         return deadline is not None and deadline >= now

@@ -84,7 +84,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+from typing import (Callable, Dict, FrozenSet, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from repro.sim.trace import log_of
@@ -161,15 +161,14 @@ class FaultKind:
     A row with an ``arm`` verb is handed whole to the cluster up front
     (the cluster's nemesis gates it by simulated time); any other row
     calls its ``inject`` verb at ``at`` and its ``heal`` verb at a
-    finite ``until``.  ``standing`` rows may appear in a nemesis spec
-    (``ClusterConfig.nemesis_spec`` / ``Experiment.nemesis()``).
+    finite ``until``.  Any kind may appear in any spec: a scenario's,
+    ``Experiment.faults()`` or ``Experiment.nemesis()``.
     """
 
     example: str
     target: Shape
     window: str
     options: Tuple[Option, ...] = ()
-    standing: bool = False
     arm: Optional[str] = None
     inject: Optional[str] = None
     heal: Optional[str] = None
@@ -192,30 +191,25 @@ KINDS: Dict[str, FaultKind] = {
     "heal": FaultKind("heal@330:1", REPLICA, POINT, inject="heal_replica",
                       label="fault.heal"),
     # Nemesis: windowed message faults and the asymmetric cut.
-    "drop": FaultKind("drop@10-60:p=0.2", OPTIONAL_PAIR, WINDOW,
-                      (_P,), standing=True, arm="apply_nemesis",
-                      nemesis_param="drop_p"),
-    "dup": FaultKind("dup@10-60:p=0.1", OPTIONAL_PAIR, WINDOW,
-                     (_P,), standing=True, arm="apply_nemesis",
-                     nemesis_param="duplicate_p"),
+    "drop": FaultKind("drop@10-60:p=0.2", OPTIONAL_PAIR, WINDOW, (_P,),
+                      arm="apply_nemesis", nemesis_param="drop_p"),
+    "dup": FaultKind("dup@10-60:p=0.1", OPTIONAL_PAIR, WINDOW, (_P,),
+                     arm="apply_nemesis", nemesis_param="duplicate_p"),
     "delay": FaultKind("delay@10-60:p=0.3:m=0.05", OPTIONAL_PAIR, WINDOW,
                        (_P, Option("m=", "delay_mean_s")),
-                       standing=True, arm="apply_nemesis",
-                       nemesis_param="delay_p"),
+                       arm="apply_nemesis", nemesis_param="delay_p"),
     "oneway": FaultKind("oneway@30-90:2>3", PAIR, OPTIONAL_WINDOW,
-                        standing=True, inject="block_oneway",
-                        heal="unblock_oneway"),
+                        inject="block_oneway", heal="unblock_oneway"),
     # Storage: one replica's disk misbehaves.
     "torn": FaultKind("torn@200-400:1", REPLICA, OPTIONAL_WINDOW,
-                      (Option("p=", "p"),), standing=True,
-                      arm="apply_storage_fault"),
-    "corrupt": FaultKind("corrupt@240:1", REPLICA, POINT, standing=True,
+                      (Option("p=", "p"),), arm="apply_storage_fault"),
+    "corrupt": FaultKind("corrupt@240:1", REPLICA, POINT,
                          arm="apply_storage_fault"),
     "fsynclie": FaultKind("fsynclie@200-300:1", REPLICA, OPTIONAL_WINDOW,
-                          standing=True, arm="apply_storage_fault"),
+                          arm="apply_storage_fault"),
     "failslow": FaultKind("failslow@200-300:1:m=4", REPLICA,
                           OPTIONAL_WINDOW, (Option("m=", "factor"),),
-                          standing=True, arm="apply_storage_fault"),
+                          arm="apply_storage_fault"),
     # Geo: whole datacenters and the WAN between them.  Every replica a
     # DC outage takes down is one injected fault.
     "dcfail": FaultKind("dcfail@240-400:dc1", DC, OPTIONAL_WINDOW,
@@ -369,13 +363,6 @@ class Faultload:
     name: str
     events: Sequence[FaultEvent] = ()
 
-    def crash_count(self) -> int:
-        return sum(1 for e in self.events
-                   if KINDS[e.kind].inject == "crash_replica")
-
-    def manual_interventions(self) -> int:
-        return sum(1 for e in self.events if KINDS[e.kind].intervention)
-
     def geo_events(self) -> Tuple[FaultEvent, ...]:
         return tuple(e for e in self.events
                      if "dc" in KINDS[e.kind].target.fields)
@@ -384,18 +371,6 @@ class Faultload:
         """The same schedule on ``scale``'s compressed timeline."""
         return replace(self, events=tuple(event.scaled(scale)
                                           for event in self.events))
-
-    def require_standing(self, where: str) -> "Faultload":
-        """This faultload, if every event may stand in a nemesis spec."""
-        for event in self.events:
-            if not KINDS[event.kind].standing:
-                standing = ", ".join(name for name, row in KINDS.items()
-                                     if row.standing)
-                raise ValueError(
-                    f"{where} only takes the standing message faults and "
-                    f"storage faults ({standing}), got {event.kind!r}; "
-                    f"put {event.kind!r} in faults()")
-        return self
 
     @classmethod
     def parse(cls, spec: str, name: str = "custom") -> "Faultload":
@@ -522,38 +497,34 @@ def _parse_replica(text: str) -> Tuple[Optional[int], Optional[int]]:
         raise ValueError(f"bad replica target {text.strip()!r}") from None
 
 
-def _logged(items: tuple):
-    """One injection-log target: the single item, or the tuple."""
-    return items[0] if len(items) == 1 else items
-
-
 class FaultInjector:
     """Applies a faultload to a cluster by its events' :data:`KINDS` rows.
 
     The cluster must expose the verbs the rows name, ``live_replicas``
     for random crash targets, ``disable_watchdog`` for interventions
-    and, when recording, ``target_label``.
+    and ``target_label``.
     Targets are opaque here: the verbs get ``event.src_target``/
     ``dst_target`` (or a pick from ``live_replicas``) or datacenter
     names, then the row's option values.  ``faults_injected``,
     ``interventions``, ``first_outage`` and ``trigger_window`` tally the
-    rows' counting flags as events fire.
+    rows' counting flags as events fire; every armed window, injection
+    and heal is one event on the simulator's event log (``fault.inject``,
+    ``fault.heal``, ``nemesis.window``), the run's one record of what was
+    injected.
     """
 
     def __init__(self, sim, cluster, faultload: Faultload,
-                 rng: Optional[random.Random] = None, record: bool = True):
+                 rng: Optional[random.Random] = None):
         self._sim = sim
         self._cluster = cluster
         self.faultload = faultload
         self._rng = rng or random.Random(0)
-        self.injected: List[tuple] = []  # (time, kind or heal-kind, target)
-        self.armed: List[FaultEvent] = []
         self.faults_injected = 0
         self.interventions = 0
         self.first_outage: Optional[float] = None
         self.trigger_window: Optional[Tuple[float, float]] = None
         self._trigger_at: Optional[float] = None
-        self._events = log_of(sim) if record else None
+        self._events = log_of(sim)
 
     def arm(self) -> None:
         for event in self.faultload.events:
@@ -564,7 +535,6 @@ class FaultInjector:
                 self._cluster.disable_watchdog(event.src_target)
             if row.arm is not None:
                 getattr(self._cluster, row.arm)(event)
-                self.armed.append(event)
                 self._emit("nemesis.window", event, at=event.at,
                            until=event.until)
                 continue
@@ -599,8 +569,6 @@ class FaultInjector:
             value = getattr(event, option.field)
             options[option.field] = option.default if value is None else value
         now = self._sim.now
-        self.injected.append(
-            (now, event.kind, _logged(targets + tuple(options.values()))))
         self._emit(row.label, event, targets, **options)
         taken = getattr(self._cluster, row.inject)(*targets,
                                                    *options.values())
@@ -619,11 +587,9 @@ class FaultInjector:
         row = KINDS[event.kind]
         targets = self._targets(event)
         getattr(self._cluster, row.heal)(*targets)
-        now = self._sim.now
-        self.injected.append((now, f"heal-{event.kind}", _logged(targets)))
         self._emit("fault.heal", event, targets)
         if row.trigger:
-            self.trigger_window = (self._trigger_at, now)
+            self.trigger_window = (self._trigger_at, self._sim.now)
 
     def _emit(self, kind: str, event: FaultEvent,
               targets: Optional[tuple] = None, **fields) -> None:

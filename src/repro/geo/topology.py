@@ -131,6 +131,3 @@ class Topology:
             for b in self.dcs:
                 worst = max(worst, self.rtt_s(a, b))
         return worst
-
-    def wan_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple((a, b) for a in self.dcs for b in self.dcs if a != b)

@@ -140,8 +140,8 @@ def _add_scenario_options(parser: argparse.ArgumentParser,
                              "(times in paper-timeline seconds; "
                              "overrides the scenario)")
     parser.add_argument("--nemesis", metavar="SPEC", default=None,
-                        help="standing message/storage-fault schedule "
-                             "applied on top of the faultload, e.g. "
+                        help="extra fault events injected and counted on "
+                             "top of the scenario or --faultload, e.g. "
                              "'drop@60-300:p=0.1,oneway@120-180:2>3' or "
                              "'corrupt@240:1,torn@200-400:2'")
 

@@ -33,7 +33,7 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.faults.checker import SafetyChecker
-from repro.faults.faultload import KINDS, POINT, FaultEvent, FaultInjector
+from repro.faults.faultload import KINDS, POINT, FaultEvent
 from repro.faults.metrics import MetricsCollector, NemesisStats
 from repro.faults.watchdog import Watchdog
 from repro.geo import DegradeWindow, GeoState
@@ -432,14 +432,6 @@ class RobustStoreCluster:
         self.load_drivers = build_load(
             self.client_nodes, self.proxy_node.name, self.profile,
             self.collector, self.seed, config)
-
-        # --- deployment-wide nemesis schedule --------------------------
-        # Checked when the config was built; armed through the fault
-        # injector like every other fault, recording nothing.
-        if config.nemesis_spec:
-            FaultInjector(self.sim, self,
-                          config.nemesis_faultload().scaled(config.scale),
-                          record=False).arm()
 
         # --- observability: cluster-level gauges + the sampling loop ---
         if self.metrics is not None:

@@ -121,13 +121,6 @@ class ClusterConfig:
     # (field name, value) for PaxosConfig / TreplicaConfig respectively.
     paxos_overrides: tuple = ()
     treplica_overrides: tuple = ()
-    # Nemesis extension: a faultload-grammar spec holding only standing
-    # faults (drop/dup/delay windows, oneway cuts, storage faults),
-    # applied to every run of this deployment on top of whatever
-    # faultload the experiment injects.  Times are paper-timeline
-    # seconds (compressed by the scale); probabilities and delay means
-    # are not scaled.
-    nemesis_spec: Optional[str] = None
     # Keep the safety audit: the event-log kinds the consensus safety
     # checker reads (decide/deliver/ack, ...) plus node and nemesis
     # events, so the run can be audited by
@@ -240,14 +233,6 @@ class ClusterConfig:
         if self.retry_spec is not None:
             from repro.resilience.retry import parse_retry
             parse_retry(self.retry_spec)
-        if self.nemesis_spec is not None:
-            self.check_faults(self.nemesis_faultload())
-
-    def nemesis_faultload(self) -> Faultload:
-        """The standing schedule ``nemesis_spec`` names, in paper seconds."""
-        return Faultload.parse(self.nemesis_spec or "",
-                               name="config-nemesis").require_standing(
-                                   "nemesis_spec")
 
     def check_faults(self, faultload: Faultload) -> None:
         """Reject fault targets this deployment cannot resolve, before

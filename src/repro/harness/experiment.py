@@ -26,9 +26,9 @@ the configured scale.  Every path funnels into the one execution engine
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from repro.faults.faultload import Faultload
+from repro.faults.faultload import FaultEvent, Faultload
 from repro.harness.config import ClusterConfig
 from repro.harness.experiments import ExperimentResult, _execute
 
@@ -79,8 +79,10 @@ class Experiment:
         self._overrides = dict(config_fields)
         if scale is not None:
             self._overrides["scale"] = scale
-        # The scenario's faultload, in paper-timeline seconds.
+        # The scenario's faultload and the nemesis() events on top of it,
+        # in paper-timeline seconds.
         self._faultload = Faultload("none", ())
+        self._nemesis: Tuple[FaultEvent, ...] = ()
 
     @classmethod
     def from_config(cls, config: ClusterConfig) -> "Experiment":
@@ -184,11 +186,12 @@ class Experiment:
         return self
 
     def nemesis(self, spec: str) -> "Experiment":
-        """A standing message- or storage-fault schedule (drop/dup/delay/
-        oneway windows, torn/corrupt/fsynclie/failslow disk faults)
-        applied on top of whatever the scenario injects."""
-        Faultload.parse(spec, name="nemesis").require_standing("nemesis()")
-        self._overrides["nemesis_spec"] = spec
+        """Fault events (typically drop/dup/delay/oneway message faults
+        and torn/corrupt/fsynclie/failslow disk faults) injected on top of
+        whatever the scenario or :meth:`faults` injects.  They join the
+        run's one faultload: checked, armed and counted like the
+        scenario's own events.  A second call replaces the first."""
+        self._nemesis = Faultload.parse(spec).events
         return self
 
     def shards(self, k: int) -> "Experiment":
@@ -307,10 +310,10 @@ class Experiment:
 
     def build_config(self) -> ClusterConfig:
         """The resolved :class:`ClusterConfig` this experiment will run,
-        checked against the scenario's fault targets."""
+        checked against the targets of the run's faultload."""
         config = (replace(self._base, **self._overrides) if self._overrides
                   else self._base)
-        config.check_faults(self._faultload)
+        config.check_faults(self._paper_faultload())
         return config
 
     # ------------------------------------------------------------------
@@ -389,6 +392,13 @@ class Experiment:
         config = self.build_config()
         return _execute(config, self._resolve_faultload(config))
 
+    def _paper_faultload(self) -> Faultload:
+        """The run's one :class:`Faultload` in paper seconds: the
+        scenario's, under its name, with the :meth:`nemesis` events
+        first."""
+        return replace(self._faultload,
+                       events=(*self._nemesis, *self._faultload.events))
+
     def _resolve_faultload(self, config: ClusterConfig) -> Faultload:
-        """The scenario's :class:`Faultload` on the compressed timeline."""
-        return self._faultload.scaled(config.scale)
+        """The run's :class:`Faultload` on the compressed timeline."""
+        return self._paper_faultload().scaled(config.scale)

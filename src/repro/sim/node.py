@@ -81,9 +81,6 @@ class Node:
         """Register ``fn(payload, src)`` for messages arriving on ``port``."""
         self._handlers[port] = fn
 
-    def unhandle(self, port: str) -> None:
-        self._handlers.pop(port, None)
-
     def send(self, dst: str, port: str, payload: Any,
              size_mb: float = 0.0005, trace: Optional[str] = None) -> None:
         """Send a datagram; a dead node cannot speak."""

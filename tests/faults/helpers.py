@@ -88,3 +88,22 @@ def run_lock_service_under_nemesis(
     sim.run(until=faulty_s + settle_s)
     return NemesisRun(checker=SafetyChecker(tracer), tracer=tracer,
                       nemesis=nemesis, network=network, acks=acks[0])
+
+
+#: The event kinds :class:`~repro.faults.faultload.FaultInjector` emits.
+FAULT_KINDS = ("fault.inject", "fault.heal", "nemesis.window")
+
+
+def record_faults(sim) -> Tracer:
+    """Attach an event log to ``sim`` and return a tracer keeping what a
+    fault injector records (read it with :func:`fault_records`)."""
+    sim.event_log = EventLog(sim)
+    tracer = Tracer()
+    sim.event_log.subscribe(FAULT_KINDS, tracer.take)
+    return tracer
+
+
+def fault_records(tracer: Tracer) -> list:
+    """``(time, kind, fault, target)`` per recorded injector event."""
+    return [(event.time, event.kind, event["fault"], event.get("target"))
+            for event in tracer.events]

@@ -16,6 +16,7 @@ from repro.faults.faultload import (
     Faultload,
 )
 from repro.sim import Simulator
+from tests.faults.helpers import fault_records, record_faults
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +75,6 @@ def test_parse_mixed_spec():
                                                   "oneway", "reboot"]
     assert [e for e in faultload.events
             if KINDS[e.kind].arm == "apply_nemesis"] == [faultload.events[1]]
-    assert faultload.crash_count() == 1
 
 
 # ----------------------------------------------------------------------
@@ -309,30 +309,39 @@ class RecordingCluster:
     def unblock_oneway(self, src, dst):
         self.calls.append((self._sim.now, "unblock", (src, dst)))
 
+    def target_label(self, target):
+        return f"r{target}"
+
 
 def test_injector_installs_nemesis_windows_up_front():
     sim = Simulator()
     cluster = RecordingCluster(sim)
+    tracer = record_faults(sim)
     injector = FaultInjector(sim, cluster, Faultload.parse(
         "drop@10-60:p=0.2, dup@20-30:p=0.1"))
     injector.arm()
     # Windowed faults are handed over at arm() time; the nemesis gates
     # them by simulated time itself.
     assert cluster.calls == [(0.0, "nemesis", "drop"), (0.0, "nemesis", "dup")]
-    assert [e.kind for e in injector.armed] == ["drop", "dup"]
+    assert fault_records(tracer) == [(0.0, "nemesis.window", "drop", None),
+                                     (0.0, "nemesis.window", "dup", None)]
+    assert [(e["at"], e["until"]) for e in tracer.events] == [(10.0, 60.0),
+                                                              (20.0, 30.0)]
 
 
 def test_injector_cuts_and_heals_oneway_on_schedule():
     sim = Simulator()
     cluster = RecordingCluster(sim)
+    tracer = record_faults(sim)
     injector = FaultInjector(sim, cluster,
                              Faultload.parse("oneway@30-90:2>3"))
     injector.arm()
     sim.run(until=100.0)
     assert cluster.calls == [(30.0, "block", (2, 3)),
                              (90.0, "unblock", (2, 3))]
-    assert (30.0, "oneway", (2, 3)) in injector.injected
-    assert (90.0, "heal-oneway", (2, 3)) in injector.injected
+    assert fault_records(tracer) == [
+        (30.0, "fault.inject", "oneway", "r2>r3"),
+        (90.0, "fault.heal", "oneway", "r2>r3")]
 
 
 def test_injector_point_oneway_never_heals():
@@ -358,6 +367,7 @@ def test_injector_counts_ignore_nemesis_events():
 def test_injector_hands_storage_faults_to_the_cluster_up_front():
     sim = Simulator()
     cluster = RecordingCluster(sim)
+    tracer = record_faults(sim)
     injector = FaultInjector(sim, cluster, Faultload.parse(
         "torn@200-400:1, corrupt@240:2, fsynclie@100-150:0"))
     injector.arm()
@@ -366,8 +376,9 @@ def test_injector_hands_storage_faults_to_the_cluster_up_front():
     assert cluster.calls == [(0.0, "storage", "torn"),
                              (0.0, "storage", "corrupt"),
                              (0.0, "storage", "fsynclie")]
-    assert [e.kind for e in injector.armed] == [
-        "torn", "corrupt", "fsynclie"]
+    assert fault_records(tracer) == [
+        (0.0, "nemesis.window", kind, None)
+        for kind in ("torn", "corrupt", "fsynclie")]
     sim.run(until=500.0)
     # Storage faults are environment misbehaviour, not injected crashes:
     # they never count towards the autonomy denominators.

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.geo import GeoConfig, Topology
-from repro.harness import ClusterConfig, Experiment, tiny_scale
+from repro.harness import Experiment, tiny_scale
 from repro.harness.cli import main
 
 
@@ -69,29 +69,26 @@ def test_build_config_refuses_a_deployment_that_cannot_serve(
 
 _GEO = {"geo": GeoConfig(topology=Topology(("dc0", "dc1")))}
 
-#: (case, ClusterConfig fields, message fragment): a nemesis spec must
-#: parse, be standing, and name targets the deployment has.  No DC kind
-#: is standing, so the standing rule refuses those first, geo or not.
+#: (case, nemesis spec, configure() fields, message fragment): a nemesis
+#: spec must parse and name targets the deployment has, like any other
+#: part of the run's faultload.
 BAD_NEMESIS_SPECS = [
-    ("unknown kind", {"nemesis_spec": "explode@1-2:p=0.5"},
-     "unknown fault kind"),
-    ("not standing", {"nemesis_spec": "crash@1:0"}, "standing"),
-    ("replica out of range", {"nemesis_spec": "drop@1-2:5>0:p=0.5"},
-     "targets replica 5"),
-    ("shard out of range",
-     {"nemesis_spec": "torn@1-2:2.0", "shards": 2}, "targets shard 2"),
-    ("unknown DC", {"nemesis_spec": "dcfail@240:nodc", **_GEO},
-     "standing"),
-    ("DC kind without geo", {"nemesis_spec": "wanpart@240:dc0|dc1"},
-     "standing"),
+    ("unknown kind", "explode@1-2:p=0.5", {}, "unknown fault kind"),
+    ("replica out of range", "drop@1-2:5>0:p=0.5", {}, "targets replica 5"),
+    ("shard out of range", "torn@1-2:2.0", {"shards": 2},
+     "targets shard 2"),
+    ("unknown DC", "dcfail@240:nodc", _GEO, "unknown datacenter"),
+    ("DC kind without geo", "wanpart@240:dc0|dc1", {},
+     "no geo topology"),
 ]
 
 
-@pytest.mark.parametrize("case, fields, fragment", BAD_NEMESIS_SPECS,
+@pytest.mark.parametrize("case, spec, fields, fragment", BAD_NEMESIS_SPECS,
                          ids=[c[0] for c in BAD_NEMESIS_SPECS])
-def test_cluster_config_refuses_a_bad_nemesis_spec(case, fields, fragment):
+def test_cluster_config_refuses_a_bad_nemesis_spec(case, spec, fields,
+                                                   fragment):
     with pytest.raises(ValueError, match=fragment):
-        ClusterConfig(replicas=3, **fields)
+        Experiment(replicas=3, **fields).nemesis(spec).build_config()
 
 
 def test_zero_think_time_is_a_valid_deployment():

@@ -48,10 +48,16 @@ def test_faults_validates_spec_eagerly():
         Experiment().faults("explode@240:*")
 
 
-def test_nemesis_rejects_node_faults():
-    with pytest.raises(ValueError, match="message faults"):
-        Experiment().nemesis("crash@240:1")
-    Experiment().nemesis("drop@60-300:p=0.1")  # message faults are fine
+def test_nemesis_takes_any_fault_kind():
+    # nemesis() events join the run's one faultload, ahead of the
+    # scenario's, whatever their kind.
+    experiment = Experiment().nemesis("crash@240:1,drop@60-300:p=0.1")
+    faultload = experiment.one_crash(2)._paper_faultload()
+    assert faultload.name == "one-crash"
+    assert [(e.kind, e.at) for e in faultload.events] == [
+        ("crash", 240.0), ("drop", 60.0), ("crash", 270.0)]
+    with pytest.raises(ValueError, match="unknown fault kind"):
+        Experiment().nemesis("explode@240:1")
 
 
 # ----------------------------------------------------------------------

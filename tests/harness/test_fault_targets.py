@@ -221,11 +221,11 @@ def test_out_of_range_replica_fails_before_the_run(shards, build, monkeypatch):
 
 
 def test_bad_nemesis_spec_target_fails_at_construction():
-    # The config refuses a nemesis spec its deployment cannot resolve,
-    # so no cluster -- built by the harness or directly -- ever arms it.
+    # build_config() refuses a nemesis spec its deployment cannot
+    # resolve, like any other fault target, so no run ever arms it.
     with pytest.raises(ValueError, match="targets replica 5"):
-        RobustStoreCluster(tiny_config(replicas=REPLICAS,
-                                       nemesis_spec="oneway@30-90:0>5"))
+        tiny_experiment(replicas=REPLICAS).nemesis(
+            "oneway@30-90:0>5").build_config()
 
 
 @pytest.mark.parametrize("spec", [

@@ -29,6 +29,11 @@ it with the no-retry client spelled out.
 One more pin is the ledger's ``crash_failover`` workload at seed 2009,
 digested exactly as the ledger digests it (``CRASH_FAILOVER_2009``).
 
+``flat-nemesis``'s ``flight`` digest was regenerated, alone, when the
+``nemesis()`` events joined the run's one faultload: its ring gained
+the ``nemesis.window`` records of the drop and torn windows and the
+``fault.inject`` / ``fault.heal`` pair of the oneway cut.
+
 A digest that moves means the simulation changed.  If that is
 deliberate (a model change), regenerate with::
 
@@ -39,11 +44,14 @@ and say so in CHANGES.md; a refactor must leave every line untouched.
 
 import hashlib
 import json
+import math
+from collections import Counter
 
 import pytest
 
-from repro.faults.faultload import ALL_KINDS, Faultload
+from repro.faults.faultload import ALL_KINDS, KINDS
 from repro.harness import Experiment, tiny_scale
+from tests.faults.helpers import FAULT_KINDS
 
 #: to_dict() keys that depend on which observers were attached.
 DIGEST_SKIP = ("kernel_profile", "timeline", "metrics", "safety_violations",
@@ -54,6 +62,9 @@ DCS = ("dc0", "dc1", "dc2")
 #: Client retries under a storm and a crash, with every defense on.
 RETRY = "expo:base=0.5,cap=4,attempts=3,budget=5%"
 RETRY_FAULTS = "retrystorm@240-270:factor=8,crash@270:1"
+
+#: Message and storage faults on top of the paper's one crash.
+NEMESIS = "drop@10-60:p=0.1,oneway@30-90:0>1,torn@100-300:1"
 
 
 def _base():
@@ -74,8 +85,7 @@ def _sharded():
 
 CASES = {
     "flat-one-crash": lambda: _flat().one_crash(replica=1),
-    "flat-nemesis": lambda: _flat().nemesis(
-        "drop@10-60:p=0.1,oneway@30-90:0>1,torn@100-300:1").one_crash(1),
+    "flat-nemesis": lambda: _flat().nemesis(NEMESIS).one_crash(1),
     "flat-geo-dcfail": lambda: _flat().geo(dcs=DCS).faults(
         "dcfail@240-400:dc1"),
     "flat-retrystorm": lambda: _flat().faults("retrystorm@240-270:factor=8"),
@@ -119,7 +129,7 @@ GOLDEN = {
     "flat-nemesis": {
         "result": "03b1e7c295fe4810bdfd0a024eee0cb34b514b9eabf1d80d5beae7663367e9f1",
         "trace": "91a6204cf3e9954e7cdee773bd02aa43ddea82594775e0f6f6988ad8cf201029",
-        "flight": "866d7a261bef2a33a2029aa49af9c2aa18505c1021c1600635fefcb5bce68a2d",
+        "flight": "0a2cc5f187104ba7115f6764d056c2464bdd89aa085fd2b6aa1be2630bacf3ce",
         "counters": "33e9f48fdbd5108ac4cbe04526637c09b12d8965cb16cb21486f28c769b8e756"
     },
     "flat-geo-dcfail": {
@@ -240,17 +250,46 @@ def test_retry_none_matches_golden_result(name):
     assert _result_digest(result) == GOLDEN[name]["result"]
 
 
+def _faultload(experiment):
+    return experiment._resolve_faultload(experiment.build_config())
+
+
 def test_every_fault_kind_has_a_golden_case():
     kinds = set()
     for build in CASES.values():
-        experiment = build()
-        config = experiment.build_config()
-        faultload = experiment._resolve_faultload(config)
-        kinds.update(event.kind for event in faultload.events)
-        if config.nemesis_spec:
-            kinds.update(event.kind for event in
-                         Faultload.parse(config.nemesis_spec).events)
+        kinds.update(event.kind for event in _faultload(build()).events)
     assert kinds == set(ALL_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_flight_ring_records_every_fault_event(name):
+    """One ``nemesis.window`` per armed event, one inject record per
+    fired event and one ``fault.heal`` per finite heal: every fault kind
+    the golden cases use reaches the recorder, whichever builder method
+    scheduled it."""
+    experiment = CASES[name]().record()
+    expected = Counter()
+    for event in _faultload(experiment).events:
+        row = KINDS[event.kind]
+        if row.arm is not None:
+            expected["nemesis.window", event.kind] += 1
+            continue
+        expected[row.label, event.kind] += 1
+        if row.heal is not None and event.until not in (None, math.inf):
+            expected["fault.heal", event.kind] += 1
+    recorded = Counter((record["kind"], record["fault"])
+                       for record in experiment.run().flight.iter_dicts()
+                       if record["kind"] in FAULT_KINDS)
+    assert recorded == expected
+
+
+def test_nemesis_joins_the_scenario_in_either_order():
+    before, after = (_flat().nemesis(NEMESIS).one_crash(1),
+                     _flat().one_crash(1).nemesis(NEMESIS))
+    assert _faultload(before) == _faultload(after)
+    assert _faultload(after).name == "one-crash"
+    assert (_result_digest(after.run())
+            == GOLDEN["flat-nemesis"]["result"])
 
 
 #: The ledger's ``crash_failover`` workload at seed 2009, digested as
