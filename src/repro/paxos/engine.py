@@ -38,6 +38,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
 from repro.paxos.config import PaxosConfig
 from repro.paxos.failure_detector import FailureDetector
 from repro.paxos.messages import (
+    BATCH_CARRIERS,
     NOOP,
     NULL_BALLOT,
     Accepted,
@@ -269,7 +270,7 @@ class PaxosEngine:
         self.node.spawn(self._heartbeat_loop(), name="paxos-heartbeat")
         self.node.spawn(self._retry_loop(), name="paxos-retry")
         self.node.spawn(self._gap_loop(), name="paxos-gap")
-        if self.fd.leader() == self.me:
+        if self.fd.leader_id == self.me:
             self.sim.call_after(0.01, self._maybe_start_phase1)
 
     def _restore_from_wal(self) -> None:
@@ -439,7 +440,10 @@ class PaxosEngine:
         src = self._ids.get(src_name)
         if src is None:
             return
-        self.fd.heard_from(src)
+        fd = self.fd  # fd.heard_from(src), inline
+        fd.last_heard[src] = self.sim.now
+        if src not in fd.view:
+            fd.check()
         self._inbox.put((payload, src))
 
     def _dispatcher(self):
@@ -449,25 +453,26 @@ class PaxosEngine:
         a backlog amortizes scheduling instead of paying one full
         scheduling round-trip per message (as a real event-driven
         middleware thread does when its socket has several datagrams).
+        A message costs ``cpu_per_message_s``, plus ``cpu_per_command_s``
+        per command when its class carries a batch (``BATCH_CARRIERS``).
         """
         config = self.config
+        handlers = self._HANDLERS
         while True:
             first = yield self._inbox
             group = [first] + self._inbox.take(63)
+            per_message = config.cpu_per_message_s
+            per_command = config.cpu_per_command_s
             cost = 0.0
             for payload, _src in group:
-                cost += config.cpu_per_message_s
-                commands = getattr(payload, "value", None)
-                if isinstance(commands, Batch):
-                    cost += config.cpu_per_command_s * len(commands)
+                cost += per_message
+                if payload.__class__ in BATCH_CARRIERS:
+                    cost += per_command * len(payload.value.commands)
             yield self.node.cpu.request(cost)
             for payload, src in group:
-                self._handle(payload, src)
-
-    def _handle(self, message, src: int) -> None:
-        handler = self._HANDLERS.get(type(message))
-        if handler is not None:
-            handler(self, message, src)
+                handler = handlers.get(payload.__class__)
+                if handler is not None:
+                    handler(self, payload, src)
 
     # ==================================================================
     # housekeeping processes
@@ -568,7 +573,7 @@ class PaxosEngine:
                 self._fast_flush_timer = self.sim.call_after(
                     self.config.batch_window_s, self._flush_fast)
         elif mode == MODE_CLASSIC:
-            leader = self.fd.leader()
+            leader = self.fd.leader_id
             if leader == self.me:
                 if self.leading:
                     self._pending.append(command)
@@ -639,15 +644,15 @@ class PaxosEngine:
     # coordinator: election, phase 1, fast-round management
     # ==================================================================
     def _is_coordinator(self) -> bool:
-        return self.fd.leader() == self.me
+        return self.fd.leader_id == self.me
 
     def _on_view_change(self, view: FrozenSet[int]) -> None:
         self.stats["mode_changes"] += 1
         if self._events is not None:
             self._events.emit("paxos.view_change", self.node.name,
                               view=len(view),
-                              leading=self.fd.leader() == self.me)
-        if self.fd.leader() != self.me:
+                              leading=self.fd.leader_id == self.me)
+        if self.fd.leader_id != self.me:
             self.leading = False
             return
         alive = len(view)
@@ -799,7 +804,11 @@ class PaxosEngine:
     # acceptor side
     # ==================================================================
     def _effective_rnd(self, instance: int) -> Ballot:
-        return max(self.min_promised, self.inst_rnd.get(instance, NULL_BALLOT))
+        window = self.inst_rnd  # inst_rnd.get(instance, NULL_BALLOT), inline
+        offset = instance - window.base
+        rnd = (window.slots[offset] if 0 <= offset < len(window.slots)
+               else None)
+        return max(self.min_promised, NULL_BALLOT if rnd is None else rnd)
 
     def _vote_fenced(self, instance: int, ballot: Ballot) -> bool:
         """Whether the rejoin fence forbids voting here (see fence_info)."""
@@ -878,8 +887,10 @@ class PaxosEngine:
         self._reroute_unacked()
 
     def _on_phase2a(self, message: Phase2a, src: int) -> None:
-        self._observe_round(message.ballot)
-        self._note_seen_instance(message.instance)
+        if message.ballot.round > self.max_round_seen:  # _observe_round
+            self.max_round_seen = message.ballot.round
+        if message.instance > self.max_seen_instance:  # _note_seen_instance
+            self.max_seen_instance = message.instance
         if self._vote_fenced(message.instance, message.ballot):
             return
         if message.ballot < self._effective_rnd(message.instance):
@@ -896,27 +907,29 @@ class PaxosEngine:
         self._vote(message.instance, message.ballot, message.value)
 
     def _on_fast_propose(self, message: FastPropose, src: int) -> None:
-        self._observe_round(message.ballot)
-        self._note_seen_instance(message.instance)
-        if self._vote_fenced(message.instance, message.ballot):
+        ballot, instance = message.ballot, message.instance
+        if ballot.round > self.max_round_seen:  # _observe_round, inline
+            self.max_round_seen = ballot.round
+        if instance > self.max_seen_instance:  # _note_seen_instance
+            self.max_seen_instance = instance
+        if self._vote_fenced(instance, ballot):
             return
-        reject = FastReject(message.ballot, message.instance)
-        if self.fast_round is None or message.ballot != self.fast_round:
-            self._send_to(src, reject)
+        # Reject when the round is not this acceptor's open fast round,
+        # is promised away, or already has its vote here (first proposal
+        # wins: the loser relocates after one RTT instead of a timeout),
+        # or when the instance is decided.
+        if (self.fast_round is None or ballot != self.fast_round
+                or ballot < self._effective_rnd(instance)):
+            self._send_to(src, FastReject(ballot, instance))
             return
-        if message.ballot < self._effective_rnd(message.instance):
-            self._send_to(src, reject)
+        votes = self._votes  # self._votes.get(instance), inline
+        offset = instance - votes.base
+        vote = votes.slots[offset] if 0 <= offset < len(votes.slots) else None
+        if ((vote is not None and vote[2] >= ballot)
+                or instance <= self.watermark or instance in self.decided):
+            self._send_to(src, FastReject(ballot, instance))
             return
-        vote = self._votes.get(message.instance)
-        if vote is not None and vote[2] >= message.ballot:
-            # Already voted in this fast round: first proposal wins; tell
-            # the loser so it relocates after one RTT instead of a timeout.
-            self._send_to(src, reject)
-            return
-        if message.instance <= self.watermark or message.instance in self.decided:
-            self._send_to(src, reject)
-            return
-        self._vote(message.instance, message.ballot, message.value)
+        self._vote(instance, ballot, message.value)
 
     def _on_fast_reject(self, message: FastReject, src: int) -> None:
         batch = self._my_fast_proposals.get(message.instance)
@@ -965,24 +978,37 @@ class PaxosEngine:
             self.max_seen_instance = instance
 
     def _on_accepted(self, message: Accepted, src: int) -> None:
-        self._observe_round(message.ballot)
-        self._note_seen_instance(message.instance)
-        instance = message.instance
-        if instance <= self.watermark or instance in self.decided:
+        # The learner's hottest path (every acceptor's vote reaches every
+        # learner): the round/instance notes, the decided-window lookup
+        # and the leader test are inline.
+        ballot, instance = message.ballot, message.instance
+        if ballot.round > self.max_round_seen:  # _observe_round
+            self.max_round_seen = ballot.round
+        if instance > self.max_seen_instance:  # _note_seen_instance
+            self.max_seen_instance = instance
+        if instance <= self.watermark:
             return
-        key = (message.ballot, message.value.key)
-        per_instance = self._vote_sets.setdefault(instance, {})
-        voters = per_instance.setdefault(key, set())
+        decided = self.decided  # ``instance in self.decided``
+        offset = instance - decided.base
+        if 0 <= offset < len(decided.slots) and decided.slots[offset] is not None:
+            return
+        key = (ballot, message.value.key)
+        per_instance = self._vote_sets.get(instance)
+        if per_instance is None:
+            per_instance = self._vote_sets[instance] = {}
+        voters = per_instance.get(key)
+        if voters is None:
+            voters = per_instance[key] = set()
         voters.add(src)
-        quorum = self.fq if message.ballot.fast else self.q2
+        quorum = self.fq if ballot.fast else self.q2
         if len(voters) >= quorum:
             self._decide(instance, message.value)
             return
-        if message.ballot.fast and self._is_coordinator():
+        if ballot.fast and self.fd.leader_id == self.me:
             # Eager collision detection: recover as soon as no value can
             # possibly reach a fast quorum in this round.
             round_sets = [v for (b, _k), v in per_instance.items()
-                          if b == message.ballot]
+                          if b == ballot]
             heard: Set[int] = set().union(*round_sets)
             leading_votes = max(len(v) for v in round_sets)
             unheard = self.n - len(heard)

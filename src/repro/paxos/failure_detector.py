@@ -8,13 +8,19 @@ election (lowest live id) and the Treplica fast/classic/blocked mode rule.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List
 
 from repro.sim.core import Simulator
 
 
 class FailureDetector:
-    """Tracks last-heard times and reports the live view."""
+    """Tracks last-heard times and reports the live view.
+
+    ``view`` (the trusted ids, always including self), ``leader_id``
+    (its lowest id) and ``last_heard`` are plain attributes, so the
+    engine's per-message path reads them without a call; ``view`` and
+    ``leader_id`` change together, only in :meth:`_recompute`.
+    """
 
     def __init__(self, sim: Simulator, my_id: int, all_ids: List[int],
                  timeout_s: float):
@@ -22,16 +28,19 @@ class FailureDetector:
         self.my_id = my_id
         self.all_ids = sorted(all_ids)
         self.timeout_s = timeout_s
-        self._last_heard: Dict[int, float] = {
+        self.last_heard: Dict[int, float] = {
             peer: sim.now for peer in self.all_ids}
         self._listeners: List[Callable[[FrozenSet[int]], None]] = []
-        self._view: FrozenSet[int] = frozenset(self.all_ids)
+        self.view: FrozenSet[int] = frozenset(self.all_ids)
+        self.leader_id = min(self.view)
 
     # ------------------------------------------------------------------
     def heard_from(self, peer: int) -> None:
-        """Record a sign of life from ``peer`` (heartbeat or any message)."""
-        self._last_heard[peer] = self._sim.now
-        if peer not in self._view:
+        """Record a sign of life from ``peer`` (heartbeat or any message).
+
+        ``PaxosEngine._on_message`` does the same inline."""
+        self.last_heard[peer] = self._sim.now
+        if peer not in self.view:
             self._recompute()
 
     def check(self) -> None:
@@ -42,26 +51,22 @@ class FailureDetector:
         self._listeners.append(fn)
 
     # ------------------------------------------------------------------
-    @property
-    def view(self) -> FrozenSet[int]:
-        """The currently-trusted set of replica ids (always contains self)."""
-        return self._view
-
     def is_alive(self, peer: int) -> bool:
-        return peer in self._view
+        return peer in self.view
 
     def leader(self) -> int:
         """The coordinator under the lowest-live-id rule."""
-        return min(self._view)
+        return self.leader_id
 
     # ------------------------------------------------------------------
     def _recompute(self) -> None:
         now = self._sim.now
         live = frozenset(
             peer for peer in self.all_ids
-            if peer == self.my_id or now - self._last_heard[peer] <= self.timeout_s
+            if peer == self.my_id or now - self.last_heard[peer] <= self.timeout_s
         )
-        if live != self._view:
-            self._view = live
+        if live != self.view:
+            self.view = live
+            self.leader_id = min(live)
             for listener in list(self._listeners):
                 listener(live)

@@ -23,19 +23,23 @@ class InstanceWindow(MutableMapping):
     the base down, and :meth:`truncate_below` drops a prefix.  Iteration
     yields instances in increasing order.  The window must not be
     modified while it is iterated.
+
+    ``base`` and ``slots`` are public for reading only, so the engine's
+    hottest paths can inline :meth:`get` and ``in``: instance ``i`` holds
+    ``slots[i - base]`` when ``0 <= i - base < len(slots)``.
     """
 
-    __slots__ = ("_base", "_slots")
+    __slots__ = ("base", "slots")
 
     def __init__(self, base: int = 0):
-        self._base = base
-        self._slots: List[Any] = []
+        self.base = base
+        self.slots: List[Any] = []
 
     # get and __contains__ sit on the engine's per-message path: one
     # bounds test, no exception (most misses are past the end).
     def get(self, instance: int, default: Any = None) -> Any:
-        slots = self._slots
-        offset = instance - self._base
+        slots = self.slots
+        offset = instance - self.base
         if 0 <= offset < len(slots):
             value = slots[offset]
             if value is not None:
@@ -43,8 +47,8 @@ class InstanceWindow(MutableMapping):
         return default
 
     def __contains__(self, instance: object) -> bool:
-        slots = self._slots
-        offset = instance - self._base  # type: ignore[operator]
+        slots = self.slots
+        offset = instance - self.base  # type: ignore[operator]
         return 0 <= offset < len(slots) and slots[offset] is not None
 
     def __getitem__(self, instance: int) -> Any:
@@ -56,15 +60,15 @@ class InstanceWindow(MutableMapping):
     def __setitem__(self, instance: int, value: Any) -> None:
         if value is None:
             raise ValueError("an instance window cannot store None")
-        slots = self._slots
+        slots = self.slots
         if not slots:
-            self._base = instance
+            self.base = instance
             slots.append(value)
             return
-        offset = instance - self._base
+        offset = instance - self.base
         if offset < 0:
             slots[:0] = [None] * -offset
-            self._base = instance
+            self.base = instance
             offset = 0
         elif offset >= len(slots):
             slots.extend([None] * (offset - len(slots)))
@@ -75,22 +79,22 @@ class InstanceWindow(MutableMapping):
     def __delitem__(self, instance: int) -> None:
         if instance not in self:
             raise KeyError(instance)
-        self._slots[instance - self._base] = None
+        self.slots[instance - self.base] = None
 
     def __iter__(self) -> Iterator[int]:
-        base = self._base
-        return (base + offset for offset, value in enumerate(self._slots)
+        base = self.base
+        return (base + offset for offset, value in enumerate(self.slots)
                 if value is not None)
 
     def __len__(self) -> int:
-        return len(self._slots) - self._slots.count(None)
+        return len(self.slots) - self.slots.count(None)
 
     def __repr__(self) -> str:
         return f"InstanceWindow({dict(self.items())!r})"
 
     def truncate_below(self, instance: int) -> None:
         """Forget every instance below ``instance``."""
-        offset = instance - self._base
+        offset = instance - self.base
         if offset > 0:
-            del self._slots[:offset]
-            self._base = instance
+            del self.slots[:offset]
+            self.base = instance

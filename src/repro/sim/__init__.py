@@ -8,7 +8,8 @@ This package replaces the paper's physical testbed (an 18-node cluster with
 * :class:`~repro.sim.core.Event`, :class:`~repro.sim.core.Timeout`,
   :class:`~repro.sim.core.Channel` -- synchronization primitives.
 * :class:`~repro.sim.resource.ServiceStation` -- FIFO single-server queueing
-  resource used to model CPUs.
+  resource used to model CPUs; ``request()`` returns a
+  :class:`~repro.sim.resource.Grant`.
 * :class:`~repro.sim.disk.Disk` and :class:`~repro.sim.disk.WriteAheadLog` --
   stable storage with fsync semantics and group commit.
 * :class:`~repro.sim.network.Network` -- message passing with latency and
@@ -46,7 +47,7 @@ from repro.sim.network import (
     NetworkParams,
 )
 from repro.sim.node import Node
-from repro.sim.resource import ServiceStation
+from repro.sim.resource import Grant, ServiceStation
 from repro.sim.rng import SeedTree
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "DiskParams",
     "LogFrame",
     "Event",
+    "Grant",
     "Interrupted",
     "Nemesis",
     "NemesisParams",

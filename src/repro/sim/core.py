@@ -37,7 +37,20 @@ class Simulator:
 
     Events scheduled for the same instant fire in scheduling order, which
     keeps runs fully deterministic.
+
+    Both queues hold plain entries: ``(when, seq, fn, args)`` in the heap,
+    ``(fn, args)`` in the ready deque, fired as ``fn(*args)``.  Only the
+    public :meth:`call_at` / :meth:`call_after` build a cancellable
+    :class:`Timer`; its entry carries the timer in place of ``fn`` and
+    ``None`` in place of ``args``.  The kernel's own work -- network
+    deliveries, CPU completions, process timeouts and wake-ups -- is never
+    cancelled and goes in as a plain entry (:meth:`_later`, or an append
+    to ``_ready``).
     """
+
+    #: A heap at least this long is purged of its cancelled timers once
+    #: they are more than half of it (asyncio's rule).
+    PURGE_MIN_HEAP = 100
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -46,8 +59,10 @@ class Simulator:
         # delay too small to move the clock, and the kernel's own
         # wake-ups -- goes into a FIFO deque instead of the heap; see
         # ``_advance`` for why that keeps the single-heap (when, seq) order.
-        self._ready: Deque[Timer] = deque()
+        self._ready: Deque[Any] = deque()
         self._counter = itertools.count()
+        # Cancelled timers still in the heap (see Timer.cancel).
+        self._cancelled = 0
         self._processes_started = 0
         # Optional hooks attached by the harness: a metrics registry
         # (repro.obs.registry), an event-kernel profiler, and the event
@@ -70,9 +85,10 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
         timer = Timer(fn, args)
         if when == self.now:
-            self._ready.append(timer)
+            self._ready.append((timer, None))
         elif when > self.now:
-            heapq.heappush(self._heap, (when, next(self._counter), timer))
+            timer._sim = self
+            heapq.heappush(self._heap, (when, next(self._counter), timer, None))
         else:  # also rejects NaN, which orders nowhere
             raise SimulationError(
                 f"cannot schedule in the past: {when} < now {self.now}"
@@ -82,22 +98,55 @@ class Simulator:
     def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> "Timer":
         """Schedule ``fn(*args)`` after ``delay`` simulated seconds."""
         timer = Timer(fn, args)
-        if delay == 0:
-            self._ready.append(timer)
-            return timer
-        if not delay > 0:  # also rejects NaN
+        if delay > 0:
+            when = self.now + delay
+            if when != self.now:
+                timer._sim = self
+                heapq.heappush(self._heap,
+                               (when, next(self._counter), timer, None))
+                return timer
+        elif delay != 0:  # negative, or NaN
             raise SimulationError(f"negative delay: {delay}")
-        when = self.now + delay
-        if when == self.now:  # too small to move the clock: due now
-            self._ready.append(timer)
-        else:
-            heapq.heappush(self._heap, (when, next(self._counter), timer))
+        self._ready.append((timer, None))  # zero, or too small to move the clock
         return timer
 
-    def _wake(self, fn: Callable[[Any], None], arg: Any) -> None:
-        """Run ``fn(arg)`` at this instant, after everything already due:
-        the kernel's own resumes and callbacks, which nobody cancels."""
-        self._ready.append(Timer(fn, (arg,)))
+    def _later(self, delay: float, fn: Callable[..., None], args: tuple) -> None:
+        """``call_after`` for the kernel's own work, which nobody cancels:
+        one plain entry, no :class:`Timer`."""
+        if delay > 0:
+            when = self.now + delay
+            if when != self.now:
+                heapq.heappush(self._heap, (when, next(self._counter), fn, args))
+                return
+        elif delay != 0:  # negative, or NaN
+            raise SimulationError(f"negative delay: {delay}")
+        self._ready.append((fn, args))
+
+    def _unschedule(self, fn: Callable[..., None]) -> None:
+        """Drop the queued plain entry that calls ``fn`` (a process's
+        resume, when an interrupt abandons its timeout).  A linear scan:
+        only :meth:`Process.interrupt` needs it."""
+        ready = self._ready
+        for index, (queued, args) in enumerate(ready):
+            if args is not None and queued == fn:
+                del ready[index]
+                return
+        heap = self._heap
+        for index, (_when, _seq, queued, args) in enumerate(heap):
+            if args is not None and queued == fn:
+                heap[index] = heap[-1]
+                heap.pop()
+                heapq.heapify(heap)
+                return
+
+    def _purge(self) -> None:
+        """Drop every cancelled timer from the heap.  Entries are unique
+        by (when, seq), so the rebuilt heap pops in the same order."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap
+                   if entry[3] is not None or not entry[2].cancelled]
+        heapq.heapify(heap)
+        self._cancelled = 0
 
     # ------------------------------------------------------------------
     # running
@@ -107,14 +156,16 @@ class Simulator:
         until``; with ``one``, stop after the first.  Returns whether any
         event fired.
 
-        The heap holds ``(when, seq, timer)`` entries for everything due
-        later than the instant it was scheduled at, so ``heapq`` orders
-        them in C; the ready deque holds, in scheduling order, everything
-        that was due at the instant it was scheduled, which is always the
-        current one.  A heap entry due now was therefore scheduled at an
-        earlier instant than every deque entry and so has the smaller
-        seq: the heap top fires first iff its ``when`` is now, the deque
-        head otherwise -- exactly the order a single heap would produce.
+        The heap holds ``(when, seq, fn, args)`` entries for everything
+        due later than the instant it was scheduled at, so ``heapq``
+        orders them in C; the ready deque holds, in scheduling order,
+        everything that was due at the instant it was scheduled, which is
+        always the current one.  A heap entry due now was therefore
+        scheduled at an earlier instant than every deque entry and so has
+        the smaller seq: the heap top fires first iff its ``when`` is
+        now, the deque head otherwise -- exactly the order a single heap
+        would produce.  An entry whose ``args`` is ``None`` holds a
+        :class:`Timer` in place of ``fn``.
         """
         ready = self._ready
         heap = self._heap
@@ -123,29 +174,38 @@ class Simulator:
         fired = False
         while True:
             if heap and (not ready or heap[0][0] <= self.now):
-                when, _seq, timer = heap[0]
-                if timer.cancelled:
+                when, _seq, fn, args = heap[0]
+                if args is None:  # a timer
+                    if fn.cancelled:
+                        pop(heap)
+                        self._cancelled -= 1
+                        continue
+                    if when > until:
+                        break
                     pop(heap)
-                    continue
-                if when > until:
-                    break
-                pop(heap)
+                    fn._sim = None  # fired: a late cancel counts nothing
+                    fn, args = fn.fn, fn.args
+                else:
+                    if when > until:
+                        break
+                    pop(heap)
                 self.now = when
             elif ready:
                 if self.now > until:
                     break
-                timer = popleft()
-                if timer.cancelled:
-                    continue
+                fn, args = popleft()
+                if args is None:  # a timer
+                    if fn.cancelled:
+                        continue
+                    fn, args = fn.fn, fn.args
             else:
                 break
             profiler = self.profiler
             if profiler is None:
-                timer.fn(*timer.args)
+                fn(*args)
             else:
-                fn = timer.fn  # the callback may cancel its own timer
                 start = profiler.clock()
-                fn(*timer.args)
+                fn(*args)
                 profiler.record(fn, profiler.clock() - start)
             fired = True
             if one:
@@ -204,29 +264,48 @@ class Simulator:
 class Timer:
     """A cancellable entry in the simulator's ready deque or event heap."""
 
-    __slots__ = ("fn", "args", "cancelled")
+    __slots__ = ("fn", "args", "cancelled", "_sim")
 
     def __init__(self, fn: Callable[..., None], args: tuple):
         self.fn = fn
         self.args = args
         self.cancelled = False
+        # The simulator while the timer waits in its heap, else None.
+        self._sim: Optional[Simulator] = None
 
     def cancel(self) -> None:
-        """Never fire.  The entry stays queued until its time comes
-        (``_advance`` then drops it without reading anything else), so
-        the callback and its arguments are let go now: whatever they
-        reference is freed at the cancel, not at the expiry."""
+        """Never fire.  The callback and its arguments are let go now, so
+        whatever they reference is freed at the cancel, not at the
+        expiry.  The entry itself is dropped when it reaches the front
+        of its queue, or earlier: once cancelled timers are more than
+        half of a heap of at least ``Simulator.PURGE_MIN_HEAP`` entries,
+        the heap is rebuilt without them."""
         self.cancelled = True
         self.fn = None
         self.args = ()
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._cancelled += 1
+            size = len(sim._heap)
+            if size >= sim.PURGE_MIN_HEAP and 2 * sim._cancelled > size:
+                sim._purge()
 
 
 class Awaitable:
-    """Base protocol for objects a process may ``yield``."""
+    """Base protocol for objects a process may ``yield``.
+
+    ``_subscribe(process)`` makes the awaitable resume ``process`` once;
+    ``_unsubscribe(process)`` takes that back (an interrupt abandons the
+    wait), and does nothing if the resume is already on its way.
+    """
 
     __slots__ = ()
 
     def _subscribe(self, process: "Process") -> None:
+        raise NotImplementedError
+
+    def _unsubscribe(self, process: "Process") -> None:
         raise NotImplementedError
 
 
@@ -242,7 +321,10 @@ class Timeout(Awaitable):
         self._delay = delay
 
     def _subscribe(self, process: "Process") -> None:
-        self._sim.call_after(self._delay, process._resume, None)
+        self._sim._later(self._delay, process._resume, (None,))
+
+    def _unsubscribe(self, process: "Process") -> None:
+        self._sim._unschedule(process._resume)
 
 
 class Event(Awaitable):
@@ -287,41 +369,49 @@ class Event(Awaitable):
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(self)`` when the event triggers (immediately if it has)."""
         if self.triggered:
-            self._sim._wake(fn, self)
+            self._sim._ready.append((fn, (self,)))
         elif self._callbacks is None:
             self._callbacks = [fn]
         else:
             self._callbacks.append(fn)
 
     def _fire(self) -> None:
+        # Waiters resume, then callbacks run, at this instant after
+        # everything already due.
+        ready = self._sim._ready
         waiters, self._waiters = self._waiters, None
-        if waiters.__class__ is Process:  # one waiter: the common case
-            self._notify(waiters)
-        elif waiters is not None:
+        if waiters is not None:
+            ok = self.ok
+            outcome = (self.value if ok else self.error,)
+            if waiters.__class__ is Process:  # one waiter: the common case
+                waiters = (waiters,)
             for process in waiters:
-                self._notify(process)
+                ready.append((process._resume if ok else process._throw,
+                              outcome))
         callbacks, self._callbacks = self._callbacks, None
         if callbacks is not None:
             for fn in callbacks:
-                self._sim._wake(fn, self)
-
-    def _notify(self, process: "Process") -> None:
-        """Resume ``process`` with this event's outcome."""
-        if self.ok:
-            self._sim._wake(process._resume, self.value)
-        else:
-            self._sim._wake(process._throw, self.error)
+                ready.append((fn, (self,)))
 
     def _subscribe(self, process: "Process") -> None:
         waiters = self._waiters
         if self.triggered:
-            self._notify(process)
+            self._sim._ready.append(
+                (process._resume, (self.value,)) if self.ok
+                else (process._throw, (self.error,)))
         elif waiters is None:
             self._waiters = process
         elif waiters.__class__ is Process:
             self._waiters = [waiters, process]
         else:
             waiters.append(process)
+
+    def _unsubscribe(self, process: "Process") -> None:
+        waiters = self._waiters
+        if waiters is process:
+            self._waiters = None
+        elif waiters.__class__ is list and process in waiters:
+            waiters.remove(process)
 
 
 class Channel(Awaitable):
@@ -351,7 +441,7 @@ class Channel(Awaitable):
             if getter.__class__ is Process:
                 # Resumed even if it was killed meanwhile: a dead getter
                 # consumes its item, as its untriggered get() event would.
-                self._sim._wake(getter._resume, item)
+                self._sim._ready.append((getter._resume, (item,)))
                 return
             if not getter.triggered:
                 getter.succeed(item)
@@ -381,9 +471,14 @@ class Channel(Awaitable):
 
     def _subscribe(self, process: "Process") -> None:
         if self._items:
-            self._sim._wake(process._resume, self._items.popleft())
+            self._sim._ready.append((process._resume,
+                                     (self._items.popleft(),)))
         else:
             self._getters.append(process)
+
+    def _unsubscribe(self, process: "Process") -> None:
+        if process in self._getters:
+            self._getters.remove(process)
 
 
 class AllOf(Awaitable):
@@ -416,12 +511,16 @@ class AllOf(Awaitable):
     def _subscribe(self, process: "Process") -> None:
         self._done._subscribe(process)
 
+    def _unsubscribe(self, process: "Process") -> None:
+        self._done._unsubscribe(process)
+
 
 class Process(Awaitable):
     """A running generator.  Also awaitable: waiting on it joins it."""
 
     __slots__ = ("_sim", "_gen", "name", "finished", "killed", "value",
-                 "error", "_joiners", "_join_callbacks", "trace", "hosted")
+                 "error", "_joiners", "_join_callbacks", "trace", "hosted",
+                 "_waiting")
 
     def __init__(self, sim: Simulator, gen: Generator[Any, Any, Any], name: str):
         self._sim = sim
@@ -440,7 +539,9 @@ class Process(Awaitable):
         # nobody joins stays on ``error`` instead of stopping the kernel
         # (a crashed OS process does not stop its machine).
         self.hosted = False
-        sim._wake(self._resume, None)
+        # The awaitable last yielded: what an interrupt detaches from.
+        self._waiting: Optional[Awaitable] = None
+        sim._ready.append((self._resume, (None,)))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -457,18 +558,35 @@ class Process(Awaitable):
             return
         self.killed = True
         self.finished = True
+        self._waiting = None
         self._gen.close()
 
     def interrupt(self, reason: str = "") -> None:
-        """Raise :class:`Interrupted` inside the process at its wait point."""
+        """Raise :class:`Interrupted` inside the process at its wait point.
+
+        The process stops waiting for what it yielded: that awaitable
+        will not resume it later, whatever the process waits on next.
+        """
         if self.finished:
             return
-        self._sim._wake(self._throw, Interrupted(reason))
+        self._detach()
+        self._sim._ready.append((self._interrupted, (Interrupted(reason),)))
+
+    def _detach(self) -> None:
+        waiting, self._waiting = self._waiting, None
+        if waiting is not None:
+            waiting._unsubscribe(self)
+
+    def _interrupted(self, error: Interrupted) -> None:
+        # A resume already queued when interrupt() was called ran first,
+        # and the process may be waiting on something new by now.
+        self._detach()
+        self._throw(error)
 
     def on_finish(self, fn: Callable[["Process"], None]) -> None:
         """Run ``fn(self)`` when the process finishes normally or with error."""
         if self.finished and not self.killed:
-            self._sim._wake(fn, self)
+            self._sim._ready.append((fn, (self,)))
         else:
             self._join_callbacks.append(fn)
 
@@ -478,7 +596,8 @@ class Process(Awaitable):
     def _resume(self, value: Any) -> None:
         if self.finished:
             return
-        self._sim._current = self
+        sim = self._sim
+        sim._current = self
         try:
             yielded = self._gen.send(value)
         except StopIteration as stop:
@@ -488,13 +607,19 @@ class Process(Awaitable):
             self._finish(None, exc)
             return
         finally:
-            self._sim._current = None
-        self._wait_on(yielded)
+            sim._current = None
+        self._waiting = yielded
+        try:
+            subscribe = yielded._subscribe
+        except AttributeError:
+            self._not_awaitable(yielded)
+        subscribe(self)
 
     def _throw(self, error: BaseException) -> None:
         if self.finished:
             return
-        self._sim._current = self
+        sim = self._sim
+        sim._current = self
         try:
             yielded = self._gen.throw(error)
         except StopIteration as stop:
@@ -504,30 +629,35 @@ class Process(Awaitable):
             self._finish(None, exc)
             return
         finally:
-            self._sim._current = None
-        self._wait_on(yielded)
+            sim._current = None
+        self._waiting = yielded
+        try:
+            subscribe = yielded._subscribe
+        except AttributeError:
+            self._not_awaitable(yielded)
+        subscribe(self)
 
-    def _wait_on(self, yielded: Any) -> None:
-        if isinstance(yielded, Awaitable):
-            yielded._subscribe(self)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded a non-awaitable: {yielded!r}"
-            )
+    def _not_awaitable(self, yielded: Any) -> None:
+        self._waiting = None
+        raise SimulationError(
+            f"process {self.name!r} yielded a non-awaitable: {yielded!r}"
+        ) from None
 
     def _finish(self, value: Any, error: Optional[BaseException]) -> None:
         self.finished = True
         self.value = value
         self.error = error
+        self._waiting = None
+        ready = self._sim._ready
         joiners, self._joiners = self._joiners, []
         callbacks, self._join_callbacks = self._join_callbacks, []
         for joiner in joiners:
             if error is None:
-                self._sim._wake(joiner._resume, value)
+                ready.append((joiner._resume, (value,)))
             else:
-                self._sim._wake(joiner._throw, error)
+                ready.append((joiner._throw, (error,)))
         for fn in callbacks:
-            self._sim._wake(fn, self)
+            ready.append((fn, (self,)))
         if (error is not None and not joiners and not callbacks
                 and not self.hosted):
             # Nobody is watching: surface the failure instead of losing it.
@@ -541,11 +671,15 @@ class Process(Awaitable):
             return  # joining a killed process waits forever, like a dead peer
         if self.finished:
             if self.error is None:
-                self._sim._wake(process._resume, self.value)
+                self._sim._ready.append((process._resume, (self.value,)))
             else:
-                self._sim._wake(process._throw, self.error)
+                self._sim._ready.append((process._throw, (self.error,)))
         else:
             self._joiners.append(process)
+
+    def _unsubscribe(self, process: "Process") -> None:
+        if process in self._joiners:
+            self._joiners.remove(process)
 
     def __repr__(self) -> str:
         state = "killed" if self.killed else ("done" if self.finished else "running")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.core import Event, Simulator
-from repro.sim.resource import ServiceStation
+from repro.sim.resource import Grant, ServiceStation
 from repro.sim.rng import SeedTree
 from repro.sim.trace import log_for, log_of
 
@@ -363,7 +363,7 @@ class Disk:
     # ------------------------------------------------------------------
     # raw timed operations
     # ------------------------------------------------------------------
-    def write(self, size_mb: float) -> Event:
+    def write(self, size_mb: float) -> Grant:
         """A synchronous (durable-on-completion) write of ``size_mb``."""
         cost = (self.params.sync_write_latency_s
                 + size_mb / self.params.write_bandwidth_mb_s)
@@ -375,7 +375,7 @@ class Disk:
                           self._book("write", mb, start))
         return done
 
-    def read(self, size_mb: float) -> Event:
+    def read(self, size_mb: float) -> Grant:
         """A sequential read of ``size_mb``."""
         cost = (self.params.read_latency_s
                 + size_mb / self.params.read_bandwidth_mb_s)
@@ -415,7 +415,7 @@ class Disk:
         token = (key, value, size_mb)
         self._inflight_objects.append(token)
 
-        def commit(_event: Event) -> None:
+        def commit(_grant: Grant) -> None:
             self._inflight_objects.remove(token)
             prior = self._store.get(key)
             self._store[key] = (value, size_mb)
@@ -443,7 +443,7 @@ class Disk:
             return done
         value, size_mb = self._store[key]
 
-        def complete(_event: Event) -> None:
+        def complete(_grant: Grant) -> None:
             done.succeed(value)
 
         self.read(size_mb).add_callback(complete)
@@ -610,7 +610,7 @@ class WriteAheadLog:
         total_mb = sum(size for _entry, size, _done in group)
         self.flush_count += 1
 
-        def committed(_event: Event) -> None:
+        def committed(_grant: Grant) -> None:
             self._inflight_group = None
             frames: List[LogFrame] = []
             for entry, _size, done in group:

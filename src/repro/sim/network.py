@@ -270,13 +270,15 @@ class Network:
         Each destination is one :meth:`send`: its own partition check,
         nemesis fate, link and hop span, then one jitter draw per delivery
         copy.  What does not depend on the destination is looked up once.
-        No datagram object is built: each delivery copy is one scheduled
-        ``_deliver`` call carrying the fields it needs.
+        No datagram object is built: each delivery copy is one plain
+        kernel entry, a ``_deliver`` call carrying the fields it needs.
         """
         nodes, blocked, hops = self._nodes, self._blocked, self._hops
         nemesis, geo = self.nemesis, self.geo
+        if nemesis is not None and not nemesis.windows:
+            nemesis = None  # fate() draws nothing without windows
         now = self._sim.now
-        call_after, deliver = self._sim.call_after, self._deliver
+        later, deliver = self._sim._later, self._deliver
         random, log = self._rng.random, math.log
         if geo is None:
             params = self.params
@@ -287,7 +289,7 @@ class Network:
             target = nodes.get(dst)
             if target is None:
                 raise SimulationError(f"unknown destination node: {dst}")
-            if (src, dst) in blocked:
+            if blocked and (src, dst) in blocked:
                 if hops is not None:
                     self._hop(src, dst, port, trace, now, "partition")
                 continue
@@ -321,8 +323,8 @@ class Network:
                 self.inflight_messages += 1
                 self.inflight_mb += size_mb
                 if copies is None:
-                    call_after(delay, deliver, target, incarnation, src,
-                               port, payload, size_mb, trace, start)
+                    later(delay, deliver, (target, incarnation, src, port,
+                                           payload, size_mb, trace, start))
                 else:
                     copies.append(delay)
             if copies:
@@ -331,9 +333,9 @@ class Network:
                 dues = [now + delay for delay in copies]
                 closer = dues.index(min(dues))
                 for copy, delay in enumerate(copies):
-                    call_after(delay, deliver, target, incarnation, src,
-                               port, payload, size_mb, trace,
-                               start if copy == closer else None)
+                    later(delay, deliver, (target, incarnation, src, port,
+                                           payload, size_mb, trace,
+                                           start if copy == closer else None))
 
     def _deliver(self, target: Any, incarnation: int, src: str, port: str,
                  payload: Any, size_mb: float, trace: Optional[str],
@@ -344,7 +346,7 @@ class Network:
             cause = "dest_down"
         elif target.incarnation != incarnation:
             cause = "stale_incarnation"  # restarted while in flight
-        elif (src, target.name) in self._blocked:
+        elif self._blocked and (src, target.name) in self._blocked:
             cause = "partition"
         else:
             self.messages_delivered += 1

@@ -86,8 +86,8 @@ class Node:
         """Send a datagram; a dead node cannot speak."""
         if not self.alive:
             return
-        self.network.send(self.name, dst, port, payload, size_mb,
-                          trace=trace)
+        self.network.multicast(self.name, (dst,), port, payload, size_mb,
+                               trace)
 
     # ------------------------------------------------------------------
     # failure semantics

@@ -14,9 +14,57 @@ itself dies with the node.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.sim.core import Event, SimulationError, Simulator
+from repro.sim.core import Awaitable, Process, SimulationError, Simulator
+
+
+class Grant(Awaitable):
+    """One job on a :class:`ServiceStation`, done when its service ends.
+
+    A process waits for it by yielding it (and is resumed with ``None``);
+    other code registers ``add_callback(fn)`` for ``fn(grant)``.  At the
+    completion the waiter's resume and then the callbacks are queued at
+    that instant, in that order, as :meth:`Event.succeed` would queue
+    them.  A grant never fails, so it also reads as a succeeded event
+    (``ok``, ``value``, ``error``) once ``triggered``, and can join an
+    :class:`~repro.sim.core.AllOf`.  One process at a time may wait on it.
+    """
+
+    __slots__ = ("_sim", "service_time", "_waiter", "_callbacks",
+                 "triggered")
+
+    ok = True
+    value = None
+    error = None
+
+    def __init__(self, sim: Simulator, service_time: float):
+        self._sim = sim
+        self.service_time = service_time
+        self._waiter: Optional[Process] = None
+        self._callbacks: Optional[List[Callable[["Grant"], None]]] = None
+        self.triggered = False
+
+    def add_callback(self, fn: Callable[["Grant"], None]) -> None:
+        """Run ``fn(self)`` when the job completes (at once if it has)."""
+        if self.triggered:
+            self._sim._ready.append((fn, (self,)))
+        elif self._callbacks is None:
+            self._callbacks = [fn]
+        else:
+            self._callbacks.append(fn)
+
+    def _subscribe(self, process: Process) -> None:
+        if self.triggered:
+            self._sim._ready.append((process._resume, (None,)))
+        elif self._waiter is None:
+            self._waiter = process
+        else:
+            raise SimulationError("a grant resumes one waiting process")
+
+    def _unsubscribe(self, process: Process) -> None:
+        if self._waiter is process:
+            self._waiter = None
 
 
 class ServiceStation:
@@ -36,7 +84,7 @@ class ServiceStation:
         # keeps sub-millisecond protocol steps from waiting behind queues
         # of multi-millisecond page renders, as thread scheduling does on
         # a real server.
-        self._queues: Tuple[Deque[Tuple[float, Event]], ...] = (deque(), deque())
+        self._queues: Tuple[Deque[Grant], ...] = (deque(), deque())
         self._busy = False
         self._epoch = 0
         self.total_busy_time = 0.0
@@ -50,25 +98,27 @@ class ServiceStation:
     def queue_length(self) -> int:
         return sum(len(q) for q in self._queues)
 
-    def request(self, service_time: float, priority: int = 0) -> Event:
-        """Enqueue a job needing ``service_time``; the event fires when done.
+    def request(self, service_time: float, priority: int = 0) -> Grant:
+        """Enqueue a job needing ``service_time``; the grant completes
+        when it is done.
 
         ``priority`` 0 (default) is the middleware class; 1 is the bulk
         request class.  FIFO within each class.
         """
         if not service_time >= 0:  # also rejects NaN
             raise SimulationError(f"negative service time: {service_time}")
-        done = Event(self._sim)
-        self._queues[priority].append((service_time, done))
-        if not self._busy:
-            self._serve_next()
-        return done
+        grant = Grant(self._sim, service_time)
+        if self._busy:
+            self._queues[priority].append(grant)
+        else:  # idle: nothing is queued either
+            self._start(grant)
+        return grant
 
     def reset(self) -> None:
         """Drop all queued and in-flight work (the device died).
 
-        Pending completion events never fire; their waiters are expected to
-        be dead too (killed with the same node) or to use timeouts.
+        Pending grants never complete; their waiters are expected to be
+        dead too (killed with the same node) or to use timeouts.
         """
         for queue in self._queues:
             queue.clear()
@@ -76,23 +126,28 @@ class ServiceStation:
         self._epoch += 1
 
     # ------------------------------------------------------------------
-    def _serve_next(self) -> None:
-        high, low = self._queues
-        queue = high or low
-        if not queue:
-            self._busy = False
-            return
+    def _start(self, grant: Grant) -> None:
         self._busy = True
-        service_time, done = queue.popleft()
-        epoch = self._epoch
-        occupancy = service_time / self.speed
+        occupancy = grant.service_time / self.speed
         self.total_busy_time += occupancy
-        self._sim.call_after(occupancy, self._complete, epoch, done)
+        self._sim._later(occupancy, self._complete, (self._epoch, grant))
 
-    def _complete(self, epoch: int, done: Event) -> None:
+    def _complete(self, epoch: int, grant: Grant) -> None:
         if epoch != self._epoch:
             return  # station was reset while this job was in service
         self.jobs_served += 1
-        if not done.triggered:
-            done.succeed(None)
-        self._serve_next()
+        grant.triggered = True
+        ready = self._sim._ready
+        waiter = grant._waiter
+        if waiter is not None:
+            ready.append((waiter._resume, (None,)))
+        callbacks = grant._callbacks
+        if callbacks is not None:
+            for fn in callbacks:
+                ready.append((fn, (grant,)))
+        high, low = self._queues
+        queue = high or low
+        if queue:
+            self._start(queue.popleft())
+        else:
+            self._busy = False

@@ -379,10 +379,11 @@ class TreplicaRuntime:
                 continue  # covered by a checkpoint/state transfer
             if items:
                 dequeued_at = self.sim.now
-                total_cost = sum(
-                    action.cpu_cost_s if action.cpu_cost_s is not None
-                    else config.default_action_cpu_s
-                    for _uid, action in items)
+                total_cost = 0.0
+                for _uid, action in items:
+                    cost = action.cpu_cost_s
+                    total_cost += (cost if cost is not None
+                                   else config.default_action_cpu_s)
                 yield self.node.cpu.request(total_cost)
                 # Apply latency: CPU queueing + execution for this
                 # instance (decided-to-dequeued time is covered by the

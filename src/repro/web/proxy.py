@@ -198,9 +198,10 @@ class ReverseProxy:
             # Redispatches cost a full request's worth of proxy CPU:
             # re-picking a backend and re-sending is the same work as a
             # fresh forward.
-            cost = sum(params.cpu_response_s if kind == "resp"
-                       else params.cpu_request_s
-                       for kind, _payload, _src, _at, _trace in group)
+            cost = 0.0
+            for work in group:
+                cost += (params.cpu_response_s if work[0] == "resp"
+                         else params.cpu_request_s)
             yield self.node.cpu.request(cost)
             for kind, payload, src, queued_at, trace in group:
                 if queued_at is not None:

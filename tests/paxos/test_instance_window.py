@@ -18,7 +18,7 @@ from tests.paxos.helpers import PaxosCluster
 
 def _first_slot(window):
     """The lowest instance the window holds a slot for, filled or not."""
-    return window._base if window._slots else None
+    return window.base if window.slots else None
 
 
 def _truncate(reference, instance):

@@ -8,6 +8,12 @@ scheduled at top level and from inside callbacks, cancellations,
 ``step()`` and ``run(until)`` -- must fire in exactly the order of a
 reference kernel that pushes every timer through one heap.
 
+Besides the public timers, programs queue the kernel's plain entries
+(``_later``: never cancelled, no Timer), process timeouts and CPU
+grants; the reference models the last two by the timers they amount to.
+Some programs purge the heap of its cancelled timers mid-run: the
+threshold is lowered so that small programs reach it.
+
 The clock starts either at 0 or at 1e17, where a delay of 1.0 rounds to
 nothing (``1e17 + 1.0 == 1e17``) while 32.0 and 64.0 still move it.
 
@@ -19,11 +25,12 @@ the item put for it.
 
 import heapq
 import itertools
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import ServiceStation, Simulator
 
 BASES = (0.0, 1e17)
 #: 1.0 is a real delay at 0 and rounds to zero at 1e17.
@@ -60,6 +67,9 @@ class ReferenceKernel:
         assert delay >= 0
         return self.call_at(self.now + delay, fn, *args)
 
+    def _later(self, delay, fn, args):
+        self.call_after(delay, fn, *args)
+
     def _advance(self, until, one):
         while self._heap:
             when, _seq, timer = self._heap[0]
@@ -86,13 +96,70 @@ class ReferenceKernel:
             self.now = until
 
 
+class ReferenceStation:
+    """A FIFO station on the reference kernel: a job's completion wakes
+    its waiter (a zero-delay timer), then starts the next job."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.queue = deque()
+        self.busy = False
+
+    def request(self, service, fn, *args):
+        self.queue.append((service, fn, args))
+        if not self.busy:
+            self._serve_next()
+
+    def _serve_next(self):
+        if not self.queue:
+            self.busy = False
+            return
+        self.busy = True
+        service, fn, args = self.queue.popleft()
+        self.kernel.call_after(service, self._complete, fn, args)
+
+    def _complete(self, fn, args):
+        self.kernel.call_after(0.0, fn, *args)
+        self._serve_next()
+
+
+def sleep_then(sim, amount, fn, *args):
+    """A process that sleeps ``amount`` and then calls ``fn(*args)``;
+    on the reference, its start (a wake-up now) and its timeout."""
+    if isinstance(sim, ReferenceKernel):
+        sim.call_after(0.0, sim.call_after, amount, fn, *args)
+        return
+
+    def sleeper():
+        yield sim.timeout(amount)
+        fn(*args)
+
+    sim.spawn(sleeper())
+
+
+def grant_then(sim, station, amount, fn, *args):
+    """A process that takes ``amount`` of CPU and then calls ``fn(*args)``."""
+    if isinstance(sim, ReferenceKernel):
+        sim.call_after(0.0, station.request, amount, fn, *args)
+        return
+
+    def worker():
+        yield station.request(amount)
+        fn(*args)
+
+    sim.spawn(worker())
+
+
 # ----------------------------------------------------------------------
 # random programs
 # ----------------------------------------------------------------------
+SCHEDULES = ("at", "after", "plain", "timeout", "grant")
+
+
 def _ops(children):
     """A schedule op ``(kind, amount, children)`` or a cancel."""
     return st.one_of(
-        st.tuples(st.sampled_from(("at", "after")),
+        st.tuples(st.sampled_from(SCHEDULES),
                   st.sampled_from(AMOUNTS), children),
         st.tuples(st.just("cancel"), st.integers(0, 50)),
     )
@@ -123,6 +190,8 @@ def execute(sim, program):
     log = []
     timers = []
     tags = itertools.count()
+    station = (ReferenceStation(sim) if isinstance(sim, ReferenceKernel)
+               else ServiceStation(sim))
 
     def schedule(op):
         if op[0] == "cancel":
@@ -132,10 +201,15 @@ def execute(sim, program):
         kind, amount, children = op
         tag = next(tags)
         if kind == "at":
-            timer = sim.call_at(sim.now + amount, fire, tag, children)
+            timers.append(sim.call_at(sim.now + amount, fire, tag, children))
+        elif kind == "after":
+            timers.append(sim.call_after(amount, fire, tag, children))
+        elif kind == "plain":
+            sim._later(amount, fire, (tag, children))
+        elif kind == "timeout":
+            sleep_then(sim, amount, fire, tag, children)
         else:
-            timer = sim.call_after(amount, fire, tag, children)
-        timers.append(timer)
+            grant_then(sim, station, amount, fire, tag, children)
 
     def fire(tag, children):
         log.append((tag, sim.now))
@@ -157,9 +231,28 @@ def execute(sim, program):
 
 
 @settings(max_examples=300, deadline=None)
-@given(program=PROGRAMS)
-def test_fire_order_equals_a_single_when_seq_heap(program):
-    assert execute(Simulator(), program) == execute(ReferenceKernel(), program)
+@given(program=PROGRAMS, purge_min=st.sampled_from((100, 4, 0)))
+def test_fire_order_equals_a_single_when_seq_heap(program, purge_min):
+    sim = Simulator()
+    sim.PURGE_MIN_HEAP = purge_min
+    assert execute(sim, program) == execute(ReferenceKernel(), program)
+
+
+def test_cancel_heavy_program_purges_mid_run_in_order():
+    # 200 timers wait at t=64 and beyond; at t=1 one callback cancels 150
+    # of them, which passes half the heap at the 101st cancel.
+    waiting = [("op", ("after", 64.0 + k % 7, ())) for k in range(200)]
+    cancels = tuple(("cancel", k) for k in range(1, 151))
+    program = (0.0, [("op", ("after", 1.0, cancels + (("plain", 0.0, ()),)))]
+               + waiting + [("until", 32.0), ("op", ("after", 1.0, ()))])
+    sim = Simulator()
+    purges = []
+    purge = sim._purge
+    sim._purge = lambda: (purges.append((sim.now, len(sim._heap))), purge())
+    log = execute(sim, program)
+    assert log == execute(ReferenceKernel(), program)
+    assert purges == [(1.0, 200)]
+    assert sim._cancelled == 0 and not sim._heap
 
 
 def test_heap_timer_due_now_fires_before_zero_delay_work():
