@@ -13,6 +13,7 @@ Paper claims reproduced here (Section 5.2):
 import pytest
 
 from repro.harness.report import compare, format_table
+from repro.harness.sweeps import SPEEDUP_OFFERED_PER_REPLICA
 
 from benchmarks.common import emit, experiment, run_once, sweep_replicas
 
@@ -24,10 +25,6 @@ PAPER_SPEEDUP = {
 }
 
 
-def saturating_offered(replicas: int) -> float:
-    return 520.0 * replicas
-
-
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_speedup(benchmark):
     def run():
@@ -36,7 +33,7 @@ def test_fig3_speedup(benchmark):
             for replicas in sweep_replicas():
                 result = experiment(
                     "baseline", replicas=replicas, profile=profile,
-                    offered_wips=saturating_offered(replicas))
+                    offered_wips=SPEEDUP_OFFERED_PER_REPLICA * replicas)
                 stats = result.whole_window()
                 points[(profile, replicas)] = (stats.awips,
                                                stats.mean_wirt_s * 1000.0)

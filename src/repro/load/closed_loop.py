@@ -113,10 +113,12 @@ class RemoteBrowserEmulator(ClientCore):
         sim = self.node.sim
         deadline = sim.now + self.timeout_s
         while True:
-            getter = self._responses.get()
+            # Check the deadline before queueing a getter: a getter left
+            # queued would take the next answer, which nobody reads.
             remaining = deadline - sim.now
             if remaining <= 0:
                 return None
+            getter = self._responses.get()
             timer = sim.call_after(
                 remaining,
                 lambda ev=getter: None if ev.triggered else ev.succeed(_TIMED_OUT))

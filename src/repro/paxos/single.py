@@ -189,10 +189,10 @@ class SynodProposer:
 
     def _next_reply(self, deadline: float):
         sim = self.node.sim
-        getter = self._replies.get()
         remaining = deadline - sim.now
         if remaining <= 0:
-            return None
+            return None  # before get(): a queued getter takes a reply
+        getter = self._replies.get()
         timer = sim.call_after(
             remaining, lambda ev=getter: None if ev.triggered
             else ev.succeed(None))

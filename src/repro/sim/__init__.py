@@ -4,9 +4,13 @@ This package replaces the paper's physical testbed (an 18-node cluster with
 1 Gbps Ethernet and local 7200-rpm disks) with a simulated one.  It provides:
 
 * :class:`~repro.sim.core.Simulator` -- the event loop and virtual clock.
-* :class:`~repro.sim.core.Process` -- generator-based cooperative processes.
-* :class:`~repro.sim.core.Event`, :class:`~repro.sim.core.Timeout`,
-  :class:`~repro.sim.core.Channel` -- synchronization primitives.
+* :class:`~repro.sim.core.Process` -- generator-based cooperative processes,
+  which can be killed; nothing waits for one to finish.
+* The waits a process may yield, and nothing else: a
+  :class:`~repro.sim.core.Timeout`, an :class:`~repro.sim.core.Event`, a
+  :class:`~repro.sim.core.Channel` (or its ``get()`` event) and a
+  :class:`~repro.sim.resource.Grant`.  A wait that must give up arms a
+  cancellable :class:`~repro.sim.core.Timer` that completes its event.
 * :class:`~repro.sim.resource.ServiceStation` -- FIFO single-server queueing
   resource used to model CPUs; ``request()`` returns a
   :class:`~repro.sim.resource.Grant`.
@@ -21,10 +25,8 @@ This package replaces the paper's physical testbed (an 18-node cluster with
 """
 
 from repro.sim.core import (
-    AllOf,
     Channel,
     Event,
-    Interrupted,
     Process,
     SimulationError,
     Simulator,
@@ -51,7 +53,6 @@ from repro.sim.resource import Grant, ServiceStation
 from repro.sim.rng import SeedTree
 
 __all__ = [
-    "AllOf",
     "Channel",
     "CorruptObject",
     "Disk",
@@ -59,7 +60,6 @@ __all__ = [
     "LogFrame",
     "Event",
     "Grant",
-    "Interrupted",
     "Nemesis",
     "NemesisParams",
     "NemesisWindow",

@@ -7,12 +7,19 @@ needs to *wait* is written as a generator that yields *awaitables*:
 * ``yield event`` -- wait until :meth:`Event.succeed` is called.
 * ``yield channel.get()`` -- wait for the next item in a FIFO channel
   (``yield channel`` waits the same way without an event per item).
-* ``yield other_process`` -- wait for another process to finish.
+* ``yield grant`` -- wait for a CPU job (:mod:`repro.sim.resource`).
+
+Those are all the waits there are.  A process leaves a wait only by the
+wait completing or by being killed, so no wait is ever abandoned: an
+item a channel hands to a getter is always the getter's to read.  Code
+that must give up waiting arms a cancellable :class:`Timer`
+(:meth:`Simulator.call_after`) that completes the event it waits on.
 
 A generator becomes a running :class:`Process` via :meth:`Simulator.spawn`.
 Processes can be killed (e.g. when the simulated node hosting them crashes);
 a killed process simply never resumes, mirroring the abrupt death of an OS
-process.
+process.  Nothing waits for a process to finish: a process's result is
+whatever it puts in a channel or an event.
 """
 
 from __future__ import annotations
@@ -21,15 +28,11 @@ import heapq
 import itertools
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupted(Exception):
-    """Raised inside a process that is interrupted via :meth:`Process.interrupt`."""
 
 
 class Simulator:
@@ -121,23 +124,6 @@ class Simulator:
         elif delay != 0:  # negative, or NaN
             raise SimulationError(f"negative delay: {delay}")
         self._ready.append((fn, args))
-
-    def _unschedule(self, fn: Callable[..., None]) -> None:
-        """Drop the queued plain entry that calls ``fn`` (a process's
-        resume, when an interrupt abandons its timeout).  A linear scan:
-        only :meth:`Process.interrupt` needs it."""
-        ready = self._ready
-        for index, (queued, args) in enumerate(ready):
-            if args is not None and queued == fn:
-                del ready[index]
-                return
-        heap = self._heap
-        for index, (_when, _seq, queued, args) in enumerate(heap):
-            if args is not None and queued == fn:
-                heap[index] = heap[-1]
-                heap.pop()
-                heapq.heapify(heap)
-                return
 
     def _purge(self) -> None:
         """Drop every cancelled timer from the heap.  Entries are unique
@@ -293,19 +279,12 @@ class Timer:
 
 
 class Awaitable:
-    """Base protocol for objects a process may ``yield``.
-
-    ``_subscribe(process)`` makes the awaitable resume ``process`` once;
-    ``_unsubscribe(process)`` takes that back (an interrupt abandons the
-    wait), and does nothing if the resume is already on its way.
-    """
+    """Base protocol for objects a process may ``yield``:
+    ``_subscribe(process)`` makes the awaitable resume ``process`` once."""
 
     __slots__ = ()
 
     def _subscribe(self, process: "Process") -> None:
-        raise NotImplementedError
-
-    def _unsubscribe(self, process: "Process") -> None:
         raise NotImplementedError
 
 
@@ -322,9 +301,6 @@ class Timeout(Awaitable):
 
     def _subscribe(self, process: "Process") -> None:
         self._sim._later(self._delay, process._resume, (None,))
-
-    def _unsubscribe(self, process: "Process") -> None:
-        self._sim._unschedule(process._resume)
 
 
 class Event(Awaitable):
@@ -406,13 +382,6 @@ class Event(Awaitable):
         else:
             waiters.append(process)
 
-    def _unsubscribe(self, process: "Process") -> None:
-        waiters = self._waiters
-        if waiters is process:
-            self._waiters = None
-        elif waiters.__class__ is list and process in waiters:
-            waiters.remove(process)
-
 
 class Channel(Awaitable):
     """Unbounded FIFO channel.
@@ -476,51 +445,12 @@ class Channel(Awaitable):
         else:
             self._getters.append(process)
 
-    def _unsubscribe(self, process: "Process") -> None:
-        if process in self._getters:
-            self._getters.remove(process)
 
-
-class AllOf(Awaitable):
-    """Awaitable that fires when every child event has triggered.
-
-    The resumed value is the list of child values, in the order given.
-    A failing child fails the composite with the same exception.
-    """
-
-    def __init__(self, sim: Simulator, events: Iterable[Event]):
-        self._sim = sim
-        self._events = list(events)
-        self._done = sim.event()
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            self._done.succeed([])
-        for event in self._events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._done.triggered:
-            return
-        if not event.ok:
-            self._done.fail(event.error)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self._done.succeed([e.value for e in self._events])
-
-    def _subscribe(self, process: "Process") -> None:
-        self._done._subscribe(process)
-
-    def _unsubscribe(self, process: "Process") -> None:
-        self._done._unsubscribe(process)
-
-
-class Process(Awaitable):
-    """A running generator.  Also awaitable: waiting on it joins it."""
+class Process:
+    """A running generator, resumed by whatever it yields."""
 
     __slots__ = ("_sim", "_gen", "name", "finished", "killed", "value",
-                 "error", "_joiners", "_join_callbacks", "trace", "hosted",
-                 "_waiting")
+                 "error", "trace", "hosted")
 
     def __init__(self, sim: Simulator, gen: Generator[Any, Any, Any], name: str):
         self._sim = sim
@@ -530,65 +460,30 @@ class Process(Awaitable):
         self.killed = False
         self.value: Any = None
         self.error: Optional[BaseException] = None
-        self._joiners: List[Process] = []
-        self._join_callbacks: List[Callable[["Process"], None]] = []
         # Causal context: a trace id stamped on request-handling
         # processes so work running under them can be attributed.
         self.trace: Optional[str] = None
         # Set by Node.spawn: the node owns the process, so a failure
-        # nobody joins stays on ``error`` instead of stopping the kernel
-        # (a crashed OS process does not stop its machine).
+        # stays on ``error`` instead of stopping the kernel (a crashed
+        # OS process does not stop its machine).
         self.hosted = False
-        # The awaitable last yielded: what an interrupt detaches from.
-        self._waiting: Optional[Awaitable] = None
         sim._ready.append((self._resume, (None,)))
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def kill(self) -> None:
         """Stop the process dead: it never runs again.
 
         Used to model a machine crash; the process gets no chance to clean
-        up, exactly like a killed OS process.  Joiners are *not* notified
-        (on a crashed node they are dead too; cross-node observers must use
-        timeouts or failure detection, as in a real distributed system).
+        up, exactly like a killed OS process.  Whatever it was waiting on
+        may still resume it, which does nothing: a channel item handed to
+        a killed getter is consumed with it, as it would be by a dead
+        reader.  Cross-node observers must use timeouts or failure
+        detection, as in a real distributed system.
         """
         if self.finished:
             return
         self.killed = True
         self.finished = True
-        self._waiting = None
         self._gen.close()
-
-    def interrupt(self, reason: str = "") -> None:
-        """Raise :class:`Interrupted` inside the process at its wait point.
-
-        The process stops waiting for what it yielded: that awaitable
-        will not resume it later, whatever the process waits on next.
-        """
-        if self.finished:
-            return
-        self._detach()
-        self._sim._ready.append((self._interrupted, (Interrupted(reason),)))
-
-    def _detach(self) -> None:
-        waiting, self._waiting = self._waiting, None
-        if waiting is not None:
-            waiting._unsubscribe(self)
-
-    def _interrupted(self, error: Interrupted) -> None:
-        # A resume already queued when interrupt() was called ran first,
-        # and the process may be waiting on something new by now.
-        self._detach()
-        self._throw(error)
-
-    def on_finish(self, fn: Callable[["Process"], None]) -> None:
-        """Run ``fn(self)`` when the process finishes normally or with error."""
-        if self.finished and not self.killed:
-            self._sim._ready.append((fn, (self,)))
-        else:
-            self._join_callbacks.append(fn)
 
     # ------------------------------------------------------------------
     # stepping
@@ -608,7 +503,6 @@ class Process(Awaitable):
             return
         finally:
             sim._current = None
-        self._waiting = yielded
         try:
             subscribe = yielded._subscribe
         except AttributeError:
@@ -630,7 +524,6 @@ class Process(Awaitable):
             return
         finally:
             sim._current = None
-        self._waiting = yielded
         try:
             subscribe = yielded._subscribe
         except AttributeError:
@@ -638,7 +531,6 @@ class Process(Awaitable):
         subscribe(self)
 
     def _not_awaitable(self, yielded: Any) -> None:
-        self._waiting = None
         raise SimulationError(
             f"process {self.name!r} yielded a non-awaitable: {yielded!r}"
         ) from None
@@ -647,39 +539,9 @@ class Process(Awaitable):
         self.finished = True
         self.value = value
         self.error = error
-        self._waiting = None
-        ready = self._sim._ready
-        joiners, self._joiners = self._joiners, []
-        callbacks, self._join_callbacks = self._join_callbacks, []
-        for joiner in joiners:
-            if error is None:
-                ready.append((joiner._resume, (value,)))
-            else:
-                ready.append((joiner._throw, (error,)))
-        for fn in callbacks:
-            ready.append((fn, (self,)))
-        if (error is not None and not joiners and not callbacks
-                and not self.hosted):
-            # Nobody is watching: surface the failure instead of losing it.
+        if error is not None and not self.hosted:
+            # No node owns it: surface the failure instead of losing it.
             raise error
-
-    # ------------------------------------------------------------------
-    # awaitable protocol (join)
-    # ------------------------------------------------------------------
-    def _subscribe(self, process: "Process") -> None:
-        if self.killed:
-            return  # joining a killed process waits forever, like a dead peer
-        if self.finished:
-            if self.error is None:
-                self._sim._ready.append((process._resume, (self.value,)))
-            else:
-                self._sim._ready.append((process._throw, (self.error,)))
-        else:
-            self._joiners.append(process)
-
-    def _unsubscribe(self, process: "Process") -> None:
-        if process in self._joiners:
-            self._joiners.remove(process)
 
     def __repr__(self) -> str:
         state = "killed" if self.killed else ("done" if self.finished else "running")

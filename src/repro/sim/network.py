@@ -125,28 +125,6 @@ class Nemesis:
     def add_window(self, window: NemesisWindow) -> None:
         self.windows.append(window)
 
-    def schedule(self, start: float, end: float = math.inf,
-                 params: Optional[NemesisParams] = None,
-                 pairs=None, **param_kwargs) -> NemesisWindow:
-        """Convenience: build and register a window.
-
-        Either pass a ready :class:`NemesisParams` or its fields as
-        keyword arguments (``drop_p=0.2`` etc.).  ``pairs`` accepts any
-        iterable of directed name pairs.
-        """
-        if params is None:
-            params = NemesisParams(**param_kwargs)
-        elif param_kwargs:
-            raise ValueError("pass params or keyword intensities, not both")
-        window = NemesisWindow(
-            start, end, params,
-            pairs=None if pairs is None else frozenset(pairs))
-        self.add_window(window)
-        return window
-
-    def clear(self) -> None:
-        self.windows.clear()
-
     @property
     def counters(self) -> Dict[str, int]:
         return {"dropped": self.dropped, "duplicated": self.duplicated,

@@ -26,17 +26,12 @@ class Grant(Awaitable):
     other code registers ``add_callback(fn)`` for ``fn(grant)``.  At the
     completion the waiter's resume and then the callbacks are queued at
     that instant, in that order, as :meth:`Event.succeed` would queue
-    them.  A grant never fails, so it also reads as a succeeded event
-    (``ok``, ``value``, ``error``) once ``triggered``, and can join an
-    :class:`~repro.sim.core.AllOf`.  One process at a time may wait on it.
+    them.  A grant never fails; ``triggered`` tells whether it is done.
+    One process at a time may wait on it.
     """
 
     __slots__ = ("_sim", "service_time", "_waiter", "_callbacks",
                  "triggered")
-
-    ok = True
-    value = None
-    error = None
 
     def __init__(self, sim: Simulator, service_time: float):
         self._sim = sim
@@ -61,10 +56,6 @@ class Grant(Awaitable):
             self._waiter = process
         else:
             raise SimulationError("a grant resumes one waiting process")
-
-    def _unsubscribe(self, process: Process) -> None:
-        if self._waiter is process:
-            self._waiter = None
 
 
 class ServiceStation:

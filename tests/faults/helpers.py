@@ -15,7 +15,8 @@ from typing import Optional
 from repro.apps.lockservice import LockClient, LockServiceApp
 from repro.faults.checker import SafetyChecker
 from repro.paxos.config import PaxosConfig
-from repro.sim import Nemesis, Network, NetworkParams, Node, SeedTree, Simulator
+from repro.sim import (Nemesis, NemesisParams, NemesisWindow, Network,
+                       NetworkParams, Node, SeedTree, Simulator)
 from repro.sim.trace import EventLog, Tracer
 from repro.treplica import TreplicaConfig, TreplicaRuntime
 
@@ -52,8 +53,9 @@ def run_lock_service_under_nemesis(
     tracer = Tracer()
     sim.event_log.subscribe(SafetyChecker.AUDIT_KINDS, tracer.take)
     nemesis = Nemesis(sim, seed=tree)
-    nemesis.schedule(0.5, faulty_s, drop_p=drop_p, duplicate_p=duplicate_p,
-                     delay_p=delay_p, delay_mean_s=delay_mean_s)
+    nemesis.add_window(NemesisWindow(0.5, faulty_s, NemesisParams(
+        drop_p=drop_p, duplicate_p=duplicate_p, delay_p=delay_p,
+        delay_mean_s=delay_mean_s)))
     network = Network(sim, NetworkParams(), seed=tree, nemesis=nemesis)
     nodes = [Node(sim, network, f"r{i}") for i in range(replicas)]
     names = [node.name for node in nodes]

@@ -25,7 +25,7 @@ from repro.obs.trace import (
     recovery_phases,
 )
 from repro.sim import Network, Node, SeedTree, Simulator
-from repro.sim.network import Nemesis
+from repro.sim.network import Nemesis, NemesisParams, NemesisWindow
 from repro.sim.trace import EventLog, log_for
 
 pytestmark = pytest.mark.trace
@@ -295,7 +295,8 @@ def test_duplicated_datagram_is_one_net_interval():
     sim = Simulator()
     sim.event_log, tracer = _subscribed(sim)
     nemesis = Nemesis(sim, seed=SeedTree(3))
-    nemesis.schedule(0.0, 10.0, duplicate_p=1.0)
+    nemesis.add_window(
+        NemesisWindow(0.0, 10.0, NemesisParams(duplicate_p=1.0)))
     network = Network(sim, seed=SeedTree(3), nemesis=nemesis)
     got = []
     Node(sim, network, "a")

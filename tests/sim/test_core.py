@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from repro.sim import Interrupted, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -289,38 +289,6 @@ def test_yield_channel_directly_is_get():
     assert sim.run_process(proc()) == "item"
 
 
-def test_join_process_returns_its_value():
-    sim = Simulator()
-
-    def worker():
-        yield sim.timeout(2.0)
-        return "done"
-
-    def parent():
-        worker_proc = sim.spawn(worker())
-        result = yield worker_proc
-        return (sim.now, result)
-
-    assert sim.run_process(parent()) == (2.0, "done")
-
-
-def test_join_finished_process_resumes_immediately():
-    sim = Simulator()
-
-    def worker():
-        yield sim.timeout(1.0)
-        return 5
-
-    worker_proc = sim.spawn(worker())
-    sim.run()
-
-    def parent():
-        value = yield worker_proc
-        return value
-
-    assert sim.run_process(parent()) == 5
-
-
 def test_killed_process_never_resumes():
     sim = Simulator()
     trace = []
@@ -336,41 +304,6 @@ def test_killed_process_never_resumes():
     sim.run()
     assert trace == ["before"]
     assert proc.killed
-
-
-def test_joining_killed_process_waits_forever():
-    sim = Simulator()
-
-    def victim():
-        yield sim.timeout(10.0)
-
-    victim_proc = sim.spawn(victim())
-    joined = []
-
-    def parent():
-        yield victim_proc
-        joined.append(True)
-
-    sim.spawn(parent())
-    sim.call_after(1.0, victim_proc.kill)
-    sim.run()
-    assert joined == []
-
-
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    trace = []
-
-    def proc():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupted as exc:
-            trace.append(("interrupted", str(exc), sim.now))
-
-    process = sim.spawn(proc())
-    sim.call_after(2.0, process.interrupt, "stop now")
-    sim.run()
-    assert trace == [("interrupted", "stop now", 2.0)]
 
 
 def test_unwatched_process_error_surfaces():
@@ -396,18 +329,16 @@ def test_yielding_non_awaitable_is_error():
         sim.run()
 
 
-def test_nested_subprocess_composition():
+def test_a_process_is_not_a_wait():
+    # Processes are not joined: a result travels by channel or event.
     sim = Simulator()
 
-    def inner(n):
-        yield sim.timeout(n)
-        return n * 2
+    def worker():
+        yield sim.timeout(1.0)
 
-    def outer():
-        total = 0
-        for n in (1, 2, 3):
-            value = yield sim.spawn(inner(n))
-            total += value
-        return (sim.now, total)
+    def parent():
+        yield sim.spawn(worker())
 
-    assert sim.run_process(outer()) == (6.0, 12)
+    sim.spawn(parent())
+    with pytest.raises(SimulationError, match="non-awaitable"):
+        sim.run()

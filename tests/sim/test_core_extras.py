@@ -16,35 +16,6 @@ def test_event_callbacks_fire_in_registration_order():
     assert order == ["first", "second"]
 
 
-def test_process_on_finish_callback():
-    sim = Simulator()
-
-    def worker():
-        yield sim.timeout(1.0)
-        return 42
-
-    results = []
-    process = sim.spawn(worker())
-    process.on_finish(lambda p: results.append((p.value, sim.now)))
-    sim.run()
-    assert results == [(42, 1.0)]
-
-
-def test_on_finish_after_completion_still_fires():
-    sim = Simulator()
-
-    def worker():
-        yield sim.timeout(1.0)
-        return 7
-
-    process = sim.spawn(worker())
-    sim.run()
-    late = []
-    process.on_finish(lambda p: late.append(p.value))
-    sim.run()
-    assert late == [7]
-
-
 def test_channel_take_caps_and_preserves_order():
     sim = Simulator()
     channel = sim.channel()

@@ -84,19 +84,14 @@ def test_window_matching_time_and_pairs():
     assert everyone.matches(1e9, "x", "y")
 
 
-def test_schedule_convenience_builds_window():
-    sim = Simulator()
-    nemesis = Nemesis(sim)
-    window = nemesis.schedule(1.0, 2.0, drop_p=0.5, pairs=[("a", "b")])
-    assert nemesis.windows == [window]
-    assert window.params.drop_p == 0.5
-    assert window.pairs == frozenset({("a", "b")})
-    open_ended = nemesis.schedule(3.0, duplicate_p=0.1)
-    assert open_ended.end == math.inf
-    with pytest.raises(ValueError):
-        nemesis.schedule(0.0, 1.0, params=NemesisParams(), drop_p=0.5)
-    nemesis.clear()
-    assert nemesis.windows == []
+def test_add_window_registers_windows_in_order():
+    nemesis = Nemesis(Simulator())
+    window = NemesisWindow(1.0, 2.0, NemesisParams(drop_p=0.5),
+                           pairs=frozenset({("a", "b")}))
+    open_ended = NemesisWindow(3.0, math.inf, NemesisParams(duplicate_p=0.1))
+    nemesis.add_window(window)
+    nemesis.add_window(open_ended)
+    assert nemesis.windows == [window, open_ended]
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ from repro.faults.checker import SafetyChecker
 from repro.sim import (
     DiskParams,
     Nemesis,
+    NemesisParams,
+    NemesisWindow,
     Network,
     NetworkParams,
     Node,
@@ -109,8 +111,9 @@ def run_kv_cluster_under_storage_fault(
     message_nemesis = None
     if drop_p > 0.0 or delay_p > 0.0:
         message_nemesis = Nemesis(sim, seed=tree)
-        message_nemesis.schedule(0.5, workload_s, drop_p=drop_p,
-                                 delay_p=delay_p, delay_mean_s=delay_mean_s)
+        message_nemesis.add_window(NemesisWindow(
+            0.5, workload_s, NemesisParams(drop_p=drop_p, delay_p=delay_p,
+                                           delay_mean_s=delay_mean_s)))
     network = Network(sim, NetworkParams(), seed=tree,
                       nemesis=message_nemesis)
     faulted = seed % replicas

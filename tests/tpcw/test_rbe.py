@@ -108,3 +108,29 @@ def test_stale_response_after_timeout_is_dropped():
     # The late responses never get mis-attributed to newer requests:
     oks = [ok for _s, _d, _i, ok, _e in collector.samples]
     assert True not in oks
+
+
+def test_straggler_at_the_deadline_loses_no_later_answer():
+    """A straggler that lands exactly at a wait's deadline, ahead of the
+    wait's own timer, ends the wait as a timeout and must leave no
+    getter queued behind it: the next wait still gets its answer."""
+    sim = Simulator()
+    tree = SeedTree(9)
+    client = Node(sim, Network(sim, NetworkParams(), seed=tree), "client")
+    rbe = RemoteBrowserEmulator(client, "proxy", SHOPPING, MetricsCollector(),
+                                tree.fork_random("rbe"), rbe_id=1,
+                                timeout_s=1.0)
+    # Both put before the first wait arms its timer, so at t=1 the
+    # straggler fires first.
+    sim.call_at(1.0, rbe._responses.put, Response("r1-1", ok=True))
+    sim.call_at(1.5, rbe._responses.put, Response("r1-3", ok=True))
+    got = []
+
+    def waits():
+        got.append((yield from rbe._await("r1-2")))
+        got.append((yield from rbe._await("r1-3")))
+
+    sim.spawn(waits())
+    sim.run()
+    assert got[0] is None
+    assert got[1] is not None and got[1].req_id == "r1-3"
