@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.geo.topology import Topology
+from repro.paxos.config import HEARTBEAT_INTERVAL_S
 
 PLACEMENTS = ("spread", "leader-local", "pinned")
 QUORUM_SHAPES = ("majority", "leader-local")  # plus "flex:<k>"
@@ -124,7 +125,6 @@ def quorum_sizes(geo: GeoConfig, replicas: int) -> Optional[Tuple[int, int]]:
 
 
 def paxos_geo_overrides(geo: GeoConfig, replicas: int,
-                        heartbeat_interval_s: float,
                         failure_timeout_s: float) -> Dict[str, object]:
     """Per-topology :class:`~repro.paxos.config.PaxosConfig` overrides.
 
@@ -137,7 +137,7 @@ def paxos_geo_overrides(geo: GeoConfig, replicas: int,
       and turn Fast Paxos off.
     """
     overrides: Dict[str, object] = {}
-    floor = 2.0 * heartbeat_interval_s + 4.0 * geo.topology.max_rtt_s()
+    floor = 2.0 * HEARTBEAT_INTERVAL_S + 4.0 * geo.topology.max_rtt_s()
     if floor > failure_timeout_s:
         overrides["failure_timeout_s"] = floor
     sizes = quorum_sizes(geo, replicas)

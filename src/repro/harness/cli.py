@@ -75,19 +75,20 @@ def _ensure_parent(path: str) -> None:
 # parser
 # ======================================================================
 def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--profile", default="shopping",
+    """The shared cluster options; one not given keeps the
+    :class:`ClusterConfig` default (see :func:`_build_experiment`)."""
+    parser.add_argument("--profile",
                         choices=["browsing", "shopping", "ordering"])
-    parser.add_argument("--replicas", type=int, default=5)
-    parser.add_argument("--ebs", type=int, default=30,
+    parser.add_argument("--replicas", type=int)
+    parser.add_argument("--ebs", type=int,
                         help="emulated browsers for population sizing "
                              "(30/50/70 -> ~300/500/700 MB)")
-    parser.add_argument("--offered-wips", type=float, default=1900.0)
-    parser.add_argument("--seed", type=int, default=2009)
-    parser.add_argument("--scale", choices=["tiny", "bench", "paper"],
-                        default="bench")
+    parser.add_argument("--offered-wips", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--scale", choices=["tiny", "bench", "paper"])
     parser.add_argument("--no-fast", action="store_true",
                         help="disable Fast Paxos (classic rounds only)")
-    parser.add_argument("--shards", type=int, default=1,
+    parser.add_argument("--shards", type=int,
                         help="partition the store over N independent "
                              "Paxos groups (repro.shard); 1 = the "
                              "paper's unsharded deployment")
@@ -170,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--obs", action="store_true",
                      help="enable observability: metrics registry, "
                           "sampled timeline, kernel profile")
-    run.add_argument("--obs-tick", type=float, default=5.0, metavar="S",
+    run.add_argument("--obs-tick", type=float, metavar="S",
                      help="timeline sampling tick in paper-timeline "
-                          "seconds (default 5)")
+                          "seconds (default: the config's obs_tick_s)")
     run.add_argument("--obs-out", metavar="PATH", default=None,
                      help="write the sampled timeline to PATH "
                           "(.csv for CSV, anything else JSON); "
@@ -393,11 +394,14 @@ def _build_experiment(args) -> Experiment:
     """Cluster options -> Experiment, load routed through .load().
 
     The one place a command-line option becomes configuration: every
-    sub-command that runs a deployment starts here."""
-    experiment = Experiment(
-        scale=_scale_for(args.scale), replicas=args.replicas,
-        num_ebs=args.ebs, seed=args.seed, enable_fast=not args.no_fast,
-        shards=args.shards)
+    sub-command that runs a deployment starts here.  Only the options
+    given are passed on (``.load()`` skips a ``None``)."""
+    given = {"replicas": args.replicas, "num_ebs": args.ebs,
+             "seed": args.seed, "shards": args.shards,
+             "scale": args.scale and _scale_for(args.scale),
+             "enable_fast": False if args.no_fast else None}
+    experiment = Experiment(**{name: value for name, value in given.items()
+                               if value is not None})
     load_kwargs = _parse_load_spec(args.load or "closed")
     mode = load_kwargs.pop("mode")
     load_kwargs.setdefault("wips", args.offered_wips)
@@ -522,8 +526,9 @@ def _cmd_run(args) -> int:
         return _usage_error(error)
     result = experiment.run()
     data = result.to_dict()
-    print(format_table(f"{label} ({args.profile}, "
-                       f"{args.replicas}R, {args.ebs} EB)",
+    config = result.config
+    print(format_table(f"{label} ({config.profile}, "
+                       f"{config.replicas}R, {config.num_ebs} EB)",
                        ["measure", "value"], _summary_rows(data)))
     if args.timeline:
         print()
@@ -592,13 +597,13 @@ def _cmd_sweep(args) -> int:
         rows = [[str(point.num_ebs), f"{point.recovery_s:.1f}s",
                  f"{point.pv_pct:+.1f}%", _pct(point.accuracy_pct)]
                 for point in points]
-        print(format_table(f"recovery sweep ({args.profile})",
+        print(format_table(f"recovery sweep ({base.profile})",
                            ["EBs", "recovery", "PV", "accuracy"], rows))
     else:
         rows = [[str(point.replicas), f"{point.awips:.1f}",
                  f"{point.mean_wirt_ms:.1f} ms", f"{point.cv:.3f}"]
                 for point in points]
-        print(format_table(f"{args.kind} sweep ({args.profile})",
+        print(format_table(f"{args.kind} sweep ({base.profile})",
                            ["replicas", "AWIPS", "mean WIRT", "CV"], rows))
     if args.json:
         _write_json(args.json, [point.__dict__ for point in points])

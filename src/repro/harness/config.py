@@ -43,7 +43,6 @@ class ExperimentScale:
     ramp_up_s: float = 30.0
     measure_s: float = 540.0
     ramp_down_s: float = 30.0
-    checkpoint_interval_s: float = 120.0
 
     def t(self, seconds: float) -> float:
         """A paper-timeline duration, compressed."""
@@ -233,6 +232,12 @@ class ClusterConfig:
         if self.retry_spec is not None:
             from repro.resilience.retry import parse_retry
             parse_retry(self.retry_spec)
+        for cls, overrides in ((PaxosConfig, self.paxos_overrides),
+                               (TreplicaConfig, self.treplica_overrides)):
+            for name, _value in overrides:
+                if name not in cls.__dataclass_fields__:
+                    raise ValueError(f"cannot override {name!r}: not a "
+                                     f"field of {cls.__name__}")
 
     def check_faults(self, faultload: Faultload) -> None:
         """Reject fault targets this deployment cannot resolve, before
@@ -298,6 +303,7 @@ class ClusterConfig:
     def treplica_config(self) -> TreplicaConfig:
         scale = self.scale
         base = TreplicaConfig()
+        # The checkpoint period compresses like every duration.
         # Checkpoint/restore CPU rates live in the *time* domain (MB per
         # wall second), so they are pre-divided by load_div to cancel the
         # slowed replica CPUs; recovery time then compresses exactly with
@@ -307,14 +313,12 @@ class ClusterConfig:
             # WAN-aware failure detection and quorum shape, derived from
             # the topology; explicit paxos_overrides still win below.
             base_paxos = replace(base_paxos, **paxos_geo_overrides(
-                self.geo, self.replicas,
-                base_paxos.heartbeat_interval_s,
-                base_paxos.failure_timeout_s))
+                self.geo, self.replicas, base_paxos.failure_timeout_s))
         paxos = replace(base_paxos, **dict(self.paxos_overrides))
         return replace(
             TreplicaConfig(
                 paxos=paxos,
-                checkpoint_interval_s=scale.t(scale.checkpoint_interval_s),
+                checkpoint_interval_s=scale.t(base.checkpoint_interval_s),
                 checkpoint_cpu_s_per_mb=(base.checkpoint_cpu_s_per_mb
                                          / scale.load_div),
                 restore_cpu_s_per_mb=base.restore_cpu_s_per_mb / scale.load_div,

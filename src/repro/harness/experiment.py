@@ -248,11 +248,13 @@ class Experiment:
         self._overrides["geo"] = GeoConfig(topology=topology, **kwargs)
         return self
 
-    def observe(self, tick_s: float = 5.0) -> "Experiment":
+    def observe(self, tick_s: Optional[float] = None) -> "Experiment":
         """Enable the observability stack (metrics registry, timeline
-        sampling every ``tick_s`` paper-seconds, kernel profiling)."""
+        sampling every ``tick_s`` paper-seconds, by default
+        ``obs_tick_s``, and kernel profiling)."""
         self._overrides["observability"] = True
-        self._overrides["obs_tick_s"] = tick_s
+        if tick_s is not None:
+            self._overrides["obs_tick_s"] = tick_s
         return self
 
     def check_safety(self) -> "Experiment":

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.faults.checker import Violation
 from repro.faults.faultload import FaultInjector, Faultload
 from repro.faults.metrics import (
+    BUCKET_S,
     MetricsCollector,
     NemesisStats,
     WindowStats,
@@ -109,7 +110,7 @@ class ExperimentResult:
     @property
     def bucket_s(self) -> float:
         """The paper's 5 s histogram bucket, on the compressed timeline."""
-        return self.config.scale.t(5.0)
+        return self.config.scale.t(BUCKET_S)
 
     def whole_window(self) -> WindowStats:
         return self.collector.window(self.measure_start, self.measure_end,
@@ -202,7 +203,7 @@ class ExperimentResult:
             scale = self.config.scale
             oracle = MetastabilityOracle(sustain_s=scale.t(60.0),
                                          grace_s=scale.t(30.0),
-                                         bucket_s=scale.t(5.0))
+                                         bucket_s=self.bucket_s)
         return oracle.judge(self.collector,
                             measure_start=self.measure_start,
                             trigger_at=trigger_at, healed_at=healed_at,
@@ -231,10 +232,9 @@ class ExperimentResult:
         return autonomy(self.interventions, self.faults_injected)
 
     def wips_series(self, bucket_s: Optional[float] = None):
-        scale = self.config.scale
-        bucket = bucket_s if bucket_s is not None else scale.t(5.0)
-        return self.collector.wips_series(0.0, self.measure_end + scale.t(30.0),
-                                          bucket)
+        bucket = bucket_s if bucket_s is not None else self.bucket_s
+        return self.collector.wips_series(
+            0.0, self.measure_end + self.config.scale.t(30.0), bucket)
 
     def to_dict(self) -> dict:
         """A JSON-serializable summary (CLI ``--json``, notebooks, CI)."""

@@ -61,8 +61,8 @@ class KernelProfiler:
         """Called by the kernel after each event callback returns."""
         self.events += 1
         self.wall_s += wall_s
-        # A process resume (``Process._resume``/``_throw``) belongs to
-        # the layer that wrote the generator, not to the kernel.
+        # A process resume (``Process._resume``) belongs to the layer
+        # that wrote the generator, not to the kernel.
         gen = getattr(getattr(fn, "__self__", None), "_gen", None)
         if gen is None:
             key = getattr(fn, "__module__", "") or ""

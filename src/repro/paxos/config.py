@@ -11,6 +11,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+# Failure detection: a replica heartbeats its peers this often.
+HEARTBEAT_INTERVAL_S = 0.25
+
+# Retransmission of commands that have not been decided (covers leader
+# crashes and lost fast-round collisions; delivery dedup makes it safe).
+# The age is generous so transient queueing under saturation does not
+# trigger retransmission storms.
+RETRY_INTERVAL_S = 1.0
+RETRY_AGE_S = 3.0
+
+# Collision/gap handling.
+GAP_TIMEOUT_S = 0.4
+
+# Flow control on the fast path: at most this many fast proposals
+# outstanding per proposer.  Bounds instance collisions under write
+# contention; commands held back meanwhile coalesce into larger
+# batches (self-regulating group commit).
+FAST_WINDOW = 2
+
+# Durability sizes.
+PROMISE_ENTRY_MB = 0.0002
+
 
 @dataclass(frozen=True)
 class PaxosConfig:
@@ -27,19 +49,8 @@ class PaxosConfig:
     cpu_per_message_s: float = 0.000045
     cpu_per_command_s: float = 0.000006
 
-    # Failure detection.
-    heartbeat_interval_s: float = 0.25
+    # Failure detection (geo deployments stretch it with the WAN RTT).
     failure_timeout_s: float = 1.2
-
-    # Retransmission of commands that have not been decided (covers leader
-    # crashes and lost fast-round collisions; delivery dedup makes it safe).
-    # The age is generous so transient queueing under saturation does not
-    # trigger retransmission storms.
-    retry_interval_s: float = 1.0
-    retry_age_s: float = 3.0
-
-    # Collision/gap handling.
-    gap_timeout_s: float = 0.4
 
     # Learning (recovery resync and gap fill): decided-log slice size per
     # LearnRequest round-trip.
@@ -49,15 +60,6 @@ class PaxosConfig:
     # Treplica rule switches to classic below ceil(3N/4) live replicas and
     # blocks below a majority.
     enable_fast: bool = True
-
-    # Flow control on the fast path: at most this many fast proposals
-    # outstanding per proposer.  Bounds instance collisions under write
-    # contention; commands held back meanwhile coalesce into larger
-    # batches (self-regulating group commit).
-    fast_window: int = 2
-
-    # Durability sizes.
-    promise_entry_mb: float = 0.0002
 
     # Flexible quorums (FPaxos): override the phase-1 (leader election /
     # recovery promise) and phase-2 (classic accept) quorum sizes.  The

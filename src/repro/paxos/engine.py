@@ -35,7 +35,9 @@ from itertools import islice
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Set, Tuple)
 
-from repro.paxos.config import PaxosConfig
+from repro.paxos.config import (FAST_WINDOW, GAP_TIMEOUT_S,
+                                 HEARTBEAT_INTERVAL_S, PROMISE_ENTRY_MB,
+                                 RETRY_AGE_S, RETRY_INTERVAL_S, PaxosConfig)
 from repro.paxos.failure_detector import FailureDetector
 from repro.paxos.messages import (
     BATCH_CARRIERS,
@@ -484,15 +486,15 @@ class PaxosEngine:
                 if replica_id != self.me:
                     self._send_to(replica_id, beat)
             self.fd.check()
-            yield self.sim.timeout(self.config.heartbeat_interval_s)
+            yield self.sim.timeout(HEARTBEAT_INTERVAL_S)
 
     def _retry_loop(self):
         """Resubmit commands that have not been decided (dedup makes this safe)."""
         while True:
-            yield self.sim.timeout(self.config.retry_interval_s)
+            yield self.sim.timeout(RETRY_INTERVAL_S)
             now = self.sim.now
             stale = [uid for uid, (_c, t) in self.unacked.items()
-                     if now - t > self.config.retry_age_s]
+                     if now - t > RETRY_AGE_S]
             for uid in stale:
                 command, _t = self.unacked[uid]
                 if self._is_decided(uid):
@@ -505,8 +507,8 @@ class PaxosEngine:
     def _gap_loop(self):
         """Backstop for undecided gaps and for falling behind the cluster."""
         while True:
-            yield self.sim.timeout(self.config.gap_timeout_s)
-            stalled = (self.sim.now - self._last_advance) > self.config.gap_timeout_s
+            yield self.sim.timeout(GAP_TIMEOUT_S)
+            stalled = (self.sim.now - self._last_advance) > GAP_TIMEOUT_S
             behind_peer = self._most_advanced_peer()
             if behind_peer is not None and not self._learn_inflight:
                 self._request_learn(behind_peer)
@@ -616,7 +618,7 @@ class PaxosEngine:
         if self.fast_round is None or not self._fast_pending:
             return
         while (self._fast_pending
-               and len(self._my_fast_proposals) < self.config.fast_window):
+               and len(self._my_fast_proposals) < FAST_WINDOW):
             chunk = self._fast_pending[:self.config.max_batch]
             del self._fast_pending[:self.config.max_batch]
             batch = Batch(tuple(chunk))
@@ -848,7 +850,7 @@ class PaxosEngine:
             self._send_to(src, reply)
 
         self.wal.append(("promise", message.ballot),
-                        self.config.promise_entry_mb).add_callback(durable)
+                        PROMISE_ENTRY_MB).add_callback(durable)
 
     def _on_prepare_instance(self, message: PrepareInstance, src: int) -> None:
         self._observe_round(message.ballot)
@@ -869,7 +871,7 @@ class PaxosEngine:
             self._send_to(src, reply)
 
         self.wal.append(("inst_rnd", message.instance, message.ballot),
-                        self.config.promise_entry_mb).add_callback(durable)
+                        PROMISE_ENTRY_MB).add_callback(durable)
 
     def _on_any(self, message: AnyMessage, src: int) -> None:
         self._observe_round(message.ballot)
@@ -883,7 +885,7 @@ class PaxosEngine:
         self.fast_round = message.ballot
         self.fast_from = message.from_instance
         self.wal.append(("fast", message.ballot, message.from_instance),
-                        self.config.promise_entry_mb)
+                        PROMISE_ENTRY_MB)
         self._reroute_unacked()
 
     def _on_phase2a(self, message: Phase2a, src: int) -> None:

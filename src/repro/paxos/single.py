@@ -25,6 +25,8 @@ from repro.sim.disk import WriteAheadLog
 from repro.sim.node import Node
 
 SYNOD_PORT = "synod"
+#: How long a proposer waits for a phase's quorum before it retries.
+ROUND_TRIP_TIMEOUT_S = 0.05
 
 
 class SynodAcceptor:
@@ -127,13 +129,13 @@ class SynodProposer:
     rule).
     """
 
-    def __init__(self, node: Node, proposer_id: int, acceptors: List[str],
-                 round_trip_timeout_s: float = 0.05):
+    def __init__(self, node: Node, proposer_id: int, acceptors: List[str]):
         self.node = node
         self.proposer_id = proposer_id
         self.acceptors = list(acceptors)
         self.quorum = classic_quorum(len(acceptors))
-        self.timeout_s = round_trip_timeout_s
+        # Retry pause, staggered by proposer id against dueling proposers.
+        self._backoff_s = ROUND_TRIP_TIMEOUT_S * (0.5 + 0.1 * proposer_id)
         self._round = 0
         self._replies = node.sim.channel()
         node.handle(SYNOD_PORT, lambda message, src:
@@ -152,7 +154,7 @@ class SynodProposer:
                 self.node.send(acceptor, SYNOD_PORT, ("prepare", ballot),
                                0.0002)
             promises: List[Tuple[Ballot, Any]] = []
-            deadline = sim.now + self.timeout_s
+            deadline = sim.now + ROUND_TRIP_TIMEOUT_S
             while len(promises) < self.quorum and sim.now < deadline:
                 reply = yield from self._next_reply(deadline)
                 if reply is None:
@@ -163,7 +165,7 @@ class SynodProposer:
                 elif message[0] == "nack" and message[1] == ballot:
                     self._round = max(self._round, message[2].round)
             if len(promises) < self.quorum:
-                yield sim.timeout(self.timeout_s * (0.5 + 0.1 * self.proposer_id))
+                yield sim.timeout(self._backoff_s)
                 continue
             # Adoption rule: the highest-ballot accepted value, if any.
             top = max(promises, key=lambda pair: pair[0])
@@ -173,7 +175,7 @@ class SynodProposer:
                 self.node.send(acceptor, SYNOD_PORT,
                                ("accept", ballot, proposal), 0.0003)
             accepted = 0
-            deadline = sim.now + self.timeout_s
+            deadline = sim.now + ROUND_TRIP_TIMEOUT_S
             while accepted < self.quorum and sim.now < deadline:
                 reply = yield from self._next_reply(deadline)
                 if reply is None:
@@ -185,7 +187,7 @@ class SynodProposer:
                     self._round = max(self._round, message[2].round)
             if accepted >= self.quorum:
                 return proposal
-            yield sim.timeout(self.timeout_s * (0.5 + 0.1 * self.proposer_id))
+            yield sim.timeout(self._backoff_s)
 
     def _next_reply(self, deadline: float):
         sim = self.node.sim

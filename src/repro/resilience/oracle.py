@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.faults.metrics import BUCKET_S
+
 METASTABLE = "metastable"
 RECOVERED = "recovered"
 DEGRADED = "degraded"
@@ -68,7 +70,7 @@ class MetastabilityOracle:
 
     def __init__(self, *, collapse_ratio: float = 0.5,
                  recover_ratio: float = 0.9, sustain_s: float = 60.0,
-                 grace_s: float = 30.0, bucket_s: float = 5.0):
+                 grace_s: float = 30.0, bucket_s: float = BUCKET_S):
         if not 0.0 < collapse_ratio < recover_ratio <= 1.0:
             raise ValueError(
                 "need 0 < collapse_ratio < recover_ratio <= 1, got "

@@ -306,13 +306,13 @@ class Timeout(Awaitable):
 class Event(Awaitable):
     """A one-shot event that multiple processes may wait on.
 
-    ``succeed(value)`` resumes all waiters with ``value``; ``fail(exc)``
-    raises ``exc`` inside them.  Triggering twice is an error; waiting on an
-    already-triggered event resumes immediately.
+    ``succeed(value)`` resumes all waiters with ``value``.  Triggering
+    twice is an error; waiting on an already-triggered event resumes
+    immediately.  An event cannot fail: whatever can go wrong is part of
+    the value it carries.
     """
 
-    __slots__ = ("_sim", "_waiters", "_callbacks", "triggered", "ok",
-                 "value", "error")
+    __slots__ = ("_sim", "_waiters", "_callbacks", "triggered", "value")
 
     def __init__(self, sim: Simulator):
         self._sim = sim
@@ -320,25 +320,13 @@ class Event(Awaitable):
         self._waiters: Any = None
         self._callbacks: Optional[List[Callable[["Event"], None]]] = None
         self.triggered = False
-        self.ok = False
         self.value: Any = None
-        self.error: Optional[BaseException] = None
 
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise SimulationError("event already triggered")
         self.triggered = True
-        self.ok = True
         self.value = value
-        self._fire()
-        return self
-
-    def fail(self, error: BaseException) -> "Event":
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        self.triggered = True
-        self.ok = False
-        self.error = error
         self._fire()
         return self
 
@@ -357,13 +345,11 @@ class Event(Awaitable):
         ready = self._sim._ready
         waiters, self._waiters = self._waiters, None
         if waiters is not None:
-            ok = self.ok
-            outcome = (self.value if ok else self.error,)
+            outcome = (self.value,)
             if waiters.__class__ is Process:  # one waiter: the common case
                 waiters = (waiters,)
             for process in waiters:
-                ready.append((process._resume if ok else process._throw,
-                              outcome))
+                ready.append((process._resume, outcome))
         callbacks, self._callbacks = self._callbacks, None
         if callbacks is not None:
             for fn in callbacks:
@@ -372,9 +358,7 @@ class Event(Awaitable):
     def _subscribe(self, process: "Process") -> None:
         waiters = self._waiters
         if self.triggered:
-            self._sim._ready.append(
-                (process._resume, (self.value,)) if self.ok
-                else (process._throw, (self.error,)))
+            self._sim._ready.append((process._resume, (self.value,)))
         elif waiters is None:
             self._waiters = process
         elif waiters.__class__ is Process:
@@ -499,27 +483,6 @@ class Process:
             self._finish(stop.value, None)
             return
         except Exception as exc:  # noqa: BLE001 - process body failed
-            self._finish(None, exc)
-            return
-        finally:
-            sim._current = None
-        try:
-            subscribe = yielded._subscribe
-        except AttributeError:
-            self._not_awaitable(yielded)
-        subscribe(self)
-
-    def _throw(self, error: BaseException) -> None:
-        if self.finished:
-            return
-        sim = self._sim
-        sim._current = self
-        try:
-            yielded = self._gen.throw(error)
-        except StopIteration as stop:
-            self._finish(stop.value, None)
-            return
-        except Exception as exc:  # noqa: BLE001
             self._finish(None, exc)
             return
         finally:

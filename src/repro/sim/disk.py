@@ -50,6 +50,9 @@ from repro.sim.resource import Grant, ServiceStation
 from repro.sim.rng import SeedTree
 from repro.sim.trace import log_for, log_of
 
+#: Framing bytes every write-ahead-log entry adds to its payload.
+ENTRY_OVERHEAD_MB = 0.0002
+
 
 @dataclass(frozen=True)
 class DiskParams:
@@ -435,20 +438,6 @@ class Disk:
         else:
             self._store[key] = prior
 
-    def read_object(self, key: str) -> Event:
-        """Timed read of a stored object; fails if the key is absent."""
-        done = self._sim.event()
-        if key not in self._store:
-            done.fail(KeyError(key))
-            return done
-        value, size_mb = self._store[key]
-
-        def complete(_grant: Grant) -> None:
-            done.succeed(value)
-
-        self.read(size_mb).add_callback(complete)
-        return done
-
     def peek(self, key: str, default: Any = None) -> Any:
         """Zero-cost metadata access (used by boot code, not data paths)."""
         entry = self._store.get(key)
@@ -515,12 +504,11 @@ class WriteAheadLog:
     """
 
     def __init__(self, sim: Simulator, disk: Disk, name: str = "wal",
-                 entry_overhead_mb: float = 0.0002, node=None):
+                 node=None):
         self._sim = sim
         self._events = log_of(sim)
         self._disk = disk
         self.name = name
-        self._entry_overhead_mb = entry_overhead_mb
         self._pending: List[Tuple[Any, float, Event]] = []
         self._flushing = False
         self._inflight_group: Optional[List[Tuple[Any, float, Event]]] = None
@@ -536,7 +524,7 @@ class WriteAheadLog:
     def append(self, entry: Any, size_mb: float = 0.0) -> Event:
         """Append ``entry``; the event fires once the entry is durable."""
         done = self._sim.event()
-        self._pending.append((entry, size_mb + self._entry_overhead_mb, done))
+        self._pending.append((entry, size_mb + ENTRY_OVERHEAD_MB, done))
         self.appended_count += 1
         if not self._flushing:
             self._flush()

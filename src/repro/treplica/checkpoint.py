@@ -25,13 +25,13 @@ both are gone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.obs.registry import registry_of
 from repro.paxos.engine import DeliveredPrefix
 from repro.sim.trace import log_of
+from repro.treplica.config import chunks_of
 
 
 #: the prefix of every checkpoint key (the storage nemesis matches on it)
@@ -103,8 +103,7 @@ class CheckpointManager:
         record = CheckpointRecord(
             instance, snapshot, size_mb, node.sim.now,
             delivered_uids=runtime.engine.delivered_up_to(instance))
-        chunks = max(1, math.ceil(size_mb / config.chunk_mb))
-        chunk_mb = size_mb / chunks
+        chunks, chunk_mb = chunks_of(size_mb)
         for _chunk in range(chunks):
             # Background class: checkpointing must not starve live traffic.
             yield node.cpu.request(config.checkpoint_cpu_s_per_mb * chunk_mb,

@@ -26,11 +26,11 @@ application to the asynchronous persistent queue:
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.registry import registry_of
 from repro.obs.trace import current_trace
+from repro.paxos.config import HEARTBEAT_INTERVAL_S
 from repro.paxos.messages import Command
 from repro.sim.core import Event, Simulator
 from repro.sim.disk import WriteAheadLog
@@ -40,7 +40,8 @@ from repro.sim.trace import log_for, log_of
 from repro.treplica.actions import Action
 from repro.treplica.application import Application
 from repro.treplica.checkpoint import CheckpointManager, CheckpointRecord
-from repro.treplica.config import TreplicaConfig
+from repro.treplica.config import (DEFAULT_ACTION_CPU_S, TreplicaConfig,
+                                   chunks_of)
 from repro.treplica.queue import PersistentQueue
 
 TREPLICA_PORT = "treplica"
@@ -203,7 +204,7 @@ class TreplicaRuntime:
 
     def _fence_loop(self):
         """Nag the peers for fence_info until the rejoin fence installs."""
-        interval = max(2 * self.config.paxos.heartbeat_interval_s, 0.2)
+        interval = max(2 * HEARTBEAT_INTERVAL_S, 0.2)
         while self.engine.rejoin_fenced:
             for peer, name in enumerate(self.names):
                 if peer != self.my_id and peer not in self._fence_replies:
@@ -243,8 +244,7 @@ class TreplicaRuntime:
         record = CheckpointManager.stored_record(node.disk)
         if record is None:  # crashed before the first checkpoint completed
             return
-        chunks = max(1, math.ceil(record.size_mb / self.config.chunk_mb))
-        chunk_mb = record.size_mb / chunks
+        chunks, chunk_mb = chunks_of(record.size_mb)
         for _chunk in range(chunks):
             yield node.disk.read(chunk_mb)
             yield node.cpu.request(self.config.restore_cpu_s_per_mb * chunk_mb)
@@ -258,7 +258,7 @@ class TreplicaRuntime:
 
     def _wait_until_caught_up(self):
         """Ready once the backlog that existed at boot has been applied."""
-        poll = max(2 * self.config.paxos.heartbeat_interval_s, 0.2)
+        poll = max(2 * HEARTBEAT_INTERVAL_S, 0.2)
         yield self.sim.timeout(poll)  # hear a round of peer watermarks
         marks = self.engine.peer_watermarks
         target = max([self.engine.watermark, self.applied_up_to]
@@ -372,7 +372,6 @@ class TreplicaRuntime:
     # applier
     # ==================================================================
     def _applier(self):
-        config = self.config
         while True:
             instance, items = yield self.queue.dequeue_batch()
             if instance <= self.applied_up_to:
@@ -383,7 +382,7 @@ class TreplicaRuntime:
                 for _uid, action in items:
                     cost = action.cpu_cost_s
                     total_cost += (cost if cost is not None
-                                   else config.default_action_cpu_s)
+                                   else DEFAULT_ACTION_CPU_S)
                 yield self.node.cpu.request(total_cost)
                 # Apply latency: CPU queueing + execution for this
                 # instance (decided-to-dequeued time is covered by the
@@ -454,8 +453,7 @@ class TreplicaRuntime:
     def _install_remote_checkpoint(self, record: CheckpointRecord):
         if record.instance <= self.applied_up_to:
             return
-        chunks = max(1, math.ceil(record.size_mb / self.config.chunk_mb))
-        chunk_mb = record.size_mb / chunks
+        chunks, chunk_mb = chunks_of(record.size_mb)
         for _chunk in range(chunks):
             yield self.node.cpu.request(
                 self.config.restore_cpu_s_per_mb * chunk_mb)

@@ -16,7 +16,7 @@ Connection-refused outcomes (server process reachable but not serving,
 e.g. still recovering) are silently redispatched to another live backend,
 matching HAProxy's ``option redispatch``.  Every redispatch attempt --
 dead backend or refused connection -- re-enters the proxy's work queue
-and is charged ``cpu_request_s`` like a fresh forward, so a redispatch
+and is charged ``CPU_REQUEST_S`` like a fresh forward, so a redispatch
 storm shows up in the proxy's own queueing station instead of being
 free.
 
@@ -52,37 +52,31 @@ CLIENT_IN_PORT = "http-in"
 PROXY_RESP_PORT = "proxy-resp"
 
 
+#: HAProxy's fall/rise (Section 5.1): a backend leaves the pool after 4
+#: failed probes in a row and rejoins after 2 good ones.
+FALL = 4
+RISE = 2
+#: Dispatch attempts per request, the first try included.
+MAX_DISPATCH_ATTEMPTS = 4
+#: Proxy CPU per forwarded request and per relayed response: the single
+#: proxy machine (Figure 2) is the soft ceiling that flattens the
+#: browsing/shopping speedup curves in Figure 3.
+CPU_REQUEST_S = 0.00022
+CPU_RESPONSE_S = 0.00011
+#: The defenses' redispatch budget: token-earn ratio and bucket depth.
+REDISPATCH_RATIO = 0.1
+REDISPATCH_BURST = 20.0
+
+
 @dataclass(frozen=True)
 class ProxyParams:
-    """HAProxy-equivalent configuration (inter/fall/rise and redispatch)."""
+    """HAProxy's probe cadence (inter/timeout) and the one defense switch.
+    The defenses track backend response times (load domain), so no scale
+    compresses their thresholds."""
 
     probe_interval_s: float = 2.0
     probe_timeout_s: float = 0.5
-    fall: int = 4   # paper: removed after 4 unsuccessful tries
-    rise: int = 2
-    max_dispatch_attempts: int = 4
-    # CPU charged on the proxy node per forwarded request and per relayed
-    # response.  The single proxy machine is a shared resource (Figure 2);
-    # at high replica counts it becomes the soft ceiling that flattens the
-    # browsing/shopping speedup curves in Figure 3.
-    cpu_request_s: float = 0.00022
-    cpu_response_s: float = 0.00011
-    # -- overload defenses (repro.resilience) ----------------------------
-    # One switch: per-backend circuit breakers, an AIMD concurrency
-    # limit, a redispatch budget and dropping requests whose propagated
-    # client deadline already passed.  Off keeps the historical proxy
-    # (redispatch bounded per request only).  The thresholds track
-    # backend response times (load domain), so no scale compresses them.
     defenses: bool = False
-    breaker_fall: int = 5          # consecutive request failures to open
-    breaker_open_s: float = 2.0    # cool-off before half-open
-    breaker_probes: int = 1        # trial requests admitted half-open
-    aimd_target_s: float = 1.0     # latency above this halves the limit
-    aimd_initial: float = 64.0
-    aimd_min: float = 4.0
-    aimd_max: float = 512.0
-    redispatch_budget: float = 0.1  # token-earn ratio bounding redispatch
-    redispatch_burst: float = 20.0
 
 
 class ReverseProxy:
@@ -116,18 +110,14 @@ class ReverseProxy:
             "web.proxy_backend_removals": "removals",
             "web.proxy_shed": ("shed", "dead_dropped", "redispatch_denied"),
         })
-        params = self.params
         self._breakers: Optional[Dict[str, CircuitBreaker]] = None
         self._limit: Optional[AdaptiveLimit] = None
         self._redispatch_budget: Optional[RetryBudget] = None
-        if params.defenses:
+        if self.params.defenses:
             self._breakers = {b: self._make_breaker(b) for b in backends}
-            self._limit = AdaptiveLimit(
-                lambda: self.node.sim.now,
-                target_s=params.aimd_target_s, initial=params.aimd_initial,
-                min_limit=params.aimd_min, max_limit=params.aimd_max)
-            self._redispatch_budget = RetryBudget(
-                params.redispatch_budget, burst=params.redispatch_burst)
+            self._limit = AdaptiveLimit(lambda: self.node.sim.now)
+            self._redispatch_budget = RetryBudget(REDISPATCH_RATIO,
+                                                  burst=REDISPATCH_BURST)
         # Geo runs (repro.geo): backend -> the stats keys of its DC's
         # ok/WIRT counts (``geo.<dc>.*``), attributing each completed
         # interaction to the DC that served it.  None on non-geo
@@ -139,11 +129,7 @@ class ReverseProxy:
             if self._events is not None:
                 self._events.emit(f"proxy.breaker_{new}", self.node.name,
                                   backend=backend, prev=old)
-        params = self.params
         return CircuitBreaker(lambda: self.node.sim.now,
-                              fall=params.breaker_fall,
-                              open_s=params.breaker_open_s,
-                              probes=params.breaker_probes,
                               listener=on_transition)
 
     def set_backend_dcs(self, dc_of: Dict[str, str]) -> None:
@@ -191,7 +177,6 @@ class ReverseProxy:
     def _worker(self):
         """Serialize proxying through the proxy machine's CPU (drained in
         groups, like an event loop servicing a socket backlog)."""
-        params = self.params
         while True:
             first = yield self._work
             group = [first] + self._work.take(63)
@@ -200,8 +185,8 @@ class ReverseProxy:
             # fresh forward.
             cost = 0.0
             for work in group:
-                cost += (params.cpu_response_s if work[0] == "resp"
-                         else params.cpu_request_s)
+                cost += (CPU_RESPONSE_S if work[0] == "resp"
+                         else CPU_REQUEST_S)
             yield self.node.cpu.request(cost)
             for kind, payload, src, queued_at, trace in group:
                 if queued_at is not None:
@@ -230,8 +215,7 @@ class ReverseProxy:
         self._dispatch(request, attempt=0)
 
     def _dispatch(self, request: Request, attempt: int) -> None:
-        params = self.params
-        if (params.defenses and request.deadline is not None
+        if (self.params.defenses and request.deadline is not None
                 and self.node.sim.now >= request.deadline):
             # The client's timeout already fired; the backend tier never
             # sees this request and no reply is owed to anyone.
@@ -241,7 +225,7 @@ class ReverseProxy:
                                   req=request.req_id, attempt=attempt)
             return
         backend = self._pick_backend(request, attempt)
-        if backend is None or attempt >= params.max_dispatch_attempts:
+        if backend is None or attempt >= MAX_DISPATCH_ATTEMPTS:
             self.stats["no_backend"] += 1
             if self._events is not None:
                 self._events.emit(
@@ -293,7 +277,7 @@ class ReverseProxy:
 
     def _redispatch(self, request: Request, attempt: int) -> None:
         """Queue another dispatch attempt through the worker, charging
-        ``cpu_request_s`` for it like any fresh forward."""
+        ``CPU_REQUEST_S`` for it like any fresh forward."""
         if self._redispatch_budget is not None \
                 and not self._redispatch_budget.try_spend():
             # Budget dry: surface the failure instead of amplifying it.
@@ -401,7 +385,7 @@ class ReverseProxy:
     def _probe_failure(self, backend: str) -> None:
         self._rise_counts[backend] = 0
         self._fail_counts[backend] += 1
-        if (self._fail_counts[backend] >= self.params.fall
+        if (self._fail_counts[backend] >= FALL
                 and backend in self.active):
             self.active.remove(backend)
             self.stats["removals"] += 1
@@ -412,7 +396,7 @@ class ReverseProxy:
     def _probe_success(self, backend: str) -> None:
         self._fail_counts[backend] = 0
         self._rise_counts[backend] += 1
-        if (self._rise_counts[backend] >= self.params.rise
+        if (self._rise_counts[backend] >= RISE
                 and backend not in self.active):
             self.active.append(backend)
             self.active.sort()

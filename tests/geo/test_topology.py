@@ -16,6 +16,7 @@ from repro.geo import (
 )
 from repro.harness import ClusterConfig, tiny_scale
 from repro.paxos import PaxosConfig, PaxosEngine
+from repro.paxos.config import HEARTBEAT_INTERVAL_S
 from repro.sim import Network, NetworkParams, Node, SeedTree, Simulator
 
 
@@ -125,7 +126,6 @@ def test_no_geo_keeps_default_fd_timeout():
     paxos = config.treplica_config().paxos
     base = PaxosConfig()
     assert paxos.failure_timeout_s == base.failure_timeout_s
-    assert paxos.heartbeat_interval_s == base.heartbeat_interval_s
     assert paxos.phase1_quorum is None and paxos.phase2_quorum is None
 
 
@@ -143,8 +143,7 @@ def test_slow_wan_stretches_fd_timeout():
     geo = GeoConfig(topology=topo3(wan=slow_wan))
     paxos = ClusterConfig(scale=tiny_scale(), replicas=5,
                           geo=geo).treplica_config().paxos
-    base = PaxosConfig()
-    expected = 2 * base.heartbeat_interval_s + 4 * 0.4
+    expected = 2 * HEARTBEAT_INTERVAL_S + 4 * 0.4
     assert paxos.failure_timeout_s == pytest.approx(expected)
 
 
@@ -162,7 +161,7 @@ def test_probe_timeout_floors_above_wan_rtt():
 def test_geo_overrides_set_flexible_quorums_and_disable_fast():
     geo = GeoConfig(topology=topo3(), placement="leader-local",
                     quorum="leader-local")
-    overrides = paxos_geo_overrides(geo, 5, 0.25, 1.2)
+    overrides = paxos_geo_overrides(geo, 5, 1.2)
     assert overrides["phase1_quorum"] == 3
     assert overrides["phase2_quorum"] == 3
     assert overrides["enable_fast"] is False

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.harness.cli import build_parser, main
+from repro.harness.cli import _build_experiment, build_parser, main
 from repro.harness.experiment import Experiment
 from repro.harness.sweeps import SPEEDUP_OFFERED_PER_REPLICA
 
@@ -21,12 +21,16 @@ def run_args(extra=()):
 
 
 def test_parser_defaults():
+    """A bare ``run`` builds exactly the builder's default one-crash
+    config: the CLI restates none of ClusterConfig's defaults."""
     args = build_parser().parse_args(["run"])
     assert args.command == "run"
     assert args.scenario == "one_crash"
-    assert args.profile == "shopping"
-    assert args.replicas == 5
-    assert args.scale == "bench"
+    config = _build_experiment(args).build_config()
+    assert config == Experiment().load("closed").one_crash().build_config()
+    assert config.profile == "shopping"
+    assert config.replicas == 5
+    assert config.scale.name == "bench"
 
 
 def test_parser_rejects_unknown_scenario():

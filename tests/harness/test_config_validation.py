@@ -48,6 +48,12 @@ BAD_CONFIGS = [
     ("negative obs tick", lambda: _tiny().observe(tick_s=-5.0),
      "obs_tick_s"),
     ("nan obs tick", lambda: _tiny().observe(tick_s=math.nan), "obs_tick_s"),
+    ("unknown paxos override",
+     lambda: _tiny(paxos_overrides=(("heartbeat_interval_s", 1.0),)),
+     "cannot override 'heartbeat_interval_s'"),
+    ("unknown treplica override",
+     lambda: _tiny(treplica_overrides=(("chunk_mb", 4.0),)),
+     "cannot override 'chunk_mb'"),
 ]
 
 

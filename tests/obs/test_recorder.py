@@ -12,7 +12,7 @@ from repro.sim.core import Simulator
 from repro.sim.trace import EventLog, log_of
 from repro.tpcw.workload import Interaction
 from repro.web.http import Request, Response
-from repro.web.proxy import CLIENT_IN_PORT, ReverseProxy
+from repro.web.proxy import CLIENT_IN_PORT, MAX_DISPATCH_ATTEMPTS, ReverseProxy
 from repro.web.server import HTTP_PORT, PROBE_PORT, PROBE_REPLY_PORT
 
 
@@ -193,7 +193,7 @@ def test_no_backend_reply_records_the_request_context():
     assert event.get("req") == "q7"
     assert event.get("client") == 3
     assert event.get("interaction") == "home"
-    assert event.get("attempt") == rig.proxy.params.max_dispatch_attempts
+    assert event.get("attempt") == MAX_DISPATCH_ATTEMPTS
 
 
 def test_broken_connection_records_the_request_context():

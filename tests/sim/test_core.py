@@ -171,23 +171,6 @@ def test_event_wakes_all_waiters_with_value():
     assert results == [(3.0, "go"), (3.0, "go")]
 
 
-def test_event_fail_raises_in_waiter():
-    sim = Simulator()
-    event = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield event
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    sim.spawn(waiter())
-    sim.call_after(1.0, event.fail, RuntimeError("bad"))
-    sim.run()
-    assert caught == ["bad"]
-
-
 def test_waiting_on_triggered_event_resumes_immediately():
     sim = Simulator()
     event = sim.event()

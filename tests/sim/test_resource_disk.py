@@ -167,33 +167,6 @@ def test_disk_crash_loses_inflight_write():
     assert not disk.contains("ckpt")
 
 
-def test_disk_read_object_returns_value_after_delay():
-    sim = Simulator()
-    disk = make_disk(sim)
-    disk.write_object("state", [1, 2, 3], size_mb=2.0)
-    sim.run()
-    start = sim.now
-
-    def reader():
-        value = yield disk.read_object("state")
-        return (sim.now - start, value)
-
-    elapsed, value = sim.run_process(reader())
-    assert value == [1, 2, 3]
-    assert elapsed == pytest.approx(0.01 + 2.0 / 10.0)
-
-
-def test_disk_read_missing_key_fails():
-    sim = Simulator()
-    disk = make_disk(sim)
-
-    def reader():
-        yield disk.read_object("nope")
-
-    with pytest.raises(KeyError):
-        sim.run_process(reader())
-
-
 def test_disk_contents_survive_crash():
     sim = Simulator()
     disk = make_disk(sim)

@@ -92,14 +92,17 @@ def test_cli_lines_in_docs_name_real_subcommands():
 
 
 def test_config_attributes_named_in_docs_exist():
-    """A `ClusterConfig.x`, `ExperimentScale.x` or `ProxyParams.x` a
-    document names is a real field (or method) of that class; `A.x/y`
-    names two."""
+    """A `ClusterConfig.x`, `ExperimentScale.x`, `ProxyParams.x`,
+    `PaxosConfig.x` or `TreplicaConfig.x` a document names is a real
+    field (or method) of that class; `A.x/y` names two."""
     from repro.harness.config import ClusterConfig, ExperimentScale
+    from repro.paxos.config import PaxosConfig
+    from repro.treplica.config import TreplicaConfig
     from repro.web.proxy import ProxyParams
 
     classes = {cls.__name__: cls
-               for cls in (ClusterConfig, ExperimentScale, ProxyParams)}
+               for cls in (ClusterConfig, ExperimentScale, ProxyParams,
+                           PaxosConfig, TreplicaConfig)}
     pattern = r"\b(%s)\.(\w+(?:/\w+)*)" % "|".join(classes)
     seen = 0
     for name in COMMAND_DOCS:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.sim import Network, NetworkParams, Node, SeedTree, Simulator
 from repro.web.http import Request, Response
-from repro.web.proxy import CLIENT_IN_PORT, ProxyParams, ReverseProxy
+from repro.web.proxy import (CLIENT_IN_PORT, CPU_REQUEST_S, CPU_RESPONSE_S,
+                             ProxyParams, ReverseProxy)
 from repro.web.server import HTTP_PORT, PROBE_PORT, PROBE_REPLY_PORT
 from repro.tpcw.workload import Interaction
 
@@ -130,7 +131,7 @@ def test_inflight_requests_error_on_backend_crash():
 
 
 def test_probe_removes_dead_backend_after_fall_threshold():
-    harness = ProxyHarness(probe_interval_s=1.0, probe_timeout_s=0.2, fall=4)
+    harness = ProxyHarness(probe_interval_s=1.0, probe_timeout_s=0.2)
     harness.backend_nodes[2].crash()
     harness.run(3.0)
     assert "b2" in harness.proxy.active  # fewer than 4 failures so far
@@ -140,8 +141,7 @@ def test_probe_removes_dead_backend_after_fall_threshold():
 
 
 def test_probe_readds_backend_after_rise_threshold():
-    harness = ProxyHarness(probe_interval_s=1.0, probe_timeout_s=0.2,
-                           fall=4, rise=2)
+    harness = ProxyHarness(probe_interval_s=1.0, probe_timeout_s=0.2)
     harness.backend_nodes[2].crash()
     harness.run(7.0)
     assert "b2" not in harness.proxy.active
@@ -163,17 +163,16 @@ def test_all_backends_down_gives_503():
 
 
 def test_not_ready_backend_fails_probe():
-    harness = ProxyHarness(probe_interval_s=1.0, probe_timeout_s=0.2, fall=4)
+    harness = ProxyHarness(probe_interval_s=1.0, probe_timeout_s=0.2)
     harness.backends[0].ready = False
     harness.run(10.0)
     assert "b0" not in harness.proxy.active
 
 
 def test_dead_backend_redispatch_is_charged_proxy_cpu():
-    """A redispatch re-enters the work queue and costs ``cpu_request_s``
+    """A redispatch re-enters the work queue and costs ``CPU_REQUEST_S``
     like a fresh forward -- a redispatch storm must show up in the
     proxy's own queueing station, not ride for free."""
-    params = ProxyParams()
     harness = ProxyHarness()
     harness.backend_nodes[1].crash()  # client 1 hashes to b1
     harness.send(client_id=1)
@@ -182,5 +181,5 @@ def test_dead_backend_redispatch_is_charged_proxy_cpu():
     assert harness.proxy.stats["redispatched"] == 1
     # initial forward + one redispatch, each a full request's worth of
     # CPU, plus relaying the single response.
-    expected = 2 * params.cpu_request_s + params.cpu_response_s
+    expected = 2 * CPU_REQUEST_S + CPU_RESPONSE_S
     assert harness.proxy_node.cpu.total_busy_time == pytest.approx(expected)
