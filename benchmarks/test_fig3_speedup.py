@@ -12,10 +12,11 @@ Paper claims reproduced here (Section 5.2):
 
 import pytest
 
-from repro.harness.report import compare, format_table
-from repro.harness.sweeps import SPEEDUP_OFFERED_PER_REPLICA
+from repro.harness.config import ClusterConfig
+from repro.harness.report import format_table
+from repro.harness.sweeps import speedup_sweep, speedups
 
-from benchmarks.common import emit, experiment, run_once, sweep_replicas
+from benchmarks.common import emit, run_once, scale, sweep_replicas
 
 #: Paper values read from Figure 3 / Section 5.2.
 PAPER_SPEEDUP = {
@@ -27,45 +28,35 @@ PAPER_SPEEDUP = {
 
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_speedup(benchmark):
-    def run():
-        points = {}
-        for profile in ("browsing", "shopping", "ordering"):
-            for replicas in sweep_replicas():
-                result = experiment(
-                    "baseline", replicas=replicas, profile=profile,
-                    offered_wips=SPEEDUP_OFFERED_PER_REPLICA * replicas)
-                stats = result.whole_window()
-                points[(profile, replicas)] = (stats.awips,
-                                               stats.mean_wirt_s * 1000.0)
-        return points
-
-    points = run_once(benchmark, run)
     replicas_list = sweep_replicas()
-    base = {profile: points[(profile, replicas_list[0])][0]
-            for profile in ("browsing", "shopping", "ordering")}
 
+    def run():
+        return {profile: speedup_sweep(
+                    ClusterConfig(scale=scale(), profile=profile),
+                    replicas_list)
+                for profile in ("browsing", "shopping", "ordering")}
+
+    sweeps = run_once(benchmark, run)
+    s_k = {profile: speedups(points) for profile, points in sweeps.items()}
     rows = []
-    speedups = {}
-    for profile in ("browsing", "shopping", "ordering"):
-        for replicas in replicas_list:
-            wips, wirt = points[(profile, replicas)]
-            speedup = wips / base[profile]
-            speedups[(profile, replicas)] = speedup
-            paper = PAPER_SPEEDUP.get((profile, replicas))
-            rows.append([f"{profile} {replicas}R", f"{wips:.0f}",
-                         f"{wirt:.0f}", f"{speedup:.2f}",
+    for profile, points in sweeps.items():
+        for point, speedup in zip(points, s_k[profile]):
+            paper = PAPER_SPEEDUP.get((profile, point.replicas))
+            rows.append([point.label, f"{point.awips:.0f}",
+                         f"{point.mean_wirt_ms:.0f}", f"{speedup:.2f}",
                          "-" if paper is None else f"{paper:.2f}"])
     emit("fig3_speedup", format_table(
         "Figure 3: speedup (saturated load)",
         ["config", "WIPS", "WIRT ms", "S_k (measured)", "S_k (paper)"],
         rows))
 
-    last = replicas_list[-1]
-    # Shape assertions: who wins, by roughly what factor.
-    assert speedups[("browsing", last)] > 1.5
-    assert speedups[("shopping", last)] > 1.4
-    assert speedups[("ordering", last)] < speedups[("shopping", last)]
-    assert speedups[("ordering", last)] < 1.4  # crossed the threshold
-    for replicas in replicas_list[1:]:
-        assert points[("ordering", replicas)][1] > points[("shopping", replicas)][1]
-        assert points[("shopping", replicas)][1] > points[("browsing", replicas)][1]
+    # Shape assertions: who wins at the largest cluster, by roughly what
+    # factor.
+    assert s_k["browsing"][-1] > 1.5
+    assert s_k["shopping"][-1] > 1.4
+    assert s_k["ordering"][-1] < s_k["shopping"][-1]
+    assert s_k["ordering"][-1] < 1.4  # crossed the threshold
+    for browsing, shopping, ordering in list(zip(
+            sweeps["browsing"], sweeps["shopping"], sweeps["ordering"]))[1:]:
+        assert ordering.mean_wirt_ms > shopping.mean_wirt_ms
+        assert shopping.mean_wirt_ms > browsing.mean_wirt_ms

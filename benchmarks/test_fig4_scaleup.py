@@ -12,9 +12,11 @@ Paper claims reproduced here:
 
 import pytest
 
-from repro.harness.report import format_table, linear_regression
+from repro.harness.config import ClusterConfig
+from repro.harness.report import format_table
+from repro.harness.sweeps import scaleup_slope_pct, scaleup_sweep, wips_wirt_r2
 
-from benchmarks.common import emit, experiment, run_once, sweep_replicas
+from benchmarks.common import emit, run_once, scale, sweep_replicas
 
 PAPER_R2 = {"browsing": 0.8788, "shopping": 0.9976, "ordering": 0.9958}
 PAPER_SLOPE_PCT = {"browsing": 0.0, "shopping": -0.85, "ordering": -2.1}
@@ -22,37 +24,24 @@ PAPER_SLOPE_PCT = {"browsing": 0.0, "shopping": -0.85, "ordering": -2.1}
 
 @pytest.mark.benchmark(group="fig4")
 def test_fig4_scaleup(benchmark):
-    def run():
-        points = {}
-        for profile in ("browsing", "shopping", "ordering"):
-            for replicas in sweep_replicas():
-                result = experiment("baseline", replicas=replicas,
-                                    profile=profile, offered_wips=1000.0)
-                stats = result.whole_window()
-                points[(profile, replicas)] = (stats.awips,
-                                               stats.mean_wirt_s * 1000.0)
-        return points
-
-    points = run_once(benchmark, run)
     replicas_list = sweep_replicas()
 
+    def run():
+        return {profile: scaleup_sweep(
+                    ClusterConfig(scale=scale(), profile=profile,
+                                  offered_wips=1000.0),
+                    replicas_list)
+                for profile in ("browsing", "shopping", "ordering")}
+
+    sweeps = run_once(benchmark, run)
     rows = []
     slopes = {}
-    correlations = {}
-    for profile in ("browsing", "shopping", "ordering"):
-        series = [(replicas, points[(profile, replicas)][0])
-                  for replicas in replicas_list]
-        slope, intercept, _r2 = linear_regression(series)
-        base = series[0][1]
-        slopes[profile] = 100.0 * slope / base  # % per replica added
-        wips_wirt = [(points[(profile, r)][0], points[(profile, r)][1])
-                     for r in replicas_list]
-        _s, _i, r2 = linear_regression(wips_wirt)
-        correlations[profile] = r2
-        for replicas in replicas_list:
-            wips, wirt = points[(profile, replicas)]
-            rows.append([f"{profile} {replicas}R", f"{wips:.0f}",
-                         f"{wirt:.0f}"])
+    for profile, points in sweeps.items():
+        slopes[profile] = scaleup_slope_pct(points)  # % per replica added
+        r2 = wips_wirt_r2(points)
+        for point in points:
+            rows.append([point.label, f"{point.awips:.0f}",
+                         f"{point.mean_wirt_ms:.0f}"])
         rows.append([f"{profile} slope %/replica",
                      f"{slopes[profile]:+.2f} (paper {PAPER_SLOPE_PCT[profile]:+.2f})",
                      f"r2={r2:.3f} (paper {PAPER_R2[profile]:.3f})"])
@@ -63,11 +52,10 @@ def test_fig4_scaleup(benchmark):
     # Shape assertions.
     assert abs(slopes["browsing"]) < 1.0       # near-ideal scaleup
     assert slopes["ordering"] <= slopes["browsing"] + 0.5
-    for replicas in replicas_list:
-        assert points[("ordering", replicas)][1] > points[("browsing", replicas)][1]
+    for ordering, browsing in zip(sweeps["ordering"], sweeps["browsing"]):
+        assert ordering.mean_wirt_ms > browsing.mean_wirt_ms
     # WIPS stays within a few percent of offered for every profile.
-    offered = 1000.0 / experiment("baseline", replicas=4, profile="browsing",
-                                  offered_wips=1000.0).config.scale.load_div
+    offered = 1000.0 / scale().load_div
     for profile in ("browsing", "shopping"):
-        for replicas in replicas_list:
-            assert points[(profile, replicas)][0] > 0.93 * offered
+        for point in sweeps[profile]:
+            assert point.awips > 0.93 * offered

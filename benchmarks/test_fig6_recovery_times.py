@@ -12,26 +12,20 @@ Paper claims reproduced here (Section 5.4):
   timeline; ours are the same divided by the scale's time compression).
 """
 
-import os
-
 import pytest
 
 from repro.harness.report import format_table
 
 from benchmarks.common import emit, experiment, run_once, scale
 
-
-def replica_counts():
-    if os.environ.get("REPRO_QUICK"):
-        return (5,)
-    return (5, 8)
+REPLICA_COUNTS = (5, 8)
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_recovery_times(benchmark):
     def run():
         times = {}
-        for replicas in replica_counts():
+        for replicas in REPLICA_COUNTS:
             for num_ebs in (30, 50, 70):
                 for profile in ("browsing", "shopping", "ordering"):
                     result = experiment("one_crash", replicas=replicas,
@@ -53,7 +47,7 @@ def test_fig6_recovery_times(benchmark):
         f"(paper-equivalent = measured x {time_div:g})",
         ["config", "recovery s (scaled)", "paper-equivalent s"], rows))
 
-    for replicas in replica_counts():
+    for replicas in REPLICA_COUNTS:
         for profile in ("browsing", "shopping", "ordering"):
             small = times[(replicas, 30, profile)]
             large = times[(replicas, 70, profile)]

@@ -202,11 +202,9 @@ class ExplorationRunner:
         complaints = []
         for rec in result.recoveries:
             if rec.get("ready_at") is None:
-                shard = rec.get("shard")
-                where = f"s{shard}." if shard is not None else ""
                 complaints.append(
-                    f"{where}replica{rec['replica']} crashed at "
-                    f"{rec['crashed_at']:.2f} and never became ready")
+                    f"{rec['node']} crashed at {rec['crashed_at']:.2f} "
+                    f"and never became ready")
         cluster = result.cluster
         if cluster is None:
             raise RuntimeError("liveness oracle needs keep_cluster runs")
@@ -214,7 +212,7 @@ class ExplorationRunner:
         first_vote: Dict[str, float] = {}
         for event in cluster.audit.select("txn.vote"):
             first_vote.setdefault(event["tx"], event.time)
-        for g, group in enumerate(cluster.groups):
+        for group in cluster.groups:
             for i, runtime in enumerate(group.runtimes):
                 if runtime is None or not runtime.ready:
                     continue
@@ -224,8 +222,8 @@ class ExplorationRunner:
                     if age is not None and age <= self.liveness_grace_s:
                         continue  # young enough to still be in flight
                     complaints.append(
-                        f"tx {tx} still pending on s{g}.replica{i} at end "
-                        f"of run"
+                        f"tx {tx} still pending on {group.replica_names[i]} "
+                        f"at end of run"
                         + (f" ({age:.2f}s after its prepare)"
                            if age is not None else ""))
         return complaints

@@ -172,7 +172,7 @@ class ReplicaGroup:
         runtime.start()
         server.start()
         if node.incarnation > 0:
-            event = {"replica": index,
+            event = {"replica": index, "node": node.name,
                      "crashed_at": node.last_crash_at,
                      "rebooted_at": self.sim.now,
                      "ready_at": None}

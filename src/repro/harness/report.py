@@ -7,8 +7,7 @@ Figures are rendered as the series of points the paper plots.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 
 def format_table(title: str, headers: Sequence[str],
@@ -65,49 +64,6 @@ def linear_regression(points: Sequence[Tuple[float, float]]
     intercept = mean_y - slope * mean_x
     r_squared = (sxy * sxy) / (sxx * syy) if syy > 0 else 1.0
     return slope, intercept, r_squared
-
-
-def regression_confidence(points: Sequence[Tuple[float, float]],
-                          alpha: float = 0.05
-                          ) -> Tuple[float, float, float]:
-    """Slope with its two-sided (1-alpha) confidence interval.
-
-    The paper's Figure 4 plots least-squares scaleup lines ("confidence
-    coefficients omitted"); this supplies them.  Returns
-    ``(slope, ci_low, ci_high)`` using the t-distribution on the slope's
-    standard error.  With fewer than three points the interval is
-    unbounded (``±inf``).  Needs the ``report`` extra (scipy), the
-    package's only third-party import.
-    """
-    try:
-        from scipy import stats
-    except ImportError as error:
-        raise ImportError(
-            "regression_confidence needs scipy for the t-distribution: "
-            "pip install 'repro[report]'") from error
-
-    n = len(points)
-    slope, intercept, _r2 = linear_regression(points)
-    if n < 3:
-        return slope, float("-inf"), float("inf")
-    xs = [x for x, _y in points]
-    residuals = [y - (slope * x + intercept) for x, y in points]
-    mean_x = sum(xs) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        return slope, float("-inf"), float("inf")
-    sigma2 = sum(r * r for r in residuals) / (n - 2)
-    stderr = math.sqrt(sigma2 / sxx)
-    t_crit = stats.t.ppf(1.0 - alpha / 2.0, df=n - 2)
-    return slope, slope - t_crit * stderr, slope + t_crit * stderr
-
-
-def compare(label: str, paper: Optional[float], measured: Optional[float],
-            unit: str = "") -> List[object]:
-    """One row of a paper-vs-measured table."""
-    return [label,
-            "-" if paper is None else f"{paper:g}{unit}",
-            "-" if measured is None else f"{measured:.3g}{unit}"]
 
 
 def _fmt(cell: object) -> str:

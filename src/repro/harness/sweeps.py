@@ -3,10 +3,9 @@
 Wraps the experiment drivers into the sweeps the paper's figures plot --
 speedup (Figure 3), scaleup (Figure 4), recovery time vs state size
 (Figure 6) -- returning typed points that callers can tabulate, plot, or
-assert on.  ``repro sweep`` runs them; the benchmark suite drives its
-figures with its own loops, reading the speedup load law from
-:data:`SPEEDUP_OFFERED_PER_REPLICA`.  Each sweep takes one base
-:class:`ClusterConfig` and varies only its swept field.
+assert on.  ``repro sweep`` runs them, and so do the Figure 3 and 4
+benchmarks.  Each sweep takes one base :class:`ClusterConfig` and
+varies only its swept field.
 """
 
 from __future__ import annotations

@@ -64,12 +64,6 @@ def _geo_placement(recorder) -> Dict[str, str]:
     return placement
 
 
-def _recovery_node(recovery: Dict[str, Any]) -> str:
-    shard = recovery.get("shard")
-    prefix = f"s{shard}." if shard is not None else ""
-    return f"{prefix}replica{recovery['replica']}"
-
-
 def _slice_recoveries(recoveries: List[Dict[str, Any]], start: float,
                       end: float) -> List[Dict[str, Any]]:
     return [r for r in recoveries if start - _EPS <= r["crashed_at"] < end]
@@ -236,7 +230,7 @@ def _incident_dcs(triggers: List[Dict[str, Any]],
         for peer in trigger.get("peer_dcs") or ():
             dcs.add(peer)
     for recovery in recoveries:
-        dc = placement.get(_recovery_node(recovery))
+        dc = placement.get(recovery["node"])
         if dc:
             dcs.add(dc)
     return sorted(dcs)
@@ -416,7 +410,7 @@ def _render_incident(incident: Dict[str, Any]) -> List[str]:
             ready = recovery.get("ready_at")
             took = (_fmt_s(ready - recovery["crashed_at"])
                     if ready is not None else "never recovered")
-            lines.append(f"- `{_recovery_node(recovery)}` crashed at "
+            lines.append(f"- `{recovery['node']}` crashed at "
                          f"t={recovery['crashed_at']:.2f}s, {took}")
         lines.append("")
 

@@ -618,7 +618,7 @@ def recovery_phases(tracer: SpanTracer,
         rebooted = event["rebooted_at"]
         shard = event.get("shard")
         prefix = f"s{shard}." if shard is not None else ""
-        node = f"{prefix}replica{event['replica']}"
+        node = event["node"]
 
         def clamp(candidate: float, floor: float) -> float:
             return min(max(candidate, floor), ready)

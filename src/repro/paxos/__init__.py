@@ -43,7 +43,6 @@ from repro.paxos.messages import (
     PromiseInstance,
 )
 from repro.paxos.quorum import classic_quorum, fast_quorum, recovery_threshold
-from repro.paxos.single import SynodAcceptor, SynodLearner, SynodProposer
 
 __all__ = [
     "Accepted",
@@ -65,9 +64,6 @@ __all__ = [
     "PrepareInstance",
     "Promise",
     "PromiseInstance",
-    "SynodAcceptor",
-    "SynodLearner",
-    "SynodProposer",
     "classic_quorum",
     "fast_quorum",
     "recovery_threshold",

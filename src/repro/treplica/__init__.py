@@ -8,7 +8,7 @@ replicated, crash-recoverable one.  Its two programming abstractions are:
   ``enqueue`` and a blocking ``dequeue``; implemented on Paxos / Fast
   Paxos, so it keeps working through partial failures without
   reconfiguration;
-* the **replicated state machine** (:class:`StateMachine`): the
+* the **replicated state machine** (:class:`TreplicaRuntime`): the
   application is a black box whose public methods become deterministic
   actions; ``execute(action)`` blocks until the action has been applied
   locally, and ``get_state()`` returns the most recent consistent state.
@@ -18,22 +18,20 @@ checkpoint, learns the missed queue suffix from its peers in parallel,
 re-applies it, and rejoins -- the programmer only calls ``get_state()``.
 """
 
-from repro.treplica.actions import Action, Barrier
+from repro.treplica.actions import Action
 from repro.treplica.application import Application, InMemoryApplication
 from repro.treplica.checkpoint import CheckpointManager, CheckpointRecord
 from repro.treplica.config import TreplicaConfig
 from repro.treplica.queue import PersistentQueue
-from repro.treplica.runtime import StateMachine, TreplicaRuntime
+from repro.treplica.runtime import TreplicaRuntime
 
 __all__ = [
     "Action",
     "Application",
-    "Barrier",
     "CheckpointManager",
     "CheckpointRecord",
     "InMemoryApplication",
     "PersistentQueue",
-    "StateMachine",
     "TreplicaConfig",
     "TreplicaRuntime",
 ]

@@ -33,18 +33,3 @@ class Action:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
-
-
-class Barrier(Action):
-    """A no-op action used to linearize reads.
-
-    Executing a barrier and then reading locally yields a linearizable
-    read: the barrier's position in the total order guarantees the local
-    state reflects every update ordered before the read was issued.
-    """
-
-    cpu_cost_s = 0.00002
-    size_mb = 0.0001
-
-    def apply(self, app: Any) -> None:
-        return None

@@ -309,18 +309,6 @@ class TreplicaRuntime:
         """The paper's ``getState()``: latest consistent local snapshot."""
         return self.app.snapshot()
 
-    def linearizable_read(self, fn: Callable[[Application], Any]):
-        """Generator: a read that reflects every update ordered before it.
-
-        Local reads (:meth:`read`) can be stale on a lagging replica; this
-        totally orders a no-op barrier first, so the local state is at
-        least as fresh as the read's position in the order.  Costs one
-        consensus round trip -- use for read-your-writes critical paths.
-        """
-        from repro.treplica.actions import Barrier
-        yield from self.execute(Barrier())
-        return self.read(fn)
-
     # ==================================================================
     # checkpoint state: a base snapshot plus the journal applied since
     # ==================================================================
@@ -479,29 +467,3 @@ class TreplicaRuntime:
                 and self.applied_up_to >= self._catchup_target):
             self._catchup_target = None
             self._mark_caught_up()
-
-
-class StateMachine:
-    """The paper's 8-method programming interface, bound to one runtime.
-
-    Thin facade over :class:`TreplicaRuntime` matching the description in
-    Section 2: a black-box application whose public methods are executed
-    as generic actions.
-    """
-
-    def __init__(self, runtime: TreplicaRuntime):
-        self._runtime = runtime
-
-    def execute(self, action: Action):
-        """Blocking execute: ``result = yield from machine.execute(a)``."""
-        return (yield from self._runtime.execute(action))
-
-    def get_state(self) -> Any:
-        return self._runtime.get_state()
-
-    def read(self, fn: Callable[[Application], Any]) -> Any:
-        return self._runtime.read(fn)
-
-    @property
-    def ready(self) -> bool:
-        return self._runtime.ready

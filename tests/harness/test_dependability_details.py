@@ -41,6 +41,7 @@ def test_wirt_compliance_in_a_real_run():
 def test_recovery_event_bookkeeping_is_consistent():
     result = tiny_experiment(seed=13).one_crash().run()
     (event,) = result.recoveries
+    assert event["node"] == f"replica{event['replica']}"
     assert event["crashed_at"] <= event["rebooted_at"] <= event["ready_at"]
     assert result.first_crash_at == event["crashed_at"]
     assert result.last_ready_at == event["ready_at"]

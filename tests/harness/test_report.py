@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.report import compare, format_series, format_table, linear_regression
+from repro.harness.report import format_series, format_table, linear_regression
 
 
 def test_format_table_aligns_columns():
@@ -54,32 +54,3 @@ def test_linear_regression_degenerate_inputs():
     assert linear_regression([(1, 7)]) == (0.0, 7.0, 1.0)
     slope, intercept, _r2 = linear_regression([(2, 3), (2, 9)])
     assert slope == 0.0 and intercept == pytest.approx(6.0)
-
-
-def test_compare_row_shapes():
-    assert compare("x", 1.0, 2.0) == ["x", "1", "2"]
-    assert compare("x", None, None) == ["x", "-", "-"]
-
-
-def test_regression_confidence_contains_true_slope():
-    from repro.harness.report import regression_confidence
-    points = [(x, 2.0 * x + 1.0 + (0.1 if x % 2 else -0.1))
-              for x in range(10)]
-    slope, low, high = regression_confidence(points)
-    assert low < 2.0 < high
-    assert high - low < 0.2  # tight for low-noise data
-
-
-def test_regression_confidence_small_samples_unbounded():
-    from repro.harness.report import regression_confidence
-    slope, low, high = regression_confidence([(0, 1), (1, 2)])
-    assert slope == 1.0
-    assert low == float("-inf") and high == float("inf")
-
-
-def test_regression_confidence_perfect_fit_zero_width():
-    from repro.harness.report import regression_confidence
-    points = [(x, 3.0 * x) for x in range(5)]
-    slope, low, high = regression_confidence(points)
-    assert slope == pytest.approx(3.0)
-    assert high - low == pytest.approx(0.0, abs=1e-9)

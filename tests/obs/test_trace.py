@@ -164,9 +164,9 @@ def test_sequential_crashes_phase_breakdown():
 def test_recovery_phases_skip_incomplete_and_survive_missing_marks():
     tracer = SpanTracer()  # no marks recorded at all
     records = [
-        {"replica": 1, "shard": None, "crashed_at": 10.0,
+        {"replica": 1, "node": "replica1", "shard": None, "crashed_at": 10.0,
          "rebooted_at": 12.0, "ready_at": 20.0},
-        {"replica": 2, "shard": None, "crashed_at": 10.0,
+        {"replica": 2, "node": "replica2", "shard": None, "crashed_at": 10.0,
          "rebooted_at": 12.0, "ready_at": None},  # never came back
     ]
     reports = recovery_phases(tracer, records)

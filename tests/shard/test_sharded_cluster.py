@@ -58,6 +58,7 @@ def test_crashing_one_shard_recovers_only_that_group():
     assert [r["shard"] for r in result.recoveries] == [1]
     recovery = result.recoveries[0]
     assert recovery["replica"] == 2
+    assert recovery["node"] == "s1.replica2"
     assert recovery["ready_at"] is not None
 
 

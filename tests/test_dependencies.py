@@ -1,6 +1,6 @@
 """What ``src/repro`` imports is what ``pyproject.toml`` declares.
 
-README promises a standard-library-only package with optional extras;
+README promises a standard-library-only package with no runtime extras;
 these tests hold the source tree to that, so a clean checkout runs with
 exactly the packages the metadata names.
 """

@@ -1,8 +1,11 @@
 """Documentation consistency: DESIGN.md and README reference real things."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,16 +59,36 @@ def test_design_md_confirms_paper_identity():
     assert "No title collision" in design  # the mandated paper-text check
 
 
+def _resolve(dotted):
+    """Import the longest module prefix of ``dotted``, then ``getattr``
+    the rest (a document may name a class or function in a module)."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as error:
+            if not f"{module_name}.".startswith(f"{error.name}."):
+                raise  # the module exists but one of its imports does not
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return target
+
+
 def test_modules_in_design_inventory_exist():
-    design = read("DESIGN.md")
-    for module in set(re.findall(r"`repro\.[\w.]+`", design)):
-        path = module.strip("`").replace(".", "/")
-        candidates = [ROOT / "src" / f"{path}.py",
-                      ROOT / "src" / path / "__init__.py"]
-        # Inventory rows may name an attribute inside a module.
-        parent = ROOT / "src" / Path(path).parent
-        candidates.append(parent.with_suffix(".py"))
-        assert any(c.exists() for c in candidates), module
+    """Every `repro.…` name a document gives resolves to a real module
+    or attribute."""
+    seen = 0
+    for name in COMMAND_DOCS:
+        for dotted in set(re.findall(r"`(repro\.[\w.]*\w)`", read(name))):
+            seen += 1
+            try:
+                _resolve(dotted)
+            except (ImportError, AttributeError) as error:
+                pytest.fail(f"{name} names {dotted}, which does not "
+                            f"resolve: {error}")
+    assert seen
 
 
 def test_bench_reports_named_in_docs_exist():

@@ -56,12 +56,11 @@ def test_obs_public_surface():
 
 def test_treplica_core_interface():
     """The paper's two programming abstractions, methods pinned."""
-    from repro.treplica import PersistentQueue, StateMachine, TreplicaRuntime
+    from repro.treplica import PersistentQueue, TreplicaRuntime
     for method in ("enqueue", "dequeue", "dequeue_batch", "start",
                    "truncate_below"):
         assert callable(getattr(PersistentQueue, method))
     for method in ("execute", "get_state", "read"):
-        assert callable(getattr(StateMachine, method))
         assert callable(getattr(TreplicaRuntime, method))
     assert callable(TreplicaRuntime.start)
 

@@ -97,24 +97,6 @@ def test_ready_event_fires_on_fresh_boot():
         assert cluster.runtimes[i].ready
 
 
-def test_state_machine_facade():
-    from repro.treplica import StateMachine
-    cluster = TreplicaCluster(3)
-    cluster.run(1.0)
-    machine = StateMachine(cluster.runtimes[0])
-    results = []
-
-    def client():
-        value = yield from machine.execute(Put("y", 9))
-        results.append(value)
-
-    cluster.nodes[0].spawn(client())
-    cluster.run(3.0)
-    assert results == [9]
-    assert machine.ready
-    assert machine.read(lambda app: app.state["data"]["y"][0]) == 9
-
-
 def test_concurrent_clients_all_get_results():
     cluster = TreplicaCluster(3)
     cluster.run(1.0)
