@@ -73,7 +73,11 @@ Every per-kind fact -- target shape, window rule, options, the cluster
 verbs, what it counts towards -- lives in one :class:`FaultKind` row of
 :data:`KINDS`; the parser, the validator (:class:`FaultEvent`), the
 injector and the harness read the row instead of branching on the
-kind's name.  Parsing and direct construction reject the same events.
+kind's name.  Every kind has one lifecycle: :class:`FaultInjector`
+injects it at ``at`` and heals it at a finite ``until``, so the engines
+behind the verbs (the message nemesis, the storage nemesis, the WAN
+model) hold only the faults active now and never look at the clock.
+Parsing and direct construction reject the same events.
 An event names one target and gives each option once; a second target
 or a repeated option is rejected, never last-one-wins.
 """
@@ -158,10 +162,11 @@ class FaultKind:
     """Everything the parser, validator, injector and harness know about
     one fault kind.
 
-    A row with an ``arm`` verb is handed whole to the cluster up front
-    (the cluster's nemesis gates it by simulated time); any other row
-    calls its ``inject`` verb at ``at`` and its ``heal`` verb at a
-    finite ``until``.  Any kind may appear in any spec: a scenario's,
+    Every row has one lifecycle: the injector calls its ``inject`` verb
+    at ``at`` and its ``heal`` verb at a finite ``until``, each as
+    ``verb(*args, *targets, **options)``.  A ``prepare`` verb is called
+    with the targets when the injector arms, before the run starts.
+    Any kind may appear in any spec: a scenario's,
     ``Experiment.faults()`` or ``Experiment.nemesis()``.
     """
 
@@ -169,47 +174,57 @@ class FaultKind:
     target: Shape
     window: str
     options: Tuple[Option, ...] = ()
-    arm: Optional[str] = None
     inject: Optional[str] = None
     heal: Optional[str] = None
+    args: Tuple[str, ...] = ()    # leading verb arguments, before targets
+    prepare: Optional[str] = None
     label: str = "fault.inject"   # event kind of the inject
-    nemesis_param: Optional[str] = None  # NemesisParams field ``p`` sets
     fault: bool = False           # counts towards faults_injected
     intervention: bool = False    # counts towards interventions
     outage: bool = False          # can open the run's first outage
     trigger: bool = False         # its window is the metastability trigger
 
 
+#: the verbs of every message-fault window, and of every storage window
+_MESSAGE = dict(inject="open_message_window", heal="close_message_window")
+_STORAGE = dict(inject="open_storage_window", heal="close_storage_window",
+                prepare="watch_disks")
+
 KINDS: Dict[str, FaultKind] = {
-    # The paper's operator faults, plus the symmetric partition.
+    # The paper's operator faults, plus the symmetric partition.  The
+    # replica a reboot names gets its watchdog disabled before the run
+    # starts, so the reboot is genuinely manual.
     "crash": FaultKind("crash@240:2", ANY_REPLICA, POINT,
                        inject="crash_replica", fault=True, outage=True),
     "reboot": FaultKind("reboot@390:2", REPLICA, POINT,
-                        inject="reboot_replica", intervention=True),
+                        inject="reboot_replica", prepare="disable_watchdog",
+                        intervention=True),
     "partition": FaultKind("partition@300:1", REPLICA, POINT,
                            inject="partition_replica", outage=True),
     "heal": FaultKind("heal@330:1", REPLICA, POINT, inject="heal_replica",
                       label="fault.heal"),
-    # Nemesis: windowed message faults and the asymmetric cut.
+    # Nemesis: windowed message faults and the asymmetric cut.  ``args``
+    # names the NemesisParams field ``p`` sets.
     "drop": FaultKind("drop@10-60:p=0.2", OPTIONAL_PAIR, WINDOW, (_P,),
-                      arm="apply_nemesis", nemesis_param="drop_p"),
+                      args=("drop_p",), **_MESSAGE),
     "dup": FaultKind("dup@10-60:p=0.1", OPTIONAL_PAIR, WINDOW, (_P,),
-                     arm="apply_nemesis", nemesis_param="duplicate_p"),
+                     args=("duplicate_p",), **_MESSAGE),
     "delay": FaultKind("delay@10-60:p=0.3:m=0.05", OPTIONAL_PAIR, WINDOW,
                        (_P, Option("m=", "delay_mean_s")),
-                       arm="apply_nemesis", nemesis_param="delay_p"),
+                       args=("delay_p",), **_MESSAGE),
     "oneway": FaultKind("oneway@30-90:2>3", PAIR, OPTIONAL_WINDOW,
                         inject="block_oneway", heal="unblock_oneway"),
-    # Storage: one replica's disk misbehaves.
+    # Storage: one replica's disk misbehaves.  Every disk is put under
+    # the storage nemesis before the run starts (``prepare``).
     "torn": FaultKind("torn@200-400:1", REPLICA, OPTIONAL_WINDOW,
-                      (Option("p=", "p"),), arm="apply_storage_fault"),
+                      (Option("p=", "p"),), args=("torn",), **_STORAGE),
     "corrupt": FaultKind("corrupt@240:1", REPLICA, POINT,
-                         arm="apply_storage_fault"),
+                         inject="corrupt_disk", prepare="watch_disks"),
     "fsynclie": FaultKind("fsynclie@200-300:1", REPLICA, OPTIONAL_WINDOW,
-                          arm="apply_storage_fault"),
+                          args=("fsynclie",), **_STORAGE),
     "failslow": FaultKind("failslow@200-300:1:m=4", REPLICA,
                           OPTIONAL_WINDOW, (Option("m=", "factor"),),
-                          arm="apply_storage_fault"),
+                          args=("failslow",), **_STORAGE),
     # Geo: whole datacenters and the WAN between them.  Every replica a
     # DC outage takes down is one injected fault.
     "dcfail": FaultKind("dcfail@240-400:dc1", DC, OPTIONAL_WINDOW,
@@ -220,7 +235,7 @@ KINDS: Dict[str, FaultKind] = {
                          heal="heal_wan_partition", outage=True),
     "wandegrade": FaultKind("wandegrade@240-400:dc0>dc1,x5", DC_LINK,
                             OPTIONAL_WINDOW, (Option("x", "factor"),),
-                            arm="wan_degrade"),
+                            inject="degrade_wan", heal="restore_wan"),
     # The metastability trigger (repro.resilience): every replica CPU
     # slows down over the window; whether goodput recovers after the heal
     # is what the MetastabilityOracle judges.
@@ -500,17 +515,19 @@ def _parse_replica(text: str) -> Tuple[Optional[int], Optional[int]]:
 class FaultInjector:
     """Applies a faultload to a cluster by its events' :data:`KINDS` rows.
 
-    The cluster must expose the verbs the rows name, ``live_replicas``
-    for random crash targets, ``disable_watchdog`` for interventions
-    and ``target_label``.
-    Targets are opaque here: the verbs get ``event.src_target``/
+    The one place that decides when a fault is active: each event's
+    inject verb runs at ``at`` and its heal verb at a finite ``until``,
+    so the cluster's engines only ever hold the faults active now.  The
+    cluster must expose the verbs the rows name, ``live_replicas`` for
+    random crash targets and ``target_label``.  Targets are opaque here:
+    the verbs get the row's ``args``, then ``event.src_target``/
     ``dst_target`` (or a pick from ``live_replicas``) or datacenter
-    names, then the row's option values.  ``faults_injected``,
-    ``interventions``, ``first_outage`` and ``trigger_window`` tally the
-    rows' counting flags as events fire; every armed window, injection
-    and heal is one event on the simulator's event log (``fault.inject``,
-    ``fault.heal``, ``nemesis.window``), the run's one record of what was
-    injected.
+    names, then the row's option values by field name.
+    ``faults_injected``, ``interventions``, ``first_outage`` and
+    ``trigger_window`` tally the rows' counting flags as events fire;
+    every injection and heal is one event on the simulator's event log
+    (``fault.inject``, ``fault.heal``), the run's one record of what was
+    injected and when.
     """
 
     def __init__(self, sim, cluster, faultload: Faultload,
@@ -529,15 +546,8 @@ class FaultInjector:
     def arm(self) -> None:
         for event in self.faultload.events:
             row = KINDS[event.kind]
-            if row.intervention:
-                # The replica an intervention names gets its watchdog
-                # disabled, so the reboot is genuinely manual.
-                self._cluster.disable_watchdog(event.src_target)
-            if row.arm is not None:
-                getattr(self._cluster, row.arm)(event)
-                self._emit("nemesis.window", event, at=event.at,
-                           until=event.until)
-                continue
+            if row.prepare is not None:
+                getattr(self._cluster, row.prepare)(*self._targets(event))
             self._sim.call_at(event.at, self._fire, event)
             if (row.heal is not None and event.until is not None
                     and not math.isinf(event.until)):
@@ -551,9 +561,21 @@ class FaultInjector:
             # shard, when qualified).
             live = self._cluster.live_replicas(event.shard)
             return (self._rng.choice(sorted(live)),) if live else None
-        return tuple(end for end in (event.dc, event.peer_dcs,
+        return tuple(end for end in (event.dc, event.peer_dcs, event.to_dc,
                                      event.src_target, event.dst_target)
                      if end is not None)
+
+    @staticmethod
+    def _options(event: FaultEvent) -> Dict[str, float]:
+        """The row's option values by field, defaults filled in."""
+        options = {}
+        for option in KINDS[event.kind].options:
+            value = getattr(event, option.field)
+            if value is None:
+                value = option.default
+            if value is not None:
+                options[option.field] = value
+        return options
 
     def _fire(self, event: FaultEvent) -> None:
         # Emit before mutating: crash listeners (proxy broken
@@ -564,14 +586,11 @@ class FaultInjector:
         targets = self._targets(event)
         if targets is None:
             return
-        options = {}
-        for option in row.options:
-            value = getattr(event, option.field)
-            options[option.field] = option.default if value is None else value
+        options = self._options(event)
         now = self._sim.now
         self._emit(row.label, event, targets, **options)
-        taken = getattr(self._cluster, row.inject)(*targets,
-                                                   *options.values())
+        taken = getattr(self._cluster, row.inject)(*row.args, *targets,
+                                                   **options)
         if row.fault:
             # A verb that can take down several replicas (a DC outage)
             # returns how many it did.
@@ -586,19 +605,19 @@ class FaultInjector:
     def _heal(self, event: FaultEvent) -> None:
         row = KINDS[event.kind]
         targets = self._targets(event)
-        getattr(self._cluster, row.heal)(*targets)
+        getattr(self._cluster, row.heal)(*row.args, *targets,
+                                         **self._options(event))
         self._emit("fault.heal", event, targets)
         if row.trigger:
             self.trigger_window = (self._trigger_at, self._sim.now)
 
-    def _emit(self, kind: str, event: FaultEvent,
-              targets: Optional[tuple] = None, **fields) -> None:
-        """One logged event, with the datacenter names the event
-        carries; ``targets`` (what the verb took) names an injection's or
-        a heal's target, an armed window has none."""
+    def _emit(self, kind: str, event: FaultEvent, targets: tuple,
+              **fields) -> None:
+        """One logged event naming the target the verb took, with the
+        datacenter names the event carries."""
         if self._events is None:
             return
-        if targets is not None and event.dc is not None:
+        if event.dc is not None:
             fields["target"] = event.dc
         elif targets:
             fields["target"] = ">".join(map(self._cluster.target_label,

@@ -1,9 +1,9 @@
 """The per-message delay model the simulated switch consults.
 
 :class:`GeoDelayModel` maps node names to datacenters and answers, for
-one datagram at one instant, which :class:`~repro.geo.topology.LinkParams`
-applies, whether the hop crosses the WAN, and what degradation factor
-(from armed ``wandegrade`` windows) multiplies the propagation delay.
+one datagram, which :class:`~repro.geo.topology.LinkParams` applies,
+whether the hop crosses the WAN, and what degradation factor (from the
+``wandegrade`` windows active now) multiplies the propagation delay.
 
 It is deliberately passive: :class:`repro.sim.network.Network` keeps
 drawing jitter from its own seeded stream, so attaching a one-DC
@@ -21,20 +21,15 @@ from repro.geo.topology import LinkParams, Topology
 
 @dataclass(frozen=True)
 class DegradeWindow:
-    """One armed ``wandegrade`` stretch: the directed ``src_dc ->
-    dst_dc`` propagation delay is multiplied by ``factor`` while
-    ``start <= now < end``.  Overlapping windows compose."""
+    """One active ``wandegrade`` stretch: the directed ``src_dc ->
+    dst_dc`` propagation delay is multiplied by ``factor`` while the
+    window is held.  Overlapping windows compose."""
 
-    start: float
-    end: float
     src_dc: str
     dst_dc: str
-    factor: float
+    factor: float = 4.0
 
     def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError(f"degrade window ends ({self.end}) before "
-                             f"it starts ({self.start})")
         if self.factor < 1.0:
             raise ValueError(f"degrade factor must be >= 1, "
                              f"got {self.factor!r}")
@@ -65,21 +60,22 @@ class GeoDelayModel:
         self.topology.require_dc(window.dst_dc)
         self._windows.append(window)
 
-    def degrade_factor(self, now: float, src_dc: str, dst_dc: str) -> float:
+    def remove_degrade(self, window: DegradeWindow) -> None:
+        self._windows.remove(window)
+
+    def degrade_factor(self, src_dc: str, dst_dc: str) -> float:
         factor = 1.0
         for window in self._windows:
-            if (window.src_dc == src_dc and window.dst_dc == dst_dc
-                    and window.start <= now < window.end):
+            if window.src_dc == src_dc and window.dst_dc == dst_dc:
                 factor *= window.factor
         return factor
 
-    def link_for(self, now: float, src: str,
-                 dst: str) -> Tuple[LinkParams, bool, float]:
+    def link_for(self, src: str, dst: str) -> Tuple[LinkParams, bool, float]:
         """``(link, crosses_wan, degrade_factor)`` for one datagram."""
         src_dc = self.dc(src)
         dst_dc = self.dc(dst)
         link = self.topology.link(src_dc, dst_dc)
         wan = src_dc != dst_dc
-        factor = (self.degrade_factor(now, src_dc, dst_dc)
+        factor = (self.degrade_factor(src_dc, dst_dc)
                   if wan and self._windows else 1.0)
         return link, wan, factor

@@ -29,11 +29,9 @@ fault verb takes a plain replica index (meaning shard 0) or a
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.faults.checker import SafetyChecker
-from repro.faults.faultload import KINDS, POINT, FaultEvent
 from repro.faults.metrics import MetricsCollector, NemesisStats
 from repro.faults.watchdog import Watchdog
 from repro.geo import DegradeWindow, GeoState
@@ -322,11 +320,11 @@ class RobustStoreCluster:
                 log.subscribe(FlightRecorder.KINDS, self.recorder.take)
         self.network = Network(self.sim, NetworkParams(), seed=self.seed,
                                nemesis=Nemesis(self.sim, seed=self.seed))
-        # Created lazily by the first storage fault (apply_storage_fault)
-        # and shared by every group, so the audit counters are
-        # deployment-wide; with none configured, no disk ever consults a
-        # nemesis and runs are bit-for-bit identical to a
-        # storage-fault-free build.
+        # Created before the run by the first storage fault's prepare
+        # verb (watch_disks) and shared by every group, so the audit
+        # counters are deployment-wide; with none configured, no disk
+        # ever consults a nemesis and runs are bit-for-bit identical to
+        # a storage-fault-free build.
         self.storage_nemesis: Optional[StorageNemesis] = None
         self.profile = profile_by_name(config.profile)
         self.collector = MetricsCollector()
@@ -578,7 +576,8 @@ class RobustStoreCluster:
         for group in self.groups:
             group.begin_slowdown(factor)
 
-    def end_slowdown(self) -> None:
+    def end_slowdown(self, factor: float) -> None:
+        """The trigger heals; ``factor`` is the slowdown's own."""
         for group in self.groups:
             group.end_slowdown()
 
@@ -591,51 +590,57 @@ class RobustStoreCluster:
         self.network.unblock_oneway(self._node(src).name,
                                     self._node(dst).name)
 
-    def apply_nemesis(self, event: FaultEvent) -> None:
-        """Install one windowed message-fault event (times already on the
-        compressed timeline) on the switch's nemesis."""
-        param = KINDS[event.kind].nemesis_param
-        if param is None:
-            raise ValueError(f"not a nemesis window kind: {event.kind!r}")
-        kwargs = {param: event.p}
-        if event.delay_mean_s is not None:
-            kwargs["delay_mean_s"] = event.delay_mean_s
-        params = NemesisParams(**kwargs)
+    def _message_window(self, param: str, pair: Tuple[Target, ...],
+                        p: float, **options) -> NemesisWindow:
+        """The nemesis window of one message fault: ``p`` sets the
+        NemesisParams field ``param``; no ``pair`` means all traffic."""
         pairs = None
-        if event.replica is not None:
-            pairs = frozenset({(self._node(event.src_target).name,
-                                self._node(event.dst_target).name)})
+        if pair:
+            src, dst = pair
+            pairs = frozenset({(self._node(src).name, self._node(dst).name)})
+        return NemesisWindow(NemesisParams(**{param: p}, **options), pairs)
+
+    def open_message_window(self, param: str, *pair: Target,
+                            **options) -> None:
         self.network.nemesis.add_window(
-            NemesisWindow(event.at, event.until, params, pairs))
+            self._message_window(param, pair, **options))
 
-    def _ensure_storage_nemesis(self) -> StorageNemesis:
-        if self.storage_nemesis is None:
-            self.storage_nemesis = StorageNemesis(self.sim, seed=self.seed)
-            for group in self.groups:
-                group.attach_storage_nemesis(self.storage_nemesis)
-            if self.metrics is not None:
-                self.metrics.register_counts(
-                    self.storage_nemesis.counters,
-                    {f"storage.{key}": key
-                     for key in StorageNemesis.REPAIR_COUNTS})
-            # The engine's accept audit trail (and nothing else) keys off
-            # this attribute; see PaxosEngine._vote.
-            self.sim.storage_faults = self.storage_nemesis
-        return self.storage_nemesis
+    def close_message_window(self, param: str, *pair: Target,
+                             **options) -> None:
+        self.network.nemesis.remove_window(
+            self._message_window(param, pair, **options))
 
-    def apply_storage_fault(self, event: FaultEvent) -> None:
-        """Install one storage-fault event (times already on the
-        compressed timeline) on the deployment's storage nemesis."""
-        disk_name = self._node(event.src_target).disk.name
-        nemesis = self._ensure_storage_nemesis()
-        if KINDS[event.kind].window == POINT:  # a corruption instant
-            nemesis.schedule_corruption(event.at, disk_name)
+    def watch_disks(self, target: Target) -> None:
+        """Put every replica disk under the deployment's one storage
+        nemesis, before the run starts, ahead of a storage fault on
+        ``target``'s disk: the repair counters and the acceptor-vote
+        audit trail then cover the whole run and deployment."""
+        if self.storage_nemesis is not None:
             return
-        nemesis.add_window(StorageFault(
-            kind=event.kind, disk=disk_name, start=event.at,
-            end=event.until if event.until is not None else math.inf,
-            p=event.p if event.p is not None else 1.0,
-            slow_factor=event.factor if event.factor is not None else 4.0))
+        self.storage_nemesis = StorageNemesis(self.sim, seed=self.seed)
+        for group in self.groups:
+            group.attach_storage_nemesis(self.storage_nemesis)
+        if self.metrics is not None:
+            self.metrics.register_counts(
+                self.storage_nemesis.counters,
+                {f"storage.{key}": key
+                 for key in StorageNemesis.REPAIR_COUNTS})
+        # The engine's accept audit trail (and nothing else) keys off
+        # this attribute; see PaxosEngine._vote.
+        self.sim.storage_faults = self.storage_nemesis
+
+    def open_storage_window(self, kind: str, target: Target,
+                            **options) -> None:
+        self.storage_nemesis.add_window(
+            StorageFault(kind, self._node(target).disk.name, **options))
+
+    def close_storage_window(self, kind: str, target: Target,
+                             **options) -> None:
+        self.storage_nemesis.remove_window(
+            StorageFault(kind, self._node(target).disk.name, **options))
+
+    def corrupt_disk(self, target: Target) -> None:
+        self.storage_nemesis.corrupt(self._node(target).disk.name)
 
     # ------------------------------------------------------------------
     # DC-scoped faults (geo runs only)
@@ -677,14 +682,12 @@ class RobustStoreCluster:
         for a, b in self._geo().cut_pairs(dc, peer_dcs):
             self.network.unblock(a, b)
 
-    def wan_degrade(self, event: FaultEvent) -> None:
-        """Arm one windowed asymmetric WAN slowdown (times already on
-        the compressed timeline)."""
-        self._geo().model.add_degrade(DegradeWindow(
-            start=event.at,
-            end=event.until if event.until is not None else math.inf,
-            src_dc=event.dc, dst_dc=event.to_dc,
-            factor=event.factor if event.factor is not None else 4.0))
+    def degrade_wan(self, dc: str, to_dc: str, **options) -> None:
+        """Asymmetric WAN slowdown of the directed ``dc -> to_dc`` link."""
+        self._geo().model.add_degrade(DegradeWindow(dc, to_dc, **options))
+
+    def restore_wan(self, dc: str, to_dc: str, **options) -> None:
+        self._geo().model.remove_degrade(DegradeWindow(dc, to_dc, **options))
 
     # ------------------------------------------------------------------
     # run auditing

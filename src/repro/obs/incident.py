@@ -28,15 +28,9 @@ from repro.obs import trace as obs_trace
 
 __all__ = [
     "MissingRecorderError",
-    "TRIGGER_KINDS",
     "build_incident_report",
     "render_markdown",
 ]
-
-#: Faultload kinds that open an incident.  Message/storage nemesis kinds
-#: (drop/dup/delay/torn/...) degrade but do not partition the timeline;
-#: they show up inside incident timelines, not as triggers.
-TRIGGER_KINDS = ("crash", "partition", "dcfail", "wanpart", "retrystorm")
 
 #: Recorder kinds worth replaying in an incident timeline.
 _TIMELINE_PREFIXES = (
@@ -75,7 +69,9 @@ def _provisional_end(trigger, next_start: float,
     """When the system had fully absorbed ``trigger``.
 
     The latest of: every recovery this trigger caused reaching ready,
-    and the fault's own heal event (windowed partitions/dcfails).  An
+    and the fault's own heal event (windowed partitions/dcfails, or a
+    ``heal`` of a partitioned replica): a heal of another kind on the
+    same target, say a torn-write window closing, ends nothing here.  An
     unresolved trigger (replica never ready, partition never healed)
     keeps the incident open to the end of the measurement window.
     """
@@ -86,8 +82,11 @@ def _provisional_end(trigger, next_start: float,
             unresolved = True
         else:
             candidates.append(recovery["ready_at"])
+    healed_by = ("heal" if trigger.get("fault") == "partition"
+                 else trigger.get("fault"))
     for heal in heals:
         if trigger.time < heal.time < next_start and \
+                heal.get("fault") == healed_by and \
                 heal.get("target") == trigger.get("target"):
             candidates.append(heal.time)
     if unresolved or not candidates:
@@ -246,8 +245,15 @@ def build_incident_report(result) -> Dict[str, Any]:
     slo = getattr(result, "slo", None)
     placement = _geo_placement(recorder)
 
+    # The faults that can open an outage or trigger metastability open
+    # an incident.  Message/storage nemesis kinds (drop/dup/delay/torn/
+    # ...) degrade but do not partition the timeline; they show up
+    # inside incident timelines, not as triggers.  (Imported here:
+    # repro.faults imports the stack that imports repro.obs.)
+    from repro.faults.faultload import KINDS
     triggers = [event for event in recorder.select("fault.inject")
-                if event.get("fault") in TRIGGER_KINDS]
+                if KINDS[event["fault"]].outage
+                or KINDS[event["fault"]].trigger]
     heals = recorder.select("fault.heal")
     segments = _segment_incidents(triggers, result.recoveries, heals,
                                   result.measure_end)

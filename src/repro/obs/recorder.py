@@ -2,8 +2,8 @@
 
 The flight recorder is the black box of a run.  It subscribes to the
 simulator's event log (:mod:`repro.sim.trace`) for the kinds in
-:attr:`FlightRecorder.KINDS` -- faultload injections, nemesis windows,
-proxy reroutes and evictions, Paxos elections and mode switches,
+:attr:`FlightRecorder.KINDS` -- every fault's injection and heal, when
+it happens, proxy reroutes and evictions, Paxos elections and mode switches,
 watchdog restarts, checkpoint and recovery milestones, 2PC outcomes,
 SLO alerts -- and keeps them in a bounded ring buffer
 (``collections.deque`` with ``maxlen``), so even a multi-hour run keeps
@@ -57,7 +57,7 @@ class FlightRecorder(Tracer):
 
     #: The kinds the ring takes from the event log.
     KINDS = frozenset({
-        "fault.inject", "fault.heal", "nemesis.window", "geo.placement",
+        "fault.inject", "fault.heal", "geo.placement",
         "watchdog.restart", "watchdog.tripped",
         "proxy.backend_down", "proxy.backend_up", "proxy.broken_connection",
         "proxy.no_backend", "proxy.dead_request", "proxy.shed",

@@ -21,8 +21,8 @@ four seed-deterministic ways --
 * **torn writes** -- a crash mid-write leaves a partially-persisted record
   (a prefix of the group-commit batch plus one damaged frame) instead of
   atomically dropping the whole operation;
-* **latent corruption** -- a stored record is silently damaged at a
-  scheduled instant and only discovered on read-back (scrub);
+* **latent corruption** -- a stored record is silently damaged in place
+  and only discovered on read-back (scrub);
 * **fsync lies** -- during a write-cache window, completions reported as
   durable are rolled back by the next crash (the drive's dirty-cache
   counter, ``unsafe_shutdowns``, records *that* something was lost, never
@@ -40,7 +40,6 @@ verify.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -129,50 +128,41 @@ class CorruptObject:
 
 @dataclass(frozen=True)
 class StorageFault:
-    """One scheduled storage misbehaviour on one disk.
+    """One active storage misbehaviour window on one disk.
 
-    ``kind`` is one of ``torn`` / ``fsynclie`` / ``failslow`` (windowed; the
-    point-event ``corrupt`` is scheduled directly on the nemesis and never
-    becomes a window).  ``end`` defaults to open-ended.  ``p`` is the
-    probability a crash inside a ``torn`` window tears the in-flight write;
-    ``slow_factor`` multiplies disk op cost inside a ``failslow`` window.
+    ``kind`` is one of ``torn`` / ``fsynclie`` / ``failslow`` (the point
+    fault ``corrupt`` is :meth:`StorageNemesis.corrupt`, never a window).
+    ``p`` is the probability a crash inside a ``torn`` window tears the
+    in-flight write; ``factor`` multiplies disk op cost inside a
+    ``failslow`` window.
     """
 
     kind: str
     disk: str
-    start: float
-    end: float = math.inf
     p: float = 1.0
-    slow_factor: float = 4.0
+    factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("torn", "fsynclie", "failslow"):
             raise ValueError(f"unknown storage fault kind {self.kind!r}")
-        if not math.isfinite(self.start) or self.start < 0:
-            raise ValueError(f"storage fault start {self.start!r} must be a "
-                             "finite non-negative time")
-        if math.isnan(self.end) or self.end <= self.start:
-            raise ValueError(f"storage fault window [{self.start}, {self.end}) "
-                             "is empty")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"torn-write probability {self.p!r} not in (0, 1]")
-        if not self.slow_factor >= 1.0:
-            raise ValueError(f"fail-slow factor {self.slow_factor!r} must "
+        if not self.factor >= 1.0:
+            raise ValueError(f"fail-slow factor {self.factor!r} must "
                              "be >= 1.0")
-
-    def matches(self, disk: str, now: float) -> bool:
-        return disk == self.disk and self.start <= now < self.end
 
 
 class StorageNemesis:
     """Seed-deterministic storage fault injector for a cluster's disks.
 
     One instance serves every disk (mirroring the network nemesis): disks
-    are registered with :meth:`attach`, faults arrive as windows
-    (:class:`StorageFault`) or scheduled corruption instants, and every
-    random draw happens only when a matching window is active -- so two
-    runs with the same seed and schedule inject identically, and a run
-    whose windows never match one with no nemesis at all.
+    are registered with :meth:`attach`, and it holds only the faults
+    active now -- windows (:class:`StorageFault`) come with
+    :meth:`add_window` and go with :meth:`remove_window`, a corruption
+    strikes when :meth:`corrupt` is called.  Every random draw happens
+    only when a matching window is active -- so two runs with the same
+    seed and schedule inject identically, and a run whose windows never
+    match one with no nemesis at all.
     """
 
     #: The repair-side keys of :attr:`counters`.
@@ -181,14 +171,14 @@ class StorageNemesis:
                      "peer_repairs", "repair_mb", "rejoin_fences")
 
     def __init__(self, sim: Simulator, seed: Optional[SeedTree] = None):
-        self._sim = sim
         self._events = log_of(sim)
         self._rng = (seed or SeedTree(0)).fork_random("storage-nemesis")
         self._disks: Dict[str, Disk] = {}
         self.windows: List[StorageFault] = []
         # Per-disk stack of undo closures for completions acknowledged
         # during an fsync-lie window; dropped (made truly durable) when the
-        # window closes, replayed in reverse by a crash inside it.
+        # last such window is removed, replayed in reverse by a crash
+        # inside it.
         self._write_cache: Dict[str, List[Callable[[], None]]] = {}
         self.counters: Dict[str, float] = {
             "torn_writes": 0,        # crashes that tore an in-flight write
@@ -222,33 +212,29 @@ class StorageNemesis:
         self._disks[disk.name] = disk
 
     def add_window(self, fault: StorageFault) -> None:
-        """Install a torn / fsynclie / failslow window."""
+        """Start a torn / fsynclie / failslow window."""
         self.windows.append(fault)
-        if fault.kind == "fsynclie" and math.isfinite(fault.end):
-            # When the lying cache window closes, the drive flushes: every
-            # completion acked during the window becomes truly durable.
-            self._sim.call_at(fault.end, self._flush_write_cache, fault.disk)
 
-    def schedule_corruption(self, at: float, disk: str) -> None:
-        """Silently damage one scrubbed durable record on ``disk`` at ``at``."""
-        if not math.isfinite(at) or at < 0:
-            raise ValueError(f"corruption time {at!r} must be a finite "
-                             "non-negative time")
-        self._sim.call_at(at, self._corrupt, disk)
+    def remove_window(self, fault: StorageFault) -> None:
+        """End a window.  When the last lying cache window on a disk
+        ends, the drive flushes: every completion acked during it becomes
+        truly durable."""
+        self.windows.remove(fault)
+        if fault.kind == "fsynclie" and not self._active("fsynclie",
+                                                         fault.disk):
+            self._write_cache.pop(fault.disk, None)
 
     # ------------------------------------------------------------------
     # consultation from the disk layer
     # ------------------------------------------------------------------
     def _active(self, kind: str, disk: str) -> List[StorageFault]:
-        now = self._sim.now
-        return [w for w in self.windows
-                if w.kind == kind and w.matches(disk, now)]
+        return [w for w in self.windows if w.kind == kind and w.disk == disk]
 
     def slow_factor(self, disk: str) -> float:
         """Cost multiplier for a disk op starting now (1.0 = healthy)."""
         factor = 1.0
         for window in self._active("failslow", disk):
-            factor *= window.slow_factor
+            factor *= window.factor
         return factor
 
     def count_slow_op(self) -> None:
@@ -275,11 +261,6 @@ class StorageNemesis:
     # ------------------------------------------------------------------
     # fault delivery
     # ------------------------------------------------------------------
-    def _flush_write_cache(self, disk_name: str) -> None:
-        if self._active("fsynclie", disk_name):
-            return  # another lying window still covers this disk
-        self._write_cache.pop(disk_name, None)
-
     def on_crash(self, disk: "Disk") -> None:
         """Crash-time hook: lose everything the write cache lied about."""
         undos = self._write_cache.pop(disk.name, None)
@@ -295,7 +276,8 @@ class StorageNemesis:
             self._events.emit("storage.fsynclie_lost", disk.name,
                               writes=len(undos))
 
-    def _corrupt(self, disk_name: str) -> None:
+    def corrupt(self, disk_name: str) -> None:
+        """Silently damage one scrubbed durable record on the disk."""
         disk = self._disks.get(disk_name)
         if disk is None:
             return
@@ -460,10 +442,6 @@ class Disk:
         if key not in self._store:
             self._store[key] = (factory(), 0.0)
         return self._store[key][0]
-
-    def stored_size_mb(self, key: str) -> float:
-        entry = self._store.get(key)
-        return 0.0 if entry is None else entry[1]
 
     # ------------------------------------------------------------------
     # crash semantics

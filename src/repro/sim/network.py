@@ -15,7 +15,10 @@ direction is cut, modelling one-way link loss).
 Beyond partitions, a :class:`Nemesis` can be attached to the switch to
 misbehave probabilistically: seed-deterministic message **drop**,
 **duplication**, and **delay spikes** (which reorder), configurable per
-directed node-pair and per time window.  The nemesis is the message-level
+directed node-pair.  The nemesis holds only the windows active now: the
+fault injector (:mod:`repro.faults.faultload`) adds a window when it
+starts and removes it when it heals, and a switch whose nemesis holds no
+window takes the no-nemesis path.  The nemesis is the message-level
 adversary the consensus safety checker (:mod:`repro.faults.checker`)
 validates the replication stack against.
 """
@@ -72,48 +75,33 @@ class NemesisParams:
             raise ValueError(f"delay_mean_s must be positive, "
                              f"got {self.delay_mean_s!r}")
 
-    @property
-    def is_noop(self) -> bool:
-        return (self.drop_p == 0.0 and self.duplicate_p == 0.0
-                and self.delay_p == 0.0)
-
 
 @dataclass(frozen=True)
 class NemesisWindow:
-    """One scheduled stretch of misbehaviour.
+    """One active stretch of misbehaviour.
 
     ``pairs`` is a frozenset of *directed* ``(src, dst)`` name pairs the
-    window applies to, or ``None`` for all traffic.  ``end`` may be
-    ``math.inf`` for an open-ended window.
+    window applies to, or ``None`` for all traffic.
     """
 
-    start: float
-    end: float
     params: NemesisParams
     pairs: Optional[FrozenSet[Tuple[str, str]]] = None
 
-    def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError(
-                f"window ends ({self.end}) before it starts ({self.start})")
-
-    def matches(self, now: float, src: str, dst: str) -> bool:
-        if not self.start <= now < self.end:
-            return False
+    def matches(self, src: str, dst: str) -> bool:
         return self.pairs is None or (src, dst) in self.pairs
 
 
 class Nemesis:
     """Seed-deterministic message adversary attached to a :class:`Network`.
 
-    Windows are consulted at *send* time; every active window rolls its
-    dice independently (drops compose, extra delays add up).  All draws
-    come from one named stream of the experiment seed, so a run is
-    bit-for-bit reproducible from ``(seed, schedule)``.
+    Windows are consulted at *send* time, in the order they were added;
+    every window rolls its dice independently (drops compose, extra
+    delays add up).  All draws come from one named stream of the
+    experiment seed, so a run is bit-for-bit reproducible from ``(seed,
+    schedule)``.
     """
 
     def __init__(self, sim: Simulator, seed: Optional[SeedTree] = None):
-        self._sim = sim
         self._events = log_of(sim)
         self._rng = (seed or SeedTree(0)).fork_random("nemesis")
         self.windows: List[NemesisWindow] = []
@@ -125,19 +113,20 @@ class Nemesis:
     def add_window(self, window: NemesisWindow) -> None:
         self.windows.append(window)
 
+    def remove_window(self, window: NemesisWindow) -> None:
+        self.windows.remove(window)
+
     @property
     def counters(self) -> Dict[str, int]:
         return {"dropped": self.dropped, "duplicated": self.duplicated,
                 "delayed": self.delayed}
 
     # ------------------------------------------------------------------
-    def fate(self, now: float, src: str, dst: str, port: str) -> List[float]:
+    def fate(self, src: str, dst: str, port: str) -> List[float]:
         """Decide a datagram's fate: a list of extra delays, one entry per
         copy to deliver.  ``[]`` means the message is dropped; ``[0.0]``
         is an unmolested delivery; ``[0.0, 0.0]`` a duplication."""
-        if not self.windows:
-            return [0.0]
-        active = [w for w in self.windows if w.matches(now, src, dst)]
+        active = [w for w in self.windows if w.matches(src, dst)]
         if not active:
             return [0.0]
         copies = 1
@@ -199,9 +188,6 @@ class Network:
 
     def node(self, name: str) -> Any:
         return self._nodes[name]
-
-    def node_names(self):
-        return list(self._nodes)
 
     def set_geo(self, model: Any) -> None:
         """Attach a geo delay model; pass ``None`` to restore the flat
@@ -273,7 +259,7 @@ class Network:
                 continue
             fates = (0.0,)  # one copy, no extra delay
             if nemesis is not None:
-                fates = nemesis.fate(now, src, dst, port)
+                fates = nemesis.fate(src, dst, port)
             self.messages_sent += 1
             self.mb_sent += size_mb
             if not fates:
@@ -281,7 +267,7 @@ class Network:
                     self._hop(src, dst, port, trace, now, "dropped")
                 continue  # eaten by the nemesis
             if geo is not None:
-                link, wan, factor = geo.link_for(now, src, dst)
+                link, wan, factor = geo.link_for(src, dst)
                 latency = link.latency_s * factor
                 transmit_s = size_mb / link.bandwidth_mb_s
                 lambd = 1.0 / link.jitter_mean_s

@@ -53,9 +53,11 @@ def run_lock_service_under_nemesis(
     tracer = Tracer()
     sim.event_log.subscribe(SafetyChecker.AUDIT_KINDS, tracer.take)
     nemesis = Nemesis(sim, seed=tree)
-    nemesis.add_window(NemesisWindow(0.5, faulty_s, NemesisParams(
+    window = NemesisWindow(NemesisParams(
         drop_p=drop_p, duplicate_p=duplicate_p, delay_p=delay_p,
-        delay_mean_s=delay_mean_s)))
+        delay_mean_s=delay_mean_s))
+    sim.call_at(0.5, nemesis.add_window, window)
+    sim.call_at(faulty_s, nemesis.remove_window, window)
     network = Network(sim, NetworkParams(), seed=tree, nemesis=nemesis)
     nodes = [Node(sim, network, f"r{i}") for i in range(replicas)]
     names = [node.name for node in nodes]
@@ -93,7 +95,7 @@ def run_lock_service_under_nemesis(
 
 
 #: The event kinds :class:`~repro.faults.faultload.FaultInjector` emits.
-FAULT_KINDS = ("fault.inject", "fault.heal", "nemesis.window")
+FAULT_KINDS = ("fault.inject", "fault.heal")
 
 
 def record_faults(sim) -> Tracer:

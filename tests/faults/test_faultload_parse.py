@@ -3,7 +3,7 @@
 Covers the parse-time validation the original grammar lacked (a bare
 ``reboot@390`` used to silently map ``*`` to ``None`` and crash the
 injector later) plus the nemesis extension kinds and the injector's
-wiring of nemesis/oneway events into the cluster.
+timing of nemesis, storage and oneway events.
 """
 
 import pytest
@@ -74,7 +74,8 @@ def test_parse_mixed_spec():
     assert [e.kind for e in faultload.events] == ["crash", "drop",
                                                   "oneway", "reboot"]
     assert [e for e in faultload.events
-            if KINDS[e.kind].arm == "apply_nemesis"] == [faultload.events[1]]
+            if KINDS[e.kind].inject == "open_message_window"] == [
+                faultload.events[1]]
 
 
 # ----------------------------------------------------------------------
@@ -291,17 +292,30 @@ def test_storage_fault_event_direct_construction_validates_too():
 # injector wiring for the new kinds
 # ----------------------------------------------------------------------
 class RecordingCluster:
-    """Fake cluster capturing the nemesis/oneway calls with timestamps."""
+    """Fake cluster capturing the nemesis/storage/oneway calls with
+    timestamps."""
 
     def __init__(self, sim):
         self._sim = sim
         self.calls = []
 
-    def apply_nemesis(self, event):
-        self.calls.append((self._sim.now, "nemesis", event.kind))
+    def open_message_window(self, param, *pair, **options):
+        self.calls.append((self._sim.now, "open", param, pair, options))
 
-    def apply_storage_fault(self, event):
-        self.calls.append((self._sim.now, "storage", event.kind))
+    def close_message_window(self, param, *pair, **options):
+        self.calls.append((self._sim.now, "close", param, pair, options))
+
+    def watch_disks(self, target):
+        self.calls.append((self._sim.now, "watch", target))
+
+    def open_storage_window(self, kind, target, **options):
+        self.calls.append((self._sim.now, "open", kind, target, options))
+
+    def close_storage_window(self, kind, target, **options):
+        self.calls.append((self._sim.now, "close", kind, target, options))
+
+    def corrupt_disk(self, target):
+        self.calls.append((self._sim.now, "corrupt", target))
 
     def block_oneway(self, src, dst):
         self.calls.append((self._sim.now, "block", (src, dst)))
@@ -313,20 +327,25 @@ class RecordingCluster:
         return f"r{target}"
 
 
-def test_injector_installs_nemesis_windows_up_front():
+def test_injector_opens_and_closes_nemesis_windows_on_schedule():
     sim = Simulator()
     cluster = RecordingCluster(sim)
     tracer = record_faults(sim)
     injector = FaultInjector(sim, cluster, Faultload.parse(
-        "drop@10-60:p=0.2, dup@20-30:p=0.1"))
+        "drop@10-60:p=0.2, dup@20-30:2>3:p=0.1"))
     injector.arm()
-    # Windowed faults are handed over at arm() time; the nemesis gates
-    # them by simulated time itself.
-    assert cluster.calls == [(0.0, "nemesis", "drop"), (0.0, "nemesis", "dup")]
-    assert fault_records(tracer) == [(0.0, "nemesis.window", "drop", None),
-                                     (0.0, "nemesis.window", "dup", None)]
-    assert [(e["at"], e["until"]) for e in tracer.events] == [(10.0, 60.0),
-                                                              (20.0, 30.0)]
+    assert cluster.calls == []  # nothing is active before its start
+    sim.run(until=100.0)
+    # Each window is opened at its start and closed at its end, with the
+    # same arguments, so the nemesis only ever holds the active ones.
+    drop, dup = ("drop_p", (), {"p": 0.2}), ("duplicate_p", (2, 3),
+                                               {"p": 0.1})
+    assert cluster.calls == [(10.0, "open", *drop), (20.0, "open", *dup),
+                             (30.0, "close", *dup), (60.0, "close", *drop)]
+    assert fault_records(tracer) == [(10.0, "fault.inject", "drop", None),
+                                     (20.0, "fault.inject", "dup", "r2>r3"),
+                                     (30.0, "fault.heal", "dup", "r2>r3"),
+                                     (60.0, "fault.heal", "drop", None)]
 
 
 def test_injector_cuts_and_heals_oneway_on_schedule():
@@ -364,22 +383,30 @@ def test_injector_counts_ignore_nemesis_events():
     assert injector.interventions == 0
 
 
-def test_injector_hands_storage_faults_to_the_cluster_up_front():
+def test_injector_injects_and_heals_storage_faults_on_schedule():
     sim = Simulator()
     cluster = RecordingCluster(sim)
     tracer = record_faults(sim)
     injector = FaultInjector(sim, cluster, Faultload.parse(
-        "torn@200-400:1, corrupt@240:2, fsynclie@100-150:0"))
+        "torn@200-400:1:p=0.5, corrupt@240:2, fsynclie@100-150:0"))
     injector.arm()
-    # Like nemesis windows: handed over at arm() time, the storage
-    # nemesis gates them by simulated time itself.
-    assert cluster.calls == [(0.0, "storage", "torn"),
-                             (0.0, "storage", "corrupt"),
-                             (0.0, "storage", "fsynclie")]
-    assert fault_records(tracer) == [
-        (0.0, "nemesis.window", kind, None)
-        for kind in ("torn", "corrupt", "fsynclie")]
+    # The disks go under the storage nemesis before the run starts, so
+    # the vote audit trail covers every vote a corruption could destroy.
+    assert cluster.calls == [(0.0, "watch", 1), (0.0, "watch", 2),
+                             (0.0, "watch", 0)]
     sim.run(until=500.0)
+    assert cluster.calls[3:] == [
+        (100.0, "open", "fsynclie", 0, {}),
+        (150.0, "close", "fsynclie", 0, {}),
+        (200.0, "open", "torn", 1, {"p": 0.5}),
+        (240.0, "corrupt", 2),
+        (400.0, "close", "torn", 1, {"p": 0.5})]
+    assert fault_records(tracer) == [
+        (100.0, "fault.inject", "fsynclie", "r0"),
+        (150.0, "fault.heal", "fsynclie", "r0"),
+        (200.0, "fault.inject", "torn", "r1"),
+        (240.0, "fault.inject", "corrupt", "r2"),
+        (400.0, "fault.heal", "torn", "r1")]
     # Storage faults are environment misbehaviour, not injected crashes:
     # they never count towards the autonomy denominators.
     assert injector.faults_injected == 0
@@ -397,7 +424,7 @@ def test_injector_tallies_outage_and_trigger_window_from_row_flags():
         def begin_slowdown(self, factor):
             calls.append((sim.now, "slow", factor))
 
-        def end_slowdown(self):
+        def end_slowdown(self, factor):
             calls.append((sim.now, "fast"))
 
     injector = FaultInjector(sim, Cluster(), Faultload.parse(

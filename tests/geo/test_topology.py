@@ -201,14 +201,21 @@ def test_engine_rejects_fast_paxos_with_flexible_quorums():
 # delay model
 # ----------------------------------------------------------------------
 def test_degrade_windows_compose():
+    # Windows come and go as the fault injector starts and heals them.
     model = GeoDelayModel(topo3(), {"a": "dc0", "b": "dc1"}, "dc0")
-    model.add_degrade(DegradeWindow(10.0, 20.0, "dc0", "dc1", 4.0))
-    model.add_degrade(DegradeWindow(15.0, 25.0, "dc0", "dc1", 2.0))
-    assert model.degrade_factor(5.0, "dc0", "dc1") == 1.0
-    assert model.degrade_factor(12.0, "dc0", "dc1") == 4.0
-    assert model.degrade_factor(17.0, "dc0", "dc1") == 8.0
-    assert model.degrade_factor(17.0, "dc1", "dc0") == 1.0  # directed
-    _link, wan, factor = model.link_for(17.0, "a", "b")
+    assert model.degrade_factor("dc0", "dc1") == 1.0
+    slow, slower = (DegradeWindow("dc0", "dc1", 4.0),
+                    DegradeWindow("dc0", "dc1", 2.0))
+    model.add_degrade(slow)
+    assert model.degrade_factor("dc0", "dc1") == 4.0
+    model.add_degrade(slower)
+    assert model.degrade_factor("dc0", "dc1") == 8.0
+    assert model.degrade_factor("dc1", "dc0") == 1.0  # directed
+    _link, wan, factor = model.link_for("a", "b")
     assert wan and factor == 8.0
-    _link, wan, factor = model.link_for(17.0, "a", "a")
+    _link, wan, factor = model.link_for("a", "a")
     assert not wan and factor == 1.0
+    model.remove_degrade(slow)
+    assert model.degrade_factor("dc0", "dc1") == 2.0
+    model.remove_degrade(slower)
+    assert model.link_for("a", "b")[1:] == (True, 1.0)

@@ -10,7 +10,7 @@ out-of-range or negative target raises ``ValueError`` -- never an
 
 import pytest
 
-from repro.faults.faultload import FaultEvent, Faultload
+from repro.faults.faultload import Faultload
 from repro.harness.cluster import RobustStoreCluster
 
 from tests.harness.helpers import tiny_config, tiny_experiment
@@ -25,16 +25,6 @@ def clusters():
     return {k: RobustStoreCluster(tiny_config(
         replicas=REPLICAS, offered_wips=200.0, shards=k, geo=geo))
         for k in (1, 2)}
-
-
-def _split(target):
-    return target if isinstance(target, tuple) else (None, target)
-
-
-def _event(kind, src, dst=None, **fields):
-    (shard, replica), (dst_shard, dst_replica) = _split(src), _split(dst)
-    return FaultEvent(10.0, kind, replica, shard=shard, dst=dst_replica,
-                      dst_shard=dst_shard, **fields)
 
 
 def _peer(target):
@@ -90,17 +80,22 @@ def _oneway(cluster, target):
 
 
 def _nemesis(cluster, target):
-    cluster.apply_nemesis(_event("drop", target, _peer(target),
-                                 until=20.0, p=0.5))
-    (pair,) = cluster.network.nemesis.windows.pop().pairs
+    cluster.open_message_window("drop_p", target, _peer(target), p=0.5)
+    (window,) = cluster.network.nemesis.windows
+    cluster.close_message_window("drop_p", target, _peer(target), p=0.5)
+    assert not cluster.network.nemesis.windows
+    (pair,) = window.pairs
     return set(pair)
 
 
 def _storage(cluster, target):
-    cluster.apply_storage_fault(_event("torn", target, until=20.0))
-    disk = cluster.storage_nemesis.windows.pop().disk
+    cluster.watch_disks(target)
+    cluster.open_storage_window("torn", target)
+    (window,) = cluster.storage_nemesis.windows
+    cluster.close_storage_window("torn", target)
+    assert not cluster.storage_nemesis.windows
     return {node.name for node in cluster.replica_nodes
-            if node.disk.name == disk}
+            if node.disk.name == window.disk}
 
 
 def _watchdog(cluster, target):
@@ -111,7 +106,8 @@ def _watchdog(cluster, target):
     return {dog.node.name for dog in off}
 
 
-#: verb -> (probe, does it also touch the peer replica?)
+#: verb -> (probe, does it also touch the peer replica?); ``apply_*``
+#: name a probe that opens and closes one window of a nemesis
 VERBS = {
     "crash_replica": (_crash, False),
     "reboot_replica": (_reboot, False),

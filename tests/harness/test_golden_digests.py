@@ -29,10 +29,14 @@ it with the no-retry client spelled out.
 One more pin is the ledger's ``crash_failover`` workload at seed 2009,
 digested exactly as the ledger digests it (``CRASH_FAILOVER_2009``).
 
-``flat-nemesis``'s ``flight`` digest was regenerated, alone, when the
-``nemesis()`` events joined the run's one faultload: its ring gained
-the ``nemesis.window`` records of the drop and torn windows and the
-``fault.inject`` / ``fault.heal`` pair of the oneway cut.
+The ``flight`` digests of the five cases with message, storage or WAN
+windows (``flat-nemesis``, ``flat-message-faults``,
+``flat-storage-windows``, ``flat-geo-wandegrade`` and
+``sharded-oneway-corrupt``) were regenerated, alone, when every fault
+kind came to be injected at ``at`` and healed at ``until`` by the fault
+injector: each window's one ``nemesis.window`` record at t=0 became a
+``fault.inject`` when it starts and a ``fault.heal`` when it ends (a
+``corrupt`` one ``fault.inject``).  The rest of each ring is unchanged.
 
 A digest that moves means the simulation changed.  If that is
 deliberate (a model change), regenerate with::
@@ -129,7 +133,7 @@ GOLDEN = {
     "flat-nemesis": {
         "result": "03b1e7c295fe4810bdfd0a024eee0cb34b514b9eabf1d80d5beae7663367e9f1",
         "trace": "91a6204cf3e9954e7cdee773bd02aa43ddea82594775e0f6f6988ad8cf201029",
-        "flight": "0a2cc5f187104ba7115f6764d056c2464bdd89aa085fd2b6aa1be2630bacf3ce",
+        "flight": "b0c1edb8fab9be94bd72da5f10c75dcef38471f238af38beaf3199b8cec317cf",
         "counters": "33e9f48fdbd5108ac4cbe04526637c09b12d8965cb16cb21486f28c769b8e756"
     },
     "flat-geo-dcfail": {
@@ -153,7 +157,7 @@ GOLDEN = {
     "sharded-oneway-corrupt": {
         "result": "ebe63983227604b3d04b642e4a2cb68a40b4f918255db0a50acb372ec76bf4a5",
         "trace": "b4555955e4437a9a5ca425d2687a49211a79c548c0545b6fac375bc56bf393bc",
-        "flight": "840062d172445d8e3ffd537e0b50bccfbf12c952478e28d1e453f8cc8668d6d2",
+        "flight": "7e77512be29e5e8d97b1f0af1b43d1d8b496d855771588fe5cd8467eb0e41e1a",
         "counters": "acc49d2927ca5679cceed6098e5a91b20261ffcbdc13ffb3376c568f7bcc53ff"
     },
     "sharded-geo-wanpart": {
@@ -171,19 +175,19 @@ GOLDEN = {
     "flat-message-faults": {
         "result": "0a54a756ce7a10af76f5f5531d24890437685479feffa52f64ebe25f0d204862",
         "trace": "53be303f80d829ec24015ac977a9aa7d1d4efe1b168c4c987f97701176feeec3",
-        "flight": "dc73a4b2eda57451982a1bd71a622cec13ccb44b51cb736e38158ab1f9741371",
+        "flight": "1b852c51d244229b17c780f03a02fea38095bf9eb269b9c86e1a92e8cca924b9",
         "counters": "41e51fab4fd4473bcf81e1d222c0175b4335a3ecca1f2c5f637216e7be8f1859"
     },
     "flat-storage-windows": {
         "result": "0aed2c4d155134f70565b8ca18537a2638c8c7fedc5c273f6cbe3bb51b712f9c",
         "trace": "e200136e0c4c4ec5c1ffbb202c0f48f1859219be09ddd04f936a02c1430e9781",
-        "flight": "ac6338e57910353a8bced487e565aa5a3ab2903cd0a2c0e96299697d3334ac7e",
+        "flight": "f64d6246c2f95a537bd9f936670928df4daded8db9191b7ab2b4e1b4b7d35e3d",
         "counters": "a55f1ccfe555757ed5c2ca4d6f3e561c53b4b46ced4cd4647ecbf9a2921d0142"
     },
     "flat-geo-wandegrade": {
         "result": "33a23ee909cc80485878f7ced5adc6f5966a6cd0d881dab9fc174057b26398a4",
         "trace": "3eabca280895063a2eaeb91abd391847f9c61e941260740cf923c63b5ad4f0b6",
-        "flight": "0b703abf1e59d8d7b33b6383097cc69fca8e7aa834f7e19cc3748682c2b54c20",
+        "flight": "7ecf08e432d8a70a86991b118c0291cb7ab40a75911227c129581324339619f4",
         "counters": "6c4364a31e135e82dfe80f7b6a4c945136309da073ebe23f27e7879c740acf8e"
     },
     "closed-retry-defended": {
@@ -263,21 +267,17 @@ def test_every_fault_kind_has_a_golden_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_flight_ring_records_every_fault_event(name):
-    """One ``nemesis.window`` per armed event, one inject record per
-    fired event and one ``fault.heal`` per finite heal: every fault kind
-    the golden cases use reaches the recorder, whichever builder method
-    scheduled it."""
+    """One inject record at each event's ``at`` and one ``fault.heal``
+    at each finite ``until`` of a healing row, for every fault kind the
+    golden cases use, whichever builder method scheduled it."""
     experiment = CASES[name]().record()
     expected = Counter()
     for event in _faultload(experiment).events:
         row = KINDS[event.kind]
-        if row.arm is not None:
-            expected["nemesis.window", event.kind] += 1
-            continue
-        expected[row.label, event.kind] += 1
+        expected[event.at, row.label, event.kind] += 1
         if row.heal is not None and event.until not in (None, math.inf):
-            expected["fault.heal", event.kind] += 1
-    recorded = Counter((record["kind"], record["fault"])
+            expected[event.until, "fault.heal", event.kind] += 1
+    recorded = Counter((record["t"], record["kind"], record["fault"])
                        for record in experiment.run().flight.iter_dicts()
                        if record["kind"] in FAULT_KINDS)
     assert recorded == expected

@@ -74,3 +74,16 @@ def test_custom_faultload_scales_nemesis_windows():
         "drop@60-240:p=0.15").run()
     assert result.nemesis.dropped > 0
     assert result.safety_violations == []
+
+
+def test_healed_windows_leave_the_nemeses_empty():
+    """The injector removes each window when it heals: once the run is
+    past them, neither nemesis holds a dead window, and the switch is
+    back on its no-nemesis path."""
+    result = tiny_experiment(replicas=3).nemesis(
+        "drop@60-120:p=0.1,fsynclie@60-120:1").baseline().keep_cluster().run()
+    cluster = result.cluster
+    assert result.nemesis.dropped > 0
+    assert cluster.storage_stats()["lied_writes"] > 0
+    assert cluster.network.nemesis.windows == []
+    assert cluster.storage_nemesis.windows == []

@@ -144,3 +144,30 @@ def test_baseline_report_has_no_incidents():
     report = build_incident_report(result)
     assert report["incidents"] == []
     assert "No incidents" in render_markdown(report)
+
+
+def _flat_tiny():
+    return (Experiment(tiny_scale(), replicas=3, num_ebs=30, seed=20090629)
+            .load("closed", wips=400.0).record())
+
+
+def test_a_heal_of_another_kind_does_not_stretch_the_incident():
+    # The torn window on the crashed replica heals at t=400 (paper), long
+    # after the replica is back: its heal ends no crash incident.
+    result = _flat_tiny().faults("torn@200-400:1,crash@250:1").run()
+    (incident,) = build_incident_report(result)["incidents"]
+    assert incident["end"] == result.last_ready_at
+    assert result.last_ready_at < result.config.scale.t(400.0)
+
+
+def test_incident_timeline_shows_storage_window_heals():
+    result = (_flat_tiny()
+              .nemesis("drop@10-60:p=0.1,oneway@30-90:0>1,torn@100-300:1")
+              .one_crash(1).run())
+    (incident,) = build_incident_report(result)["incidents"]
+    faults = [(event["t"], event["kind"], event["fault"])
+              for event in incident["timeline"]["events"]
+              if event["kind"].startswith("fault.")]
+    scale = result.config.scale
+    assert faults == [(result.first_crash_at, "fault.inject", "crash"),
+                      (scale.t(300.0), "fault.heal", "torn")]

@@ -295,8 +295,7 @@ def test_duplicated_datagram_is_one_net_interval():
     sim = Simulator()
     sim.event_log, tracer = _subscribed(sim)
     nemesis = Nemesis(sim, seed=SeedTree(3))
-    nemesis.add_window(
-        NemesisWindow(0.0, 10.0, NemesisParams(duplicate_p=1.0)))
+    nemesis.add_window(NemesisWindow(NemesisParams(duplicate_p=1.0)))
     network = Network(sim, seed=SeedTree(3), nemesis=nemesis)
     got = []
     Node(sim, network, "a")

@@ -1,7 +1,5 @@
 """Unit tests for the network nemesis (drop/dup/delay adversary)."""
 
-import math
-
 import pytest
 
 from repro.sim import (
@@ -61,44 +59,30 @@ def test_params_validation(bad):
         NemesisParams(**bad)
 
 
-def test_params_noop_detection():
-    assert NemesisParams().is_noop
-    assert NemesisParams(delay_mean_s=0.5).is_noop  # mean alone does nothing
-    assert not NemesisParams(drop_p=0.1).is_noop
-
-
-def test_window_rejects_backwards_interval():
-    with pytest.raises(ValueError):
-        NemesisWindow(10.0, 5.0, NemesisParams(drop_p=0.1))
-
-
-def test_window_matching_time_and_pairs():
-    window = NemesisWindow(10.0, 20.0, NemesisParams(drop_p=1.0),
+def test_window_matching_pairs():
+    window = NemesisWindow(NemesisParams(drop_p=1.0),
                            pairs=frozenset({("a", "b")}))
-    assert window.matches(10.0, "a", "b")
-    assert window.matches(19.99, "a", "b")
-    assert not window.matches(20.0, "a", "b")   # end is exclusive
-    assert not window.matches(9.99, "a", "b")
-    assert not window.matches(15.0, "b", "a")   # pairs are directed
-    everyone = NemesisWindow(0.0, math.inf, NemesisParams(drop_p=1.0))
-    assert everyone.matches(1e9, "x", "y")
+    assert window.matches("a", "b")
+    assert not window.matches("b", "a")   # pairs are directed
+    everyone = NemesisWindow(NemesisParams(drop_p=1.0))
+    assert everyone.matches("x", "y")
 
 
 def test_add_window_registers_windows_in_order():
     nemesis = Nemesis(Simulator())
-    window = NemesisWindow(1.0, 2.0, NemesisParams(drop_p=0.5),
+    window = NemesisWindow(NemesisParams(drop_p=0.5),
                            pairs=frozenset({("a", "b")}))
-    open_ended = NemesisWindow(3.0, math.inf, NemesisParams(duplicate_p=0.1))
+    everyone = NemesisWindow(NemesisParams(duplicate_p=0.1))
     nemesis.add_window(window)
-    nemesis.add_window(open_ended)
-    assert nemesis.windows == [window, open_ended]
+    nemesis.add_window(everyone)
+    assert nemesis.windows == [window, everyone]
 
 
 # ----------------------------------------------------------------------
 # fate behaviour on a live network
 # ----------------------------------------------------------------------
 def test_certain_drop_loses_everything():
-    window = NemesisWindow(0.0, math.inf, NemesisParams(drop_p=1.0))
+    window = NemesisWindow(NemesisParams(drop_p=1.0))
     sim, network, nemesis, nodes = make_cluster(windows=[window])
     received = hammer(sim, nodes, count=50)
     sim.run()
@@ -109,7 +93,7 @@ def test_certain_drop_loses_everything():
 
 
 def test_certain_duplication_doubles_delivery():
-    window = NemesisWindow(0.0, math.inf, NemesisParams(duplicate_p=1.0))
+    window = NemesisWindow(NemesisParams(duplicate_p=1.0))
     sim, network, nemesis, nodes = make_cluster(windows=[window])
     received = hammer(sim, nodes, count=20)
     sim.run()
@@ -120,8 +104,8 @@ def test_certain_duplication_doubles_delivery():
 
 
 def test_delay_spikes_reorder_messages():
-    window = NemesisWindow(0.0, math.inf,
-                           NemesisParams(delay_p=0.5, delay_mean_s=0.2))
+    window = NemesisWindow(
+        NemesisParams(delay_p=0.5, delay_mean_s=0.2))
     sim, network, nemesis, nodes = make_cluster(windows=[window])
     received = hammer(sim, nodes, count=100, gap_s=0.005)
     sim.run()
@@ -132,17 +116,20 @@ def test_delay_spikes_reorder_messages():
 
 
 def test_window_gates_by_time():
-    window = NemesisWindow(0.5, 1.0, NemesisParams(drop_p=1.0))
-    sim, network, nemesis, nodes = make_cluster(windows=[window])
+    window = NemesisWindow(NemesisParams(drop_p=1.0))
+    sim, network, nemesis, nodes = make_cluster()
+    sim.call_at(0.5, nemesis.add_window, window)
+    sim.call_at(1.0, nemesis.remove_window, window)
     received = hammer(sim, nodes, count=150, gap_s=0.01)  # t in [0, 1.5)
     sim.run()
     fates = [pl for _t, pl in received]
     assert 40 <= nemesis.dropped <= 60  # the [0.5, 1.0) stretch
     assert all(pl < 50 or pl >= 100 for pl in fates)
+    assert nemesis.windows == []  # healed: nothing left to consult
 
 
 def test_pair_scoped_window_spares_other_traffic():
-    window = NemesisWindow(0.0, math.inf, NemesisParams(drop_p=1.0),
+    window = NemesisWindow(NemesisParams(drop_p=1.0),
                            pairs=frozenset({("n0", "n1")}))
     sim, network, nemesis, nodes = make_cluster(n=3, windows=[window])
     received = []
@@ -161,8 +148,8 @@ def test_pair_scoped_window_spares_other_traffic():
 
 def test_overlapping_windows_compose():
     """Two half-drop windows over the same traffic lose ~75%."""
-    windows = [NemesisWindow(0.0, math.inf, NemesisParams(drop_p=0.5)),
-               NemesisWindow(0.0, math.inf, NemesisParams(drop_p=0.5))]
+    windows = [NemesisWindow(NemesisParams(drop_p=0.5)),
+               NemesisWindow(NemesisParams(drop_p=0.5))]
     sim, network, nemesis, nodes = make_cluster(windows=windows)
     received = hammer(sim, nodes, count=400)
     sim.run()
@@ -179,7 +166,7 @@ def test_no_windows_is_transparent():
 
 def test_fate_is_seed_deterministic():
     def run(seed):
-        window = NemesisWindow(0.0, math.inf, NemesisParams(
+        window = NemesisWindow(NemesisParams(
             drop_p=0.3, duplicate_p=0.2, delay_p=0.3, delay_mean_s=0.05))
         sim, network, nemesis, nodes = make_cluster(seed=seed,
                                                     windows=[window])
@@ -192,7 +179,7 @@ def test_fate_is_seed_deterministic():
 
 
 def test_nemesis_emits_trace_events():
-    window = NemesisWindow(0.0, math.inf, NemesisParams(
+    window = NemesisWindow(NemesisParams(
         drop_p=0.4, duplicate_p=0.3, delay_p=0.3))
     tracer = Tracer()
     sim, network, nemesis, nodes = make_cluster(windows=[window],

@@ -155,7 +155,6 @@ def test_disk_object_durable_only_after_completion():
     assert not disk.contains("ckpt")
     sim.run()
     assert disk.peek("ckpt") == {"x": 1}
-    assert disk.stored_size_mb("ckpt") == 1.0
 
 
 def test_disk_crash_loses_inflight_write():

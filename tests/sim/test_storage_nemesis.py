@@ -32,37 +32,29 @@ def make(seed=0, **disk_kwargs):
 # StorageFault validation and window semantics
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kwargs", [
-    dict(kind="corrupt", disk="d0", start=1.0),     # point kind, not a window
-    dict(kind="bogus", disk="d0", start=1.0),
-    dict(kind="torn", disk="d0", start=-1.0),
-    dict(kind="torn", disk="d0", start=float("nan")),
-    dict(kind="torn", disk="d0", start=float("inf")),
-    dict(kind="torn", disk="d0", start=5.0, end=5.0),     # empty window
-    dict(kind="torn", disk="d0", start=5.0, end=float("nan")),
-    dict(kind="torn", disk="d0", start=1.0, p=0.0),
-    dict(kind="torn", disk="d0", start=1.0, p=1.5),
-    dict(kind="failslow", disk="d0", start=1.0, slow_factor=0.5),
+    dict(kind="corrupt", disk="d0"),     # point kind, not a window
+    dict(kind="bogus", disk="d0"),
+    dict(kind="torn", disk="d0", p=float("nan")),
+    dict(kind="torn", disk="d0", p=-0.5),
+    dict(kind="torn", disk="d0", p=float("inf")),
+    dict(kind="failslow", disk="d0", factor=float("nan")),
+    dict(kind="failslow", disk="d0", factor=-4.0),
+    dict(kind="torn", disk="d0", p=0.0),
+    dict(kind="torn", disk="d0", p=1.5),
+    dict(kind="failslow", disk="d0", factor=0.5),
 ])
 def test_storage_fault_rejects_malformed_windows(kwargs):
     with pytest.raises(ValueError):
         StorageFault(**kwargs)
 
 
-def test_window_matching_is_half_open_and_per_disk():
-    fault = StorageFault(kind="torn", disk="d0", start=10.0, end=20.0)
-    assert not fault.matches("d0", 9.999)
-    assert fault.matches("d0", 10.0)      # start inclusive
-    assert fault.matches("d0", 19.999)
-    assert not fault.matches("d0", 20.0)  # end exclusive
-    assert not fault.matches("d1", 15.0)  # another disk's window
-
-
-def test_corruption_schedule_rejects_bad_times():
-    sim, _disk, nemesis = make()
-    with pytest.raises(ValueError):
-        nemesis.schedule_corruption(-1.0, "d0")
-    with pytest.raises(ValueError):
-        nemesis.schedule_corruption(float("nan"), "d0")
+def window_between(sim, nemesis, start, end, **fault):
+    """Hold one ``d0`` window over ``[start, end)``, the way the fault
+    injector does: added at its start, removed at its heal."""
+    window = StorageFault(disk="d0", **fault)
+    sim.call_at(start, nemesis.add_window, window)
+    sim.call_at(end, nemesis.remove_window, window)
+    return window
 
 
 # ----------------------------------------------------------------------
@@ -70,8 +62,7 @@ def test_corruption_schedule_rejects_bad_times():
 # ----------------------------------------------------------------------
 def test_failslow_multiplies_op_cost_inside_the_window_only():
     sim, disk, nemesis = make()
-    nemesis.add_window(StorageFault(kind="failslow", disk="d0",
-                                    start=10.0, end=20.0, slow_factor=4.0))
+    window_between(sim, nemesis, 10.0, 20.0, kind="failslow", factor=4.0)
     done = []
 
     def writer():
@@ -96,10 +87,12 @@ def test_overlapping_failslow_windows_compound():
     sim, disk, nemesis = make()
     for factor in (2.0, 3.0):
         nemesis.add_window(StorageFault(kind="failslow", disk="d0",
-                                        start=0.0, end=100.0,
-                                        slow_factor=factor))
+                                        factor=factor))
     assert nemesis.slow_factor("d0") == 6.0
     assert nemesis.slow_factor("other-disk") == 1.0
+    nemesis.remove_window(StorageFault(kind="failslow", disk="d0",
+                                       factor=2.0))
+    assert nemesis.slow_factor("d0") == 3.0
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +100,7 @@ def test_overlapping_failslow_windows_compound():
 # ----------------------------------------------------------------------
 def test_fsynclie_crash_revokes_acked_object_write():
     sim, disk, nemesis = make()
-    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0",
-                                    start=0.0, end=100.0))
+    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0"))
     acked = []
     disk.write_object("ckpt", "v1", size_mb=0.1).add_callback(
         lambda e: acked.append(sim.now))
@@ -127,8 +119,7 @@ def test_fsynclie_revocation_restores_the_overwritten_value():
     sim, disk, nemesis = make()
     disk.write_object("ckpt", "old", size_mb=0.1)
     sim.run(until=1.0)  # durable before the lying window opens
-    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0",
-                                    start=1.0, end=100.0))
+    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0"))
     disk.write_object("ckpt", "new", size_mb=0.1)
     sim.run(until=2.0)
     assert disk.peek("ckpt") == "new"
@@ -138,14 +129,35 @@ def test_fsynclie_revocation_restores_the_overwritten_value():
 
 def test_fsynclie_window_close_flushes_the_cache():
     sim, disk, nemesis = make()
-    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0",
-                                    start=0.0, end=5.0))
+    window_between(sim, nemesis, 0.0, 5.0, kind="fsynclie")
     disk.write_object("ckpt", "v1", size_mb=0.1)
     sim.run(until=10.0)  # the window closed; the drive flushed for real
     disk.on_crash()
     assert disk.peek("ckpt") == "v1"
     assert disk.unsafe_shutdowns == 0
     assert not disk.dirty
+
+
+def test_overlapping_fsynclie_windows_flush_only_at_the_later_heal():
+    sim, disk, nemesis = make()
+    window_between(sim, nemesis, 0.0, 5.0, kind="fsynclie")
+    window_between(sim, nemesis, 1.0, 8.0, kind="fsynclie")
+    disk.write_object("ckpt", "v1", size_mb=0.1)
+    sim.run(until=6.0)  # the first window healed, the second still lies
+    assert len(nemesis.windows) == 1
+    disk.on_crash()
+    assert not disk.contains("ckpt")
+    assert nemesis.counters["revoked_writes"] == 1
+
+    sim, disk, nemesis = make()
+    window_between(sim, nemesis, 0.0, 5.0, kind="fsynclie")
+    window_between(sim, nemesis, 1.0, 8.0, kind="fsynclie")
+    disk.write_object("ckpt", "v1", size_mb=0.1)
+    sim.run(until=9.0)  # both healed: the later heal flushed the cache
+    assert nemesis.windows == []
+    disk.on_crash()
+    assert disk.peek("ckpt") == "v1"
+    assert nemesis.counters["revoked_writes"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +167,7 @@ def torn_wal_crash(seed=3):
     """Crash a WAL mid-group-commit inside a torn window; return pieces."""
     sim, disk, nemesis = make(seed=seed, sync_write_latency_s=1.0,
                               write_bandwidth_mb_s=1000.0)
-    nemesis.add_window(StorageFault(kind="torn", disk="d0", start=0.0))
+    nemesis.add_window(StorageFault(kind="torn", disk="d0"))
     wal = WriteAheadLog(sim, disk)
     wal.append("e0", 0.0)             # first flush, commits at t=1.0
     for k in range(1, 5):
@@ -191,15 +203,14 @@ def test_scrub_truncates_at_the_first_damaged_frame():
 def test_torn_fate_respects_probability_zero_windows():
     sim, disk, nemesis = make()
     # p is (0, 1]; use a tiny p and a seed whose first draw is above it.
-    nemesis.add_window(StorageFault(kind="torn", disk="d0", start=0.0,
-                                    p=1e-12))
+    nemesis.add_window(StorageFault(kind="torn", disk="d0", p=1e-12))
     assert nemesis.torn_fate("d0") is False
     assert nemesis.counters["torn_writes"] == 0
 
 
 def test_torn_object_write_leaves_unreadable_payload():
     sim, disk, nemesis = make()
-    nemesis.add_window(StorageFault(kind="torn", disk="d0", start=0.0))
+    nemesis.add_window(StorageFault(kind="torn", disk="d0"))
     disk.write_object("ckpt", "data", size_mb=10.0)  # in flight for >1s
     sim.run(until=0.5)
     disk.on_crash()
@@ -216,7 +227,7 @@ def test_scheduled_corruption_damages_a_frame_found_by_scrub():
         wal.append(f"e{k}", 0.0)
     sim.run()
     assert wal.scrub() == (6, 0)
-    nemesis.schedule_corruption(5.0, "d0")
+    sim.call_at(5.0, nemesis.corrupt, "d0")
     sim.run(until=6.0)
     assert nemesis.counters["corrupted_frames"] == 1
     frames = disk.peek("wal:wal")
@@ -227,8 +238,7 @@ def test_scheduled_corruption_damages_a_frame_found_by_scrub():
 
 def test_corruption_on_an_empty_disk_is_a_no_op():
     sim, _disk, nemesis = make()
-    nemesis.schedule_corruption(1.0, "d0")
-    sim.run(until=2.0)
+    nemesis.corrupt("d0")
     assert nemesis.counters["corrupted_frames"] == 0
     assert nemesis.counters["corrupted_objects"] == 0
 
@@ -269,8 +279,7 @@ def test_torn_and_corrupted_frames_store_a_flipped_checksum_and_fail():
     for k in range(6):
         wal.append(f"e{k}", 0.0)
     sim.run()
-    nemesis.schedule_corruption(5.0, "d0")
-    sim.run(until=6.0)
+    nemesis.corrupt("d0")
     damaged = [f for f in disk.peek("wal:wal") if f._crc is not None]
     assert len(damaged) == 1
     frame = damaged[0]
@@ -286,8 +295,7 @@ def test_fsynclie_crash_revokes_exactly_the_lied_frames():
         wal.append("same", 0.0)  # equal entries: only identity tells apart
     sim.run(until=1.0)
     kept = list(disk.peek("wal:wal"))
-    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0",
-                                    start=sim.now, end=100.0))
+    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0"))
     for k in range(3):
         wal.append("same", 0.0)
     sim.run(until=2.0)
@@ -302,8 +310,7 @@ def test_fsynclie_crash_revokes_exactly_the_lied_frames():
 
 def test_revoking_frames_a_truncation_already_removed_is_harmless():
     sim, disk, nemesis = make()
-    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0",
-                                    start=0.0, end=100.0))
+    nemesis.add_window(StorageFault(kind="fsynclie", disk="d0"))
     wal = WriteAheadLog(sim, disk)
     wal.append("old", 0.0)
     sim.run(until=1.0)
@@ -335,7 +342,7 @@ def test_attached_but_windowless_nemesis_changes_nothing():
             nemesis = StorageNemesis(sim, seed=SeedTree(5))
             nemesis.attach(disk)
             nemesis.add_window(StorageFault(kind="failslow", disk="other",
-                                            start=0.0, slow_factor=8.0))
+                                            factor=8.0))
         wal = WriteAheadLog(sim, disk)
         times = []
         for k in range(4):

@@ -111,9 +111,10 @@ def run_kv_cluster_under_storage_fault(
     message_nemesis = None
     if drop_p > 0.0 or delay_p > 0.0:
         message_nemesis = Nemesis(sim, seed=tree)
-        message_nemesis.add_window(NemesisWindow(
-            0.5, workload_s, NemesisParams(drop_p=drop_p, delay_p=delay_p,
-                                           delay_mean_s=delay_mean_s)))
+        window = NemesisWindow(NemesisParams(drop_p=drop_p, delay_p=delay_p,
+                                             delay_mean_s=delay_mean_s))
+        sim.call_at(0.5, message_nemesis.add_window, window)
+        sim.call_at(workload_s, message_nemesis.remove_window, window)
     network = Network(sim, NetworkParams(), seed=tree,
                       nemesis=message_nemesis)
     faulted = seed % replicas
@@ -132,10 +133,11 @@ def run_kv_cluster_under_storage_fault(
 
     disk_name = nodes[faulted].disk.name
     if kind == "corrupt":
-        nemesis.schedule_corruption(crash_at - 1.0, disk_name)
+        sim.call_at(crash_at - 1.0, nemesis.corrupt, disk_name)
     else:
-        nemesis.add_window(StorageFault(
-            kind=kind, disk=disk_name, start=1.0, end=crash_at + 0.5))
+        fault = StorageFault(kind=kind, disk=disk_name)
+        sim.call_at(1.0, nemesis.add_window, fault)
+        sim.call_at(crash_at + 0.5, nemesis.remove_window, fault)
 
     config = TreplicaConfig(checkpoint_interval_s=2.0)
     runtimes: List[Optional[TreplicaRuntime]] = []

@@ -61,8 +61,9 @@ def amnesia_split(seed: int, *, scrub: bool):
     for node in nodes:
         nemesis.attach(node.disk)
     sim.storage_faults = nemesis
-    nemesis.add_window(StorageFault(
-        kind="fsynclie", disk=nodes[FAULTED].disk.name, start=0.5, end=3.8))
+    fault = StorageFault(kind="fsynclie", disk=nodes[FAULTED].disk.name)
+    sim.call_at(0.5, nemesis.add_window, fault)
+    sim.call_at(3.8, nemesis.remove_window, fault)
 
     config = TreplicaConfig()
     runtimes = []
