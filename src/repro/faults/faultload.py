@@ -19,8 +19,9 @@ Grammar (one comma-separated event per chunk)::
     crash@240          crash a random live replica at t=240
     crash@240:2        crash replica 2
     reboot@390:2       manually reboot replica 2 (an intervention)
-    partition@300:1    isolate replica 1 from its peers (both ways)
-    heal@330:1         reconnect replica 1
+    partition@300-330:1  isolate replica 1 from its peers (both ways)
+                         in [300,330)
+    partition@300:1      the same, never healed
     drop@10-60:p=0.2   drop each message with probability 0.2 in [10,60)
     dup@10-60:p=0.1    duplicate messages with probability 0.1
     delay@10-60:p=0.3:m=0.05   30% of messages get an extra exponential
@@ -47,9 +48,10 @@ geo-replicated deployment (:mod:`repro.geo`; the run must be configured
 with a topology)::
 
     dcfail@240:dc1             full outage of dc1: every replica housed
-                               there crashes, watchdogs disabled
+                               there crashes, its watchdog held
     dcfail@240-400:dc1         the same, power restored at t=400 (the
-                               watchdogs revive the servers: autonomous)
+                               watchdogs revive the servers: autonomous,
+                               unless a reboot holds one for good)
     wanpart@240:dc0|dc1,dc2    WAN partition isolating dc0 from dc1 and
                                dc2 (every cross-cut node pair blocked)
     wanpart@240-400:dc0|dc1    the same, healed at t=400
@@ -77,6 +79,11 @@ kind's name.  Every kind has one lifecycle: :class:`FaultInjector`
 injects it at ``at`` and heals it at a finite ``until``, so the engines
 behind the verbs (the message nemesis, the storage nemesis, the WAN
 model) hold only the faults active now and never look at the clock.
+A fault is a *hold* on its resource -- a network pair, a nemesis
+window, a CPU slowdown factor, a watchdog -- that only its own heal
+releases, and the resource stays faulted while any hold remains, so
+overlapping faults compose: two cuts of one link, two storms, a DC
+outage on a replica whose reboot is manual.
 Parsing and direct construction reject the same events.
 An event names one target and gives each option once; a second target
 or a repeated option is rejected, never last-one-wins.
@@ -164,8 +171,9 @@ class FaultKind:
 
     Every row has one lifecycle: the injector calls its ``inject`` verb
     at ``at`` and its ``heal`` verb at a finite ``until``, each as
-    ``verb(*args, *targets, **options)``.  A ``prepare`` verb is called
-    with the targets when the injector arms, before the run starts.
+    ``verb(*args, *targets, **options)``; the heal releases exactly
+    what that inject took.  A ``prepare`` verb is called with the
+    targets when the injector arms, before the run starts.
     Any kind may appear in any spec: a scenario's,
     ``Experiment.faults()`` or ``Experiment.nemesis()``.
     """
@@ -178,7 +186,6 @@ class FaultKind:
     heal: Optional[str] = None
     args: Tuple[str, ...] = ()    # leading verb arguments, before targets
     prepare: Optional[str] = None
-    label: str = "fault.inject"   # event kind of the inject
     fault: bool = False           # counts towards faults_injected
     intervention: bool = False    # counts towards interventions
     outage: bool = False          # can open the run's first outage
@@ -192,17 +199,16 @@ _STORAGE = dict(inject="open_storage_window", heal="close_storage_window",
 
 KINDS: Dict[str, FaultKind] = {
     # The paper's operator faults, plus the symmetric partition.  The
-    # replica a reboot names gets its watchdog disabled before the run
-    # starts, so the reboot is genuinely manual.
+    # replica a reboot names gets its watchdog held for good before the
+    # run starts, so the reboot is genuinely manual.
     "crash": FaultKind("crash@240:2", ANY_REPLICA, POINT,
                        inject="crash_replica", fault=True, outage=True),
     "reboot": FaultKind("reboot@390:2", REPLICA, POINT,
                         inject="reboot_replica", prepare="disable_watchdog",
                         intervention=True),
-    "partition": FaultKind("partition@300:1", REPLICA, POINT,
-                           inject="partition_replica", outage=True),
-    "heal": FaultKind("heal@330:1", REPLICA, POINT, inject="heal_replica",
-                      label="fault.heal"),
+    "partition": FaultKind("partition@240-300:1", REPLICA, OPTIONAL_WINDOW,
+                           inject="partition_replica", heal="heal_replica",
+                           outage=True),
     # Nemesis: windowed message faults and the asymmetric cut.  ``args``
     # names the NemesisParams field ``p`` sets.
     "drop": FaultKind("drop@10-60:p=0.2", OPTIONAL_PAIR, WINDOW, (_P,),
@@ -549,8 +555,7 @@ class FaultInjector:
             if row.prepare is not None:
                 getattr(self._cluster, row.prepare)(*self._targets(event))
             self._sim.call_at(event.at, self._fire, event)
-            if (row.heal is not None and event.until is not None
-                    and not math.isinf(event.until)):
+            if event.until is not None and not math.isinf(event.until):
                 self._sim.call_at(event.until, self._heal, event)
 
     def _targets(self, event: FaultEvent) -> Optional[tuple]:
@@ -588,7 +593,7 @@ class FaultInjector:
             return
         options = self._options(event)
         now = self._sim.now
-        self._emit(row.label, event, targets, **options)
+        self._emit("fault.inject", event, targets, **options)
         taken = getattr(self._cluster, row.inject)(*row.args, *targets,
                                                    **options)
         if row.fault:

@@ -8,51 +8,55 @@ The watchdog survives the application's death (in the paper it is a
 separate OS process on a machine that stays up), so here it runs as a
 simulator-level process rather than on the monitored node.  Restarts it
 performs are *autonomous* -- they do not count against the autonomy
-measure.  It can be disabled per replica to stage the delayed-recovery
-faultload.
+measure.  Faults *hold* it: it restarts nothing while any hold remains.
+A ``reboot``'s preparation takes a hold never released (the
+delayed-recovery faultload's reboot is manual), and a datacenter outage
+one until power returns -- so the end of an outage never revives a
+replica whose reboot is a human's.
 
 Crash-loop protection: a replica that reboots into corrupt state and
 immediately re-crashes would otherwise be restarted at a fixed cadence
 forever.  Consecutive restarts (no stable period in between) back off
-exponentially up to a cap, and after ``max_restarts`` of them the
+exponentially up to a cap, and after :data:`MAX_RESTARTS` of them the
 circuit breaker trips: the watchdog gives up, which *does* count as a
 loss of autonomy -- a human has to look at the machine.  A node that
-stays up for ``stable_after_s`` resets the backoff, so isolated crashes
-spaced through a run see the same fixed ``restart_delay_s`` as before.
+stays up for :data:`STABLE_AFTER_S` resets the backoff, so isolated
+crashes spaced through a run see the same fixed
+:data:`RESTART_DELAY_S` as before.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.sim.core import Simulator
 from repro.sim.node import Node
 from repro.sim.trace import log_of
 
+# Paper-timeline seconds, compressed by a watchdog's ``time_div``: the
+# poll period, the first restart's delay, the backoff factor and cap of
+# a streak's later ones, the streak that trips the breaker, and the
+# uptime that forgives a streak.
+POLL_INTERVAL_S = 0.5
+RESTART_DELAY_S = 1.0
+BACKOFF_FACTOR = 2.0
+MAX_RESTART_DELAY_S = 30.0
+MAX_RESTARTS = 8
+STABLE_AFTER_S = 10.0
+
 
 class Watchdog:
-    """Monitors one node and reboots it after a short detection delay."""
+    """Monitors one node and reboots it after a short detection delay,
+    unless a fault holds it (``holds > 0``)."""
 
-    def __init__(self, sim: Simulator, node: Node,
-                 poll_interval_s: float = 0.5,
-                 restart_delay_s: float = 1.0,
-                 enabled: bool = True,
-                 backoff_factor: float = 2.0,
-                 max_restart_delay_s: float = 30.0,
-                 max_restarts: Optional[int] = 8,
-                 stable_after_s: float = 10.0,
-                 time_div: float = 1.0):
+    def __init__(self, sim: Simulator, node: Node, time_div: float = 1.0):
         self._sim = sim
         self.node = node
-        # The durations are paper-timeline seconds, compressed by
-        # ``time_div`` the way ExperimentScale.t compresses the timeline.
-        self.poll_interval_s = poll_interval_s / time_div
-        self.restart_delay_s = restart_delay_s / time_div
-        self.enabled = enabled
-        self.backoff_factor = backoff_factor
-        self.max_restart_delay_s = max_restart_delay_s / time_div
-        self.max_restarts = max_restarts
-        self.stable_after_s = stable_after_s / time_div
+        self.poll_interval_s = POLL_INTERVAL_S / time_div
+        self.restart_delay_s = RESTART_DELAY_S / time_div
+        self.max_restart_delay_s = MAX_RESTART_DELAY_S / time_div
+        self.stable_after_s = STABLE_AFTER_S / time_div
+        self.holds = 0
         self.restarts: List[float] = []
         self.consecutive_restarts = 0
         self.tripped = False
@@ -68,7 +72,7 @@ class Watchdog:
     def next_delay_s(self) -> float:
         """The restart delay the current crash-loop streak has earned."""
         delay = (self.restart_delay_s
-                 * self.backoff_factor ** self.consecutive_restarts)
+                 * BACKOFF_FACTOR ** self.consecutive_restarts)
         return min(delay, self.max_restart_delay_s)
 
     def _loop(self):
@@ -81,10 +85,9 @@ class Watchdog:
                         >= self.stable_after_s):
                     self.consecutive_restarts = 0
                 continue
-            if not self.enabled or self.tripped:
+            if self.holds or self.tripped:
                 continue
-            if (self.max_restarts is not None
-                    and self.consecutive_restarts >= self.max_restarts):
+            if self.consecutive_restarts >= MAX_RESTARTS:
                 self.tripped = True
                 if self._events is not None:
                     self._events.emit("watchdog.tripped", self.node.name,
@@ -92,7 +95,7 @@ class Watchdog:
                 continue
             # Detection happened; model exec/startup latency, then boot.
             yield self._sim.timeout(self.next_delay_s())
-            if self.enabled and not self.node.alive:
+            if not self.holds and not self.node.alive:
                 self.node.reboot()
                 self.restarts.append(self._sim.now)
                 self.consecutive_restarts += 1

@@ -64,8 +64,9 @@ class GeoState:
 
     def cut_pairs(self, dc: str,
                   peer_dcs: Sequence[str]) -> List[Tuple[str, str]]:
-        """Every node pair severed by a WAN partition isolating ``dc``
-        from ``peer_dcs`` (the switch blocks both directions per pair)."""
+        """Every directed node pair severed by a WAN partition isolating
+        ``dc`` from ``peer_dcs``: both directions of each cross-cut pair."""
         isolated = self.nodes_in(dc)
         far = [name for peer in peer_dcs for name in self.nodes_in(peer)]
-        return [(a, b) for a in isolated for b in far]
+        return [pair for a in isolated for b in far
+                for pair in ((a, b), (b, a))]

@@ -29,6 +29,7 @@ fault verb takes a plain replica index (meaning shard 0) or a
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.faults.checker import SafetyChecker
@@ -122,11 +123,6 @@ class ReplicaGroup:
             watchdog.start()
             self.watchdogs.append(watchdog)
 
-    def attach_storage_nemesis(self, nemesis: StorageNemesis) -> None:
-        """Put every replica disk in the group under ``nemesis``."""
-        for node in self.replica_nodes:
-            nemesis.attach(node.disk)
-
     def _make_boot(self, index: int):
         def boot(node: Node) -> None:
             self._boot_replica(index)
@@ -201,41 +197,6 @@ class ReplicaGroup:
     def reboot_replica(self, index: int) -> None:
         if not self.replica_nodes[index].alive:
             self.replica_nodes[index].reboot()
-
-    def partition_replica(self, index: int) -> None:
-        """Extension fault: cut the replica off from its group peers (it
-        stays up and keeps answering the proxy, but cannot reach a
-        quorum)."""
-        isolated = self.replica_names[index]
-        for other in self.replica_names:
-            if other != isolated:
-                self.network.block(isolated, other)
-
-    def heal_replica(self, index: int) -> None:
-        isolated = self.replica_names[index]
-        for other in self.replica_names:
-            if other != isolated:
-                self.network.unblock(isolated, other)
-
-    def disable_watchdog(self, index: int) -> None:
-        self.watchdogs[index].enabled = False
-
-    def begin_slowdown(self, factor: float) -> None:
-        """Transient capacity loss: every replica CPU runs ``factor``x
-        slower until :meth:`end_slowdown`.  The ServiceStation reads its
-        ``speed`` at serve time, so the change applies to every job
-        served from now on (queued work included) -- this is the
-        retrystorm trigger."""
-        base = 1.0 / self.config.scale.load_div
-        for node in self.replica_nodes:
-            node.cpu.speed = base / factor
-
-    def end_slowdown(self) -> None:
-        """The trigger heals: full CPU speed restored.  Whether goodput
-        follows is the metastability question."""
-        base = 1.0 / self.config.scale.load_div
-        for node in self.replica_nodes:
-            node.cpu.speed = base
 
     def max_journal_actions(self) -> float:
         """Longest checkpoint journal (actions applied on top of the
@@ -326,6 +287,8 @@ class RobustStoreCluster:
         # ever consults a nemesis and runs are bit-for-bit identical to
         # a storage-fault-free build.
         self.storage_nemesis: Optional[StorageNemesis] = None
+        # The factors of the replica CPU slowdowns in force (retrystorm).
+        self._slowdowns: List[float] = []
         self.profile = profile_by_name(config.profile)
         self.collector = MetricsCollector()
         if self.metrics is not None:
@@ -414,7 +377,7 @@ class RobustStoreCluster:
                  for group in self.groups],
                 [self.proxy_node.name]
                 + [node.name for node in self.client_nodes])
-            self.network.set_geo(self.geo_state.model)
+            self.network.geo = self.geo_state.model
             self.proxy.set_backend_dcs(self.geo_state.replica_dc_of)
             if self.sim.event_log is not None:
                 # One boot-time event carrying the replica->DC map, so
@@ -559,36 +522,59 @@ class RobustStoreCluster:
         group, index = self._resolve(target)
         group.reboot_replica(index)
 
-    def partition_replica(self, target: Target) -> None:
+    def _isolation(self, target: Target) -> List[Tuple[str, str]]:
+        """Both directions between a replica and each of its group peers."""
         group, index = self._resolve(target)
-        group.partition_replica(index)
+        isolated = group.replica_names[index]
+        return [pair for other in group.replica_names if other != isolated
+                for pair in ((isolated, other), (other, isolated))]
+
+    def partition_replica(self, target: Target) -> None:
+        """Extension fault: cut the replica off from its group peers (it
+        stays up and keeps answering the proxy, but cannot reach a
+        quorum) until :meth:`heal_replica` mends this cut."""
+        self.network.cut(self._isolation(target))
 
     def heal_replica(self, target: Target) -> None:
-        group, index = self._resolve(target)
-        group.heal_replica(index)
+        self.network.mend(self._isolation(target))
 
     def disable_watchdog(self, target: Target) -> None:
+        """A reboot's prepare: a hold on the replica's watchdog that is
+        never released, so only the manual reboot brings it back."""
+        self._watchdog(target).holds += 1
+
+    def _watchdog(self, target: Target) -> Watchdog:
         group, index = self._resolve(target)
-        group.disable_watchdog(index)
+        return group.watchdogs[index]
 
     def begin_slowdown(self, factor: float) -> None:
-        """Retrystorm trigger: every replica of every group slows down."""
-        for group in self.groups:
-            group.begin_slowdown(factor)
+        """Retrystorm trigger, a transient capacity loss: every replica
+        CPU of every group runs ``factor``x slower until
+        :meth:`end_slowdown` of the same factor; overlapping slowdowns
+        multiply.  A ServiceStation reads its ``speed`` at serve time,
+        so the change applies to every job served from now on (queued
+        work included), and a replica restarted meanwhile boots slowed."""
+        self._slowdowns.append(factor)
+        self._set_cpu_speed()
 
     def end_slowdown(self, factor: float) -> None:
-        """The trigger heals; ``factor`` is the slowdown's own."""
-        for group in self.groups:
-            group.end_slowdown()
+        """One slowdown heals; full CPU speed returns with the last one.
+        Whether goodput follows is the metastability question."""
+        self._slowdowns.remove(factor)
+        self._set_cpu_speed()
+
+    def _set_cpu_speed(self) -> None:
+        speed = 1.0 / self.config.scale.load_div / math.prod(self._slowdowns)
+        for node in self.replica_nodes:
+            node.cpu_speed = node.cpu.speed = speed
 
     def block_oneway(self, src: Target, dst: Target) -> None:
         """Asymmetric cut: replica ``src`` can no longer reach ``dst``
         (the reverse direction keeps working)."""
-        self.network.block_oneway(self._node(src).name, self._node(dst).name)
+        self.network.cut([(self._node(src).name, self._node(dst).name)])
 
     def unblock_oneway(self, src: Target, dst: Target) -> None:
-        self.network.unblock_oneway(self._node(src).name,
-                                    self._node(dst).name)
+        self.network.mend([(self._node(src).name, self._node(dst).name)])
 
     def _message_window(self, param: str, pair: Tuple[Target, ...],
                         p: float, **options) -> NemesisWindow:
@@ -618,8 +604,8 @@ class RobustStoreCluster:
         if self.storage_nemesis is not None:
             return
         self.storage_nemesis = StorageNemesis(self.sim, seed=self.seed)
-        for group in self.groups:
-            group.attach_storage_nemesis(self.storage_nemesis)
+        for node in self.replica_nodes:
+            self.storage_nemesis.attach(node.disk)
         if self.metrics is not None:
             self.metrics.register_counts(
                 self.storage_nemesis.counters,
@@ -654,33 +640,30 @@ class RobustStoreCluster:
 
     def fail_dc(self, dc: str) -> int:
         """Full DC outage across every group: crash each replica housed
-        in ``dc``, with watchdogs disabled so nothing restarts while the
-        power is out.  Returns the number of replicas actually taken
-        down."""
+        in ``dc``, its watchdog held so nothing restarts while the power
+        is out.  Returns the number of replicas actually taken down."""
         crashed = 0
         for target in self._geo().replica_targets(dc):
-            self.disable_watchdog(target)
+            self._watchdog(target).holds += 1
             if self._node(target).alive:
                 self.crash_replica(target)
                 crashed += 1
         return crashed
 
     def restore_dc(self, dc: str) -> None:
-        """Power restored: re-enable the DC's watchdogs, which revive
-        the crashed servers on their own (autonomous recovery)."""
+        """Power restored: release the outage's hold on the DC's
+        watchdogs, which revive the crashed servers on their own
+        (autonomous recovery) unless another fault still holds them."""
         for target in self._geo().replica_targets(dc):
-            group, index = self._resolve(target)
-            group.watchdogs[index].enabled = True
+            self._watchdog(target).holds -= 1
 
     def wan_partition(self, dc: str, peer_dcs) -> None:
         """Sever every node pair between ``dc`` and ``peer_dcs`` (both
         directions -- the WAN path is down, not one router queue)."""
-        for a, b in self._geo().cut_pairs(dc, peer_dcs):
-            self.network.block(a, b)
+        self.network.cut(self._geo().cut_pairs(dc, peer_dcs))
 
     def heal_wan_partition(self, dc: str, peer_dcs) -> None:
-        for a, b in self._geo().cut_pairs(dc, peer_dcs):
-            self.network.unblock(a, b)
+        self.network.mend(self._geo().cut_pairs(dc, peer_dcs))
 
     def degrade_wan(self, dc: str, to_dc: str, **options) -> None:
         """Asymmetric WAN slowdown of the directed ``dc -> to_dc`` link."""

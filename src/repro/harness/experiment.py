@@ -55,7 +55,7 @@ PRESETS: Dict[str, Preset] = {
     "sequential_crashes": Preset("sequential", "sequential-crashes",
                                  "crash@120:*,crash@360:*"),
     "partition": Preset("partition", "partition",
-                        "partition@240:{replica},heal@{heal_at!r}:{replica}"),
+                        "partition@240-{until!r}:{replica}"),
     "retry_storm": Preset(None, "retry-storm",
                           "retrystorm@{at_s!r}-{until!r}:factor={factor!r}"),
     "delayed_recovery": Preset("delayed", "delayed-recovery",
@@ -334,8 +334,8 @@ class Experiment:
     def faults(self, spec: str) -> "Experiment":
         """A user-authored faultload (grammar:
         :meth:`repro.faults.Faultload.parse`); replicas named by a
-        ``reboot`` event get their watchdog disabled, so the reboot is
-        genuinely manual."""
+        ``reboot`` event get their watchdog held for good, so the reboot
+        is genuinely manual."""
         self._faultload = Faultload.parse(spec)
         return self
 
@@ -363,7 +363,7 @@ class Experiment:
             raise ValueError(
                 f"partition duration must be positive, got {duration_s}")
         return self._preset("partition", replica=replica,
-                            heal_at=240.0 + float(duration_s))
+                            until=240.0 + float(duration_s))
 
     def retry_storm(self, at_s: float = 240.0, duration_s: float = 30.0,
                     factor: float = 8.0) -> "Experiment":

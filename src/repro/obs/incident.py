@@ -69,11 +69,11 @@ def _provisional_end(trigger, next_start: float,
     """When the system had fully absorbed ``trigger``.
 
     The latest of: every recovery this trigger caused reaching ready,
-    and the fault's own heal event (windowed partitions/dcfails, or a
-    ``heal`` of a partitioned replica): a heal of another kind on the
-    same target, say a torn-write window closing, ends nothing here.  An
-    unresolved trigger (replica never ready, partition never healed)
-    keeps the incident open to the end of the measurement window.
+    and the fault's own heal event (a windowed partition, dcfail or
+    wanpart closing): a heal of another kind on the same target, say a
+    torn-write window closing, ends nothing here.  An unresolved trigger
+    (replica never ready, partition never healed) keeps the incident
+    open to the end of the measurement window.
     """
     candidates: List[float] = []
     unresolved = False
@@ -82,11 +82,9 @@ def _provisional_end(trigger, next_start: float,
             unresolved = True
         else:
             candidates.append(recovery["ready_at"])
-    healed_by = ("heal" if trigger.get("fault") == "partition"
-                 else trigger.get("fault"))
     for heal in heals:
         if trigger.time < heal.time < next_start and \
-                heal.get("fault") == healed_by and \
+                heal.get("fault") == trigger.get("fault") and \
                 heal.get("target") == trigger.get("target"):
             candidates.append(heal.time)
     if unresolved or not candidates:

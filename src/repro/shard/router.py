@@ -20,7 +20,7 @@ from typing import List, Optional
 from repro.obs.registry import registry_of
 from repro.shard.partition import Partitioner
 from repro.sim.node import Node
-from repro.web.http import Request, Response
+from repro.web.http import Request
 from repro.web.proxy import ProxyParams, ReverseProxy
 
 
@@ -35,13 +35,17 @@ class ShardRouter(ReverseProxy):
         self.partitioner = partitioner
         self._shard_sets = [frozenset(group) for group in shard_backends]
         # Per-shard counts: ``stats["s<g>.router_hits"]`` and so on,
-        # published as ``shard.s<g>.*``; the keys are built once.
-        self._shard_keys = [
-            tuple(f"s{g}.{count}" for count in
-                  ("router_hits", "interactions_ok", "wirt_sum_s"))
-            for g in range(len(shard_backends))]
-        keys = [key for group in self._shard_keys for key in group]
+        # published as ``shard.s<g>.*``.  The ok/WIRT counts are the
+        # proxy's per-backend group counts, the group being the shard.
+        self._hit_keys = [f"s{g}.router_hits"
+                          for g in range(len(shard_backends))]
+        keys = [f"s{g}.{count}" for g in range(len(shard_backends))
+                for count in ("router_hits", "interactions_ok",
+                              "wirt_sum_s")]
         self.stats.update(dict.fromkeys(keys, 0))
+        self._count_by_group({name: f"s{g}"
+                              for g, group in enumerate(shard_backends)
+                              for name in group})
         registry_of(node.sim).register_counts(
             self.stats, {f"shard.{key}": key for key in keys})
 
@@ -58,16 +62,9 @@ class ShardRouter(ReverseProxy):
     def _pick_backend(self, request: Request, attempt: int) -> Optional[str]:
         shard = self.home_shard(request)
         if attempt == 0:
-            self.stats[self._shard_keys[shard][0]] += 1
+            self.stats[self._hit_keys[shard]] += 1
         members = self._shard_sets[shard]
         pool = [b for b in self.active if b in members]
         if not pool:
             return None
         return pool[(request.client_id + attempt) % len(pool)]
-
-    def _reply(self, request: Request, response: Response) -> None:
-        if response.ok:
-            _hits, ok, wirt_sum = self._shard_keys[self.home_shard(request)]
-            self.stats[ok] += 1
-            self.stats[wirt_sum] += self.node.sim.now - request.sent_at
-        super()._reply(request, response)

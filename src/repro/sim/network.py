@@ -7,10 +7,13 @@ breakage is modelled where it matters, at the reverse proxy, via node crash
 listeners).  Messages addressed to a node that crashed and restarted while
 they were in flight are also dropped -- the old connection is gone.
 
-Partitions can be injected for tests via :meth:`Network.block` /
-:meth:`Network.unblock` (symmetric) and :meth:`Network.block_oneway` /
-:meth:`Network.unblock_oneway` (asymmetric: only the ``src -> dst``
-direction is cut, modelling one-way link loss).
+Partitions are counted cuts of directed node pairs: :meth:`Network.cut`
+holds each ``(src, dst)`` it is given and :meth:`Network.mend` releases
+it, and a pair drops its traffic while any cut holds it.  A symmetric
+partition is both directions of every pair it severs, a one-way link
+loss just the one direction, so overlapping partitions (two replica
+isolations, two WAN cuts, a oneway inside a partition) compose: each
+heal releases only its own cuts.
 
 Beyond partitions, a :class:`Nemesis` can be attached to the switch to
 misbehave probabilistically: seed-deterministic message **drop**,
@@ -27,8 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.sim.core import SimulationError, Simulator
 from repro.sim.rng import SeedTree
@@ -166,7 +168,9 @@ class Network:
         self._hops = log_for(sim, "net")
         self._rng = (seed or SeedTree(0)).fork_random("network-jitter")
         self._nodes: Dict[str, Any] = {}
-        self._blocked: Set[Tuple[str, str]] = set()
+        # Directed pair -> how many cuts hold it; a pair leaves the map
+        # when its last cut is mended, so an empty map means no partition.
+        self._blocked: Dict[Tuple[str, str], int] = {}
         self.nemesis = nemesis
         # Optional geo-replication delay model (repro.geo.GeoDelayModel):
         # when attached, per-message latency/bandwidth/jitter come from
@@ -189,36 +193,25 @@ class Network:
     def node(self, name: str) -> Any:
         return self._nodes[name]
 
-    def set_geo(self, model: Any) -> None:
-        """Attach a geo delay model; pass ``None`` to restore the flat
-        single-switch calibration."""
-        self.geo = model
-
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def block(self, a: str, b: str) -> None:
-        """Drop all traffic between ``a`` and ``b`` (both directions)."""
-        self._blocked.add((a, b))
-        self._blocked.add((b, a))
-
-    def unblock(self, a: str, b: str) -> None:
-        self._blocked.discard((a, b))
-        self._blocked.discard((b, a))
-
-    def block_oneway(self, src: str, dst: str) -> None:
-        """Asymmetric loss: drop only the ``src -> dst`` direction.
-
-        ``dst`` can still reach ``src`` -- the classic asymmetric-link
-        failure that crash-only faultloads never exercise.  Messages
+    def cut(self, pairs: Iterable[Tuple[str, str]]) -> None:
+        """Drop all ``src -> dst`` traffic of each directed pair until a
+        :meth:`mend` of the same pair releases this cut.  Messages
         already in flight are dropped at delivery time."""
-        self._blocked.add((src, dst))
+        blocked = self._blocked
+        for pair in pairs:
+            blocked[pair] = blocked.get(pair, 0) + 1
 
-    def unblock_oneway(self, src: str, dst: str) -> None:
-        self._blocked.discard((src, dst))
-
-    def is_blocked(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._blocked
+    def mend(self, pairs: Iterable[Tuple[str, str]]) -> None:
+        """Release one :meth:`cut` of each pair; a pair carries traffic
+        again once no cut holds it."""
+        blocked = self._blocked
+        for pair in pairs:
+            count = blocked.pop(pair) - 1
+            if count:
+                blocked[pair] = count
 
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, port: str, payload: Any,

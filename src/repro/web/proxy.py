@@ -118,11 +118,12 @@ class ReverseProxy:
             self._limit = AdaptiveLimit(lambda: self.node.sim.now)
             self._redispatch_budget = RetryBudget(REDISPATCH_RATIO,
                                                   burst=REDISPATCH_BURST)
-        # Geo runs (repro.geo): backend -> the stats keys of its DC's
-        # ok/WIRT counts (``geo.<dc>.*``), attributing each completed
-        # interaction to the DC that served it.  None on non-geo
-        # deployments (zero-cost check).
-        self._geo_keys: Optional[Dict[str, Tuple[str, str]]] = None
+        # backend -> the stats keys of the ok/WIRT counts of every group
+        # it belongs to (its shard ``s<g>.*``, its datacenter
+        # ``geo.<dc>.*``), attributing each completed interaction to the
+        # groups that served it.  Empty on a flat single-DC deployment
+        # (zero-cost check).
+        self._group_keys: Dict[str, Tuple[Tuple[str, str], ...]] = {}
 
     def _make_breaker(self, backend: str) -> CircuitBreaker:
         def on_transition(old: str, new: str) -> None:
@@ -132,16 +133,25 @@ class ReverseProxy:
         return CircuitBreaker(lambda: self.node.sim.now,
                               listener=on_transition)
 
+    def _count_by_group(self, group_of: Dict[str, str]) -> List[str]:
+        """Count each backend's completed interactions and their WIRT
+        sum under ``<group>.interactions_ok`` / ``<group>.wirt_sum_s``
+        too, for the group ``group_of`` puts it in.  Returns the new
+        stats keys, sorted, each starting at zero."""
+        for backend, group in group_of.items():
+            self._group_keys[backend] = self._group_keys.get(backend, ()) + (
+                (f"{group}.interactions_ok", f"{group}.wirt_sum_s"),)
+        names = sorted({f"{group}.{count}" for group in group_of.values()
+                        for count in ("interactions_ok", "wirt_sum_s")})
+        self.stats.update(dict.fromkeys(names, 0))
+        return names
+
     def set_backend_dcs(self, dc_of: Dict[str, str]) -> None:
         """Attach the backend-to-datacenter map (geo deployments); the
         per-DC ``geo.<dc>.interactions_ok`` / ``geo.<dc>.wirt_sum_s``
         counters feed the aggregate report's per-DC breakdown."""
-        self._geo_keys = {
-            backend: (f"geo.{dc}.interactions_ok", f"geo.{dc}.wirt_sum_s")
-            for backend, dc in dc_of.items()}
-        names = sorted({key for keys in self._geo_keys.values()
-                        for key in keys})
-        self.stats.update(dict.fromkeys(names, 0))
+        names = self._count_by_group({backend: f"geo.{dc}"
+                                      for backend, dc in dc_of.items()})
         registry_of(self.node.sim).register_counts(
             self.stats, {name: name for name in names})
 
@@ -316,11 +326,11 @@ class ReverseProxy:
             # Server up but not accepting (recovering): redispatch silently.
             self._redispatch(request, attempt + 1)
             return
-        if self._geo_keys is not None and response.ok:
-            keys = self._geo_keys.get(backend)
-            if keys is not None:
-                self.stats[keys[0]] += 1
-                self.stats[keys[1]] += self.node.sim.now - request.sent_at
+        if self._group_keys and response.ok:
+            wirt = self.node.sim.now - request.sent_at
+            for ok, wirt_sum in self._group_keys.get(backend, ()):
+                self.stats[ok] += 1
+                self.stats[wirt_sum] += wirt
         # Reuse the backend's Response object for the client reply instead
         # of allocating a copy; _reply restamps req_id and nothing else
         # holds a reference to the delivered payload.

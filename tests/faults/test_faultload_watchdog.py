@@ -3,7 +3,9 @@
 import pytest
 
 from repro.faults.faultload import FaultEvent, FaultInjector, Faultload
-from repro.faults.watchdog import Watchdog
+from repro.faults.watchdog import (BACKOFF_FACTOR, MAX_RESTART_DELAY_S,
+                                   MAX_RESTARTS, POLL_INTERVAL_S,
+                                   RESTART_DELAY_S, STABLE_AFTER_S, Watchdog)
 from repro.sim import Network, NetworkParams, Node, SeedTree, Simulator
 from tests.faults.helpers import fault_records, record_faults
 
@@ -103,20 +105,31 @@ def test_watchdog_restarts_crashed_node():
     node = cluster.nodes[0]
     booted = []
     node.boot = lambda n: booted.append(sim.now)
-    watchdog = Watchdog(sim, node, poll_interval_s=0.5, restart_delay_s=1.0)
+    watchdog = Watchdog(sim, node)
     watchdog.start()
     sim.call_after(3.0, node.crash)
     sim.run(until=10.0)
     assert node.alive
     assert len(watchdog.restarts) == 1
-    assert 3.0 < watchdog.restarts[0] <= 5.0  # poll + restart delay
+    # detection (within one poll) + the restart delay
+    assert 3.0 < watchdog.restarts[0] <= (3.0 + POLL_INTERVAL_S
+                                          + RESTART_DELAY_S)
     assert booted
+
+
+def test_watchdog_durations_are_compressed_by_time_div():
+    sim, cluster = make(1)
+    watchdog = Watchdog(sim, cluster.nodes[0], time_div=4.0)
+    assert watchdog.poll_interval_s == POLL_INTERVAL_S / 4.0
+    assert watchdog.next_delay_s() == RESTART_DELAY_S / 4.0
+    assert watchdog.stable_after_s == STABLE_AFTER_S / 4.0
 
 
 def test_watchdog_disabled_does_nothing():
     sim, cluster = make(1)
     node = cluster.nodes[0]
-    watchdog = Watchdog(sim, node, enabled=False)
+    watchdog = Watchdog(sim, node)
+    watchdog.holds = 1
     watchdog.start()
     sim.call_after(1.0, node.crash)
     sim.run(until=20.0)
@@ -124,10 +137,29 @@ def test_watchdog_disabled_does_nothing():
     assert watchdog.restarts == []
 
 
+def test_watchdog_restarts_only_once_every_hold_is_released():
+    """Two faults hold the watchdog; releasing one leaves the node
+    down, releasing the other lets the watchdog revive it."""
+    sim, cluster = make(1)
+    node = cluster.nodes[0]
+    watchdog = Watchdog(sim, node)
+    watchdog.start()
+    watchdog.holds = 2
+    sim.call_after(1.0, node.crash)
+    sim.run(until=5.0)
+    watchdog.holds -= 1
+    sim.run(until=20.0)
+    assert not node.alive
+    watchdog.holds -= 1
+    sim.run(until=30.0)
+    assert node.alive
+    assert len(watchdog.restarts) == 1
+
+
 def test_watchdog_handles_repeated_crashes():
     sim, cluster = make(1)
     node = cluster.nodes[0]
-    watchdog = Watchdog(sim, node, poll_interval_s=0.2, restart_delay_s=0.5)
+    watchdog = Watchdog(sim, node)
     watchdog.start()
     sim.call_after(1.0, node.crash)
     sim.call_after(10.0, node.crash)
@@ -139,10 +171,11 @@ def test_watchdog_handles_repeated_crashes():
 def test_watchdog_disable_mid_flight_prevents_restart():
     sim, cluster = make(1)
     node = cluster.nodes[0]
-    watchdog = Watchdog(sim, node, poll_interval_s=0.5, restart_delay_s=2.0)
+    watchdog = Watchdog(sim, node)
     watchdog.start()
-    sim.call_after(1.0, node.crash)
-    sim.call_after(2.0, lambda: setattr(watchdog, "enabled", False))
+    crash_at = 1.1   # between polls: detected at 1.5, restart due at 2.5
+    sim.call_after(crash_at, node.crash)
+    sim.call_after(2.0, lambda: setattr(watchdog, "holds", 1))
     sim.run(until=20.0)
     assert not node.alive
 
@@ -168,58 +201,60 @@ def crash_loop(sim, node, until):
     node.boot = boot_and_die
 
 
+#: longer than any run of MAX_RESTARTS backed-off restarts
+LOOP_S = 300.0
+
+
 def test_backoff_grows_exponentially_and_caps():
     sim, cluster = make(1)
-    watchdog = Watchdog(sim, cluster.nodes[0], restart_delay_s=1.0,
-                        backoff_factor=2.0, max_restart_delay_s=6.0,
-                        max_restarts=None)
-    assert watchdog.next_delay_s() == 1.0
-    watchdog.consecutive_restarts = 1
-    assert watchdog.next_delay_s() == 2.0
-    watchdog.consecutive_restarts = 2
-    assert watchdog.next_delay_s() == 4.0
-    watchdog.consecutive_restarts = 3
-    assert watchdog.next_delay_s() == 6.0  # capped
+    watchdog = Watchdog(sim, cluster.nodes[0])
+    delays = []
+    for streak in range(MAX_RESTARTS):
+        watchdog.consecutive_restarts = streak
+        delays.append(watchdog.next_delay_s())
+    assert delays[:3] == [RESTART_DELAY_S, RESTART_DELAY_S * BACKOFF_FACTOR,
+                          RESTART_DELAY_S * BACKOFF_FACTOR ** 2]
+    assert delays == sorted(delays)
+    assert delays[-1] == MAX_RESTART_DELAY_S  # capped
+    assert sum(delays) < LOOP_S
 
 
 def test_crash_loop_trips_the_breaker():
     sim, cluster = make(1)
     node = cluster.nodes[0]
-    watchdog = Watchdog(sim, node, poll_interval_s=0.2, restart_delay_s=0.1,
-                        backoff_factor=2.0, max_restart_delay_s=1.0,
-                        max_restarts=3, stable_after_s=30.0)
+    watchdog = Watchdog(sim, node)
     watchdog.start()
-    crash_loop(sim, node, until=100.0)
+    crash_loop(sim, node, until=LOOP_S)
     sim.call_after(1.0, node.crash)
-    sim.run(until=100.0)
+    sim.run(until=LOOP_S)
     assert watchdog.tripped
-    assert len(watchdog.restarts) == 3  # gave up after max_restarts
-    assert not node.alive               # ...and left the node down
+    assert len(watchdog.restarts) == MAX_RESTARTS  # then it gave up
+    assert not node.alive                          # ...and left it down
 
 
 def test_stable_stretch_resets_the_streak():
     sim, cluster = make(1)
     node = cluster.nodes[0]
-    watchdog = Watchdog(sim, node, poll_interval_s=0.2, restart_delay_s=0.5,
-                        max_restarts=2, stable_after_s=5.0)
+    watchdog = Watchdog(sim, node)
     watchdog.start()
-    # Three isolated crashes, each followed by a long stable stretch:
-    # more crashes than max_restarts, but never a *consecutive* streak.
-    for at in (1.0, 20.0, 40.0):
-        sim.call_after(at, node.crash)
-    sim.run(until=60.0)
+    # Isolated crashes, each followed by a long stable stretch: more
+    # crashes than MAX_RESTARTS, but never a *consecutive* streak.
+    spacing = STABLE_AFTER_S + 5.0
+    crashes = MAX_RESTARTS + 2
+    for k in range(crashes):
+        sim.call_after(1.0 + k * spacing, node.crash)
+    sim.run(until=crashes * spacing + 5.0)
     assert not watchdog.tripped
-    assert len(watchdog.restarts) == 3
+    assert len(watchdog.restarts) == crashes
     assert node.alive
 
 
 def test_isolated_crashes_always_see_the_base_delay():
     # Restart timing parity with the pre-backoff watchdog: crashes spaced
-    # beyond stable_after_s never pay more than restart_delay_s.
+    # beyond STABLE_AFTER_S never pay more than RESTART_DELAY_S.
     sim, cluster = make(1)
     node = cluster.nodes[0]
-    watchdog = Watchdog(sim, node, poll_interval_s=0.5, restart_delay_s=1.0,
-                        stable_after_s=10.0)
+    watchdog = Watchdog(sim, node)
     watchdog.start()
     sim.call_after(5.0, node.crash)
     sim.call_after(30.0, node.crash)
@@ -227,21 +262,21 @@ def test_isolated_crashes_always_see_the_base_delay():
     assert len(watchdog.restarts) == 2
     for crash_at, restarted_at in zip((5.0, 30.0), watchdog.restarts):
         # detection (<= poll) + base restart delay, never a backoff
-        assert restarted_at - crash_at <= 0.5 + 1.0 + 1e-9
+        assert (restarted_at - crash_at
+                <= POLL_INTERVAL_S + RESTART_DELAY_S + 1e-9)
 
 
 def test_tripped_breaker_still_allows_manual_reboot():
     sim, cluster = make(1)
     node = cluster.nodes[0]
-    watchdog = Watchdog(sim, node, poll_interval_s=0.2, restart_delay_s=0.1,
-                        max_restarts=1, stable_after_s=30.0)
+    watchdog = Watchdog(sim, node)
     watchdog.start()
-    crash_loop(sim, node, until=10.0)
+    crash_loop(sim, node, until=LOOP_S)
     sim.call_after(1.0, node.crash)
-    sim.run(until=20.0)
+    sim.run(until=LOOP_S + 10.0)
     assert watchdog.tripped and not node.alive
     node.reboot()   # the operator steps in
-    sim.run(until=30.0)
+    sim.run(until=LOOP_S + 40.0)
     assert node.alive  # the tripped watchdog leaves it alone
 
 
@@ -262,8 +297,12 @@ def test_parse_target_defaults_to_random():
 
 
 def test_parse_partition_and_heal():
-    faultload = Faultload.parse("partition@60:3,heal@120:3")
-    assert [e.kind for e in faultload.events] == ["partition", "heal"]
+    """A partition is one window; there is no separate heal kind."""
+    (event,) = Faultload.parse("partition@60-120:3").events
+    assert event == FaultEvent(60.0, "partition", 3, until=120.0)
+    assert Faultload.parse("partition@60:3").events[0].until is None
+    with pytest.raises(ValueError, match="unknown fault kind 'heal'"):
+        Faultload.parse("heal@300:1")
 
 
 def test_parse_rejects_garbage():

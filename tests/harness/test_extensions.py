@@ -42,8 +42,8 @@ def test_partitioned_replica_state_converges_after_heal():
     cluster = RobustStoreCluster(config)
     scale = config.scale
     injector = FaultInjector(cluster.sim, cluster, Faultload("p", (
-        FaultEvent(scale.t(120.0), "partition", 1),
-        FaultEvent(scale.t(240.0), "heal", 1),)))
+        FaultEvent(scale.t(120.0), "partition", 1,
+                   until=scale.t(240.0)),)))
     injector.arm()
     cluster.run_until(scale.total_s)
     orders = {i: len(rt.app.state.orders)

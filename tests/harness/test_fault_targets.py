@@ -51,7 +51,7 @@ def _reboot(cluster, target):
 
 
 def _isolated(cluster):
-    """Names blocked from every group peer (both directions)."""
+    """Names cut off from every group peer (both directions)."""
     blocked = cluster.network._blocked
     return {src for src, _dst in blocked
             if sum(1 for a, _b in blocked if a == src) == REPLICAS - 1}
@@ -100,10 +100,10 @@ def _storage(cluster, target):
 
 def _watchdog(cluster, target):
     cluster.disable_watchdog(target)
-    off = [dog for dog in cluster.watchdogs if not dog.enabled]
-    for dog in off:
-        dog.enabled = True
-    return {dog.node.name for dog in off}
+    held = [dog for dog in cluster.watchdogs if dog.holds]
+    for dog in held:
+        dog.holds -= 1
+    return {dog.node.name for dog in held}
 
 
 #: verb -> (probe, does it also touch the peer replica?); ``apply_*``
@@ -177,9 +177,9 @@ def test_dc_verbs_hit_the_same_slot_of_every_group(clusters, shards, expected):
     assert {node.name for node in cluster.replica_nodes
             if not node.alive} == expected
     assert {dog.node.name for dog in cluster.watchdogs
-            if not dog.enabled} == expected
+            if dog.holds} == expected
     cluster.restore_dc("dc1")
-    assert all(dog.enabled for dog in cluster.watchdogs)
+    assert not any(dog.holds for dog in cluster.watchdogs)
     for target in cluster._geo().replica_targets("dc1"):
         cluster.reboot_replica(target)
     with pytest.raises(ValueError):

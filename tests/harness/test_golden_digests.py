@@ -38,6 +38,13 @@ injector: each window's one ``nemesis.window`` record at t=0 became a
 ``fault.inject`` when it starts and a ``fault.heal`` when it ends (a
 ``corrupt`` one ``fault.inject``).  The rest of each ring is unchanged.
 
+The ``flight`` digest of ``flat-partition-reboot`` was regenerated,
+alone, when ``partition`` became a window and the ``heal`` kind went:
+its spec ``partition@240:1,heal@300:1,...`` became
+``partition@240-300:1,...``, and the one ring record that changed is the
+``fault.heal`` at t=300, whose ``fault`` field names ``partition``
+instead of ``heal``.
+
 A digest that moves means the simulation changed.  If that is
 deliberate (a model change), regenerate with::
 
@@ -53,7 +60,7 @@ from collections import Counter
 
 import pytest
 
-from repro.faults.faultload import ALL_KINDS, KINDS
+from repro.faults.faultload import ALL_KINDS
 from repro.harness import Experiment, tiny_scale
 from tests.faults.helpers import FAULT_KINDS
 
@@ -99,7 +106,7 @@ CASES = {
     "sharded-geo-wanpart": lambda: _sharded().geo(dcs=DCS).faults(
         "wanpart@240-400:dc0|dc1"),
     "flat-partition-reboot": lambda: _flat().faults(
-        "partition@240:1,heal@300:1,crash@330:2,reboot@390:2"),
+        "partition@240-300:1,crash@330:2,reboot@390:2"),
     "flat-message-faults": lambda: _flat().faults(
         "dup@10-60:p=0.1,delay@60-120:0>1:p=0.3:m=0.05,"
         "drop@120-180:1>2:p=0.5"),
@@ -169,7 +176,7 @@ GOLDEN = {
     "flat-partition-reboot": {
         "result": "c9ec1acf15492d505711aaf7a55cfe348fb4e11b5dcc3471d4a6fff263c11484",
         "trace": "934a04e9932c03c2912600898bc2b204f0e8477f3740cfe921ba756424d75eac",
-        "flight": "75b8322969bdf021723f83a4217abe1379bf004e67358bd3dc86ded797904543",
+        "flight": "17129ab68772e8eaf1b31a26cf8baebba678072b529f619d1010e21b80cf096d",
         "counters": "d80fdae90c563536180057fda11091284b3022c1a5e6414e9157c81d757c7219"
     },
     "flat-message-faults": {
@@ -267,15 +274,14 @@ def test_every_fault_kind_has_a_golden_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_flight_ring_records_every_fault_event(name):
-    """One inject record at each event's ``at`` and one ``fault.heal``
-    at each finite ``until`` of a healing row, for every fault kind the
+    """One ``fault.inject`` record at each event's ``at`` and one
+    ``fault.heal`` at each finite ``until``, for every fault kind the
     golden cases use, whichever builder method scheduled it."""
     experiment = CASES[name]().record()
     expected = Counter()
     for event in _faultload(experiment).events:
-        row = KINDS[event.kind]
-        expected[event.at, row.label, event.kind] += 1
-        if row.heal is not None and event.until not in (None, math.inf):
+        expected[event.at, "fault.inject", event.kind] += 1
+        if event.until not in (None, math.inf):
             expected[event.until, "fault.heal", event.kind] += 1
     recorded = Counter((record["t"], record["kind"], record["fault"])
                        for record in experiment.run().flight.iter_dicts()

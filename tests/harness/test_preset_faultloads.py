@@ -46,10 +46,10 @@ PINNED = {
         "two_crashes": ("two-crashes", (_crash(12.0), _crash(13.5))),
         "sequential_crashes": ("sequential-crashes",
                                (_crash(6.0), _crash(18.0))),
-        "partition": ("partition", (FaultEvent(12.0, "partition", 2),
-                                    FaultEvent(15.0, "heal", 2))),
-        "partition(1, 300)": ("partition", (FaultEvent(12.0, "partition", 1),
-                                            FaultEvent(27.0, "heal", 1))),
+        "partition": ("partition", (FaultEvent(
+            12.0, "partition", 2, until=15.0),)),
+        "partition(1, 300)": ("partition", (FaultEvent(
+            12.0, "partition", 1, until=27.0),)),
         "retry_storm": ("retry-storm", (FaultEvent(
             12.0, "retrystorm", until=13.5, factor=8.0),)),
         "delayed_recovery": ("delayed-recovery", (
@@ -63,10 +63,10 @@ PINNED = {
         "two_crashes": ("two-crashes", (_crash(48.0), _crash(54.0))),
         "sequential_crashes": ("sequential-crashes",
                                (_crash(24.0), _crash(72.0))),
-        "partition": ("partition", (FaultEvent(48.0, "partition", 2),
-                                    FaultEvent(60.0, "heal", 2))),
-        "partition(1, 300)": ("partition", (FaultEvent(48.0, "partition", 1),
-                                            FaultEvent(108.0, "heal", 1))),
+        "partition": ("partition", (FaultEvent(
+            48.0, "partition", 2, until=60.0),)),
+        "partition(1, 300)": ("partition", (FaultEvent(
+            48.0, "partition", 1, until=108.0),)),
         "retry_storm": ("retry-storm", (FaultEvent(
             48.0, "retrystorm", until=54.0, factor=8.0),)),
         "delayed_recovery": ("delayed-recovery", (
@@ -80,10 +80,10 @@ PINNED = {
         "two_crashes": ("two-crashes", (_crash(240.0), _crash(270.0))),
         "sequential_crashes": ("sequential-crashes",
                                (_crash(120.0), _crash(360.0))),
-        "partition": ("partition", (FaultEvent(240.0, "partition", 2),
-                                    FaultEvent(300.0, "heal", 2))),
-        "partition(1, 300)": ("partition", (FaultEvent(240.0, "partition", 1),
-                                            FaultEvent(540.0, "heal", 1))),
+        "partition": ("partition", (FaultEvent(
+            240.0, "partition", 2, until=300.0),)),
+        "partition(1, 300)": ("partition", (FaultEvent(
+            240.0, "partition", 1, until=540.0),)),
         "retry_storm": ("retry-storm", (FaultEvent(
             240.0, "retrystorm", until=270.0, factor=8.0),)),
         "delayed_recovery": ("delayed-recovery", (

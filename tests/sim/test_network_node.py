@@ -86,12 +86,13 @@ def test_partition_blocks_both_directions():
     received = []
     a.handle("p", lambda pl, src: received.append(pl))
     b.handle("p", lambda pl, src: received.append(pl))
-    network.block("n0", "n1")
+    both = [("n0", "n1"), ("n1", "n0")]
+    network.cut(both)
     a.send("n1", "p", 1)
     b.send("n0", "p", 2)
     sim.run()
     assert received == []
-    network.unblock("n0", "n1")
+    network.mend(both)
     a.send("n1", "p", 3)
     sim.run()
     assert received == [3]
@@ -256,7 +257,7 @@ def test_network_stats_count_messages():
 
 
 # ----------------------------------------------------------------------
-# asymmetric (one-way) partitions
+# asymmetric (one-way) partitions, and cuts that overlap
 # ----------------------------------------------------------------------
 def test_block_oneway_cuts_only_one_direction():
     sim, network, nodes = make_cluster()
@@ -264,9 +265,7 @@ def test_block_oneway_cuts_only_one_direction():
     received = []
     a.handle("p", lambda pl, src: received.append(("a", pl)))
     b.handle("p", lambda pl, src: received.append(("b", pl)))
-    network.block_oneway("n0", "n1")
-    assert network.is_blocked("n0", "n1")
-    assert not network.is_blocked("n1", "n0")
+    network.cut([("n0", "n1")])
     a.send("n1", "p", "lost")   # n0 -> n1 is cut
     b.send("n0", "p", "heard")  # the reverse still works
     sim.run()
@@ -279,7 +278,7 @@ def test_block_oneway_drops_messages_already_in_flight():
     received = []
     b.handle("p", lambda pl, src: received.append(pl))
     a.send("n1", "p", "in-flight")  # would arrive at t=1.0
-    sim.call_after(0.5, network.block_oneway, "n0", "n1")
+    sim.call_after(0.5, network.cut, [("n0", "n1")])
     sim.run()
     assert received == []  # cut while airborne: checked again at delivery
 
@@ -289,24 +288,37 @@ def test_unblock_oneway_heals_and_reblock_cuts_again():
     a, b = nodes
     received = []
     b.handle("p", lambda pl, src: received.append(pl))
-    network.block_oneway("n0", "n1")
+    network.cut([("n0", "n1")])
     a.send("n1", "p", 1)
     sim.run()
-    network.unblock_oneway("n0", "n1")
+    network.mend([("n0", "n1")])
     a.send("n1", "p", 2)
     sim.run()
-    network.block_oneway("n0", "n1")
+    network.cut([("n0", "n1")])
     a.send("n1", "p", 3)
     sim.run()
     assert received == [2]
 
 
 def test_oneway_blocks_compose_with_symmetric_unblock():
-    """A symmetric unblock clears both directed entries, including one
-    installed via block_oneway."""
+    """Cuts are counted per directed pair: mending a symmetric cut
+    leaves a one-way cut of the same pair in place, and the pair leaves
+    the map (the switch's no-partition fast path) with its last cut."""
     sim, network, nodes = make_cluster()
-    network.block_oneway("n0", "n1")
-    network.block_oneway("n1", "n0")
-    network.unblock("n0", "n1")
-    assert not network.is_blocked("n0", "n1")
-    assert not network.is_blocked("n1", "n0")
+    a, b = nodes
+    received = []
+    a.handle("p", lambda pl, src: received.append(("a", pl)))
+    b.handle("p", lambda pl, src: received.append(("b", pl)))
+    both = [("n0", "n1"), ("n1", "n0")]
+    network.cut([("n0", "n1")])
+    network.cut(both)
+    network.mend(both)
+    a.send("n1", "p", "lost")    # the one-way cut still holds
+    b.send("n0", "p", "heard")
+    sim.run()
+    assert received == [("a", "heard")]
+    network.mend([("n0", "n1")])
+    assert network._blocked == {}
+    a.send("n1", "p", "healed")
+    sim.run()
+    assert received == [("a", "heard"), ("b", "healed")]

@@ -87,10 +87,11 @@ def amnesia_split(seed: int, *, scrub: bool):
         return results[0] if results else None
 
     sim.run(until=1.5)
-    for minority in MINORITY:
-        for other in range(REPLICAS):
-            if other not in MINORITY:
-                network.block(names[minority], names[other])
+    cut = [pair for minority in MINORITY for other in range(REPLICAS)
+           if other not in MINORITY
+           for pair in ((names[minority], names[other]),
+                        (names[other], names[minority]))]
+    network.cut(cut)
     sim.run(until=2.5)  # let the majority's failure detector settle
 
     acked_in_partition = 0
@@ -104,10 +105,7 @@ def amnesia_split(seed: int, *, scrub: bool):
         nodes[doomed].crash()
         runtimes[doomed] = None
     sim.run(until=4.0)           # the lying window has closed (t=3.8)
-    for minority in MINORITY:
-        for other in range(REPLICAS):
-            if other not in MINORITY:
-                network.unblock(names[minority], names[other])
+    network.mend(cut)
     nodes[FAULTED].restart()
     if not scrub:
         # The mutation: recovery that trusts the disk, no scrub, no fence.
